@@ -481,6 +481,76 @@ func BenchmarkT13_Overdue(b *testing.B) {
 	}
 }
 
+// T13 page/claim: the shape of the benchmark's human_backlog workload —
+// six clerks each offered every item of a standing backlog, paging the
+// top 20 and claiming from the top. Both must stay flat in the backlog
+// depth: the ordered indexes read a page in place and remove near the
+// head without moving the rest.
+
+func newOfferedBacklog(b *testing.B, backlog int) (*task.Service, []string) {
+	b.Helper()
+	dir := resource.NewDirectory()
+	for i := 0; i < 6; i++ {
+		dir.AddUser(&resource.User{ID: fmt.Sprintf("clerk%d", i), Roles: []string{"clerk"}})
+	}
+	svc := task.NewService(task.Config{Directory: dir})
+	return svc, growBacklog(b, svc, nil, backlog)
+}
+
+func growBacklog(b *testing.B, svc *task.Service, ids []string, n int) []string {
+	b.Helper()
+	for i := 0; i < n; i++ {
+		it, err := svc.Create(task.Spec{InstanceID: "i", ElementID: "e", Role: "clerk"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids = append(ids, it.ID)
+	}
+	return ids
+}
+
+func BenchmarkT13_OfferedPage(b *testing.B) {
+	const limit = 20
+	for _, backlog := range []int{500, 4000, 100000} {
+		b.Run(fmt.Sprintf("backlog=%d", backlog), func(b *testing.B) {
+			svc, _ := newOfferedBacklog(b, backlog)
+			// The clones plus O(1): a copy of the user's whole offered
+			// set shows here, whatever the iteration count.
+			if allocs := testing.AllocsPerRun(10, func() { svc.OfferedPage("clerk0", 0, limit) }); allocs > limit+8 {
+				b.Fatalf("OfferedPage allocates %.0f times per page of %d, want at most %d", allocs, limit, limit+8)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := svc.OfferedPage("clerk0", 0, limit); len(got) != limit {
+					b.Fatalf("page = %d items", len(got))
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkT13_ClaimHead(b *testing.B) {
+	for _, backlog := range []int{4000, 100000} {
+		b.Run(fmt.Sprintf("backlog=%d", backlog), func(b *testing.B) {
+			const refill = 1000 // the depth stays within this of backlog
+			svc, ids := newOfferedBacklog(b, backlog)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%refill == 0 {
+					b.StopTimer()
+					ids = growBacklog(b, svc, ids, refill)
+					b.StartTimer()
+				}
+				if _, err := svc.Claim(ids[i], "clerk0"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // F2: allocation-policy simulation (one 100-case run per iteration).
 
 func benchPolicy(b *testing.B, pol resource.Policy) {

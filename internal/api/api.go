@@ -427,8 +427,12 @@ func (s *Server) listInstances(w http.ResponseWriter, r *http.Request) {
 		sums = kept
 	}
 	total := len(sums)
-	items := make([]instanceRow, 0, len(pageSlice(sums, offset, limit)))
-	for _, sm := range pageSlice(sums, offset, limit) {
+	sums = sums[min(offset, total):]
+	if limit >= 0 && limit < len(sums) {
+		sums = sums[:limit]
+	}
+	items := make([]instanceRow, 0, len(sums))
+	for _, sm := range sums {
 		items = append(items, instanceRow{ID: sm.ID, ProcessID: sm.ProcessID, Status: sm.Status.String()})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -495,27 +499,6 @@ func (s *Server) publishMessage(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"delivered": delivered, "buffered": buffered})
 }
 
-func filterState(items []*task.Item, state task.State) []*task.Item {
-	var out []*task.Item
-	for _, it := range items {
-		if it.State == state {
-			out = append(out, it)
-		}
-	}
-	return out
-}
-
-func pageSlice[T any](items []T, offset, limit int) []T {
-	if offset >= len(items) {
-		return nil
-	}
-	items = items[offset:]
-	if limit >= 0 && len(items) > limit {
-		items = items[:limit]
-	}
-	return items
-}
-
 // pageParams parses limit/offset query parameters (limit defaults to
 // -1 = everything, offset to 0).
 func pageParams(r *http.Request) (offset, limit int, err error) {
@@ -536,14 +519,15 @@ func pageParams(r *http.Request) (offset, limit int, err error) {
 }
 
 // listTasks serves GET /api/tasks with user/state filters and
-// limit/offset pagination, pushed down to the worklist's secondary
-// indexes (no full-map scan on any path):
+// limit/offset pagination. Filtering and paging both happen inside the
+// worklist's ordered indexes, which stop at offset+limit entries:
 //
 //   - ?user=u            → {"worklist": [...], "offered": [...]} (each
 //     list paginated independently — the pre-pagination shape)
 //   - ?state=s           → {"items": [...], ...} from the state index
-//   - ?user=u&state=s    → {"items": [...], ...} from the user indexes,
-//     filtered to the state
+//   - ?user=u&state=s    → {"items": [...], ...} from the user's
+//     offered or worklist index, or the state index filtered by
+//     assignee (task.Service.UserStatePage)
 func (s *Server) listTasks(w http.ResponseWriter, r *http.Request) {
 	user := r.URL.Query().Get("user")
 	stateName := r.URL.Query().Get("state")
@@ -569,27 +553,10 @@ func (s *Server) listTasks(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var items []*task.Item
-	switch {
-	case user == "":
+	if user == "" {
 		items = s.bpms.Tasks.ByStatePage(state, offset, limit)
-	case state == task.Offered:
-		items = s.bpms.Tasks.OfferedPage(user, offset, limit)
-	case state == task.Allocated || state == task.Started:
-		// A user's queue is small by construction: filter it by state,
-		// then page.
-		items = pageSlice(filterState(s.bpms.Tasks.Worklist(user), state), offset, limit)
-	default:
-		// Created and terminal items are not on any user queue; the
-		// per-state index is the answer-sized source, filtered by the
-		// assignee recorded on the item (the closer, for terminal
-		// states).
-		var all []*task.Item
-		for _, it := range s.bpms.Tasks.ByState(state) {
-			if it.Assignee == user {
-				all = append(all, it)
-			}
-		}
-		items = pageSlice(all, offset, limit)
+	} else {
+		items = s.bpms.Tasks.UserStatePage(user, state, offset, limit)
 	}
 	if items == nil {
 		items = []*task.Item{}

@@ -268,6 +268,100 @@ func TestInstancePagination(t *testing.T) {
 	}
 }
 
+// TestTaskUserStatePaging covers the two user+state listings that page
+// inside the worklist indexes: user+allocated|started (the user's
+// worklist filtered by state) and user+terminal state (the state index
+// filtered by assignee). Each page must hold exactly the items, in the
+// order and encoding, that slicing the unpaged ?state= listing filtered
+// by assignee gives — on one stripe and on four.
+func TestTaskUserStatePaging(t *testing.T) {
+	for _, stripes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
+			b, err := core.Open(core.Options{WorklistStripes: stripes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { b.Close() })
+			b.AddUser("alice", "clerk")
+			b.AddUser("bob", "clerk")
+			ts := httptest.NewServer(New(b).Handler())
+			t.Cleanup(ts.Close)
+			p := model.New("queue").
+				Start("s").UserTask("review", model.Role("clerk")).End("e").
+				Seq("s", "review", "e").MustBuild()
+			if err := b.Engine.Deploy(p); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 14; i++ {
+				doJSON(t, http.MethodPost, ts.URL+"/api/v1/instances",
+					map[string]any{"processId": "queue"}, http.StatusCreated)
+			}
+			type listing struct {
+				Items []json.RawMessage `json:"items"`
+				Count int               `json:"count"`
+			}
+			list := func(query string) listing {
+				t.Helper()
+				var l listing
+				if err := json.Unmarshal(get(t, ts.URL+"/api/v1/tasks?"+query), &l); err != nil {
+					t.Fatal(err)
+				}
+				return l
+			}
+			// Item i of the backlog goes to alice (even) or bob (odd) and
+			// is left allocated, started or completed by turns; the last
+			// two stay offered.
+			for i, raw := range list("state=offered").Items[:12] {
+				var it struct{ ID string }
+				if err := json.Unmarshal(raw, &it); err != nil {
+					t.Fatal(err)
+				}
+				user := []string{"alice", "bob"}[i%2]
+				for _, verb := range []string{"claim", "start", "complete"}[:1+i/2%3] {
+					doJSON(t, http.MethodPost, ts.URL+"/api/v1/tasks/"+it.ID+"/"+verb,
+						map[string]any{"user": user}, http.StatusOK)
+				}
+			}
+			for _, user := range []string{"alice", "bob", "nobody"} {
+				for _, state := range []string{"allocated", "started", "completed", "cancelled"} {
+					var mine []json.RawMessage
+					for _, raw := range list("state=" + state).Items {
+						var it struct{ Assignee string }
+						if err := json.Unmarshal(raw, &it); err != nil {
+							t.Fatal(err)
+						}
+						if it.Assignee == user {
+							mine = append(mine, raw)
+						}
+					}
+					if user != "nobody" && state != "cancelled" && len(mine) != 2 {
+						t.Fatalf("%s has %d %s items, the set-up should leave 2", user, len(mine), state)
+					}
+					for _, pg := range []struct{ offset, limit int }{{0, -1}, {0, 1}, {1, 1}, {1, 5}, {2, 3}, {0, 0}} {
+						query := fmt.Sprintf("user=%s&state=%s&offset=%d", user, state, pg.offset)
+						if pg.limit >= 0 {
+							query += fmt.Sprintf("&limit=%d", pg.limit)
+						}
+						want := mine[min(pg.offset, len(mine)):]
+						if pg.limit >= 0 && pg.limit < len(want) {
+							want = want[:pg.limit]
+						}
+						got := list(query)
+						if got.Count != len(want) || len(got.Items) != len(want) {
+							t.Fatalf("%s: %d items (count %d), want %d", query, len(got.Items), got.Count, len(want))
+						}
+						for i := range want {
+							if !bytes.Equal(got.Items[i], want[i]) {
+								t.Errorf("%s: item %d = %s, want %s", query, i, got.Items[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestMetricsEndpointAndViolations covers the observability surface:
 // an instrumented server exposes GET /metrics in the text exposition
 // format with per-route request counters, /api/v1/violations reports
@@ -281,7 +375,10 @@ func TestMetricsEndpointAndViolations(t *testing.T) {
 	ts := httptest.NewServer(New(b).Handler())
 	t.Cleanup(ts.Close)
 
-	// Drive one instrumented request, then scrape.
+	// Drive one instrumented request, and one query on each worklist
+	// index, then scrape.
+	get(t, ts.URL+"/api/v1/tasks?user=alice")
+	get(t, ts.URL+"/api/v1/tasks?state=completed")
 	stats := doJSON(t, "GET", ts.URL+"/api/v1/stats", nil, http.StatusOK)
 	if _, ok := stats["uptimeSeconds"].(float64); !ok {
 		t.Errorf("stats missing uptimeSeconds: %v", stats)
@@ -311,6 +408,9 @@ func TestMetricsEndpointAndViolations(t *testing.T) {
 		obs.MetricStartTime,
 		`bpms_http_requests_total{route="GET /api/v1/stats",code="200"} 1`,
 		`bpms_http_request_seconds_bucket{route="GET /api/v1/stats",le="+Inf"} 1`,
+		`bpms_task_op_seconds_count{op="page_worklist"} 1`,
+		`bpms_task_op_seconds_count{op="page_offered"} 1`,
+		`bpms_task_op_seconds_count{op="page_state"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %q in /metrics:\n%.2000s", want, text)

@@ -150,12 +150,18 @@ type Engine struct {
 	closing         atomic.Bool
 	snapshotting    atomic.Bool
 	snapshotPending atomic.Bool
+	snapMu          sync.Mutex // one Snapshot at a time (see Snapshot)
 	lastSnapIndex   atomic.Uint64
 	recoveryDur     atomic.Int64
 
 	degraded  atomic.Bool
 	degrade   degradeState
 	onDegrade func(reason string)
+
+	// afterSnapshotIndex, set only by tests, runs between a snapshot's
+	// two steps (see snapshotContents): it lets a test start cases at
+	// the one point where the order of those steps matters.
+	afterSnapshotIndex func()
 }
 
 // New creates an engine, recovering state from the journal when it is

@@ -229,8 +229,39 @@ func (e *Engine) TrySnapshot() bool {
 	return true
 }
 
-// Snapshot writes a point-in-time engine image covering the journal's
-// current last index, then drops the covered journal prefix. Each
+// snapshotContents fixes what a snapshot covers: the journal index it
+// stands for, then the definitions and instances to write, each sorted
+// by ID. The index is read BEFORE the listing. A definition or
+// instance enters its map before its first record is appended, so
+// whatever the journal holds up to index is in the listing; something
+// registered after the read has its record above index, where replay
+// finds it. Read the other way round, a case started between the two
+// steps was in neither the image nor the replayed suffix, and a
+// restart lost it though its start had been acknowledged. The image
+// may thus be ahead of its index, never behind, and replay's
+// last-write-wins makes ahead harmless.
+func (e *Engine) snapshotContents() (index uint64, defs []*model.Process, insts []*Instance) {
+	index = e.journal.LastIndex()
+	if e.afterSnapshotIndex != nil {
+		e.afterSnapshotIndex()
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	defs = make([]*model.Process, 0, len(e.definitions))
+	for _, def := range e.definitions {
+		defs = append(defs, def)
+	}
+	sort.Slice(defs, func(a, b int) bool { return defs[a].ID < defs[b].ID })
+	insts = make([]*Instance, 0, len(e.instances))
+	for _, inst := range e.instances {
+		insts = append(insts, inst)
+	}
+	sort.Slice(insts, func(a, b int) bool { return insts[a].ID < insts[b].ID })
+	return index, defs, insts
+}
+
+// Snapshot writes a point-in-time engine image covering the journal
+// index read when it began, then drops the covered journal prefix. Each
 // instance is locked just long enough to encode it and the record is
 // streamed straight to the snapshot writer, so memory stays bounded by
 // one instance's state rather than the total image. Instances mutated
@@ -241,31 +272,15 @@ func (e *Engine) Snapshot() error {
 	if e.snapshots == nil {
 		return fmt.Errorf("engine: no snapshot store configured")
 	}
+	// An explicit call (admin endpoint, shutdown) may meet the
+	// scheduler's snapshot in flight; two writers at one journal index
+	// share a temp file, and the slower one's rename fails.
+	e.snapMu.Lock()
+	defer e.snapMu.Unlock()
 	if e.blobSnapshots {
 		return e.snapshotBlob()
 	}
-	e.mu.RLock()
-	defIDs := make([]string, 0, len(e.definitions))
-	for id := range e.definitions {
-		defIDs = append(defIDs, id)
-	}
-	sort.Strings(defIDs)
-	defs := make([]*model.Process, 0, len(defIDs))
-	for _, id := range defIDs {
-		defs = append(defs, e.definitions[id])
-	}
-	instIDs := make([]string, 0, len(e.instances))
-	for id := range e.instances {
-		instIDs = append(instIDs, id)
-	}
-	sort.Strings(instIDs)
-	insts := make([]*Instance, 0, len(instIDs))
-	for _, id := range instIDs {
-		insts = append(insts, e.instances[id])
-	}
-	e.mu.RUnlock()
-
-	index := e.journal.LastIndex()
+	index, defs, insts := e.snapshotContents()
 	w, err := e.snapshots.Writer(index)
 	if err != nil {
 		e.failStop("snapshot create", err)
@@ -320,28 +335,8 @@ func (e *Engine) Snapshot() error {
 // engine image is marshalled in memory and written in one Write call.
 // Retained only as the seed baseline for experiment T16.
 func (e *Engine) snapshotBlob() error {
-	img := snapshotImage{}
-	e.mu.RLock()
-	defIDs := make([]string, 0, len(e.definitions))
-	for id := range e.definitions {
-		defIDs = append(defIDs, id)
-	}
-	sort.Strings(defIDs)
-	for _, id := range defIDs {
-		img.Definitions = append(img.Definitions, e.definitions[id])
-	}
-	instIDs := make([]string, 0, len(e.instances))
-	for id := range e.instances {
-		instIDs = append(instIDs, id)
-	}
-	sort.Strings(instIDs)
-	insts := make([]*Instance, 0, len(instIDs))
-	for _, id := range instIDs {
-		insts = append(insts, e.instances[id])
-	}
-	e.mu.RUnlock()
-
-	index := e.journal.LastIndex()
+	index, defs, insts := e.snapshotContents()
+	img := snapshotImage{Definitions: defs}
 	for _, inst := range insts {
 		inst.mu.Lock()
 		data, err := e.encodeInstance(inst)

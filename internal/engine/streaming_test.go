@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -196,5 +198,93 @@ func TestRequestSnapshotRearm(t *testing.T) {
 	sn, err := e.snapshots.LatestSnapshot()
 	if err != nil || sn == nil {
 		t.Fatalf("no snapshot written for re-armed trigger: sn=%v err=%v", sn, err)
+	}
+}
+
+// TestSnapshotUnderLoadLosesNoAckedStart: cases acknowledged while a
+// snapshot is being taken survive a restart from that snapshot. Seeded
+// starters run against a durable engine while Snapshot loops, and the
+// hook holds every snapshot between its two steps — journal index,
+// instance listing — until some starter has begun and finished a start
+// there. With the steps the other way round (listing, then index) such
+// a case is in neither the image nor the replayed suffix: the last
+// snapshot is taken under load like the others, so the reopened engine
+// comes back short.
+func TestSnapshotUnderLoadLosesNoAckedStart(t *testing.T) {
+	const starters, snapshots = 3, 6
+	dir := t.TempDir()
+	e, j := openStreamingFixture(t, dir, Config{Durable: true})
+	if err := e.Deploy(model.Sequence(3)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Cancelled when the snapshots are done, or by a starter that fails.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ticks := make(chan struct{})
+	// More acknowledgements than there are starters: at least one
+	// starter has then run a whole start inside the window.
+	e.afterSnapshotIndex = func() {
+		for i := 0; i <= starters; i++ {
+			select {
+			case <-ticks:
+			case <-ctx.Done():
+			}
+		}
+	}
+	type ack struct {
+		id     string
+		status Status
+	}
+	acked := make([][]ack, starters)
+	var wg sync.WaitGroup
+	for w := range acked {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			for {
+				v, err := e.StartInstance("seq-3", map[string]any{"n": rng.Intn(1000)})
+				if err != nil {
+					t.Errorf("start: %v", err)
+					cancel()
+					return
+				}
+				acked[w] = append(acked[w], ack{v.ID, v.Status})
+				select {
+				case ticks <- struct{}{}:
+				case <-ctx.Done():
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < snapshots; i++ {
+		if err := e.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel()
+	wg.Wait()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, j2 := openStreamingFixture(t, dir, Config{})
+	defer j2.Close()
+	total := 0
+	for _, list := range acked {
+		total += len(list)
+		for _, a := range list {
+			v, err := e2.Instance(a.id)
+			if err != nil {
+				t.Errorf("acknowledged case lost across the restart: %v", err)
+			} else if v.Status != a.status {
+				t.Errorf("%s recovered %s, was acknowledged %s", a.id, v.Status, a.status)
+			}
+		}
+	}
+	if total < snapshots*(starters+1) {
+		t.Fatalf("only %d starts were acknowledged; the window stayed empty", total)
 	}
 }

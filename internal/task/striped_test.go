@@ -1,9 +1,14 @@
 package task
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,10 +16,88 @@ import (
 	"bpms/internal/resource"
 )
 
+// refPage is the brute-force reference every page query is checked
+// against: scan the item maps, filter, sort with itemLess, slice. An
+// empty answer is nil, as it is from the service. Single-goroutine
+// tests only: the items are read outside the stripe locks.
+func refPage(svc *Service, keep func(*Item) bool, offset, limit int) []*Item {
+	var all []*Item
+	for _, st := range svc.stripes {
+		for _, it := range st.items {
+			if keep(it) {
+				all = append(all, it)
+			}
+		}
+	}
+	sort.Slice(all, func(a, b int) bool { return itemLess(all[a], all[b]) })
+	if offset < 0 {
+		offset = 0
+	}
+	if offset >= len(all) {
+		return nil
+	}
+	all = all[offset:]
+	if limit >= 0 && len(all) > limit {
+		all = all[:limit]
+	}
+	var out []*Item
+	for _, it := range all {
+		out = append(out, it.clone())
+	}
+	return out
+}
+
+func onWorklist(user string) func(*Item) bool {
+	return func(it *Item) bool {
+		return it.Assignee == user && (it.State == Allocated || it.State == Started)
+	}
+}
+
+func offeredTo(user string) func(*Item) bool {
+	return func(it *Item) bool { return it.State == Offered && slices.Contains(it.OfferedTo, user) }
+}
+
+func inState(state State) func(*Item) bool {
+	return func(it *Item) bool { return it.State == state }
+}
+
+// userInState is what GET /tasks?user=&state= has always answered.
+func userInState(user string, state State) func(*Item) bool {
+	if state == Offered {
+		return offeredTo(user)
+	}
+	return func(it *Item) bool { return it.State == state && it.Assignee == user }
+}
+
+// checkPages compares the four page queries at one (offset, limit)
+// with the reference.
+func checkPages(t *testing.T, svc *Service, user string, state State, offset, limit int) {
+	t.Helper()
+	for _, q := range []struct {
+		name      string
+		got, want []*Item
+	}{
+		{"WorklistPage", svc.WorklistPage(user, offset, limit), refPage(svc, onWorklist(user), offset, limit)},
+		{"OfferedPage", svc.OfferedPage(user, offset, limit), refPage(svc, offeredTo(user), offset, limit)},
+		{"ByStatePage", svc.ByStatePage(state, offset, limit), refPage(svc, inState(state), offset, limit)},
+		{"UserStatePage", svc.UserStatePage(user, state, offset, limit), refPage(svc, userInState(user, state), offset, limit)},
+	} {
+		// DeepEqual also tells nil from empty, which the API's
+		// {"worklist","offered"} shape encodes differently.
+		if !reflect.DeepEqual(q.got, q.want) {
+			got, _ := json.Marshal(q.got)
+			want, _ := json.Marshal(q.want)
+			t.Errorf("%d stripes: %s(%s, %s, offset %d, limit %d)\n got %s\nwant %s",
+				len(svc.stripes), q.name, user, state, offset, limit, got, want)
+		}
+	}
+}
+
 // checkConsistency verifies every secondary index against a
 // ground-truth scan of the stripe item maps: the per-user
-// allocated/started and offered sets, the per-state sets, the
-// due-time heaps, and the cross-stripe load counters must all agree
+// allocated/started and offered indexes and the per-state indexes must
+// hold exactly the stripe's matching items in strict worklist order,
+// and the due-time heaps and the cross-stripe load counters must agree
 // with the items themselves.
 func checkConsistency(t *testing.T, svc *Service) {
 	t.Helper()
@@ -24,6 +107,7 @@ func checkConsistency(t *testing.T, svc *Service) {
 	}
 	all := map[string]flat{}
 	wantLoads := map[string]int{}
+	users := map[string]bool{} // every user an item or an index names
 	for si, st := range svc.stripes {
 		st.mu.Lock()
 		for id, it := range st.items {
@@ -31,74 +115,55 @@ func checkConsistency(t *testing.T, svc *Service) {
 			if (it.State == Allocated || it.State == Started) && it.Assignee != "" {
 				wantLoads[it.Assignee]++
 			}
-		}
-		// byUser: exactly the allocated/started items of each user.
-		seen := map[string]string{} // item -> user
-		for user, set := range st.byUser {
-			if len(set) == 0 {
-				t.Errorf("stripe %d: empty byUser entry for %s", si, user)
-			}
-			for id := range set {
-				it, ok := st.items[id]
-				if !ok {
-					t.Errorf("stripe %d: byUser[%s] holds unknown item %s", si, user, id)
-					continue
-				}
-				if it.Assignee != user || (it.State != Allocated && it.State != Started) {
-					t.Errorf("stripe %d: byUser[%s] holds %s (state %s, assignee %q)", si, user, id, it.State, it.Assignee)
-				}
-				seen[id] = user
+			users[it.Assignee] = true
+			for _, u := range it.OfferedTo {
+				users[u] = true
 			}
 		}
-		for id, it := range st.items {
-			if (it.State == Allocated || it.State == Started) && it.Assignee != "" {
-				if seen[id] != it.Assignee {
-					t.Errorf("stripe %d: item %s (assignee %s) missing from byUser", si, id, it.Assignee)
-				}
-			}
-		}
-		// offered: exactly the Offered items, per OfferedTo user.
-		offeredSeen := map[string]int{}
-		for user, set := range st.offered {
-			if len(set) == 0 {
-				t.Errorf("stripe %d: empty offered entry for %s", si, user)
-			}
-			for id := range set {
-				it, ok := st.items[id]
-				if !ok || it.State != Offered {
-					t.Errorf("stripe %d: offered[%s] holds non-offered item %s", si, user, id)
-					continue
-				}
-				found := false
-				for _, uid := range it.OfferedTo {
-					if uid == user {
-						found = true
+		checkIndex := func(name string, o *ordered, want func(*Item) bool) {
+			var live []*Item
+			if o != nil {
+				live = o.buf[o.head:]
+				for _, it := range o.buf[:o.head] {
+					if it != nil {
+						t.Errorf("stripe %d: %s keeps %s alive in a free slot", si, name, it.ID)
 					}
 				}
-				if !found {
-					t.Errorf("stripe %d: offered[%s] holds %s not offered to them", si, user, id)
+			}
+			for i, it := range live {
+				if st.items[it.ID] != it {
+					t.Errorf("stripe %d: %s holds %s, which is not the stripe's item", si, name, it.ID)
+				} else if !want(it) {
+					t.Errorf("stripe %d: %s holds %s (state %s, assignee %q, offered to %v)", si, name, it.ID, it.State, it.Assignee, it.OfferedTo)
 				}
-				offeredSeen[id]++
-			}
-		}
-		for id, it := range st.items {
-			if it.State == Offered && offeredSeen[id] != len(it.OfferedTo) {
-				t.Errorf("stripe %d: offered index has %d entries for %s, want %d", si, offeredSeen[id], id, len(it.OfferedTo))
-			}
-		}
-		// byState: an exact partition of the stripe's items.
-		total := 0
-		for state, set := range st.byState {
-			total += len(set)
-			for id := range set {
-				it, ok := st.items[id]
-				if !ok || it.State != State(state) {
-					t.Errorf("stripe %d: byState[%s] holds %s (actual %v)", si, State(state), id, it)
+				if i > 0 && !itemLess(live[i-1], it) {
+					t.Errorf("stripe %d: %s out of order at %d: %s before %s", si, name, i, live[i-1].ID, it.ID)
 				}
 			}
+			n := 0
+			for _, it := range st.items {
+				if want(it) {
+					n++
+				}
+			}
+			if n != len(live) {
+				t.Errorf("stripe %d: %s holds %d items, ground truth %d", si, name, len(live), n)
+			}
 		}
-		if total != len(st.items) {
-			t.Errorf("stripe %d: byState indexes %d items, stripe holds %d", si, total, len(st.items))
+		for name, index := range map[string]map[string]*ordered{"byUser": st.byUser, "offered": st.offered} {
+			for user, o := range index {
+				users[user] = true
+				if o.len() == 0 {
+					t.Errorf("stripe %d: empty %s entry for %s", si, name, user)
+				}
+			}
+		}
+		for user := range users {
+			checkIndex("byUser["+user+"]", st.byUser[user], onWorklist(user))
+			checkIndex("offered["+user+"]", st.offered[user], offeredTo(user))
+		}
+		for state := range st.byState {
+			checkIndex("byState["+State(state).String()+"]", &st.byState[state], inState(State(state)))
 		}
 		// due heap: entries reference live items with that deadline, at
 		// most one entry per item, and every OPEN item with a deadline
@@ -157,42 +222,59 @@ func checkConsistency(t *testing.T, svc *Service) {
 			}
 		}
 	}
-	for state := Created; state <= Cancelled; state++ {
-		want := 0
-		for _, f := range all {
-			if f.it.State == state {
-				want++
-			}
-		}
-		if got := svc.ByState(state); len(got) != want {
-			t.Errorf("ByState(%s) = %d, brute force %d", state, len(got), want)
+	// Every full listing matches the brute-force reference.
+	for user := range users {
+		for state := Created; state <= Cancelled; state++ {
+			checkPages(t, svc, user, state, 0, -1)
 		}
 	}
 }
 
-// TestIndexConsistencyRandomOps drives a long randomized op sequence
-// against an 8-stripe service and then checks every secondary index
-// against a ground-truth scan.
+// TestIndexConsistencyRandomOps drives one seeded random op stream —
+// creates with random priority and colliding creation times, and every
+// lifecycle verb — through services of 1, 4 and 8 stripes in lockstep.
+// After every step the page queries at a random (offset, limit) must
+// equal the brute-force reference on each service (so striped N ≡
+// striped 1); the index structure itself is checked every 250 steps.
+// A failure prints the seed's op trace.
 func TestIndexConsistencyRandomOps(t *testing.T) {
+	for _, seed := range []int64{13, 14, 15} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { randomOps(t, seed, 1000) })
+	}
+}
+
+func randomOps(t *testing.T, seed int64, steps int) {
 	users := []string{"alice", "bob", "carol", "dave", "erin"}
 	d := resource.NewDirectory()
 	for _, u := range users {
 		d.AddUser(&resource.User{ID: u, Roles: []string{"clerk"}})
 	}
 	now := base
-	svc := NewService(Config{
-		Directory: d,
-		Stripes:   8,
-		Now:       func() time.Time { return now },
-	})
-	rng := rand.New(rand.NewSource(13))
-	var ids []string
-	pick := func() string { return ids[rng.Intn(len(ids))] }
+	var svcs []*Service
+	for _, stripes := range []int{1, 4, 8} {
+		svcs = append(svcs, NewService(Config{
+			Directory: d,
+			Stripes:   stripes,
+			Now:       func() time.Time { return now },
+		}))
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var ids, trace []string
 	user := func() string { return users[rng.Intn(len(users))] }
-	for op := 0; op < 5000; op++ {
-		now = now.Add(time.Duration(rng.Intn(1000)) * time.Millisecond)
+	// each applies one op to every service; the services see the same
+	// clock and mint the same IDs, so they stay in the same state.
+	each := func(desc string, op func(svc *Service)) {
+		trace = append(trace, fmt.Sprintf("%4d %s", len(trace), desc))
+		for _, svc := range svcs {
+			op(svc)
+		}
+	}
+	for step := 0; step < steps && !t.Failed(); step++ {
+		// Half the steps keep the clock where it is: equal creation
+		// times fall through to the ID tie-break (wi-10 < wi-9).
+		now = now.Add(time.Duration(rng.Intn(2)) * time.Second)
 		if len(ids) == 0 || rng.Intn(10) < 3 {
-			spec := Spec{InstanceID: "i", ElementID: fmt.Sprintf("e%d", op), Priority: rng.Intn(5)}
+			spec := Spec{InstanceID: "i", ElementID: fmt.Sprintf("e%d", step), Priority: rng.Intn(5)}
 			switch rng.Intn(3) {
 			case 0:
 				spec.Assignee = user()
@@ -202,44 +284,58 @@ func TestIndexConsistencyRandomOps(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				spec.Due = time.Duration(1+rng.Intn(120)) * time.Minute
 			}
-			it, err := svc.Create(spec)
+			var id string
+			each(fmt.Sprintf("create %+v", spec), func(svc *Service) {
+				it, err := svc.Create(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				id = it.ID
+			})
+			ids = append(ids, id)
+		} else {
+			id := ids[rng.Intn(len(ids))]
+			cur, err := svcs[0].Get(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids = append(ids, it.ID)
-			continue
+			other := user()
+			switch rng.Intn(8) {
+			case 0:
+				each("claim "+id+" "+other, func(svc *Service) { svc.Claim(id, other) })
+			case 1:
+				each("start "+id, func(svc *Service) { svc.Start(id, cur.Assignee) })
+			case 2:
+				each("complete "+id, func(svc *Service) { svc.Complete(id, cur.Assignee, nil) })
+			case 3:
+				each("fail "+id, func(svc *Service) { svc.Fail(id, cur.Assignee, "nope") })
+			case 4:
+				each("skip "+id, func(svc *Service) { svc.Skip(id, "skipped") })
+			case 5:
+				each("cancel "+id, func(svc *Service) { svc.Cancel(id, "cancelled") })
+			case 6:
+				each("delegate "+id+" to "+other, func(svc *Service) { svc.Delegate(id, cur.Assignee, other) })
+			case 7:
+				each("release "+id, func(svc *Service) { svc.Release(id, cur.Assignee) })
+			}
 		}
-		id := pick()
-		switch rng.Intn(8) {
-		case 0:
-			svc.Claim(id, user())
-		case 1:
-			if it, err := svc.Get(id); err == nil {
-				svc.Start(id, it.Assignee)
-			}
-		case 2:
-			if it, err := svc.Get(id); err == nil {
-				svc.Complete(id, it.Assignee, nil)
-			}
-		case 3:
-			if it, err := svc.Get(id); err == nil {
-				svc.Fail(id, it.Assignee, "nope")
-			}
-		case 4:
-			svc.Skip(id, "skipped")
-		case 5:
-			svc.Cancel(id, "cancelled")
-		case 6:
-			if it, err := svc.Get(id); err == nil {
-				svc.Delegate(id, it.Assignee, user())
-			}
-		case 7:
-			if it, err := svc.Get(id); err == nil {
-				svc.Release(id, it.Assignee)
+		// -1 and 0 are legal limits (everything, nothing); offsets
+		// reach past the end of any list.
+		u, state := user(), State(rng.Intn(len(stateNames)))
+		offset, limit := rng.Intn(len(ids)+3)-1, rng.Intn(12)-1
+		if rng.Intn(3) == 0 {
+			offset = 0
+		}
+		for _, svc := range svcs {
+			checkPages(t, svc, u, state, offset, limit)
+			if step%250 == 249 || step == steps-1 {
+				checkConsistency(t, svc)
 			}
 		}
 	}
-	checkConsistency(t, svc)
+	if t.Failed() {
+		t.Logf("seed %d op trace:\n%s", seed, strings.Join(trace, "\n"))
+	}
 }
 
 // TestStripedConcurrent hammers an 8-stripe service with parallel

@@ -9,12 +9,26 @@
 // across N stripes by FNV-1a on the item ID (the same hash family the
 // shard router and the history stripes use), each stripe guarded by
 // its own mutex and carrying its own secondary indexes — per-user
-// allocated/offered sets, a per-state set, and a due-time min-heap —
-// so claims and completions on different items proceed in parallel
-// and queries (Worklist, ByState, Overdue) read indexes instead of
-// scanning the item map. Per-user load counters live outside the item
-// stripes, so allocation policies (resource.ShortestQueuePolicy) read
-// them without touching any stripe lock.
+// allocated and offered sets, a per-state set, and a due-time
+// min-heap — so claims and completions on different items proceed in
+// parallel. The three set indexes are one type, ordered, kept in
+// worklist order (priority desc, creation time, ID):
+//
+//   - a page query (WorklistPage, OfferedPage, ByStatePage,
+//     UserStatePage) walks the first offset+limit entries of each
+//     stripe's index and clones only the entries it returns — there is
+//     no per-query sort and no item-map lookup; a filtered page
+//     (UserStatePage) walks until offset+limit entries have matched;
+//   - an index insert or remove is a binary search, O(log n), plus a
+//     shift of the shorter side of the slice — nothing for an append
+//     at the bottom, at most the page depth for a claim near the top,
+//     and n/2 entries in the worst case (a priority insert into the
+//     middle of a deep backlog);
+//   - Overdue pops its due-time heap, O(overdue · log pending).
+//
+// Per-user load counters live outside the item stripes, so allocation
+// policies (resource.ShortestQueuePolicy) read them without touching
+// any stripe lock.
 package task
 
 import (
@@ -22,6 +36,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,8 +84,20 @@ func ParseState(name string) (State, error) {
 	return 0, fmt.Errorf("task: unknown state %q", name)
 }
 
+// quotedStateNames holds each state name as a JSON string, so encoding
+// an item allocates nothing for its state.
+var quotedStateNames = func() (q [len(stateNames)][]byte) {
+	for i, n := range stateNames {
+		q[i] = []byte(`"` + n + `"`)
+	}
+	return q
+}()
+
 // MarshalJSON encodes the state as its name.
 func (s State) MarshalJSON() ([]byte, error) {
+	if int(s) < len(quotedStateNames) {
+		return quotedStateNames[s], nil
+	}
 	return json.Marshal(s.String())
 }
 
@@ -146,9 +173,15 @@ type Item struct {
 }
 
 func (it *Item) clone() *Item {
-	cp := *it
-	cp.OfferedTo = append([]string(nil), it.OfferedTo...)
-	return &cp
+	cp := new(Item)
+	it.copyTo(cp)
+	return cp
+}
+
+// copyTo makes dst a copy of it that shares no mutable state with it.
+func (it *Item) copyTo(dst *Item) {
+	*dst = *it
+	dst.OfferedTo = append([]string(nil), it.OfferedTo...)
 }
 
 // Spec describes a work item to create.
@@ -209,22 +242,41 @@ func (h *dueHeap) Pop() any {
 type stripe struct {
 	mu      sync.Mutex
 	items   map[string]*Item
-	byUser  map[string]map[string]bool       // user -> item IDs allocated/started
-	offered map[string]map[string]bool       // user -> item IDs offered
-	byState [len(stateNames)]map[string]bool // state -> item IDs
-	due     dueHeap                          // open items with deadlines
+	byUser  map[string]*ordered      // user -> items allocated/started
+	offered map[string]*ordered      // user -> items offered
+	byState [len(stateNames)]ordered // state -> items
+	due     dueHeap                  // open items with deadlines
 }
 
 func newStripe() *stripe {
-	st := &stripe{
+	return &stripe{
 		items:   map[string]*Item{},
-		byUser:  map[string]map[string]bool{},
-		offered: map[string]map[string]bool{},
+		byUser:  map[string]*ordered{},
+		offered: map[string]*ordered{},
 	}
-	for i := range st.byState {
-		st.byState[i] = map[string]bool{}
+}
+
+// addTo inserts an item into a per-user index, reporting whether it
+// was absent; dropFrom is its inverse. A user's index exists only
+// while it is non-empty.
+func addTo(index map[string]*ordered, userID string, it *Item) bool {
+	o := index[userID]
+	if o == nil {
+		o = &ordered{}
+		index[userID] = o
 	}
-	return st
+	return o.insert(it)
+}
+
+func dropFrom(index map[string]*ordered, userID string, it *Item) bool {
+	o := index[userID]
+	if !o.remove(it) {
+		return false
+	}
+	if o.len() == 0 {
+		delete(index, userID)
+	}
+	return true
 }
 
 // Service is the worklist manager.
@@ -242,10 +294,14 @@ type Service struct {
 	// them (0 = none).
 	defaultSLA time.Duration
 	// opHist holds one pre-resolved latency histogram per operation
-	// (index = target State; opCreate covers Create). Nil entries when
+	// (index = target State; opCreate covers Create, the opPage* three
+	// the page queries by the index they read). Nil entries when
 	// uninstrumented.
-	opHist   [len(stateNames)]*obs.Histogram
-	opCreate *obs.Histogram
+	opHist         [len(stateNames)]*obs.Histogram
+	opCreate       *obs.Histogram
+	opPageWorklist *obs.Histogram
+	opPageOffered  *obs.Histogram
+	opPageState    *obs.Histogram
 
 	// listeners is copy-on-write: Subscribe (rare) copies under subMu,
 	// notify (hot) loads the pointer with no lock and no allocation.
@@ -324,6 +380,9 @@ func NewService(cfg Config) *Service {
 	}
 	if cfg.Metrics.Op != nil {
 		s.opCreate = cfg.Metrics.Op("create")
+		s.opPageWorklist = cfg.Metrics.Op("page_worklist")
+		s.opPageOffered = cfg.Metrics.Op("page_offered")
+		s.opPageState = cfg.Metrics.Op("page_state")
 		for i, name := range stateNames {
 			s.opHist[i] = cfg.Metrics.Op(name)
 		}
@@ -439,35 +498,24 @@ func (s *Service) addLoad(userID string, delta int) {
 
 // userAddLocked inserts an item into a user's allocated/started index
 // and bumps the load counter on first insertion.
-func (s *Service) userAddLocked(st *stripe, userID, itemID string) {
-	set := st.byUser[userID]
-	if set == nil {
-		set = map[string]bool{}
-		st.byUser[userID] = set
-	}
-	if !set[itemID] {
-		set[itemID] = true
+func (s *Service) userAddLocked(st *stripe, userID string, it *Item) {
+	if addTo(st.byUser, userID, it) {
 		s.addLoad(userID, 1)
 	}
 }
 
 // userRemoveLocked is the inverse of userAddLocked.
-func (s *Service) userRemoveLocked(st *stripe, userID, itemID string) {
-	set := st.byUser[userID]
-	if set != nil && set[itemID] {
-		delete(set, itemID)
-		if len(set) == 0 {
-			delete(st.byUser, userID)
-		}
+func (s *Service) userRemoveLocked(st *stripe, userID string, it *Item) {
+	if dropFrom(st.byUser, userID, it) {
 		s.addLoad(userID, -1)
 	}
 }
 
 // setStateLocked moves an item between per-state index sets.
 func (st *stripe) setStateLocked(it *Item, to State) {
-	delete(st.byState[it.State], it.ID)
+	st.byState[it.State].remove(it)
 	it.State = to
-	st.byState[to][it.ID] = true
+	st.byState[to].insert(it)
 }
 
 // Create registers a new work item and routes it: direct assignees are
@@ -503,7 +551,7 @@ func (s *Service) Create(spec Spec) (*Item, error) {
 		heap.Push(&st.due, dueEntry{at: it.DueAt, id: id})
 	}
 	st.items[id] = it
-	st.byState[Created][id] = true
+	st.byState[Created].insert(it)
 
 	events := []notification{{it.clone(), Created, Created}}
 	switch {
@@ -527,7 +575,8 @@ func (s *Service) Create(spec Spec) (*Item, error) {
 	for _, n := range events {
 		s.notify(n.item, n.from, n.to)
 	}
-	return s.Get(id)
+	// The last event carries the item as routing left it.
+	return events[len(events)-1].item, nil
 }
 
 // candidates resolves an item's role members, capability-filtered. The
@@ -552,10 +601,7 @@ func (s *Service) offerLocked(st *stripe, it *Item, candidates []*resource.User,
 	it.OfferedTo = it.OfferedTo[:0]
 	for _, u := range candidates {
 		it.OfferedTo = append(it.OfferedTo, u.ID)
-		if st.offered[u.ID] == nil {
-			st.offered[u.ID] = map[string]bool{}
-		}
-		st.offered[u.ID][it.ID] = true
+		addTo(st.offered, u.ID, it)
 	}
 	*events = append(*events, notification{it.clone(), from, Offered})
 }
@@ -566,18 +612,13 @@ func (s *Service) allocateLocked(st *stripe, it *Item, userID string, events *[]
 	st.setStateLocked(it, Allocated)
 	it.Assignee = userID
 	it.AllocatedAt = s.now()
-	s.userAddLocked(st, userID, it.ID)
+	s.userAddLocked(st, userID, it)
 	*events = append(*events, notification{it.clone(), from, Allocated})
 }
 
 func clearOffersLocked(st *stripe, it *Item) {
 	for _, uid := range it.OfferedTo {
-		if set := st.offered[uid]; set != nil {
-			delete(set, it.ID)
-			if len(set) == 0 {
-				delete(st.offered, uid)
-			}
-		}
+		dropFrom(st.offered, uid, it)
 	}
 	it.OfferedTo = nil
 }
@@ -631,10 +672,10 @@ func (s *Service) transition(id string, to State, mutate func(*Item) error) (*It
 		// A mutate hook may have changed the assignee: migrate the
 		// per-user index with it so the item never sits on two queues.
 		if prevAssignee != "" && prevAssignee != it.Assignee {
-			s.userRemoveLocked(st, prevAssignee, it.ID)
+			s.userRemoveLocked(st, prevAssignee, it)
 		}
 		if it.Assignee != "" {
-			s.userAddLocked(st, it.Assignee, it.ID)
+			s.userAddLocked(st, it.Assignee, it)
 		}
 		it.AllocatedAt = s.now()
 	case Started:
@@ -643,7 +684,7 @@ func (s *Service) transition(id string, to State, mutate func(*Item) error) (*It
 	if to.Terminal() {
 		clearOffersLocked(st, it)
 		if it.Assignee != "" {
-			s.userRemoveLocked(st, it.Assignee, it.ID)
+			s.userRemoveLocked(st, it.Assignee, it)
 		}
 		it.ClosedAt = s.now()
 	}
@@ -662,13 +703,7 @@ func (s *Service) Claim(id, userID string) (*Item, error) {
 	return s.transition(id, Allocated, func(it *Item) error {
 		switch it.State {
 		case Offered:
-			ok := false
-			for _, uid := range it.OfferedTo {
-				if uid == userID {
-					ok = true
-				}
-			}
-			if !ok {
+			if !slices.Contains(it.OfferedTo, userID) {
 				return fmt.Errorf("%w: %s not offered %s", ErrNotAuthorized, userID, id)
 			}
 		case Started:
@@ -748,9 +783,9 @@ func (s *Service) Delegate(id, fromUser, toUser string) (*Item, error) {
 		return nil, fmt.Errorf("%w: %s is not the assignee of %s", ErrNotAuthorized, fromUser, id)
 	}
 	from := it.State
-	s.userRemoveLocked(st, fromUser, it.ID)
+	s.userRemoveLocked(st, fromUser, it)
 	it.Assignee = toUser
-	s.userAddLocked(st, toUser, it.ID)
+	s.userAddLocked(st, toUser, it)
 	// Delegation returns a started item to Allocated for the new owner.
 	st.setStateLocked(it, Allocated)
 	it.AllocatedAt = s.now()
@@ -779,7 +814,7 @@ func (s *Service) Release(id, userID string) (*Item, error) {
 		st.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s is not the assignee of %s", ErrNotAuthorized, userID, id)
 	}
-	s.userRemoveLocked(st, it.Assignee, it.ID)
+	s.userRemoveLocked(st, it.Assignee, it)
 	it.Assignee = ""
 	var events []notification
 	s.offerLocked(st, it, s.candidates(it), &events)
@@ -791,41 +826,37 @@ func (s *Service) Release(id, userID string) (*Item, error) {
 	return snap, nil
 }
 
-// collectLocked clones and sorts the items behind an index set. With
-// max >= 0 only the first max items (in worklist order) are cloned —
-// the tail a paginated query would discard is never copied.
-func (st *stripe) collectLocked(ids map[string]bool, max int) []*Item {
-	if len(ids) == 0 {
-		return nil
+// page answers one paginated query: pick selects the index to read on
+// each stripe, pred (nil = none) filters its entries. A single stripe
+// is read in place; several are each asked for their first
+// offset+limit matches — any one of them may hold the whole answer —
+// and merged.
+func (s *Service) page(h *obs.Histogram, pick func(*stripe) *ordered, pred func(*Item) bool, offset, limit int) []*Item {
+	t0 := h.Start()
+	defer h.Since(t0)
+	if offset < 0 {
+		offset = 0
 	}
-	live := make([]*Item, 0, len(ids))
-	for id := range ids {
-		live = append(live, st.items[id])
+	if len(s.stripes) == 1 {
+		st := s.stripes[0]
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return pick(st).page(offset, limit, pred)
 	}
-	sortItems(live)
-	if max >= 0 && len(live) > max {
-		live = live[:max]
+	first := -1
+	if limit >= 0 {
+		first = offset + limit
 	}
-	out := make([]*Item, len(live))
-	for i, it := range live {
-		out[i] = it.clone()
-	}
-	return out
-}
-
-// collect gathers one sorted, cloned slice per stripe for an index
-// selected by pick.
-func (s *Service) collect(pick func(st *stripe) map[string]bool, max int) [][]*Item {
 	lists := make([][]*Item, 0, len(s.stripes))
 	for _, st := range s.stripes {
 		st.mu.Lock()
-		l := st.collectLocked(pick(st), max)
+		l := pick(st).page(0, first, pred)
 		st.mu.Unlock()
 		if len(l) > 0 {
 			lists = append(lists, l)
 		}
 	}
-	return lists
+	return mergeSorted(lists, offset, limit)
 }
 
 // Worklist returns the items allocated to or started by user, sorted
@@ -836,8 +867,7 @@ func (s *Service) Worklist(userID string) []*Item {
 
 // WorklistPage is Worklist with pagination (limit < 0 = no limit).
 func (s *Service) WorklistPage(userID string, offset, limit int) []*Item {
-	max := pageMax(offset, limit)
-	return mergeSorted(s.collect(func(st *stripe) map[string]bool { return st.byUser[userID] }, max), offset, limit)
+	return s.page(s.opPageWorklist, func(st *stripe) *ordered { return st.byUser[userID] }, nil, offset, limit)
 }
 
 // OfferedItems returns the items offered to user.
@@ -847,8 +877,7 @@ func (s *Service) OfferedItems(userID string) []*Item {
 
 // OfferedPage is OfferedItems with pagination (limit < 0 = no limit).
 func (s *Service) OfferedPage(userID string, offset, limit int) []*Item {
-	max := pageMax(offset, limit)
-	return mergeSorted(s.collect(func(st *stripe) map[string]bool { return st.offered[userID] }, max), offset, limit)
+	return s.page(s.opPageOffered, func(st *stripe) *ordered { return st.offered[userID] }, nil, offset, limit)
 }
 
 // ByState returns copies of all items in the given state, read from
@@ -862,8 +891,28 @@ func (s *Service) ByStatePage(state State, offset, limit int) []*Item {
 	if int(state) >= len(stateNames) {
 		return nil
 	}
-	max := pageMax(offset, limit)
-	return mergeSorted(s.collect(func(st *stripe) map[string]bool { return st.byState[state] }, max), offset, limit)
+	return s.page(s.opPageState, func(st *stripe) *ordered { return &st.byState[state] }, nil, offset, limit)
+}
+
+// UserStatePage returns one page of the items in the given state that
+// belong to user: offered to them, on their worklist (allocated,
+// started), or — created and closed items sit on no user's queue —
+// carrying them as assignee (for a closed item, whoever closed it).
+// The last two walk the user's worklist, or the state's index, only
+// until offset+limit entries have matched.
+func (s *Service) UserStatePage(userID string, state State, offset, limit int) []*Item {
+	switch state {
+	case Offered:
+		return s.OfferedPage(userID, offset, limit)
+	case Allocated, Started:
+		return s.page(s.opPageWorklist, func(st *stripe) *ordered { return st.byUser[userID] },
+			func(it *Item) bool { return it.State == state }, offset, limit)
+	}
+	if int(state) >= len(stateNames) {
+		return nil
+	}
+	return s.page(s.opPageState, func(st *stripe) *ordered { return &st.byState[state] },
+		func(it *Item) bool { return it.Assignee == userID }, offset, limit)
 }
 
 // Overdue returns open items whose deadline has passed at the given
@@ -902,27 +951,6 @@ func (st *stripe) overdueLocked(now time.Time) []*Item {
 		heap.Push(&st.due, e)
 	}
 	return out
-}
-
-// pageMax converts offset/limit into the per-stripe clone bound.
-func pageMax(offset, limit int) int {
-	if limit < 0 {
-		return -1
-	}
-	if offset < 0 {
-		offset = 0
-	}
-	return offset + limit
-}
-
-func itemLess(a, b *Item) bool {
-	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
-	}
-	if !a.CreatedAt.Equal(b.CreatedAt) {
-		return a.CreatedAt.Before(b.CreatedAt)
-	}
-	return a.ID < b.ID
 }
 
 func sortItems(items []*Item) {
@@ -1025,13 +1053,14 @@ func (s *Service) Stats() Stats {
 	for i, st := range s.stripes {
 		st.mu.Lock()
 		ss := StripeStat{Items: len(st.items), Due: len(st.due)}
-		for state, set := range st.byState {
-			if len(set) == 0 {
+		for state := range st.byState {
+			n := st.byState[state].len()
+			if n == 0 {
 				continue
 			}
-			out.ByState[State(state).String()] += len(set)
+			out.ByState[State(state).String()] += n
 			if !State(state).Terminal() {
-				ss.Open += len(set)
+				ss.Open += n
 			}
 		}
 		st.mu.Unlock()
