@@ -945,6 +945,158 @@ func benchT16Snapshot(b *testing.B, blob bool) {
 func BenchmarkT16_SnapshotBlob(b *testing.B)      { benchT16Snapshot(b, true) }
 func BenchmarkT16_SnapshotStreaming(b *testing.B) { benchT16Snapshot(b, false) }
 
+// T16, boot recovery decode: what a restart pays to parse the audit
+// journal and the engine's instance records.
+
+// scriptCaseEvents writes the audit trail of n scripted pipeline cases
+// the way the engine emits it: 16 events per case, one case after the
+// other, the four routing elements' completions carrying a data object.
+func scriptCaseEvents(b *testing.B, j storage.Journal, n int) {
+	b.Helper()
+	elements := []struct {
+		id      string
+		routing bool
+	}{{"ingest", true}, {"validate", false}, {"branch", true}, {"fastPath", false},
+		{"merge", true}, {"record", false}, {"done", true}}
+	at := time.Date(2026, 6, 1, 12, 0, 0, 0, time.UTC)
+	var buf []byte
+	put := func(e history.Event) {
+		at = at.Add(1237 * time.Nanosecond)
+		e.Time, e.ProcessID = at, "bench-pipeline"
+		var err error
+		if buf, err = history.AppendEncode(buf[:0], &e); err == nil {
+			_, err = j.Append(buf)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 1; i <= n; i++ {
+		inst := fmt.Sprintf("bench-pipeline-%d", i)
+		put(history.Event{Type: history.InstanceStarted, InstanceID: inst})
+		for _, el := range elements {
+			put(history.Event{Type: history.ElementActivated, InstanceID: inst, ElementID: el.id})
+			done := history.Event{Type: history.ElementCompleted, InstanceID: inst, ElementID: el.id}
+			if el.routing {
+				done.Data = map[string]any{"routing": true}
+			}
+			put(done)
+		}
+		put(history.Event{Type: history.InstanceCompleted, InstanceID: inst})
+	}
+}
+
+func openHistory(b *testing.B, j storage.Journal, window, wantEvents int) {
+	b.Helper()
+	s, err := history.NewStriped([]storage.Journal{j}, history.StoreOptions{Window: window, Sync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	resident := wantEvents
+	if window > 0 && window < resident {
+		resident = window
+	}
+	if st := s.Stats(); st.Events != wantEvents || st.Resident != resident {
+		b.Fatalf("opened %d events, %d resident; want %d, %d", st.Events, st.Resident, wantEvents, resident)
+	}
+}
+
+func BenchmarkT16_HistoryOpen(b *testing.B) {
+	const cases, perCase = 20000, 16
+	j := storage.NewMemJournal()
+	scriptCaseEvents(b, j, cases)
+	// The same trail with its first half written twice: 160 000 more
+	// records, all below any window and of instances already seen.
+	longer := storage.NewMemJournal()
+	scriptCaseEvents(b, longer, cases/2)
+	scriptCaseEvents(b, longer, cases)
+	for _, window := range []int{0, 100000} {
+		b.Run(fmt.Sprintf("events=%d/window=%d", cases*perCase, window), func(b *testing.B) {
+			if window > 0 {
+				// A record below the window is counted where it lies:
+				// a longer prefix allocates nothing more (the slack is
+				// the journal's own replay and the counters' map growth).
+				short := testing.AllocsPerRun(1, func() { openHistory(b, j, window, cases*perCase) })
+				long := testing.AllocsPerRun(1, func() { openHistory(b, longer, window, cases*perCase*3/2) })
+				if long-short > 64 {
+					b.Fatalf("160000 more count-only records cost %.0f allocations, want none", long-short)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				openHistory(b, j, window, cases*perCase)
+			}
+		})
+	}
+}
+
+func BenchmarkDecodeEvent(b *testing.B) {
+	at := time.Date(2026, 6, 1, 12, 0, 0, 123456789, time.UTC)
+	plain := history.Event{Type: history.ElementCompleted, Time: at, ProcessID: "bench-pipeline",
+		InstanceID: "bench-pipeline-1528", ElementID: "validate"}
+	data := plain
+	data.Data = map[string]any{"routing": true}
+	for _, c := range []struct {
+		name      string
+		event     history.Event
+		maxAllocs float64 // the event, its strings, and for data the map
+	}{{"plain", plain, 8}, {"data", data, 16}} {
+		b.Run(c.name, func(b *testing.B) {
+			payload, err := c.event.Encode()
+			if err != nil {
+				b.Fatal(err)
+			}
+			decode := func() {
+				if e, err := history.DecodeEvent(payload); err != nil || e.ElementID != "validate" {
+					b.Fatalf("decoded %+v, %v", e, err)
+				}
+			}
+			if allocs := testing.AllocsPerRun(100, decode); allocs > c.maxAllocs {
+				b.Fatalf("DecodeEvent allocates %.0f times, want at most %.0f", allocs, c.maxAllocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				decode()
+			}
+		})
+	}
+}
+
+func BenchmarkT16_RecoverDecode(b *testing.B) {
+	const instances = 20000
+	b.Run(fmt.Sprintf("instances=%d", instances), func(b *testing.B) {
+		j := storage.NewMemJournal()
+		e, err := engine.New(engine.Config{Journal: j})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.RegisterHandler(model.NoopHandler, func(engine.TaskContext) (map[string]expr.Value, error) { return nil, nil })
+		if err := e.Deploy(model.Sequence(3)); err != nil {
+			b.Fatal(err)
+		}
+		regions := []string{"north", "south", "east", "west"}
+		for i := 0; i < instances; i++ {
+			vars := map[string]any{"amount": i % 10000, "customer": fmt.Sprintf("c-%06d", i), "region": regions[i%4], "checked": true}
+			if _, err := e.StartInstance("seq-3", vars); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e2, err := engine.New(engine.Config{Journal: j})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got := len(e2.Instances()); got != instances {
+				b.Fatalf("recovered %d", got)
+			}
+		}
+	})
+}
+
 // T8: end-to-end simulated loan process (100 cases per iteration).
 
 func BenchmarkT8_LoanSimulation(b *testing.B) {

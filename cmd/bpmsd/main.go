@@ -167,6 +167,9 @@ func main() {
 	fmt.Printf("bpmsd: %d definition(s), %d instance(s) recovered across %d shard(s), %d user(s)\n",
 		len(sys.Engine.Definitions()), len(sys.Engine.Instances()), sys.Engine.Shards(), sys.Directory.Count())
 	if *data != "" {
+		hs := sys.History.Stats()
+		fmt.Printf("bpmsd: history replayed in %.3fs (%d events, %d resident)\n",
+			hs.RecoverySeconds, hs.RecoveredEvents, hs.Resident)
 		for _, st := range sys.ShardStats() {
 			fmt.Printf("bpmsd: shard %d replayed in %.3fs (%d instance(s), journal index %d, %d byte(s) on disk)\n",
 				st.Shard, st.RecoverySeconds, st.Instances, st.JournalLast, st.DiskBytes)

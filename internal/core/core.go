@@ -382,6 +382,7 @@ func Open(opts Options) (*BPMS, error) {
 		}
 	}
 	onDegrade := opts.OnDegrade
+	engineBegan := time.Now()
 	router, err := shard.New(shard.Config{
 		Journals:        stateJournals,
 		Snapshots:       snaps,
@@ -404,6 +405,7 @@ func Open(opts Options) (*BPMS, error) {
 		closeAll()
 		return nil, err
 	}
+	engineRecovery := time.Since(engineBegan)
 	shardDirs := make([]string, 0, shards)
 	if opts.DataDir != "" {
 		for i := 0; i < shards; i++ {
@@ -423,6 +425,8 @@ func Open(opts Options) (*BPMS, error) {
 		fs:        opts.FS,
 	}
 	if opts.Metrics != nil {
+		opts.Metrics.Recovery("history").SetFloat(hist.Stats().RecoverySeconds)
+		opts.Metrics.Recovery("engine").SetFloat(engineRecovery.Seconds())
 		b.registerSamplers(opts.Metrics)
 		// Decision tables are compiled ad hoc (script tasks, API
 		// callers), not owned by core, so their instruments attach

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -349,13 +350,34 @@ func TestStripedHistoryOpenReopen(t *testing.T) {
 		t.Fatal("reopen with 4 stripes should fail on a 2-stripe data dir")
 	}
 
-	b2, err := Open(Options{DataDir: dir, HistoryStripes: 2, HistoryWindow: 16})
+	metrics := obs.New()
+	b2, err := Open(Options{DataDir: dir, HistoryStripes: 2, HistoryWindow: 16, Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b2.Close()
 	if got := b2.History.Count(); got != total {
 		t.Fatalf("recovered %d events, want %d", got, total)
+	}
+	// The replay is accounted for: in the stats, and as a recovery
+	// phase of its own beside the engine's, with no record needing the
+	// fallback decoder.
+	if st := b2.History.Stats(); st.RecoveredEvents != total || st.RecoverySeconds <= 0 || st.Resident > 2*16 {
+		t.Errorf("history stats after reopen = %+v, want %d recovered events in > 0 s", st, total)
+	}
+	var scrape strings.Builder
+	if err := metrics.Registry().WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`bpms_recovery_seconds{phase="history"} 0.`,
+		`bpms_recovery_seconds{phase="engine"} 0.`,
+		`bpms_history_decode_fallback_total{stripe="0"} 0`,
+		`bpms_history_decode_fallback_total{stripe="1"} 0`,
+	} {
+		if !strings.Contains(scrape.String(), want) {
+			t.Errorf("missing %q in the scrape", want)
+		}
 	}
 	// Every instance's trail replays in order: started first, then the
 	// element lifecycle, completed last — even though the 16-event

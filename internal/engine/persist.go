@@ -367,6 +367,17 @@ func (e *Engine) snapshotBlob() error {
 // compiled *model.Process or an *instState. Safe for concurrent use;
 // the payload is not retained past the call.
 func decodeRecoveryRecord(payload []byte) (any, error) {
+	// An instance record as encodeRecord writes it: the state is the
+	// rest of the envelope, decoded where it lies. A state that does
+	// not decode (so may not end where the envelope does) is left to
+	// the envelope decoder below, as is every other spelling.
+	const instanceHead = `{"kind":"instance","state":`
+	if n := len(payload); n > len(instanceHead) && payload[n-1] == '}' && string(payload[:len(instanceHead)]) == instanceHead {
+		st := &instState{}
+		if json.Unmarshal(payload[len(instanceHead):n-1], st) == nil {
+			return st, nil
+		}
+	}
 	var rec record
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return nil, fmt.Errorf("engine: decode journal record: %w", err)

@@ -7,7 +7,6 @@
 package history
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 )
@@ -78,15 +77,6 @@ type Event struct {
 // encoder the store's committers use, starting from a fresh buffer).
 func (e *Event) Encode() ([]byte, error) {
 	return AppendEncode(nil, e)
-}
-
-// DecodeEvent parses an event from its journal payload.
-func DecodeEvent(payload []byte) (*Event, error) {
-	var e Event
-	if err := json.Unmarshal(payload, &e); err != nil {
-		return nil, fmt.Errorf("history: decode event: %w", err)
-	}
-	return &e, nil
 }
 
 // String renders a compact human-readable form for logs and CLIs.

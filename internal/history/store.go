@@ -36,6 +36,13 @@ import (
 // the window are answered by replaying the stripe's journal prefix, so
 // results are identical with and without eviction.
 //
+// Open: rebuilding a stripe costs O(journal bytes scanned) + O(window
+// events decoded). Every record is read, but only those the window
+// keeps are decoded and indexed; the ones below it are counted where
+// they lie (see replay). Records in the layout AppendEncode writes
+// decode in a single pass (decode.go); any other layout encoding/json
+// reads still decodes, through it.
+//
 // Queries barrier on the async pipeline: every event enqueued before
 // the query call is indexed before the query reads, preserving the
 // read-your-writes behaviour of the previous synchronous store.
@@ -62,7 +69,7 @@ type StoreOptions struct {
 	// time (the simulator) use this to avoid background goroutines.
 	Sync bool
 	// Metrics, when set, instruments each stripe's queue depth and
-	// enqueue-to-commit latency.
+	// enqueue-to-commit latency and counts its decode fallbacks.
 	Metrics *obs.Metrics
 }
 
@@ -127,6 +134,10 @@ type stripe struct {
 	count     int
 	lastErr   error // first append failure (surfaced by Flush)
 
+	// Boot replay, fixed once NewStriped returns.
+	recovery  time.Duration
+	recovered int
+
 	// Committer scratch (single committer goroutine per stripe).
 	encBuf  []byte
 	idxBuf  []uint64
@@ -151,25 +162,8 @@ func NewStriped(journals []storage.Journal, opts StoreOptions) (*Store, error) {
 	// Phase 1: replay every journal. No committer goroutine starts
 	// until all stripes recovered, so an error here leaks nothing.
 	for i, j := range journals {
-		st := &stripe{
-			journal:    j,
-			metrics:    opts.Metrics.HistoryStripe(i),
-			window:     opts.Window,
-			byInstance: map[string][]*Event{},
-			instCount:  map[string]int{},
-			byType:     map[EventType]int{},
-		}
-		st.cond = sync.NewCond(&st.mu)
-		err := j.Replay(1, func(index uint64, payload []byte) error {
-			e, err := DecodeEvent(payload)
-			if err != nil {
-				return err
-			}
-			e.Index = index
-			st.indexLocked(e)
-			return nil
-		})
-		if err != nil {
+		st := newStripe(j, opts.Window, opts.Metrics.HistoryStripe(i))
+		if err := st.replay(); err != nil {
 			return nil, err
 		}
 		s.stripes = append(s.stripes, st)
@@ -183,6 +177,98 @@ func NewStriped(journals []storage.Journal, opts StoreOptions) (*Store, error) {
 		}
 	}
 	return s, nil
+}
+
+// newStripe returns an empty stripe over j, nothing replayed yet.
+func newStripe(j storage.Journal, window int, metrics obs.HistoryStripeMetrics) *stripe {
+	st := &stripe{
+		journal:    j,
+		metrics:    metrics,
+		window:     window,
+		byInstance: map[string][]*Event{},
+		instCount:  map[string]int{},
+		byType:     map[EventType]int{},
+	}
+	st.cond = sync.NewCond(&st.mu)
+	return st
+}
+
+// tally counts occurrences by key, allocating only for a key's first
+// occurrence (a lookup by string(bytes) does not allocate; an
+// assignment to a map[string]int would, every time).
+type tally map[string]*int
+
+func (t tally) add(key []byte) {
+	if n := t[string(key)]; n != nil {
+		*n++
+		return
+	}
+	n := 1
+	t[string(key)] = &n
+}
+
+// replay rebuilds the stripe's indexes from its journal. Only the
+// records the window keeps — the last `window` of them — are decoded
+// and indexed. Indexing an earlier record would only see it evicted
+// again before the replay ends, so it is counted instead: its type and
+// instance ID are read in place and bump the cumulative counters, and
+// nothing is built. The stripe ends up as if every record had gone
+// through indexLocked.
+func (st *stripe) replay() error {
+	began := time.Now()
+	var cut uint64 // records at or below cut are counted, not indexed
+	if last := st.journal.LastIndex(); st.window > 0 && last > uint64(st.window) {
+		cut = last - uint64(st.window)
+	}
+	types, insts, prefix := tally{}, tally{}, 0
+	err := st.journal.Replay(1, func(index uint64, payload []byte) error {
+		if index > cut {
+			e, err := st.decode(payload)
+			if err != nil {
+				return err
+			}
+			e.Index = index
+			st.indexLocked(e)
+			return nil
+		}
+		typ, inst, ok := peekEvent(payload)
+		if !ok {
+			e, err := st.decode(payload)
+			if err != nil {
+				return err
+			}
+			typ, inst = []byte(e.Type), []byte(e.InstanceID)
+		}
+		types.add(typ)
+		if len(inst) > 0 {
+			insts.add(inst)
+		}
+		prefix++
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for typ, n := range types {
+		st.byType[EventType(typ)] += *n
+	}
+	for inst, n := range insts {
+		st.instCount[inst] += *n
+	}
+	st.count += prefix
+	st.evicted += prefix
+	st.recovery, st.recovered = time.Since(began), st.count
+	return nil
+}
+
+// decode is DecodeEvent for the stripe's replays; it counts the
+// records that needed encoding/json.
+func (st *stripe) decode(payload []byte) (*Event, error) {
+	e, fast, err := decodeEvent(payload)
+	if !fast {
+		st.metrics.Fallback.Inc()
+	}
+	return e, err
 }
 
 // Stripes returns the stripe count.
@@ -480,7 +566,11 @@ func (s *Store) EventsOf(instanceID string) []*Event {
 		if ramFirst != 0 && index >= ramFirst {
 			return errStopReplay
 		}
-		e, derr := DecodeEvent(payload)
+		// Other instances' records are skipped undecoded.
+		if _, inst, ok := peekEvent(payload); ok && string(inst) != instanceID {
+			return nil
+		}
+		e, derr := st.decode(payload)
 		if derr != nil {
 			return derr
 		}
@@ -518,7 +608,7 @@ func (s *Store) All(fn func(*Event) error) error {
 				if ramFirst != 0 && index >= ramFirst {
 					return errStopReplay
 				}
-				e, derr := DecodeEvent(payload)
+				e, derr := st.decode(payload)
 				if derr != nil {
 					return derr
 				}
@@ -601,6 +691,11 @@ type StoreStats struct {
 	Evicted int `json:"evicted"`
 	// Pending is the number of enqueued events not yet indexed.
 	Pending int `json:"pending"`
+	// RecoverySeconds is how long the boot-time journal replay took,
+	// summed over the stripes (they replay one after another).
+	RecoverySeconds float64 `json:"recoverySeconds"`
+	// RecoveredEvents is how many events that replay found.
+	RecoveredEvents int `json:"recoveredEvents"`
 }
 
 // Stats snapshots the store without waiting for the pipeline to drain
@@ -618,6 +713,8 @@ func (s *Store) Stats() StoreStats {
 		out.Evicted += st.evicted
 		out.Pending += int(enq - done)
 		st.mu.RUnlock()
+		out.RecoverySeconds += st.recovery.Seconds()
+		out.RecoveredEvents += st.recovered
 	}
 	return out
 }

@@ -16,6 +16,8 @@ const (
 	MetricWALFsync         = "bpms_wal_fsync_seconds"
 	MetricHistoryCommit    = "bpms_history_commit_seconds"
 	MetricHistoryQueue     = "bpms_history_queue_depth"
+	MetricHistoryFallback  = "bpms_history_decode_fallback_total"
+	MetricRecovery         = "bpms_recovery_seconds"
 	MetricTaskOp           = "bpms_task_op_seconds"
 	MetricTaskItems        = "bpms_task_items"
 	MetricTimerFireLag     = "bpms_timer_fire_lag_seconds"
@@ -140,6 +142,10 @@ type HistoryStripeMetrics struct {
 	// Depth tracks the stripe queue depth (enqueued, not yet
 	// committed).
 	Depth *Gauge
+	// Fallback counts journal records a replay (boot, or a query below
+	// the resident window) decoded through encoding/json because they
+	// were not in the encoder's canonical layout.
+	Fallback *Counter
 }
 
 // HistoryStripe returns the handles for stripe i.
@@ -153,7 +159,20 @@ func (m *Metrics) HistoryStripe(i int) HistoryStripeMetrics {
 			"History event enqueue-to-commit latency by stripe.", nil, "stripe", stripe),
 		Depth: m.registry.Gauge(MetricHistoryQueue,
 			"History pipeline queue depth by stripe.", "stripe", stripe),
+		Fallback: m.registry.Counter(MetricHistoryFallback,
+			"History journal records decoded by the encoding/json fallback, by stripe.", "stripe", stripe),
 	}
+}
+
+// Recovery returns the gauge holding how long one phase of the boot
+// recovery took ("history": audit journal replay; "engine": snapshot
+// load, state journal replay and re-arming, all shards).
+func (m *Metrics) Recovery(phase string) *Gauge {
+	if m == nil {
+		return nil
+	}
+	return m.registry.Gauge(MetricRecovery,
+		"Boot recovery time by phase, in seconds.", "phase", phase)
 }
 
 // TaskMetrics instruments the worklist service.

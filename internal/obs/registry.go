@@ -51,9 +51,12 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a value that can go up and down.
+// Gauge is a value that can go up and down. A gauge is either counted
+// (Set, Add, Value) or, for a fractional quantity such as a duration
+// in seconds, set whole with SetFloat; a scrape renders their sum.
 type Gauge struct {
 	v atomic.Int64
+	f atomic.Uint64 // float64 bits
 }
 
 // Set replaces the value.
@@ -76,6 +79,18 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
+}
+
+// SetFloat replaces the value of a fractional gauge.
+func (g *Gauge) SetFloat(x float64) {
+	if g != nil {
+		g.f.Store(math.Float64bits(x))
+	}
+}
+
+// float is what a scrape renders.
+func (g *Gauge) float() float64 {
+	return float64(g.v.Load()) + math.Float64frombits(g.f.Load())
 }
 
 // DefBuckets are the default latency histogram bounds in seconds,
@@ -359,7 +374,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case kindCounter:
 				writeSample(&b, f.name, s.labels, "", float64(s.c.Value()))
 			case kindGauge:
-				writeSample(&b, f.name, s.labels, "", float64(s.g.Value()))
+				writeSample(&b, f.name, s.labels, "", s.g.float())
 			case kindHistogram:
 				bounds, cum, sum, count := s.h.Snapshot()
 				for i, ub := range bounds {
