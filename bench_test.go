@@ -838,13 +838,11 @@ func BenchmarkF5_Recovery(b *testing.B) {
 	}
 }
 
-// T16: storage lifecycle — cold start from snapshot + journal suffix,
-// seed path (single-blob snapshot, serial replay) vs the streaming
-// chunked snapshot decoded by parallel workers, and the snapshot write
-// itself (blob marshals the whole image; streaming appends one bounded
-// record per definition/instance).
+// T16: storage lifecycle — cold start from a streaming snapshot plus
+// journal suffix, decoded by parallel workers, and the snapshot write
+// itself (one bounded record per definition/instance).
 
-func buildT16BenchFixture(b *testing.B, dir string, blob bool) {
+func buildT16BenchFixture(b *testing.B, dir string) {
 	b.Helper()
 	j, err := storage.OpenFileJournal(dir+"/state", storage.Options{SegmentSize: 64 << 10})
 	if err != nil {
@@ -854,7 +852,7 @@ func buildT16BenchFixture(b *testing.B, dir string, blob bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := engine.New(engine.Config{Journal: j, Snapshots: sn, BlobSnapshots: blob})
+	e, err := engine.New(engine.Config{Journal: j, Snapshots: sn})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -879,9 +877,9 @@ func buildT16BenchFixture(b *testing.B, dir string, blob bool) {
 	j.Close()
 }
 
-func benchT16ColdStart(b *testing.B, blob bool, workers int) {
+func BenchmarkT16_ColdStartStreamingParallel(b *testing.B) {
 	dir := b.TempDir()
-	buildT16BenchFixture(b, dir, blob)
+	buildT16BenchFixture(b, dir)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -893,9 +891,7 @@ func benchT16ColdStart(b *testing.B, blob bool, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e, err := engine.New(engine.Config{
-			Journal: j, Snapshots: sn, RecoveryWorkers: workers, BlobSnapshots: blob,
-		})
+		e, err := engine.New(engine.Config{Journal: j, Snapshots: sn})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -906,10 +902,7 @@ func benchT16ColdStart(b *testing.B, blob bool, workers int) {
 	}
 }
 
-func BenchmarkT16_ColdStartBlobSerial(b *testing.B)        { benchT16ColdStart(b, true, 1) }
-func BenchmarkT16_ColdStartStreamingParallel(b *testing.B) { benchT16ColdStart(b, false, 0) }
-
-func benchT16Snapshot(b *testing.B, blob bool) {
+func BenchmarkT16_SnapshotStreaming(b *testing.B) {
 	dir := b.TempDir()
 	j, err := storage.OpenFileJournal(dir+"/state", storage.Options{SegmentSize: 64 << 10})
 	if err != nil {
@@ -920,7 +913,7 @@ func benchT16Snapshot(b *testing.B, blob bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := engine.New(engine.Config{Journal: j, Snapshots: sn, BlobSnapshots: blob})
+	e, err := engine.New(engine.Config{Journal: j, Snapshots: sn})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -941,9 +934,6 @@ func benchT16Snapshot(b *testing.B, blob bool) {
 		}
 	}
 }
-
-func BenchmarkT16_SnapshotBlob(b *testing.B)      { benchT16Snapshot(b, true) }
-func BenchmarkT16_SnapshotStreaming(b *testing.B) { benchT16Snapshot(b, false) }
 
 // T16, boot recovery decode: what a restart pays to parse the audit
 // journal and the engine's instance records.
@@ -1083,16 +1073,25 @@ func BenchmarkT16_RecoverDecode(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		recoverAll := func() {
 			e2, err := engine.New(engine.Config{Journal: j})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if got := len(e2.Instances()); got != instances {
+			if got := e2.InstanceCount(); got != instances {
 				b.Fatalf("recovered %d", got)
 			}
+		}
+		// Every case is finished, so recovery archives each record
+		// undecoded: a copy of its state, the record that carries it,
+		// and its ID.
+		if per := testing.AllocsPerRun(1, recoverAll) / instances; per > 4 {
+			b.Fatalf("recovery allocates %.1f times per finished instance, want at most 4", per)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			recoverAll()
 		}
 	})
 }

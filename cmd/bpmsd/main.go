@@ -209,8 +209,8 @@ func main() {
 		}
 		cancel()
 		active := 0
-		for _, id := range sys.Engine.Instances() {
-			if v, err := sys.Engine.Instance(id); err == nil && v.Status == bpms.StatusActive {
+		for _, s := range sys.Engine.Summaries() {
+			if s.Status == bpms.StatusActive {
 				active++
 			}
 		}

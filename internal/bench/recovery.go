@@ -13,12 +13,11 @@ import (
 	"bpms/internal/storage"
 )
 
-// T16StorageLifecycle measures the storage-lifecycle refactor: snapshot
-// write memory (legacy full-image blob vs streaming chunked records)
-// and cold-start recovery time (seed serial path vs streaming snapshot
-// + parallel segment replay). One journal fixture of N instances is
-// built once and copied per configuration, so every row replays the
-// same bytes. Small WAL segments give the parallel replayer real
+// T16StorageLifecycle measures the storage lifecycle: journal replay
+// (serial vs parallel segment replay), snapshot write, and cold start
+// from that snapshot against the serial replay. One journal fixture of
+// N instances is built once and copied per configuration, so every row
+// replays the same bytes. Small WAL segments give the parallel replayer real
 // fan-out (one goroutine per sealed segment, bounded by the worker
 // pool) and let snapshot truncation actually discard files.
 func T16StorageLifecycle(scale Scale) *Table {
@@ -27,8 +26,8 @@ func T16StorageLifecycle(scale Scale) *Table {
 	segSize := int64(scale.pick(256<<10, 1<<20))
 	t := &Table{
 		ID:     "T16",
-		Title:  "storage lifecycle: snapshot memory and cold-start recovery (seed blob+serial vs streaming+parallel)",
-		Header: []string{"config", "instances", "wall", "alloc", "vs seed"},
+		Title:  "storage lifecycle: journal replay, snapshot write, and cold start from the snapshot",
+		Header: []string{"config", "instances", "wall", "alloc", "vs serial replay"},
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d (decode workers and segment readers parallelize across cores)",
 		runtime.GOMAXPROCS(0), runtime.NumCPU()))
@@ -54,10 +53,10 @@ func T16StorageLifecycle(scale Scale) *Table {
 		}
 		return e, j
 	}
-	row := func(label string, d time.Duration, alloc uint64, seed time.Duration) {
-		speedup := "1.00x"
-		if seed > 0 && d > 0 {
-			speedup = fmt.Sprintf("%.2fx", seed.Seconds()/d.Seconds())
+	row := func(label string, d time.Duration, alloc uint64, ref time.Duration) {
+		speedup := "-"
+		if ref > 0 && d > 0 {
+			speedup = fmt.Sprintf("%.2fx", ref.Seconds()/d.Seconds())
 		}
 		t.Rows = append(t.Rows, []string{
 			label, fmt.Sprint(n), secs(d), fmt.Sprintf("%.1fMB", float64(alloc)/(1<<20)), speedup,
@@ -70,7 +69,7 @@ func T16StorageLifecycle(scale Scale) *Table {
 		label   string
 		workers int
 	}{
-		{"journal replay, serial (seed)", 1},
+		{"journal replay, serial", 1},
 		{fmt.Sprintf("journal replay, %d workers", workers), workers},
 	} {
 		dir := filepath.Join(base, fmt.Sprintf("replay-%d", cfg.workers))
@@ -88,89 +87,45 @@ func T16StorageLifecycle(scale Scale) *Table {
 		j.Close()
 		if cfg.workers == 1 {
 			serialReplay = d
-			row(cfg.label, d, alloc, 0)
+			row(cfg.label, d, alloc, d)
 		} else {
 			row(cfg.label, d, alloc, serialReplay)
 		}
 	}
 
-	// Snapshot write (blob vs streaming), then cold start from the
-	// written snapshot (the journal prefix it covers is truncated, so
-	// recovery cost is dominated by snapshot decode).
+	// Snapshot write, then cold start from the written snapshot (the
+	// journal prefix it covers is truncated, so recovery reads the
+	// snapshot alone), against the serial journal replay above.
+	dir := filepath.Join(base, "snap")
+	copyTree(fixture, dir)
+	snaps, err := storage.OpenSnapshotStore(filepath.Join(dir, "snapshots"), 2)
+	if err != nil {
+		panic(err)
+	}
+	e, j := openEngine(dir, engine.Config{Snapshots: snaps})
+	d, alloc := measureAlloc(func() {
+		if err := e.Snapshot(); err != nil {
+			panic(err)
+		}
+	})
+	j.Close()
+	row("snapshot write", d, alloc, 0)
+	snaps2, err := storage.OpenSnapshotStore(filepath.Join(dir, "snapshots"), 2)
+	if err != nil {
+		panic(err)
+	}
 	var (
-		blobWrite   time.Duration
-		blobAlloc   uint64
-		blobCold    time.Duration
-		streamWrite time.Duration
-		streamCold  time.Duration
+		e2 *engine.Engine
+		j2 storage.Journal
 	)
-	for _, cfg := range []struct {
-		label string
-		blob  bool
-	}{
-		{"blob", true},
-		{"streaming", false},
-	} {
-		dir := filepath.Join(base, "snap-"+cfg.label)
-		copyTree(fixture, dir)
-		snaps, err := storage.OpenSnapshotStore(filepath.Join(dir, "snapshots"), 2)
-		if err != nil {
-			panic(err)
-		}
-		e, j := openEngine(dir, engine.Config{Snapshots: snaps, BlobSnapshots: cfg.blob})
-		d, alloc := measureAlloc(func() {
-			if err := e.Snapshot(); err != nil {
-				panic(err)
-			}
-		})
-		j.Close()
-		if cfg.blob {
-			blobWrite, blobAlloc = d, alloc
-			row("snapshot write, blob (seed)", d, alloc, 0)
-		} else {
-			streamWrite = d
-			row("snapshot write, streaming", d, alloc, blobWrite)
-			if alloc > 0 {
-				t.Notes = append(t.Notes, fmt.Sprintf(
-					"streaming snapshot write allocates %.1fx less than the blob image (%.1fMB vs %.1fMB)",
-					float64(blobAlloc)/float64(alloc), float64(blobAlloc)/(1<<20), float64(alloc)/(1<<20)))
-			}
-		}
-
-		coldCfg := engine.Config{BlobSnapshots: cfg.blob, RecoveryWorkers: 1}
-		if !cfg.blob {
-			coldCfg.RecoveryWorkers = workers
-		}
-		snaps2, err := storage.OpenSnapshotStore(filepath.Join(dir, "snapshots"), 2)
-		if err != nil {
-			panic(err)
-		}
-		coldCfg.Snapshots = snaps2
-		var (
-			e2 *engine.Engine
-			j2 storage.Journal
-		)
-		d2, alloc2 := measureAlloc(func() {
-			e2, j2 = openEngine(dir, coldCfg)
-		})
-		if got := len(e2.Instances()); got != n {
-			t.Notes = append(t.Notes, fmt.Sprintf("cold start (%s): recovered %d of %d", cfg.label, got, n))
-		}
-		j2.Close()
-		if cfg.blob {
-			blobCold = d2
-			row("cold start, blob snapshot, serial (seed)", d2, alloc2, 0)
-		} else {
-			streamCold = d2
-			row(fmt.Sprintf("cold start, streaming snapshot, %d workers", workers), d2, alloc2, blobCold)
-		}
+	d2, alloc2 := measureAlloc(func() {
+		e2, j2 = openEngine(dir, engine.Config{Snapshots: snaps2, RecoveryWorkers: workers})
+	})
+	if got := len(e2.Instances()); got != n {
+		t.Notes = append(t.Notes, fmt.Sprintf("cold start: recovered %d of %d", got, n))
 	}
-	if blobCold > 0 && streamCold > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"cold start at %d instances: streaming+parallel %.2fx faster than seed blob+serial (%.3fs vs %.3fs); snapshot write %.3fs vs %.3fs",
-			n, blobCold.Seconds()/streamCold.Seconds(), streamCold.Seconds(), blobCold.Seconds(),
-			streamWrite.Seconds(), blobWrite.Seconds()))
-	}
+	j2.Close()
+	row(fmt.Sprintf("cold start from snapshot, %d workers", workers), d2, alloc2, serialReplay)
 	return t
 }
 

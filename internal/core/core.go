@@ -406,6 +406,13 @@ func Open(opts Options) (*BPMS, error) {
 		return nil, err
 	}
 	engineRecovery := time.Since(engineBegan)
+	var unissued uint64
+	for _, s := range router.Stats() {
+		unissued += s.ReissueFailures
+	}
+	if unissued > 0 {
+		log.Printf("core: recovery could not re-issue %d work item(s); their instances stay parked (shards[].reissueFailures in /api/v1/stats)", unissued)
+	}
 	shardDirs := make([]string, 0, shards)
 	if opts.DataDir != "" {
 		for i := 0; i < shards; i++ {
@@ -640,6 +647,12 @@ type ShardStat struct {
 	Shard int `json:"shard"`
 	// Instances is the number of process instances on the shard.
 	Instances int `json:"instances"`
+	// Archived is how many of them are finished cases kept as their
+	// final record (Instances - Archived are live).
+	Archived int `json:"archived"`
+	// ReissueFailures counts work items recovery could not re-issue for
+	// parked user-task tokens (those instances stay parked).
+	ReissueFailures uint64 `json:"reissueFailures"`
 	// JournalLast is the shard WAL's last appended record index.
 	JournalLast uint64 `json:"journalLast"`
 	// JournalSynced is the shard WAL's last durably synced index.
@@ -681,6 +694,8 @@ func (b *BPMS) ShardStats() []ShardStat {
 		out[i] = ShardStat{
 			Shard:           s.Shard,
 			Instances:       s.Instances,
+			Archived:        s.Archived,
+			ReissueFailures: s.ReissueFailures,
 			JournalLast:     b.state[i].LastIndex(),
 			JournalSynced:   b.state[i].SyncedIndex(),
 			RecoverySeconds: b.Engine.RecoveryDuration(i).Seconds(),

@@ -18,9 +18,17 @@
 // recovery (NewEngine on an existing journal) restores the latest
 // state of every instance, re-arms timers, and re-registers message
 // subscriptions. Snapshots bound replay cost (experiments T4/F5).
+//
+// Finished cases are archived as their final record: once a completed,
+// cancelled or faulted instance's state is journaled, it leaves the live
+// map and the engine keeps only that record's bytes, decoding them when
+// a read asks for more than identity and status. Snapshots copy those
+// bytes and recovery archives them undecoded, so memory, snapshot and
+// restart cost follow the live cases, not every case ever run.
 package engine
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -73,11 +81,6 @@ type Config struct {
 	// recovering from a streaming snapshot and replaying sealed journal
 	// segments in parallel (0 = GOMAXPROCS, 1 = serial).
 	RecoveryWorkers int
-	// BlobSnapshots forces the legacy single-blob snapshot format that
-	// materializes the whole engine image in memory. Kept as the
-	// baseline for the T16 experiment; production paths use the
-	// streaming format.
-	BlobSnapshots bool
 	// Tasks is the worklist service for user/manual tasks (default: a
 	// fresh service with an empty directory).
 	Tasks *task.Service
@@ -123,7 +126,8 @@ type Config struct {
 type Engine struct {
 	mu          sync.RWMutex
 	definitions map[string]*model.Process
-	instances   map[string]*Instance
+	instances   map[string]*Instance // live cases
+	archive     map[string]archived  // finished cases (see retire)
 	handlers    map[string]Handler
 
 	journal        storage.Journal
@@ -132,7 +136,6 @@ type Engine struct {
 	appendsSince   int
 	durable        bool
 	recoverWorkers int
-	blobSnapshots  bool
 
 	tasks  *task.Service
 	timers timer.Service
@@ -153,6 +156,7 @@ type Engine struct {
 	snapMu          sync.Mutex // one Snapshot at a time (see Snapshot)
 	lastSnapIndex   atomic.Uint64
 	recoveryDur     atomic.Int64
+	reissueFailures atomic.Uint64 // recovered work items not re-issued
 
 	degraded  atomic.Bool
 	degrade   degradeState
@@ -162,6 +166,10 @@ type Engine struct {
 	// two steps (see snapshotContents): it lets a test start cases at
 	// the one point where the order of those steps matters.
 	afterSnapshotIndex func()
+	// retireHook, set only by tests, is handed each retirement instead
+	// of it running at once, so a test can read a finished case both
+	// before and after it leaves the live map.
+	retireHook func(retire func())
 }
 
 // New creates an engine, recovering state from the journal when it is
@@ -182,13 +190,13 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		definitions:    map[string]*model.Process{},
 		instances:      map[string]*Instance{},
+		archive:        map[string]archived{},
 		handlers:       map[string]Handler{},
 		journal:        cfg.Journal,
 		snapshots:      cfg.Snapshots,
 		snapshotEvery:  cfg.SnapshotEvery,
 		durable:        cfg.Durable,
 		recoverWorkers: cfg.RecoveryWorkers,
-		blobSnapshots:  cfg.BlobSnapshots,
 		tasks:          cfg.Tasks,
 		timers:         cfg.Timers,
 		clock:          cfg.Clock,
@@ -339,7 +347,8 @@ func (e *Engine) start(processID, id string, vars map[string]any) (*InstanceView
 	}
 	inst := newInstance(id, def, converted)
 	e.mu.Lock()
-	if _, exists := e.instances[id]; exists {
+	_, live := e.instances[id]
+	if _, finished := e.archive[id]; live || finished {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("engine: duplicate instance id %q", id)
 	}
@@ -374,31 +383,66 @@ func (e *Engine) start(processID, id string, vars map[string]any) (*InstanceView
 }
 
 // Has reports whether an instance with the given ID is registered on
-// this engine (the shard router uses it to locate an instance's owner
-// shard).
+// this engine, live or archived (the shard router uses it to locate an
+// instance's owner shard).
 func (e *Engine) Has(id string) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	_, ok := e.instances[id]
-	return ok
+	_, live := e.instances[id]
+	_, finished := e.archive[id]
+	return live || finished
 }
 
 // InstanceCount returns the number of instances on this engine.
 func (e *Engine) InstanceCount() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.instances)
+	return len(e.instances) + len(e.archive)
+}
+
+// ArchivedCount returns how many of this engine's instances are
+// finished cases kept as their final record.
+func (e *Engine) ArchivedCount() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return len(e.archive)
+}
+
+// ReissueFailures counts the work items recovery could not re-issue
+// for parked user-task tokens; their instances stay parked.
+func (e *Engine) ReissueFailures() uint64 { return e.reissueFailures.Load() }
+
+// lockCase returns case id locked; the caller unlocks it. A finished
+// case comes back as a private copy rebuilt from its final record, the
+// way recovery rebuilds it; its status is terminal, so write paths
+// refuse it with ErrNotActive.
+func (e *Engine) lockCase(id string) (*Instance, error) {
+	e.mu.RLock()
+	inst, live := e.instances[id]
+	a, finished := e.archive[id]
+	def := e.definitions[a.processID]
+	e.mu.RUnlock()
+	switch {
+	case live:
+	case finished:
+		st := &instState{}
+		if err := json.Unmarshal(a.state, st); err != nil {
+			return nil, fmt.Errorf("engine: decode archived instance %s: %w", id, err)
+		}
+		inst = restoreInstance(st, def)
+	default:
+		return nil, fmt.Errorf("%w: %s", ErrUnknownInstance, id)
+	}
+	inst.mu.Lock()
+	return inst, nil
 }
 
 // Instance returns a point-in-time view of an instance.
 func (e *Engine) Instance(id string) (*InstanceView, error) {
-	e.mu.RLock()
-	inst, ok := e.instances[id]
-	e.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownInstance, id)
+	inst, err := e.lockCase(id)
+	if err != nil {
+		return nil, err
 	}
-	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	return e.viewSnapshot(inst), nil
 }
@@ -407,8 +451,11 @@ func (e *Engine) Instance(id string) (*InstanceView, error) {
 func (e *Engine) Instances() []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.instances))
+	out := make([]string, 0, len(e.instances)+len(e.archive))
 	for id := range e.instances {
+		out = append(out, id)
+	}
+	for id := range e.archive {
 		out = append(out, id)
 	}
 	sort.Strings(out)
@@ -424,16 +471,20 @@ type InstanceSummary struct {
 }
 
 // Summaries returns a summary row per instance, sorted by ID. Each
-// instance is locked only long enough to read its status, so the
-// listing does not serialise against running steps.
+// live instance is locked only long enough to read its status, so the
+// listing does not serialise against running steps; archived rows are
+// read without decoding.
 func (e *Engine) Summaries() []InstanceSummary {
 	e.mu.RLock()
 	insts := make([]*Instance, 0, len(e.instances))
 	for _, inst := range e.instances {
 		insts = append(insts, inst)
 	}
+	out := make([]InstanceSummary, 0, len(insts)+len(e.archive))
+	for id, a := range e.archive {
+		out = append(out, InstanceSummary{ID: id, ProcessID: a.processID, Status: a.status})
+	}
 	e.mu.RUnlock()
-	out := make([]InstanceSummary, 0, len(insts))
 	for _, inst := range insts {
 		inst.mu.Lock()
 		out = append(out, InstanceSummary{ID: inst.ID, ProcessID: inst.ProcessID, Status: inst.Status})
@@ -452,13 +503,10 @@ func (e *Engine) CancelInstance(id, reason string) error {
 	}
 	t0 := e.metrics.Transition.Start()
 	defer e.metrics.Transition.Since(t0)
-	e.mu.RLock()
-	inst, ok := e.instances[id]
-	e.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownInstance, id)
+	inst, err := e.lockCase(id)
+	if err != nil {
+		return err
 	}
-	inst.mu.Lock()
 	if inst.Status != StatusActive {
 		inst.mu.Unlock()
 		return fmt.Errorf("%w: %s is %s", ErrNotActive, id, inst.Status)
@@ -472,13 +520,10 @@ func (e *Engine) CancelInstance(id, reason string) error {
 
 // Variables returns a copy of the instance's case data.
 func (e *Engine) Variables(id string) (map[string]expr.Value, error) {
-	e.mu.RLock()
-	inst, ok := e.instances[id]
-	e.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownInstance, id)
+	inst, err := e.lockCase(id)
+	if err != nil {
+		return nil, err
 	}
-	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	out := make(map[string]expr.Value, len(inst.Vars))
 	for k, v := range inst.Vars {
@@ -498,13 +543,14 @@ func (e *Engine) SetVariable(id, name string, value any) error {
 	if err != nil {
 		return err
 	}
-	e.mu.RLock()
-	inst, ok := e.instances[id]
-	e.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownInstance, id)
+	inst, err := e.lockCase(id)
+	if err != nil {
+		return err
 	}
-	inst.mu.Lock()
+	if inst.Status != StatusActive {
+		inst.mu.Unlock()
+		return fmt.Errorf("%w: %s is %s", ErrNotActive, id, inst.Status)
+	}
 	inst.Vars[name] = ev
 	e.audit(&history.Event{Type: history.VariableSet, Time: e.clock.Now(),
 		ProcessID: inst.ProcessID, InstanceID: inst.ID, Data: map[string]any{"name": name}})

@@ -54,16 +54,34 @@ func (e *Engine) finishStep(inst *Instance) error {
 }
 
 // finishChecks runs the end-of-step bookkeeping under the instance
-// lock.
+// lock. A case that finished in this step is retired once its final
+// state is journaled.
 func (e *Engine) finishChecks(inst *Instance) error {
 	e.checkInclusiveJoins(inst)
 	e.checkCompletion(inst)
-	var err error
-	if inst.dirty {
-		err = e.persistInstance(inst)
-		inst.dirty = false
+	if !inst.dirty {
+		return nil
+	}
+	inst.dirty = false
+	state, err := e.persistInstance(inst)
+	if err == nil && inst.Status != StatusActive {
+		if e.retireHook != nil {
+			e.retireHook(func() { e.retire(inst, state) })
+		} else {
+			e.retire(inst, state)
+		}
 	}
 	return err
+}
+
+// retire moves a finished case from the live map to the archive,
+// keeping only the state record persistInstance just journaled. Lock
+// order instance → engine, as in maybeSnapshot.
+func (e *Engine) retire(inst *Instance, state []byte) {
+	e.mu.Lock()
+	delete(e.instances, inst.ID)
+	e.archive[inst.ID] = archived{processID: inst.ProcessID, status: inst.Status, state: state}
+	e.mu.Unlock()
 }
 
 // releaseStep unlocks the instance and dispatches messages thrown

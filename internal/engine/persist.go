@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"bpms/internal/expr"
 	"bpms/internal/model"
@@ -41,6 +43,106 @@ type instState struct {
 	EndedAt   time.Time                      `json:"endedAt,omitempty"`
 }
 
+// archived is a finished case kept as its final record: identity and
+// status for listings, and the instState JSON persistInstance journaled
+// (or recovery read), decoded again only when a read needs it.
+type archived struct {
+	processID string
+	status    Status
+	state     []byte
+}
+
+// finishedRec is a finished case as recovery reads it: its own copy of
+// the state JSON, with id and processID aliasing it where the fast path
+// found them.
+type finishedRec struct {
+	id, processID []byte
+	status        Status
+	state         []byte
+}
+
+// readFinishedHead reads a finished case's identity where it lies: the
+// {"id":"…","processId":"…","status":N, head encodeInstance writes,
+// with neither string needing an escape and N a terminal status. Any
+// other layout is left to the decoder (nil).
+func readFinishedHead(state []byte) *finishedRec {
+	const idKey, pidKey = `{"id":"`, `,"processId":"`
+	id, rest, ok := plainField(state, idKey)
+	if !ok {
+		return nil
+	}
+	pid, rest, ok := plainField(rest, pidKey)
+	if !ok {
+		return nil
+	}
+	rest, ok = bytes.CutPrefix(rest, []byte(`,"status":`))
+	if !ok || len(rest) < 2 || rest[1] != ',' {
+		return nil
+	}
+	status := Status(rest[0] - '0')
+	if status <= StatusActive || status > StatusFaulted {
+		return nil
+	}
+	own := bytes.Clone(state)
+	idAt := len(idKey)
+	pidAt := idAt + len(id) + len(`"`) + len(pidKey)
+	return &finishedRec{id: own[idAt : idAt+len(id)], processID: own[pidAt : pidAt+len(pid)],
+		status: status, state: own}
+}
+
+// plainField cuts key off b and splits the rest at its first '"' when
+// every byte before it reads as itself in JSON: no escape, no control
+// byte, valid UTF-8.
+func plainField(b []byte, key string) (s, rest []byte, ok bool) {
+	b, ok = bytes.CutPrefix(b, []byte(key))
+	i := bytes.IndexByte(b, '"')
+	if !ok || i < 0 || !utf8.Valid(b[:i]) {
+		return nil, nil, false
+	}
+	for _, c := range b[:i] {
+		if c < 0x20 || c == '\\' {
+			return nil, nil, false
+		}
+	}
+	return b[:i], b[i+1:], true
+}
+
+// decodeState reads one instance state: a finished case is kept as its
+// bytes (undecoded when readFinishedHead reads it), a live one decodes
+// to an *instState.
+func decodeState(state []byte) (any, error) {
+	if f := readFinishedHead(state); f != nil {
+		return f, nil
+	}
+	st := &instState{}
+	if err := json.Unmarshal(state, st); err != nil {
+		return nil, fmt.Errorf("engine: decode instance state: %w", err)
+	}
+	if st.Status == StatusActive {
+		return st, nil
+	}
+	return &finishedRec{id: []byte(st.ID), processID: []byte(st.ProcessID),
+		status: st.Status, state: bytes.Clone(state)}, nil
+}
+
+// restoreInstance rebuilds an Instance from its journaled state: how
+// recovery revives a live case and how reads revive an archived one.
+func restoreInstance(st *instState, def *model.Process) *Instance {
+	inst := newInstance(st.ID, def, st.Vars)
+	inst.Status = st.Status
+	inst.StartedAt = st.StartedAt
+	inst.EndedAt = st.EndedAt
+	if st.Joins != nil {
+		inst.Joins = st.Joins
+	}
+	for _, tok := range st.Tokens {
+		inst.Tokens[tok.ID] = tok
+	}
+	return inst
+}
+
+// snapshotImage is the legacy single-blob snapshot, still read by
+// recover so data dirs written in that format open.
 type snapshotImage struct {
 	Definitions []*model.Process  `json:"definitions"`
 	Instances   []json.RawMessage `json:"instances"`
@@ -107,16 +209,17 @@ func encodeRecord(kind, field string, payload []byte) *[]byte {
 	return bp
 }
 
-// persistInstance appends the instance's current state to the journal.
-// Called under the instance lock. The returned error matters in
-// durable mode: it is the failed durability acknowledgement, and API
-// entry points must not report success past it. Serialization
-// failures still must not kill execution on async (listener/timer)
-// paths, whose callers ignore the return value as before.
-func (e *Engine) persistInstance(inst *Instance) error {
+// persistInstance appends the instance's current state to the journal
+// and returns that state's JSON. Called under the instance lock. The
+// returned error matters in durable mode: it is the failed durability
+// acknowledgement, and API entry points must not report success past
+// it. Serialization failures still must not kill execution on async
+// (listener/timer) paths, whose callers ignore the return value as
+// before.
+func (e *Engine) persistInstance(inst *Instance) ([]byte, error) {
 	data, err := e.encodeInstance(inst)
 	if err != nil {
-		return fmt.Errorf("engine: encode instance %s: %w", inst.ID, err)
+		return nil, fmt.Errorf("engine: encode instance %s: %w", inst.ID, err)
 	}
 	bp := encodeRecord("instance", "state", data)
 	_, err = e.appendRecord(*bp)
@@ -126,10 +229,10 @@ func (e *Engine) persistInstance(inst *Instance) error {
 		// fail-stop the shard. Encode errors above do not — the disk is
 		// fine, only this record is unrepresentable.
 		e.failStop("journal append", err)
-		return fmt.Errorf("engine: persist instance %s: %w", inst.ID, err)
+		return nil, fmt.Errorf("engine: persist instance %s: %w", inst.ID, err)
 	}
 	e.maybeSnapshot()
-	return nil
+	return data, nil
 }
 
 func (e *Engine) persistDeploy(p *model.Process) error {
@@ -229,18 +332,28 @@ func (e *Engine) TrySnapshot() bool {
 	return true
 }
 
+// snapCase is one case a snapshot writes: a live instance, encoded
+// under its lock when its turn comes, or an archived one's final
+// record, written as it is.
+type snapCase struct {
+	id    string
+	inst  *Instance
+	state []byte
+}
+
 // snapshotContents fixes what a snapshot covers: the journal index it
-// stands for, then the definitions and instances to write, each sorted
-// by ID. The index is read BEFORE the listing. A definition or
-// instance enters its map before its first record is appended, so
-// whatever the journal holds up to index is in the listing; something
-// registered after the read has its record above index, where replay
-// finds it. Read the other way round, a case started between the two
-// steps was in neither the image nor the replayed suffix, and a
-// restart lost it though its start had been acknowledged. The image
-// may thus be ahead of its index, never behind, and replay's
-// last-write-wins makes ahead harmless.
-func (e *Engine) snapshotContents() (index uint64, defs []*model.Process, insts []*Instance) {
+// stands for, then the definitions and cases to write, each sorted by
+// ID. The index is read BEFORE the listing. A definition or instance
+// enters its map before its first record is appended, so whatever the
+// journal holds up to index is in the listing; something registered
+// after the read has its record above index, where replay finds it.
+// Read the other way round, a case started between the two steps was in
+// neither the image nor the replayed suffix, and a restart lost it
+// though its start had been acknowledged. The image may thus be ahead
+// of its index, never behind, and replay's last-write-wins makes ahead
+// harmless. Live and archived cases are listed under one lock, so a
+// case retiring meanwhile is listed once.
+func (e *Engine) snapshotContents() (index uint64, defs []*model.Process, cases []snapCase) {
 	index = e.journal.LastIndex()
 	if e.afterSnapshotIndex != nil {
 		e.afterSnapshotIndex()
@@ -252,19 +365,23 @@ func (e *Engine) snapshotContents() (index uint64, defs []*model.Process, insts 
 		defs = append(defs, def)
 	}
 	sort.Slice(defs, func(a, b int) bool { return defs[a].ID < defs[b].ID })
-	insts = make([]*Instance, 0, len(e.instances))
-	for _, inst := range e.instances {
-		insts = append(insts, inst)
+	cases = make([]snapCase, 0, len(e.instances)+len(e.archive))
+	for id, inst := range e.instances {
+		cases = append(cases, snapCase{id: id, inst: inst})
 	}
-	sort.Slice(insts, func(a, b int) bool { return insts[a].ID < insts[b].ID })
-	return index, defs, insts
+	for id, a := range e.archive {
+		cases = append(cases, snapCase{id: id, state: a.state})
+	}
+	sort.Slice(cases, func(a, b int) bool { return cases[a].id < cases[b].id })
+	return index, defs, cases
 }
 
 // Snapshot writes a point-in-time engine image covering the journal
 // index read when it began, then drops the covered journal prefix. Each
-// instance is locked just long enough to encode it and the record is
-// streamed straight to the snapshot writer, so memory stays bounded by
-// one instance's state rather than the total image. Instances mutated
+// live instance is locked just long enough to encode it, an archived
+// case's final record is copied as is, and every record is streamed
+// straight to the snapshot writer, so memory stays bounded by one
+// instance's state rather than the total image. Instances mutated
 // concurrently are still written — possibly with post-index state —
 // which is safe because replay applies the journal suffix on top with
 // last-write-wins semantics.
@@ -277,10 +394,7 @@ func (e *Engine) Snapshot() error {
 	// share a temp file, and the slower one's rename fails.
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
-	if e.blobSnapshots {
-		return e.snapshotBlob()
-	}
-	index, defs, insts := e.snapshotContents()
+	index, defs, cases := e.snapshotContents()
 	w, err := e.snapshots.Writer(index)
 	if err != nil {
 		e.failStop("snapshot create", err)
@@ -307,10 +421,14 @@ func (e *Engine) Snapshot() error {
 			return err
 		}
 	}
-	for _, inst := range insts {
-		inst.mu.Lock()
-		data, err := e.encodeInstance(inst)
-		inst.mu.Unlock()
+	for _, c := range cases {
+		data := c.state
+		var err error
+		if c.inst != nil {
+			c.inst.mu.Lock()
+			data, err = e.encodeInstance(c.inst)
+			c.inst.mu.Unlock()
+		}
 		if err == nil {
 			err = appendRec("instance", "state", data)
 		}
@@ -331,51 +449,19 @@ func (e *Engine) Snapshot() error {
 	return nil
 }
 
-// snapshotBlob is the legacy single-blob snapshot path: the whole
-// engine image is marshalled in memory and written in one Write call.
-// Retained only as the seed baseline for experiment T16.
-func (e *Engine) snapshotBlob() error {
-	index, defs, insts := e.snapshotContents()
-	img := snapshotImage{Definitions: defs}
-	for _, inst := range insts {
-		inst.mu.Lock()
-		data, err := e.encodeInstance(inst)
-		inst.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		img.Instances = append(img.Instances, data)
-	}
-	data, err := json.Marshal(img)
-	if err != nil {
-		return err
-	}
-	if err := e.snapshots.Write(index, data); err != nil {
-		e.failStop("snapshot write", err)
-		return err
-	}
-	e.lastSnapIndex.Store(index)
-	if err := e.journal.DropBefore(index + 1); err != nil {
-		e.failStop("journal truncate", err)
-		return err
-	}
-	return nil
-}
-
 // decodeRecoveryRecord decodes one record-envelope payload (from a
 // streaming snapshot or the journal) into its recovered form: a
-// compiled *model.Process or an *instState. Safe for concurrent use;
-// the payload is not retained past the call.
+// compiled *model.Process, an *instState, or a *finishedRec. Safe for
+// concurrent use; the payload is not retained past the call.
 func decodeRecoveryRecord(payload []byte) (any, error) {
 	// An instance record as encodeRecord writes it: the state is the
-	// rest of the envelope, decoded where it lies. A state that does
-	// not decode (so may not end where the envelope does) is left to
-	// the envelope decoder below, as is every other spelling.
+	// rest of the envelope, read where it lies. A state that does not
+	// decode (so may not end where the envelope does) is left to the
+	// envelope decoder below, as is every other spelling.
 	const instanceHead = `{"kind":"instance","state":`
 	if n := len(payload); n > len(instanceHead) && payload[n-1] == '}' && string(payload[:len(instanceHead)]) == instanceHead {
-		st := &instState{}
-		if json.Unmarshal(payload[len(instanceHead):n-1], st) == nil {
-			return st, nil
+		if v, err := decodeState(payload[len(instanceHead) : n-1]); err == nil {
+			return v, nil
 		}
 	}
 	var rec record
@@ -390,11 +476,7 @@ func decodeRecoveryRecord(payload []byte) (any, error) {
 		}
 		return rec.Process, nil
 	case "instance":
-		st := &instState{}
-		if err := json.Unmarshal(rec.State, st); err != nil {
-			return nil, fmt.Errorf("engine: decode instance state: %w", err)
-		}
-		return st, nil
+		return decodeState(rec.State)
 	default:
 		return nil, fmt.Errorf("engine: unknown journal record kind %q", rec.Kind)
 	}
@@ -405,10 +487,9 @@ func decodeRecoveryRecord(payload []byte) (any, error) {
 var errSnapshotDecodeAborted = errors.New("engine: snapshot decode aborted")
 
 // loadSnapshotParallel streams the snapshot's records through a decode
-// worker pool, merging results into defs/states. Records are unique
-// per definition/instance, so merge order does not matter.
-func loadSnapshotParallel(sn *storage.Snapshot, workers int,
-	defs map[string]*model.Process, states map[string]*instState) error {
+// worker pool, handing each result to merge (one at a time). Records
+// are unique per definition/instance, so merge order does not matter.
+func loadSnapshotParallel(sn *storage.Snapshot, workers int, merge func(any)) error {
 	var (
 		mergeMu  sync.Mutex
 		firstErr error
@@ -438,12 +519,7 @@ func loadSnapshotParallel(sn *storage.Snapshot, workers int,
 					continue
 				}
 				mergeMu.Lock()
-				switch x := v.(type) {
-				case *model.Process:
-					defs[x.ID] = x
-				case *instState:
-					states[x.ID] = x
-				}
+				merge(v)
 				mergeMu.Unlock()
 			}
 		}()
@@ -472,8 +548,10 @@ func loadSnapshotParallel(sn *storage.Snapshot, workers int,
 // present) plus the journal suffix, then re-arms all volatile wait
 // machinery. Streaming snapshots are decoded by a worker pool and the
 // journal's sealed segments replay in parallel when the journal
-// supports it (decode on workers, apply in index order).
-// recover builds the definition and instance maps locally and
+// supports it (decode on workers, apply in index order). Finished
+// cases go straight to the archive, mostly undecoded; only live ones
+// are rebuilt and re-armed.
+// recover builds the definition, instance and archive maps locally and
 // publishes them into the engine under its lock in one step: under the
 // shard router, sibling shards recover concurrently and their
 // task-transition listeners call Has on this engine while it is still
@@ -483,19 +561,39 @@ func loadSnapshotParallel(sn *storage.Snapshot, workers int,
 func (e *Engine) recover() error {
 	defs := map[string]*model.Process{}
 	states := map[string]*instState{}
+	archive := map[string]archived{}
+	processIDs := map[string]string{} // one string per process ID
 	var fromIndex uint64 = 1
 
 	workers := e.recoverWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	// Last write wins across the live and archived maps.
 	merge := func(v any) {
 		switch x := v.(type) {
 		case *model.Process:
 			defs[x.ID] = x
 		case *instState:
 			states[x.ID] = x
+			delete(archive, x.ID)
+		case *finishedRec:
+			pid, ok := processIDs[string(x.processID)]
+			if !ok {
+				pid = string(x.processID)
+				processIDs[pid] = pid
+			}
+			id := string(x.id)
+			archive[id] = archived{processID: pid, status: x.status, state: x.state}
+			delete(states, id)
 		}
+	}
+	decodeMerge := func(p []byte) error {
+		v, err := decodeRecoveryRecord(p)
+		if err == nil {
+			merge(v)
+		}
+		return err
 	}
 
 	if e.snapshots != nil {
@@ -520,25 +618,18 @@ func (e *Engine) recover() error {
 						defs[def.ID] = def
 					}
 					for _, raw := range img.Instances {
-						var st instState
-						if err := json.Unmarshal(raw, &st); err != nil {
+						v, err := decodeState(raw)
+						if err != nil {
 							return fmt.Errorf("engine: decode snapshot instance: %w", err)
 						}
-						states[st.ID] = &st
+						merge(v)
 					}
 					return nil
 				})
 			case workers <= 1:
-				err = sn.Iterate(func(p []byte) error {
-					v, derr := decodeRecoveryRecord(p)
-					if derr != nil {
-						return derr
-					}
-					merge(v)
-					return nil
-				})
+				err = sn.Iterate(decodeMerge)
 			default:
-				err = loadSnapshotParallel(sn, workers, defs, states)
+				err = loadSnapshotParallel(sn, workers, merge)
 			}
 			if err != nil {
 				return err
@@ -560,63 +651,47 @@ func (e *Engine) recover() error {
 			})
 	} else {
 		err = e.journal.Replay(fromIndex, func(_ uint64, payload []byte) error {
-			v, derr := decodeRecoveryRecord(payload)
-			if derr != nil {
-				return derr
-			}
-			merge(v)
-			return nil
+			return decodeMerge(payload)
 		})
 	}
 	if err != nil {
 		return err
 	}
 
-	var maxTok uint64
+	var maxSeq, maxTok uint64
+	for id, a := range archive {
+		if defs[a.processID] == nil {
+			return fmt.Errorf("engine: instance %s references unknown process %q", id, a.processID)
+		}
+		maxSeq = max(maxSeq, instanceSeq(id))
+	}
 	ids := make([]string, 0, len(states))
 	for id := range states {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	insts := map[string]*Instance{}
+	insts := make(map[string]*Instance, len(states))
 	for _, id := range ids {
 		st := states[id]
 		def := defs[st.ProcessID]
 		if def == nil {
 			return fmt.Errorf("engine: instance %s references unknown process %q", id, st.ProcessID)
 		}
-		inst := newInstance(st.ID, def, st.Vars)
-		inst.Status = st.Status
-		inst.StartedAt = st.StartedAt
-		inst.EndedAt = st.EndedAt
-		if st.Joins != nil {
-			inst.Joins = st.Joins
-		}
+		insts[id] = restoreInstance(st, def)
 		for _, tok := range st.Tokens {
-			inst.Tokens[tok.ID] = tok
-			if tok.ID > maxTok {
-				maxTok = tok.ID
-			}
+			maxTok = max(maxTok, tok.ID)
 		}
-		insts[st.ID] = inst
+		maxSeq = max(maxSeq, instanceSeq(id))
 	}
 	e.mu.Lock()
-	for id, def := range defs {
-		e.definitions[id] = def
-	}
-	for id, inst := range insts {
-		e.instances[id] = inst
-	}
+	e.definitions, e.instances, e.archive = defs, insts, archive
 	e.mu.Unlock()
-	e.idSeq.Store(MaxInstanceSeq(ids))
+	e.idSeq.Store(maxSeq)
 	e.tokSeq.Store(maxTok)
 
-	// Re-arm volatile machinery for active instances.
+	// Re-arm volatile machinery for the live instances.
 	for _, id := range ids {
 		inst := insts[id]
-		if inst.Status != StatusActive {
-			continue
-		}
 		inst.mu.Lock()
 		e.rearmInstance(inst)
 		inst.mu.Unlock()
@@ -628,15 +703,22 @@ func (e *Engine) recover() error {
 // among the given instance IDs (0 when none parses). Engine recovery
 // and the shard router both re-seed their ID sequences with it.
 func MaxInstanceSeq(ids []string) uint64 {
-	var max uint64
+	var seq uint64
 	for _, id := range ids {
-		if i := strings.LastIndex(id, "-"); i >= 0 {
-			if n, err := strconv.ParseUint(id[i+1:], 10, 64); err == nil && n > max {
-				max = n
-			}
+		seq = max(seq, instanceSeq(id))
+	}
+	return seq
+}
+
+// instanceSeq returns an instance ID's trailing "-<n>" number (0 when
+// it has none).
+func instanceSeq(id string) uint64 {
+	if i := strings.LastIndex(id, "-"); i >= 0 {
+		if n, err := strconv.ParseUint(id[i+1:], 10, 64); err == nil {
+			return n
 		}
 	}
-	return max
+	return 0
 }
 
 // rearmInstance restores timers, message subscriptions, and work items
@@ -713,11 +795,11 @@ func (e *Engine) rearmInstance(inst *Instance) {
 // token. idx >= 0 recreates a multi-instance item for that collection
 // index.
 func (e *Engine) reissueWorkItem(inst *Instance, tok *Token, idx int) {
-	proc, el, err := e.resolve(inst, tok.Elem)
+	_, el, err := e.resolve(inst, tok.Elem)
 	if err != nil {
+		e.reissueFailures.Add(1)
 		return
 	}
-	_ = proc
 	data := map[string]any{}
 	for k, v := range inst.Vars {
 		data[k] = v.ToGo()
@@ -748,6 +830,7 @@ func (e *Engine) reissueWorkItem(inst *Instance, tok *Token, idx int) {
 		Data:       data,
 	})
 	if err != nil {
+		e.reissueFailures.Add(1)
 		return
 	}
 	if idx >= 0 && tok.MI != nil {

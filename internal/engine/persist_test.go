@@ -171,6 +171,18 @@ func TestRecoveryDecodeFastPathMatchesEnvelope(t *testing.T) {
 				if err != nil {
 					t.Fatalf("decode %s: %v", form, err)
 				}
+				if f, ok := got.(*finishedRec); ok {
+					// A finished case is kept as its state bytes, which
+					// must decode to the same state it is filed under.
+					st := &instState{}
+					if err := json.Unmarshal(f.state, st); err != nil {
+						t.Fatalf("archived state %s: %v", f.state, err)
+					}
+					if string(f.id) != st.ID || string(f.processID) != st.ProcessID || f.status != st.Status {
+						t.Errorf("archived %s/%s/%s, state says %s/%s/%s", f.id, f.processID, f.status, st.ID, st.ProcessID, st.Status)
+					}
+					got = st
+				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("decode %s:\n got %+v\nwant %+v", form, got, want)
 				}

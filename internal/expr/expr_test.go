@@ -508,6 +508,24 @@ func TestQuickValueStringRoundTrip(t *testing.T) {
 	}
 }
 
+// Every ASCII byte, and bytes that are not valid UTF-8, survive
+// String() then Eval: whatever escape strconv.Quote picks (\a \b \f \v,
+// \x, \u) the lexer reads back.
+func TestValueStringRoundTripEveryByte(t *testing.T) {
+	var inputs []string
+	for c := 0; c < 0x80; c++ {
+		inputs = append(inputs, string([]byte{byte(c)}), "a"+string([]byte{byte(c)})+"z")
+	}
+	inputs = append(inputs, "\xff", "\x80abc", "ok\xc3", "\xed\xa0\x80", "\xf4\x90\x80\x80", "\u00a0\ufeff\U0001F600")
+	for _, s := range inputs {
+		v := String(s)
+		got, err := Eval(v.String(), EmptyEnv)
+		if err != nil || !got.Equal(v) {
+			t.Errorf("%q: String() = %s, Eval = %v, %v", s, v.String(), got, err)
+		}
+	}
+}
+
 // Property: Equal is reflexive and symmetric over generated values.
 func TestQuickEqualReflexiveSymmetric(t *testing.T) {
 	f := func(a, b int64, s1, s2 string) bool {

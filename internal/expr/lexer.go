@@ -270,6 +270,14 @@ func (l *lexer) lexString(quote byte) (token, error) {
 				sb.WriteByte('\t')
 			case 'r':
 				sb.WriteByte('\r')
+			case 'a':
+				sb.WriteByte('\a')
+			case 'b':
+				sb.WriteByte('\b')
+			case 'f':
+				sb.WriteByte('\f')
+			case 'v':
+				sb.WriteByte('\v')
 			case '\\':
 				sb.WriteByte('\\')
 			case '\'':

@@ -63,9 +63,6 @@ type Config struct {
 	// (streaming-snapshot decode and parallel segment replay;
 	// 0 = GOMAXPROCS, 1 = serial).
 	RecoveryWorkers int
-	// BlobSnapshots forces the legacy single-blob snapshot format
-	// (T16 baseline).
-	BlobSnapshots bool
 	// Durable makes API-visible transitions wait for the owning
 	// shard's WAL commit acknowledgement.
 	Durable bool
@@ -91,6 +88,11 @@ type Stat struct {
 	Shard int `json:"shard"`
 	// Instances is the number of process instances on the shard.
 	Instances int `json:"instances"`
+	// Archived is how many of them are finished cases kept as their
+	// final record (Instances - Archived are live).
+	Archived int `json:"archived"`
+	// ReissueFailures counts work items recovery could not re-issue.
+	ReissueFailures uint64 `json:"reissueFailures"`
 	// Degraded reports a fail-stopped (read-only) shard.
 	Degraded bool `json:"degraded,omitempty"`
 	// DegradedReason is the storage error that froze the shard.
@@ -140,7 +142,6 @@ func New(cfg Config) (*Router, error) {
 				Snapshots:        snaps,
 				SnapshotEvery:    cfg.SnapshotEvery,
 				RecoveryWorkers:  cfg.RecoveryWorkers,
-				BlobSnapshots:    cfg.BlobSnapshots,
 				Durable:          cfg.Durable,
 				Tasks:            cfg.Tasks,
 				Timers:           cfg.Timers,
@@ -221,7 +222,8 @@ func (r *Router) Shard(i int) *engine.Engine { return r.shards[i] }
 func (r *Router) Stats() []Stat {
 	out := make([]Stat, len(r.shards))
 	for i, s := range r.shards {
-		st := Stat{Shard: i, Instances: s.InstanceCount()}
+		st := Stat{Shard: i, Instances: s.InstanceCount(), Archived: s.ArchivedCount(),
+			ReissueFailures: s.ReissueFailures()}
 		if s.Degraded() {
 			st.Degraded = true
 			st.DegradedReason, _ = s.DegradedReason()
