@@ -993,6 +993,15 @@ func openHistory(b *testing.B, j storage.Journal, window, wantEvents int) {
 
 func BenchmarkT16_HistoryOpen(b *testing.B) {
 	const cases, perCase = 20000, 16
+	// One case's trail in v2 records: about 2 550 B in the JSON records
+	// before them.
+	one := storage.NewMemJournal()
+	scriptCaseEvents(b, one, 1)
+	size := 0
+	one.Replay(1, func(_ uint64, p []byte) error { size += len(p); return nil })
+	if size > 1000 {
+		b.Fatalf("one %d-event case encodes to %d payload bytes, want at most 1000", perCase, size)
+	}
 	j := storage.NewMemJournal()
 	scriptCaseEvents(b, j, cases)
 	// The same trail with its first half written twice: 160 000 more
@@ -1030,10 +1039,14 @@ func BenchmarkDecodeEvent(b *testing.B) {
 	for _, c := range []struct {
 		name      string
 		event     history.Event
+		v1        bool    // the JSON record journals held before v2
 		maxAllocs float64 // the event, its strings, and for data the map
-	}{{"plain", plain, 8}, {"data", data, 16}} {
+	}{{"plain", plain, false, 4}, {"data", data, false, 12}, {"v1", plain, true, 8}} {
 		b.Run(c.name, func(b *testing.B) {
 			payload, err := c.event.Encode()
+			if c.v1 {
+				payload, err = json.Marshal(&c.event)
+			}
 			if err != nil {
 				b.Fatal(err)
 			}

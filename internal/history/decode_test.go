@@ -1,10 +1,16 @@
 package history
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +18,9 @@ import (
 	"bpms/internal/storage"
 )
 
+// allEventTypes is in type-code order: a record's code is an index into
+// it plus one. It repeats encode.go's table on purpose, so reordering
+// that table (and with it every record on disk) fails the reference.
 var allEventTypes = []EventType{
 	ProcessDeployed,
 	InstanceStarted, InstanceCompleted, InstanceCancelled, InstanceFaulted,
@@ -23,9 +32,13 @@ var allEventTypes = []EventType{
 	VariableSet, IncidentRaised, SLAViolation,
 }
 
-// referenceDecode is the decoder every journal was read with before
-// the single-pass one: the oracle DecodeEvent must agree with.
+// referenceDecode is the oracle DecodeEvent must agree with: for a v1
+// record, encoding/json, which read every journal before the
+// single-pass decoder; for a v2 record, referenceDecodeV2.
 func referenceDecode(payload []byte) (*Event, error) {
+	if len(payload) > 0 && payload[0] == recordV2 {
+		return referenceDecodeV2(payload)
+	}
 	e := &Event{}
 	if err := json.Unmarshal(payload, e); err != nil {
 		return nil, err
@@ -33,15 +46,92 @@ func referenceDecode(payload []byte) (*Event, error) {
 	return e, nil
 }
 
-// checkDecodeAgainstReference is the decoder contract, on any input:
-// the fast path declines or returns what encoding/json returns; peek
-// declines or returns the type and instance of a record that decodes;
-// DecodeEvent succeeds exactly when encoding/json does; and an event
-// that decodes survives Encode → DecodeEvent.
+// referenceDecodeV2 reads a v2 record the plain way, with readers of
+// its own, and takes the time through its RFC 3339 text: the event is
+// what the v1 form of the same fields decodes to. It refuses a time
+// RFC 3339 cannot write (a zone offset with seconds, a year past 9999).
+func referenceDecodeV2(p []byte) (*Event, error) {
+	rd := bytes.NewReader(p[1:])
+	var errs []error
+	str := func() string {
+		n, err := binary.ReadUvarint(rd)
+		if err == nil && n > uint64(rd.Len()) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			errs = append(errs, err)
+			return ""
+		}
+		b := make([]byte, n)
+		_, _ = rd.Read(b)
+		return string(b)
+	}
+	e := &Event{}
+	code, err := rd.ReadByte()
+	errs = append(errs, err)
+	switch {
+	case code == 0:
+		e.Type = EventType(str())
+	case int(code) <= len(allEventTypes):
+		e.Type = allEventTypes[code-1]
+	default:
+		errs = append(errs, fmt.Errorf("type code %d", code))
+	}
+	sec, err := binary.ReadVarint(rd)
+	errs = append(errs, err)
+	nsec, err := binary.ReadUvarint(rd)
+	errs = append(errs, err)
+	off, err := binary.ReadVarint(rd)
+	errs = append(errs, err)
+	if off%60 != 0 {
+		errs = append(errs, fmt.Errorf("zone offset %ds", off))
+	}
+	text, err := time.Unix(sec, int64(nsec)).In(time.FixedZone("", int(off))).MarshalJSON()
+	errs = append(errs, err)
+	if err == nil {
+		errs = append(errs, e.Time.UnmarshalJSON(text))
+	}
+	mask, err := rd.ReadByte()
+	errs = append(errs, err)
+	for i, dst := range []*string{&e.ProcessID, &e.InstanceID, &e.ElementID, &e.Element, &e.TaskID, &e.Actor} {
+		if mask&(1<<i) != 0 {
+			*dst = str()
+		}
+	}
+	rest := p[len(p)-rd.Len():]
+	switch {
+	case mask >= 1<<7:
+		errs = append(errs, fmt.Errorf("mask %#x", mask))
+	case mask&(1<<6) != 0:
+		errs = append(errs, json.Unmarshal(rest, &e.Data))
+	case len(rest) > 0:
+		errs = append(errs, fmt.Errorf("%d trailing bytes", len(rest)))
+	}
+	if len(e.Data) == 0 {
+		e.Data = nil
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// checkDecodeAgainstReference is the decoder contract, on any input. A
+// payload marked v2 keeps checkV2Contract. For any other, the v1
+// contract: the fast path declines or returns what encoding/json
+// returns; peek declines or returns the type and instance of a record
+// that decodes; DecodeEvent succeeds exactly when encoding/json does
+// and counts as a fallback exactly when the fast path declined; and an
+// event that decodes survives Encode → DecodeEvent.
 func checkDecodeAgainstReference(t *testing.T, payload []byte) {
 	t.Helper()
+	if len(payload) > 0 && payload[0] == recordV2 {
+		checkV2Contract(t, payload)
+		return
+	}
 	ref, refErr := referenceDecode(payload)
-	if fast, ok := decodeFast(payload); ok {
+	fast, fastOK := decodeFast(payload)
+	if fastOK {
 		if refErr != nil {
 			t.Fatalf("fast path accepted what encoding/json rejects (%v): %q", refErr, payload)
 		}
@@ -54,9 +144,12 @@ func checkDecodeAgainstReference(t *testing.T, payload []byte) {
 			t.Fatalf("peek of %q = (%q, %q), want (%q, %q)", payload, typ, inst, ref.Type, ref.InstanceID)
 		}
 	}
-	got, err := DecodeEvent(payload)
+	got, fallback, err := decodeEvent(payload)
 	if (err == nil) != (refErr == nil) {
 		t.Fatalf("DecodeEvent(%q) error = %v, encoding/json error = %v", payload, err, refErr)
+	}
+	if fallback == fastOK {
+		t.Fatalf("decode of %q: fallback = %v, fast path took it = %v", payload, fallback, fastOK)
 	}
 	if err != nil {
 		return
@@ -72,12 +165,14 @@ func checkDecodeAgainstReference(t *testing.T, payload []byte) {
 	if err != nil {
 		t.Fatalf("re-encoded %q as %q, which fails to decode: %v", payload, enc, err)
 	}
-	// The encoder omits an empty data object and may spell a zone
-	// differently (+00:00 as Z); neither changes the event.
+	// A v2 record stores no index (the journal position is the index),
+	// and the same instant may come back in another Location: a JSON
+	// "+00:00" is read as Local or an unnamed zone, a zero offset in v2
+	// as UTC. The encoder also omits an empty data object.
 	if !back.Time.Equal(ref.Time) {
 		t.Fatalf("round trip of %q moved the time: %v → %v", payload, ref.Time, back.Time)
 	}
-	back.Time = ref.Time
+	back.Time, back.Index = ref.Time, ref.Index
 	if len(ref.Data) == 0 {
 		back.Data = ref.Data
 	}
@@ -86,31 +181,129 @@ func checkDecodeAgainstReference(t *testing.T, payload []byte) {
 	}
 }
 
+// checkV2Contract is the decoder contract on a payload marked v2: it
+// never reaches encoding/json; peek succeeds, with the decoded type and
+// instance, whenever decode does, and otherwise only when decode
+// rejected a value inside well-formed data (a number out of range);
+// where the reference reads the record too, the two agree; and a
+// decoded event re-encodes to a record that decodes to the same event.
+func checkV2Contract(t *testing.T, payload []byte) {
+	t.Helper()
+	got, fallback, err := decodeEvent(payload)
+	if fallback {
+		t.Fatalf("v2 record %q went to encoding/json", payload)
+	}
+	typ, inst, peeked := peekEvent(payload)
+	if err != nil {
+		if peeked {
+			r, _ := scanRecord(payload)
+			var m map[string]any
+			if r.data == nil || json.Unmarshal(r.data, &m) == nil {
+				t.Fatalf("peek accepted %q, which fails to decode: %v", payload, err)
+			}
+		}
+		return
+	}
+	if !peeked || string(typ) != string(got.Type) || string(inst) != got.InstanceID {
+		t.Fatalf("peek of %q = (%q, %q, %v), decode gives (%q, %q)", payload, typ, inst, peeked, got.Type, got.InstanceID)
+	}
+	if ref, err := referenceDecodeV2(payload); err == nil && !reflect.DeepEqual(got, ref) {
+		t.Fatalf("DecodeEvent disagrees with the reference on %q:\n got %+v\nwant %+v", payload, got, ref)
+	}
+	enc, err := got.Encode()
+	if err != nil {
+		t.Fatalf("decoded %q to %+v, which does not encode: %v", payload, got, err)
+	}
+	back, err := DecodeEvent(enc)
+	if err != nil || !reflect.DeepEqual(back, got) {
+		t.Fatalf("round trip of %q via %q:\n got %+v (%v)\nwant %+v", payload, enc, back, err, got)
+	}
+}
+
+// seedEvents covers every type code, the custom code, each optional
+// field alone and together, escapes, non-ASCII text, zones and data.
+func seedEvents() []*Event {
+	var events []*Event
+	for i, typ := range allEventTypes {
+		events = append(events, &Event{Type: typ, Time: ts(i), ProcessID: "order", InstanceID: fmt.Sprintf("order-%d", i), ElementID: "approve"})
+	}
+	return append(events,
+		&Event{Type: ProcessDeployed, Time: ts(1), ProcessID: "p"},
+		&Event{Type: MessagePublished, Time: ts(2)},
+		&Event{Type: TaskCompleted, Time: ts(3).Add(123456789), ProcessID: "order", InstanceID: "i-2",
+			ElementID: "approve", Element: "Approve order", TaskID: "t-9", Actor: "alice",
+			Data: map[string]any{"amount": 150.5, "ok": true, "tags": []any{"a", nil}, "n": map[string]any{}}},
+		&Event{Type: ElementCompleted, Time: ts(4), InstanceID: "i-3", Data: map[string]any{"routing": true}},
+		&Event{Type: TaskOffered, Time: ts(5), InstanceID: "i-4", Element: "Approve \"big\" order\n\t", Actor: "alice\\bob"},
+		&Event{Type: MessagePublished, Time: ts(6), InstanceID: "ünï-1", Element: "ünïcödé — 事件 \u2028"},
+		&Event{Type: TimerFired, Time: ts(7).In(time.FixedZone("", 2*3600+30*60)), InstanceID: "i-5"},
+		&Event{Type: TimerFired, Time: ts(8).In(time.FixedZone("", -5*3600)), InstanceID: "i-6", Data: map[string]any{"k": "v"}},
+		&Event{Index: 42, Type: VariableSet, Time: ts(9), InstanceID: "i-7"},
+		&Event{Type: "custom.type", Time: time.Time{}, InstanceID: "i-8"},
+		&Event{Type: "", Time: ts(10).In(time.FixedZone("named", 0)), Actor: "a"},
+	)
+}
+
+// v2Variants derives, from one record AppendEncode writes, records it
+// never writes: bad ones DecodeEvent must decline, and odd ones that
+// still decode. None may panic the scanner.
+func v2Variants(t testing.TB) (bad, odd map[string][]byte) {
+	t.Helper()
+	base, err := (&Event{Type: TaskCreated, Time: ts(1), InstanceID: "i-1"}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mask := len(base) - 1 - 1 - len("i-1") // mask, the length, the string
+	with := func(i int, b byte) []byte {
+		p := bytes.Clone(base)
+		p[i] = b
+		return p
+	}
+	withData := func(data string) []byte {
+		return append(with(mask, base[mask]|maskData), data...)
+	}
+	header := []byte{recordV2, 1, 0} // process.deployed at Unix second 0
+	bad = map[string][]byte{
+		"v2-truncated-varint":     base[:4],
+		"v2-overlong-varint":      append(bytes.Clone(base[:2]), bytes.Repeat([]byte{0xff}, 11)...),
+		"v2-type-code-past-table": with(1, byte(len(allEventTypes)+1)),
+		"v2-unknown-mask-bits":    with(mask, base[mask]|0x80),
+		"v2-length-past-end":      with(mask+1, 200),
+		"v2-trailing-bytes":       append(bytes.Clone(base), 'x'),
+		"v2-non-json-data":        withData("{not json"),
+		"v2-data-not-object":      withData("[1]"),
+		"v2-data-number-range":    withData(`{"a":1e999}`),
+		"v2-nanoseconds-past-1s":  append(binary.AppendUvarint(bytes.Clone(header), uint64(time.Second)), 0, 0),
+		"v2-custom-name-past-end": {recordV2, 0, 9, 'x'},
+		"v2-marker-only":          {recordV2},
+	}
+	odd = map[string][]byte{
+		"v2-data-empty-object":      withData("{}"),
+		"v2-empty-string-present":   append(bytes.Clone(header), 0, 0, 1<<instanceField, 0),
+		"v2-offset-with-seconds":    append(binary.AppendVarint(append(bytes.Clone(header), 0), 3601), 0),
+		"v2-custom-type-known-name": append([]byte{recordV2, 0, byte(len(TaskCreated))}, append([]byte(TaskCreated), base[2:]...)...),
+	}
+	return bad, odd
+}
+
 func decodeSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	var seeds [][]byte
-	add := func(e *Event) {
-		p, err := e.Encode()
+	var full [2][]byte // the all-fields event, v2 and v1
+	for _, e := range seedEvents() {
+		v2, err := e.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		seeds = append(seeds, p)
+		v1, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, v2, v1)
+		if e.TaskID != "" {
+			full = [2][]byte{v2, v1}
+		}
 	}
-	for i, typ := range allEventTypes {
-		add(&Event{Type: typ, Time: ts(i), ProcessID: "order", InstanceID: fmt.Sprintf("order-%d", i), ElementID: "approve"})
-	}
-	add(&Event{Type: ProcessDeployed, Time: ts(1), ProcessID: "p"})
-	add(&Event{Type: MessagePublished, Time: ts(2)})
-	add(&Event{Type: TaskCompleted, Time: ts(3).Add(123456789), ProcessID: "order", InstanceID: "i-2",
-		ElementID: "approve", Element: "Approve order", TaskID: "t-9", Actor: "alice",
-		Data: map[string]any{"amount": 150.5, "ok": true, "tags": []any{"a", nil}, "n": map[string]any{}}})
-	add(&Event{Type: ElementCompleted, Time: ts(4), InstanceID: "i-3", Data: map[string]any{"routing": true}})
-	add(&Event{Type: TaskOffered, Time: ts(5), InstanceID: "i-4", Element: "Approve \"big\" order\n\t", Actor: "alice\\bob"})
-	add(&Event{Type: MessagePublished, Time: ts(6), InstanceID: "ünï-1", Element: "ünïcödé — 事件 \u2028"})
-	add(&Event{Type: TimerFired, Time: ts(7).In(time.FixedZone("", 2*3600+30*60)), InstanceID: "i-5"})
-	add(&Event{Type: TimerFired, Time: ts(8).In(time.FixedZone("", -5*3600)), InstanceID: "i-6", Data: map[string]any{"k": "v"}})
-	add(&Event{Index: 42, Type: VariableSet, Time: ts(9), InstanceID: "i-7"})
-	add(&Event{Type: "custom.type", Time: time.Time{}, InstanceID: "i-8"})
 	for _, s := range []string{
 		// Layouts encoding/json reads and the fast path must decline.
 		`{"time":"2026-06-01T12:00:00Z","type":"task.created","instanceId":"i-1"}`,
@@ -142,10 +335,19 @@ func decodeSeeds(t testing.TB) [][]byte {
 	} {
 		seeds = append(seeds, []byte(s))
 	}
-	// Truncations of one full record.
-	full := seeds[len(allEventTypes)+2]
-	for cut := 0; cut < len(full); cut += 7 {
-		seeds = append(seeds, full[:cut])
+	bad, odd := v2Variants(t)
+	for _, set := range []map[string][]byte{bad, odd} {
+		for _, name := range slices.Sorted(maps.Keys(set)) {
+			seeds = append(seeds, set[name])
+		}
+	}
+	// Truncations of the all-fields record, every byte of v2 and every
+	// seventh of v1.
+	for cut := 0; cut < len(full[0]); cut++ {
+		seeds = append(seeds, full[0][:cut])
+	}
+	for cut := 0; cut < len(full[1]); cut += 7 {
+		seeds = append(seeds, full[1][:cut])
 	}
 	return seeds
 }
@@ -154,14 +356,90 @@ func TestDecodeEventMatchesEncodingJSON(t *testing.T) {
 	for _, seed := range decodeSeeds(t) {
 		checkDecodeAgainstReference(t, seed)
 	}
-	// What the encoder writes takes the fast path, whatever the fields.
-	for _, seed := range decodeSeeds(t)[:len(allEventTypes)+4] {
-		if _, ok := decodeFast(seed); !ok {
-			t.Errorf("fast path declined the encoder's own output %q", seed)
+	for i, e := range seedEvents() {
+		// What the encoder writes is a v2 record, whatever the fields.
+		v2, _ := e.Encode()
+		if _, ok := decodeFast(v2); !ok {
+			t.Errorf("the encoder's own output %q does not decode", v2)
 		}
-		if _, _, ok := peekEvent(seed); !ok {
-			t.Errorf("peek declined the encoder's own output %q", seed)
+		if _, _, ok := peekEvent(v2); !ok {
+			t.Errorf("peek declined the encoder's own output %q", v2)
 		}
+		// What the v1 encoder wrote for a plain event takes the fast path.
+		if i >= len(allEventTypes) {
+			continue
+		}
+		v1, _ := json.Marshal(e)
+		if _, ok := decodeFast(v1); !ok {
+			t.Errorf("fast path declined the v1 record %q", v1)
+		}
+		if _, _, ok := peekEvent(v1); !ok {
+			t.Errorf("peek declined the v1 record %q", v1)
+		}
+	}
+	bad, odd := v2Variants(t)
+	for name, p := range bad {
+		if _, err := DecodeEvent(p); err == nil {
+			t.Errorf("%s: %q decodes", name, p)
+		}
+	}
+	for name, p := range odd {
+		if _, err := DecodeEvent(p); err != nil {
+			t.Errorf("%s: %q: %v", name, p, err)
+		}
+	}
+}
+
+// TestV2DecodesLikeV1: a v2 record decodes to exactly the event its v1
+// (JSON) form decodes to, down to the time's Location: UTC for a zero
+// offset, Local where Local had the offset at that instant, an unnamed
+// fixed zone otherwise. The one difference is pinned: invalid UTF-8 in
+// a string is kept byte for byte, where encoding/json maps it to U+FFFD.
+func TestV2DecodesLikeV1(t *testing.T) {
+	saved := time.Local
+	time.Local = time.FixedZone("LCL", 3600)
+	t.Cleanup(func() { time.Local = saved })
+	events := append(seedEvents(),
+		&Event{Type: TimerFired, Time: ts(1).In(time.Local), InstanceID: "local"},
+		&Event{Type: TimerFired, Time: ts(1).In(time.FixedZone("", 3600)), InstanceID: "as-local"},
+		&Event{Type: TimerFired, Time: ts(1).In(time.FixedZone("", 7200)), InstanceID: "fixed"},
+		&Event{Type: TimerFired, Time: ts(1).In(time.FixedZone("Z0", 0)), InstanceID: "utc"},
+	)
+	for _, e := range events {
+		v1, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := referenceDecode(v1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Index = 0
+		v2, err := e.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeEvent(v2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("v2 %q decodes to\n %+v (%v)\nv1 %s to\n %+v (%v)", v2, got, got.Time.Location(), v1, want, want.Time.Location())
+		}
+	}
+
+	e := &Event{Type: TaskCreated, Time: ts(1), InstanceID: "i-\xff", Actor: "a\xffb"}
+	v2, _ := e.Encode()
+	got, err := DecodeEvent(v2)
+	if err != nil || got.InstanceID != e.InstanceID || got.Actor != e.Actor {
+		t.Errorf("v2 decode of invalid UTF-8 = %+v, %v; want the bytes kept", got, err)
+	}
+	if _, inst, ok := peekEvent(v2); !ok || string(inst) != e.InstanceID {
+		t.Errorf("peek of invalid UTF-8 = %q, %v; want the bytes decode keeps", inst, ok)
+	}
+	v1, _ := json.Marshal(e)
+	if ref, err := referenceDecode(v1); err != nil || ref.Actor != "a\ufffdb" {
+		t.Errorf("encoding/json decode of invalid UTF-8 = %+v, %v; want U+FFFD", ref, err)
 	}
 }
 
@@ -175,9 +453,9 @@ func FuzzDecodeEvent(f *testing.F) {
 }
 
 // referenceStore is what NewStriped built before the count-only prefix
-// replay: every record decoded by encoding/json and passed through
-// indexLocked, which evicts as it goes. Beside it, every event in
-// stripe order: the answers of All and, filtered, of EventsOf.
+// replay: every record decoded by the reference decoder and passed
+// through indexLocked, which evicts as it goes. Beside it, every event
+// in stripe order: the answers of All and, filtered, of EventsOf.
 func referenceStore(t *testing.T, journals []storage.Journal, window int) (s *Store, all []*Event) {
 	t.Helper()
 	s = &Store{window: window, syncs: true}
@@ -242,7 +520,7 @@ func checkRecoverEquivalence(t *testing.T, r *rand.Rand, window, stripes, n int)
 		case 1:
 			e.Data = map[string]any{"amount": float64(r.Intn(1000)) / 4, "tags": []any{"a", "b"}}
 		case 2:
-			e.Element = "Approve \"big\" order" // escaped: the fallback decoder, also in the prefix
+			e.Element = "Approve \"big\" order"
 		case 3:
 			e.Actor = "zoë"
 		}
@@ -252,6 +530,14 @@ func checkRecoverEquivalence(t *testing.T, r *rand.Rand, window, stripes, n int)
 	}
 	// The writer (no goroutines in Sync mode) is abandoned unclosed: the
 	// journals stay open for the two readers.
+	checkReopen(t, journals, window, n)
+}
+
+// checkReopen opens journals holding n records twice, with NewStriped
+// and with referenceStore, and holds the first to the second: stripe
+// state, stats and the answer of every query.
+func checkReopen(t *testing.T, journals []storage.Journal, window, n int) {
+	t.Helper()
 	got, err := NewStriped(journals, StoreOptions{Window: window, Sync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +574,11 @@ func checkRecoverEquivalence(t *testing.T, r *rand.Rand, window, stripes, n int)
 	if got.Count() != want.Count() || got.Count() != n {
 		t.Errorf("Count = %d, reference %d, appended %d", got.Count(), want.Count(), n)
 	}
-	for _, typ := range allEventTypes {
+	types := append([]EventType(nil), allEventTypes...)
+	for _, e := range all {
+		types = append(types, e.Type)
+	}
+	for _, typ := range types {
 		if g, w := got.CountByType(typ), want.CountByType(typ); g != w {
 			t.Errorf("CountByType(%s) = %d, want %d", typ, g, w)
 		}
@@ -321,39 +611,52 @@ func checkRecoverEquivalence(t *testing.T, r *rand.Rand, window, stripes, n int)
 }
 
 // TestPeekAllocatesNothing: the count-only replay and EventsOf's skip
-// read a record's type and instance where they lie.
+// read a record's type and instance where they lie, in either format.
 func TestPeekAllocatesNothing(t *testing.T) {
 	for _, e := range []*Event{
 		{Type: ElementCompleted, Time: ts(1), ProcessID: "order", InstanceID: "order-1", ElementID: "approve"},
 		{Type: ElementCompleted, Time: ts(2), InstanceID: "zoë-1", Data: map[string]any{"routing": true}},
+		{Type: "custom.type", Time: ts(3), InstanceID: "order-2"},
 	} {
-		payload, err := e.Encode()
+		v2, err := e.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, inst, ok := peekEvent(payload); !ok || string(inst) != e.InstanceID {
-				t.Fatalf("peek of %q = %q, %v", payload, inst, ok)
+		v1, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, payload := range [][]byte{v2, v1} {
+			allocs := testing.AllocsPerRun(100, func() {
+				if typ, inst, ok := peekEvent(payload); !ok || string(inst) != e.InstanceID || string(typ) != string(e.Type) {
+					t.Fatalf("peek of %q = %q, %q, %v", payload, typ, inst, ok)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("peek of %q allocates %.0f times", payload, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("peek of %q allocates %.0f times", payload, allocs)
 		}
 	}
 }
 
-// TestDecodeFallbackIsCounted: a record outside the canonical layout
+// TestDecodeFallbackIsCounted: a v1 record outside the canonical layout
 // still decodes, on every replay path, and each time shows in the
-// stripe's fallback counter.
+// stripe's fallback counter; v2 records never do, whatever they hold.
 func TestDecodeFallbackIsCounted(t *testing.T) {
 	j := storage.NewMemJournal()
-	for i, e := range []*Event{
-		{Type: TaskOffered, Time: ts(1), InstanceID: "i-1", Element: "Approve \"big\" order"}, // escaped
-		{Type: TaskAllocated, Time: ts(2), InstanceID: "i-1", Actor: "alice"},
-		{Type: TaskCompleted, Time: ts(3), InstanceID: "i-2"},
-		{Type: InstanceCompleted, Time: ts(4), InstanceID: "i-2"},
+	for i, rec := range []struct {
+		e  *Event
+		v1 bool
+	}{
+		{&Event{Type: TaskOffered, Time: ts(1), InstanceID: "i-1", Element: "Approve \"big\" order"}, true}, // escaped
+		{&Event{Type: TaskAllocated, Time: ts(2), InstanceID: "i-1", Element: "Approve \"big\" order", Actor: "alice"}, false},
+		{&Event{Type: TaskCompleted, Time: ts(3), InstanceID: "i-2"}, true}, // canonical
+		{&Event{Type: InstanceCompleted, Time: ts(4), InstanceID: "i-2"}, false},
 	} {
-		payload, err := e.Encode()
+		payload, err := rec.e.Encode()
+		if rec.v1 {
+			payload, err = json.Marshal(rec.e)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +673,7 @@ func TestDecodeFallbackIsCounted(t *testing.T) {
 	if got := fallbacks.Value(); got != 1 { // the count-only prefix met the escaped record
 		t.Errorf("fallbacks after open = %d, want 1", got)
 	}
-	if evs := s.EventsOf("i-1"); len(evs) != 2 || evs[0].Element != "Approve \"big\" order" {
+	if evs := s.EventsOf("i-1"); len(evs) != 2 || evs[0].Element != "Approve \"big\" order" || evs[1].Element != evs[0].Element {
 		t.Errorf("EventsOf(i-1) = %v", evs)
 	}
 	if got := fallbacks.Value(); got != 2 {

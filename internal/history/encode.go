@@ -1,102 +1,90 @@
 package history
 
 import (
+	"encoding/binary"
 	"encoding/json"
-	"time"
 )
 
-// Append-style event encoding: the audit hot path serialises every
-// engine transition's events, so the store encodes into reusable
-// buffers instead of allocating a fresh one per event the way
-// json.Marshal does. The output is plain JSON and decodes with
-// DecodeEvent; only the Data map (rare on hot-path events) falls back
-// to the reflection encoder.
+// recordV2 starts every record AppendEncode writes; decode.go also
+// reads the v1 JSON records journals held before v2.
+const recordV2 = 0x02
 
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal (quoted and
-// escaped) to buf.
-func appendJSONString(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 0x20 && c != '"' && c != '\\' {
-			continue
-		}
-		buf = append(buf, s[start:i]...)
-		switch c {
-		case '"':
-			buf = append(buf, '\\', '"')
-		case '\\':
-			buf = append(buf, '\\', '\\')
-		case '\n':
-			buf = append(buf, '\\', 'n')
-		case '\r':
-			buf = append(buf, '\\', 'r')
-		case '\t':
-			buf = append(buf, '\\', 't')
-		default:
-			buf = append(buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-		}
-		start = i + 1
-	}
-	buf = append(buf, s[start:]...)
-	return append(buf, '"')
+// eventTypes is the type code table: code i+1 is eventTypes[i]. The
+// codes are on disk, so the table only ever grows at the end.
+var eventTypes = [...]EventType{
+	ProcessDeployed,
+	InstanceStarted, InstanceCompleted, InstanceCancelled, InstanceFaulted,
+	ElementActivated, ElementCompleted, ElementFaulted,
+	TaskCreated, TaskOffered, TaskAllocated, TaskStarted, TaskCompleted,
+	TaskFailed, TaskSkipped, TaskDelegated, TaskEscalated,
+	TimerScheduled, TimerFired, TimerCancelled,
+	MessagePublished, MessageCorrelated, MessageBuffered,
+	VariableSet, IncidentRaised, SLAViolation,
 }
 
-func appendStringField(buf []byte, name, value string) []byte {
-	if value == "" {
-		return buf
+// typeCodes inverts eventTypes; typeNames holds its names as bytes, so
+// a peek returns a record's type without allocating.
+var (
+	typeCodes = make(map[EventType]byte, len(eventTypes))
+	typeNames [len(eventTypes)][]byte
+)
+
+func init() {
+	for i, t := range eventTypes {
+		typeCodes[t], typeNames[i] = byte(i+1), []byte(t)
 	}
-	buf = append(buf, ',', '"')
-	buf = append(buf, name...)
-	buf = append(buf, '"', ':')
-	return appendJSONString(buf, value)
 }
 
-// AppendEncode appends the event's journal encoding to buf and returns
-// the extended buffer. The layout matches Encode (encoding/json with
-// omitempty), so existing journals and DecodeEvent read both forms.
+const (
+	instanceField = 1 // stringFields()[instanceField] is &e.InstanceID
+	maskData      = 1 << 6
+	maskKnown     = maskData<<1 - 1
+)
+
+// stringFields lists the event's optional strings in record order.
+func (e *Event) stringFields() [6]*string {
+	return [...]*string{&e.ProcessID, &e.InstanceID, &e.ElementID, &e.Element, &e.TaskID, &e.Actor}
+}
+
+func appendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
+// AppendEncode appends the event's v2 journal record to buf and returns
+// the extended buffer. The record is: the marker recordV2 (no JSON
+// value starts with it); the type code, 1 + the type's index in
+// eventTypes, or 0 followed by the custom type's name; the time as
+// varint Unix seconds, uvarint nanoseconds and varint zone offset in
+// seconds; a mask of the fields present; each present stringFields
+// entry as a uvarint length and its bytes (no escaping); and, when
+// there is data, json.Marshal(e.Data) to the end.
+// Index is not stored: the journal position is, and replays set it.
 func AppendEncode(buf []byte, e *Event) ([]byte, error) {
-	buf = append(buf, '{')
-	if e.Index != 0 {
-		buf = append(buf, `"index":`...)
-		buf = appendUint(buf, e.Index)
-		buf = append(buf, ',')
+	code := typeCodes[e.Type]
+	buf = append(buf, recordV2, code)
+	if code == 0 {
+		buf = appendString(buf, string(e.Type))
 	}
-	buf = append(buf, `"type":`...)
-	buf = appendJSONString(buf, string(e.Type))
-	buf = append(buf, `,"time":"`...)
-	buf = e.Time.AppendFormat(buf, time.RFC3339Nano)
-	buf = append(buf, '"')
-	buf = appendStringField(buf, "processId", e.ProcessID)
-	buf = appendStringField(buf, "instanceId", e.InstanceID)
-	buf = appendStringField(buf, "elementId", e.ElementID)
-	buf = appendStringField(buf, "element", e.Element)
-	buf = appendStringField(buf, "taskId", e.TaskID)
-	buf = appendStringField(buf, "actor", e.Actor)
-	if len(e.Data) > 0 {
-		data, err := json.Marshal(e.Data)
-		if err != nil {
-			return buf, err
-		}
-		buf = append(buf, `,"data":`...)
-		buf = append(buf, data...)
-	}
-	return append(buf, '}'), nil
-}
-
-func appendUint(buf []byte, n uint64) []byte {
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + n%10)
-		n /= 10
-		if n == 0 {
-			break
+	_, offset := e.Time.Zone()
+	buf = binary.AppendVarint(buf, e.Time.Unix())
+	buf = binary.AppendUvarint(buf, uint64(e.Time.Nanosecond()))
+	buf = binary.AppendVarint(buf, int64(offset))
+	mask := len(buf)
+	buf = append(buf, 0)
+	for i, f := range e.stringFields() {
+		if *f != "" {
+			buf[mask] |= 1 << i
+			buf = appendString(buf, *f)
 		}
 	}
-	return append(buf, tmp[i:]...)
+	if len(e.Data) == 0 {
+		return buf, nil
+	}
+	buf[mask] |= maskData
+	data, err := json.Marshal(e.Data)
+	if err != nil {
+		return buf, err
+	}
+	return append(buf, data...), nil
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bpms/internal/fnv1a"
 	"bpms/internal/obs"
 	"bpms/internal/storage"
 )
@@ -39,8 +40,9 @@ import (
 // Open: rebuilding a stripe costs O(journal bytes scanned) + O(window
 // events decoded). Every record is read, but only those the window
 // keeps are decoded and indexed; the ones below it are counted where
-// they lie (see replay). Records in the layout AppendEncode writes
-// decode in a single pass (decode.go); any other layout encoding/json
+// they lie (see replay). Records decode in a single pass, the v2
+// records AppendEncode writes and the v1 JSON records of older journals
+// alike (decode.go); a v1 record in any other layout encoding/json
 // reads still decodes, through it.
 //
 // Queries barrier on the async pipeline: every event enqueued before
@@ -261,11 +263,11 @@ func (st *stripe) replay() error {
 	return nil
 }
 
-// decode is DecodeEvent for the stripe's replays; it counts the
+// decode is DecodeEvent for the stripe's replays; it counts the v1
 // records that needed encoding/json.
 func (st *stripe) decode(payload []byte) (*Event, error) {
-	e, fast, err := decodeEvent(payload)
-	if !fast {
+	e, fallback, err := decodeEvent(payload)
+	if fallback {
 		st.metrics.Fallback.Inc()
 	}
 	return e, err
@@ -274,22 +276,11 @@ func (st *stripe) decode(payload []byte) (*Event, error) {
 // Stripes returns the stripe count.
 func (s *Store) Stripes() int { return len(s.stripes) }
 
-// fnv32a mirrors the shard router's instance hash so one instance's
-// engine shard and history stripe derive from the same function.
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
 func (s *Store) stripeFor(instanceID string) *stripe {
 	if len(s.stripes) == 1 {
 		return s.stripes[0]
 	}
-	return s.stripes[fnv32a(instanceID)%uint32(len(s.stripes))]
+	return s.stripes[fnv1a.Sum32(instanceID)%uint32(len(s.stripes))]
 }
 
 // Enqueue hands an event to the store without waiting for it to be
@@ -584,7 +575,7 @@ func (s *Store) EventsOf(instanceID string) []*Event {
 	if err != nil && !errors.Is(err, errStopReplay) {
 		// Serve the resident suffix, but do not pretend it is the full
 		// trail silently: the failure is kept and surfaced by the next
-		// Flush/Sync (queries have no error channel of their own).
+		// Flush (queries have no error channel of their own).
 		st.recordErr(fmt.Errorf("history: replay events of %s: %w", instanceID, err))
 		return ram
 	}
@@ -649,10 +640,6 @@ func (s *Store) Flush() error {
 	}
 	return first
 }
-
-// Sync flushes the pipeline and the underlying journals (alias of
-// Flush, preserving the previous API).
-func (s *Store) Sync() error { return s.Flush() }
 
 // Close drains and stops the committer goroutines and closes every
 // stripe journal. Events enqueued before Close are appended; queries

@@ -12,6 +12,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"bpms/internal/fnv1a"
 )
 
 // User is one human resource.
@@ -50,7 +52,7 @@ func (u *User) clone() *User {
 }
 
 // Directory is the thread-safe registry of users and roles. Users are
-// striped by FNV-1a of their ID — the same hash family the shard
+// striped by FNV-1a of their ID — fnv1a.Sum32, the hash the shard
 // router, history pipeline, and worklist use for placement — so lookup
 // traffic from concurrent work allocation (every offered task resolves
 // its role's candidate set here) spreads over independent locks
@@ -97,19 +99,9 @@ func NewDirectoryStriped(stripes int) *Directory {
 // Stripes returns the number of lock stripes.
 func (d *Directory) Stripes() int { return len(d.stripes) }
 
-// stripeOf hashes a user ID to its stripe with FNV-1a (the hash family
-// shared with shard.Router, history, and task striping).
+// stripeOf hashes a user ID to its stripe.
 func (d *Directory) stripeOf(id string) *dirStripe {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= prime64
-	}
-	return d.stripes[h%uint64(len(d.stripes))]
+	return d.stripes[fnv1a.Sum32(id)%uint32(len(d.stripes))]
 }
 
 // AddUser registers a user (replacing any same-ID user; replacement

@@ -30,7 +30,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,6 +37,7 @@ import (
 
 	"bpms/internal/engine"
 	"bpms/internal/expr"
+	"bpms/internal/fnv1a"
 	"bpms/internal/history"
 	"bpms/internal/model"
 	"bpms/internal/obs"
@@ -182,9 +182,7 @@ func (r *Router) maxInstanceSeq() uint64 {
 // shardOf hashes a routing key (instance ID or correlation key) to a
 // shard index. FNV-1a keeps placement stable across restarts.
 func (r *Router) shardOf(key string) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(len(r.shards)))
+	return int(fnv1a.Sum32(key) % uint32(len(r.shards)))
 }
 
 // owner locates the shard holding an instance: the hash shard first,

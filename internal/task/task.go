@@ -6,7 +6,7 @@
 // and resumes the process instance from the completion callback.
 //
 // The service is a striped concurrent store: items are partitioned
-// across N stripes by FNV-1a on the item ID (the same hash family the
+// across N stripes by FNV-1a on the item ID (fnv1a.Sum32, the hash the
 // shard router and the history stripes use), each stripe guarded by
 // its own mutex and carrying its own secondary indexes — per-user
 // allocated and offered sets, a per-state set, and a due-time
@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bpms/internal/fnv1a"
 	"bpms/internal/obs"
 	"bpms/internal/resource"
 )
@@ -401,19 +402,9 @@ func NewService(cfg Config) *Service {
 	return s
 }
 
-// stripeFor hashes an item ID to its stripe (inlined FNV-1a: the hot
-// paths must not allocate a hasher per operation).
+// stripeFor hashes an item ID to its stripe.
 func (s *Service) stripeFor(id string) *stripe {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= prime32
-	}
-	return s.stripes[h%uint32(len(s.stripes))]
+	return s.stripes[fnv1a.Sum32(id)%uint32(len(s.stripes))]
 }
 
 // Stripes returns the stripe count.
