@@ -1,6 +1,8 @@
-// Benchmarks mirroring the experiment suite (DESIGN.md §3): one
-// Benchmark function (or group) per table/figure, built on the same
-// workloads as cmd/bpmsbench. Run with:
+// Micro-benchmarks of the experiment suite: one Benchmark function (or
+// group) per table/figure T1–T16 and F1–F5, several with allocation
+// gates that fail the run. The README describes what each experiment
+// measures; end-to-end numbers against a live bpmsd come from
+// benchmark/ (bash benchmark/run.sh). Run with:
 //
 //	go test -bench=. -benchmem
 package bpms_test
@@ -14,7 +16,6 @@ import (
 	"time"
 
 	"bpms"
-	"bpms/internal/bench"
 	"bpms/internal/engine"
 	"bpms/internal/expr"
 	"bpms/internal/history"
@@ -606,14 +607,45 @@ func BenchmarkT5_ExprAggregate(b *testing.B) {
 // T9: deploy-time expression compilation — compile-once vs the
 // compile-per-evaluation pattern, micro and engine-level.
 
+// conditionHeavy chains n exclusive choices whose guarded branches are
+// script tasks with output mappings, so per-instance cost is dominated
+// by expression evaluation.
+func conditionHeavy(n int) *model.Process {
+	b := model.New(fmt.Sprintf("cond-%d", n))
+	b.Start("start")
+	prev := "start"
+	for i := 1; i <= n; i++ {
+		x := fmt.Sprintf("x%d", i)
+		hot := fmt.Sprintf("hot%d", i)
+		cold := fmt.Sprintf("cold%d", i)
+		dflt := fmt.Sprintf("d%d", i)
+		join := fmt.Sprintf("j%d", i)
+		b.XOR(x, model.Default(dflt))
+		b.ScriptTask(hot,
+			model.Output("acc", fmt.Sprintf("coalesce(acc, 0) + amount * %d", i)),
+			model.Output("tier", `acc > 1000 ? "gold" : "base"`))
+		b.ScriptTask(cold, model.Output("acc", "coalesce(acc, 0) + 1"))
+		b.XOR(join)
+		b.Flow(prev, x)
+		b.FlowIf(x, hot, fmt.Sprintf(`amount %% %d == 0 || tier == "gold"`, i+1))
+		b.FlowID(dflt, x, cold, "")
+		b.Flow(hot, join)
+		b.Flow(cold, join)
+		prev = join
+	}
+	b.End("end")
+	b.Flow(prev, "end")
+	return b.MustBuild()
+}
+
 // BenchmarkT9_ConditionHeavy20 drives a 20-choice condition-heavy
-// process (bench.ConditionHeavy) through the engine; with deploy-time
+// process (conditionHeavy) through the engine; with deploy-time
 // compilation no expression is parsed after Deploy.
 func BenchmarkT9_ConditionHeavy20(b *testing.B) {
 	// amount 600 drives acc past 1000 by the second choice, so most
 	// guards take the two-output "hot" branch: the workload is
 	// dominated by condition and output-mapping evaluation.
-	benchCases(b, bench.ConditionHeavy(20), map[string]any{"amount": 600})
+	benchCases(b, conditionHeavy(20), map[string]any{"amount": 600})
 }
 
 // BenchmarkT9_ExprCompilePerEval is the seed engine's per-evaluation
@@ -636,8 +668,73 @@ func BenchmarkT9_ExprCompilePerEval(b *testing.B) {
 
 // F3: discovery (mining a 100-trace log per iteration).
 
+// discoveryGroundTruth is the process the F3 benchmarks rediscover.
+func discoveryGroundTruth() *model.Process {
+	return model.New("f3truth").
+		Start("s").
+		UserTask("A", model.Name("A"), model.Role("w")).
+		XOR("x", model.Default("db")).
+		UserTask("B", model.Name("B"), model.Role("w")).
+		UserTask("C", model.Name("C"), model.Role("w")).
+		XOR("m").
+		AND("f").
+		UserTask("D", model.Name("D"), model.Role("w")).
+		UserTask("E", model.Name("E"), model.Role("w")).
+		AND("j").
+		UserTask("F", model.Name("F"), model.Role("w")).
+		End("e").
+		Flow("s", "A").
+		Flow("A", "x").
+		FlowIf("x", "B", "pick == 1").
+		FlowID("db", "x", "C", "").
+		Flow("B", "m").Flow("C", "m").
+		Flow("m", "f").
+		Flow("f", "D").Flow("f", "E").
+		Flow("D", "j").Flow("E", "j").
+		Flow("j", "F").
+		Flow("F", "e").
+		MustBuild()
+}
+
+// discoveryLog simulates the ground truth into a log of n traces.
+func discoveryLog(tb testing.TB, n int, seed int64) *history.Log {
+	tb.Helper()
+	res, err := sim.Run(sim.Config{
+		Process:        discoveryGroundTruth(),
+		Cases:          n,
+		Interarrival:   sim.Exp(time.Minute),
+		DefaultService: sim.Exp(2 * time.Minute),
+		Resources:      map[string][]string{"w": {"w1", "w2", "w3", "w4"}},
+		Vars: func(i int, r *rand.Rand) map[string]any {
+			return map[string]any{"pick": r.Intn(2)}
+		},
+		Seed: seed,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Log
+}
+
+func TestDiscoveryLogShape(t *testing.T) {
+	log := discoveryLog(t, 20, 1)
+	if len(log.Traces) != 20 {
+		t.Fatalf("traces = %d", len(log.Traces))
+	}
+	// Ground truth has 6 activities; every trace covers A..F minus the
+	// untaken XOR branch.
+	for _, tr := range log.Traces {
+		if len(tr.Entries) != 5 {
+			t.Errorf("trace %s has %d events, want 5", tr.CaseID, len(tr.Entries))
+		}
+		if tr.Entries[0].Activity != "A" || tr.Entries[len(tr.Entries)-1].Activity != "F" {
+			t.Errorf("trace %s order: %v", tr.CaseID, tr.Entries)
+		}
+	}
+}
+
 func BenchmarkF3_AlphaMiner(b *testing.B) {
-	log := bench.DiscoveryLog(100, 3)
+	log := discoveryLog(b, 100, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := mine.Alpha(log)
@@ -648,7 +745,7 @@ func BenchmarkF3_AlphaMiner(b *testing.B) {
 }
 
 func BenchmarkF3_TokenReplay(b *testing.B) {
-	log := bench.DiscoveryLog(100, 3)
+	log := discoveryLog(b, 100, 3)
 	res := mine.Alpha(log)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

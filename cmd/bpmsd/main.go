@@ -9,8 +9,8 @@
 // independent engine shards — each with its own WAL (under
 // shard-0000/… subdirectories of the data dir), snapshot store, and
 // group-commit batcher — multiplying durable throughput on multi-core
-// boxes (experiment T11). A data dir must be reopened with the shard
-// count it was created with.
+// boxes. A data dir must be reopened with the shard count it was
+// created with.
 //
 // Durability is controlled by -sync (never|always|every|batch; see the
 // README's Durability section), -sync-every (append count for the
@@ -164,8 +164,14 @@ func main() {
 	if opts.Metrics != nil {
 		fmt.Printf("bpmsd: metrics on (GET /metrics), audit-interval=%s, task-sla=%s\n", *auditInterval, *taskSLA)
 	}
+	// Sum the per-shard counts: Instances() would copy and sort every ID
+	// on the way to the listener.
+	recovered := 0
+	for _, st := range sys.Engine.Stats() {
+		recovered += st.Instances
+	}
 	fmt.Printf("bpmsd: %d definition(s), %d instance(s) recovered across %d shard(s), %d user(s)\n",
-		len(sys.Engine.Definitions()), len(sys.Engine.Instances()), sys.Engine.Shards(), sys.Directory.Count())
+		len(sys.Engine.Definitions()), recovered, sys.Engine.Shards(), sys.Directory.Count())
 	if *data != "" {
 		hs := sys.History.Stats()
 		fmt.Printf("bpmsd: history replayed in %.3fs (%d events, %d resident)\n",

@@ -66,7 +66,7 @@ func newGate(maxInFlight, depth int) *gate {
 }
 
 // admission is the per-server controller. shed counts refused
-// requests (exposed in /api/stats).
+// requests (exposed in /api/v1/stats).
 type admission struct {
 	cfg   AdmissionConfig
 	read  *gate

@@ -85,10 +85,8 @@ type route struct {
 	handler         http.HandlerFunc
 }
 
-// table is the single route table of the API surface. It is
-// registered once under the versioned prefix /api/v1 and once under
-// the legacy /api prefix, so both paths share handlers (and therefore
-// semantics) by construction.
+// table is the single route table of the API surface, registered
+// under the versioned prefix /api/v1.
 func (s *Server) table() []route {
 	return []route{
 		{"GET", "/definitions", s.listDefinitions},
@@ -123,20 +121,18 @@ func (s *Server) table() []route {
 }
 
 func (s *Server) routes() {
-	for _, prefix := range []string{"/api/v1", "/api"} {
-		for _, rt := range s.table() {
-			h := rt.handler
-			if s.adm != nil {
-				// Admission sits inside instrumentation so shed
-				// responses show up in the per-route counters.
-				h = s.adm.wrap(rt.method, h)
-			}
-			s.mux.HandleFunc(rt.method+" "+prefix+rt.pattern,
-				s.instrument(rt.method+" "+prefix+rt.pattern, h))
+	for _, rt := range s.table() {
+		h := rt.handler
+		if s.adm != nil {
+			// Admission sits inside instrumentation so shed responses
+			// show up in the per-route counters.
+			h = s.adm.wrap(rt.method, h)
 		}
+		pattern := rt.method + " /api/v1" + rt.pattern
+		s.mux.HandleFunc(pattern, s.instrument(pattern, h))
 	}
 	// The scrape and probe endpoints live outside the API version
-	// prefixes, at their conventional paths, and are never gated by
+	// prefix, at their conventional paths, and are never gated by
 	// admission control: an overloaded or degraded system must still
 	// answer its monitors. On an uninstrumented system /metrics is 404.
 	s.mux.Handle("GET /metrics", s.bpms.Metrics.Handler())
@@ -199,7 +195,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		msg := "api: encode response: " + err.Error()
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, "{\"error\":{\"code\":%q,\"message\":%q},\"message\":%q}\n", codeInternal, msg, msg)
+		fmt.Fprintf(w, "{\"error\":{\"code\":%q,\"message\":%q}}\n", codeInternal, msg)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -232,21 +228,18 @@ type errDetail struct {
 }
 
 // apiError is the error response body: the v1 envelope under "error"
-// ({"code","message"}), plus the flat message string kept at top level
-// for pre-v1 clients that read a plain string field.
+// ({"code","message"}).
 type apiError struct {
-	Error   errDetail `json:"error"`
-	Message string    `json:"message"`
+	Error errDetail `json:"error"`
 }
 
 // writeErrCode writes one error response in the envelope shape.
 func writeErrCode(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, apiError{Error: errDetail{Code: code, Message: msg}, Message: msg})
+	writeJSON(w, status, apiError{Error: errDetail{Code: code, Message: msg}})
 }
 
 // writeErr maps engine/task/model errors to HTTP statuses and machine
-// codes — the single mapping both the v1 and legacy surfaces go
-// through.
+// codes — the single mapping every route goes through.
 func writeErr(w http.ResponseWriter, err error) {
 	status, code := http.StatusInternalServerError, codeInternal
 	var ve *model.ValidationError
@@ -518,7 +511,7 @@ func pageParams(r *http.Request) (offset, limit int, err error) {
 	return offset, limit, nil
 }
 
-// listTasks serves GET /api/tasks with user/state filters and
+// listTasks serves GET /api/v1/tasks with user/state filters and
 // limit/offset pagination. Filtering and paging both happen inside the
 // worklist's ordered indexes, which stop at offset+limit entries:
 //
@@ -640,8 +633,7 @@ func (s *Server) exportXES(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) stats(w http.ResponseWriter, _ *http.Request) {
 	// Summaries() walks the shards' summary indexes — one row per
-	// instance, no per-instance view materialisation, and no full
-	// Instance() fetch per ID like the pre-v1 implementation did.
+	// instance, no per-instance view materialisation.
 	counts := map[string]int{}
 	for _, sm := range s.bpms.Engine.Summaries() {
 		counts[sm.Status.String()]++
@@ -703,9 +695,9 @@ type userRequest struct {
 	Roles []string `json:"roles,omitempty"`
 }
 
-// addUser registers a user in the organisational directory — the
-// endpoint load drivers use to stand up their simulated workforce
-// without restarting bpmsd with -user flags.
+// addUser registers a user in the organisational directory — how a
+// client stands up a workforce without restarting bpmsd with -user
+// flags.
 func (s *Server) addUser(w http.ResponseWriter, r *http.Request) {
 	var req userRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {

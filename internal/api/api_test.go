@@ -76,7 +76,7 @@ func TestDeployStartCompleteViaAPI(t *testing.T) {
 		Seq("s", "review", "e").
 		MustBuild()
 	data, _ := model.EncodeJSON(p)
-	resp, err := http.Post(ts.URL+"/api/definitions", "application/json", bytes.NewReader(data))
+	resp, err := http.Post(ts.URL+"/api/v1/definitions", "application/json", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +86,13 @@ func TestDeployStartCompleteViaAPI(t *testing.T) {
 	resp.Body.Close()
 
 	// Verify endpoint reports soundness.
-	vres := doJSON(t, "GET", ts.URL+"/api/definitions/api-proc/verify", nil, http.StatusOK)
+	vres := doJSON(t, "GET", ts.URL+"/api/v1/definitions/api-proc/verify", nil, http.StatusOK)
 	if vres["sound"] != true {
 		t.Errorf("verify = %v", vres)
 	}
 
 	// Start an instance.
-	started := doJSON(t, "POST", ts.URL+"/api/instances",
+	started := doJSON(t, "POST", ts.URL+"/api/v1/instances",
 		map[string]any{"processId": "api-proc", "vars": map[string]any{"amount": 5}},
 		http.StatusCreated)
 	id := started["id"].(string)
@@ -101,7 +101,7 @@ func TestDeployStartCompleteViaAPI(t *testing.T) {
 	}
 
 	// The task shows up on alice's offered list.
-	req, _ := http.NewRequest("GET", ts.URL+"/api/tasks?user=alice", nil)
+	req, _ := http.NewRequest("GET", ts.URL+"/api/v1/tasks?user=alice", nil)
 	tresp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -115,13 +115,13 @@ func TestDeployStartCompleteViaAPI(t *testing.T) {
 	taskID := tasks["offered"][0]["id"].(string)
 
 	// Claim, start, complete through the API.
-	doJSON(t, "POST", ts.URL+"/api/tasks/"+taskID+"/claim", map[string]any{"user": "alice"}, http.StatusOK)
-	doJSON(t, "POST", ts.URL+"/api/tasks/"+taskID+"/start", map[string]any{"user": "alice"}, http.StatusOK)
-	doJSON(t, "POST", ts.URL+"/api/tasks/"+taskID+"/complete",
+	doJSON(t, "POST", ts.URL+"/api/v1/tasks/"+taskID+"/claim", map[string]any{"user": "alice"}, http.StatusOK)
+	doJSON(t, "POST", ts.URL+"/api/v1/tasks/"+taskID+"/start", map[string]any{"user": "alice"}, http.StatusOK)
+	doJSON(t, "POST", ts.URL+"/api/v1/tasks/"+taskID+"/complete",
 		map[string]any{"user": "alice", "outcome": map[string]any{"ok": true}}, http.StatusOK)
 
 	// The instance completed and carries the outcome variable.
-	got := doJSON(t, "GET", ts.URL+"/api/instances/"+id, nil, http.StatusOK)
+	got := doJSON(t, "GET", ts.URL+"/api/v1/instances/"+id, nil, http.StatusOK)
 	if got["status"] != "completed" {
 		t.Fatalf("instance after completion = %v", got)
 	}
@@ -131,12 +131,12 @@ func TestDeployStartCompleteViaAPI(t *testing.T) {
 	}
 
 	// History and XES export are available.
-	hreq, _ := http.Get(ts.URL + "/api/instances/" + id + "/history")
+	hreq, _ := http.Get(ts.URL + "/api/v1/instances/" + id + "/history")
 	if hreq.StatusCode != http.StatusOK {
 		t.Errorf("history status = %d", hreq.StatusCode)
 	}
 	hreq.Body.Close()
-	xres, _ := http.Get(ts.URL + "/api/history/xes")
+	xres, _ := http.Get(ts.URL + "/api/v1/history/xes")
 	var xbuf bytes.Buffer
 	xbuf.ReadFrom(xres.Body)
 	xres.Body.Close()
@@ -145,7 +145,7 @@ func TestDeployStartCompleteViaAPI(t *testing.T) {
 	}
 
 	// Stats endpoint.
-	stats := doJSON(t, "GET", ts.URL+"/api/stats", nil, http.StatusOK)
+	stats := doJSON(t, "GET", ts.URL+"/api/v1/stats", nil, http.StatusOK)
 	if stats["definitions"].(float64) != 1 {
 		t.Errorf("stats = %v", stats)
 	}
@@ -155,25 +155,25 @@ func TestDeployStartCompleteViaAPI(t *testing.T) {
 func TestAPIErrorMapping(t *testing.T) {
 	ts, _ := newServer(t)
 	// Unknown instance -> 404.
-	doJSON(t, "GET", ts.URL+"/api/instances/ghost", nil, http.StatusNotFound)
+	doJSON(t, "GET", ts.URL+"/api/v1/instances/ghost", nil, http.StatusNotFound)
 	// Unknown process -> 404.
-	doJSON(t, "POST", ts.URL+"/api/instances", map[string]any{"processId": "ghost"}, http.StatusNotFound)
+	doJSON(t, "POST", ts.URL+"/api/v1/instances", map[string]any{"processId": "ghost"}, http.StatusNotFound)
 	// Invalid definition -> 400.
-	resp, _ := http.Post(ts.URL+"/api/definitions", "application/json", strings.NewReader(`{"id":"x","elements":[],"flows":[]}`))
+	resp, _ := http.Post(ts.URL+"/api/v1/definitions", "application/json", strings.NewReader(`{"id":"x","elements":[],"flows":[]}`))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid deploy status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 	// Unknown task -> 404.
-	doJSON(t, "POST", ts.URL+"/api/tasks/wi-999/claim", map[string]any{"user": "alice"}, http.StatusNotFound)
+	doJSON(t, "POST", ts.URL+"/api/v1/tasks/wi-999/claim", map[string]any{"user": "alice"}, http.StatusNotFound)
 	// Bad JSON -> 400.
-	resp2, _ := http.Post(ts.URL+"/api/instances", "application/json", strings.NewReader(`{broken`))
+	resp2, _ := http.Post(ts.URL+"/api/v1/instances", "application/json", strings.NewReader(`{broken`))
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad json status = %d", resp2.StatusCode)
 	}
 	resp2.Body.Close()
 	// Missing user -> 400.
-	resp3, _ := http.Get(ts.URL + "/api/tasks")
+	resp3, _ := http.Get(ts.URL + "/api/v1/tasks")
 	if resp3.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing user status = %d", resp3.StatusCode)
 	}
@@ -191,26 +191,26 @@ func TestAPIMessageAndCancel(t *testing.T) {
 	if err := b.Engine.Deploy(p); err != nil {
 		t.Fatal(err)
 	}
-	started := doJSON(t, "POST", ts.URL+"/api/instances",
+	started := doJSON(t, "POST", ts.URL+"/api/v1/instances",
 		map[string]any{"processId": "msgproc", "vars": map[string]any{"k": "K1"}}, http.StatusCreated)
 	id := started["id"].(string)
 
 	// Publish with the right key completes it.
-	pub := doJSON(t, "POST", ts.URL+"/api/messages",
+	pub := doJSON(t, "POST", ts.URL+"/api/v1/messages",
 		map[string]any{"name": "go", "key": "K1", "vars": map[string]any{"extra": 1}}, http.StatusOK)
 	if pub["delivered"].(float64) != 1 {
 		t.Fatalf("publish = %v", pub)
 	}
-	got := doJSON(t, "GET", ts.URL+"/api/instances/"+id, nil, http.StatusOK)
+	got := doJSON(t, "GET", ts.URL+"/api/v1/instances/"+id, nil, http.StatusOK)
 	if got["status"] != "completed" {
 		t.Fatalf("status = %v", got["status"])
 	}
 
 	// Cancel an active instance.
-	started2 := doJSON(t, "POST", ts.URL+"/api/instances",
+	started2 := doJSON(t, "POST", ts.URL+"/api/v1/instances",
 		map[string]any{"processId": "msgproc", "vars": map[string]any{"k": "K2"}}, http.StatusCreated)
 	id2 := started2["id"].(string)
-	req, _ := http.NewRequest("DELETE", ts.URL+"/api/instances/"+id2, nil)
+	req, _ := http.NewRequest("DELETE", ts.URL+"/api/v1/instances/"+id2, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -227,12 +227,12 @@ func TestAPIMessageAndCancel(t *testing.T) {
 	resp2.Body.Close()
 
 	// Set a variable on... a fresh active instance.
-	started3 := doJSON(t, "POST", ts.URL+"/api/instances",
+	started3 := doJSON(t, "POST", ts.URL+"/api/v1/instances",
 		map[string]any{"processId": "msgproc", "vars": map[string]any{"k": "K3"}}, http.StatusCreated)
 	id3 := started3["id"].(string)
 	var buf bytes.Buffer
 	json.NewEncoder(&buf).Encode(42)
-	vreq, _ := http.NewRequest("PUT", fmt.Sprintf("%s/api/instances/%s/variables/answer", ts.URL, id3), &buf)
+	vreq, _ := http.NewRequest("PUT", fmt.Sprintf("%s/api/v1/instances/%s/variables/answer", ts.URL, id3), &buf)
 	vresp, err := http.DefaultClient.Do(vreq)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestAPIMessageAndCancel(t *testing.T) {
 		t.Fatalf("set variable status = %d", vresp.StatusCode)
 	}
 	vresp.Body.Close()
-	got3 := doJSON(t, "GET", ts.URL+"/api/instances/"+id3, nil, http.StatusOK)
+	got3 := doJSON(t, "GET", ts.URL+"/api/v1/instances/"+id3, nil, http.StatusOK)
 	if got3["vars"].(map[string]any)["answer"].(float64) != 42 {
 		t.Errorf("vars = %v", got3["vars"])
 	}
@@ -250,7 +250,7 @@ func TestAPIMessageAndCancel(t *testing.T) {
 func TestAPIDeployXML(t *testing.T) {
 	ts, _ := newServer(t)
 	data, _ := model.EncodeXML(model.Mixed())
-	resp, err := http.Post(ts.URL+"/api/definitions", "application/xml", bytes.NewReader(data))
+	resp, err := http.Post(ts.URL+"/api/v1/definitions", "application/xml", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestAPIDeployXML(t *testing.T) {
 		t.Fatalf("xml deploy status = %d", resp.StatusCode)
 	}
 	// Definition list shows it.
-	lresp, _ := http.Get(ts.URL + "/api/definitions")
+	lresp, _ := http.Get(ts.URL + "/api/v1/definitions")
 	var defs []string
 	json.NewDecoder(lresp.Body).Decode(&defs)
 	lresp.Body.Close()
@@ -269,8 +269,8 @@ func TestAPIDeployXML(t *testing.T) {
 }
 
 // TestAPIShardedStatsAndSnapshot drives a 4-shard persistent system:
-// /api/stats must report per-shard instance counts and POST
-// /api/admin/snapshot must write a snapshot on every shard.
+// /api/v1/stats must report per-shard instance counts and POST
+// /api/v1/admin/snapshot must write a snapshot on every shard.
 func TestAPIShardedStatsAndSnapshot(t *testing.T) {
 	b, err := core.Open(core.Options{DataDir: t.TempDir(), Shards: 4})
 	if err != nil {
@@ -287,11 +287,11 @@ func TestAPIShardedStatsAndSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		doJSON(t, "POST", ts.URL+"/api/instances",
+		doJSON(t, "POST", ts.URL+"/api/v1/instances",
 			map[string]any{"processId": "seq-2"}, http.StatusCreated)
 	}
 
-	stats := doJSON(t, "GET", ts.URL+"/api/stats", nil, http.StatusOK)
+	stats := doJSON(t, "GET", ts.URL+"/api/v1/stats", nil, http.StatusOK)
 	shards, ok := stats["shards"].([]any)
 	if !ok || len(shards) != 4 {
 		t.Fatalf("stats shards = %v", stats["shards"])
@@ -304,7 +304,7 @@ func TestAPIShardedStatsAndSnapshot(t *testing.T) {
 		t.Fatalf("per-shard instance counts sum to %d, want 20", total)
 	}
 
-	snap := doJSON(t, "POST", ts.URL+"/api/admin/snapshot", map[string]any{}, http.StatusOK)
+	snap := doJSON(t, "POST", ts.URL+"/api/v1/admin/snapshot", map[string]any{}, http.StatusOK)
 	if int(snap["shards"].(float64)) != 4 {
 		t.Fatalf("snapshot response = %v", snap)
 	}
@@ -314,7 +314,7 @@ func TestAPIShardedStatsAndSnapshot(t *testing.T) {
 // stores, so the admin trigger reports an error.
 func TestAPIAdminSnapshotInMemory(t *testing.T) {
 	ts, _ := newServer(t)
-	doJSON(t, "POST", ts.URL+"/api/admin/snapshot", map[string]any{}, http.StatusInternalServerError)
+	doJSON(t, "POST", ts.URL+"/api/v1/admin/snapshot", map[string]any{}, http.StatusInternalServerError)
 }
 
 // TestWriteJSONEncodesBeforeHeader: an unencodable value must produce
@@ -328,7 +328,7 @@ func TestWriteJSONEncodesBeforeHeader(t *testing.T) {
 	}
 	var e apiError
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil ||
-		e.Error.Code != codeInternal || e.Error.Message == "" || e.Message != e.Error.Message {
+		e.Error.Code != codeInternal || e.Error.Message == "" {
 		t.Fatalf("error body = %q (%v)", rec.Body.String(), err)
 	}
 
@@ -342,7 +342,7 @@ func TestWriteJSONEncodesBeforeHeader(t *testing.T) {
 	}
 }
 
-// TestAPITaskPaginationAndFilters drives GET /api/tasks' limit/offset
+// TestAPITaskPaginationAndFilters drives GET /api/v1/tasks' limit/offset
 // and state/user filters against a striped worklist.
 func TestAPITaskPaginationAndFilters(t *testing.T) {
 	b, err := core.Open(core.Options{WorklistStripes: 4})
@@ -364,13 +364,13 @@ func TestAPITaskPaginationAndFilters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		doJSON(t, "POST", ts.URL+"/api/instances",
+		doJSON(t, "POST", ts.URL+"/api/v1/instances",
 			map[string]any{"processId": "page-proc"}, http.StatusCreated)
 	}
 
 	getPage := func(query string) map[string]any {
 		t.Helper()
-		return doJSON(t, "GET", ts.URL+"/api/tasks?"+query, nil, http.StatusOK)
+		return doJSON(t, "GET", ts.URL+"/api/v1/tasks?"+query, nil, http.StatusOK)
 	}
 	// State filter reads the per-state index.
 	page := getPage("state=offered")
@@ -391,7 +391,7 @@ func TestAPITaskPaginationAndFilters(t *testing.T) {
 	items := page["items"].([]any)
 	for _, raw := range items[:2] {
 		id := raw.(map[string]any)["id"].(string)
-		doJSON(t, "POST", ts.URL+"/api/tasks/"+id+"/claim", map[string]any{"user": "alice"}, http.StatusOK)
+		doJSON(t, "POST", ts.URL+"/api/v1/tasks/"+id+"/claim", map[string]any{"user": "alice"}, http.StatusOK)
 	}
 	page = getPage("user=alice&state=allocated")
 	if int(page["count"].(float64)) != 2 {
@@ -400,8 +400,8 @@ func TestAPITaskPaginationAndFilters(t *testing.T) {
 	// Complete one; user+terminal-state reads the state index filtered
 	// by the closing assignee.
 	claimedID := items[0].(map[string]any)["id"].(string)
-	doJSON(t, "POST", ts.URL+"/api/tasks/"+claimedID+"/start", map[string]any{"user": "alice"}, http.StatusOK)
-	doJSON(t, "POST", ts.URL+"/api/tasks/"+claimedID+"/complete", map[string]any{"user": "alice"}, http.StatusOK)
+	doJSON(t, "POST", ts.URL+"/api/v1/tasks/"+claimedID+"/start", map[string]any{"user": "alice"}, http.StatusOK)
+	doJSON(t, "POST", ts.URL+"/api/v1/tasks/"+claimedID+"/complete", map[string]any{"user": "alice"}, http.StatusOK)
 	page = getPage("user=alice&state=completed")
 	if int(page["count"].(float64)) != 1 {
 		t.Fatalf("user+completed count = %v", page["count"])
@@ -411,7 +411,7 @@ func TestAPITaskPaginationAndFilters(t *testing.T) {
 		t.Fatalf("other user's completed count = %v", page["count"])
 	}
 	// Legacy user-only shape, paginated per list.
-	req, _ := http.NewRequest("GET", ts.URL+"/api/tasks?user=alice&limit=1", nil)
+	req, _ := http.NewRequest("GET", ts.URL+"/api/v1/tasks?user=alice&limit=1", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -423,12 +423,12 @@ func TestAPITaskPaginationAndFilters(t *testing.T) {
 		t.Fatalf("paginated lists = %d/%d", len(lists["worklist"]), len(lists["offered"]))
 	}
 	// Bad parameters.
-	doJSON(t, "GET", ts.URL+"/api/tasks?state=bogus", nil, http.StatusBadRequest)
-	doJSON(t, "GET", ts.URL+"/api/tasks?user=alice&limit=-1", nil, http.StatusBadRequest)
-	doJSON(t, "GET", ts.URL+"/api/tasks?user=alice&offset=x", nil, http.StatusBadRequest)
+	doJSON(t, "GET", ts.URL+"/api/v1/tasks?state=bogus", nil, http.StatusBadRequest)
+	doJSON(t, "GET", ts.URL+"/api/v1/tasks?user=alice&limit=-1", nil, http.StatusBadRequest)
+	doJSON(t, "GET", ts.URL+"/api/v1/tasks?user=alice&offset=x", nil, http.StatusBadRequest)
 
-	// /api/stats reports the striped worklist.
-	stats := doJSON(t, "GET", ts.URL+"/api/stats", nil, http.StatusOK)
+	// /api/v1/stats reports the striped worklist.
+	stats := doJSON(t, "GET", ts.URL+"/api/v1/stats", nil, http.StatusOK)
 	wl, ok := stats["worklist"].(map[string]any)
 	if !ok || int(wl["stripes"].(float64)) != 4 {
 		t.Fatalf("stats worklist = %v", stats["worklist"])

@@ -1,7 +1,9 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"bpms/internal/client"
 	"bpms/internal/core"
 	"bpms/internal/fault"
 	"bpms/internal/model"
@@ -120,7 +123,7 @@ func TestDegradedShardEnvelope(t *testing.T) {
 		t.Fatalf("read on degraded system = %d", resp.StatusCode)
 	}
 
-	// /readyz now refuses; /healthz stays live; /api/stats reports it.
+	// /readyz now refuses; /healthz stays live; /api/v1/stats reports it.
 	resp, err = http.Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
@@ -261,4 +264,105 @@ func TestAdmissionShed(t *testing.T) {
 	// Release the parked deploy.
 	pw.Close()
 	wg.Wait()
+}
+
+// TestOverloadCarriedByClientRetry offers a durable two-shard server on
+// slow storage more concurrent starts than its one-slot write gate
+// admits, through the typed client's retry layer. The sheds must be
+// real (the server counts them, the client retries them), yet at least
+// 99% of starts are acknowledged, every failure is a classified
+// overloaded shed rather than an unclassified error, and every
+// acknowledged case survives a close and reopen.
+func TestOverloadCarriedByClientRetry(t *testing.T) {
+	opts := core.Options{
+		DataDir:    t.TempDir(),
+		Shards:     2,
+		SyncPolicy: storage.SyncBatch,
+		Durable:    true,
+	}
+	slow := opts
+	// Every group commit of a state journal waits 25ms, so one write
+	// slot admits about 40 starts a second.
+	slow.FS = fault.NewInjector(fault.OS, fault.Plan{PathContains: "state", FsyncLatency: 25 * time.Millisecond})
+	b, err := core.Open(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := true
+	t.Cleanup(func() {
+		if open {
+			b.Close()
+		}
+	})
+	ts := httptest.NewServer(New(b, WithAdmission(AdmissionConfig{
+		MaxInFlightWrite: 1,
+		QueueDepth:       2,
+		QueueTimeout:     100 * time.Millisecond,
+	})).Handler())
+	t.Cleanup(ts.Close)
+	deployScripted(t, ts.URL)
+
+	const cases, workers = 80, 8
+	c := client.New(ts.URL, client.WithRetry(client.RetryPolicy{MaxAttempts: 6}))
+	var (
+		mu     sync.Mutex
+		acked  []string
+		failed []error
+		wg     sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < cases/workers; i++ {
+				inst, err := c.StartInstance(context.Background(), "pagey", nil)
+				mu.Lock()
+				if err != nil {
+					failed = append(failed, err)
+				} else {
+					acked = append(acked, inst.ID)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+
+	for _, err := range failed {
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Code != client.CodeOverloaded {
+			t.Errorf("unclassified failure: %v", err)
+		}
+	}
+	if len(acked)*100 < cases*99 {
+		t.Fatalf("%d of %d starts acknowledged, want >= 99%%", len(acked), cases)
+	}
+	if c.Retries() < 1 {
+		t.Fatal("no client retries: the overload never bit")
+	}
+	stats, err := c.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shed, _ := stats["shedRequests"].(float64); shed < 1 {
+		t.Fatalf("server shedRequests = %v, want >= 1", stats["shedRequests"])
+	}
+	t.Logf("%d of %d starts acknowledged, %d client retries, %v server sheds",
+		len(acked), cases, c.Retries(), stats["shedRequests"])
+
+	ts.Close()
+	open = false
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b2, err := core.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	for _, id := range acked {
+		if _, err := b2.Engine.Instance(id); err != nil {
+			t.Errorf("acknowledged %s lost across reopen: %v", id, err)
+		}
+	}
 }

@@ -37,54 +37,6 @@ func deployScripted(t *testing.T, url string) {
 	}
 }
 
-// TestV1LegacyParity drives the same requests through /api/v1 and the
-// legacy /api alias and requires byte-identical responses: one route
-// table, two prefixes.
-func TestV1LegacyParity(t *testing.T) {
-	ts, _ := newServer(t)
-	deployScripted(t, ts.URL)
-	doJSON(t, http.MethodPost, ts.URL+"/api/v1/instances",
-		map[string]any{"processId": "pagey"}, http.StatusCreated)
-
-	for _, path := range []string{
-		"/definitions",
-		"/definitions/pagey",
-		"/instances",
-		"/instances?state=completed&limit=1",
-		"/instances/pagey-1",
-		"/instances/pagey-1/history",
-		"/tasks?user=alice",
-		"/stats",
-	} {
-		v1 := get(t, ts.URL+"/api/v1"+path)
-		legacy := get(t, ts.URL+"/api"+path)
-		if path == "/stats" {
-			// uptimeSeconds is live wall-clock time and legitimately
-			// differs between the two sequential requests; mask it.
-			v1, legacy = stripKey(t, v1, "uptimeSeconds"), stripKey(t, legacy, "uptimeSeconds")
-		}
-		if !bytes.Equal(v1, legacy) {
-			t.Errorf("%s: v1 and legacy responses differ:\n  v1:     %s\n  legacy: %s", path, v1, legacy)
-		}
-	}
-}
-
-// stripKey removes one top-level key from a JSON object and
-// re-serialises it deterministically.
-func stripKey(t *testing.T, data []byte, key string) []byte {
-	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	delete(m, key)
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 func get(t *testing.T, url string) []byte {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -103,8 +55,7 @@ func get(t *testing.T, url string) []byte {
 }
 
 // TestErrorEnvelope checks the machine-readable error surface: each
-// failure class maps to one status and one stable code, with the
-// legacy flat string kept at top-level "message".
+// failure class maps to one status, one stable code, and a message.
 func TestErrorEnvelope(t *testing.T) {
 	ts, b := newServer(t)
 	deployScripted(t, ts.URL)
@@ -185,8 +136,8 @@ func TestErrorEnvelope(t *testing.T) {
 			if e.Error.Code != tc.code {
 				t.Errorf("code = %q, want %q (message %q)", e.Error.Code, tc.code, e.Error.Message)
 			}
-			if e.Error.Message == "" || e.Message != e.Error.Message {
-				t.Errorf("flat legacy message %q should mirror envelope message %q", e.Message, e.Error.Message)
+			if e.Error.Message == "" {
+				t.Error("envelope message is empty")
 			}
 		})
 	}

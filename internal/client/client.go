@@ -1,7 +1,7 @@
 // Package client is the typed Go client for the bpmsd HTTP API. It
 // speaks the versioned v1 surface (/api/v1/...), decodes the v1 error
 // envelope into *APIError values, and is shared by bpmsctl and the
-// bpmsload macro traffic generator — the one place request/response
+// end-to-end benchmark in benchmark/ — the one place request/response
 // shapes are codified outside the server.
 package client
 
@@ -36,7 +36,7 @@ type Client struct {
 type Option func(*Client)
 
 // WithHTTPClient substitutes the underlying *http.Client (timeouts,
-// transports with larger connection pools for load drivers).
+// transports with larger connection pools).
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
 }
@@ -81,7 +81,6 @@ type errEnvelope struct {
 		Code    string `json:"code"`
 		Message string `json:"message"`
 	} `json:"error"`
-	Message string `json:"message"`
 }
 
 // do issues one request under the v1 prefix and decodes the response

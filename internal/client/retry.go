@@ -68,7 +68,7 @@ func WithTimeout(d time.Duration) Option {
 }
 
 // Retries reports how many retry attempts (beyond first tries) this
-// client has issued — load drivers fold it into their report.
+// client has issued.
 func (c *Client) Retries() uint64 { return c.retries.Load() }
 
 // idempotent reports whether a method is safe to repeat after an

@@ -18,7 +18,7 @@ func shedThenOK(n int32, shedStatus int, code string) (*httptest.Server, *atomic
 			w.Header().Set("Retry-After", "0")
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(shedStatus)
-			w.Write([]byte(`{"error":{"code":"` + code + `","message":"shed"},"message":"shed"}`))
+			w.Write([]byte(`{"error":{"code":"` + code + `","message":"shed"}}`))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -131,7 +131,7 @@ func TestRetryAfterDecoded(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "7")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte(`{"error":{"code":"overloaded","message":"x"},"message":"x"}`))
+		w.Write([]byte(`{"error":{"code":"overloaded","message":"x"}}`))
 	}))
 	defer ts.Close()
 	c := New(ts.URL) // no retry: surface the error directly

@@ -1,9 +1,8 @@
 // Package metrics provides the small statistics toolkit used by the
-// simulator and the benchmark harness: online summaries (Welford
-// variance), reservoir-sampled percentile estimation, and fixed-bucket
-// histograms for report rendering. Everything is deterministic given a
-// seed and safe for single-writer use; wrap with a mutex for
-// concurrent writers.
+// simulator and the process miner: online summaries (Welford variance)
+// and reservoir-sampled percentile estimation. Everything is
+// deterministic given a seed and safe for single-writer use; wrap with
+// a mutex for concurrent writers.
 package metrics
 
 import (
@@ -11,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -145,71 +143,4 @@ func (r *Reservoir) Percentile(p float64) float64 {
 		idx = 0
 	}
 	return r.values[idx]
-}
-
-// Histogram is a fixed-bucket linear histogram over [lo, hi); values
-// outside the range land in the clamped edge buckets.
-type Histogram struct {
-	lo, hi  float64
-	buckets []int64
-	under   int64
-	over    int64
-	total   int64
-}
-
-// NewHistogram creates a histogram with n buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		n = 20
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-		if i >= len(h.buckets) {
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Render draws an ASCII histogram with the given bar width.
-func (h *Histogram) Render(width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	var peak int64 = 1
-	for _, c := range h.buckets {
-		if c > peak {
-			peak = c
-		}
-	}
-	var sb strings.Builder
-	step := (h.hi - h.lo) / float64(len(h.buckets))
-	for i, c := range h.buckets {
-		bar := strings.Repeat("#", int(float64(c)/float64(peak)*float64(width)))
-		fmt.Fprintf(&sb, "%12.4g..%-12.4g %8d %s\n", h.lo+float64(i)*step, h.lo+float64(i+1)*step, c, bar)
-	}
-	if h.under > 0 {
-		fmt.Fprintf(&sb, "%25s %8d\n", "(under)", h.under)
-	}
-	if h.over > 0 {
-		fmt.Fprintf(&sb, "%25s %8d\n", "(over)", h.over)
-	}
-	return sb.String()
 }

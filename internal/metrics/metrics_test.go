@@ -120,25 +120,6 @@ func TestReservoirEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-5)  // under
-	h.Add(100) // over
-	if h.Total() != 12 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	out := h.Render(20)
-	if !strings.Contains(out, "(under)") || !strings.Contains(out, "(over)") {
-		t.Errorf("Render missing overflow rows:\n%s", out)
-	}
-	if strings.Count(out, "\n") < 10 {
-		t.Errorf("Render too few rows:\n%s", out)
-	}
-}
-
 // Property: percentiles are monotone in p.
 func TestQuickPercentileMonotone(t *testing.T) {
 	f := func(xs []float64, a, b uint8) bool {

@@ -1,7 +1,7 @@
 // Package model defines the process definition model of the BPMS: a
 // BPMN-subset graph of flow nodes connected by sequence flows, plus a
 // fluent builder, JSON and XML codecs, structural validation, and
-// parametric process generators used by the benchmark harness.
+// parametric process generators used by tests and micro-benchmarks.
 //
 // A Process is a directed graph. Nodes (Element) are events, tasks,
 // gateways, and sub-processes; edges (Flow) are sequence flows that may

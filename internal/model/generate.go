@@ -6,9 +6,9 @@ import (
 )
 
 // This file provides parametric process generators. They serve two
-// purposes: workload definitions for the benchmark harness (experiment
-// T1: throughput by topology; T3: verification cost vs model size) and
-// fixtures for tests. All generated service tasks use the "noop"
+// purposes: workload definitions for the micro-benchmarks in
+// bench_test.go (experiment T1: throughput by topology; T3:
+// verification cost vs model size) and fixtures for tests. All generated service tasks use the "noop"
 // handler, which the engine test harness registers as an immediate
 // no-op.
 

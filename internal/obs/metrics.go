@@ -8,7 +8,7 @@ import (
 )
 
 // Metric family names exported at /metrics. Kept in one place so the
-// tests, the load-smoke gate, and the README stay in sync.
+// tests, the chaos-smoke gate, and the README stay in sync.
 const (
 	MetricEngineStart      = "bpms_engine_start_seconds"
 	MetricEngineTransition = "bpms_engine_transition_seconds"

@@ -95,8 +95,6 @@ func (g *Gauge) float() float64 {
 
 // DefBuckets are the default latency histogram bounds in seconds,
 // spanning 50µs (an in-memory transition) to 5s (a stalled fsync).
-// Shared with the load generator's report so BENCH_T14.json and
-// /metrics bucket boundaries line up.
 var DefBuckets = []float64{
 	50e-6, 100e-6, 250e-6, 500e-6,
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3,
@@ -118,16 +116,6 @@ type Histogram struct {
 
 func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds))}
-}
-
-// NewHistogram builds a standalone histogram outside any registry
-// (nil bounds = DefBuckets) — used by the load generator's recorder so
-// its report buckets match the server's /metrics families.
-func NewHistogram(bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DefBuckets
-	}
-	return newHistogram(bounds)
 }
 
 // Observe records one duration.

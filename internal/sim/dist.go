@@ -3,8 +3,8 @@
 // cases arrive according to an arrival process, user tasks are served
 // by simulated resources with sampled service times, and timers fire
 // in virtual time. The simulator doubles as the workload generator for
-// the benchmark harness (experiments F2, F3, T8) and as a what-if
-// analysis tool (the "digital twin" use of classic BPMS suites).
+// the micro-benchmarks (experiments F2, F3, T8 in bench_test.go) and as
+// a what-if analysis tool (the "digital twin" use of classic BPMS suites).
 package sim
 
 import (
@@ -91,95 +91,3 @@ func (l Lognormal) Sample(r *rand.Rand) time.Duration {
 
 // Mean implements Dist.
 func (l Lognormal) Mean() time.Duration { return l.M }
-
-// Choices samples from weighted alternatives (the rulio generator's
-// "Choices" distribution): Values[i] is drawn with probability
-// proportional to Weights[i]. Weights may be omitted for a uniform
-// pick.
-type Choices struct {
-	Values  []time.Duration
-	Weights []float64
-}
-
-// Sample implements Dist.
-func (c Choices) Sample(r *rand.Rand) time.Duration {
-	if len(c.Values) == 0 {
-		return 0
-	}
-	if len(c.Weights) != len(c.Values) {
-		return c.Values[r.Intn(len(c.Values))]
-	}
-	return c.Values[WeightedIndex(r, c.Weights)]
-}
-
-// Mean implements Dist.
-func (c Choices) Mean() time.Duration {
-	if len(c.Values) == 0 {
-		return 0
-	}
-	if len(c.Weights) != len(c.Values) {
-		var sum time.Duration
-		for _, v := range c.Values {
-			sum += v
-		}
-		return sum / time.Duration(len(c.Values))
-	}
-	var total float64
-	var acc float64
-	for i, v := range c.Values {
-		total += c.Weights[i]
-		acc += c.Weights[i] * float64(v)
-	}
-	if total == 0 {
-		return 0
-	}
-	return time.Duration(acc / total)
-}
-
-// WeightedIndex draws an index with probability proportional to its
-// weight (negative weights count as zero; all-zero weights pick
-// uniformly).
-func WeightedIndex(r *rand.Rand, weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total == 0 {
-		return r.Intn(len(weights))
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		if x < w {
-			return i
-		}
-		x -= w
-	}
-	return len(weights) - 1
-}
-
-// Zipf ranks n items by a Zipf(s) law: rank 0 is the most popular.
-// Load generators use it to skew activity across accounts the way
-// real traffic skews across users.
-type Zipf struct {
-	z *rand.Zipf
-}
-
-// NewZipf builds a Zipf sampler over [0, n) with skew s (> 1; larger
-// is more skewed), drawing from the given source.
-func NewZipf(r *rand.Rand, s float64, n uint64) *Zipf {
-	if s <= 1 {
-		s = 1.01
-	}
-	if n == 0 {
-		n = 1
-	}
-	return &Zipf{z: rand.NewZipf(r, s, 1, n-1)}
-}
-
-// Rank draws one rank in [0, n).
-func (z *Zipf) Rank() uint64 { return z.z.Uint64() }

@@ -735,8 +735,7 @@ func (j *FileJournal) Close() error {
 	return err
 }
 
-// SegmentCount reports the number of live segment files (for tests and
-// the benchmark harness).
+// SegmentCount reports the number of live segment files (for tests).
 func (j *FileJournal) SegmentCount() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -98,10 +98,10 @@ if [ "$recovered" -ne "$N" ]; then
   exit 1
 fi
 # They must still be active (parked at the user task), not faulted.
-active=$(ctl stats | grep -o '"active": *[0-9]*' | grep -o '[0-9]*$' || echo 0)
+active=$(ctl stats json | grep -o '"active": *[0-9]*' | grep -o '[0-9]*$' || echo 0)
 if [ "$active" -ne "$N" ]; then
   echo "FAIL: $active of $N recovered instances active" >&2
-  ctl stats >&2 || true
+  ctl stats json >&2 || true
   exit 1
 fi
 echo "OK: all $N acked instances recovered and active after SIGKILL"
@@ -119,10 +119,10 @@ if [ "$reissued" -ne "$N" ]; then
 fi
 # The worklist block sorts after the history block in the stats JSON,
 # so the last "stripes" key is the worklist's.
-wl_stripes=$(ctl stats | grep -o '"stripes": *[0-9]*' | tail -1 | grep -o '[0-9]*$' || echo 0)
+wl_stripes=$(ctl stats json | grep -o '"stripes": *[0-9]*' | tail -1 | grep -o '[0-9]*$' || echo 0)
 if [ "$wl_stripes" -ne "$WORKLIST_STRIPES" ]; then
   echo "FAIL: stats report $wl_stripes worklist stripes, want $WORKLIST_STRIPES" >&2
-  ctl stats >&2 || true
+  ctl stats json >&2 || true
   exit 1
 fi
 echo "OK: $reissued reissued work item(s) across $wl_stripes worklist stripe(s)"
@@ -142,10 +142,10 @@ for id in $(ctl ps | grep -o '"approval-[0-9]*"' | tr -d '"'); do
   hist_ok=$((hist_ok + 1))
 done
 [ "$hist_ok" -eq "$N" ] || { echo "FAIL: history recovered for $hist_ok of $N instances" >&2; exit 1; }
-events=$(ctl stats | grep -o '"events": *[0-9]*' | head -1 | grep -o '[0-9]*$' || echo 0)
+events=$(ctl stats json | grep -o '"events": *[0-9]*' | head -1 | grep -o '[0-9]*$' || echo 0)
 if [ "$events" -lt "$N" ]; then
   echo "FAIL: only $events audit events recovered for $N instances" >&2
-  ctl stats >&2 || true
+  ctl stats json >&2 || true
   exit 1
 fi
 echo "OK: history journal recovered ($events events, per-instance order intact)"
@@ -181,8 +181,8 @@ if [ "$SNAPSHOT_EVERY" -gt 0 ]; then
   done
   # The stats endpoint must expose the recovery/footprint telemetry
   # the snapshot path feeds.
-  ctl stats | grep -q '"recoverySeconds"' || { echo "FAIL: stats missing recoverySeconds" >&2; exit 1; }
-  ctl stats | grep -q '"diskBytes"' || { echo "FAIL: stats missing diskBytes" >&2; exit 1; }
+  ctl stats json | grep -q '"recoverySeconds"' || { echo "FAIL: stats missing recoverySeconds" >&2; exit 1; }
+  ctl stats json | grep -q '"diskBytes"' || { echo "FAIL: stats missing diskBytes" >&2; exit 1; }
   echo "OK: $snaps snapshot(s) on disk, per-shard WAL bounded, footprint telemetry exposed"
 fi
 
