@@ -187,6 +187,35 @@ func BenchmarkT4_Replay(b *testing.B) {
 	j.Close()
 }
 
+// BenchmarkMemJournalAppend appends 60 B records, the size of one v2
+// history event, to the in-memory journal. Records are packed into
+// shared chunks, so an append allocates nothing of its own: the gate
+// fails at more than one allocation per 20 appends.
+func BenchmarkMemJournalAppend(b *testing.B) {
+	payload := make([]byte, 60)
+	const appends = 100000
+	j := storage.NewMemJournal()
+	per := testing.AllocsPerRun(1, func() {
+		for i := 0; i < appends; i++ {
+			if _, err := j.Append(payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}) / appends
+	if per > 0.05 {
+		b.Fatalf("MemJournal.Append allocates %.3f times per 60 B record, want at most 0.05", per)
+	}
+	j = storage.NewMemJournal()
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := j.Append(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // T10: group-commit durable appends. Durable throughput under
 // parallelism is the group-commit win: batch coalesces concurrent
 // AppendDurable calls behind one fsync, while always pays one fsync
@@ -803,10 +832,6 @@ func benchTimers(b *testing.B, svc timer.Service) {
 
 func BenchmarkF4_TimingWheel(b *testing.B) {
 	benchTimers(b, timer.NewWheelService(time.Millisecond, 512))
-}
-
-func BenchmarkF4_TimerHeap(b *testing.B) {
-	benchTimers(b, timer.NewHeapService())
 }
 
 // T7: decision tables.

@@ -31,7 +31,10 @@ import (
 // Options configures a BPMS.
 type Options struct {
 	// DataDir persists the state journal, history journal, and
-	// snapshots under this directory; empty runs fully in memory.
+	// snapshots under this directory. Empty runs fully in memory: engine
+	// state records are numbered but not kept (nothing replays them),
+	// and the audit trail is kept packed in RAM, where it answers every
+	// history query as a data dir's journal would.
 	DataDir string
 	// Shards partitions process instances across this many independent
 	// engine shards, each with its own WAL, snapshot store, and
@@ -330,8 +333,10 @@ func Open(opts Options) (*BPMS, error) {
 			histJournals[i] = hj
 		}
 	} else {
+		// Nothing reads a state journal after open unless a snapshot
+		// store exists, and in memory none does: keep only the count.
 		for i := range stateJournals {
-			stateJournals[i] = storage.NewMemJournal()
+			stateJournals[i] = storage.NewDiscardJournal()
 		}
 		for i := range histJournals {
 			histJournals[i] = storage.NewMemJournal()

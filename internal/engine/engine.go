@@ -70,7 +70,8 @@ type TaskContext struct {
 
 // Config assembles an Engine.
 type Config struct {
-	// Journal persists instance state (default: in-memory).
+	// Journal persists instance state (default: a journal that numbers
+	// records and keeps none, since only recovery reads them).
 	Journal storage.Journal
 	// Snapshots, when set, enables snapshot-based recovery compaction.
 	Snapshots *storage.SnapshotStore
@@ -176,7 +177,7 @@ type Engine struct {
 // non-empty.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Journal == nil {
-		cfg.Journal = storage.NewMemJournal()
+		cfg.Journal = storage.NewDiscardJournal()
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = timer.RealClock{}

@@ -352,19 +352,18 @@ type snapCase struct {
 // though its start had been acknowledged. The image may thus be ahead
 // of its index, never behind, and replay's last-write-wins makes ahead
 // harmless. Live and archived cases are listed under one lock, so a
-// case retiring meanwhile is listed once.
+// case retiring meanwhile is listed once; the sort runs after the lock
+// is released, so starts and retirements do not wait for it.
 func (e *Engine) snapshotContents() (index uint64, defs []*model.Process, cases []snapCase) {
 	index = e.journal.LastIndex()
 	if e.afterSnapshotIndex != nil {
 		e.afterSnapshotIndex()
 	}
 	e.mu.RLock()
-	defer e.mu.RUnlock()
 	defs = make([]*model.Process, 0, len(e.definitions))
 	for _, def := range e.definitions {
 		defs = append(defs, def)
 	}
-	sort.Slice(defs, func(a, b int) bool { return defs[a].ID < defs[b].ID })
 	cases = make([]snapCase, 0, len(e.instances)+len(e.archive))
 	for id, inst := range e.instances {
 		cases = append(cases, snapCase{id: id, inst: inst})
@@ -372,6 +371,8 @@ func (e *Engine) snapshotContents() (index uint64, defs []*model.Process, cases 
 	for id, a := range e.archive {
 		cases = append(cases, snapCase{id: id, state: a.state})
 	}
+	e.mu.RUnlock()
+	sort.Slice(defs, func(a, b int) bool { return defs[a].ID < defs[b].ID })
 	sort.Slice(cases, func(a, b int) bool { return cases[a].id < cases[b].id })
 	return index, defs, cases
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"bpms/internal/engine"
 	"bpms/internal/expr"
@@ -36,7 +37,7 @@ func newTestRouter(t *testing.T, n int, users ...resource.User) (*Router, *histo
 	r, err := New(Config{
 		Journals: journals,
 		Tasks:    tasks,
-		Timers:   timer.NewHeapService(),
+		Timers:   timer.NewWheelService(10*time.Millisecond, 512),
 		History:  hist,
 	})
 	if err != nil {
@@ -314,7 +315,7 @@ func TestRouterParallelRecovery(t *testing.T) {
 			Journals:  journals,
 			Snapshots: snaps,
 			Tasks:     tasks,
-			Timers:    timer.NewHeapService(),
+			Timers:    timer.NewWheelService(10*time.Millisecond, 512),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,9 +1,12 @@
 // Package storage implements the embedded persistence substrate of the
 // BPMS: a segmented, CRC-checked, append-only journal (write-ahead
-// log), a snapshot store with atomic replace, and an in-memory journal
-// for tests and benchmarks. The engine is event-sourced on top of this
-// package: every state change is an appended record, recovery replays
-// the journal (from the latest snapshot when present).
+// log), a snapshot store with atomic replace, and the two journals of a
+// system run without a data directory: a packed in-memory journal that
+// keeps the audit trail (and serves tests and benchmarks), and a discard
+// journal that only numbers the engine's state records. The engine is
+// event-sourced on top of this package: every state change is an
+// appended record, recovery replays the journal (from the latest
+// snapshot when present).
 //
 // Durability contract: Append returns after the record is in the OS
 // page cache; Sync (or the SyncEvery/SyncAlways/SyncBatch policies)
@@ -17,7 +20,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"bpms/internal/fault"
@@ -62,119 +64,6 @@ type Journal interface {
 	SyncedIndex() uint64
 	// Close releases resources. The journal must not be used after.
 	Close() error
-}
-
-// MemJournal is an in-memory Journal used by tests and by benchmarks
-// that isolate engine cost from I/O cost.
-type MemJournal struct {
-	mu      sync.RWMutex
-	first   uint64
-	records [][]byte
-	closed  bool
-}
-
-// NewMemJournal returns an empty in-memory journal.
-func NewMemJournal() *MemJournal {
-	return &MemJournal{first: 1}
-}
-
-// Append implements Journal.
-func (m *MemJournal) Append(payload []byte) (uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return 0, ErrClosed
-	}
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	m.records = append(m.records, cp)
-	return m.first + uint64(len(m.records)) - 1, nil
-}
-
-// AppendDurable implements Journal (memory is "durable" on return).
-func (m *MemJournal) AppendDurable(payload []byte) (uint64, error) {
-	return m.Append(payload)
-}
-
-// Replay implements Journal.
-func (m *MemJournal) Replay(from uint64, fn func(uint64, []byte) error) error {
-	m.mu.RLock()
-	if m.closed {
-		m.mu.RUnlock()
-		return ErrClosed
-	}
-	first := m.first
-	records := m.records
-	m.mu.RUnlock()
-	if from < first {
-		from = first
-	}
-	for i := int(from - first); i < len(records); i++ {
-		if err := fn(first+uint64(i), records[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LastIndex implements Journal.
-func (m *MemJournal) LastIndex() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if len(m.records) == 0 {
-		return 0
-	}
-	return m.first + uint64(len(m.records)) - 1
-}
-
-// FirstIndex implements Journal.
-func (m *MemJournal) FirstIndex() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if len(m.records) == 0 {
-		return 0
-	}
-	return m.first
-}
-
-// DropBefore implements Journal.
-func (m *MemJournal) DropBefore(upTo uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	if upTo <= m.first {
-		return nil
-	}
-	drop := upTo - m.first
-	if drop > uint64(len(m.records)) {
-		drop = uint64(len(m.records))
-	}
-	m.records = append([][]byte(nil), m.records[drop:]...)
-	m.first += drop
-	return nil
-}
-
-// Sync implements Journal (a no-op in memory).
-func (m *MemJournal) Sync() error {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
-// SyncedIndex implements Journal.
-func (m *MemJournal) SyncedIndex() uint64 { return m.LastIndex() }
-
-// Close implements Journal.
-func (m *MemJournal) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.closed = true
-	return nil
 }
 
 // SyncPolicy selects when a file journal forces data to disk.

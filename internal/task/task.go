@@ -213,7 +213,7 @@ type notification struct {
 
 // dueEntry is one deadline-index record. Entries are removed lazily:
 // a surfaced entry whose item has closed is dropped instead of
-// re-pushed (mirroring timer.HeapService's lazy cancellation).
+// re-pushed.
 type dueEntry struct {
 	at time.Time
 	id string

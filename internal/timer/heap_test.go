@@ -8,10 +8,9 @@ import (
 	"bpms/internal/obs"
 )
 
-// HeapService is the binary-heap baseline implementation of Service:
-// O(log n) schedule and fire, O(1) peek. It exists as the comparison
-// point for the timing wheel in experiment F4 and as a correctness
-// oracle in property tests.
+// HeapService is a binary-heap implementation of Service: O(log n)
+// schedule and fire, O(1) peek, and exact deadlines. It is the oracle
+// the timing wheel is checked against.
 type HeapService struct {
 	mu     sync.Mutex
 	h      entryHeap
