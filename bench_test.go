@@ -1142,6 +1142,12 @@ func BenchmarkT16_HistoryOpen(b *testing.B) {
 				if long-short > 64 {
 					b.Fatalf("160000 more count-only records cost %.0f allocations, want none", long-short)
 				}
+				// The window's records are copied, not decoded: the
+				// allocations are per instance and per 64 KiB chunk, not
+				// per event (about 600 000 when it held decoded events).
+				if short > 150000 {
+					b.Fatalf("an open allocates %.0f times, want at most 150000", short)
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -1151,6 +1157,11 @@ func BenchmarkT16_HistoryOpen(b *testing.B) {
 		})
 	}
 }
+
+// The most DecodeEvent may allocate for a plain v2 record (the event and
+// its three strings), for one with data (the map and its entries too),
+// and for a v1 record.
+const decodeAllocsPlain, decodeAllocsData, decodeAllocsV1 = 4, 12, 8
 
 func BenchmarkDecodeEvent(b *testing.B) {
 	at := time.Date(2026, 6, 1, 12, 0, 0, 123456789, time.UTC)
@@ -1163,7 +1174,7 @@ func BenchmarkDecodeEvent(b *testing.B) {
 		event     history.Event
 		v1        bool    // the JSON record journals held before v2
 		maxAllocs float64 // the event, its strings, and for data the map
-	}{{"plain", plain, false, 4}, {"data", data, false, 12}, {"v1", plain, true, 8}} {
+	}{{"plain", plain, false, decodeAllocsPlain}, {"data", data, false, decodeAllocsData}, {"v1", plain, true, decodeAllocsV1}} {
 		b.Run(c.name, func(b *testing.B) {
 			payload, err := c.event.Encode()
 			if c.v1 {
@@ -1186,6 +1197,35 @@ func BenchmarkDecodeEvent(b *testing.B) {
 				decode()
 			}
 		})
+	}
+}
+
+// BenchmarkEventsOfResident is the price of keeping the window packed:
+// a resident case's history is decoded on every read. One 16-event
+// pipeline case, all of it resident; the read may allocate no more than
+// decoding its 12 plain and 4 data-bearing records does, plus the
+// result slice and one spare.
+func BenchmarkEventsOfResident(b *testing.B) {
+	j := storage.NewMemJournal()
+	scriptCaseEvents(b, j, 1)
+	s, err := history.NewStriped([]storage.Journal{j}, history.StoreOptions{Window: 100000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	read := func() {
+		if evs := s.EventsOf("bench-pipeline-1"); len(evs) != 16 {
+			b.Fatalf("read %d events, want 16", len(evs))
+		}
+	}
+	const maxAllocs = 12*decodeAllocsPlain + 4*decodeAllocsData + 2
+	if allocs := testing.AllocsPerRun(100, read); allocs > maxAllocs {
+		b.Fatalf("EventsOf allocates %.0f times, want at most %d", allocs, maxAllocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read()
 	}
 }
 

@@ -69,7 +69,7 @@ func main() {
 	recoveryWorkers := flag.Int("recovery-workers", 0, "decode workers per shard for snapshot load and parallel segment replay (0 = GOMAXPROCS, 1 = serial)")
 	timerStripes := flag.Int("timer-stripes", 0, "independently locked timing-wheel stripes (0 = default 8, 1 = single wheel)")
 	historyStripes := flag.Int("history-stripes", 1, "history store stripes, each with its own journal and commit pipeline (data dirs must be reopened with the stripe count they were created with)")
-	historyWindow := flag.Int("history-window", 100000, "audit events each history stripe keeps resident in RAM (0 = unbounded; older events are served from the journal)")
+	historyWindow := flag.Int("history-window", 100000, "audit events each history stripe keeps resident in RAM, as packed records (about 85 B of heap per pipeline event); 0 = unbounded; older events are served from the journal")
 	worklistStripes := flag.Int("worklist-stripes", 1, "worklist lock stripes, each with its own item map and secondary indexes (in-memory; any value reopens any data dir)")
 	autoAllocate := flag.Bool("auto-allocate", false, "push tasks to users instead of offering")
 	metrics := flag.Bool("metrics", false, "instrument hot paths and serve Prometheus text format at GET /metrics")
@@ -174,8 +174,8 @@ func main() {
 		len(sys.Engine.Definitions()), recovered, sys.Engine.Shards(), sys.Directory.Count())
 	if *data != "" {
 		hs := sys.History.Stats()
-		fmt.Printf("bpmsd: history replayed in %.3fs (%d events, %d resident)\n",
-			hs.RecoverySeconds, hs.RecoveredEvents, hs.Resident)
+		fmt.Printf("bpmsd: history replayed in %.3fs (%d events, %d resident in %d B)\n",
+			hs.RecoverySeconds, hs.RecoveredEvents, hs.Resident, hs.ResidentBytes)
 		for _, st := range sys.ShardStats() {
 			fmt.Printf("bpmsd: shard %d replayed in %.3fs (%d instance(s), journal index %d, %d byte(s) on disk)\n",
 				st.Shard, st.RecoverySeconds, st.Instances, st.JournalLast, st.DiskBytes)

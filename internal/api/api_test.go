@@ -303,6 +303,16 @@ func TestAPIShardedStatsAndSnapshot(t *testing.T) {
 	if total != 20 {
 		t.Fatalf("per-shard instance counts sum to %d, want 20", total)
 	}
+	// Once the audit pipeline drains, the resident window reports what it
+	// holds: the 20 cases' records, in at least one 64 KiB chunk.
+	if err := b.History.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	stats = doJSON(t, "GET", ts.URL+"/api/v1/stats", nil, http.StatusOK)
+	hist, ok := stats["history"].(map[string]any)
+	if !ok || hist["resident"].(float64) == 0 || hist["residentBytes"].(float64) < 64<<10 {
+		t.Fatalf("stats history = %v, want resident events in residentBytes >= 64 KiB", stats["history"])
+	}
 
 	snap := doJSON(t, "POST", ts.URL+"/api/v1/admin/snapshot", map[string]any{}, http.StatusOK)
 	if int(snap["shards"].(float64)) != 4 {

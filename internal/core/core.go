@@ -83,8 +83,9 @@ type Options struct {
 	// with.
 	HistoryStripes int
 	// HistoryWindow bounds the number of audit events each history
-	// stripe keeps resident in RAM (0 = unbounded). Older events stay
-	// queryable through journal replay.
+	// stripe keeps resident in RAM (0 = unbounded), as their packed
+	// journal records. Older events stay queryable through journal
+	// replay.
 	HistoryWindow int
 	// WorklistStripes partitions the task service across this many
 	// independently locked item stripes (default 1), each with its own

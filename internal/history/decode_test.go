@@ -453,9 +453,10 @@ func FuzzDecodeEvent(f *testing.F) {
 }
 
 // referenceStore is what NewStriped built before the count-only prefix
-// replay: every record decoded by the reference decoder and passed
-// through indexLocked, which evicts as it goes. Beside it, every event
-// in stripe order: the answers of All and, filtered, of EventsOf.
+// replay: every record decoded by the reference decoder and passed, with
+// its type and instance, through indexLocked, which evicts as it goes.
+// Beside it, every event in stripe order: the answers of All and,
+// filtered, of EventsOf.
 func referenceStore(t *testing.T, journals []storage.Journal, window int) (s *Store, all []*Event) {
 	t.Helper()
 	s = &Store{window: window, syncs: true}
@@ -467,7 +468,7 @@ func referenceStore(t *testing.T, journals []storage.Journal, window int) (s *St
 				return err
 			}
 			e.Index = index
-			st.indexLocked(e)
+			st.indexLocked(index, payload, e.Type, e.InstanceID)
 			all = append(all, e)
 			return nil
 		})
@@ -546,12 +547,12 @@ func checkReopen(t *testing.T, journals []storage.Journal, window, n int) {
 
 	for i, ws := range want.stripes {
 		gs := got.stripes[i]
-		if gs.count != ws.count || gs.evicted != ws.evicted || gs.ramFirst != ws.ramFirst {
-			t.Errorf("stripe %d: count/evicted/ramFirst = %d/%d/%d, want %d/%d/%d",
-				i, gs.count, gs.evicted, gs.ramFirst, ws.count, ws.evicted, ws.ramFirst)
+		if gs.count != ws.count || gs.evicted != ws.evicted || gs.res.first != ws.res.first {
+			t.Errorf("stripe %d: count/evicted/first resident = %d/%d/%d, want %d/%d/%d",
+				i, gs.count, gs.evicted, gs.res.first, ws.count, ws.evicted, ws.res.first)
 		}
-		if !reflect.DeepEqual(gs.ring, ws.ring) {
-			t.Errorf("stripe %d: resident ring differs (%d vs %d events)", i, len(gs.ring), len(ws.ring))
+		if g, w := residentRecords(gs), residentRecords(ws); !reflect.DeepEqual(g, w) {
+			t.Errorf("stripe %d: resident records differ (%d vs %d records)", i, len(g), len(w))
 		}
 		if !reflect.DeepEqual(gs.byInstance, ws.byInstance) {
 			t.Errorf("stripe %d: byInstance differs", i)
@@ -608,6 +609,17 @@ func checkReopen(t *testing.T, journals []storage.Journal, window, n int) {
 	if err := got.Flush(); err != nil { // a failed prefix replay would surface here
 		t.Errorf("Flush after queries: %v", err)
 	}
+}
+
+// residentRecords returns the bytes of a stripe's resident records,
+// oldest first.
+func residentRecords(st *stripe) [][]byte {
+	res := st.res.snapshot()
+	out := [][]byte{}
+	for _, loc := range res.recs {
+		out = append(out, res.record(loc))
+	}
+	return out
 }
 
 // TestPeekAllocatesNothing: the count-only replay and EventsOf's skip

@@ -33,17 +33,21 @@ import (
 // is no global cross-instance order (All streams stripe by stripe).
 //
 // Memory: each stripe keeps a bounded window of recent events resident
-// (StoreOptions.Window; 0 keeps everything). Queries that reach below
-// the window are answered by replaying the stripe's journal prefix, so
-// results are identical with and without eviction.
+// (StoreOptions.Window; 0 keeps everything), as the packed records the
+// journal holds (window.go), not as decoded events. Queries that reach
+// below the window are answered by replaying the stripe's journal
+// prefix, so results are identical with and without eviction. Every
+// answer is decoded from a record, resident or not: each call returns
+// fresh events, their times carry no monotonic reading, and numbers in
+// Data come back as float64.
 //
-// Open: rebuilding a stripe costs O(journal bytes scanned) + O(window
-// events decoded). Every record is read, but only those the window
-// keeps are decoded and indexed; the ones below it are counted where
-// they lie (see replay). Records decode in a single pass, the v2
-// records AppendEncode writes and the v1 JSON records of older journals
-// alike (decode.go); a v1 record in any other layout encoding/json
-// reads still decodes, through it.
+// Open: rebuilding a stripe costs O(journal bytes scanned) and decodes
+// nothing. Every record is read; its type and instance ID are peeked
+// where they lie to bump the cumulative counters, and the last `window`
+// records are copied into the resident window as they are (see replay).
+// Reads decode in a single pass, the v2 records AppendEncode writes and
+// the v1 JSON records of older journals alike (decode.go); a v1 record
+// in any other layout encoding/json reads still decodes, through it.
 //
 // Queries barrier on the async pipeline: every event enqueued before
 // the query call is indexed before the query reads, preserving the
@@ -59,7 +63,8 @@ type Store struct {
 // StoreOptions configures a striped store.
 type StoreOptions struct {
 	// Window bounds the number of events each stripe keeps resident in
-	// RAM (0 = unbounded, the previous behaviour). Older events remain
+	// RAM (0 = unbounded), as their packed journal records (about 60 B
+	// and a locator each for a typical event). Older events remain
 	// queryable through journal replay.
 	Window int
 	// QueueSize is the per-stripe async queue capacity (default 1024).
@@ -123,14 +128,12 @@ type stripe struct {
 	enqSeq  atomic.Uint64
 	doneSeq uint64 // guarded by mu
 
-	window     int
-	ring       []*Event // resident window, oldest first
-	ramFirst   uint64   // journal index of ring[0] (0 when empty)
-	evicted    int      // events dropped from RAM (journal-only)
-	byInstance map[string][]*Event
+	res        packedWindow // resident records, oldest first
+	evicted    int          // events dropped from RAM (journal-only)
+	byInstance map[string]instRecords
 	// instCount is the cumulative event count per instance ever seen
-	// (unaffected by eviction): when an instance's resident slice is
-	// shorter than its count, the difference lives in the journal.
+	// (unaffected by eviction): when an instance's resident records are
+	// fewer than its count, the difference lives in the journal.
 	instCount map[string]int
 	byType    map[EventType]int
 	count     int
@@ -140,10 +143,22 @@ type stripe struct {
 	recovery  time.Duration
 	recovered int
 
-	// Committer scratch (single committer goroutine per stripe).
+	// Encode scratch: the committer's in async mode, appendMu's holder's
+	// in Sync mode (a stripe has one or the other). The window copies
+	// what it keeps, so the buffer is reused from event to event.
 	encBuf  []byte
 	idxBuf  []uint64
 	errsBuf []error
+	endsBuf []int
+}
+
+// instRecords is one instance's resident records: their journal
+// indexes, oldest first. It carries the instance ID so the eviction
+// path, which reads the ID from a record's bytes, can rewrite the entry
+// under the map's own key instead of allocating a new one.
+type instRecords struct {
+	id      string
+	indexes []uint64
 }
 
 // NewStore opens a single-stripe store with default options over the
@@ -186,8 +201,8 @@ func newStripe(j storage.Journal, window int, metrics obs.HistoryStripeMetrics) 
 	st := &stripe{
 		journal:    j,
 		metrics:    metrics,
-		window:     window,
-		byInstance: map[string][]*Event{},
+		res:        packedWindow{limit: window},
+		byInstance: map[string]instRecords{},
 		instCount:  map[string]int{},
 		byType:     map[EventType]int{},
 	}
@@ -209,30 +224,19 @@ func (t tally) add(key []byte) {
 	t[string(key)] = &n
 }
 
-// replay rebuilds the stripe's indexes from its journal. Only the
-// records the window keeps — the last `window` of them — are decoded
-// and indexed. Indexing an earlier record would only see it evicted
-// again before the replay ends, so it is counted instead: its type and
-// instance ID are read in place and bump the cumulative counters, and
-// nothing is built. The stripe ends up as if every record had gone
-// through indexLocked.
+// replay rebuilds the stripe's indexes from its journal and decodes
+// nothing. Every record's type and instance ID are read in place and
+// bump the cumulative counters; the records the window keeps — the last
+// `window` of them — are then copied into it as they are. The stripe
+// ends up as if every record had gone through indexLocked.
 func (st *stripe) replay() error {
 	began := time.Now()
-	var cut uint64 // records at or below cut are counted, not indexed
-	if last := st.journal.LastIndex(); st.window > 0 && last > uint64(st.window) {
-		cut = last - uint64(st.window)
+	var cut uint64 // records at or below cut are counted, not kept
+	if last := st.journal.LastIndex(); st.res.limit > 0 && last > uint64(st.res.limit) {
+		cut = last - uint64(st.res.limit)
 	}
-	types, insts, prefix := tally{}, tally{}, 0
+	types, insts, prefix, total := tally{}, tally{}, 0, 0
 	err := st.journal.Replay(1, func(index uint64, payload []byte) error {
-		if index > cut {
-			e, err := st.decode(payload)
-			if err != nil {
-				return err
-			}
-			e.Index = index
-			st.indexLocked(e)
-			return nil
-		}
 		typ, inst, ok := peekEvent(payload)
 		if !ok {
 			e, err := st.decode(payload)
@@ -245,7 +249,12 @@ func (st *stripe) replay() error {
 		if len(inst) > 0 {
 			insts.add(inst)
 		}
-		prefix++
+		total++
+		if index <= cut {
+			prefix++
+			return nil
+		}
+		st.keepLocked(index, payload, st.instanceKey(inst))
 		return nil
 	})
 	if err != nil {
@@ -257,14 +266,24 @@ func (st *stripe) replay() error {
 	for inst, n := range insts {
 		st.instCount[inst] += *n
 	}
-	st.count += prefix
+	st.count += total
 	st.evicted += prefix
 	st.recovery, st.recovered = time.Since(began), st.count
 	return nil
 }
 
-// decode is DecodeEvent for the stripe's replays; it counts the v1
-// records that needed encoding/json.
+// instanceKey returns an instance ID read from a record as a string,
+// the resident map's own key when the instance has records there (so
+// only an instance's first resident record allocates).
+func (st *stripe) instanceKey(inst []byte) string {
+	if r, ok := st.byInstance[string(inst)]; ok {
+		return r.id
+	}
+	return string(inst)
+}
+
+// decode is DecodeEvent for the stripe's reads and replays; it counts
+// the v1 records that needed encoding/json.
 func (st *stripe) decode(payload []byte) (*Event, error) {
 	e, fallback, err := decodeEvent(payload)
 	if fallback {
@@ -349,35 +368,48 @@ func (st *stripe) run() {
 			}
 		}
 		st.commit(batch)
+		clear(batch) // the window kept copies: drop the events
 	}
 }
 
 // commit encodes and journal-appends a batch (no index lock held — a
 // slow disk append never blocks EventsOf/Count readers), then indexes
-// it under the lock and releases synchronous waiters.
+// it under the lock, copying each record into the window, and releases
+// synchronous waiters. The batch's records are encoded back to back into
+// one reused buffer, so the copies need no second encode.
 func (st *stripe) commit(batch []appendReq) {
 	if cap(st.idxBuf) < len(batch) {
 		st.idxBuf = make([]uint64, len(batch))
 		st.errsBuf = make([]error, len(batch))
+		st.endsBuf = make([]int, len(batch))
 	}
 	idxs := st.idxBuf[:len(batch)]
 	errs := st.errsBuf[:len(batch)]
+	ends := st.endsBuf[:len(batch)]
+	buf := st.encBuf[:0]
 	for i, req := range batch {
-		buf, err := AppendEncode(st.encBuf[:0], req.ev)
-		st.encBuf = buf[:0] // keep the grown capacity for the next event
+		start := len(buf)
+		var err error
+		buf, err = AppendEncode(buf, req.ev)
 		if err == nil {
-			idxs[i], err = st.journal.Append(buf)
+			idxs[i], err = st.journal.Append(buf[start:])
 		}
-		errs[i] = err
+		if err != nil {
+			buf = buf[:start]
+		}
+		errs[i], ends[i] = err, len(buf)
 	}
+	st.encBuf = buf[:0] // keep the grown capacity for the next batch
 	st.mu.Lock()
+	start := 0
 	for i, req := range batch {
 		if errs[i] == nil {
 			req.ev.Index = idxs[i]
-			st.indexLocked(req.ev)
+			st.indexLocked(idxs[i], buf[start:ends[i]], req.ev.Type, req.ev.InstanceID)
 		} else if st.lastErr == nil {
 			st.lastErr = errs[i]
 		}
+		start = ends[i]
 	}
 	st.doneSeq += uint64(len(batch))
 	st.cond.Broadcast()
@@ -392,27 +424,26 @@ func (st *stripe) commit(batch []appendReq) {
 }
 
 // appendSync is the synchronous write-through path (Sync mode). The
-// encode and the disk append run outside the index mutex; appendMu
-// keeps index order equal to journal order without ever being held
-// while readers hold mu.
+// disk append runs outside the index mutex; appendMu keeps index order
+// equal to journal order, and guards the encode buffer, without ever
+// being held while readers hold mu.
 func (st *stripe) appendSync(e *Event) error {
-	buf, err := AppendEncode(nil, e)
-	if err != nil {
-		st.recordErr(err)
-		return err
-	}
 	st.appendMu.Lock()
-	idx, err := st.journal.Append(buf)
+	defer st.appendMu.Unlock()
+	buf, err := AppendEncode(st.encBuf[:0], e)
+	st.encBuf = buf[:0]
+	var idx uint64
+	if err == nil {
+		idx, err = st.journal.Append(buf)
+	}
 	if err != nil {
-		st.appendMu.Unlock()
 		st.recordErr(err)
 		return err
 	}
 	st.mu.Lock()
 	e.Index = idx
-	st.indexLocked(e)
+	st.indexLocked(idx, buf, e.Type, e.InstanceID)
 	st.mu.Unlock()
-	st.appendMu.Unlock()
 	return nil
 }
 
@@ -426,53 +457,72 @@ func (st *stripe) recordErr(err error) {
 	st.mu.Unlock()
 }
 
-// indexLocked adds one event to the stripe indexes, evicting the
-// oldest resident events past the window. Counters (count, byType,
-// instances) are cumulative and unaffected by eviction.
-func (st *stripe) indexLocked(e *Event) {
-	if len(st.ring) == 0 {
-		st.ramFirst = e.Index
+// indexLocked adds one appended event, its record rec at journal index,
+// to the stripe indexes. Counters (count, byType, instances) are
+// cumulative and unaffected by eviction.
+func (st *stripe) indexLocked(index uint64, rec []byte, typ EventType, inst string) {
+	st.keepLocked(index, rec, inst)
+	if inst != "" {
+		st.instCount[inst]++
 	}
-	st.ring = append(st.ring, e)
-	if e.InstanceID != "" {
-		bi, ok := st.byInstance[e.InstanceID]
-		if !ok {
-			// A workflow instance emits tens of events; starting at a
-			// realistic capacity skips the early doubling chain that
-			// otherwise dominates index allocations.
-			bi = make([]*Event, 0, 16)
-		}
-		st.byInstance[e.InstanceID] = append(bi, e)
-		st.instCount[e.InstanceID]++
-	}
-	st.byType[e.Type]++
+	st.byType[typ]++
 	st.count++
-	if st.window <= 0 {
+}
+
+// keepLocked copies a record into the resident window, evicting the
+// oldest resident record when the window is full. A journal append that
+// failed after taking an index leaves a gap; the window holds contiguous
+// indexes, so it is emptied first and the journal serves what it held.
+func (st *stripe) keepLocked(index uint64, rec []byte, inst string) {
+	if st.res.n > 0 && index != st.res.next() {
+		for st.res.n > 0 {
+			st.evictLocked()
+		}
+	}
+	if st.res.full() {
+		st.evictLocked()
+	}
+	st.res.add(index, rec)
+	if inst == "" {
 		return
 	}
-	for len(st.ring) > st.window {
-		old := st.ring[0]
-		st.ring[0] = nil
-		st.ring = st.ring[1:]
-		st.evicted++
-		if old.InstanceID != "" {
-			bi := st.byInstance[old.InstanceID]
-			if len(bi) > 0 && bi[0] == old {
-				bi[0] = nil
-				bi = bi[1:]
-				if len(bi) == 0 {
-					delete(st.byInstance, old.InstanceID)
-				} else {
-					st.byInstance[old.InstanceID] = bi
-				}
-			}
-		}
-		if len(st.ring) > 0 {
-			st.ramFirst = st.ring[0].Index
-		} else {
-			st.ramFirst = 0
+	r, ok := st.byInstance[inst]
+	if !ok {
+		// A workflow instance emits tens of events; starting at a
+		// realistic capacity skips the early doubling chain that
+		// otherwise dominates index allocations.
+		r = instRecords{id: inst, indexes: make([]uint64, 0, 16)}
+	}
+	r.indexes = append(r.indexes, index)
+	st.byInstance[r.id] = r
+}
+
+// evictLocked drops the oldest resident record, and its index from its
+// instance's list, which it heads. The instance ID is read from the
+// record in place, and the entry is rewritten under its own key, so
+// eviction allocates nothing.
+func (st *stripe) evictLocked() {
+	index, rec := st.res.first, st.res.oldest()
+	// The window kept only records peek or decode accepted, so the
+	// layout scan suffices; a v1 record outside the single-pass layout
+	// is decoded.
+	fields, scanned := scan(rec)
+	inst := fields.strs[instanceField]
+	if !scanned {
+		if e, err := st.decode(rec); err == nil {
+			inst = []byte(e.InstanceID)
 		}
 	}
+	if r, ok := st.byInstance[string(inst)]; ok && len(inst) > 0 && r.indexes[0] == index {
+		if len(r.indexes) == 1 {
+			delete(st.byInstance, r.id)
+		} else {
+			r.indexes = r.indexes[1:]
+			st.byInstance[r.id] = r
+		}
+	}
+	st.res.drop()
+	st.evicted++
 }
 
 // barrier waits until every event enqueued before the call is indexed,
@@ -528,30 +578,49 @@ func (s *Store) InstanceIDs() []string {
 	return out
 }
 
-// EventsOf returns the events of one instance in append order. The
-// returned slice is a copy; the events themselves are shared and must
-// not be mutated. When part of the instance's history has been evicted
-// from the RAM window, the stripe's journal prefix is replayed, so the
-// answer is identical with and without eviction. Should that replay
-// fail (journal error, store closed), only the resident suffix is
-// returned and the failure is recorded for the next Flush to report.
+// EventsOf returns the events of one instance in append order. Each
+// call decodes fresh events from the records, resident or not, so the
+// caller owns them; their times carry no monotonic reading, and numbers
+// in Data are float64. When part of the instance's history has been
+// evicted from the RAM window, the stripe's journal prefix is replayed,
+// so the answer is identical with and without eviction. Should that
+// replay fail (journal error, store closed), only the resident suffix
+// is returned and the failure is recorded for the next Flush to report;
+// so is a resident record that fails to decode, which is left out.
 func (s *Store) EventsOf(instanceID string) []*Event {
 	st := s.stripeFor(instanceID)
 	st.barrier()
 	st.mu.RLock()
-	ram := append([]*Event(nil), st.byInstance[instanceID]...)
+	indexes := st.byInstance[instanceID].indexes
 	total := st.instCount[instanceID]
-	ramFirst := st.ramFirst
+	ramFirst := st.res.first
+	var ram []*Event
+	var bad error
+	if len(indexes) > 0 {
+		ram = make([]*Event, 0, len(indexes))
+	}
+	for _, index := range indexes {
+		e, err := st.decode(st.res.at(index))
+		if err != nil {
+			bad = fmt.Errorf("history: decode resident event %d of %s: %w", index, instanceID, err)
+			continue
+		}
+		e.Index = index
+		ram = append(ram, e)
+	}
 	st.mu.RUnlock()
-	if len(ram) == total {
+	if bad != nil {
+		st.recordErr(bad)
+	}
+	if len(indexes) == total {
 		// Fully resident (or unknown): no journal replay needed, even
 		// when the stripe has evicted other instances' events.
 		return ram
 	}
 	// Part of the stripe's history lives only in the journal: replay
 	// indexes below the resident window and keep this instance's
-	// events. The RAM slice is a contiguous suffix, so prefix+suffix
-	// is the complete ordered history.
+	// events. The resident records are a contiguous suffix, so
+	// prefix+suffix is the complete ordered history.
 	var out []*Event
 	err := st.journal.Replay(1, func(index uint64, payload []byte) error {
 		if ramFirst != 0 && index >= ramFirst {
@@ -584,19 +653,20 @@ func (s *Store) EventsOf(instanceID string) []*Event {
 
 // All streams every event in per-stripe append order (with one stripe
 // this is global append order; with more, events of one instance stay
-// ordered but stripes are concatenated). Evicted prefixes are replayed
-// from the journals.
+// ordered but stripes are concatenated), each decoded fresh as in
+// EventsOf. Evicted prefixes are replayed from the journals; resident
+// records are decoded from a snapshot of the window taken under the read
+// lock, after it is released.
 func (s *Store) All(fn func(*Event) error) error {
 	for _, st := range s.stripes {
 		st.barrier()
 		st.mu.RLock()
-		ring := append([]*Event(nil), st.ring...)
+		res := st.res.snapshot()
 		evicted := st.evicted
-		ramFirst := st.ramFirst
 		st.mu.RUnlock()
 		if evicted > 0 {
 			err := st.journal.Replay(1, func(index uint64, payload []byte) error {
-				if ramFirst != 0 && index >= ramFirst {
+				if res.first != 0 && index >= res.first {
 					return errStopReplay
 				}
 				e, derr := st.decode(payload)
@@ -610,7 +680,12 @@ func (s *Store) All(fn func(*Event) error) error {
 				return err
 			}
 		}
-		for _, e := range ring {
+		for i, loc := range res.recs {
+			e, err := st.decode(res.record(loc))
+			if err != nil {
+				return err
+			}
+			e.Index = res.first + uint64(i)
 			if err := fn(e); err != nil {
 				return err
 			}
@@ -674,6 +749,9 @@ type StoreStats struct {
 	Events int `json:"events"`
 	// Resident is the number of events currently held in RAM.
 	Resident int `json:"resident"`
+	// ResidentBytes is the heap the resident windows hold: their packed
+	// record chunks and record locators.
+	ResidentBytes int `json:"residentBytes"`
 	// Evicted is the number of events only reachable via the journals.
 	Evicted int `json:"evicted"`
 	// Pending is the number of enqueued events not yet indexed.
@@ -696,7 +774,8 @@ func (s *Store) Stats() StoreStats {
 		// reads slightly high) but never behind (pending stays ≥ 0).
 		enq := st.enqSeq.Load()
 		out.Events += st.count
-		out.Resident += len(st.ring)
+		out.Resident += st.res.n
+		out.ResidentBytes += st.res.heapBytes()
 		out.Evicted += st.evicted
 		out.Pending += int(enq - done)
 		st.mu.RUnlock()
