@@ -28,7 +28,6 @@
 package engine
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -426,8 +425,8 @@ func (e *Engine) lockCase(id string) (*Instance, error) {
 	switch {
 	case live:
 	case finished:
-		st := &instState{}
-		if err := json.Unmarshal(a.state, st); err != nil {
+		st, err := parseState(a.state)
+		if err != nil {
 			return nil, fmt.Errorf("engine: decode archived instance %s: %w", id, err)
 		}
 		inst = restoreInstance(st, def)

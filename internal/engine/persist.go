@@ -21,17 +21,21 @@ import (
 )
 
 // Persistence model: each journal record carries either a deployment
-// or the complete serialized state of one instance (last write wins on
-// replay). A snapshot stores the whole engine image so recovery can
-// skip the journal prefix (compaction via Journal.DropBefore).
+// (a JSON envelope) or the complete state of one instance (a binary
+// record, state.go; last write wins on replay). A snapshot stores the
+// whole engine image so recovery can skip the journal prefix
+// (compaction via Journal.DropBefore).
 
+// record is the JSON envelope of a deployment, and of an instance state
+// in journals and snapshots written before binary state records.
 type record struct {
 	Kind    string          `json:"kind"` // "deploy" | "instance"
 	Process *model.Process  `json:"process,omitempty"`
 	State   json.RawMessage `json:"state,omitempty"`
 }
 
-// instState is the serialized form of an Instance.
+// instState is a decoded instance state, and the JSON form state
+// records had before the binary one.
 type instState struct {
 	ID        string                         `json:"id"`
 	ProcessID string                         `json:"processId"`
@@ -44,8 +48,9 @@ type instState struct {
 }
 
 // archived is a finished case kept as its final record: identity and
-// status for listings, and the instState JSON persistInstance journaled
-// (or recovery read), decoded again only when a read needs it.
+// status for listings, and the state record persistInstance journaled
+// (or recovery read; JSON in a data dir written before binary records),
+// decoded again only when a read needs it.
 type archived struct {
 	processID string
 	status    Status
@@ -53,19 +58,28 @@ type archived struct {
 }
 
 // finishedRec is a finished case as recovery reads it: its own copy of
-// the state JSON, with id and processID aliasing it where the fast path
-// found them.
+// the state record, with id and processID aliasing it where the fast
+// path found them.
 type finishedRec struct {
 	id, processID []byte
 	status        Status
 	state         []byte
 }
 
-// readFinishedHead reads a finished case's identity where it lies: the
-// {"id":"…","processId":"…","status":N, head encodeInstance writes,
-// with neither string needing an escape and N a terminal status. Any
-// other layout is left to the decoder (nil).
+// readFinishedHead reads a finished case's identity where it lies: a
+// binary record's head, or the {"id":"…","processId":"…","status":N,
+// head the JSON encoder wrote, with neither string needing an escape
+// and N a terminal status. Any other layout is left to the decoder
+// (nil).
 func readFinishedHead(state []byte) *finishedRec {
+	if _, _, status, _, ok := readStateHead(state); ok {
+		if status == StatusActive {
+			return nil
+		}
+		own := bytes.Clone(state)
+		id, pid, _, _, _ := readStateHead(own)
+		return &finishedRec{id: id, processID: pid, status: status, state: own}
+	}
 	const idKey, pidKey = `{"id":"`, `,"processId":"`
 	id, rest, ok := plainField(state, idKey)
 	if !ok {
@@ -107,16 +121,16 @@ func plainField(b []byte, key string) (s, rest []byte, ok bool) {
 	return b[:i], b[i+1:], true
 }
 
-// decodeState reads one instance state: a finished case is kept as its
-// bytes (undecoded when readFinishedHead reads it), a live one decodes
-// to an *instState.
+// decodeState reads one instance state, binary or JSON: a finished case
+// is kept as its bytes (undecoded when readFinishedHead reads it), a
+// live one decodes to an *instState.
 func decodeState(state []byte) (any, error) {
 	if f := readFinishedHead(state); f != nil {
 		return f, nil
 	}
-	st := &instState{}
-	if err := json.Unmarshal(state, st); err != nil {
-		return nil, fmt.Errorf("engine: decode instance state: %w", err)
+	st, err := parseState(state)
+	if err != nil {
+		return nil, err
 	}
 	if st.Status == StatusActive {
 		return st, nil
@@ -148,27 +162,6 @@ type snapshotImage struct {
 	Instances   []json.RawMessage `json:"instances"`
 }
 
-func (e *Engine) encodeInstance(inst *Instance) ([]byte, error) {
-	st := instState{
-		ID:        inst.ID,
-		ProcessID: inst.ProcessID,
-		Status:    inst.Status,
-		Vars:      inst.Vars,
-		Joins:     inst.Joins,
-		StartedAt: inst.StartedAt,
-		EndedAt:   inst.EndedAt,
-	}
-	ids := make([]uint64, 0, len(inst.Tokens))
-	for id := range inst.Tokens {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for _, id := range ids {
-		st.Tokens = append(st.Tokens, inst.Tokens[id])
-	}
-	return json.Marshal(st)
-}
-
 // appendRecord writes one journal record, waiting for the durability
 // acknowledgement when the engine runs in durable mode. In durable
 // mode the caller (holding one instance's lock) blocks only for its
@@ -181,9 +174,9 @@ func (e *Engine) appendRecord(rec []byte) (uint64, error) {
 	return e.journal.Append(rec)
 }
 
-// recordBufPool recycles record-envelope buffers: every transition
-// persists the instance state, so the envelope is assembled in a
-// pooled buffer instead of allocating one per append (journals copy
+// recordBufPool recycles record buffers: every transition persists the
+// instance state, so its record is assembled in a pooled buffer instead
+// of allocating one per append (journals and the snapshot writer copy
 // the payload before returning, so the buffer is free to reuse).
 var recordBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 1024)
@@ -193,8 +186,8 @@ var recordBufPool = sync.Pool{New: func() any {
 // encodeRecord wraps an already-encoded JSON payload in the journal
 // record envelope {"kind":<kind>,<field>:<payload>} without
 // re-marshalling the payload the way json.Marshal(record{...}) did
-// (which walked every byte of the state twice). The caller must
-// return the buffer via recordBufPool.Put once the append returns.
+// (which walked every byte of it twice). The caller must return the
+// buffer via recordBufPool.Put once the append returns.
 func encodeRecord(kind, field string, payload []byte) *[]byte {
 	bp := recordBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
@@ -209,22 +202,22 @@ func encodeRecord(kind, field string, payload []byte) *[]byte {
 	return bp
 }
 
-// persistInstance appends the instance's current state to the journal
-// and returns that state's JSON. Called under the instance lock. The
-// returned error matters in durable mode: it is the failed durability
-// acknowledgement, and API entry points must not report success past
-// it. Serialization failures still must not kill execution on async
-// (listener/timer) paths, whose callers ignore the return value as
-// before.
+// persistInstance appends the instance's current state record to the
+// journal and, for a finished case, returns an exact-size copy of it for
+// retire to archive. Called under the instance lock. The returned error
+// matters in durable mode: it is the failed durability acknowledgement,
+// and API entry points must not report success past it. Serialization
+// failures still must not kill execution on async (listener/timer)
+// paths, whose callers ignore the return value as before.
 func (e *Engine) persistInstance(inst *Instance) ([]byte, error) {
-	data, err := e.encodeInstance(inst)
+	bp := recordBufPool.Get().(*[]byte)
+	defer recordBufPool.Put(bp)
+	data, err := encodeInstance((*bp)[:0], inst)
+	*bp = data
 	if err != nil {
 		return nil, fmt.Errorf("engine: encode instance %s: %w", inst.ID, err)
 	}
-	bp := encodeRecord("instance", "state", data)
-	_, err = e.appendRecord(*bp)
-	recordBufPool.Put(bp)
-	if err != nil {
+	if _, err = e.appendRecord(data); err != nil {
 		// A failed append (or durability ack) is a storage I/O error:
 		// fail-stop the shard. Encode errors above do not — the disk is
 		// fine, only this record is unrepresentable.
@@ -232,7 +225,10 @@ func (e *Engine) persistInstance(inst *Instance) ([]byte, error) {
 		return nil, fmt.Errorf("engine: persist instance %s: %w", inst.ID, err)
 	}
 	e.maybeSnapshot()
-	return data, nil
+	if inst.Status == StatusActive {
+		return nil, nil
+	}
+	return bytes.Clone(data), nil
 }
 
 func (e *Engine) persistDeploy(p *model.Process) error {
@@ -380,9 +376,10 @@ func (e *Engine) snapshotContents() (index uint64, defs []*model.Process, cases 
 // Snapshot writes a point-in-time engine image covering the journal
 // index read when it began, then drops the covered journal prefix. Each
 // live instance is locked just long enough to encode it, an archived
-// case's final record is copied as is, and every record is streamed
-// straight to the snapshot writer, so memory stays bounded by one
-// instance's state rather than the total image. Instances mutated
+// case's final record is written as is (a JSON one, from a data dir
+// written before binary records, in its envelope), and every record is
+// streamed straight to the snapshot writer, so memory stays bounded by
+// one instance's state rather than the total image. Instances mutated
 // concurrently are still written — possibly with post-index state —
 // which is safe because replay applies the journal suffix on top with
 // last-write-wins semantics.
@@ -403,19 +400,25 @@ func (e *Engine) Snapshot() error {
 	}
 	// Encode errors abort the snapshot but do not fail-stop (the disk
 	// is healthy); append/commit/truncate errors are storage I/O and do.
-	appendRec := func(kind, field string, payload []byte) error {
-		bp := encodeRecord(kind, field, payload)
-		err := w.Append(*bp)
-		recordBufPool.Put(bp)
+	bp := recordBufPool.Get().(*[]byte)
+	defer recordBufPool.Put(bp)
+	appendRec := func(payload []byte) error {
+		err := w.Append(payload)
 		if err != nil {
 			e.failStop("snapshot write", err)
 		}
 		return err
 	}
+	appendEnvelope := func(kind, field string, payload []byte) error {
+		ep := encodeRecord(kind, field, payload)
+		err := appendRec(*ep)
+		recordBufPool.Put(ep)
+		return err
+	}
 	for _, def := range defs {
 		data, err := json.Marshal(def)
 		if err == nil {
-			err = appendRec("deploy", "process", data)
+			err = appendEnvelope("deploy", "process", data)
 		}
 		if err != nil {
 			w.Abort()
@@ -423,15 +426,19 @@ func (e *Engine) Snapshot() error {
 		}
 	}
 	for _, c := range cases {
-		data := c.state
 		var err error
-		if c.inst != nil {
+		switch {
+		case c.inst != nil:
 			c.inst.mu.Lock()
-			data, err = e.encodeInstance(c.inst)
+			*bp, err = encodeInstance((*bp)[:0], c.inst)
 			c.inst.mu.Unlock()
-		}
-		if err == nil {
-			err = appendRec("instance", "state", data)
+			if err == nil {
+				err = appendRec(*bp)
+			}
+		case c.state[0] == stateV2:
+			err = appendRec(c.state)
+		default:
+			err = appendEnvelope("instance", "state", c.state)
 		}
 		if err != nil {
 			w.Abort()
@@ -450,12 +457,15 @@ func (e *Engine) Snapshot() error {
 	return nil
 }
 
-// decodeRecoveryRecord decodes one record-envelope payload (from a
-// streaming snapshot or the journal) into its recovered form: a
-// compiled *model.Process, an *instState, or a *finishedRec. Safe for
-// concurrent use; the payload is not retained past the call.
+// decodeRecoveryRecord decodes one record (from a streaming snapshot or
+// the journal) into its recovered form: a compiled *model.Process, an
+// *instState, or a *finishedRec. Safe for concurrent use; the payload is
+// not retained past the call.
 func decodeRecoveryRecord(payload []byte) (any, error) {
-	// An instance record as encodeRecord writes it: the state is the
+	if len(payload) > 0 && payload[0] == stateV2 {
+		return decodeState(payload)
+	}
+	// An instance record as encodeRecord wrote it: the state is the
 	// rest of the envelope, read where it lies. A state that does not
 	// decode (so may not end where the envelope does) is left to the
 	// envelope decoder below, as is every other spelling.
@@ -638,6 +648,15 @@ func (e *Engine) recover() error {
 			fromIndex = sn.Index + 1
 			e.lastSnapIndex.Store(sn.Index)
 		}
+	}
+
+	// Replay must start at or below fromIndex. A journal that begins
+	// above it was compacted past a snapshot recovery could not read
+	// (damaged, or missing), and the records in between are gone:
+	// recovering without them would silently lose acknowledged cases.
+	if first := e.journal.FirstIndex(); first > fromIndex {
+		return fmt.Errorf("engine: journal starts at index %d but recovery needs it from %d: "+
+			"records %d..%d are covered only by a snapshot that cannot be read", first, fromIndex, fromIndex, first-1)
 	}
 
 	var err error

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 
@@ -36,8 +37,9 @@ func TestEncodeRecordMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestPersistRoundTripThroughEnvelope drives deploy + instance records
-// through the pooled envelope into a journal and recovers them.
+// TestPersistRoundTripThroughEnvelope drives deploy records through the
+// pooled envelope and instance records through the binary encoder into
+// a journal and recovers them.
 func TestPersistRoundTripThroughEnvelope(t *testing.T) {
 	j := storage.NewMemJournal()
 	e, err := New(Config{Journal: j})
@@ -57,17 +59,21 @@ func TestPersistRoundTripThroughEnvelope(t *testing.T) {
 	if v.Status != StatusCompleted {
 		t.Fatalf("status = %s", v.Status)
 	}
-	// Every journal record must be valid JSON with a known kind.
+	// Every journal record is a deploy envelope or a binary state.
 	count := 0
 	err = j.Replay(1, func(_ uint64, payload []byte) error {
+		count++
+		if payload[0] == stateV2 {
+			_, err := parseState(payload)
+			return err
+		}
 		var rec record
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return err
 		}
-		if rec.Kind != "deploy" && rec.Kind != "instance" {
+		if rec.Kind != "deploy" {
 			t.Errorf("unexpected record kind %q", rec.Kind)
 		}
-		count++
 		return nil
 	})
 	if err != nil {
@@ -109,11 +115,12 @@ func decodeRecordViaEnvelope(t *testing.T, payload []byte) any {
 }
 
 // TestRecoveryDecodeFastPathMatchesEnvelope writes a journal with the
-// engine's encoder (byte-identical to json.Marshal(record{…}), the
-// encoder before it: TestEncodeRecordMatchesMarshal), then holds the
-// in-place instance decode to the envelope decode record by record,
-// and a recovery from those records to a recovery from the same
-// records re-spelled so that only the fallback reads them.
+// engine's encoder and turns it into the journal the JSON encoder wrote
+// (json.Marshal(record{…}) around the instance's JSON state), then
+// holds the in-place decode of those JSON records to the envelope decode
+// record by record, and recoveries from the binary records, the JSON
+// ones and the JSON ones re-spelled so that only the fallback reads
+// them to one another.
 func TestRecoveryDecodeFastPathMatchesEnvelope(t *testing.T) {
 	j := storage.NewMemJournal()
 	e, err := New(Config{Journal: j})
@@ -141,9 +148,21 @@ func TestRecoveryDecodeFastPathMatchesEnvelope(t *testing.T) {
 		}
 	}
 
-	respelled := storage.NewMemJournal()
+	legacy, respelled := storage.NewMemJournal(), storage.NewMemJournal()
 	instances := 0
 	err = j.Replay(1, func(_ uint64, payload []byte) error {
+		if payload[0] == stateV2 {
+			st, err := parseState(payload)
+			if err != nil {
+				return err
+			}
+			if payload, err = jsonStateRecord(instanceOf(st)); err != nil {
+				return err
+			}
+		}
+		if _, err := legacy.Append(payload); err != nil {
+			return err
+		}
 		var rec record
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return err
@@ -198,7 +217,11 @@ func TestRecoveryDecodeFastPathMatchesEnvelope(t *testing.T) {
 		t.Fatal("no instance records written")
 	}
 
-	fast, err := New(Config{Journal: j})
+	bin, err := New(Config{Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, err := New(Config{Journal: legacy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +230,8 @@ func TestRecoveryDecodeFastPathMatchesEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := fast.Instances()
-	if len(ids) != 6 || !reflect.DeepEqual(slow.Instances(), ids) {
-		t.Fatalf("recovered %v and %v, want the same six", ids, slow.Instances())
+	if len(ids) != 6 || !reflect.DeepEqual(slow.Instances(), ids) || !reflect.DeepEqual(bin.Instances(), ids) {
+		t.Fatalf("recovered %v, %v and %v, want the same six", ids, slow.Instances(), bin.Instances())
 	}
 	for _, id := range ids {
 		fv, err := fast.Instance(id)
@@ -219,11 +242,61 @@ func TestRecoveryDecodeFastPathMatchesEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(fv, sv) {
-			t.Errorf("instance %s recovered differently:\n fast %+v\n slow %+v", id, fv, sv)
+		bv, err := bin.Instance(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fv, sv) || !reflect.DeepEqual(fv, bv) {
+			t.Errorf("instance %s recovered differently:\n fast %+v\n slow %+v\n binary %+v", id, fv, sv, bv)
 		}
 		if !fv.Vars["amount"].Equal(expr.Int(4200)) || fv.Vars["amount"].Kind() != expr.KindInt {
 			t.Errorf("instance %s: amount = %v", id, fv.Vars["amount"])
 		}
 	}
+}
+
+// BenchmarkPersistInstance persists a scripted pipeline case's final
+// state: encode into the pooled buffer, append, and the copy retire
+// archives. It fails past 2 allocations per persist (the JSON encoder
+// took 40).
+func BenchmarkPersistInstance(b *testing.B) {
+	data, err := os.ReadFile("../../benchmark/testdata/pipeline.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := model.DecodeJSON(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := e.Deploy(p); err != nil {
+		b.Fatal(err)
+	}
+	v, err := e.StartInstance(p.ID, map[string]any{"amount": 4200, "customer": "c-004242", "region": "north"})
+	if err != nil || v.Status != StatusCompleted {
+		b.Fatalf("start: %+v, %v", v, err)
+	}
+	inst, err := e.lockCase(v.ID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst.mu.Unlock()
+	var rec []byte
+	persist := func() {
+		if rec, err = e.persistInstance(inst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, persist); allocs > 2 {
+		b.Fatalf("persisting a finished pipeline case allocates %.0f times, want at most 2", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		persist()
+	}
+	b.ReportMetric(float64(len(rec)), "B/record")
 }

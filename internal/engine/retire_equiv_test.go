@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -19,6 +21,7 @@ import (
 	"bpms/internal/expr"
 	"bpms/internal/model"
 	"bpms/internal/resource"
+	"bpms/internal/storage"
 )
 
 // TestRetirementEquivalence holds every read of a finished case, and
@@ -124,6 +127,7 @@ func checkRetirement(t *testing.T, shards int, seed int64) {
 		if err := sys.Close(); err != nil {
 			t.Fatal(err)
 		}
+		checkStateRecords(t, opts.DataDir)
 		if sys, err = core.Open(opts); err != nil {
 			t.Fatal(err)
 		}
@@ -139,6 +143,53 @@ func checkRetirement(t *testing.T, shards int, seed int64) {
 	}
 	reopen("reopened from a snapshot")
 	sys.Close()
+}
+
+// checkStateRecords decodes every record in the state journals and
+// snapshots under dir, as recovery and reads do.
+func checkStateRecords(t *testing.T, dir string) {
+	t.Helper()
+	n := 0
+	check := func(where string, p []byte) error {
+		n++
+		if err := engine.DecodeRecord(p); err != nil {
+			return fmt.Errorf("%s: %w", where, err)
+		}
+		return nil
+	}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		switch d.Name() {
+		case "state":
+			j, err := storage.OpenFileJournal(path, storage.Options{})
+			if err != nil {
+				return err
+			}
+			defer j.Close()
+			return j.Replay(1, func(index uint64, p []byte) error {
+				return check(fmt.Sprintf("%s #%d", path, index), p)
+			})
+		case "snapshots":
+			snaps, err := storage.OpenSnapshotStore(path, 2)
+			if err != nil {
+				return err
+			}
+			sn, err := snaps.LatestSnapshot()
+			if err != nil || sn == nil {
+				return err
+			}
+			return sn.Iterate(func(p []byte) error { return check(path, p) })
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 {
+		t.Fatalf("no state records under %s", dir)
+	}
 }
 
 // retirementDefinitions are the benchmark's pipeline and claims cases

@@ -140,8 +140,8 @@ func TestFinishedCaseHeap(t *testing.T) {
 	per := float64(heap()-before) / cases
 	runtime.KeepAlive(e)
 	t.Logf("%.0f B of heap per finished case", per)
-	if per > 640 {
-		t.Errorf("%d finished cases hold %.0f B/case of heap, want at most 640", cases, per)
+	if per > 320 {
+		t.Errorf("%d finished cases hold %.0f B/case of heap, want at most 320", cases, per)
 	}
 }
 
@@ -280,7 +280,7 @@ func checkArchiveReencodes(t *testing.T, e *Engine) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := e.encodeInstance(inst)
+		data, err := encodeInstance(nil, inst)
 		inst.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
@@ -324,7 +324,7 @@ func TestLegacyBlobSnapshotOpens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := f.e.encodeInstance(inst)
+		data, err := jsonState(inst)
 		inst.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
@@ -335,13 +335,12 @@ func TestLegacyBlobSnapshotOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := storage.OpenSnapshotStore(t.TempDir(), 2)
+	dir := t.TempDir()
+	snaps, err := storage.OpenSnapshotStore(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := snaps.Write(1, blob); err != nil {
-		t.Fatal(err)
-	}
+	writeBlobSnapshot(t, dir, 1, blob)
 	e2, err := New(Config{Journal: storage.NewMemJournal(), Snapshots: snaps, Tasks: f.tasks})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -46,7 +48,9 @@ func TestStreamingSnapshotRecoverRoundtrip(t *testing.T) {
 	if err := e.Deploy(model.Sequence(3)); err != nil {
 		t.Fatal(err)
 	}
-	const before, after = 40, 25
+	// Enough finished cases to fill the first 8 KiB segment, so the
+	// snapshot has a sealed prefix to drop.
+	const before, after = 200, 25
 	for i := 0; i < before; i++ {
 		if _, err := e.StartInstance("seq-3", map[string]any{"n": i}); err != nil {
 			t.Fatal(err)
@@ -286,5 +290,78 @@ func TestSnapshotUnderLoadLosesNoAckedStart(t *testing.T) {
 	}
 	if total < snapshots*(starters+1) {
 		t.Fatalf("only %d starts were acknowledged; the window stayed empty", total)
+	}
+}
+
+// TestDamagedSnapshotGapRefused: when the newest snapshot is damaged,
+// the store falls back to the older one, but the journal was compacted
+// past the newest, so the records between the two are gone. Recovery
+// must refuse to open, naming the gap, not come back with a fraction of
+// the acknowledged cases; likewise when no snapshot is readable at all.
+func TestDamagedSnapshotGapRefused(t *testing.T) {
+	dir := t.TempDir()
+	e, j := openStreamingFixture(t, dir, Config{})
+	if err := e.Deploy(model.Sequence(3)); err != nil {
+		t.Fatal(err)
+	}
+	start := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := e.StartInstance("seq-3", map[string]any{"n": i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start(100)
+	start(200)
+	sn, err := e.snapshots.LatestSnapshot()
+	if err != nil || sn == nil || sn.Index != 301 {
+		t.Fatalf("newest snapshot %+v, %v; want index 301", sn, err)
+	}
+	if first := j.FirstIndex(); first <= 102 {
+		t.Fatalf("journal starts at %d: nothing past the older snapshot was compacted", first)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	damage := func(index uint64) {
+		name := filepath.Join(dir, "snapshots", fmt.Sprintf("snap-%020d.snap", index))
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)-1] ^= 0xff
+		if err := os.WriteFile(name, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopen := func() error {
+		j2, err := storage.OpenFileJournal(filepath.Join(dir, "state"), storage.Options{SegmentSize: 8 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j2.Close()
+		sn, err := storage.OpenSnapshotStore(filepath.Join(dir, "snapshots"), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e2, err := New(Config{Journal: j2, Snapshots: sn})
+		if err == nil {
+			return fmt.Errorf("recovered %d of 300 cases without an error", len(e2.Instances()))
+		}
+		if !strings.Contains(err.Error(), "recovery needs it from") {
+			return fmt.Errorf("error does not name the gap: %v", err)
+		}
+		return nil
+	}
+	damage(301)
+	if err := reopen(); err != nil {
+		t.Errorf("newest snapshot damaged: %v", err)
+	}
+	damage(101)
+	if err := reopen(); err != nil {
+		t.Errorf("both snapshots damaged: %v", err)
 	}
 }

@@ -2,12 +2,12 @@ package history
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 	"unicode/utf8"
+
+	"bpms/internal/binrec"
 )
 
 // Single-pass event decoding. A record whose first byte is recordV2 is
@@ -31,7 +31,7 @@ import (
 // record is one record split into its fields; the slices alias the
 // payload, or typeNames for a v2 record's known type. A v1 record sets
 // time, the timestamp literal with its quotes (time.Time.UnmarshalJSON
-// takes it); a v2 record sets code, sec, nsec and offset.
+// takes it); a v2 record sets code and stamp.
 type record struct {
 	typ  []byte
 	strs [6][]byte // parallel to Event.stringFields; nil when absent
@@ -39,10 +39,8 @@ type record struct {
 
 	time []byte
 
-	code   byte
-	sec    int64
-	nsec   uint64
-	offset int64
+	code  byte
+	stamp binrec.Stamp
 }
 
 func scan(p []byte) (record, bool) {
@@ -50,28 +48,6 @@ func scan(p []byte) (record, bool) {
 		return scanRecord(p)
 	}
 	return scanEvent(p)
-}
-
-// uvarint, varint and field read at p[i:] and return the value, the
-// offset past it, and false for a truncated or overflowing varint or a
-// length past the end.
-
-func uvarint(p []byte, i int) (uint64, int, bool) {
-	v, w := binary.Uvarint(p[i:])
-	return v, i + w, w > 0
-}
-
-func varint(p []byte, i int) (int64, int, bool) {
-	v, w := binary.Varint(p[i:])
-	return v, i + w, w > 0
-}
-
-func field(p []byte, i int) ([]byte, int, bool) {
-	n, i, ok := uvarint(p, i)
-	if !ok || n > uint64(len(p)-i) {
-		return nil, 0, false
-	}
-	return p[i : i+int(n)], i + int(n), true
 }
 
 // scanRecord splits a v2 record. It declines what AppendEncode cannot
@@ -86,16 +62,10 @@ func scanRecord(p []byte) (r record, ok bool) {
 	i := 2
 	if r.code > 0 {
 		r.typ = typeNames[r.code-1]
-	} else if r.typ, i, ok = field(p, i); !ok {
+	} else if r.typ, i, ok = binrec.Field(p, i); !ok {
 		return r, false
 	}
-	if r.sec, i, ok = varint(p, i); !ok {
-		return r, false
-	}
-	if r.nsec, i, ok = uvarint(p, i); !ok || r.nsec >= uint64(time.Second) {
-		return r, false
-	}
-	if r.offset, i, ok = varint(p, i); !ok || i == len(p) || p[i]&^maskKnown != 0 {
+	if r.stamp, i, ok = binrec.ReadStamp(p, i); !ok || i == len(p) || p[i]&^maskKnown != 0 {
 		return r, false
 	}
 	mask := p[i]
@@ -104,7 +74,7 @@ func scanRecord(p []byte) (r record, ok bool) {
 		if mask&(1<<b) == 0 {
 			continue
 		}
-		if r.strs[b], i, ok = field(p, i); !ok {
+		if r.strs[b], i, ok = binrec.Field(p, i); !ok {
 			return r, false
 		}
 	}
@@ -192,10 +162,9 @@ func scanEvent(p []byte) (f record, ok bool) {
 // error.
 //
 // A v2 record's time takes the Location time.Parse gives the same
-// instant in RFC 3339, its v1 form: UTC for offset 0, Local where Local
-// had that offset at that instant, an unnamed fixed zone otherwise. Its
-// strings keep invalid UTF-8 byte for byte (encoding/json maps it to
-// U+FFFD), and an empty data object is no data, which the encoder omits.
+// instant in RFC 3339, its v1 form (binrec.Stamp.Time). Its strings
+// keep invalid UTF-8 byte for byte (encoding/json maps it to U+FFFD),
+// and an empty data object is no data, which the encoder omits.
 func decodeFast(p []byte) (*Event, bool) {
 	r, ok := scan(p)
 	if !ok {
@@ -211,18 +180,10 @@ func decodeFast(p []byte) (*Event, bool) {
 		*dst = string(r.strs[i])
 	}
 	v1 := r.time != nil
-	switch {
-	case v1:
-		if e.Time.UnmarshalJSON(r.time) != nil {
-			return nil, false
-		}
-	case r.offset == 0:
-		e.Time = time.Unix(r.sec, int64(r.nsec)).UTC()
-	default:
-		e.Time = time.Unix(r.sec, int64(r.nsec))
-		if _, local := e.Time.Zone(); int64(local) != r.offset {
-			e.Time = e.Time.In(time.FixedZone("", int(r.offset)))
-		}
+	if !v1 {
+		e.Time = r.stamp.Time()
+	} else if e.Time.UnmarshalJSON(r.time) != nil {
+		return nil, false
 	}
 	if r.data != nil && json.Unmarshal(r.data, &e.Data) != nil {
 		return nil, false

@@ -1,8 +1,9 @@
 package history
 
 import (
-	"encoding/binary"
 	"encoding/json"
+
+	"bpms/internal/binrec"
 )
 
 // recordV2 starts every record AppendEncode writes; decode.go also
@@ -46,11 +47,6 @@ func (e *Event) stringFields() [6]*string {
 	return [...]*string{&e.ProcessID, &e.InstanceID, &e.ElementID, &e.Element, &e.TaskID, &e.Actor}
 }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
 // AppendEncode appends the event's v2 journal record to buf and returns
 // the extended buffer. The record is: the marker recordV2 (no JSON
 // value starts with it); the type code, 1 + the type's index in
@@ -64,18 +60,15 @@ func AppendEncode(buf []byte, e *Event) ([]byte, error) {
 	code := typeCodes[e.Type]
 	buf = append(buf, recordV2, code)
 	if code == 0 {
-		buf = appendString(buf, string(e.Type))
+		buf = binrec.AppendString(buf, string(e.Type))
 	}
-	_, offset := e.Time.Zone()
-	buf = binary.AppendVarint(buf, e.Time.Unix())
-	buf = binary.AppendUvarint(buf, uint64(e.Time.Nanosecond()))
-	buf = binary.AppendVarint(buf, int64(offset))
+	buf = binrec.AppendTime(buf, e.Time)
 	mask := len(buf)
 	buf = append(buf, 0)
 	for i, f := range e.stringFields() {
 		if *f != "" {
 			buf[mask] |= 1 << i
-			buf = appendString(buf, *f)
+			buf = binrec.AppendString(buf, *f)
 		}
 	}
 	if len(e.Data) == 0 {

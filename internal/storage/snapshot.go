@@ -29,8 +29,8 @@ import (
 //     memory, never the whole image, so snapshot memory is bounded
 //     regardless of instance count.
 //   - The legacy single-blob format (seed): [8B index][4B crc][data].
-//     Write/Latest keep producing and reading it so existing data dirs
-//     and the T16 baseline remain usable; LatestSnapshot reads both.
+//     Nothing writes it any more; LatestSnapshot still reads it, so
+//     data dirs holding one open.
 type SnapshotStore struct {
 	dir    string
 	fs     fault.FS
@@ -116,36 +116,6 @@ func (s *SnapshotStore) commitTempLocked(tmp string, index uint64) error {
 		return err
 	}
 	return s.pruneLocked()
-}
-
-// Write stores a legacy single-blob snapshot covering journal indices
-// <= index. New code should stream through Writer; Write remains for
-// small images and as the seed-format baseline.
-func (s *SnapshotStore) Write(index uint64, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	buf := make([]byte, 12+len(data))
-	binary.LittleEndian.PutUint64(buf[0:8], index)
-	binary.LittleEndian.PutUint32(buf[8:12], crc32.Checksum(data, castagnoli))
-	copy(buf[12:], data)
-
-	tmp := filepath.Join(s.dir, "snap.tmp")
-	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return s.commitTempLocked(tmp, index)
 }
 
 // SnapshotWriter streams one snapshot: records appended through it go
@@ -264,37 +234,6 @@ func (s *SnapshotStore) pruneLocked() error {
 		idxs = idxs[1:]
 	}
 	return nil
-}
-
-// Latest returns the newest valid legacy-format snapshot blob (highest
-// index with a good CRC). ok is false when no usable legacy snapshot
-// exists; corrupt or streaming-format snapshots are skipped, falling
-// back to older ones. Recovery paths should prefer LatestSnapshot,
-// which reads both formats without materialising stream contents.
-func (s *SnapshotStore) Latest() (index uint64, data []byte, ok bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idxs, err := s.indicesLocked()
-	if err != nil {
-		return 0, nil, false, err
-	}
-	for i := len(idxs) - 1; i >= 0; i-- {
-		buf, err := s.fs.ReadFile(filepath.Join(s.dir, snapshotName(idxs[i])))
-		if err != nil || len(buf) < 12 {
-			continue
-		}
-		if [4]byte(buf[0:4]) == snapshotMagic {
-			continue // streaming format: not a blob
-		}
-		idx := binary.LittleEndian.Uint64(buf[0:8])
-		crc := binary.LittleEndian.Uint32(buf[8:12])
-		payload := buf[12:]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			continue
-		}
-		return idx, payload, true, nil
-	}
-	return 0, nil, false, nil
 }
 
 // Snapshot is one on-disk snapshot opened for reading. Legacy blob

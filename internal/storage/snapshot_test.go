@@ -1,11 +1,43 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// writeBlob stores a snapshot in the single-blob format engines wrote
+// before streaming snapshots, [8B index][4B crc][data], published (and
+// older snapshots pruned) as a streaming one is. The store still reads
+// the format; it no longer writes it.
+func writeBlob(s *SnapshotStore, index uint64, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	buf := make([]byte, 12, 12+len(data))
+	binary.LittleEndian.PutUint64(buf[0:8], index)
+	binary.LittleEndian.PutUint32(buf[8:12], crc32.Checksum(data, castagnoli))
+	tmp := filepath.Join(s.dir, "snap.tmp")
+	if err := os.WriteFile(tmp, append(buf, data...), 0o644); err != nil {
+		return err
+	}
+	return s.commitTempLocked(tmp, index)
+}
+
+// latestImage returns the newest intact snapshot's index and its records
+// run together (a blob's one record: its image); ok is false when no
+// snapshot is intact.
+func latestImage(t *testing.T, s *SnapshotStore) (index uint64, data []byte, ok bool, err error) {
+	t.Helper()
+	sn, err := s.LatestSnapshot()
+	if err != nil || sn == nil {
+		return 0, nil, false, err
+	}
+	return sn.Index, []byte(strings.Join(collectSnapshot(t, sn), "")), true, nil
+}
 
 func snapshotFiles(t *testing.T, dir string) []uint64 {
 	t.Helper()
@@ -24,7 +56,7 @@ func snapshotFiles(t *testing.T, dir string) []uint64 {
 
 // TestSnapshotPruneKeepsNewest pins pruneLocked's exact survivors: the
 // highest `retain` indices remain, everything older is removed, and
-// Latest tracks the newest survivor.
+// LatestSnapshot tracks the newest survivor.
 func TestSnapshotPruneKeepsNewest(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenSnapshotStore(dir, 3)
@@ -32,7 +64,7 @@ func TestSnapshotPruneKeepsNewest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 7; i++ {
-		if err := s.Write(i*100, []byte(fmt.Sprintf("img-%d", i))); err != nil {
+		if err := writeBlob(s, i*100, []byte(fmt.Sprintf("img-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,9 +78,9 @@ func TestSnapshotPruneKeepsNewest(t *testing.T) {
 			t.Fatalf("retained %v, want %v", got, want)
 		}
 	}
-	idx, data, ok, err := s.Latest()
+	idx, data, ok, err := latestImage(t, s)
 	if err != nil || !ok || idx != 700 || string(data) != "img-7" {
-		t.Fatalf("Latest = %d %q ok=%v err=%v", idx, data, ok, err)
+		t.Fatalf("LatestSnapshot = %d %q ok=%v err=%v", idx, data, ok, err)
 	}
 }
 
@@ -60,7 +92,7 @@ func TestSnapshotRetainDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 5; i++ {
-		if err := s.Write(i, []byte("x")); err != nil {
+		if err := writeBlob(s, i, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,7 +111,7 @@ func TestSnapshotLatestSkipsPartialFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write(10, []byte("good")); err != nil {
+	if err := writeBlob(s, 10, []byte("good")); err != nil {
 		t.Fatal(err)
 	}
 	// A newer snapshot exists but holds only 3 bytes.
@@ -90,17 +122,17 @@ func TestSnapshotLatestSkipsPartialFile(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapshotName(30)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	idx, data, ok, err := s.Latest()
+	idx, data, ok, err := latestImage(t, s)
 	if err != nil || !ok {
-		t.Fatalf("Latest: ok=%v err=%v", ok, err)
+		t.Fatalf("LatestSnapshot: ok=%v err=%v", ok, err)
 	}
 	if idx != 10 || string(data) != "good" {
-		t.Fatalf("Latest = %d %q, want 10 good", idx, data)
+		t.Fatalf("LatestSnapshot = %d %q, want 10 good", idx, data)
 	}
 }
 
 // TestSnapshotLatestAllCorrupt: when every snapshot fails its CRC,
-// Latest reports no usable snapshot (recovery then replays the whole
+// LatestSnapshot reports no usable snapshot (recovery then replays the whole
 // journal) rather than an error.
 func TestSnapshotLatestAllCorrupt(t *testing.T) {
 	dir := t.TempDir()
@@ -109,7 +141,7 @@ func TestSnapshotLatestAllCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 3; i++ {
-		if err := s.Write(i*10, []byte(fmt.Sprintf("img-%d", i))); err != nil {
+		if err := writeBlob(s, i*10, []byte(fmt.Sprintf("img-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,18 +156,18 @@ func TestSnapshotLatestAllCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, ok, err := s.Latest()
+	_, _, ok, err := latestImage(t, s)
 	if err != nil {
-		t.Fatalf("Latest errored: %v", err)
+		t.Fatalf("LatestSnapshot errored: %v", err)
 	}
 	if ok {
-		t.Fatal("Latest reported a usable snapshot from all-corrupt store")
+		t.Fatal("LatestSnapshot reported a usable snapshot from all-corrupt store")
 	}
 }
 
 // TestSnapshotStrayFilesIgnored: non-snapshot names (including the
 // write-path temp file) never count as snapshots or survive into
-// Latest.
+// LatestSnapshot.
 func TestSnapshotStrayFilesIgnored(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenSnapshotStore(dir, 2)
@@ -147,14 +179,14 @@ func TestSnapshotStrayFilesIgnored(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, ok, _ := s.Latest(); ok {
+	if _, _, ok, _ := latestImage(t, s); ok {
 		t.Fatal("stray files mistaken for snapshots")
 	}
-	if err := s.Write(5, []byte("real")); err != nil {
+	if err := writeBlob(s, 5, []byte("real")); err != nil {
 		t.Fatal(err)
 	}
-	idx, data, ok, err := s.Latest()
+	idx, data, ok, err := latestImage(t, s)
 	if err != nil || !ok || idx != 5 || string(data) != "real" {
-		t.Fatalf("Latest = %d %q ok=%v err=%v", idx, data, ok, err)
+		t.Fatalf("LatestSnapshot = %d %q ok=%v err=%v", idx, data, ok, err)
 	}
 }

@@ -389,20 +389,20 @@ func TestSnapshotStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, err := s.Latest(); err != nil || ok {
+	if _, _, ok, err := latestImage(t, s); err != nil || ok {
 		t.Fatalf("empty store: ok=%v err=%v", ok, err)
 	}
 	for i := uint64(10); i <= 40; i += 10 {
-		if err := s.Write(i, []byte(fmt.Sprintf("state@%d", i))); err != nil {
+		if err := writeBlob(s, i, []byte(fmt.Sprintf("state@%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	idx, data, ok, err := s.Latest()
+	idx, data, ok, err := latestImage(t, s)
 	if err != nil || !ok {
-		t.Fatalf("Latest: ok=%v err=%v", ok, err)
+		t.Fatalf("LatestSnapshot: ok=%v err=%v", ok, err)
 	}
 	if idx != 40 || string(data) != "state@40" {
-		t.Fatalf("Latest = %d %q", idx, data)
+		t.Fatalf("LatestSnapshot = %d %q", idx, data)
 	}
 	// Retention pruned old snapshots.
 	entries, _ := os.ReadDir(dir)
@@ -423,17 +423,17 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Write(10, []byte("good-old"))
-	s.Write(20, []byte("good-new"))
+	writeBlob(s, 10, []byte("good-old"))
+	writeBlob(s, 20, []byte("good-new"))
 	// Corrupt the newest snapshot.
 	path := filepath.Join(dir, snapshotName(20))
 	data, _ := os.ReadFile(path)
 	data[len(data)-1] ^= 0xFF
 	os.WriteFile(path, data, 0o644)
 
-	idx, payload, ok, err := s.Latest()
+	idx, payload, ok, err := latestImage(t, s)
 	if err != nil || !ok {
-		t.Fatalf("Latest: ok=%v err=%v", ok, err)
+		t.Fatalf("LatestSnapshot: ok=%v err=%v", ok, err)
 	}
 	if idx != 10 || string(payload) != "good-old" {
 		t.Fatalf("fallback = %d %q, want 10 good-old", idx, payload)

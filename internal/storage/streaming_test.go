@@ -163,7 +163,7 @@ func TestLegacyAndStreamingCoexist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write(10, []byte("legacy-image")); err != nil {
+	if err := writeBlob(s, 10, []byte("legacy-image")); err != nil {
 		t.Fatal(err)
 	}
 	w, err := s.Writer(20)
