@@ -1158,10 +1158,10 @@ func BenchmarkT16_HistoryOpen(b *testing.B) {
 	}
 }
 
-// The most DecodeEvent may allocate for a plain v2 record (the event and
-// its three strings), for one with data (the map and its entries too),
-// and for a v1 record.
-const decodeAllocsPlain, decodeAllocsData, decodeAllocsV1 = 4, 12, 8
+// The most DecodeEvent may allocate for a plain record (the event and
+// its three strings), and for one with data (the map and its entries
+// too).
+const decodeAllocsPlain, decodeAllocsData = 4, 12
 
 func BenchmarkDecodeEvent(b *testing.B) {
 	at := time.Date(2026, 6, 1, 12, 0, 0, 123456789, time.UTC)
@@ -1172,14 +1172,10 @@ func BenchmarkDecodeEvent(b *testing.B) {
 	for _, c := range []struct {
 		name      string
 		event     history.Event
-		v1        bool    // the JSON record journals held before v2
 		maxAllocs float64 // the event, its strings, and for data the map
-	}{{"plain", plain, false, decodeAllocsPlain}, {"data", data, false, decodeAllocsData}, {"v1", plain, true, decodeAllocsV1}} {
+	}{{"plain", plain, decodeAllocsPlain}, {"data", data, decodeAllocsData}} {
 		b.Run(c.name, func(b *testing.B) {
-			payload, err := c.event.Encode()
-			if c.v1 {
-				payload, err = json.Marshal(&c.event)
-			}
+			payload, err := history.AppendEncode(nil, &c.event)
 			if err != nil {
 				b.Fatal(err)
 			}

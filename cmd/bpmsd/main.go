@@ -21,6 +21,10 @@
 // acknowledged state. On SIGINT/SIGTERM the daemon drains in-flight
 // HTTP requests and commit batches, syncs the WAL, and closes cleanly.
 //
+// A data dir in an older record format is rewritten once when it opens
+// (README "Data dir format"), and a boot line counts the files and
+// records rewritten; one written by a newer build is refused.
+//
 // The audit trail is recorded through an asynchronous striped history
 // pipeline: -history-stripes partitions audit events by instance ID
 // across independent journals and committers, and -history-window
@@ -160,6 +164,10 @@ func main() {
 		}
 		fmt.Printf(", durable=%v, shards=%d, history-stripes=%d, history-window=%d, worklist-stripes=%d\n",
 			opts.Durable, sys.Engine.Shards(), *historyStripes, *historyWindow, sys.Tasks.Stripes())
+	}
+	if u := sys.Upgrade; u.Files > 0 {
+		fmt.Printf("bpmsd: data dir upgraded in %.3fs (%d file(s) rewritten, %d record(s) transcoded)\n",
+			u.Took.Seconds(), u.Files, u.Records)
 	}
 	if opts.Metrics != nil {
 		fmt.Printf("bpmsd: metrics on (GET /metrics), audit-interval=%s, task-sla=%s\n", *auditInterval, *taskSLA)

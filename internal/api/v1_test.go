@@ -364,7 +364,6 @@ func TestMetricsEndpointAndViolations(t *testing.T) {
 		`bpms_task_op_seconds_count{op="page_state"} 1`,
 		`bpms_recovery_seconds{phase="history"}`,
 		`bpms_recovery_seconds{phase="engine"}`,
-		`bpms_history_decode_fallback_total{stripe="0"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %q in /metrics:\n%.2000s", want, text)

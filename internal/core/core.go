@@ -161,6 +161,9 @@ type BPMS struct {
 	Metrics *obs.Metrics
 	// Auditor is the background SLA sweeper (nil when disabled).
 	Auditor *obs.Auditor
+	// Upgrade is what Open's one-shot rewrite of a data dir in an older
+	// format did (zero when there was nothing to rewrite).
+	Upgrade UpgradeReport
 
 	clock    timer.Clock
 	runner   *timer.Runner
@@ -264,6 +267,9 @@ func Open(opts Options) (*BPMS, error) {
 	if opts.TimerTick <= 0 {
 		opts.TimerTick = 10 * time.Millisecond
 	}
+	if opts.FS == nil {
+		opts.FS = fault.OS
+	}
 	shards := opts.Shards
 	if shards <= 0 {
 		shards = 1
@@ -276,6 +282,7 @@ func Open(opts Options) (*BPMS, error) {
 	stateJournals := make([]storage.Journal, shards)
 	snaps := make([]*storage.SnapshotStore, shards)
 	histJournals := make([]storage.Journal, histStripes)
+	var upgrade UpgradeReport
 	closeAll := func() {
 		for _, j := range stateJournals {
 			if j != nil {
@@ -296,6 +303,10 @@ func Open(opts Options) (*BPMS, error) {
 			return nil, err
 		}
 		if err := checkHistoryLayout(opts.DataDir, histStripes); err != nil {
+			return nil, err
+		}
+		var err error
+		if upgrade, err = upgradeDataDir(opts.FS, opts.DataDir, shards, histStripes); err != nil {
 			return nil, err
 		}
 		jopts := storage.Options{
@@ -432,6 +443,7 @@ func Open(opts Options) (*BPMS, error) {
 		History:   hist,
 		Timers:    wheel,
 		Metrics:   opts.Metrics,
+		Upgrade:   upgrade,
 		clock:     opts.Clock,
 		state:     stateJournals,
 		dirs:      shardDirs,

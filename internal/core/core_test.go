@@ -372,8 +372,6 @@ func TestStripedHistoryOpenReopen(t *testing.T) {
 	for _, want := range []string{
 		`bpms_recovery_seconds{phase="history"} 0.`,
 		`bpms_recovery_seconds{phase="engine"} 0.`,
-		`bpms_history_decode_fallback_total{stripe="0"} 0`,
-		`bpms_history_decode_fallback_total{stripe="1"} 0`,
 	} {
 		if !strings.Contains(scrape.String(), want) {
 			t.Errorf("missing %q in the scrape", want)

@@ -1,0 +1,77 @@
+package core
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"time"
+
+	"bpms/internal/engine"
+	"bpms/internal/fault"
+	"bpms/internal/history"
+	"bpms/internal/storage"
+)
+
+// dataFormat is the data dir format this build reads and writes, kept in
+// the dir's FORMAT file: v2 history records, binary instance state
+// records and streaming snapshots.
+const dataFormat, formatFile = 2, "FORMAT"
+
+// UpgradeReport is what Open's one-shot data dir upgrade rewrote, and
+// how long it took (zero when FORMAT was current).
+type UpgradeReport struct {
+	storage.UpgradeStats
+	Took time.Duration
+}
+
+// upgradeDataDir brings a data dir to dataFormat before any journal
+// opens. A current FORMAT skips it; a newer one is refused. Otherwise
+// (no FORMAT, an empty or garbled one) every WAL, snapshot and history
+// journal is rewritten where it holds a record in an older format.
+// Current records pass through, so a crash only means the next open
+// reruns it. FORMAT is written last, without an fsync of its own:
+// losing it costs one more scan that rewrites nothing.
+func upgradeDataDir(fsys fault.FS, dataDir string, shards, stripes int) (UpgradeReport, error) {
+	began := time.Now()
+	path := filepath.Join(dataDir, formatFile)
+	if data, err := fsys.ReadFile(path); err == nil {
+		v, err := strconv.Atoi(strings.TrimSpace(string(data)))
+		switch {
+		case err == nil && v == dataFormat:
+			return UpgradeReport{}, nil
+		case err == nil && v > dataFormat:
+			return UpgradeReport{}, fmt.Errorf("core: data dir %s has format %d, newer than the format %d this build reads", dataDir, v, dataFormat)
+		}
+	}
+	var up UpgradeReport
+	for i := 0; i < shards; i++ {
+		for _, sub := range []string{"state", "snapshots"} {
+			st, err := engine.Upgrade(fsys, filepath.Join(shardDir(dataDir, shards, i), sub))
+			if err != nil {
+				return UpgradeReport{}, err
+			}
+			up.Add(st)
+		}
+	}
+	for i := 0; i < stripes; i++ {
+		st, err := history.Upgrade(fsys, historyDir(dataDir, stripes, i))
+		if err != nil {
+			return UpgradeReport{}, err
+		}
+		up.Add(st)
+	}
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err == nil {
+		_, err = fmt.Fprintf(f, "%d\n", dataFormat)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return UpgradeReport{}, fmt.Errorf("core: write %s: %w", path, err)
+	}
+	up.Took = time.Since(began)
+	return up, nil
+}

@@ -1,0 +1,428 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"bpms/internal/fault"
+	"bpms/internal/history"
+	"bpms/internal/resource"
+	"bpms/internal/storage"
+	"bpms/internal/timer"
+)
+
+// The committed fixtures of data dirs written before the current
+// formats: a JSON-era state dir with the answers its engine gave, and a
+// v1 history journal.
+const (
+	jsonStateFixture = "../engine/testdata/json-state"
+	v1JournalFixture = "../history/testdata/v1-journal"
+)
+
+// legacyDataDir assembles a single-shard data dir from the fixtures,
+// plus an older snapshot in the single-blob format that holds one JSON
+// state (recovery reads the newer snapshot; the upgrade rewrites both).
+func legacyDataDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(jsonStateFixture)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "answers.txt")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.CopyFS(filepath.Join(dir, "history"), os.DirFS(v1JournalFixture)); err != nil {
+		t.Fatal(err)
+	}
+	image := []byte(`{"definitions":[],"instances":[{"id":"flow-1","processId":"flow","status":1,"vars":{"n":{"t":"i","v":"1"}},` +
+		`"startedAt":"2026-02-03T04:05:06+05:30","endedAt":"2026-02-03T04:05:06+05:30"}]}`)
+	blob := make([]byte, 12, 12+len(image))
+	binary.LittleEndian.PutUint64(blob[0:8], 3)
+	binary.LittleEndian.PutUint32(blob[8:12], crc32.Checksum(image, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(filepath.Join(dir, "snapshots", fmt.Sprintf("snap-%020d.snap", 3)), append(blob, image...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// openLegacy opens a data dir written from the fixtures, over fsys.
+func openLegacy(t *testing.T, dir string, fsys fault.FS) (*BPMS, error) {
+	t.Helper()
+	return Open(Options{
+		DataDir: dir,
+		FS:      fsys,
+		Clock:   timer.NewVirtualClock(time.Date(2026, 2, 3, 4, 5, 6, 7000, time.FixedZone("", 5*3600+30*60))),
+		Users:   []resource.User{{ID: "carol", Roles: []string{"clerk"}}},
+	})
+}
+
+// renderCases spells out each case as the engine test that wrote the
+// fixture's answers.txt does.
+func renderCases(t *testing.T, b *BPMS) string {
+	t.Helper()
+	var out strings.Builder
+	for _, id := range b.Engine.Instances() {
+		v, err := b.Engine.Instance(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "%q %s %s\n", v.ID, v.ProcessID, v.Status)
+		for _, at := range []time.Time{v.StartedAt, v.EndedAt} {
+			fmt.Fprintf(&out, "  %s %q\n", at.Format(time.RFC3339Nano), at.Location())
+		}
+		keys := make([]string, 0, len(v.Vars))
+		for k := range v.Vars {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(&out, "  %q %s %s\n", k, v.Vars[k].Kind(), v.Vars[k])
+		}
+		for _, tok := range v.ActiveTokens {
+			fmt.Fprintf(&out, "  token %d %s %s\n", tok.ID, tok.Element, tok.Wait)
+		}
+	}
+	return out.String()
+}
+
+// renderEvents spells out every audit event, with its time's Location.
+func renderEvents(t *testing.T, events []*history.Event) string {
+	t.Helper()
+	var out strings.Builder
+	for _, e := range events {
+		data, err := json.Marshal(e.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "%d %q %s %q %q %q %q %q %q %q %s\n", e.Index, e.Type, e.Time.Format(time.RFC3339Nano),
+			e.Time.Location(), e.ProcessID, e.InstanceID, e.ElementID, e.Element, e.TaskID, e.Actor, data)
+	}
+	return out.String()
+}
+
+// v1Records is the number of records in the v1 journal fixture.
+const v1Records = 22
+
+// answers is what a system opened on a fixture dir answers: every case
+// and every audit event the fixture holds (each open appends the events
+// of the work items recovery re-issues).
+func answers(t *testing.T, b *BPMS) string {
+	t.Helper()
+	var events []*history.Event
+	err := b.History.All(func(e *history.Event) error {
+		if e.Index <= v1Records {
+			events = append(events, e)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return renderCases(t, b) + renderEvents(t, events)
+}
+
+// fixtureAnswers is what the fixtures answered before the upgrade: the
+// engine's answers.txt, and each v1 record as encoding/json reads it,
+// with an empty data object as none.
+func fixtureAnswers(t *testing.T) string {
+	t.Helper()
+	cases, err := os.ReadFile(filepath.Join(jsonStateFixture, "answers.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(v1JournalFixture)); err != nil {
+		t.Fatal(err)
+	}
+	j, err := storage.OpenFileJournal(dir, storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var events []*history.Event
+	err = j.Replay(1, func(index uint64, p []byte) error {
+		e := &history.Event{}
+		if err := json.Unmarshal(p, e); err != nil {
+			return err
+		}
+		e.Index = index
+		if len(e.Data) == 0 {
+			e.Data = nil
+		}
+		events = append(events, e)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(cases) + renderEvents(t, events)
+}
+
+// legacyRecords counts what remains of the older formats in a data dir:
+// state records neither binary nor a deployment, history records not v2,
+// and snapshots without the streaming magic.
+func legacyRecords(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	replay := func(sub string, current func(p []byte) bool) {
+		j, err := storage.OpenFileJournal(filepath.Join(dir, sub), storage.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		err = j.Replay(1, func(_ uint64, p []byte) error {
+			if !current(p) {
+				n++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	state := func(p []byte) bool { return p[0] == 0x02 || bytes.HasPrefix(p, []byte(`{"kind":"deploy",`)) }
+	replay("state", state)
+	replay("history", func(p []byte) bool { return p[0] == 0x02 })
+	snaps, err := filepath.Glob(filepath.Join(dir, "snapshots", "snap-*.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range snaps {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, []byte("BSN2")) {
+			n++
+			continue
+		}
+		for rest := data[12:]; len(rest) >= 8; {
+			size := binary.LittleEndian.Uint32(rest)
+			if !state(rest[8 : 8+size]) {
+				n++
+			}
+			rest = rest[8+size:]
+		}
+	}
+	return n
+}
+
+// TestUpgradeAtOpen: Open rewrites a data dir of the committed
+// fixtures, JSON-era states, a blob snapshot and a v1 history journal,
+// into the current formats and answers exactly what the fixtures
+// answered; FORMAT records it, and the next open rewrites nothing.
+func TestUpgradeAtOpen(t *testing.T) {
+	dir := legacyDataDir(t)
+	if n := legacyRecords(t, dir); n == 0 {
+		t.Fatal("the fixture dir holds no legacy record")
+	}
+	b, err := openLegacy(t, dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := b.Upgrade; u.Files != 4 || u.Records == 0 || u.Took <= 0 {
+		t.Errorf("upgrade report %+v, want 4 files rewritten: the WAL segment, two snapshots, the history segment", u)
+	}
+	want := fixtureAnswers(t)
+	if got := answers(t, b); got != want {
+		t.Errorf("upgraded dir answers\n%s\nthe fixtures answered\n%s", got, want)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := legacyRecords(t, dir); n != 0 {
+		t.Errorf("%d legacy records remain after the upgrade", n)
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, formatFile)); err != nil || string(data) != "2\n" {
+		t.Errorf("FORMAT = %q, %v", data, err)
+	}
+	b, err = openLegacy(t, dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if b.Upgrade != (UpgradeReport{}) {
+		t.Errorf("second open upgraded %+v", b.Upgrade)
+	}
+	if got := answers(t, b); got != want {
+		t.Errorf("second open answers\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestUpgradeFormatFile: a newer format is refused with an error naming
+// it; a FORMAT that is lost, empty or garbled costs one scan that
+// rewrites nothing, and is then written again.
+func TestUpgradeFormatFile(t *testing.T) {
+	dir := t.TempDir()
+	b, err := Open(Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, formatFile)
+	for _, content := range []string{"", "x\n", "-", "2"} {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, err := Open(Options{DataDir: dir})
+		if err != nil {
+			t.Fatalf("FORMAT %q: %v", content, err)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if b.Upgrade.Files != 0 {
+			t.Errorf("FORMAT %q: upgrade rewrote %d files", content, b.Upgrade.Files)
+		}
+		if data, _ := os.ReadFile(path); content != "2" && string(data) != "2\n" {
+			t.Errorf("FORMAT %q rewritten as %q", content, data)
+		}
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = Open(Options{DataDir: dir}); err != nil {
+		t.Fatalf("lost FORMAT: %v", err)
+	}
+	b.Close()
+	if err := os.WriteFile(path, []byte("3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Options{DataDir: dir}); err == nil || !strings.Contains(err.Error(), "format 3, newer") {
+		t.Errorf("newer format opened: %v", err)
+	}
+}
+
+var errInjected = errors.New("injected")
+
+// failingFS fails the failAt-th mutating operation (create, write,
+// fsync, rename, remove, truncate) and counts them all.
+type failingFS struct {
+	fault.FS
+	mu     sync.Mutex
+	ops    int
+	failAt int
+}
+
+func (f *failingFS) mutate(op, name string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.ops++
+	if f.ops == f.failAt {
+		return &fs.PathError{Op: op, Path: name, Err: errInjected}
+	}
+	return nil
+}
+
+func (f *failingFS) OpenFile(name string, flag int, perm fs.FileMode) (fault.File, error) {
+	if flag&os.O_CREATE != 0 {
+		if err := f.mutate("create", name); err != nil {
+			return nil, err
+		}
+	}
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &failingFile{File: file, fs: f}, nil
+}
+
+func (f *failingFS) Open(name string) (fault.File, error) {
+	file, err := f.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &failingFile{File: file, fs: f}, nil
+}
+
+func (f *failingFS) Rename(oldpath, newpath string) error {
+	if err := f.mutate("rename", newpath); err != nil {
+		return err
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
+func (f *failingFS) Remove(name string) error {
+	if err := f.mutate("remove", name); err != nil {
+		return err
+	}
+	return f.FS.Remove(name)
+}
+
+func (f *failingFS) Truncate(name string, size int64) error {
+	if err := f.mutate("truncate", name); err != nil {
+		return err
+	}
+	return f.FS.Truncate(name, size)
+}
+
+type failingFile struct {
+	fault.File
+	fs *failingFS
+}
+
+func (f *failingFile) Write(p []byte) (int, error) {
+	if err := f.fs.mutate("write", f.Name()); err != nil {
+		return 0, err
+	}
+	return f.File.Write(p)
+}
+
+func (f *failingFile) Sync() error {
+	if err := f.fs.mutate("fsync", f.Name()); err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
+// TestUpgradeCrashSafe fails Open of a legacy data dir at each of its
+// mutating operations in turn, the upgrade's and then the journals'.
+// Every reopen over the plain filesystem finishes the upgrade, answers
+// exactly what the fixtures answered, and leaves no legacy record.
+func TestUpgradeCrashSafe(t *testing.T) {
+	want := fixtureAnswers(t)
+	for n := 1; ; n++ {
+		dir := legacyDataDir(t)
+		fsys := &failingFS{FS: fault.OS, failAt: n}
+		b, err := openLegacy(t, dir, fsys)
+		if err == nil {
+			b.Close()
+			if n < 10 {
+				t.Fatalf("Open made only %d mutating operations", n-1)
+			}
+			t.Logf("Open makes %d mutating operations", n-1)
+			return
+		}
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("op %d: %v", n, err)
+		}
+		b, err = openLegacy(t, dir, nil)
+		if err != nil {
+			t.Fatalf("op %d failed, then reopen: %v", n, err)
+		}
+		got := answers(t, b)
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("op %d failed, then the reopened dir answers\n%s\nwant\n%s", n, got, want)
+		}
+		if left := legacyRecords(t, dir); left != 0 {
+			t.Fatalf("op %d failed, then %d legacy records remain after the reopen", n, left)
+		}
+	}
+}

@@ -9,10 +9,15 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+	"time"
+
+	"bpms/internal/expr"
+	"bpms/internal/fault"
+	"bpms/internal/storage"
 )
 
-// Writers of the formats data dirs hold from before the current ones,
-// so tests can build such a dir and hold the readers to it.
+// Writers of the formats data dirs held before the current ones, so
+// tests can build such a dir and hold the upgrade to it.
 
 // stateOf is the instState of inst, tokens in ID order.
 func stateOf(inst *Instance) *instState {
@@ -25,30 +30,49 @@ func stateOf(inst *Instance) *instState {
 	return st
 }
 
-// jsonState is the JSON state record the engine wrote before binary
-// records.
-func jsonState(inst *Instance) ([]byte, error) {
-	return json.Marshal(stateOf(inst))
+// jsonRecord is a JSON journal record: a deployment, or before binary
+// records an instance state in its envelope.
+type jsonRecord struct {
+	Kind  string          `json:"kind"`
+	State json.RawMessage `json:"state"`
 }
 
-// jsonStateRecord is jsonState in its journal envelope.
-func jsonStateRecord(inst *Instance) ([]byte, error) {
-	state, err := jsonState(inst)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(record{Kind: "instance", State: state})
+// jsonState is an instance state as JSON records held it.
+type jsonState struct {
+	ID        string                         `json:"id"`
+	ProcessID string                         `json:"processId"`
+	Status    Status                         `json:"status"`
+	Vars      map[string]expr.Value          `json:"vars"`
+	Tokens    []*Token                       `json:"tokens,omitempty"`
+	Joins     map[string]map[string][]uint64 `json:"joins,omitempty"`
+	StartedAt time.Time                      `json:"startedAt"`
+	EndedAt   time.Time                      `json:"endedAt,omitempty"`
 }
 
-// instanceOf is the Instance recovery builds from st, without the
-// definition a case needs only to run.
+// instanceOf is the Instance st describes, without the definition a
+// case needs only to run.
 func instanceOf(st *instState) *Instance {
 	inst := &Instance{ID: st.ID, ProcessID: st.ProcessID, Status: st.Status, Vars: st.Vars,
-		Tokens: map[uint64]*Token{}, Joins: st.Joins, StartedAt: st.StartedAt, EndedAt: st.EndedAt}
+		Tokens: make(map[uint64]*Token, len(st.Tokens)), Joins: st.Joins, StartedAt: st.StartedAt, EndedAt: st.EndedAt}
 	for _, tok := range st.Tokens {
 		inst.Tokens[tok.ID] = tok
 	}
 	return inst
+}
+
+// legacyState is the JSON state record the engine wrote before binary
+// records.
+func legacyState(inst *Instance) ([]byte, error) {
+	return json.Marshal((*jsonState)(stateOf(inst)))
+}
+
+// legacyStateRecord is legacyState in its journal envelope.
+func legacyStateRecord(inst *Instance) ([]byte, error) {
+	state, err := legacyState(inst)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(jsonRecord{Kind: "instance", State: state})
 }
 
 // writeBlobSnapshot writes a snapshot into a snapshot store's dir in the
@@ -63,4 +87,41 @@ func writeBlobSnapshot(t *testing.T, dir string, index uint64, image []byte) {
 	if err := os.WriteFile(name, append(buf, image...), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// downgradeDir rewrites the state dir under dir as engines wrote it
+// before binary records: every instance state a JSON envelope, in the
+// WAL and in each intact snapshot.
+func downgradeDir(t *testing.T, dir string) {
+	t.Helper()
+	downgrade := func(p []byte) ([]byte, error) {
+		if p[0] != stateV2 {
+			return nil, nil
+		}
+		st, err := parseState(p)
+		if err != nil {
+			return nil, err
+		}
+		return legacyStateRecord(instanceOf(st))
+	}
+	if _, err := storage.Upgrade(fault.OS, filepath.Join(dir, "state"), downgrade, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := storage.Upgrade(fault.OS, filepath.Join(dir, "snapshots"), downgrade, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// upgradeDirs runs Upgrade over a state journal's and a snapshot store's
+// dirs, as core.Open does.
+func upgradeDirs(dirs ...string) (storage.UpgradeStats, error) {
+	var st storage.UpgradeStats
+	for _, dir := range dirs {
+		s, err := Upgrade(fault.OS, dir)
+		if err != nil {
+			return st, err
+		}
+		st.Add(s)
+	}
+	return st, nil
 }

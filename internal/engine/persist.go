@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"bpms/internal/expr"
 	"bpms/internal/model"
@@ -24,33 +23,30 @@ import (
 // (a JSON envelope) or the complete state of one instance (a binary
 // record, state.go; last write wins on replay). A snapshot stores the
 // whole engine image so recovery can skip the journal prefix
-// (compaction via Journal.DropBefore).
+// (compaction via Journal.DropBefore). Upgrade (upgrade.go) rewrites a
+// data dir in an older format before it opens.
 
-// record is the JSON envelope of a deployment, and of an instance state
-// in journals and snapshots written before binary state records.
+// record is the JSON envelope of a deployment.
 type record struct {
-	Kind    string          `json:"kind"` // "deploy" | "instance"
-	Process *model.Process  `json:"process,omitempty"`
-	State   json.RawMessage `json:"state,omitempty"`
+	Kind    string         `json:"kind"` // "deploy"
+	Process *model.Process `json:"process,omitempty"`
 }
 
-// instState is a decoded instance state, and the JSON form state
-// records had before the binary one.
+// instState is a decoded instance state.
 type instState struct {
-	ID        string                         `json:"id"`
-	ProcessID string                         `json:"processId"`
-	Status    Status                         `json:"status"`
-	Vars      map[string]expr.Value          `json:"vars"`
-	Tokens    []*Token                       `json:"tokens,omitempty"`
-	Joins     map[string]map[string][]uint64 `json:"joins,omitempty"`
-	StartedAt time.Time                      `json:"startedAt"`
-	EndedAt   time.Time                      `json:"endedAt,omitempty"`
+	ID        string
+	ProcessID string
+	Status    Status
+	Vars      map[string]expr.Value
+	Tokens    []*Token
+	Joins     map[string]map[string][]uint64
+	StartedAt time.Time
+	EndedAt   time.Time
 }
 
 // archived is a finished case kept as its final record: identity and
 // status for listings, and the state record persistInstance journaled
-// (or recovery read; JSON in a data dir written before binary records),
-// decoded again only when a read needs it.
+// (or recovery read), decoded again only when a read needs it.
 type archived struct {
 	processID string
 	status    Status
@@ -58,85 +54,11 @@ type archived struct {
 }
 
 // finishedRec is a finished case as recovery reads it: its own copy of
-// the state record, with id and processID aliasing it where the fast
-// path found them.
+// the state record, with id and processID aliasing it.
 type finishedRec struct {
 	id, processID []byte
 	status        Status
 	state         []byte
-}
-
-// readFinishedHead reads a finished case's identity where it lies: a
-// binary record's head, or the {"id":"…","processId":"…","status":N,
-// head the JSON encoder wrote, with neither string needing an escape
-// and N a terminal status. Any other layout is left to the decoder
-// (nil).
-func readFinishedHead(state []byte) *finishedRec {
-	if _, _, status, _, ok := readStateHead(state); ok {
-		if status == StatusActive {
-			return nil
-		}
-		own := bytes.Clone(state)
-		id, pid, _, _, _ := readStateHead(own)
-		return &finishedRec{id: id, processID: pid, status: status, state: own}
-	}
-	const idKey, pidKey = `{"id":"`, `,"processId":"`
-	id, rest, ok := plainField(state, idKey)
-	if !ok {
-		return nil
-	}
-	pid, rest, ok := plainField(rest, pidKey)
-	if !ok {
-		return nil
-	}
-	rest, ok = bytes.CutPrefix(rest, []byte(`,"status":`))
-	if !ok || len(rest) < 2 || rest[1] != ',' {
-		return nil
-	}
-	status := Status(rest[0] - '0')
-	if status <= StatusActive || status > StatusFaulted {
-		return nil
-	}
-	own := bytes.Clone(state)
-	idAt := len(idKey)
-	pidAt := idAt + len(id) + len(`"`) + len(pidKey)
-	return &finishedRec{id: own[idAt : idAt+len(id)], processID: own[pidAt : pidAt+len(pid)],
-		status: status, state: own}
-}
-
-// plainField cuts key off b and splits the rest at its first '"' when
-// every byte before it reads as itself in JSON: no escape, no control
-// byte, valid UTF-8.
-func plainField(b []byte, key string) (s, rest []byte, ok bool) {
-	b, ok = bytes.CutPrefix(b, []byte(key))
-	i := bytes.IndexByte(b, '"')
-	if !ok || i < 0 || !utf8.Valid(b[:i]) {
-		return nil, nil, false
-	}
-	for _, c := range b[:i] {
-		if c < 0x20 || c == '\\' {
-			return nil, nil, false
-		}
-	}
-	return b[:i], b[i+1:], true
-}
-
-// decodeState reads one instance state, binary or JSON: a finished case
-// is kept as its bytes (undecoded when readFinishedHead reads it), a
-// live one decodes to an *instState.
-func decodeState(state []byte) (any, error) {
-	if f := readFinishedHead(state); f != nil {
-		return f, nil
-	}
-	st, err := parseState(state)
-	if err != nil {
-		return nil, err
-	}
-	if st.Status == StatusActive {
-		return st, nil
-	}
-	return &finishedRec{id: []byte(st.ID), processID: []byte(st.ProcessID),
-		status: st.Status, state: bytes.Clone(state)}, nil
 }
 
 // restoreInstance rebuilds an Instance from its journaled state: how
@@ -153,13 +75,6 @@ func restoreInstance(st *instState, def *model.Process) *Instance {
 		inst.Tokens[tok.ID] = tok
 	}
 	return inst
-}
-
-// snapshotImage is the legacy single-blob snapshot, still read by
-// recover so data dirs written in that format open.
-type snapshotImage struct {
-	Definitions []*model.Process  `json:"definitions"`
-	Instances   []json.RawMessage `json:"instances"`
 }
 
 // appendRecord writes one journal record, waiting for the durability
@@ -183,22 +98,16 @@ var recordBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// encodeRecord wraps an already-encoded JSON payload in the journal
-// record envelope {"kind":<kind>,<field>:<payload>} without
-// re-marshalling the payload the way json.Marshal(record{...}) did
-// (which walked every byte of it twice). The caller must return the
-// buffer via recordBufPool.Put once the append returns.
-func encodeRecord(kind, field string, payload []byte) *[]byte {
+// encodeDeploy wraps an already-encoded process definition in the
+// deploy record envelope {"kind":"deploy","process":<def>} without
+// re-marshalling it the way json.Marshal(record{...}) would (which
+// walks every byte of it twice). The caller must return the buffer via
+// recordBufPool.Put once the append returns.
+func encodeDeploy(def []byte) *[]byte {
 	bp := recordBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	buf = append(buf, `{"kind":"`...)
-	buf = append(buf, kind...)
-	buf = append(buf, `","`...)
-	buf = append(buf, field...)
-	buf = append(buf, `":`...)
-	buf = append(buf, payload...)
-	buf = append(buf, '}')
-	*bp = buf
+	buf := append((*bp)[:0], `{"kind":"deploy","process":`...)
+	buf = append(buf, def...)
+	*bp = append(buf, '}')
 	return bp
 }
 
@@ -236,7 +145,7 @@ func (e *Engine) persistDeploy(p *model.Process) error {
 	if err != nil {
 		return err
 	}
-	bp := encodeRecord("deploy", "process", data)
+	bp := encodeDeploy(data)
 	_, err = e.appendRecord(*bp)
 	recordBufPool.Put(bp)
 	if err != nil {
@@ -376,8 +285,7 @@ func (e *Engine) snapshotContents() (index uint64, defs []*model.Process, cases 
 // Snapshot writes a point-in-time engine image covering the journal
 // index read when it began, then drops the covered journal prefix. Each
 // live instance is locked just long enough to encode it, an archived
-// case's final record is written as is (a JSON one, from a data dir
-// written before binary records, in its envelope), and every record is
+// case's final record is written as is, and every record is
 // streamed straight to the snapshot writer, so memory stays bounded by
 // one instance's state rather than the total image. Instances mutated
 // concurrently are still written — possibly with post-index state —
@@ -409,16 +317,12 @@ func (e *Engine) Snapshot() error {
 		}
 		return err
 	}
-	appendEnvelope := func(kind, field string, payload []byte) error {
-		ep := encodeRecord(kind, field, payload)
-		err := appendRec(*ep)
-		recordBufPool.Put(ep)
-		return err
-	}
 	for _, def := range defs {
 		data, err := json.Marshal(def)
 		if err == nil {
-			err = appendEnvelope("deploy", "process", data)
+			ep := encodeDeploy(data)
+			err = appendRec(*ep)
+			recordBufPool.Put(ep)
 		}
 		if err != nil {
 			w.Abort()
@@ -435,10 +339,8 @@ func (e *Engine) Snapshot() error {
 			if err == nil {
 				err = appendRec(*bp)
 			}
-		case c.state[0] == stateV2:
-			err = appendRec(c.state)
 		default:
-			err = appendEnvelope("instance", "state", c.state)
+			err = appendRec(c.state)
 		}
 		if err != nil {
 			w.Abort()
@@ -457,40 +359,37 @@ func (e *Engine) Snapshot() error {
 	return nil
 }
 
-// decodeRecoveryRecord decodes one record (from a streaming snapshot or
-// the journal) into its recovered form: a compiled *model.Process, an
-// *instState, or a *finishedRec. Safe for concurrent use; the payload is
-// not retained past the call.
+// decodeRecoveryRecord decodes one record (from a snapshot or the
+// journal) into its recovered form: a compiled *model.Process, the
+// *instState of a live case, or a *finishedRec, a finished case kept as
+// its bytes, undecoded but for its head. Safe for concurrent use; the
+// payload is not retained past the call.
 func decodeRecoveryRecord(payload []byte) (any, error) {
-	if len(payload) > 0 && payload[0] == stateV2 {
-		return decodeState(payload)
+	if _, _, status, _, ok := readStateHead(payload); ok && status != StatusActive {
+		own := bytes.Clone(payload)
+		id, pid, _, _, _ := readStateHead(own)
+		return &finishedRec{id: id, processID: pid, status: status, state: own}, nil
 	}
-	// An instance record as encodeRecord wrote it: the state is the
-	// rest of the envelope, read where it lies. A state that does not
-	// decode (so may not end where the envelope does) is left to the
-	// envelope decoder below, as is every other spelling.
-	const instanceHead = `{"kind":"instance","state":`
-	if n := len(payload); n > len(instanceHead) && payload[n-1] == '}' && string(payload[:len(instanceHead)]) == instanceHead {
-		if v, err := decodeState(payload[len(instanceHead) : n-1]); err == nil {
-			return v, nil
+	if len(payload) > 0 && payload[0] == stateV2 {
+		st, err := parseState(payload)
+		if err != nil {
+			return nil, err
 		}
+		return st, nil
 	}
 	var rec record
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return nil, fmt.Errorf("engine: decode journal record: %w", err)
 	}
-	switch rec.Kind {
-	case "deploy":
-		rec.Process.Index()
-		if err := rec.Process.Compile(); err != nil {
-			return nil, fmt.Errorf("engine: compile recovered definition %q: %w", rec.Process.ID, err)
-		}
-		return rec.Process, nil
-	case "instance":
-		return decodeState(rec.State)
-	default:
-		return nil, fmt.Errorf("engine: unknown journal record kind %q", rec.Kind)
+	if rec.Kind != "deploy" || rec.Process == nil {
+		return nil, fmt.Errorf("engine: journal record of kind %q is neither a deployment nor a binary instance state "+
+			"(data dirs written before binary states are upgraded when core.Open opens them)", rec.Kind)
 	}
+	rec.Process.Index()
+	if err := rec.Process.Compile(); err != nil {
+		return nil, fmt.Errorf("engine: compile recovered definition %q: %w", rec.Process.ID, err)
+	}
+	return rec.Process, nil
 }
 
 // errSnapshotDecodeAborted stops Snapshot.Iterate early once a decode
@@ -613,33 +512,9 @@ func (e *Engine) recover() error {
 			return fmt.Errorf("engine: read snapshot: %w", err)
 		}
 		if sn != nil {
-			switch {
-			case sn.Legacy:
-				// One record carrying the whole blob image.
-				err = sn.Iterate(func(data []byte) error {
-					var img snapshotImage
-					if err := json.Unmarshal(data, &img); err != nil {
-						return fmt.Errorf("engine: decode snapshot: %w", err)
-					}
-					for _, def := range img.Definitions {
-						def.Index()
-						if err := def.Compile(); err != nil {
-							return fmt.Errorf("engine: compile snapshot definition %q: %w", def.ID, err)
-						}
-						defs[def.ID] = def
-					}
-					for _, raw := range img.Instances {
-						v, err := decodeState(raw)
-						if err != nil {
-							return fmt.Errorf("engine: decode snapshot instance: %w", err)
-						}
-						merge(v)
-					}
-					return nil
-				})
-			case workers <= 1:
+			if workers <= 1 {
 				err = sn.Iterate(decodeMerge)
-			default:
+			} else {
 				err = loadSnapshotParallel(sn, workers, merge)
 			}
 			if err != nil {

@@ -12,28 +12,32 @@ import (
 	"bpms/internal/storage"
 )
 
-// TestEncodeRecordMatchesMarshal proves the pooled envelope writer
-// produces exactly what json.Marshal(record{...}) produced, so
+// TestEncodeRecordMatchesMarshal proves the pooled deploy envelope
+// writer produces exactly what json.Marshal(record{...}) produces, so
 // journals written before and after the zero-copy change replay
 // interchangeably.
 func TestEncodeRecordMatchesMarshal(t *testing.T) {
-	state := []byte(`{"id":"i-1","processId":"p","status":1,"vars":{}}`)
-	bp := encodeRecord("instance", "state", state)
+	p := model.Sequence(2)
+	def, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := encodeDeploy(def)
 	got := string(*bp)
 	recordBufPool.Put(bp)
-	want, err := json.Marshal(record{Kind: "instance", State: state})
+	want, err := json.Marshal(record{Kind: "deploy", Process: p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != string(want) {
 		t.Errorf("envelope mismatch:\n got %s\nwant %s", got, want)
 	}
-	var rec record
-	if err := json.Unmarshal([]byte(got), &rec); err != nil {
+	v, err := decodeRecoveryRecord([]byte(got))
+	if err != nil {
 		t.Fatalf("decode envelope: %v", err)
 	}
-	if rec.Kind != "instance" || string(rec.State) != string(state) {
-		t.Errorf("decoded record: kind=%q state=%s", rec.Kind, rec.State)
+	if d, ok := v.(*model.Process); !ok || d.ID != p.ID {
+		t.Errorf("decoded record: %+v", v)
 	}
 }
 
@@ -96,31 +100,34 @@ func TestPersistRoundTripThroughEnvelope(t *testing.T) {
 	}
 }
 
-// decodeRecordViaEnvelope is decodeRecoveryRecord as it was before the
-// instance fast path: the envelope, then the state out of a RawMessage.
-func decodeRecordViaEnvelope(t *testing.T, payload []byte) any {
+// upgradeJournal copies j, each record as Upgrade rewrites it.
+func upgradeJournal(t *testing.T, j storage.Journal) storage.Journal {
 	t.Helper()
-	var rec record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		t.Fatalf("envelope %s: %v", payload, err)
+	out := storage.NewMemJournal()
+	err := j.Replay(1, func(_ uint64, p []byte) error {
+		rec, err := upgradeRecord(p)
+		if err != nil {
+			return err
+		}
+		if rec == nil {
+			rec = p
+		}
+		_, err = out.Append(rec)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rec.Kind != "instance" {
-		return rec.Kind
-	}
-	st := &instState{}
-	if err := json.Unmarshal(rec.State, st); err != nil {
-		t.Fatalf("state %s: %v", rec.State, err)
-	}
-	return st
+	return out
 }
 
 // TestRecoveryDecodeFastPathMatchesEnvelope writes a journal with the
 // engine's encoder and turns it into the journal the JSON encoder wrote
-// (json.Marshal(record{…}) around the instance's JSON state), then
-// holds the in-place decode of those JSON records to the envelope decode
-// record by record, and recoveries from the binary records, the JSON
-// ones and the JSON ones re-spelled so that only the fallback reads
-// them to one another.
+// (json.Marshal(record{…}) around the instance's JSON state), and into
+// one with the same records re-spelled (indented). Neither opens as it
+// is. Upgraded, each record decodes to the case the envelope decode of
+// its JSON reads, and both journals recover to exactly the instances
+// the binary one does.
 func TestRecoveryDecodeFastPathMatchesEnvelope(t *testing.T) {
 	j := storage.NewMemJournal()
 	e, err := New(Config{Journal: j})
@@ -156,58 +163,38 @@ func TestRecoveryDecodeFastPathMatchesEnvelope(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if payload, err = jsonStateRecord(instanceOf(st)); err != nil {
+			if payload, err = legacyStateRecord(instanceOf(st)); err != nil {
 				return err
+			}
+			instances++
+			var env jsonRecord
+			var js jsonState
+			if err := json.Unmarshal(payload, &env); err != nil {
+				return err
+			}
+			if err := json.Unmarshal(env.State, &js); err != nil {
+				return err
+			}
+			rec, err := upgradeRecord(payload)
+			if err != nil {
+				return err
+			}
+			got, err := decodeCase(rec)
+			if err != nil {
+				return err
+			}
+			if a, b := renderState(got), renderState(instanceOf((*instState)(&js))); a != b {
+				t.Errorf("upgraded %s decodes to\n%s\nthe envelope to\n%s", payload, a, b)
 			}
 		}
 		if _, err := legacy.Append(payload); err != nil {
-			return err
-		}
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return err
-		}
-		// The pre-envelope-writer encoder, and two spellings the fast
-		// path must leave to the fallback.
-		marshalled, err := json.Marshal(rec)
-		if err != nil {
 			return err
 		}
 		var indented bytes.Buffer
 		if err := json.Indent(&indented, payload, "", " "); err != nil {
 			return err
 		}
-		forms := [][]byte{payload, marshalled, indented.Bytes()}
-		if rec.Kind == "instance" {
-			instances++
-			if string(marshalled) != string(payload) {
-				t.Errorf("json.Marshal(record) = %s, journal holds %s", marshalled, payload)
-			}
-			forms = append(forms, []byte(`{"state":`+string(rec.State)+`,"kind":"instance"}`))
-			want := decodeRecordViaEnvelope(t, payload)
-			for _, form := range forms {
-				got, err := decodeRecoveryRecord(form)
-				if err != nil {
-					t.Fatalf("decode %s: %v", form, err)
-				}
-				if f, ok := got.(*finishedRec); ok {
-					// A finished case is kept as its state bytes, which
-					// must decode to the same state it is filed under.
-					st := &instState{}
-					if err := json.Unmarshal(f.state, st); err != nil {
-						t.Fatalf("archived state %s: %v", f.state, err)
-					}
-					if string(f.id) != st.ID || string(f.processID) != st.ProcessID || f.status != st.Status {
-						t.Errorf("archived %s/%s/%s, state says %s/%s/%s", f.id, f.processID, f.status, st.ID, st.ProcessID, st.Status)
-					}
-					got = st
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("decode %s:\n got %+v\nwant %+v", form, got, want)
-				}
-			}
-		}
-		_, err = respelled.Append(indented.Bytes())
+		_, err := respelled.Append(indented.Bytes())
 		return err
 	})
 	if err != nil {
@@ -216,16 +203,21 @@ func TestRecoveryDecodeFastPathMatchesEnvelope(t *testing.T) {
 	if instances == 0 {
 		t.Fatal("no instance records written")
 	}
+	for _, old := range []storage.Journal{legacy, respelled} {
+		if _, err := New(Config{Journal: old}); err == nil {
+			t.Fatal("a journal of JSON instance records opened without an upgrade")
+		}
+	}
 
 	bin, err := New(Config{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := New(Config{Journal: legacy})
+	fast, err := New(Config{Journal: upgradeJournal(t, legacy)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := New(Config{Journal: respelled})
+	slow, err := New(Config{Journal: upgradeJournal(t, respelled)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +239,7 @@ func TestRecoveryDecodeFastPathMatchesEnvelope(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(fv, sv) || !reflect.DeepEqual(fv, bv) {
-			t.Errorf("instance %s recovered differently:\n fast %+v\n slow %+v\n binary %+v", id, fv, sv, bv)
+			t.Errorf("instance %s recovered differently:\n JSON %+v\n re-spelled %+v\n binary %+v", id, fv, sv, bv)
 		}
 		if !fv.Vars["amount"].Equal(expr.Int(4200)) || fv.Vars["amount"].Kind() != expr.KindInt {
 			t.Errorf("instance %s: amount = %v", id, fv.Vars["amount"])

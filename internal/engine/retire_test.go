@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,39 +19,48 @@ import (
 	"bpms/internal/storage"
 )
 
-// TestReadFinishedHead pins which finished records recovery archives
-// without decoding, and that every other spelling decodes to the same
-// identity.
+// TestReadFinishedHead pins what recovery archives without decoding: a
+// finished case's binary record, its identity read from the head where
+// it lies; a live case decodes whole. A JSON state, in any spelling, is
+// refused: only Upgrade reads those.
 func TestReadFinishedHead(t *testing.T) {
-	for _, c := range []struct {
-		state, id string
-		fast      bool
-	}{
-		{`{"id":"p-1","processId":"p","status":1,"vars":{}}`, "p-1", true},
-		{`{"id":"zoë-2","processId":"p","status":3,"vars":{},"tokens":[{"id":4,"elem":"x"}]}`, "zoë-2", true},
-		{`{"id":"a\u0026b-3","processId":"p","status":2,"vars":{}}`, "a&b-3", false},
-		{`{"processId":"p","id":"p-4","status":1,"vars":{}}`, "p-4", false},
-		{`{"id":"p-5","processId":"p","status": 1,"vars":{}}`, "p-5", false},
-		{"{\"id\":\"p\xff-6\",\"processId\":\"p\",\"status\":1,\"vars\":{}}", "p�-6", false},
+	t0 := time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC)
+	for _, inst := range []*Instance{
+		{ID: "p-1", ProcessID: "p", Status: StatusCompleted, StartedAt: t0, EndedAt: t0},
+		{ID: "zoë-2", ProcessID: "p", Status: StatusFaulted, Tokens: map[uint64]*Token{4: {ID: 4, Elem: "x"}}},
+		{ID: `a"b-3`, ProcessID: "p", Status: StatusCancelled},
 	} {
-		if got := readFinishedHead([]byte(c.state)) != nil; got != c.fast {
-			t.Errorf("%s: read in place = %v, want %v", c.state, got, c.fast)
-		}
-		v, err := decodeState([]byte(c.state))
+		rec, err := encodeInstance(nil, inst)
 		if err != nil {
-			t.Fatalf("%s: %v", c.state, err)
+			t.Fatal(err)
+		}
+		v, err := decodeRecoveryRecord(rec)
+		if err != nil {
+			t.Fatalf("%s: %v", inst.ID, err)
 		}
 		f, ok := v.(*finishedRec)
-		if !ok || string(f.id) != c.id || string(f.processID) != "p" || !bytes.Equal(f.state, []byte(c.state)) {
-			t.Errorf("%s: decoded %+v", c.state, v)
+		if !ok || string(f.id) != inst.ID || string(f.processID) != "p" || f.status != inst.Status || !bytes.Equal(f.state, rec) {
+			t.Errorf("%s: decoded %+v", inst.ID, v)
+		}
+		if rec[len(rec)-1]++; f != nil && bytes.Equal(f.state, rec) {
+			t.Errorf("%s: the archived record aliases the payload", inst.ID)
 		}
 	}
-	if v, err := decodeState([]byte(`{"id":"p-7","processId":"p","status":0,"vars":{}}`)); err != nil || v.(*instState).ID != "p-7" {
+	live, err := encodeInstance(nil, &Instance{ID: "p-7", ProcessID: "p", Status: StatusActive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := decodeRecoveryRecord(live); err != nil || v.(*instState).ID != "p-7" {
 		t.Errorf("live state decoded to %+v, %v", v, err)
 	}
-	// A raw control byte is not JSON: refused, not archived.
-	if v, err := decodeState([]byte("{\"id\":\"p\x01-8\",\"processId\":\"p\",\"status\":1,\"vars\":{}}")); err == nil {
-		t.Errorf("control byte in id decoded to %+v", v)
+	for _, state := range []string{
+		`{"id":"p-1","processId":"p","status":1,"vars":{}}`,
+		`{"processId":"p","id":"p-4","status":1,"vars":{}}`,
+		`{"id":"p-7","processId":"p","status":0,"vars":{}}`,
+	} {
+		if v, err := decodeRecoveryRecord([]byte(state)); err == nil {
+			t.Errorf("JSON state %s decoded to %+v", state, v)
+		}
 	}
 }
 
@@ -295,8 +306,10 @@ func checkArchiveReencodes(t *testing.T, e *Engine) {
 }
 
 // TestLegacyBlobSnapshotOpens writes a snapshot in the single-blob
-// format the engine no longer writes, and recovers from it: live cases
-// rebuilt and re-armed, finished ones archived.
+// format engines wrote before streaming snapshots, beside a journal
+// compacted past it. The engine refuses the dir, naming the gap; once
+// Upgrade rewrote the blob, it recovers from it: live cases rebuilt and
+// re-armed, finished ones archived.
 func TestLegacyBlobSnapshotOpens(t *testing.T) {
 	f := newFixture(t)
 	p := model.New("held").Start("s").UserTask("work", model.Assignee("bob")).End("e").
@@ -313,7 +326,10 @@ func TestLegacyBlobSnapshotOpens(t *testing.T) {
 			}
 		}
 	}
-	img := snapshotImage{}
+	var img struct {
+		Definitions []*model.Process  `json:"definitions"`
+		Instances   []json.RawMessage `json:"instances"`
+	}
 	for _, id := range f.e.Definitions() {
 		def, _ := f.e.Definition(id)
 		img.Definitions = append(img.Definitions, def)
@@ -324,7 +340,7 @@ func TestLegacyBlobSnapshotOpens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := jsonState(inst)
+		data, err := legacyState(inst)
 		inst.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
@@ -336,12 +352,35 @@ func TestLegacyBlobSnapshotOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	snaps, err := storage.OpenSnapshotStore(dir, 2)
+	stateDir, snapDir := filepath.Join(dir, "state"), filepath.Join(dir, "snapshots")
+	snaps, err := storage.OpenSnapshotStore(snapDir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeBlobSnapshot(t, dir, 1, blob)
-	e2, err := New(Config{Journal: storage.NewMemJournal(), Snapshots: snaps, Tasks: f.tasks})
+	writeBlobSnapshot(t, snapDir, 1, blob)
+	// The journal after compaction: its active segment starts past the
+	// snapshot's index.
+	if err := os.MkdirAll(stateDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stateDir, "wal-00000000000000000002.log"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	open := func() (*Engine, error) {
+		j, err := storage.OpenFileJournal(stateDir, storage.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { j.Close() })
+		return New(Config{Journal: j, Snapshots: snaps, Tasks: f.tasks})
+	}
+	if _, err := open(); err == nil || !strings.Contains(err.Error(), "recovery needs it from") {
+		t.Fatalf("a blob snapshot dir opened without an upgrade: %v", err)
+	}
+	if st, err := upgradeDirs(stateDir, snapDir); err != nil || st.Files != 1 || st.Records != 2+len(want) {
+		t.Fatalf("upgrade = %+v, %v; want the snapshot rewritten as %d records", st, err, 2+len(want))
+	}
+	e2, err := open()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,8 @@ import (
 )
 
 // Instance state records. encodeInstance writes the binary record
-// below; state journals and snapshots written before it hold the JSON
-// envelope {"kind":"instance","state":<instState JSON>} instead, which
-// the readers still take (see decodeRecoveryRecord and parseState). The
-// first byte tells them apart: stateV2 starts no JSON value.
+// below; the first byte tells it from a deploy record, since stateV2
+// starts no JSON value.
 //
 //	stateV2
 //	ID, ProcessID           uvarint length + bytes each
@@ -82,8 +80,10 @@ func readStateHead(p []byte) (id, processID []byte, status Status, next int, ok 
 
 var errMalformedState = errors.New("engine: decode instance state: malformed binary record")
 
-// decodeBinaryState decodes a whole binary record.
-func decodeBinaryState(p []byte) (*instState, error) {
+// parseState decodes a whole instance state record, refusing one with a
+// null token (no encoder writes it, and rebuilding the case would
+// dereference it).
+func parseState(p []byte) (*instState, error) {
 	id, pid, status, i, ok := readStateHead(p)
 	if !ok {
 		return nil, errMalformedState
@@ -110,28 +110,9 @@ func decodeBinaryState(p []byte) (*instState, error) {
 	if err := json.Unmarshal(p[i:], &tail); err != nil {
 		return nil, fmt.Errorf("engine: decode instance state: %w", err)
 	}
-	st.Tokens, st.Joins = tail.Tokens, tail.Joins
-	return st, nil
-}
-
-// parseState decodes one instance state, binary or JSON, refusing one
-// with a null token (no encoder writes it, and rebuilding the case
-// would dereference it).
-func parseState(state []byte) (*instState, error) {
-	var st *instState
-	if len(state) > 0 && state[0] == stateV2 {
-		var err error
-		if st, err = decodeBinaryState(state); err != nil {
-			return nil, err
-		}
-	} else {
-		st = &instState{}
-		if err := json.Unmarshal(state, st); err != nil {
-			return nil, fmt.Errorf("engine: decode instance state: %w", err)
-		}
-	}
-	if slices.Contains(st.Tokens, nil) {
+	if slices.Contains(tail.Tokens, nil) {
 		return nil, fmt.Errorf("engine: decode instance state %s: null token", st.ID)
 	}
+	st.Tokens, st.Joins = tail.Tokens, tail.Joins
 	return st, nil
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unicode/utf8"
 
 	"bpms/internal/expr"
 	"bpms/internal/model"
@@ -50,8 +49,8 @@ func renderState(inst *Instance) string {
 	return b.String()
 }
 
-// decodeCase decodes a state record (binary or JSON, bare or in its
-// envelope) to the Instance a read of it rebuilds.
+// decodeCase decodes a state record to the Instance a read of it
+// rebuilds.
 func decodeCase(rec []byte) (*Instance, error) {
 	v, err := decodeRecoveryRecord(rec)
 	if err != nil {
@@ -111,25 +110,33 @@ func sampleCases() []*Instance {
 	}
 }
 
-// checkBinaryMatchesJSON encodes inst both ways and holds the two
-// decodes to one answer.
+// checkBinaryMatchesJSON encodes inst as a binary record and as the
+// JSON record engines wrote before, which Upgrade transcodes, and holds
+// the two decodes to one answer.
 func checkBinaryMatchesJSON(t *testing.T, inst *Instance) {
 	t.Helper()
 	bin, err := encodeInstance(nil, inst)
 	if err != nil {
 		t.Fatalf("%s: binary encode: %v", inst.ID, err)
 	}
-	js, err := jsonStateRecord(inst)
+	js, err := legacyStateRecord(inst)
 	if err != nil {
 		t.Fatalf("%s: JSON encode: %v", inst.ID, err)
+	}
+	if _, err := decodeCase(js); err == nil {
+		t.Fatalf("%s: the JSON record decodes without an upgrade", inst.ID)
+	}
+	upgraded, err := upgradeRecord(js)
+	if err != nil {
+		t.Fatalf("%s: upgrade: %v", inst.ID, err)
 	}
 	fromBin, err := decodeCase(bin)
 	if err != nil {
 		t.Fatalf("%s: binary decode: %v", inst.ID, err)
 	}
-	fromJSON, err := decodeCase(js)
+	fromJSON, err := decodeCase(upgraded)
 	if err != nil {
-		t.Fatalf("%s: JSON decode: %v", inst.ID, err)
+		t.Fatalf("%s: upgraded JSON decode: %v", inst.ID, err)
 	}
 	if a, b := renderState(fromBin), renderState(fromJSON); a != b {
 		t.Errorf("%s decodes differently:\nbinary %s\nJSON   %s", inst.ID, a, b)
@@ -137,7 +144,8 @@ func checkBinaryMatchesJSON(t *testing.T, inst *Instance) {
 }
 
 // TestStateBinaryMatchesJSON holds a state encoded as a binary record
-// and as the JSON record it replaces to the same decoded case, with
+// and as the JSON record it replaces, upgraded, to the same decoded
+// case, with
 // Local set to a zone of its own so the Location rule's three branches
 // (UTC, Local, an unnamed fixed zone) all show.
 func TestStateBinaryMatchesJSON(t *testing.T) {
@@ -170,7 +178,7 @@ func TestStateBinaryKeepsWhatJSONCannot(t *testing.T) {
 	inst := &Instance{ID: "odd-\xff", ProcessID: "p", Status: StatusCompleted, Vars: map[string]expr.Value{
 		"nan": expr.Float(math.NaN()), "inf": expr.Float(math.Inf(1)), "ninf": expr.Float(math.Inf(-1)),
 		"bytes\xfe": expr.String("\xff\xfe")}}
-	if _, err := jsonState(inst); err == nil {
+	if _, err := legacyState(inst); err == nil {
 		t.Fatal("JSON encoded NaN")
 	}
 	bin, err := encodeInstance(nil, inst)
@@ -202,6 +210,8 @@ func TestStateDecodeDeclines(t *testing.T) {
 		"tail not object": append(good[:head:head], '['),
 		"tail not JSON":   append(good[:head:head], "{nope"...),
 		"null token":      append(good[:head:head], `{"tokens":[null]}`...),
+		"JSON envelope":   []byte(`{"kind":"instance","state":{"id":"p-1","processId":"p","status":1,"vars":{}}}`),
+		"null deploy":     []byte(`{"kind":"deploy","process":null}`),
 	} {
 		if v, err := decodeRecoveryRecord(rec); err == nil {
 			t.Errorf("%s: decoded %+v", name, v)
@@ -210,21 +220,19 @@ func TestStateDecodeDeclines(t *testing.T) {
 }
 
 // FuzzDecodeState holds the state decoder, on any record, to: no panic;
-// decode ∘ encode ∘ decode ≡ decode (but for a time in Local at offset
-// 0, which only a JSON spelling the JSON encoder never wrote, "+00:00",
-// decodes to, and either encoder turns into UTC); and, for a state JSON represents
-// faithfully (finite floats, valid UTF-8, whole-minute zone offsets),
-// binary ≡ JSON: the decoded case encoded both ways decodes to one
-// answer. The seed corpus under testdata/fuzz/FuzzDecodeState holds
-// records TestRetirementEquivalence writes (WAL and snapshot), records
-// from data dirs written before binary records, and damaged ones.
+// a record neither binary nor a deployment is declined; and decode ∘
+// encode ∘ decode ≡ decode (but for a time in Local at offset 0, which
+// the binary encoder turns into UTC). The seed corpus under
+// testdata/fuzz/FuzzDecodeState holds records TestRetirementEquivalence
+// writes (WAL and snapshot), JSON records from data dirs written before
+// binary records, and damaged ones.
 func FuzzDecodeState(f *testing.F) {
 	for _, inst := range sampleCases() {
 		bin, err := encodeInstance(nil, inst)
 		if err != nil {
 			f.Fatal(err)
 		}
-		js, err := jsonStateRecord(inst)
+		js, err := legacyStateRecord(inst)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -235,6 +243,9 @@ func FuzzDecodeState(f *testing.F) {
 		inst, err := decodeCase(rec)
 		if err != nil {
 			return
+		}
+		if rec[0] != stateV2 {
+			t.Fatalf("decoded %q, which is not a binary record, to\n%s", rec, renderState(inst))
 		}
 		bin, err := encodeInstance(nil, inst)
 		if err != nil {
@@ -247,9 +258,6 @@ func FuzzDecodeState(f *testing.F) {
 		if a, b := renderState(again), renderState(inst); a != b && !localAtZero(inst) {
 			t.Fatalf("decode∘encode∘decode\n%s\n≠ decode\n%s", a, b)
 		}
-		if jsonFaithful(inst) {
-			checkBinaryMatchesJSON(t, inst)
-		}
 	})
 }
 
@@ -260,49 +268,6 @@ func localAtZero(inst *Instance) bool {
 		}
 	}
 	return false
-}
-
-// jsonFaithful reports whether the JSON state record carries inst
-// without loss: it encodes (finite floats, years 0 to 9999, offsets
-// under a day), every string is valid UTF-8, and both times are at
-// whole-minute offsets (RFC 3339 drops offset seconds).
-func jsonFaithful(inst *Instance) bool {
-	if _, err := jsonState(inst); err != nil {
-		return false
-	}
-	for _, t := range []time.Time{inst.StartedAt, inst.EndedAt} {
-		if _, off := t.Zone(); off%60 != 0 {
-			return false
-		}
-	}
-	ok := utf8.ValidString(inst.ID) && utf8.ValidString(inst.ProcessID)
-	for k, v := range inst.Vars {
-		ok = ok && utf8.ValidString(k) && valueFaithful(v)
-	}
-	return ok
-}
-
-func valueFaithful(v expr.Value) bool {
-	switch v.Kind() {
-	case expr.KindString:
-		s, _ := v.AsString()
-		return utf8.ValidString(s)
-	case expr.KindList:
-		l, _ := v.AsList()
-		for _, e := range l {
-			if !valueFaithful(e) {
-				return false
-			}
-		}
-	case expr.KindMap:
-		m, _ := v.AsMap()
-		for k, e := range m {
-			if !utf8.ValidString(k) || !valueFaithful(e) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // TestInfiniteVariablePersists: a script that overflows to +Inf used to

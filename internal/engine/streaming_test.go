@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -290,6 +291,63 @@ func TestSnapshotUnderLoadLosesNoAckedStart(t *testing.T) {
 	}
 	if total < snapshots*(starters+1) {
 		t.Fatalf("only %d starts were acknowledged; the window stayed empty", total)
+	}
+}
+
+// TestLegacyDamagedSnapshotGapRefused is TestDamagedSnapshotGapRefused
+// on a dir written before binary records: Upgrade rewrites the journal
+// and the intact snapshot but leaves the damaged newest one as it is,
+// and recovery then refuses to open, naming the gap, as it does on a
+// current dir.
+func TestLegacyDamagedSnapshotGapRefused(t *testing.T) {
+	dir := t.TempDir()
+	e, j := openStreamingFixture(t, dir, Config{})
+	if err := e.Deploy(model.Sequence(3)); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{100, 200} {
+		for i := 0; i < n; i++ {
+			if _, err := e.StartInstance("seq-3", map[string]any{"n": i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	downgradeDir(t, dir)
+	newest := filepath.Join(dir, "snapshots", fmt.Sprintf("snap-%020d.snap", 301))
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := upgradeDirs(filepath.Join(dir, "state"), filepath.Join(dir, "snapshots"))
+	if err != nil || st.Files < 2 {
+		t.Fatalf("upgrade = %+v, %v; want the journal and the older snapshot rewritten", st, err)
+	}
+	if after, _ := os.ReadFile(newest); !bytes.Equal(after, data) {
+		t.Error("the upgrade rewrote the damaged snapshot")
+	}
+	j2, err := storage.OpenFileJournal(filepath.Join(dir, "state"), storage.Options{SegmentSize: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	sn, err := storage.OpenSnapshotStore(filepath.Join(dir, "snapshots"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e2, err := New(Config{Journal: j2, Snapshots: sn}); err == nil {
+		t.Fatalf("recovered %d of 300 cases without an error", len(e2.Instances()))
+	} else if !strings.Contains(err.Error(), "recovery needs it from") {
+		t.Fatalf("error does not name the gap: %v", err)
 	}
 }
 

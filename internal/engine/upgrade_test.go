@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -55,10 +56,22 @@ func upgradeVars(n int) map[string]any {
 // openUpgradeDir opens an engine on the state dir under dir.
 func openUpgradeDir(t *testing.T, dir string, clock timer.Clock) (*Engine, *storage.FileJournal, *task.Service) {
 	t.Helper()
+	e, j, tasks, err := tryOpenUpgradeDir(t, dir, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, j, tasks
+}
+
+// tryOpenUpgradeDir is openUpgradeDir returning New's error; the
+// journal is closed when the test ends.
+func tryOpenUpgradeDir(t *testing.T, dir string, clock timer.Clock) (*Engine, *storage.FileJournal, *task.Service, error) {
+	t.Helper()
 	j, err := storage.OpenFileJournal(filepath.Join(dir, "state"), storage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { j.Close() })
 	snaps, err := storage.OpenSnapshotStore(filepath.Join(dir, "snapshots"), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -69,10 +82,10 @@ func openUpgradeDir(t *testing.T, dir string, clock timer.Clock) (*Engine, *stor
 	e, err := New(Config{Journal: j, Snapshots: snaps, Tasks: tasks, Clock: clock,
 		Timers: timer.NewWheelService(time.Millisecond, 64)})
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, nil, err
 	}
 	e.RegisterHandler(model.NoopHandler, func(TaskContext) (map[string]expr.Value, error) { return nil, nil })
-	return e, j, tasks
+	return e, j, tasks, nil
 }
 
 // renderCases spells out what a client reads of each case: identity,
@@ -105,10 +118,12 @@ func renderCases(t *testing.T, e *Engine) string {
 	return b.String()
 }
 
-// TestJSONStateDirOpens opens the JSON-era fixture and holds it to the
-// answers the engine that wrote it gave; then appends binary records to
-// it, finishing the live case and starting new ones, and reopens the
-// mixed dir, from its journal and again from a snapshot over it.
+// TestJSONStateDirOpens: the JSON-era fixture does not open as it is.
+// Upgraded, it answers as the engine that wrote it did, and a second
+// upgrade rewrites nothing. Then binary records go on top, finishing
+// the live case and starting new ones, and the dir reopens alike from
+// its journal and again from a snapshot over it, which holds binary
+// records only.
 func TestJSONStateDirOpens(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join(jsonStateDir, "answers.txt"))
 	if err != nil {
@@ -119,6 +134,16 @@ func TestJSONStateDirOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := timer.NewVirtualClock(time.Date(2026, 2, 3, 4, 5, 6, 7000, upgradeZone))
+	stateDir, snapDir := filepath.Join(dir, "state"), filepath.Join(dir, "snapshots")
+	if _, _, _, err := tryOpenUpgradeDir(t, dir, clock); err == nil {
+		t.Fatal("the JSON-era dir opened without an upgrade")
+	}
+	if st, err := upgradeDirs(stateDir, snapDir); err != nil || st.Files != 2 || st.Records == 0 {
+		t.Fatalf("upgrade = %+v, %v; want the segment and the snapshot rewritten", st, err)
+	}
+	if st, err := upgradeDirs(stateDir, snapDir); err != nil || st != (storage.UpgradeStats{}) {
+		t.Fatalf("second upgrade = %+v, %v; want nothing rewritten", st, err)
+	}
 	e, j, tasks := openUpgradeDir(t, dir, clock)
 	if got := renderCases(t, e); got != string(want) {
 		t.Fatalf("JSON-era dir reopens as\n%s\nthe engine that wrote it answered\n%s", got, want)
@@ -160,8 +185,8 @@ func TestJSONStateDirOpens(t *testing.T) {
 	if got := renderCases(t, e2); got != mixed {
 		t.Errorf("mixed dir reopens as\n%s\nwant\n%s", got, mixed)
 	}
-	// A snapshot writes the archived JSON records as they are, the new
-	// ones in binary; the dir then reopens from it alone.
+	// A snapshot writes every case as a binary record; the dir then
+	// reopens from it alone.
 	if err := e2.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +206,8 @@ func TestJSONStateDirOpens(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if kinds["json"] != 3 || kinds["binary"] != 3 {
-		t.Errorf("snapshot holds %v instance records, want the 3 JSON-era finished ones as they were and 3 binary", kinds)
+	if kinds["json"] != 0 || kinds["binary"] != 6 {
+		t.Errorf("snapshot holds %v instance records, want 6 binary", kinds)
 	}
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
@@ -195,4 +220,70 @@ func TestJSONStateDirOpens(t *testing.T) {
 	if n := e3.ArchivedCount(); n != 6 {
 		t.Errorf("%d cases archived, want 6", n)
 	}
+}
+
+// checkUpgradeRecord is the transcoder contract, on any record: no
+// panic; a record it keeps is binary or not an instance envelope; a
+// record it transcodes decodes, to the case encoding/json reads from
+// the envelope's state (but for a time in Local at offset 0, which the
+// binary encoder turns into UTC).
+func checkUpgradeRecord(t *testing.T, rec []byte) {
+	t.Helper()
+	out, err := upgradeRecord(rec)
+	if err != nil {
+		return
+	}
+	var env jsonRecord
+	if out == nil {
+		if len(rec) > 0 && rec[0] != stateV2 && (json.Unmarshal(rec, &env) != nil || env.Kind == "instance") {
+			t.Fatalf("upgrade kept %q", rec)
+		}
+		return
+	}
+	got, err := decodeCase(out)
+	if err != nil {
+		t.Fatalf("upgrade of %q gives %x, which does not decode: %v", rec, out, err)
+	}
+	var st jsonState
+	if err := json.Unmarshal(rec, &env); err != nil || env.Kind != "instance" {
+		t.Fatalf("upgrade transcoded %q, which is no instance envelope (%v)", rec, err)
+	}
+	if err := json.Unmarshal(env.State, &st); err != nil {
+		t.Fatalf("upgrade transcoded %q, whose state encoding/json rejects: %v", rec, err)
+	}
+	want := instanceOf((*instState)(&st))
+	if a, b := renderState(got), renderState(want); a != b && !localAtZero(want) {
+		t.Fatalf("upgrade of %q decodes to\n%s\nencoding/json reads\n%s", rec, a, b)
+	}
+}
+
+// FuzzUpgradeRecord holds the instance state transcoder to
+// checkUpgradeRecord, seeded with the JSON and binary records of the
+// sample cases, a deployment and damaged envelopes.
+func FuzzUpgradeRecord(f *testing.F) {
+	for _, inst := range sampleCases() {
+		js, err := legacyStateRecord(inst)
+		if err != nil {
+			f.Fatal(err)
+		}
+		bin, err := encodeInstance(nil, inst)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(js)
+		f.Add(bin)
+	}
+	for _, s := range []string{
+		`{"kind":"deploy","process":{"id":"p"}}`,
+		`{"kind":"instance"}`,
+		`{"kind":"instance","state":null}`,
+		`{"kind":"instance","state":{"id":"p-1","tokens":[null]}}`,
+		`{"kind":"instance","state":{"id":"p-1","processId":"p","status":7}}`,
+		`{"state":{"id":"p-1","processId":"p","status":9,"vars":{"a":{"b":[1,"x",null]}}},"kind":"instance"}`,
+		`{"kind":"instance","state":{"id":"p-1","startedAt":"2026-01-02T03:04:05+00:00"}}`,
+		`[]`, ``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(checkUpgradeRecord)
 }

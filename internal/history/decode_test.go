@@ -32,9 +32,10 @@ var allEventTypes = []EventType{
 	VariableSet, IncidentRaised, SLAViolation,
 }
 
-// referenceDecode is the oracle DecodeEvent must agree with: for a v1
-// record, encoding/json, which read every journal before the
-// single-pass decoder; for a v2 record, referenceDecodeV2.
+// referenceDecode is the oracle the decoders are held to: for a v2
+// record, referenceDecodeV2; for a v1 record, the JSON encoding of an
+// Event that journals held before v2, encoding/json, which read every
+// journal before v2 and which Upgrade transcodes through.
 func referenceDecode(payload []byte) (*Event, error) {
 	if len(payload) > 0 && payload[0] == recordV2 {
 		return referenceDecodeV2(payload)
@@ -116,87 +117,36 @@ func referenceDecodeV2(p []byte) (*Event, error) {
 	return e, nil
 }
 
-// checkDecodeAgainstReference is the decoder contract, on any input. A
-// payload marked v2 keeps checkV2Contract. For any other, the v1
-// contract: the fast path declines or returns what encoding/json
-// returns; peek declines or returns the type and instance of a record
-// that decodes; DecodeEvent succeeds exactly when encoding/json does
-// and counts as a fallback exactly when the fast path declined; and an
-// event that decodes survives Encode → DecodeEvent.
+// checkDecodeAgainstReference is the decoder contract, on any input: a
+// payload marked v2 keeps checkV2Contract; any other, a v1 record
+// among them, is declined by DecodeEvent and peekEvent alike.
 func checkDecodeAgainstReference(t *testing.T, payload []byte) {
 	t.Helper()
 	if len(payload) > 0 && payload[0] == recordV2 {
 		checkV2Contract(t, payload)
 		return
 	}
-	ref, refErr := referenceDecode(payload)
-	fast, fastOK := decodeFast(payload)
-	if fastOK {
-		if refErr != nil {
-			t.Fatalf("fast path accepted what encoding/json rejects (%v): %q", refErr, payload)
-		}
-		if !reflect.DeepEqual(fast, ref) {
-			t.Fatalf("fast path disagrees on %q:\n got %+v\nwant %+v", payload, fast, ref)
-		}
+	if e, err := DecodeEvent(payload); err == nil {
+		t.Fatalf("DecodeEvent accepted %q, which is not a v2 record: %+v", payload, e)
 	}
-	if typ, inst, ok := peekEvent(payload); ok && refErr == nil {
-		if string(typ) != string(ref.Type) || string(inst) != ref.InstanceID {
-			t.Fatalf("peek of %q = (%q, %q), want (%q, %q)", payload, typ, inst, ref.Type, ref.InstanceID)
-		}
-	}
-	got, fallback, err := decodeEvent(payload)
-	if (err == nil) != (refErr == nil) {
-		t.Fatalf("DecodeEvent(%q) error = %v, encoding/json error = %v", payload, err, refErr)
-	}
-	if fallback == fastOK {
-		t.Fatalf("decode of %q: fallback = %v, fast path took it = %v", payload, fallback, fastOK)
-	}
-	if err != nil {
-		return
-	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatalf("DecodeEvent disagrees on %q:\n got %+v\nwant %+v", payload, got, ref)
-	}
-	enc, err := ref.Encode()
-	if err != nil {
-		return // Data that decoded but cannot be marshalled again does not exist; be lenient
-	}
-	back, err := DecodeEvent(enc)
-	if err != nil {
-		t.Fatalf("re-encoded %q as %q, which fails to decode: %v", payload, enc, err)
-	}
-	// A v2 record stores no index (the journal position is the index),
-	// and the same instant may come back in another Location: a JSON
-	// "+00:00" is read as Local or an unnamed zone, a zero offset in v2
-	// as UTC. The encoder also omits an empty data object.
-	if !back.Time.Equal(ref.Time) {
-		t.Fatalf("round trip of %q moved the time: %v → %v", payload, ref.Time, back.Time)
-	}
-	back.Time, back.Index = ref.Time, ref.Index
-	if len(ref.Data) == 0 {
-		back.Data = ref.Data
-	}
-	if !reflect.DeepEqual(back, ref) {
-		t.Fatalf("round trip of %q via %q:\n got %+v\nwant %+v", payload, enc, back, ref)
+	if _, _, err := peekEvent(payload); err == nil {
+		t.Fatalf("peek accepted %q, which is not a v2 record", payload)
 	}
 }
 
-// checkV2Contract is the decoder contract on a payload marked v2: it
-// never reaches encoding/json; peek succeeds, with the decoded type and
-// instance, whenever decode does, and otherwise only when decode
-// rejected a value inside well-formed data (a number out of range);
-// where the reference reads the record too, the two agree; and a
-// decoded event re-encodes to a record that decodes to the same event.
+// checkV2Contract is the decoder contract on a payload marked v2: peek
+// succeeds, with the decoded type and instance, whenever decode does,
+// and otherwise only when decode rejected a value inside well-formed
+// data (a number out of range); where the reference reads the record
+// too, the two agree; and a decoded event re-encodes to a record that
+// decodes to the same event.
 func checkV2Contract(t *testing.T, payload []byte) {
 	t.Helper()
-	got, fallback, err := decodeEvent(payload)
-	if fallback {
-		t.Fatalf("v2 record %q went to encoding/json", payload)
-	}
-	typ, inst, peeked := peekEvent(payload)
+	got, err := DecodeEvent(payload)
+	typ, inst, perr := peekEvent(payload)
 	if err != nil {
-		if peeked {
-			r, _ := scanRecord(payload)
+		if perr == nil {
+			r, _ := scan(payload)
 			var m map[string]any
 			if r.data == nil || json.Unmarshal(r.data, &m) == nil {
 				t.Fatalf("peek accepted %q, which fails to decode: %v", payload, err)
@@ -204,13 +154,13 @@ func checkV2Contract(t *testing.T, payload []byte) {
 		}
 		return
 	}
-	if !peeked || string(typ) != string(got.Type) || string(inst) != got.InstanceID {
-		t.Fatalf("peek of %q = (%q, %q, %v), decode gives (%q, %q)", payload, typ, inst, peeked, got.Type, got.InstanceID)
+	if perr != nil || string(typ) != string(got.Type) || string(inst) != got.InstanceID {
+		t.Fatalf("peek of %q = (%q, %q, %v), decode gives (%q, %q)", payload, typ, inst, perr, got.Type, got.InstanceID)
 	}
 	if ref, err := referenceDecodeV2(payload); err == nil && !reflect.DeepEqual(got, ref) {
 		t.Fatalf("DecodeEvent disagrees with the reference on %q:\n got %+v\nwant %+v", payload, got, ref)
 	}
-	enc, err := got.Encode()
+	enc, err := AppendEncode(nil, got)
 	if err != nil {
 		t.Fatalf("decoded %q to %+v, which does not encode: %v", payload, got, err)
 	}
@@ -249,7 +199,7 @@ func seedEvents() []*Event {
 // still decode. None may panic the scanner.
 func v2Variants(t testing.TB) (bad, odd map[string][]byte) {
 	t.Helper()
-	base, err := (&Event{Type: TaskCreated, Time: ts(1), InstanceID: "i-1"}).Encode()
+	base, err := AppendEncode(nil, &Event{Type: TaskCreated, Time: ts(1), InstanceID: "i-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +241,7 @@ func decodeSeeds(t testing.TB) [][]byte {
 	var seeds [][]byte
 	var full [2][]byte // the all-fields event, v2 and v1
 	for _, e := range seedEvents() {
-		v2, err := e.Encode()
+		v2, err := AppendEncode(nil, e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +255,7 @@ func decodeSeeds(t testing.TB) [][]byte {
 		}
 	}
 	for _, s := range []string{
-		// Layouts encoding/json reads and the fast path must decline.
+		// v1 layouts encoding/json reads, and v1 records it rejects.
 		`{"time":"2026-06-01T12:00:00Z","type":"task.created","instanceId":"i-1"}`,
 		`{"type":"task.created","time":"2026-06-01T12:00:00Z","elementId":"e","instanceId":"i-1"}`,
 		`{"type":"task.created","time":"2026-06-01T12:00:00Z","instanceId":"i-1","instanceId":"i-2"}`,
@@ -352,29 +302,26 @@ func decodeSeeds(t testing.TB) [][]byte {
 	return seeds
 }
 
+// TestDecodeEventMatchesEncodingJSON: v2 records decode as the
+// reference reads them, through the RFC 3339 text of their time; every
+// v1 record, in any layout encoding/json reads, is declined, and
+// decodes once Upgrade has transcoded it.
 func TestDecodeEventMatchesEncodingJSON(t *testing.T) {
 	for _, seed := range decodeSeeds(t) {
 		checkDecodeAgainstReference(t, seed)
+		checkUpgradeRecord(t, seed)
 	}
-	for i, e := range seedEvents() {
-		// What the encoder writes is a v2 record, whatever the fields.
-		v2, _ := e.Encode()
-		if _, ok := decodeFast(v2); !ok {
-			t.Errorf("the encoder's own output %q does not decode", v2)
+	for _, e := range seedEvents() {
+		v2, _ := AppendEncode(nil, e)
+		if _, err := DecodeEvent(v2); err != nil {
+			t.Errorf("the encoder's own output %q does not decode: %v", v2, err)
 		}
-		if _, _, ok := peekEvent(v2); !ok {
-			t.Errorf("peek declined the encoder's own output %q", v2)
-		}
-		// What the v1 encoder wrote for a plain event takes the fast path.
-		if i >= len(allEventTypes) {
-			continue
+		if _, _, err := peekEvent(v2); err != nil {
+			t.Errorf("peek declined the encoder's own output %q: %v", v2, err)
 		}
 		v1, _ := json.Marshal(e)
-		if _, ok := decodeFast(v1); !ok {
-			t.Errorf("fast path declined the v1 record %q", v1)
-		}
-		if _, _, ok := peekEvent(v1); !ok {
-			t.Errorf("peek declined the v1 record %q", v1)
+		if _, err := DecodeEvent(v1); !errors.Is(err, errNotV2) {
+			t.Errorf("DecodeEvent of the v1 record %q: %v, want %v", v1, err, errNotV2)
 		}
 	}
 	bad, odd := v2Variants(t)
@@ -415,7 +362,7 @@ func TestV2DecodesLikeV1(t *testing.T) {
 			t.Fatal(err)
 		}
 		want.Index = 0
-		v2, err := e.Encode()
+		v2, err := AppendEncode(nil, e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,13 +376,13 @@ func TestV2DecodesLikeV1(t *testing.T) {
 	}
 
 	e := &Event{Type: TaskCreated, Time: ts(1), InstanceID: "i-\xff", Actor: "a\xffb"}
-	v2, _ := e.Encode()
+	v2, _ := AppendEncode(nil, e)
 	got, err := DecodeEvent(v2)
 	if err != nil || got.InstanceID != e.InstanceID || got.Actor != e.Actor {
 		t.Errorf("v2 decode of invalid UTF-8 = %+v, %v; want the bytes kept", got, err)
 	}
-	if _, inst, ok := peekEvent(v2); !ok || string(inst) != e.InstanceID {
-		t.Errorf("peek of invalid UTF-8 = %q, %v; want the bytes decode keeps", inst, ok)
+	if _, inst, err := peekEvent(v2); err != nil || string(inst) != e.InstanceID {
+		t.Errorf("peek of invalid UTF-8 = %q, %v; want the bytes decode keeps", inst, err)
 	}
 	v1, _ := json.Marshal(e)
 	if ref, err := referenceDecode(v1); err != nil || ref.Actor != "a\ufffdb" {
@@ -482,7 +429,7 @@ func referenceStore(t *testing.T, journals []storage.Journal, window int) (s *St
 
 // TestRecoverWindowEquivalence reopens seeded journals of sizes around
 // the window edge and holds the store NewStriped builds — count-only
-// prefix, single-pass decoder — to the reference, state and answers.
+// prefix, in-place peek — to the reference, state and answers.
 func TestRecoverWindowEquivalence(t *testing.T) {
 	const w = 16
 	sizes := []int{0, 1, w - 1, w, w + 1, 2 * w, 4*w - 1, 4 * w, 4*w + 1, 40 * w}
@@ -623,78 +570,24 @@ func residentRecords(st *stripe) [][]byte {
 }
 
 // TestPeekAllocatesNothing: the count-only replay and EventsOf's skip
-// read a record's type and instance where they lie, in either format.
+// read a record's type and instance where they lie.
 func TestPeekAllocatesNothing(t *testing.T) {
 	for _, e := range []*Event{
 		{Type: ElementCompleted, Time: ts(1), ProcessID: "order", InstanceID: "order-1", ElementID: "approve"},
 		{Type: ElementCompleted, Time: ts(2), InstanceID: "zoë-1", Data: map[string]any{"routing": true}},
 		{Type: "custom.type", Time: ts(3), InstanceID: "order-2"},
 	} {
-		v2, err := e.Encode()
+		payload, err := AppendEncode(nil, e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1, err := json.Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, payload := range [][]byte{v2, v1} {
-			allocs := testing.AllocsPerRun(100, func() {
-				if typ, inst, ok := peekEvent(payload); !ok || string(inst) != e.InstanceID || string(typ) != string(e.Type) {
-					t.Fatalf("peek of %q = %q, %q, %v", payload, typ, inst, ok)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("peek of %q allocates %.0f times", payload, allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if typ, inst, err := peekEvent(payload); err != nil || string(inst) != e.InstanceID || string(typ) != string(e.Type) {
+				t.Fatalf("peek of %q = %q, %q, %v", payload, typ, inst, err)
 			}
+		})
+		if allocs != 0 {
+			t.Errorf("peek of %q allocates %.0f times", payload, allocs)
 		}
-	}
-}
-
-// TestDecodeFallbackIsCounted: a v1 record outside the canonical layout
-// still decodes, on every replay path, and each time shows in the
-// stripe's fallback counter; v2 records never do, whatever they hold.
-func TestDecodeFallbackIsCounted(t *testing.T) {
-	j := storage.NewMemJournal()
-	for i, rec := range []struct {
-		e  *Event
-		v1 bool
-	}{
-		{&Event{Type: TaskOffered, Time: ts(1), InstanceID: "i-1", Element: "Approve \"big\" order"}, true}, // escaped
-		{&Event{Type: TaskAllocated, Time: ts(2), InstanceID: "i-1", Element: "Approve \"big\" order", Actor: "alice"}, false},
-		{&Event{Type: TaskCompleted, Time: ts(3), InstanceID: "i-2"}, true}, // canonical
-		{&Event{Type: InstanceCompleted, Time: ts(4), InstanceID: "i-2"}, false},
-	} {
-		payload, err := rec.e.Encode()
-		if rec.v1 {
-			payload, err = json.Marshal(rec.e)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := j.Append(payload); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-	}
-	m := obs.New()
-	fallbacks := m.HistoryStripe(0).Fallback
-	s, err := NewStriped([]storage.Journal{j}, StoreOptions{Window: 2, Sync: true, Metrics: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fallbacks.Value(); got != 1 { // the count-only prefix met the escaped record
-		t.Errorf("fallbacks after open = %d, want 1", got)
-	}
-	if evs := s.EventsOf("i-1"); len(evs) != 2 || evs[0].Element != "Approve \"big\" order" || evs[1].Element != evs[0].Element {
-		t.Errorf("EventsOf(i-1) = %v", evs)
-	}
-	if got := fallbacks.Value(); got != 2 {
-		t.Errorf("fallbacks after EventsOf = %d, want 2", got)
-	}
-	if err := s.All(func(*Event) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if got := fallbacks.Value(); got != 3 {
-		t.Errorf("fallbacks after All = %d, want 3", got)
 	}
 }

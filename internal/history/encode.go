@@ -6,8 +6,7 @@ import (
 	"bpms/internal/binrec"
 )
 
-// recordV2 starts every record AppendEncode writes; decode.go also
-// reads the v1 JSON records journals held before v2.
+// recordV2 starts every record AppendEncode writes.
 const recordV2 = 0x02
 
 // eventTypes is the type code table: code i+1 is eventTypes[i]. The

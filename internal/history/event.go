@@ -73,12 +73,6 @@ type Event struct {
 	Data       map[string]any `json:"data,omitempty"`
 }
 
-// Encode serialises the event for journal storage (the append-style
-// encoder the store's committers use, starting from a fresh buffer).
-func (e *Event) Encode() ([]byte, error) {
-	return AppendEncode(nil, e)
-}
-
 // String renders a compact human-readable form for logs and CLIs.
 func (e *Event) String() string {
 	s := fmt.Sprintf("[%s] %s", e.Time.Format(time.RFC3339), e.Type)

@@ -20,7 +20,7 @@ func TestEventCodec(t *testing.T) {
 		TaskID: "t-9", Actor: "alice",
 		Data: map[string]any{"amount": 150.0},
 	}
-	payload, err := e.Encode()
+	payload, err := AppendEncode(nil, e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,9 +45,7 @@ import (
 // nothing. Every record is read; its type and instance ID are peeked
 // where they lie to bump the cumulative counters, and the last `window`
 // records are copied into the resident window as they are (see replay).
-// Reads decode in a single pass, the v2 records AppendEncode writes and
-// the v1 JSON records of older journals alike (decode.go); a v1 record
-// in any other layout encoding/json reads still decodes, through it.
+// A journal holding a record that is not v2 does not open (decode.go).
 //
 // Queries barrier on the async pipeline: every event enqueued before
 // the query call is indexed before the query reads, preserving the
@@ -76,7 +74,7 @@ type StoreOptions struct {
 	// time (the simulator) use this to avoid background goroutines.
 	Sync bool
 	// Metrics, when set, instruments each stripe's queue depth and
-	// enqueue-to-commit latency and counts its decode fallbacks.
+	// enqueue-to-commit latency.
 	Metrics *obs.Metrics
 }
 
@@ -237,13 +235,9 @@ func (st *stripe) replay() error {
 	}
 	types, insts, prefix, total := tally{}, tally{}, 0, 0
 	err := st.journal.Replay(1, func(index uint64, payload []byte) error {
-		typ, inst, ok := peekEvent(payload)
-		if !ok {
-			e, err := st.decode(payload)
-			if err != nil {
-				return err
-			}
-			typ, inst = []byte(e.Type), []byte(e.InstanceID)
+		typ, inst, err := peekEvent(payload)
+		if err != nil {
+			return fmt.Errorf("history: replay record %d: %w", index, err)
 		}
 		types.add(typ)
 		if len(inst) > 0 {
@@ -280,16 +274,6 @@ func (st *stripe) instanceKey(inst []byte) string {
 		return r.id
 	}
 	return string(inst)
-}
-
-// decode is DecodeEvent for the stripe's reads and replays; it counts
-// the v1 records that needed encoding/json.
-func (st *stripe) decode(payload []byte) (*Event, error) {
-	e, fallback, err := decodeEvent(payload)
-	if fallback {
-		st.metrics.Fallback.Inc()
-	}
-	return e, err
 }
 
 // Stripes returns the stripe count.
@@ -503,16 +487,9 @@ func (st *stripe) keepLocked(index uint64, rec []byte, inst string) {
 // eviction allocates nothing.
 func (st *stripe) evictLocked() {
 	index, rec := st.res.first, st.res.oldest()
-	// The window kept only records peek or decode accepted, so the
-	// layout scan suffices; a v1 record outside the single-pass layout
-	// is decoded.
-	fields, scanned := scan(rec)
+	// The window keeps only records peek accepted, so scan does too.
+	fields, _ := scan(rec)
 	inst := fields.strs[instanceField]
-	if !scanned {
-		if e, err := st.decode(rec); err == nil {
-			inst = []byte(e.InstanceID)
-		}
-	}
 	if r, ok := st.byInstance[string(inst)]; ok && len(inst) > 0 && r.indexes[0] == index {
 		if len(r.indexes) == 1 {
 			delete(st.byInstance, r.id)
@@ -600,7 +577,7 @@ func (s *Store) EventsOf(instanceID string) []*Event {
 		ram = make([]*Event, 0, len(indexes))
 	}
 	for _, index := range indexes {
-		e, err := st.decode(st.res.at(index))
+		e, err := DecodeEvent(st.res.at(index))
 		if err != nil {
 			bad = fmt.Errorf("history: decode resident event %d of %s: %w", index, instanceID, err)
 			continue
@@ -627,15 +604,12 @@ func (s *Store) EventsOf(instanceID string) []*Event {
 			return errStopReplay
 		}
 		// Other instances' records are skipped undecoded.
-		if _, inst, ok := peekEvent(payload); ok && string(inst) != instanceID {
+		if _, inst, err := peekEvent(payload); err == nil && string(inst) != instanceID {
 			return nil
 		}
-		e, derr := st.decode(payload)
+		e, derr := DecodeEvent(payload)
 		if derr != nil {
 			return derr
-		}
-		if e.InstanceID != instanceID {
-			return nil
 		}
 		e.Index = index
 		out = append(out, e)
@@ -669,7 +643,7 @@ func (s *Store) All(fn func(*Event) error) error {
 				if res.first != 0 && index >= res.first {
 					return errStopReplay
 				}
-				e, derr := st.decode(payload)
+				e, derr := DecodeEvent(payload)
 				if derr != nil {
 					return derr
 				}
@@ -681,7 +655,7 @@ func (s *Store) All(fn func(*Event) error) error {
 			}
 		}
 		for i, loc := range res.recs {
-			e, err := st.decode(res.record(loc))
+			e, err := DecodeEvent(res.record(loc))
 			if err != nil {
 				return err
 			}

@@ -218,7 +218,7 @@ func TestPerformanceMining(t *testing.T) {
 	if acts["B"].Count != 2 || acts["B"].Sojourn.Mean() != 60 {
 		t.Errorf("B stats = %+v", acts["B"])
 	}
-	if acts["A"].Sojourn.Count() != 0 {
+	if acts["A"].Sojourn.n != 0 {
 		t.Errorf("A (trace-initial) should have no sojourn samples")
 	}
 }

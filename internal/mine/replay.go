@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"bpms/internal/history"
-	"bpms/internal/metrics"
 )
 
 // Conformance aggregates token-replay counters over a log. Fitness is
@@ -112,14 +111,14 @@ type ActivityStat struct {
 	// Sojourn is the time from the previous event in the trace to this
 	// activity's completion (a proxy for activity duration in
 	// completion-only logs).
-	Sojourn metrics.Summary
+	Sojourn RunningMean
 }
 
 // CaseStat summarises case-level performance.
 type CaseStat struct {
 	Cases     int
-	CycleTime metrics.Summary
-	Events    metrics.Summary
+	CycleTime RunningMean
+	Events    RunningMean
 }
 
 // Performance computes per-activity and per-case statistics.

@@ -16,7 +16,6 @@ const (
 	MetricWALFsync         = "bpms_wal_fsync_seconds"
 	MetricHistoryCommit    = "bpms_history_commit_seconds"
 	MetricHistoryQueue     = "bpms_history_queue_depth"
-	MetricHistoryFallback  = "bpms_history_decode_fallback_total"
 	MetricRecovery         = "bpms_recovery_seconds"
 	MetricTaskOp           = "bpms_task_op_seconds"
 	MetricTaskItems        = "bpms_task_items"
@@ -142,10 +141,6 @@ type HistoryStripeMetrics struct {
 	// Depth tracks the stripe queue depth (enqueued, not yet
 	// committed).
 	Depth *Gauge
-	// Fallback counts journal records a replay (boot, or a query below
-	// the resident window) decoded through encoding/json because they
-	// were not in the encoder's canonical layout.
-	Fallback *Counter
 }
 
 // HistoryStripe returns the handles for stripe i.
@@ -159,8 +154,6 @@ func (m *Metrics) HistoryStripe(i int) HistoryStripeMetrics {
 			"History event enqueue-to-commit latency by stripe.", nil, "stripe", stripe),
 		Depth: m.registry.Gauge(MetricHistoryQueue,
 			"History pipeline queue depth by stripe.", "stripe", stripe),
-		Fallback: m.registry.Counter(MetricHistoryFallback,
-			"History journal records decoded by the encoding/json fallback, by stripe.", "stripe", stripe),
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"bpms/internal/engine"
 	"bpms/internal/expr"
 	"bpms/internal/history"
-	"bpms/internal/metrics"
 	"bpms/internal/model"
 	"bpms/internal/resource"
 	"bpms/internal/storage"
@@ -58,12 +57,12 @@ type Result struct {
 	// Started and Completed count case arrivals and case completions.
 	Started, Completed, Faulted int
 	// CycleTime is case duration (arrival to completion), seconds.
-	CycleTime *metrics.Reservoir
+	CycleTime *Reservoir
 	// WaitTime is work-item queueing delay (creation to service
 	// start), seconds.
-	WaitTime *metrics.Reservoir
+	WaitTime *Reservoir
 	// ServiceTime is sampled work durations, seconds.
-	ServiceTime *metrics.Reservoir
+	ServiceTime *Reservoir
 	// Busy accumulates per-resource busy seconds (utilisation =
 	// busy / makespan).
 	Busy map[string]float64
@@ -200,9 +199,9 @@ func New(cfg Config) (*Simulator, error) {
 		}
 	}
 	s.res = &Result{
-		CycleTime:   metrics.NewReservoir(0, cfg.Seed+1),
-		WaitTime:    metrics.NewReservoir(0, cfg.Seed+2),
-		ServiceTime: metrics.NewReservoir(0, cfg.Seed+3),
+		CycleTime:   NewReservoir(0, cfg.Seed+1),
+		WaitTime:    NewReservoir(0, cfg.Seed+2),
+		ServiceTime: NewReservoir(0, cfg.Seed+3),
 		Busy:        map[string]float64{},
 	}
 	// Simulated workers: whenever an item lands on someone's queue,

@@ -21,16 +21,10 @@ import (
 // fsync, rename, fsync the directory), and snapshot contents are
 // CRC-protected.
 //
-// Two on-disk formats coexist:
-//
-//   - The streaming format (current): a magic header followed by
-//     length-prefixed, CRC-protected records appended one at a time
-//     through a Writer. Producers and consumers hold one record in
-//     memory, never the whole image, so snapshot memory is bounded
-//     regardless of instance count.
-//   - The legacy single-blob format (seed): [8B index][4B crc][data].
-//     Nothing writes it any more; LatestSnapshot still reads it, so
-//     data dirs holding one open.
+// A snapshot is a magic header followed by length-prefixed,
+// CRC-protected records appended one at a time through a Writer.
+// Producers and consumers hold one record in memory, never the whole
+// image, so snapshot memory is bounded regardless of instance count.
 type SnapshotStore struct {
 	dir    string
 	fs     fault.FS
@@ -62,9 +56,6 @@ func OpenSnapshotStore(dir string, retain int) (*SnapshotStore, error) {
 // OpenSnapshotStoreFS is OpenSnapshotStore over an explicit
 // filesystem; chaos runs pass a fault.Injector.
 func OpenSnapshotStoreFS(dir string, retain int, fsys fault.FS) (*SnapshotStore, error) {
-	if fsys == nil {
-		fsys = fault.OS
-	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create snapshot dir: %w", err)
 	}
@@ -89,11 +80,11 @@ func parseSnapshotName(name string) (uint64, bool) {
 	return n, true
 }
 
-// syncDir fsyncs the snapshot directory so a just-completed rename
-// survives a crash: the rename itself is atomic, but without the
-// directory fsync the new directory entry may still be lost.
-func (s *SnapshotStore) syncDir() error {
-	d, err := s.fs.Open(s.dir)
+// syncDir fsyncs a directory so a just-completed rename in it survives
+// a crash: the rename itself is atomic, but without the directory fsync
+// the new directory entry may still be lost.
+func syncDir(fsys fault.FS, dir string) error {
+	d, err := fsys.Open(dir)
 	if err != nil {
 		return err
 	}
@@ -112,7 +103,7 @@ func (s *SnapshotStore) commitTempLocked(tmp string, index uint64) error {
 	if err := s.fs.Rename(tmp, final); err != nil {
 		return err
 	}
-	if err := s.syncDir(); err != nil {
+	if err := syncDir(s.fs, s.dir); err != nil {
 		return err
 	}
 	return s.pruneLocked()
@@ -153,6 +144,13 @@ func (s *SnapshotStore) Writer(index uint64) (*SnapshotWriter, error) {
 	return &SnapshotWriter{store: s, index: index, tmp: tmp, f: f, w: w}, nil
 }
 
+// snapshotRecordHead is the header of the record holding payload.
+func snapshotRecordHead(payload []byte) (hdr [snapshotRecordHeader]byte) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	return hdr
+}
+
 // Index reports the journal index this snapshot covers.
 func (w *SnapshotWriter) Index() uint64 { return w.index }
 
@@ -161,9 +159,7 @@ func (w *SnapshotWriter) Append(payload []byte) error {
 	if w.done {
 		return fmt.Errorf("storage: snapshot writer already closed")
 	}
-	var hdr [snapshotRecordHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	hdr := snapshotRecordHead(payload)
 	if _, err := w.w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -236,19 +232,16 @@ func (s *SnapshotStore) pruneLocked() error {
 	return nil
 }
 
-// Snapshot is one on-disk snapshot opened for reading. Legacy blob
-// snapshots surface their whole image as a single record.
+// Snapshot is one on-disk snapshot opened for reading.
 type Snapshot struct {
 	// Index is the journal index the snapshot covers.
 	Index uint64
-	// Legacy reports the seed single-blob format.
-	Legacy bool
-	path   string
-	fs     fault.FS
+	path  string
+	fs    fault.FS
 }
 
-// LatestSnapshot returns the newest intact snapshot in either format,
-// or nil when no usable snapshot exists. Streaming snapshots are
+// LatestSnapshot returns the newest intact snapshot, or nil when no
+// usable snapshot exists. Streaming snapshots are
 // verified record-by-record (a truncated or corrupt tail disqualifies
 // the file); damaged snapshots fall back to the next-older one.
 func (s *SnapshotStore) LatestSnapshot() (*Snapshot, error) {
@@ -282,17 +275,7 @@ func openSnapshot(fsys fault.FS, path string) (*Snapshot, bool) {
 		return nil, false
 	}
 	if [4]byte(hdr[0:4]) != snapshotMagic {
-		// Legacy blob: [8B index][4B crc][data], CRC over all data.
-		idx := binary.LittleEndian.Uint64(hdr[0:8])
-		crc := binary.LittleEndian.Uint32(hdr[8:12])
-		h := crc32.New(castagnoli)
-		if _, err := io.Copy(h, bufio.NewReaderSize(f, 256<<10)); err != nil {
-			return nil, false
-		}
-		if h.Sum32() != crc {
-			return nil, false
-		}
-		return &Snapshot{Index: idx, Legacy: true, path: path, fs: fsys}, true
+		return nil, false
 	}
 	index := binary.LittleEndian.Uint64(hdr[4:12])
 	if !scanSnapshotRecords(f, nil) {
@@ -337,28 +320,13 @@ func scanSnapshotRecords(r io.Reader, fn func(payload []byte) error) bool {
 }
 
 // Iterate streams the snapshot's records to fn in write order. The
-// payload slice is only valid for the duration of the call. A legacy
-// blob snapshot yields exactly one record: the whole image.
+// payload slice is only valid for the duration of the call.
 func (sn *Snapshot) Iterate(fn func(payload []byte) error) error {
-	fsys := sn.fs
-	if fsys == nil {
-		fsys = fault.OS
-	}
-	f, err := fsys.Open(sn.path)
+	f, err := sn.fs.Open(sn.path)
 	if err != nil {
 		return fmt.Errorf("storage: open snapshot: %w", err)
 	}
 	defer f.Close()
-	if sn.Legacy {
-		buf, err := io.ReadAll(f)
-		if err != nil {
-			return err
-		}
-		if len(buf) < 12 {
-			return fmt.Errorf("storage: snapshot %s: %w", sn.path, ErrCorrupt)
-		}
-		return fn(buf[12:])
-	}
 	if _, err := f.Seek(12, io.SeekStart); err != nil {
 		return err
 	}

@@ -10,10 +10,23 @@ import (
 	"testing"
 )
 
+// writeImage stores a snapshot of one record, data.
+func writeImage(s *SnapshotStore, index uint64, data []byte) error {
+	w, err := s.Writer(index)
+	if err != nil {
+		return err
+	}
+	if err := w.Append(data); err != nil {
+		w.Abort()
+		return err
+	}
+	return w.Commit()
+}
+
 // writeBlob stores a snapshot in the single-blob format engines wrote
 // before streaming snapshots, [8B index][4B crc][data], published (and
-// older snapshots pruned) as a streaming one is. The store still reads
-// the format; it no longer writes it.
+// older snapshots pruned) as a streaming one is. The store reads only
+// streaming snapshots; Upgrade rewrites a blob into one.
 func writeBlob(s *SnapshotStore, index uint64, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -28,8 +41,7 @@ func writeBlob(s *SnapshotStore, index uint64, data []byte) error {
 }
 
 // latestImage returns the newest intact snapshot's index and its records
-// run together (a blob's one record: its image); ok is false when no
-// snapshot is intact.
+// run together; ok is false when no snapshot is intact.
 func latestImage(t *testing.T, s *SnapshotStore) (index uint64, data []byte, ok bool, err error) {
 	t.Helper()
 	sn, err := s.LatestSnapshot()
@@ -64,7 +76,7 @@ func TestSnapshotPruneKeepsNewest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 7; i++ {
-		if err := writeBlob(s, i*100, []byte(fmt.Sprintf("img-%d", i))); err != nil {
+		if err := writeImage(s, i*100, []byte(fmt.Sprintf("img-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,7 +104,7 @@ func TestSnapshotRetainDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 5; i++ {
-		if err := writeBlob(s, i, []byte("x")); err != nil {
+		if err := writeImage(s, i, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +123,7 @@ func TestSnapshotLatestSkipsPartialFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeBlob(s, 10, []byte("good")); err != nil {
+	if err := writeImage(s, 10, []byte("good")); err != nil {
 		t.Fatal(err)
 	}
 	// A newer snapshot exists but holds only 3 bytes.
@@ -141,7 +153,7 @@ func TestSnapshotLatestAllCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 3; i++ {
-		if err := writeBlob(s, i*10, []byte(fmt.Sprintf("img-%d", i))); err != nil {
+		if err := writeImage(s, i*10, []byte(fmt.Sprintf("img-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,7 +194,7 @@ func TestSnapshotStrayFilesIgnored(t *testing.T) {
 	if _, _, ok, _ := latestImage(t, s); ok {
 		t.Fatal("stray files mistaken for snapshots")
 	}
-	if err := writeBlob(s, 5, []byte("real")); err != nil {
+	if err := writeImage(s, 5, []byte("real")); err != nil {
 		t.Fatal(err)
 	}
 	idx, data, ok, err := latestImage(t, s)

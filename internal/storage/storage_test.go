@@ -393,7 +393,7 @@ func TestSnapshotStore(t *testing.T) {
 		t.Fatalf("empty store: ok=%v err=%v", ok, err)
 	}
 	for i := uint64(10); i <= 40; i += 10 {
-		if err := writeBlob(s, i, []byte(fmt.Sprintf("state@%d", i))); err != nil {
+		if err := writeImage(s, i, []byte(fmt.Sprintf("state@%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -423,8 +423,8 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeBlob(s, 10, []byte("good-old"))
-	writeBlob(s, 20, []byte("good-new"))
+	writeImage(s, 10, []byte("good-old"))
+	writeImage(s, 20, []byte("good-new"))
 	// Corrupt the newest snapshot.
 	path := filepath.Join(dir, snapshotName(20))
 	data, _ := os.ReadFile(path)

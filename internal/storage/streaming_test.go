@@ -1,11 +1,15 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+
+	"bpms/internal/fault"
 )
 
 func collectSnapshot(t *testing.T, sn *Snapshot) []string {
@@ -23,7 +27,7 @@ func collectSnapshot(t *testing.T, sn *Snapshot) []string {
 
 // TestSnapshotWriterRoundtrip: records appended through the streaming
 // writer come back byte-identical and in order, under the committed
-// index, and the snapshot is recognised as the streaming format.
+// index.
 func TestSnapshotWriterRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenSnapshotStore(dir, 2)
@@ -47,8 +51,8 @@ func TestSnapshotWriterRoundtrip(t *testing.T) {
 	if err != nil || sn == nil {
 		t.Fatalf("LatestSnapshot: sn=%v err=%v", sn, err)
 	}
-	if sn.Index != 42 || sn.Legacy {
-		t.Fatalf("snapshot index=%d legacy=%v, want 42 streaming", sn.Index, sn.Legacy)
+	if sn.Index != 42 {
+		t.Fatalf("snapshot index=%d, want 42", sn.Index)
 	}
 	got := collectSnapshot(t, sn)
 	if len(got) != len(want) {
@@ -154,46 +158,140 @@ func TestSnapshotWriterAbort(t *testing.T) {
 	}
 }
 
-// TestLegacyAndStreamingCoexist: the two formats share the store; a
-// corrupt streaming snapshot falls back to an older legacy blob, whose
-// Iterate yields the whole image as one record.
+// TestLegacyAndStreamingCoexist: a blob snapshot beside streaming ones
+// is never read as one: with the streaming snapshot damaged, no snapshot
+// is usable. Upgrade rewrites the blob, under its name and
+// index, into the records split makes of its image, leaves the damaged
+// snapshot alone, and a second run rewrites nothing.
 func TestLegacyAndStreamingCoexist(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenSnapshotStore(dir, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeBlob(s, 10, []byte("legacy-image")); err != nil {
+	if err := writeBlob(s, 10, []byte("legacy image")); err != nil {
 		t.Fatal(err)
 	}
-	w, err := s.Writer(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append([]byte("stream-rec")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Commit(); err != nil {
+	if err := writeImage(s, 20, []byte("stream-rec")); err != nil {
 		t.Fatal(err)
 	}
 	sn, err := s.LatestSnapshot()
-	if err != nil || sn == nil || sn.Index != 20 || sn.Legacy {
+	if err != nil || sn == nil || sn.Index != 20 {
 		t.Fatalf("LatestSnapshot = %+v err=%v, want streaming@20", sn, err)
 	}
-	// Corrupt the streaming snapshot: the legacy blob takes over.
 	path := filepath.Join(dir, snapshotName(20))
 	data, _ := os.ReadFile(path)
 	data[len(data)-1] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sn, err = s.LatestSnapshot()
-	if err != nil || sn == nil || sn.Index != 10 || !sn.Legacy {
-		t.Fatalf("fallback = %+v err=%v, want legacy@10", sn, err)
+	if sn, err = s.LatestSnapshot(); err != nil || sn != nil {
+		t.Fatalf("fallback = %+v err=%v, want none: a blob is not read", sn, err)
 	}
-	got := collectSnapshot(t, sn)
-	if len(got) != 1 || got[0] != "legacy-image" {
-		t.Fatalf("legacy iterate = %v", got)
+
+	split := func(image []byte, emit func([]byte)) error {
+		for _, rec := range strings.Fields(string(image)) {
+			emit([]byte(rec))
+		}
+		return nil
+	}
+	keep := func(p []byte) ([]byte, error) { return nil, nil }
+	st, err := Upgrade(fault.OS, dir, keep, split)
+	if err != nil || st != (UpgradeStats{Files: 1, Records: 2}) {
+		t.Fatalf("upgrade = %+v, %v; want the blob rewritten as 2 records", st, err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+		t.Error("the damaged snapshot was rewritten")
+	}
+	sn, err = s.LatestSnapshot()
+	if err != nil || sn == nil || sn.Index != 10 {
+		t.Fatalf("after the upgrade LatestSnapshot = %+v err=%v, want 10", sn, err)
+	}
+	if got := collectSnapshot(t, sn); strings.Join(got, ",") != "legacy,image" {
+		t.Fatalf("upgraded records = %q", got)
+	}
+	if st, err := Upgrade(fault.OS, dir, keep, split); err != nil || st != (UpgradeStats{}) {
+		t.Errorf("second upgrade = %+v, %v; want nothing rewritten", st, err)
+	}
+}
+
+// TestUpgradeJournalRewritesInPlace: segments holding a record the
+// transcoder changes are rewritten under their names, every record at
+// its index, the others byte for byte; segments with nothing to change
+// are not touched, and the journal opens and appends after.
+func TestUpgradeJournalRewritesInPlace(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenFileJournal(dir, Options{SegmentSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i := 0; i < 12; i++ {
+		rec := fmt.Sprintf("new-%02d", i)
+		if i%5 == 1 {
+			rec = fmt.Sprintf("old-%02d", i)
+		}
+		if _, err := j.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, strings.Replace(rec, "old", "new", 1))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][]byte{}
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		before[e.Name()], _ = os.ReadFile(filepath.Join(dir, e.Name()))
+	}
+	transcode := func(p []byte) ([]byte, error) {
+		if rest, ok := strings.CutPrefix(string(p), "old"); ok {
+			return []byte("new" + rest), nil
+		}
+		return nil, nil
+	}
+	st, err := Upgrade(fault.OS, dir, transcode, nil)
+	if err != nil || st.Records != 3 || st.Files == 0 || st.Files == len(before) {
+		t.Fatalf("upgrade = %+v, %v; want 3 records in some of the %d segments", st, err, len(before))
+	}
+	entries, _ = os.ReadDir(dir)
+	if len(entries) != len(before) {
+		t.Fatalf("%d files after the upgrade, %d before", len(entries), len(before))
+	}
+	unchanged := 0
+	for _, e := range entries {
+		data, _ := os.ReadFile(filepath.Join(dir, e.Name()))
+		if bytes.Equal(data, before[e.Name()]) {
+			unchanged++
+		}
+	}
+	if unchanged != len(before)-st.Files {
+		t.Errorf("%d segments unchanged, want %d", unchanged, len(before)-st.Files)
+	}
+	if st, err := Upgrade(fault.OS, dir, transcode, nil); err != nil || st != (UpgradeStats{}) {
+		t.Errorf("second upgrade = %+v, %v; want nothing rewritten", st, err)
+	}
+	j, err = OpenFileJournal(dir, Options{SegmentSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if idx, err := j.Append([]byte("new-12")); err != nil || idx != 13 {
+		t.Fatalf("append after the upgrade = %d, %v", idx, err)
+	}
+	want = append(want, "new-12")
+	var got []string
+	if err := j.Replay(1, func(index uint64, p []byte) error {
+		if index != uint64(len(got)+1) {
+			return fmt.Errorf("record %q at index %d", p, index)
+		}
+		got = append(got, string(p))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("replayed %q, want %q", got, want)
 	}
 }
 

@@ -35,6 +35,17 @@ const recordHeader = 4 + 4 + 8
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// putRecordHead fills hdr with the header of the record holding payload
+// at index.
+func putRecordHead(hdr *[recordHeader]byte, index uint64, payload []byte) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(hdr[8:16], index)
+	h := crc32.New(castagnoli)
+	h.Write(hdr[8:16])
+	h.Write(payload)
+	binary.LittleEndian.PutUint32(hdr[4:8], h.Sum32())
+}
+
 // FileJournal is a durable Journal over segmented append-only files.
 type FileJournal struct {
 	dir  string
@@ -386,12 +397,7 @@ func (j *FileJournal) appendLocked(payload []byte) (uint64, error) {
 	}
 	index := j.nextIndex
 	var hdr [recordHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], index)
-	h := crc32.New(castagnoli)
-	h.Write(hdr[8:16])
-	h.Write(payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], h.Sum32())
+	putRecordHead(&hdr, index, payload)
 	if _, err := j.activeBuf.Write(hdr[:]); err != nil {
 		return 0, err
 	}

@@ -211,6 +211,6 @@ fault_episode() {
 }
 
 fault_episode "path=state;fsync-at=$((N / 2))" "fsync-fault"
-fault_episode "path=state;enospc-after=8192" "enospc"
+fault_episode "path=state;enospc-after=4096" "enospc"
 
 echo "== chaos smoke OK — fault report in $FAULT_REPORT"
