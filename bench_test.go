@@ -302,8 +302,7 @@ func BenchmarkT11_DurableStart4Shard(b *testing.B) { benchShardedStart(b, 4) }
 // on vs off: the async striped store turns the per-transition audit
 // work (JSON encode + journal append under a global lock) into a
 // channel hand-off drained by per-stripe committers, so AuditOn should
-// approach AuditOff. AuditOnSync is the seed-style write-through path
-// kept as the baseline. History journals are real files; the state
+// approach AuditOff. History journals are real files; the state
 // journal is in-memory so the audit path is the only difference.
 
 func benchAudit(b *testing.B, mkHist func(b *testing.B) *history.Store) {
@@ -344,7 +343,7 @@ func benchAudit(b *testing.B, mkHist func(b *testing.B) *history.Store) {
 	b.StopTimer()
 }
 
-func histStore(b *testing.B, stripes int, sync bool) *history.Store {
+func histStore(b *testing.B, stripes int) *history.Store {
 	b.Helper()
 	dir := b.TempDir()
 	js := make([]storage.Journal, stripes)
@@ -358,7 +357,7 @@ func histStore(b *testing.B, stripes int, sync bool) *history.Store {
 	// The bounded window is the production default (bpmsd ships with
 	// -history-window 100000); it also keeps the benchmark's live set
 	// flat so GC cost reflects steady state, not unbounded growth.
-	s, err := history.NewStriped(js, history.StoreOptions{Sync: sync, Window: 10000})
+	s, err := history.NewStriped(js, history.StoreOptions{Window: 10000})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -367,16 +366,12 @@ func histStore(b *testing.B, stripes int, sync bool) *history.Store {
 
 func BenchmarkT12_AuditOff(b *testing.B) { benchAudit(b, nil) }
 
-func BenchmarkT12_AuditOnSync(b *testing.B) {
-	benchAudit(b, func(b *testing.B) *history.Store { return histStore(b, 1, true) })
-}
-
 func BenchmarkT12_AuditOn(b *testing.B) {
-	benchAudit(b, func(b *testing.B) *history.Store { return histStore(b, 1, false) })
+	benchAudit(b, func(b *testing.B) *history.Store { return histStore(b, 1) })
 }
 
 func BenchmarkT12_AuditOn4Stripes(b *testing.B) {
-	benchAudit(b, func(b *testing.B) *history.Store { return histStore(b, 4, false) })
+	benchAudit(b, func(b *testing.B) *history.Store { return histStore(b, 4) })
 }
 
 // BenchmarkT12_EventEncode isolates the audit-path encoding: the
@@ -961,8 +956,8 @@ func BenchmarkF5_Recovery(b *testing.B) {
 }
 
 // T16: storage lifecycle — cold start from a streaming snapshot plus
-// journal suffix, decoded by parallel workers, and the snapshot write
-// itself (one bounded record per definition/instance).
+// journal suffix, read serially, and the snapshot write itself (one
+// bounded record per definition/instance).
 
 func buildT16BenchFixture(b *testing.B, dir string) {
 	b.Helper()
@@ -999,7 +994,7 @@ func buildT16BenchFixture(b *testing.B, dir string) {
 	j.Close()
 }
 
-func BenchmarkT16_ColdStartStreamingParallel(b *testing.B) {
+func BenchmarkT16_ColdStartStreaming(b *testing.B) {
 	dir := b.TempDir()
 	buildT16BenchFixture(b, dir)
 	b.ReportAllocs()
@@ -1098,12 +1093,19 @@ func scriptCaseEvents(b *testing.B, j storage.Journal, n int) {
 	}
 }
 
+// keepOpen hides a journal's Close, so a store over it can be closed,
+// stopping its committers, and the journal opened again.
+type keepOpen struct{ storage.Journal }
+
+func (keepOpen) Close() error { return nil }
+
 func openHistory(b *testing.B, j storage.Journal, window, wantEvents int) {
 	b.Helper()
-	s, err := history.NewStriped([]storage.Journal{j}, history.StoreOptions{Window: window, Sync: true})
+	s, err := history.NewStriped([]storage.Journal{keepOpen{j}}, history.StoreOptions{Window: window})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer s.Close() // stops the committer; j stays open for the next run
 	resident := wantEvents
 	if window > 0 && window < resident {
 		resident = window

@@ -70,7 +70,7 @@ func main() {
 	snapshotEvery := flag.Int("snapshot-every", 1000, "journal appends between snapshots (0 = never)")
 	snapshotInterval := flag.Duration("snapshot-interval", 0, "wall-clock snapshot cadence for shards whose journal advanced (0 = append-count trigger only)")
 	segmentSize := flag.Int64("wal-segment-size", 0, "max bytes per WAL segment file before rollover (0 = default 4MiB)")
-	recoveryWorkers := flag.Int("recovery-workers", 0, "decode workers per shard for snapshot load and parallel segment replay (0 = GOMAXPROCS, 1 = serial)")
+	recoveryWorkers := flag.Int("recovery-workers", 0, "ignored: recovery reads each shard's snapshot and WAL serially")
 	timerStripes := flag.Int("timer-stripes", 0, "independently locked timing-wheel stripes (0 = default 8, 1 = single wheel)")
 	historyStripes := flag.Int("history-stripes", 1, "history store stripes, each with its own journal and commit pipeline (data dirs must be reopened with the stripe count they were created with)")
 	historyWindow := flag.Int("history-window", 100000, "audit events each history stripe keeps resident in RAM, as packed records (about 85 B of heap per pipeline event); 0 = unbounded; older events are served from the journal")
@@ -103,6 +103,9 @@ func main() {
 	durable := flag.Bool("durable", true, "state transitions wait for the WAL commit ack (forced off with -sync never)")
 	flag.Parse()
 
+	if *recoveryWorkers != 0 {
+		fmt.Printf("bpmsd: -recovery-workers %d ignored: recovery is serial per shard\n", *recoveryWorkers)
+	}
 	policy, err := bpms.ParseSyncPolicy(*syncMode)
 	if err != nil {
 		log.Fatal(err)
@@ -115,7 +118,6 @@ func main() {
 		BatchMaxDelay:   *syncInterval,
 		Durable:         *durable && policy != bpms.SyncNever,
 		SegmentSize:     *segmentSize,
-		RecoveryWorkers: *recoveryWorkers,
 		HistoryStripes:  *historyStripes,
 		HistoryWindow:   *historyWindow,
 		WorklistStripes: *worklistStripes,

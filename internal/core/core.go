@@ -67,14 +67,9 @@ type Options struct {
 	// (0 disables the scheduler; requires DataDir).
 	SnapshotInterval time.Duration
 	// SegmentSize caps each WAL segment file before rollover (default
-	// 4MiB). Smaller segments tighten snapshot truncation granularity
-	// and widen parallel replay; the crash-recovery gate uses tiny
-	// segments to observe both.
+	// 4MiB). Smaller segments tighten snapshot truncation granularity;
+	// the crash-recovery gate uses tiny segments to observe it.
 	SegmentSize int64
-	// RecoveryWorkers bounds each shard's recovery decode pool for
-	// streaming-snapshot decode and parallel segment replay
-	// (0 = GOMAXPROCS, 1 = serial).
-	RecoveryWorkers int
 	// HistoryStripes partitions the audit/history store into this many
 	// stripes (default 1), each with its own journal, committer, and
 	// locks; events hash by instance ID. With a DataDir and more than
@@ -255,8 +250,9 @@ func checkHistoryLayout(dataDir string, stripes int) error {
 	return checkPartitionLayout(dataDir, histDir, "stripe-", stripes, legacy, "history stripe", "re-striping")
 }
 
-// Open assembles and (when DataDir is set) recovers a BPMS. With
-// Shards > 1 every shard's journal is opened and replayed in parallel.
+// Open assembles and (when DataDir is set) recovers a BPMS. The
+// journals open in sequence; then the shards recover concurrently, each
+// reading its own snapshot and WAL serially.
 func Open(opts Options) (*BPMS, error) {
 	if opts.Clock == nil {
 		opts.Clock = timer.RealClock{}
@@ -401,16 +397,15 @@ func Open(opts Options) (*BPMS, error) {
 	onDegrade := opts.OnDegrade
 	engineBegan := time.Now()
 	router, err := shard.New(shard.Config{
-		Journals:        stateJournals,
-		Snapshots:       snaps,
-		SnapshotEvery:   opts.SnapshotEvery,
-		RecoveryWorkers: opts.RecoveryWorkers,
-		Durable:         opts.Durable,
-		Tasks:           tasks,
-		Timers:          wheel,
-		Clock:           opts.Clock,
-		History:         hist,
-		Metrics:         opts.Metrics,
+		Journals:      stateJournals,
+		Snapshots:     snaps,
+		SnapshotEvery: opts.SnapshotEvery,
+		Durable:       opts.Durable,
+		Tasks:         tasks,
+		Timers:        wheel,
+		Clock:         opts.Clock,
+		History:       hist,
+		Metrics:       opts.Metrics,
 		OnDegrade: func(i int, reason string) {
 			log.Printf("core: shard %d fail-stopped (read-only degraded mode): %s", i, reason)
 			if onDegrade != nil {

@@ -77,10 +77,6 @@ type Config struct {
 	// SnapshotEvery writes a snapshot after this many journal appends
 	// (0 = never).
 	SnapshotEvery int
-	// RecoveryWorkers bounds the decode worker pool used while
-	// recovering from a streaming snapshot and replaying sealed journal
-	// segments in parallel (0 = GOMAXPROCS, 1 = serial).
-	RecoveryWorkers int
 	// Tasks is the worklist service for user/manual tasks (default: a
 	// fresh service with an empty directory).
 	Tasks *task.Service
@@ -130,12 +126,11 @@ type Engine struct {
 	archive     map[string]archived  // finished cases (see retire)
 	handlers    map[string]Handler
 
-	journal        storage.Journal
-	snapshots      *storage.SnapshotStore
-	snapshotEvery  int
-	appendsSince   int
-	durable        bool
-	recoverWorkers int
+	journal       storage.Journal
+	snapshots     *storage.SnapshotStore
+	snapshotEvery int
+	appendsSince  int
+	durable       bool
 
 	tasks  *task.Service
 	timers timer.Service
@@ -188,24 +183,23 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Tasks = task.NewService(task.Config{})
 	}
 	e := &Engine{
-		definitions:    map[string]*model.Process{},
-		instances:      map[string]*Instance{},
-		archive:        map[string]archived{},
-		handlers:       map[string]Handler{},
-		journal:        cfg.Journal,
-		snapshots:      cfg.Snapshots,
-		snapshotEvery:  cfg.SnapshotEvery,
-		durable:        cfg.Durable,
-		recoverWorkers: cfg.RecoveryWorkers,
-		tasks:          cfg.Tasks,
-		timers:         cfg.Timers,
-		clock:          cfg.Clock,
-		hist:           cfg.History,
-		subs:           newSubscriptions(),
-		publisher:      cfg.Publisher,
-		buffered:       cfg.BufferedMessages,
-		metrics:        cfg.Metrics,
-		onDegrade:      cfg.OnDegrade,
+		definitions:   map[string]*model.Process{},
+		instances:     map[string]*Instance{},
+		archive:       map[string]archived{},
+		handlers:      map[string]Handler{},
+		journal:       cfg.Journal,
+		snapshots:     cfg.Snapshots,
+		snapshotEvery: cfg.SnapshotEvery,
+		durable:       cfg.Durable,
+		tasks:         cfg.Tasks,
+		timers:        cfg.Timers,
+		clock:         cfg.Clock,
+		hist:          cfg.History,
+		subs:          newSubscriptions(),
+		publisher:     cfg.Publisher,
+		buffered:      cfg.BufferedMessages,
+		metrics:       cfg.Metrics,
+		onDegrade:     cfg.OnDegrade,
 	}
 	e.tasks.Subscribe(e.onTaskTransition)
 	if cfg.Journal.LastIndex() > 0 || cfg.Snapshots != nil {

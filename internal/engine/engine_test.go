@@ -39,7 +39,7 @@ func newFixture(t *testing.T) *fixture {
 	dir.AddUser(&resource.User{ID: "alice", Roles: []string{"clerk", "manager"}})
 	dir.AddUser(&resource.User{ID: "bob", Roles: []string{"clerk"}})
 	tasks := task.NewService(task.Config{Directory: dir, Now: clock.Now})
-	hist, err := history.NewStore(storage.NewMemJournal())
+	hist, err := history.NewStriped([]storage.Journal{storage.NewMemJournal()}, history.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

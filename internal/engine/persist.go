@@ -3,19 +3,15 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bpms/internal/expr"
 	"bpms/internal/model"
-	"bpms/internal/storage"
 	"bpms/internal/task"
 )
 
@@ -362,8 +358,8 @@ func (e *Engine) Snapshot() error {
 // decodeRecoveryRecord decodes one record (from a snapshot or the
 // journal) into its recovered form: a compiled *model.Process, the
 // *instState of a live case, or a *finishedRec, a finished case kept as
-// its bytes, undecoded but for its head. Safe for concurrent use; the
-// payload is not retained past the call.
+// its bytes, undecoded but for its head. The payload is not retained
+// past the call.
 func decodeRecoveryRecord(payload []byte) (any, error) {
 	if _, _, status, _, ok := readStateHead(payload); ok && status != StatusActive {
 		own := bytes.Clone(payload)
@@ -392,82 +388,18 @@ func decodeRecoveryRecord(payload []byte) (any, error) {
 	return rec.Process, nil
 }
 
-// errSnapshotDecodeAborted stops Snapshot.Iterate early once a decode
-// worker has already failed; the worker's error is reported instead.
-var errSnapshotDecodeAborted = errors.New("engine: snapshot decode aborted")
-
-// loadSnapshotParallel streams the snapshot's records through a decode
-// worker pool, handing each result to merge (one at a time). Records
-// are unique per definition/instance, so merge order does not matter.
-func loadSnapshotParallel(sn *storage.Snapshot, workers int, merge func(any)) error {
-	var (
-		mergeMu  sync.Mutex
-		firstErr error
-		failed   atomic.Bool
-	)
-	fail := func(err error) {
-		mergeMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mergeMu.Unlock()
-		failed.Store(true)
-	}
-	recCh := make(chan []byte, 4*workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range recCh {
-				if failed.Load() {
-					continue
-				}
-				v, err := decodeRecoveryRecord(p)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				mergeMu.Lock()
-				merge(v)
-				mergeMu.Unlock()
-			}
-		}()
-	}
-	iterErr := sn.Iterate(func(p []byte) error {
-		if failed.Load() {
-			return errSnapshotDecodeAborted
-		}
-		// The iterator reuses its payload buffer; copy before handing
-		// the record to a worker.
-		recCh <- append(make([]byte, 0, len(p)), p...)
-		return nil
-	})
-	close(recCh)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if iterErr != nil {
-		return fmt.Errorf("engine: read snapshot: %w", iterErr)
-	}
-	return nil
-}
-
 // recover rebuilds engine state from the latest snapshot (when
 // present) plus the journal suffix, then re-arms all volatile wait
-// machinery. Streaming snapshots are decoded by a worker pool and the
-// journal's sealed segments replay in parallel when the journal
-// supports it (decode on workers, apply in index order). Finished
+// machinery. Both are read serially, one record at a time. Finished
 // cases go straight to the archive, mostly undecoded; only live ones
-// are rebuilt and re-armed.
-// recover builds the definition, instance and archive maps locally and
-// publishes them into the engine under its lock in one step: under the
-// shard router, sibling shards recover concurrently and their
-// task-transition listeners call Has on this engine while it is still
-// replaying (holding the lock across the whole replay instead would
-// deadlock — rearmInstance's work-item re-issue notifies this engine's
-// own listener, which takes a read lock).
+// are rebuilt and re-armed. The definition, instance and archive maps
+// are built locally and published into the engine under its lock in
+// one step: under the shard router, sibling shards recover
+// concurrently and their task-transition listeners call Has on this
+// engine while it is still replaying (holding the lock across the
+// whole replay instead would deadlock — rearmInstance's work-item
+// re-issue notifies this engine's own listener, which takes a read
+// lock).
 func (e *Engine) recover() error {
 	defs := map[string]*model.Process{}
 	states := map[string]*instState{}
@@ -475,12 +407,12 @@ func (e *Engine) recover() error {
 	processIDs := map[string]string{} // one string per process ID
 	var fromIndex uint64 = 1
 
-	workers := e.recoverWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// Last write wins across the live and archived maps.
-	merge := func(v any) {
+	apply := func(p []byte) error {
+		v, err := decodeRecoveryRecord(p)
+		if err != nil {
+			return err
+		}
 		switch x := v.(type) {
 		case *model.Process:
 			defs[x.ID] = x
@@ -497,13 +429,7 @@ func (e *Engine) recover() error {
 			archive[id] = archived{processID: pid, status: x.status, state: x.state}
 			delete(states, id)
 		}
-	}
-	decodeMerge := func(p []byte) error {
-		v, err := decodeRecoveryRecord(p)
-		if err == nil {
-			merge(v)
-		}
-		return err
+		return nil
 	}
 
 	if e.snapshots != nil {
@@ -512,12 +438,7 @@ func (e *Engine) recover() error {
 			return fmt.Errorf("engine: read snapshot: %w", err)
 		}
 		if sn != nil {
-			if workers <= 1 {
-				err = sn.Iterate(decodeMerge)
-			} else {
-				err = loadSnapshotParallel(sn, workers, merge)
-			}
-			if err != nil {
+			if err := sn.Iterate(apply); err != nil {
 				return err
 			}
 			fromIndex = sn.Index + 1
@@ -534,22 +455,9 @@ func (e *Engine) recover() error {
 			"records %d..%d are covered only by a snapshot that cannot be read", first, fromIndex, fromIndex, first-1)
 	}
 
-	var err error
-	if pr, ok := e.journal.(storage.ParallelReplayer); ok && workers > 1 {
-		err = pr.ReplayParallel(fromIndex, workers,
-			func(_ uint64, payload []byte) (any, error) {
-				return decodeRecoveryRecord(payload)
-			},
-			func(_ uint64, v any) error {
-				merge(v)
-				return nil
-			})
-	} else {
-		err = e.journal.Replay(fromIndex, func(_ uint64, payload []byte) error {
-			return decodeMerge(payload)
-		})
-	}
-	if err != nil {
+	if err := e.journal.Replay(fromIndex, func(_ uint64, payload []byte) error {
+		return apply(payload)
+	}); err != nil {
 		return err
 	}
 

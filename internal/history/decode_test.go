@@ -406,7 +406,7 @@ func FuzzDecodeEvent(f *testing.F) {
 // filtered, of EventsOf.
 func referenceStore(t *testing.T, journals []storage.Journal, window int) (s *Store, all []*Event) {
 	t.Helper()
-	s = &Store{window: window, syncs: true}
+	s = &Store{window: window}
 	for _, j := range journals {
 		st := newStripe(j, window, obs.HistoryStripeMetrics{})
 		err := j.Replay(1, func(index uint64, payload []byte) error {
@@ -447,7 +447,7 @@ func TestRecoverWindowEquivalence(t *testing.T) {
 
 func checkRecoverEquivalence(t *testing.T, r *rand.Rand, window, stripes, n int) {
 	journals := memJournals(stripes)
-	writer, err := NewStriped(journals, StoreOptions{Window: window, Sync: true})
+	writer, err := NewStriped(journals, StoreOptions{Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,8 +476,8 @@ func checkRecoverEquivalence(t *testing.T, r *rand.Rand, window, stripes, n int)
 			t.Fatal(err)
 		}
 	}
-	// The writer (no goroutines in Sync mode) is abandoned unclosed: the
-	// journals stay open for the two readers.
+	// The writer is abandoned unclosed, its idle committers with it:
+	// Close would close the journals the two readers need.
 	checkReopen(t, journals, window, n)
 }
 
@@ -486,7 +486,7 @@ func checkRecoverEquivalence(t *testing.T, r *rand.Rand, window, stripes, n int)
 // state, stats and the answer of every query.
 func checkReopen(t *testing.T, journals []storage.Journal, window, n int) {
 	t.Helper()
-	got, err := NewStriped(journals, StoreOptions{Window: window, Sync: true})
+	got, err := NewStriped(journals, StoreOptions{Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}

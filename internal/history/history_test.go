@@ -44,7 +44,7 @@ func TestEventCodec(t *testing.T) {
 
 func newStore(t *testing.T) *Store {
 	t.Helper()
-	s, err := NewStore(storage.NewMemJournal())
+	s, err := NewStriped([]storage.Journal{storage.NewMemJournal()}, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestStoreRecoversFromJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewStore(j)
+	s, err := NewStriped([]storage.Journal{j}, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestStoreRecoversFromJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	s2, err := NewStore(j2)
+	s2, err := NewStriped([]storage.Journal{j2}, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,6 @@ import (
 type Store struct {
 	stripes []*stripe
 	window  int
-	syncs   bool
 }
 
 // StoreOptions configures a striped store.
@@ -68,11 +67,6 @@ type StoreOptions struct {
 	// QueueSize is the per-stripe async queue capacity (default 1024).
 	// A full queue applies backpressure to Enqueue callers.
 	QueueSize int
-	// Sync disables the async pipeline: Append and Enqueue write
-	// through synchronously on the caller's goroutine (still with the
-	// disk append outside the index lock). Tools that drive virtual
-	// time (the simulator) use this to avoid background goroutines.
-	Sync bool
 	// Metrics, when set, instruments each stripe's queue depth and
 	// enqueue-to-commit latency.
 	Metrics *obs.Metrics
@@ -109,17 +103,12 @@ type stripe struct {
 	journal storage.Journal
 	metrics obs.HistoryStripeMetrics
 
-	// Async pipeline (nil queue in Sync mode).
+	// Async pipeline.
 	queue     chan appendReq
 	committed chan struct{} // closed when the committer exits
 	closed    atomic.Bool
 	senders   sync.WaitGroup
 	closeOnce sync.Once
-
-	// appendMu serializes the encode→append→index sequence in Sync
-	// mode so index order matches journal order; it is never held
-	// while readers hold mu.
-	appendMu sync.Mutex
 
 	mu      sync.RWMutex
 	cond    *sync.Cond // on mu: signalled when doneSeq advances
@@ -141,9 +130,8 @@ type stripe struct {
 	recovery  time.Duration
 	recovered int
 
-	// Encode scratch: the committer's in async mode, appendMu's holder's
-	// in Sync mode (a stripe has one or the other). The window copies
-	// what it keeps, so the buffer is reused from event to event.
+	// Encode scratch, the committer's. The window copies what it keeps,
+	// so the buffer is reused from event to event.
 	encBuf  []byte
 	idxBuf  []uint64
 	errsBuf []error
@@ -159,13 +147,6 @@ type instRecords struct {
 	indexes []uint64
 }
 
-// NewStore opens a single-stripe store with default options over the
-// given journal, replaying any existing records to rebuild the query
-// indexes.
-func NewStore(j storage.Journal) (*Store, error) {
-	return NewStriped([]storage.Journal{j}, StoreOptions{})
-}
-
 // NewStriped opens a store over one journal per stripe, replaying each
 // journal to rebuild that stripe's indexes.
 func NewStriped(journals []storage.Journal, opts StoreOptions) (*Store, error) {
@@ -173,7 +154,7 @@ func NewStriped(journals []storage.Journal, opts StoreOptions) (*Store, error) {
 		return nil, fmt.Errorf("history: no journals")
 	}
 	opts = opts.withDefaults()
-	s := &Store{window: opts.Window, syncs: opts.Sync}
+	s := &Store{window: opts.Window}
 	// Phase 1: replay every journal. No committer goroutine starts
 	// until all stripes recovered, so an error here leaks nothing.
 	for i, j := range journals {
@@ -184,12 +165,10 @@ func NewStriped(journals []storage.Journal, opts StoreOptions) (*Store, error) {
 		s.stripes = append(s.stripes, st)
 	}
 	// Phase 2: start the pipeline.
-	if !opts.Sync {
-		for _, st := range s.stripes {
-			st.queue = make(chan appendReq, opts.QueueSize)
-			st.committed = make(chan struct{})
-			go st.run()
-		}
+	for _, st := range s.stripes {
+		st.queue = make(chan appendReq, opts.QueueSize)
+		st.committed = make(chan struct{})
+		go st.run()
 	}
 	return s, nil
 }
@@ -293,12 +272,7 @@ func (s *Store) stripeFor(instanceID string) *stripe {
 // failures past the hand-off are best-effort and surface via Flush.
 // The event must not be mutated by the caller after Enqueue.
 func (s *Store) Enqueue(e *Event) {
-	st := s.stripeFor(e.InstanceID)
-	if st.queue == nil {
-		_ = st.appendSync(e)
-		return
-	}
-	st.enqueue(appendReq{ev: e})
+	s.stripeFor(e.InstanceID).enqueue(appendReq{ev: e})
 }
 
 // Append records an event and returns once it is encoded, appended to
@@ -306,9 +280,6 @@ func (s *Store) Enqueue(e *Event) {
 // the assigned journal index.
 func (s *Store) Append(e *Event) error {
 	st := s.stripeFor(e.InstanceID)
-	if st.queue == nil {
-		return st.appendSync(e)
-	}
 	errCh := make(chan error, 1)
 	if !st.enqueue(appendReq{ev: e, err: errCh}) {
 		return storage.ErrClosed
@@ -407,32 +378,9 @@ func (st *stripe) commit(batch []appendReq) {
 	}
 }
 
-// appendSync is the synchronous write-through path (Sync mode). The
-// disk append runs outside the index mutex; appendMu keeps index order
-// equal to journal order, and guards the encode buffer, without ever
-// being held while readers hold mu.
-func (st *stripe) appendSync(e *Event) error {
-	st.appendMu.Lock()
-	defer st.appendMu.Unlock()
-	buf, err := AppendEncode(st.encBuf[:0], e)
-	st.encBuf = buf[:0]
-	var idx uint64
-	if err == nil {
-		idx, err = st.journal.Append(buf)
-	}
-	if err != nil {
-		st.recordErr(err)
-		return err
-	}
-	st.mu.Lock()
-	e.Index = idx
-	st.indexLocked(idx, buf, e.Type, e.InstanceID)
-	st.mu.Unlock()
-	return nil
-}
-
-// recordErr keeps the first append failure so Flush surfaces it even
-// when the caller (Enqueue's fire-and-forget paths) discards it.
+// recordErr keeps the first failure a query could not return (an
+// undecodable resident record, a failed prefix replay) so the next
+// Flush surfaces it.
 func (st *stripe) recordErr(err error) {
 	st.mu.Lock()
 	if st.lastErr == nil {
@@ -505,9 +453,6 @@ func (st *stripe) evictLocked() {
 // barrier waits until every event enqueued before the call is indexed,
 // giving queries read-your-writes over the async pipeline.
 func (st *stripe) barrier() {
-	if st.queue == nil {
-		return
-	}
 	target := st.enqSeq.Load()
 	st.mu.Lock()
 	for st.doneSeq < target {
@@ -698,9 +643,6 @@ func (s *Store) Close() error {
 	var first error
 	for _, st := range s.stripes {
 		st.closeOnce.Do(func() {
-			if st.queue == nil {
-				return
-			}
 			st.closed.Store(true)
 			st.senders.Wait()
 			close(st.queue)

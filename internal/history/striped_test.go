@@ -335,11 +335,11 @@ func TestStoreCloseStopsPipeline(t *testing.T) {
 	}
 }
 
-// TestSyncModeFlushSurfacesAppendErrors: a failed write-through append
-// on the fire-and-forget Enqueue path must still surface via Flush.
-func TestSyncModeFlushSurfacesAppendErrors(t *testing.T) {
+// TestFlushSurfacesEnqueueErrors: a failed committer append on the
+// fire-and-forget Enqueue path must still surface via Flush.
+func TestFlushSurfacesEnqueueErrors(t *testing.T) {
 	j := storage.NewMemJournal()
-	s, err := NewStriped([]storage.Journal{j}, StoreOptions{Sync: true})
+	s, err := NewStriped([]storage.Journal{j}, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

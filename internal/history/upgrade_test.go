@@ -138,7 +138,7 @@ func TestUpgradeJournalOpens(t *testing.T) {
 func checkUpgrade(t *testing.T, dir string, j *storage.FileJournal, window, n int) {
 	t.Helper()
 	want := referenceEvents(t, j)
-	if _, err := NewStriped([]storage.Journal{j}, StoreOptions{Window: window, Sync: true}); !errors.Is(err, errNotV2) {
+	if _, err := NewStriped([]storage.Journal{j}, StoreOptions{Window: window}); !errors.Is(err, errNotV2) {
 		t.Fatalf("a journal holding v1 records opened without an upgrade: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -156,7 +156,7 @@ func checkUpgrade(t *testing.T, dir string, j *storage.FileJournal, window, n in
 		t.Fatalf("record formats after the upgrade %q", got)
 	}
 	checkReopen(t, []storage.Journal{j}, window, n)
-	s, err := NewStriped([]storage.Journal{j}, StoreOptions{Window: window, Sync: true})
+	s, err := NewStriped([]storage.Journal{j}, StoreOptions{Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,6 +50,12 @@ func pipelineTrail(t testing.TB, j storage.Journal, cases int) {
 	}
 }
 
+// keepOpen hides a journal's Close, so a store over it can be closed,
+// stopping its committers, and the journal opened again.
+type keepOpen struct{ storage.Journal }
+
+func (keepOpen) Close() error { return nil }
+
 // TestResidentWindowHeap gates what a resident event costs: reopening
 // the trail of 20 000 pipeline cases (320 000 events) at window 100 000
 // against window 1, the difference in live heap per extra resident
@@ -70,15 +76,15 @@ func TestResidentWindowHeap(t *testing.T) {
 	}
 	opened := func(window int) int64 {
 		before := heap()
-		s, err := NewStriped([]storage.Journal{j}, StoreOptions{Window: window, Sync: true})
+		s, err := NewStriped([]storage.Journal{keepOpen{j}}, StoreOptions{Window: window})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer s.Close() // stops the committer, which would keep s alive
 		held := heap() - before
 		if st := s.Stats(); st.Resident != window || st.Events != 16*cases {
 			t.Fatalf("window %d: %d resident of %d events", window, st.Resident, st.Events)
 		}
-		runtime.KeepAlive(s)
 		return held
 	}
 	small, large := opened(1), opened(window)
@@ -126,7 +132,7 @@ func TestResidentAnswersMatchReopened(t *testing.T) {
 					live.Enqueue(e)
 				}
 				want := storeAnswers(t, live)
-				reopened, err := NewStriped(journals, StoreOptions{Window: window, Sync: true})
+				reopened, err := NewStriped(journals, StoreOptions{Window: window})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -171,7 +177,7 @@ func (j skippingJournal) Append(p []byte) (uint64, error) {
 // the journal's, which keeps the failed record too.
 func TestWindowRestartsAfterIndexGap(t *testing.T) {
 	j := skippingJournal{storage.NewMemJournal(), map[uint64]bool{5: true, 9: true}}
-	s, err := NewStriped([]storage.Journal{j}, StoreOptions{Window: 4, Sync: true})
+	s, err := NewStriped([]storage.Journal{j}, StoreOptions{Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +195,7 @@ func TestWindowRestartsAfterIndexGap(t *testing.T) {
 	if st := s.Stats(); st.Resident > 4 || st.Events != 10 || st.Evicted != st.Events-st.Resident {
 		t.Errorf("stats %+v: want 10 events, at most 4 resident, the rest evicted", st)
 	}
-	reopened, err := NewStriped([]storage.Journal{j}, StoreOptions{Window: 4, Sync: true})
+	reopened, err := NewStriped([]storage.Journal{j}, StoreOptions{Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

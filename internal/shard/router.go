@@ -59,10 +59,6 @@ type Config struct {
 	// SnapshotEvery writes a shard snapshot after this many appends to
 	// that shard's journal (0 = only on explicit Snapshot calls).
 	SnapshotEvery int
-	// RecoveryWorkers bounds each shard's recovery decode pool
-	// (streaming-snapshot decode and parallel segment replay;
-	// 0 = GOMAXPROCS, 1 = serial).
-	RecoveryWorkers int
 	// Durable makes API-visible transitions wait for the owning
 	// shard's WAL commit acknowledgement.
 	Durable bool
@@ -141,7 +137,6 @@ func New(cfg Config) (*Router, error) {
 				Journal:          cfg.Journals[i],
 				Snapshots:        snaps,
 				SnapshotEvery:    cfg.SnapshotEvery,
-				RecoveryWorkers:  cfg.RecoveryWorkers,
 				Durable:          cfg.Durable,
 				Tasks:            cfg.Tasks,
 				Timers:           cfg.Timers,

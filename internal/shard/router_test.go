@@ -25,7 +25,7 @@ func newTestRouter(t *testing.T, n int, users ...resource.User) (*Router, *histo
 	for i := range journals {
 		journals[i] = storage.NewMemJournal()
 	}
-	hist, err := history.NewStore(storage.NewMemJournal())
+	hist, err := history.NewStriped([]storage.Journal{storage.NewMemJournal()}, history.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,8 @@ type Result struct {
 	Makespan float64
 	// Log is the generated event log (for mining experiments).
 	Log *history.Log
-	// History exposes the raw audit store.
+	// History exposes the raw audit store. Run closes it; it keeps
+	// every event resident, so its queries still answer.
 	History *history.Store
 }
 
@@ -163,14 +164,13 @@ func New(cfg Config) (*Simulator, error) {
 		AutoAllocate: true,
 		Now:          s.clock.Now,
 	})
-	// Sync mode: the simulator drives virtual time deterministically
-	// and its stores are short-lived, so the audit trail writes through
-	// on the caller's goroutine instead of spawning a committer per run.
-	hist, err := history.NewStriped(
-		[]storage.Journal{storage.NewMemJournal()},
-		history.StoreOptions{Sync: true},
-	)
+	// Unbounded window: see Result.History.
+	hist, err := history.NewStriped([]storage.Journal{storage.NewMemJournal()}, history.StoreOptions{})
 	if err != nil {
+		return nil, err
+	}
+	fail := func(err error) (*Simulator, error) {
+		hist.Close()
 		return nil, err
 	}
 	s.hist = hist
@@ -181,7 +181,7 @@ func New(cfg Config) (*Simulator, error) {
 		History: hist,
 	})
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	s.eng = eng
 	eng.RegisterHandler(model.NoopHandler, func(engine.TaskContext) (map[string]expr.Value, error) {
@@ -191,11 +191,11 @@ func New(cfg Config) (*Simulator, error) {
 		eng.RegisterHandler(name, h)
 	}
 	if err := eng.Deploy(cfg.Process); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	for _, p := range cfg.Extra {
 		if err := eng.Deploy(p); err != nil {
-			return nil, err
+			return fail(err)
 		}
 	}
 	s.res = &Result{
@@ -323,6 +323,9 @@ func (s *Simulator) Run() (*Result, error) {
 	s.res.Makespan = lastEnd.Sub(s.cfg.Start).Seconds()
 	s.res.Log = history.FromEvents(s.hist, false)
 	s.res.History = s.hist
+	if err := s.hist.Close(); err != nil {
+		return nil, err
+	}
 	return s.res, nil
 }
 

@@ -295,12 +295,11 @@ func TestUpgradeJournalRewritesInPlace(t *testing.T) {
 	}
 }
 
-// TestReplayParallelOrderAndEquivalence: parallel segment replay
-// delivers every record to the apply callback in strict ascending
-// index order with payloads identical to serial Replay, for suffixes
-// starting inside and between segments. Decoders run concurrently
-// (exercised under -race).
-func TestReplayParallelOrderAndEquivalence(t *testing.T) {
+// TestReplayOrderAndEquivalence: FileJournal.Replay delivers every
+// record with index >= from, in strict ascending index order and with
+// its appended payload, for suffixes starting inside and between
+// segments.
+func TestReplayOrderAndEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenFileJournal(dir, Options{SegmentSize: 4 << 10})
 	if err != nil {
@@ -313,31 +312,35 @@ func TestReplayParallelOrderAndEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, from := range []uint64{1, 777, n - 1, n, n + 1} {
+	j.mu.Lock()
+	segments := append([]uint64(nil), j.segments...)
+	j.mu.Unlock()
+	if len(segments) < 3 {
+		t.Fatalf("%d segments, want several", len(segments))
+	}
+	// Inside a segment, at a segment's first record, at its last, and
+	// around the journal's end.
+	froms := []uint64{1, 777, segments[1], segments[2] - 1, n - 1, n, n + 1}
+	for _, from := range froms {
 		var gotIdx []uint64
 		var gotPayload []string
-		err := j.ReplayParallel(from, 8,
-			func(_ uint64, payload []byte) (any, error) {
-				// Payload is only valid during the call: copy.
-				return string(payload), nil
-			},
-			func(index uint64, v any) error {
-				gotIdx = append(gotIdx, index)
-				gotPayload = append(gotPayload, v.(string))
-				return nil
-			})
+		err := j.Replay(from, func(index uint64, payload []byte) error {
+			gotIdx = append(gotIdx, index)
+			gotPayload = append(gotPayload, string(payload))
+			return nil
+		})
 		if err != nil {
 			t.Fatalf("from=%d: %v", from, err)
 		}
 		want := 0
 		if from <= n {
-			want = int(uint64(n) - max64(from, 1) + 1)
+			want = int(uint64(n) - from + 1)
 		}
 		if len(gotIdx) != want {
 			t.Fatalf("from=%d: %d records, want %d", from, len(gotIdx), want)
 		}
 		for k, idx := range gotIdx {
-			wantIdx := max64(from, 1) + uint64(k)
+			wantIdx := from + uint64(k)
 			if idx != wantIdx {
 				t.Fatalf("from=%d: record %d has index %d, want %d (strict order)", from, k, idx, wantIdx)
 			}
@@ -348,45 +351,10 @@ func TestReplayParallelOrderAndEquivalence(t *testing.T) {
 	}
 }
 
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// TestReplayParallelDecodeError: a decode failure in any worker aborts
-// the replay with that error and without deadlocking the pool.
-func TestReplayParallelDecodeError(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenFileJournal(dir, Options{SegmentSize: 2 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	for i := 1; i <= 500; i++ {
-		if _, err := j.Append([]byte(fmt.Sprintf("rec-%05d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantErr := fmt.Errorf("boom at 250")
-	err = j.ReplayParallel(1, 4,
-		func(index uint64, payload []byte) (any, error) {
-			if index == 250 {
-				return nil, wantErr
-			}
-			return nil, nil
-		},
-		func(uint64, any) error { return nil })
-	if err == nil {
-		t.Fatal("decode error not propagated")
-	}
-}
-
-// TestReplayParallelConcurrentAppends: replaying in parallel while
-// writers keep appending races nothing (run with -race) and delivers
-// at least the prefix that existed when the replay began, in order.
-func TestReplayParallelConcurrentAppends(t *testing.T) {
+// TestReplayConcurrentAppends: replaying while a writer keeps appending
+// (and rolling segments) races nothing (run with -race) and delivers at
+// least the prefix that existed when the replay began, in order.
+func TestReplayConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenFileJournal(dir, Options{SegmentSize: 2 << 10})
 	if err != nil {
@@ -418,15 +386,16 @@ func TestReplayParallelConcurrentAppends(t *testing.T) {
 		}
 	}()
 	var last uint64
-	err = j.ReplayParallel(1, 4,
-		func(_ uint64, payload []byte) (any, error) { return string(payload), nil },
-		func(index uint64, v any) error {
-			if index != last+1 {
-				t.Errorf("index %d after %d", index, last)
-			}
-			last = index
-			return nil
-		})
+	err = j.Replay(1, func(index uint64, payload []byte) error {
+		if index != last+1 {
+			t.Errorf("index %d after %d", index, last)
+		}
+		if want := fmt.Sprintf("rec-%05d", index); string(payload) != want {
+			t.Errorf("payload %q at index %d, want %q", payload, index, want)
+		}
+		last = index
+		return nil
+	})
 	close(stop)
 	wg.Wait()
 	if err != nil {

@@ -517,120 +517,6 @@ func (j *FileJournal) Replay(from uint64, fn func(uint64, []byte) error) error {
 	return nil
 }
 
-// ParallelReplayer is the optional journal extension behind parallel
-// boot recovery: decode runs concurrently across segment readers while
-// apply observes records in strict index order. FileJournal implements
-// it; consumers fall back to Replay when a journal does not.
-type ParallelReplayer interface {
-	ReplayParallel(from uint64, workers int, decode func(index uint64, payload []byte) (any, error), apply func(index uint64, v any) error) error
-}
-
-// segReplay is one segment's decoded records, delivered to the apply
-// loop in segment order.
-type segReplay struct {
-	indexes []uint64
-	values  []any
-	err     error
-}
-
-// ReplayParallel replays records with index >= from like Replay, but
-// splits the work: a pool of `workers` readers scans and decodes whole
-// segments concurrently (segments are immutable once rolled, so each
-// reader owns its file), while the caller's apply callback receives
-// every decoded record in strict index order. decode runs on the
-// reader pool — its payload is only valid for the duration of the call
-// — and its return value is handed to apply unchanged.
-//
-// Memory stays bounded: at most `workers` segments are in flight
-// (decoding or decoded-but-unapplied) at any moment; a segment's
-// decoded records are released as soon as apply consumed them.
-func (j *FileJournal) ReplayParallel(from uint64, workers int, decode func(index uint64, payload []byte) (any, error), apply func(index uint64, v any) error) error {
-	if workers <= 1 {
-		return j.Replay(from, func(index uint64, payload []byte) error {
-			v, err := decode(index, payload)
-			if err != nil {
-				return err
-			}
-			return apply(index, v)
-		})
-	}
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return ErrClosed
-	}
-	if j.activeBuf != nil {
-		if err := j.activeBuf.Flush(); err != nil {
-			j.mu.Unlock()
-			return err
-		}
-	}
-	segments := append([]uint64(nil), j.segments...)
-	j.mu.Unlock()
-
-	// Drop whole segments below from (same rule as Replay): a segment
-	// is skippable when its successor starts at or below from.
-	start := 0
-	for start+1 < len(segments) && segments[start+1] <= from {
-		start++
-	}
-	live := segments[start:]
-	if len(live) == 0 {
-		return nil
-	}
-
-	results := make([]chan *segReplay, len(live))
-	for i := range results {
-		results[i] = make(chan *segReplay, 1)
-	}
-	// tickets bounds the in-flight window: the dispatcher takes one per
-	// segment it launches, the apply loop returns one per segment it
-	// drains. stop aborts dispatch when apply bails early.
-	tickets := make(chan struct{}, workers)
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for i, base := range live {
-			select {
-			case tickets <- struct{}{}:
-			case <-stop:
-				return
-			}
-			go func(i int, base uint64) {
-				res := &segReplay{}
-				_, _, err := j.scanSegment(base, func(index uint64, payload []byte) error {
-					if index < from {
-						return nil
-					}
-					v, err := decode(index, payload)
-					if err != nil {
-						return err
-					}
-					res.indexes = append(res.indexes, index)
-					res.values = append(res.values, v)
-					return nil
-				})
-				res.err = err
-				results[i] <- res
-			}(i, base)
-		}
-	}()
-
-	for i := range live {
-		res := <-results[i]
-		<-tickets
-		if res.err != nil {
-			return res.err
-		}
-		for k, index := range res.indexes {
-			if err := apply(index, res.values[k]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // LastIndex implements Journal.
 func (j *FileJournal) LastIndex() uint64 {
 	j.mu.Lock()

@@ -1,9 +1,8 @@
 // Package timer implements the BPMS timer service: deadline callbacks
-// for timer events, task due dates, and escalations. Two interchangeable
-// implementations are provided — a hashed timing wheel (the default)
-// and a binary-heap service (the ablation baseline for experiment F4) —
-// plus a virtual clock so engine tests and simulations run
-// deterministically without sleeping.
+// for timer events, task due dates, and escalations: a hashed timing
+// wheel, striped or single, plus a virtual clock so engine tests and
+// simulations run deterministically without sleeping. The tests keep a
+// binary-heap service as the wheel's ordering oracle.
 package timer
 
 import (
@@ -74,8 +73,8 @@ type Overdue struct {
 
 // OverdueReporter is an optional Service extension: implementations
 // that can enumerate pending past-deadline entries cheaply (the wheel
-// scans only the buckets behind the swept tick, the heap walks only
-// the subtree whose roots are due) expose it for the SLA sweeper.
+// scans only the buckets behind the swept tick) expose it for the SLA
+// sweeper.
 type OverdueReporter interface {
 	Overdue(now time.Time) []Overdue
 }

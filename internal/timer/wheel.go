@@ -14,7 +14,7 @@ import (
 // deadline has passed. Insert and cancel are O(1); an advance is
 // proportional to the buckets swept plus the timers fired, independent
 // of the total number of pending timers — the property benchmarked in
-// experiment F4 against the heap baseline.
+// experiment F4.
 type WheelService struct {
 	mu       sync.Mutex
 	tick     time.Duration
