@@ -187,12 +187,12 @@ func BenchmarkT4_Replay(b *testing.B) {
 	j.Close()
 }
 
-// BenchmarkMemJournalAppend appends 60 B records, the size of one v2
-// history event, to the in-memory journal. Records are packed into
+// BenchmarkMemJournalAppend appends 40 B records, the size of one v2
+// history event of a pipeline case, to the in-memory journal. Records are packed into
 // shared chunks, so an append allocates nothing of its own: the gate
 // fails at more than one allocation per 20 appends.
 func BenchmarkMemJournalAppend(b *testing.B) {
-	payload := make([]byte, 60)
+	payload := make([]byte, 40)
 	const appends = 100000
 	j := storage.NewMemJournal()
 	per := testing.AllocsPerRun(1, func() {
@@ -203,7 +203,7 @@ func BenchmarkMemJournalAppend(b *testing.B) {
 		}
 	}) / appends
 	if per > 0.05 {
-		b.Fatalf("MemJournal.Append allocates %.3f times per 60 B record, want at most 0.05", per)
+		b.Fatalf("MemJournal.Append allocates %.3f times per 40 B record, want at most 0.05", per)
 	}
 	j = storage.NewMemJournal()
 	b.SetBytes(int64(len(payload)))
@@ -1117,14 +1117,15 @@ func openHistory(b *testing.B, j storage.Journal, window, wantEvents int) {
 
 func BenchmarkT16_HistoryOpen(b *testing.B) {
 	const cases, perCase = 20000, 16
-	// One case's trail in v2 records: about 2 550 B in the JSON records
-	// before them.
+	// One case's trail in v2 records with numbered instance IDs, ~600 B:
+	// about 855 B with the IDs spelled out, 2 550 B in the JSON records
+	// before v2.
 	one := storage.NewMemJournal()
 	scriptCaseEvents(b, one, 1)
 	size := 0
 	one.Replay(1, func(_ uint64, p []byte) error { size += len(p); return nil })
-	if size > 1000 {
-		b.Fatalf("one %d-event case encodes to %d payload bytes, want at most 1000", perCase, size)
+	if size > 650 {
+		b.Fatalf("one %d-event case encodes to %d payload bytes, want at most 650", perCase, size)
 	}
 	j := storage.NewMemJournal()
 	scriptCaseEvents(b, j, cases)
@@ -1161,9 +1162,9 @@ func BenchmarkT16_HistoryOpen(b *testing.B) {
 }
 
 // The most DecodeEvent may allocate for a plain record (the event and
-// its three strings), and for one with data (the map and its entries
-// too).
-const decodeAllocsPlain, decodeAllocsData = 4, 12
+// its strings; a numbered instance ID shares its bytes with the process
+// ID), and for one with data (the map and its entries too).
+const decodeAllocsPlain, decodeAllocsData = 3, 11
 
 func BenchmarkDecodeEvent(b *testing.B) {
 	at := time.Date(2026, 6, 1, 12, 0, 0, 123456789, time.UTC)

@@ -73,7 +73,7 @@ func main() {
 	recoveryWorkers := flag.Int("recovery-workers", 0, "ignored: recovery reads each shard's snapshot and WAL serially")
 	timerStripes := flag.Int("timer-stripes", 0, "independently locked timing-wheel stripes (0 = default 8, 1 = single wheel)")
 	historyStripes := flag.Int("history-stripes", 1, "history store stripes, each with its own journal and commit pipeline (data dirs must be reopened with the stripe count they were created with)")
-	historyWindow := flag.Int("history-window", 100000, "audit events each history stripe keeps resident in RAM, as packed records (about 85 B of heap per pipeline event); 0 = unbounded; older events are served from the journal")
+	historyWindow := flag.Int("history-window", 100000, "audit events each history stripe keeps resident in RAM, as packed records (about 65 B of heap per pipeline event); 0 = unbounded; older events are served from the journal")
 	worklistStripes := flag.Int("worklist-stripes", 1, "worklist lock stripes, each with its own item map and secondary indexes (in-memory; any value reopens any data dir)")
 	autoAllocate := flag.Bool("auto-allocate", false, "push tasks to users instead of offering")
 	metrics := flag.Bool("metrics", false, "instrument hot paths and serve Prometheus text format at GET /metrics")

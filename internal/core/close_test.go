@@ -1,0 +1,77 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+)
+
+// snapshotListing names each file under a data dir's snapshots/ with
+// its size and modification time.
+func snapshotListing(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(dir, "snapshots"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = fmt.Sprintf("%d %s", info.Size(), info.ModTime())
+	}
+	return out
+}
+
+// TestCloseWaitsForSnapshot: Close refuses new automatic snapshot rounds
+// and waits for a running one before any journal closes. Across seeded
+// rounds of Open, durable starts that trigger snapshots, and Close, no
+// shard fail-stops and snapshots/ does not change once Close returns.
+func TestCloseWaitsForSnapshot(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	dir := t.TempDir()
+	for round := 0; round < 6; round++ {
+		var mu sync.Mutex
+		var degraded []string
+		b, err := Open(Options{DataDir: dir, SnapshotEvery: 40 + r.Intn(40), OnDegrade: func(shard int, reason string) {
+			mu.Lock()
+			degraded = append(degraded, fmt.Sprintf("shard %d: %s", shard, reason))
+			mu.Unlock()
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round == 0 {
+			if _, err := b.DeployFile("../../benchmark/testdata/pipeline.json"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		starts := 150 + r.Intn(150)
+		for i := 0; i < starts; i++ {
+			vars := map[string]any{"amount": r.Intn(10000), "customer": fmt.Sprintf("c-%d", r.Intn(1000)), "region": "north"}
+			if _, err := b.Engine.StartInstance("bench-pipeline", vars); err != nil {
+				t.Fatalf("round %d, start %d: %v", round, i, err)
+			}
+		}
+		if err := b.Close(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+		closed := snapshotListing(t, dir)
+		time.Sleep(20 * time.Millisecond)
+		if later := snapshotListing(t, dir); !reflect.DeepEqual(later, closed) {
+			t.Errorf("round %d: snapshots/ changed after Close:\n%v\nthen\n%v", round, closed, later)
+		}
+		mu.Lock()
+		if len(degraded) > 0 {
+			t.Errorf("round %d: %v", round, degraded)
+		}
+		mu.Unlock()
+	}
+}

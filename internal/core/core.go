@@ -596,9 +596,10 @@ func (b *BPMS) auditorConfig(opts Options) obs.AuditorConfig {
 	}
 }
 
-// Close stops the auditor and timer runner, drains the history
-// pipeline, and syncs/closes every journal (all shard WALs plus the
-// history stripe journals). Under SyncBatch journals this drains
+// Close stops the auditor, the snapshot scheduler and the timer runner,
+// ends the shards' snapshots (waiting for a running one), drains the
+// history pipeline, and syncs/closes every journal (all shard WALs plus
+// the history stripe journals). Under SyncBatch journals this drains
 // in-flight commit batches: every acknowledged append is on stable
 // storage when Close returns.
 func (b *BPMS) Close() error {
@@ -613,6 +614,7 @@ func (b *BPMS) Close() error {
 	if b.runner != nil {
 		b.runner.Stop()
 	}
+	b.Engine.Close()
 	var first error
 	for _, j := range b.state {
 		if err := j.Close(); err != nil && first == nil {

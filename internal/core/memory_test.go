@@ -50,8 +50,8 @@ func TestInMemoryCaseHeap(t *testing.T) {
 	}
 	per := float64(heap()-before) / cases
 	t.Logf("%.0f B of heap per in-memory case", per)
-	if per > 1500 {
-		t.Errorf("%d in-memory cases hold %.0f B/case of heap, want at most 1500", cases, per)
+	if per > 1130 {
+		t.Errorf("%d in-memory cases hold %.0f B/case of heap, want at most 1130", cases, per)
 	}
 	// One record per deployment and per case, numbered though not kept.
 	if got := b.ShardStats()[0].JournalLast; got != 1+cases {

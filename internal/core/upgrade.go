@@ -15,9 +15,12 @@ import (
 )
 
 // dataFormat is the data dir format this build reads and writes, kept in
-// the dir's FORMAT file: v2 history records, binary instance state
-// records and streaming snapshots.
-const dataFormat, formatFile = 2, "FORMAT"
+// the dir's FORMAT file: v2 history records, which may hold an instance
+// ID as its sequence number, binary instance state records and streaming
+// snapshots. Format 2 differs only in holding no numbered IDs, and its
+// records read as they are; the number keeps a build that does not read
+// them from opening a dir that holds them.
+const dataFormat, formatFile = 3, "FORMAT"
 
 // UpgradeReport is what Open's one-shot data dir upgrade rewrote, and
 // how long it took (zero when FORMAT was current).
@@ -27,26 +30,30 @@ type UpgradeReport struct {
 }
 
 // upgradeDataDir brings a data dir to dataFormat before any journal
-// opens. A current FORMAT skips it; a newer one is refused. Otherwise
-// (no FORMAT, an empty or garbled one) every WAL, snapshot and history
-// journal is rewritten where it holds a record in an older format.
-// Current records pass through, so a crash only means the next open
-// reruns it. FORMAT is written last, without an fsync of its own:
-// losing it costs one more scan that rewrites nothing.
+// opens. A current FORMAT skips it; a newer one is refused; format 2
+// only has FORMAT rewritten. Otherwise (no FORMAT, an empty or garbled
+// one) every WAL, snapshot and history journal is rewritten where it
+// holds a record in an older format. Current records pass through, so a
+// crash only means the next open reruns it. FORMAT is written last,
+// without an fsync of its own: losing it costs one more scan that
+// rewrites nothing.
 func upgradeDataDir(fsys fault.FS, dataDir string, shards, stripes int) (UpgradeReport, error) {
 	began := time.Now()
 	path := filepath.Join(dataDir, formatFile)
+	format := 0 // none, empty or garbled
 	if data, err := fsys.ReadFile(path); err == nil {
-		v, err := strconv.Atoi(strings.TrimSpace(string(data)))
-		switch {
-		case err == nil && v == dataFormat:
-			return UpgradeReport{}, nil
-		case err == nil && v > dataFormat:
-			return UpgradeReport{}, fmt.Errorf("core: data dir %s has format %d, newer than the format %d this build reads", dataDir, v, dataFormat)
+		if v, err := strconv.Atoi(strings.TrimSpace(string(data))); err == nil {
+			format = v
 		}
 	}
+	switch {
+	case format == dataFormat:
+		return UpgradeReport{}, nil
+	case format > dataFormat:
+		return UpgradeReport{}, fmt.Errorf("core: data dir %s has format %d, newer than the format %d this build reads", dataDir, format, dataFormat)
+	}
 	var up UpgradeReport
-	for i := 0; i < shards; i++ {
+	for i := 0; i < shards && format != 2; i++ {
 		for _, sub := range []string{"state", "snapshots"} {
 			st, err := engine.Upgrade(fsys, filepath.Join(shardDir(dataDir, shards, i), sub))
 			if err != nil {
@@ -55,7 +62,7 @@ func upgradeDataDir(fsys fault.FS, dataDir string, shards, stripes int) (Upgrade
 			up.Add(st)
 		}
 	}
-	for i := 0; i < stripes; i++ {
+	for i := 0; i < stripes && format != 2; i++ {
 		st, err := history.Upgrade(fsys, historyDir(dataDir, stripes, i))
 		if err != nil {
 			return UpgradeReport{}, err

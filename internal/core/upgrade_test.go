@@ -245,7 +245,7 @@ func TestUpgradeAtOpen(t *testing.T) {
 	if n := legacyRecords(t, dir); n != 0 {
 		t.Errorf("%d legacy records remain after the upgrade", n)
 	}
-	if data, err := os.ReadFile(filepath.Join(dir, formatFile)); err != nil || string(data) != "2\n" {
+	if data, err := os.ReadFile(filepath.Join(dir, formatFile)); err != nil || string(data) != "3\n" {
 		t.Errorf("FORMAT = %q, %v", data, err)
 	}
 	b, err = openLegacy(t, dir, nil)
@@ -263,7 +263,8 @@ func TestUpgradeAtOpen(t *testing.T) {
 
 // TestUpgradeFormatFile: a newer format is refused with an error naming
 // it; a FORMAT that is lost, empty or garbled costs one scan that
-// rewrites nothing, and is then written again.
+// rewrites nothing, and is then written again; format 2 is rewritten as
+// 3 without a scan.
 func TestUpgradeFormatFile(t *testing.T) {
 	dir := t.TempDir()
 	b, err := Open(Options{DataDir: dir})
@@ -274,7 +275,7 @@ func TestUpgradeFormatFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, formatFile)
-	for _, content := range []string{"", "x\n", "-", "2"} {
+	for _, content := range []string{"", "x\n", "-", "2", "2\n", "3"} {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +289,7 @@ func TestUpgradeFormatFile(t *testing.T) {
 		if b.Upgrade.Files != 0 {
 			t.Errorf("FORMAT %q: upgrade rewrote %d files", content, b.Upgrade.Files)
 		}
-		if data, _ := os.ReadFile(path); content != "2" && string(data) != "2\n" {
+		if data, _ := os.ReadFile(path); content != "3" && string(data) != "3\n" {
 			t.Errorf("FORMAT %q rewritten as %q", content, data)
 		}
 	}
@@ -299,11 +300,186 @@ func TestUpgradeFormatFile(t *testing.T) {
 		t.Fatalf("lost FORMAT: %v", err)
 	}
 	b.Close()
-	if err := os.WriteFile(path, []byte("3\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("4\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Options{DataDir: dir}); err == nil || !strings.Contains(err.Error(), "format 3, newer") {
+	if _, err := Open(Options{DataDir: dir}); err == nil || !strings.Contains(err.Error(), "format 4, newer") {
 		t.Errorf("newer format opened: %v", err)
+	}
+}
+
+// format2Fixture is a data dir a format 2 build wrote: deployments,
+// finished and parked cases, a snapshot and WAL records past it, and v2
+// history records with every instance ID spelled out. answers.txt holds
+// its cases and events as that build answered them, answers.xes its XES
+// export with every event.
+const (
+	format2Fixture = "testdata/format2"
+	format2Events  = 101
+)
+
+// historyPayloads returns the records of a data dir's history journal.
+func historyPayloads(t *testing.T, dir string) [][]byte {
+	t.Helper()
+	j, err := storage.OpenFileJournal(filepath.Join(dir, "history"), storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var out [][]byte
+	if err := j.Replay(1, func(_ uint64, p []byte) error { out = append(out, bytes.Clone(p)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestFormat2DirOpens: a format 2 dir opens with nothing rewritten but
+// FORMAT, and answers what the build that wrote it answered. The same
+// events written with numbered instance IDs export byte-identical XES.
+// New cases then append numbered records beside the literal ones, and a
+// reopen reads the mixed journal back as the live store answered it.
+func TestFormat2DirOpens(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(format2Fixture)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "answers.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantXES, err := os.ReadFile(filepath.Join(dir, "answers.xes"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][]byte{}
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			before[path], err = os.ReadFile(path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	literal := historyPayloads(t, dir)
+	if len(literal) != format2Events {
+		t.Fatalf("the fixture holds %d history records, want %d", len(literal), format2Events)
+	}
+
+	// The fixture's events, numbered: the XES export is the same bytes.
+	numbered := storage.NewMemJournal()
+	literalBytes, numberedBytes := 0, 0
+	for _, p := range literal {
+		literalBytes += len(p)
+		e, err := history.DecodeEvent(p)
+		if err == nil {
+			p, err = history.AppendEncode(nil, e)
+		}
+		if err == nil {
+			numberedBytes += len(p)
+			_, err = numbered.Append(p)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if numberedBytes >= literalBytes {
+		t.Errorf("numbered records take %d B, literal ones %d B", numberedBytes, literalBytes)
+	}
+	hs, err := history.NewStriped([]storage.Journal{numbered}, history.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var xes bytes.Buffer
+	if err := history.StreamXES(&xes, hs, true); err != nil {
+		t.Fatal(err)
+	}
+	hs.Close()
+	if !bytes.Equal(xes.Bytes(), wantXES) {
+		t.Errorf("XES of the numbered records differs from the format 2 build's export")
+	}
+
+	clock := timer.NewVirtualClock(time.Date(2026, 5, 6, 8, 0, 0, 0, time.FixedZone("", 2*3600)))
+	open := func() *BPMS {
+		b, err := Open(Options{DataDir: dir, Clock: clock, Users: []resource.User{{ID: "carol", Roles: []string{"clerk"}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	b := open()
+	if b.Upgrade.Files != 0 || b.Upgrade.Records != 0 {
+		t.Errorf("upgrade report %+v, want nothing rewritten", b.Upgrade)
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, formatFile)); err != nil || string(data) != "3\n" {
+		t.Errorf("FORMAT = %q, %v", data, err)
+	}
+	for path, old := range before {
+		if now, err := os.ReadFile(path); err != nil || (filepath.Base(path) != formatFile && !bytes.HasPrefix(now, old)) {
+			t.Errorf("%s was rewritten (%v)", path, err)
+		}
+	}
+	var events []*history.Event
+	err = b.History.All(func(e *history.Event) error {
+		if e.Index <= format2Events {
+			events = append(events, e)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderCases(t, b) + renderEvents(t, events); got != string(want) {
+		t.Errorf("the format 2 dir answers\n%s\nthe build that wrote it answered\n%s", got, want)
+	}
+
+	var added []string
+	for i := 0; i < 2; i++ {
+		v, err := b.Engine.StartInstance("bench-pipeline", map[string]any{"amount": 42 + i, "customer": "c-new", "region": "east"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		added = append(added, v.ID)
+	}
+	var live []*history.Event
+	if err := b.History.All(func(e *history.Event) error { live = append(live, e); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The old records spell their IDs out; the new ones number them.
+	mixed := historyPayloads(t, dir)
+	for i, p := range mixed {
+		old := i < format2Events
+		for _, id := range added {
+			if bytes.Contains(p, []byte(id)) {
+				t.Errorf("record %d spells out %s", i+1, id)
+			}
+		}
+		if old && !bytes.Equal(p, literal[i]) {
+			t.Errorf("record %d changed", i+1)
+		}
+	}
+	b = open()
+	defer b.Close()
+	var reopened []*history.Event
+	err = b.History.All(func(e *history.Event) error {
+		if e.Index <= uint64(len(live)) {
+			reopened = append(reopened, e)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := renderEvents(t, reopened), renderEvents(t, live); got != want {
+		t.Errorf("the reopened mixed journal reads back\n%s\nthe live store answered\n%s", got, want)
+	}
+	for _, id := range added {
+		if n := len(b.History.EventsOf(id)); n != 16 {
+			t.Errorf("history of %s = %d events, want 16", id, n)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -157,7 +158,7 @@ func (e *Engine) persistDeploy(p *model.Process) error {
 // while holding an instance lock, and Snapshot must be free to lock
 // every instance.
 func (e *Engine) maybeSnapshot() {
-	if e.snapshots == nil || e.snapshotEvery <= 0 || e.degraded.Load() {
+	if e.snapshots == nil || e.snapshotEvery <= 0 || e.degraded.Load() || e.closing.Load() {
 		return
 	}
 	e.mu.Lock()
@@ -192,6 +193,20 @@ func (e *Engine) requestSnapshot() {
 	}
 }
 
+// errClosing is Snapshot's answer once Close has begun.
+var errClosing = errors.New("engine: closing")
+
+// Close ends the engine's snapshots before its owner closes the journal
+// and the snapshot store: no snapshot round starts after it, and it
+// waits for the running one, which would otherwise write and truncate
+// behind the closed journal and fail-stop the engine. It also quiets the
+// worklist listener. The journal stays open; the caller closes it.
+func (e *Engine) Close() {
+	e.closing.Store(true)
+	e.snapMu.Lock() // the running Snapshot, if any, holds it
+	e.snapMu.Unlock()
+}
+
 // snapshotLoop runs snapshots while triggers keep arriving, releasing
 // the in-flight claim between rounds. The pending flag is cleared
 // before each snapshot so a trigger arriving mid-snapshot schedules
@@ -199,8 +214,9 @@ func (e *Engine) requestSnapshot() {
 func (e *Engine) snapshotLoop() {
 	for {
 		e.snapshotPending.Store(false)
-		if e.degraded.Load() {
+		if e.degraded.Load() || e.closing.Load() {
 			// Frozen: stop churning the failing disk with snapshots.
+			// Closing: the journal is about to close under us.
 			e.snapshotting.Store(false)
 			return
 		}
@@ -220,7 +236,7 @@ func (e *Engine) snapshotLoop() {
 // time-based scheduler calls this on every tick; an in-flight snapshot
 // or an idle journal satisfies the tick rather than queueing behind it.
 func (e *Engine) TrySnapshot() bool {
-	if e.snapshots == nil || e.degraded.Load() {
+	if e.snapshots == nil || e.degraded.Load() || e.closing.Load() {
 		return false
 	}
 	if e.journal.LastIndex() == e.lastSnapIndex.Load() {
@@ -296,6 +312,9 @@ func (e *Engine) Snapshot() error {
 	// share a temp file, and the slower one's rename fails.
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
+	if e.closing.Load() {
+		return errClosing
+	}
 	index, defs, cases := e.snapshotContents()
 	w, err := e.snapshots.Writer(index)
 	if err != nil {

@@ -11,9 +11,11 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
+	"bpms/internal/binrec"
 	"bpms/internal/obs"
 	"bpms/internal/storage"
 )
@@ -94,15 +96,27 @@ func referenceDecodeV2(p []byte) (*Event, error) {
 	}
 	mask, err := rd.ReadByte()
 	errs = append(errs, err)
+	// Bit 7: the instance ID is the process ID, "-" and a uvarint n ≥ 1
+	// in decimal, read where the instance string would be.
+	numbered := mask&(1<<7) != 0
+	if numbered && (mask&1 == 0 || mask&2 != 0) {
+		errs = append(errs, fmt.Errorf("mask %#x: a numbered instance needs the process and no instance string", mask))
+	}
 	for i, dst := range []*string{&e.ProcessID, &e.InstanceID, &e.ElementID, &e.Element, &e.TaskID, &e.Actor} {
-		if mask&(1<<i) != 0 {
+		switch {
+		case i == 1 && numbered:
+			n, err := binary.ReadUvarint(rd)
+			if err == nil && n == 0 {
+				err = errors.New("instance number 0")
+			}
+			errs = append(errs, err)
+			*dst = e.ProcessID + "-" + strconv.FormatUint(n, 10)
+		case mask&(1<<i) != 0:
 			*dst = str()
 		}
 	}
 	rest := p[len(p)-rd.Len():]
 	switch {
-	case mask >= 1<<7:
-		errs = append(errs, fmt.Errorf("mask %#x", mask))
 	case mask&(1<<6) != 0:
 		errs = append(errs, json.Unmarshal(rest, &e.Data))
 	case len(rest) > 0:
@@ -129,7 +143,8 @@ func checkDecodeAgainstReference(t *testing.T, payload []byte) {
 	if e, err := DecodeEvent(payload); err == nil {
 		t.Fatalf("DecodeEvent accepted %q, which is not a v2 record: %+v", payload, e)
 	}
-	if _, _, err := peekEvent(payload); err == nil {
+	var buf []byte
+	if _, _, err := peekEvent(payload, &buf); err == nil {
 		t.Fatalf("peek accepted %q, which is not a v2 record", payload)
 	}
 }
@@ -143,10 +158,12 @@ func checkDecodeAgainstReference(t *testing.T, payload []byte) {
 func checkV2Contract(t *testing.T, payload []byte) {
 	t.Helper()
 	got, err := DecodeEvent(payload)
-	typ, inst, perr := peekEvent(payload)
+	var buf []byte
+	typ, inst, perr := peekEvent(payload, &buf)
 	if err != nil {
 		if perr == nil {
-			r, _ := scan(payload)
+			var r record
+			_ = r.scan(payload)
 			var m map[string]any
 			if r.data == nil || json.Unmarshal(r.data, &m) == nil {
 				t.Fatalf("peek accepted %q, which fails to decode: %v", payload, err)
@@ -177,7 +194,7 @@ func seedEvents() []*Event {
 	for i, typ := range allEventTypes {
 		events = append(events, &Event{Type: typ, Time: ts(i), ProcessID: "order", InstanceID: fmt.Sprintf("order-%d", i), ElementID: "approve"})
 	}
-	return append(events,
+	events = append(events,
 		&Event{Type: ProcessDeployed, Time: ts(1), ProcessID: "p"},
 		&Event{Type: MessagePublished, Time: ts(2)},
 		&Event{Type: TaskCompleted, Time: ts(3).Add(123456789), ProcessID: "order", InstanceID: "i-2",
@@ -192,6 +209,20 @@ func seedEvents() []*Event {
 		&Event{Type: "custom.type", Time: time.Time{}, InstanceID: "i-8"},
 		&Event{Type: "", Time: ts(10).In(time.FixedZone("named", 0)), Actor: "a"},
 	)
+	// Instance IDs around the numbered form: only process + "-" + n,
+	// n ≥ 1 in canonical decimal that fits 64 bits, is numbered.
+	for i, id := range []struct{ process, instance string }{
+		{"order", "order-1"}, {"order", "order-18446744073709551615"},
+		{"order", "order-18446744073709551616"}, {"order", "order-007"},
+		{"order", "order-0"}, {"order", "order-"}, {"order", "order"},
+		{"order", "order-1x"}, {"order", "order--1"}, {"order", "order-+1"},
+		{"order", "orders-1"}, {"order", "other-1"}, {"a-b", "a-b-3"},
+		{"", "-1"}, {"ünï", "ünï-42"}, {"order", "order-١"},
+	} {
+		events = append(events, &Event{Type: ElementCompleted, Time: ts(11 + i), ProcessID: id.process,
+			InstanceID: id.instance, ElementID: "approve", Data: map[string]any{"n": float64(i)}})
+	}
+	return events
 }
 
 // v2Variants derives, from one record AppendEncode writes, records it
@@ -213,6 +244,11 @@ func v2Variants(t testing.TB) (bad, odd map[string][]byte) {
 		return append(with(mask, base[mask]|maskData), data...)
 	}
 	header := []byte{recordV2, 1, 0} // process.deployed at Unix second 0
+	// numbered is header, a zero nanosecond and offset, mask, and the rest.
+	numbered := func(mask byte, rest ...byte) []byte {
+		return append(append(bytes.Clone(header), 0, 0, mask), rest...)
+	}
+	const process = 1 << 0
 	bad = map[string][]byte{
 		"v2-truncated-varint":     base[:4],
 		"v2-overlong-varint":      append(bytes.Clone(base[:2]), bytes.Repeat([]byte{0xff}, 11)...),
@@ -226,12 +262,23 @@ func v2Variants(t testing.TB) (bad, odd map[string][]byte) {
 		"v2-nanoseconds-past-1s":  append(binary.AppendUvarint(bytes.Clone(header), uint64(time.Second)), 0, 0),
 		"v2-custom-name-past-end": {recordV2, 0, 9, 'x'},
 		"v2-marker-only":          {recordV2},
+		// A numbered instance with no process, beside an instance
+		// string, numbered 0, or with its number cut or overflowing.
+		"v2-seq-without-process":      numbered(maskSeq, 5),
+		"v2-seq-with-instance-string": numbered(maskSeq|process|1<<instanceField, 1, 'p', 1, 'x', 5),
+		"v2-seq-zero":                 numbered(maskSeq|process, 1, 'p', 0),
+		"v2-seq-truncated":            numbered(maskSeq|process, 1, 'p'),
+		"v2-seq-overflowing-varint":   numbered(maskSeq|process, append([]byte{1, 'p'}, bytes.Repeat([]byte{0xff}, 10)...)...),
 	}
 	odd = map[string][]byte{
 		"v2-data-empty-object":      withData("{}"),
 		"v2-empty-string-present":   append(bytes.Clone(header), 0, 0, 1<<instanceField, 0),
 		"v2-offset-with-seconds":    append(binary.AppendVarint(append(bytes.Clone(header), 0), 3601), 0),
 		"v2-custom-type-known-name": append([]byte{recordV2, 0, byte(len(TaskCreated))}, append([]byte(TaskCreated), base[2:]...)...),
+		// The literal form of an ID the encoder numbers, as every journal
+		// written before numbered IDs holds it, and a padded number.
+		"v2-literal-numbered-id":    numbered(process|1<<instanceField, 1, 'p', 3, 'p', '-', '5'),
+		"v2-seq-non-minimal-varint": numbered(maskSeq|process, 1, 'p', 0x85, 0x00),
 	}
 	return bad, odd
 }
@@ -316,7 +363,8 @@ func TestDecodeEventMatchesEncodingJSON(t *testing.T) {
 		if _, err := DecodeEvent(v2); err != nil {
 			t.Errorf("the encoder's own output %q does not decode: %v", v2, err)
 		}
-		if _, _, err := peekEvent(v2); err != nil {
+		var buf []byte
+		if _, _, err := peekEvent(v2, &buf); err != nil {
 			t.Errorf("peek declined the encoder's own output %q: %v", v2, err)
 		}
 		v1, _ := json.Marshal(e)
@@ -381,7 +429,8 @@ func TestV2DecodesLikeV1(t *testing.T) {
 	if err != nil || got.InstanceID != e.InstanceID || got.Actor != e.Actor {
 		t.Errorf("v2 decode of invalid UTF-8 = %+v, %v; want the bytes kept", got, err)
 	}
-	if _, inst, err := peekEvent(v2); err != nil || string(inst) != e.InstanceID {
+	var buf []byte
+	if _, inst, err := peekEvent(v2, &buf); err != nil || string(inst) != e.InstanceID {
 		t.Errorf("peek of invalid UTF-8 = %q, %v; want the bytes decode keeps", inst, err)
 	}
 	v1, _ := json.Marshal(e)
@@ -472,7 +521,15 @@ func checkRecoverEquivalence(t *testing.T, r *rand.Rand, window, stripes, n int)
 		case 3:
 			e.Actor = "zoë"
 		}
-		if err := writer.Append(e); err != nil {
+		if r.Intn(3) > 0 {
+			if err := writer.Append(e); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		// A record as journals written before numbered IDs hold it,
+		// appended once the writer's committer is idle.
+		if _, err := writer.stripeFor(e.InstanceID).journal.Append(appendLiteral(t, e)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -558,6 +615,35 @@ func checkReopen(t *testing.T, journals []storage.Journal, window, n int) {
 	}
 }
 
+// appendLiteral returns the record of e with every present string
+// spelled out, the instance ID too, as a build before numbered instance
+// IDs wrote it.
+func appendLiteral(t testing.TB, e *Event) []byte {
+	t.Helper()
+	bare := *e
+	bare.ProcessID = ""
+	rec, err := AppendEncode(nil, &bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.ProcessID == "" {
+		return rec
+	}
+	head, _ := AppendEncode(nil, &Event{Type: e.Type, Time: e.Time})
+	mask := len(head) - 1
+	out := append(bytes.Clone(rec[:mask]), rec[mask]|1<<processField)
+	out = binrec.AppendString(out, e.ProcessID)
+	out = append(out, rec[mask+1:]...)
+	enc, _ := AppendEncode(nil, e)
+	lit, err1 := referenceDecodeV2(out)
+	num, err2 := referenceDecodeV2(enc)
+	var r record
+	if _ = r.scan(out); r.seq != 0 || err1 != nil || err2 != nil || !reflect.DeepEqual(lit, num) {
+		t.Fatalf("literal record %q of %+v reads as %+v (%v), the encoder's %q as %+v (%v)", out, e, lit, err1, enc, num, err2)
+	}
+	return out
+}
+
 // residentRecords returns the bytes of a stripe's resident records,
 // oldest first.
 func residentRecords(st *stripe) [][]byte {
@@ -570,19 +656,32 @@ func residentRecords(st *stripe) [][]byte {
 }
 
 // TestPeekAllocatesNothing: the count-only replay and EventsOf's skip
-// read a record's type and instance where they lie.
+// read a record's type and a literal instance ID where they lie, and
+// build a numbered one in the caller's buffer, reused from record to
+// record. The numbered records are checked to be numbered.
 func TestPeekAllocatesNothing(t *testing.T) {
-	for _, e := range []*Event{
-		{Type: ElementCompleted, Time: ts(1), ProcessID: "order", InstanceID: "order-1", ElementID: "approve"},
-		{Type: ElementCompleted, Time: ts(2), InstanceID: "zoë-1", Data: map[string]any{"routing": true}},
-		{Type: "custom.type", Time: ts(3), InstanceID: "order-2"},
+	var buf []byte
+	for _, c := range []struct {
+		e        *Event
+		numbered bool
+	}{
+		{&Event{Type: ElementCompleted, Time: ts(1), ProcessID: "order", InstanceID: "order-1", ElementID: "approve"}, true},
+		{&Event{Type: ElementCompleted, Time: ts(1), ProcessID: "bench-pipeline", InstanceID: "bench-pipeline-1528"}, true},
+		{&Event{Type: TaskCreated, Time: ts(1), ProcessID: "order", InstanceID: "order-18446744073709551615", Data: map[string]any{"routing": true}}, true},
+		{&Event{Type: ElementCompleted, Time: ts(1), ProcessID: "order", InstanceID: "order-007"}, false},
+		{&Event{Type: ElementCompleted, Time: ts(2), InstanceID: "zoë-1", Data: map[string]any{"routing": true}}, false},
+		{&Event{Type: "custom.type", Time: ts(3), InstanceID: "order-2"}, false},
 	} {
-		payload, err := AppendEncode(nil, e)
+		payload, err := AppendEncode(nil, c.e)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var r record
+		if _ = r.scan(payload); (r.seq > 0) != c.numbered {
+			t.Errorf("%q under %q: numbered = %v, want %v", c.e.InstanceID, c.e.ProcessID, r.seq > 0, c.numbered)
+		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if typ, inst, err := peekEvent(payload); err != nil || string(inst) != e.InstanceID || string(typ) != string(e.Type) {
+			if typ, inst, err := peekEvent(payload, &buf); err != nil || string(inst) != c.e.InstanceID || string(typ) != string(c.e.Type) {
 				t.Fatalf("peek of %q = %q, %q, %v", payload, typ, inst, err)
 			}
 		})

@@ -1,7 +1,10 @@
 package history
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"strconv"
+	"strings"
 
 	"bpms/internal/binrec"
 )
@@ -36,9 +39,13 @@ func init() {
 }
 
 const (
+	processField  = 0 // stringFields()[processField] is &e.ProcessID
 	instanceField = 1 // stringFields()[instanceField] is &e.InstanceID
 	maskData      = 1 << 6
-	maskKnown     = maskData<<1 - 1
+	// maskSeq marks an instance ID held as its sequence number n: the ID
+	// is ProcessID + "-" + n. It needs the process bit and excludes the
+	// instance bit.
+	maskSeq = 1 << 7
 )
 
 // stringFields lists the event's optional strings in record order.
@@ -53,7 +60,9 @@ func (e *Event) stringFields() [6]*string {
 // varint Unix seconds, uvarint nanoseconds and varint zone offset in
 // seconds; a mask of the fields present; each present stringFields
 // entry as a uvarint length and its bytes (no escaping); and, when
-// there is data, json.Marshal(e.Data) to the end.
+// there is data, json.Marshal(e.Data) to the end. An instance ID the
+// engine numbered, ProcessID + "-" + n, is written as uvarint(n) under
+// maskSeq instead (instanceSeq); any other ID is written as it is.
 // Index is not stored: the journal position is, and replays set it.
 func AppendEncode(buf []byte, e *Event) ([]byte, error) {
 	code := typeCodes[e.Type]
@@ -64,8 +73,13 @@ func AppendEncode(buf []byte, e *Event) ([]byte, error) {
 	buf = binrec.AppendTime(buf, e.Time)
 	mask := len(buf)
 	buf = append(buf, 0)
+	seq := instanceSeq(e.ProcessID, e.InstanceID)
 	for i, f := range e.stringFields() {
-		if *f != "" {
+		switch {
+		case i == instanceField && seq > 0:
+			buf[mask] |= maskSeq
+			buf = binary.AppendUvarint(buf, seq)
+		case *f != "":
 			buf[mask] |= 1 << i
 			buf = binrec.AppendString(buf, *f)
 		}
@@ -79,4 +93,28 @@ func AppendEncode(buf []byte, e *Event) ([]byte, error) {
 		return buf, err
 	}
 	return append(buf, data...), nil
+}
+
+// instanceSeq returns n when inst is process + "-" + n with n ≥ 1 in
+// canonical decimal (no sign, no leading zero), and 0 otherwise.
+func instanceSeq(process, inst string) uint64 {
+	if process == "" || !strings.HasPrefix(inst, process) {
+		return 0
+	}
+	digits, ok := strings.CutPrefix(inst[len(process):], "-")
+	if !ok || digits == "" || digits[0] == '0' {
+		return 0
+	}
+	n, err := strconv.ParseUint(digits, 10, 64) // no sign, no '_' in base 10
+	if err != nil {
+		return 0
+	}
+	return n
+}
+
+// appendInstanceID appends the instance ID a maskSeq record holds:
+// process, "-", and seq in decimal.
+func appendInstanceID(buf, process []byte, seq uint64) []byte {
+	buf = append(append(buf, process...), '-')
+	return strconv.AppendUint(buf, seq, 10)
 }

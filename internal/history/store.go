@@ -1,6 +1,7 @@
 package history
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -60,8 +61,8 @@ type Store struct {
 // StoreOptions configures a striped store.
 type StoreOptions struct {
 	// Window bounds the number of events each stripe keeps resident in
-	// RAM (0 = unbounded), as their packed journal records (about 60 B
-	// and a locator each for a typical event). Older events remain
+	// RAM (0 = unbounded), as their packed journal records (about 41 B
+	// and a locator each for a pipeline event). Older events remain
 	// queryable through journal replay.
 	Window int
 	// QueueSize is the per-stripe async queue capacity (default 1024).
@@ -133,6 +134,7 @@ type stripe struct {
 	// Encode scratch, the committer's. The window copies what it keeps,
 	// so the buffer is reused from event to event.
 	encBuf  []byte
+	idBuf   []byte // evictLocked's, for a numbered instance ID
 	idxBuf  []uint64
 	errsBuf []error
 	endsBuf []int
@@ -192,13 +194,16 @@ func newStripe(j storage.Journal, window int, metrics obs.HistoryStripeMetrics) 
 // assignment to a map[string]int would, every time).
 type tally map[string]*int
 
-func (t tally) add(key []byte) {
-	if n := t[string(key)]; n != nil {
-		*n++
-		return
+func (t tally) add(key []byte) { *t.ref(key)++ }
+
+// ref returns key's counter, adding it at 0.
+func (t tally) ref(key []byte) *int {
+	n := t[string(key)]
+	if n == nil {
+		n = new(int)
+		t[string(key)] = n
 	}
-	n := 1
-	t[string(key)] = &n
+	return n
 }
 
 // replay rebuilds the stripe's indexes from its journal and decodes
@@ -206,6 +211,11 @@ func (t tally) add(key []byte) {
 // bump the cumulative counters; the records the window keeps — the last
 // `window` of them — are then copied into it as they are. The stripe
 // ends up as if every record had gone through indexLocked.
+//
+// A case's records mostly follow one another, so a record of the
+// previous record's instance, found by the bytes and number that hold
+// its ID, reuses that instance's counter and key: its numbered ID is not
+// spelled out and nothing is looked up.
 func (st *stripe) replay() error {
 	began := time.Now()
 	var cut uint64 // records at or below cut are counted, not kept
@@ -213,21 +223,42 @@ func (st *stripe) replay() error {
 		cut = last - uint64(st.res.limit)
 	}
 	types, insts, prefix, total := tally{}, tally{}, 0, 0
+	var prev struct {
+		seq   uint64 // the instance's number, 0 for a literal ID
+		key   []byte // its process ID, or its literal ID, copied
+		count *int
+		id    string // instanceKey's, once a record was kept
+	}
+	var r record
+	var idBuf []byte
 	err := st.journal.Replay(1, func(index uint64, payload []byte) error {
-		typ, inst, err := peekEvent(payload)
-		if err != nil {
+		if err := r.peek(payload); err != nil {
 			return fmt.Errorf("history: replay record %d: %w", index, err)
 		}
-		types.add(typ)
-		if len(inst) > 0 {
-			insts.add(inst)
+		types.add(r.typ)
+		key, id := r.strs[instanceField], ""
+		if r.seq > 0 {
+			key = r.strs[processField]
+		}
+		if len(key) > 0 {
+			if prev.count == nil || prev.seq != r.seq || !bytes.Equal(prev.key, key) {
+				prev.seq, prev.key, prev.id = r.seq, append(prev.key[:0], key...), ""
+				prev.count = insts.ref(r.instance(&idBuf))
+			}
+			*prev.count++
 		}
 		total++
 		if index <= cut {
 			prefix++
 			return nil
 		}
-		st.keepLocked(index, payload, st.instanceKey(inst))
+		if len(key) > 0 {
+			if prev.id == "" {
+				prev.id = st.instanceKey(r.instance(&idBuf))
+			}
+			id = prev.id
+		}
+		st.keepLocked(index, payload, id)
 		return nil
 	})
 	if err != nil {
@@ -436,8 +467,9 @@ func (st *stripe) keepLocked(index uint64, rec []byte, inst string) {
 func (st *stripe) evictLocked() {
 	index, rec := st.res.first, st.res.oldest()
 	// The window keeps only records peek accepted, so scan does too.
-	fields, _ := scan(rec)
-	inst := fields.strs[instanceField]
+	var fields record
+	_ = fields.scan(rec)
+	inst := fields.instance(&st.idBuf)
 	if r, ok := st.byInstance[string(inst)]; ok && len(inst) > 0 && r.indexes[0] == index {
 		if len(r.indexes) == 1 {
 			delete(st.byInstance, r.id)
@@ -544,12 +576,13 @@ func (s *Store) EventsOf(instanceID string) []*Event {
 	// events. The resident records are a contiguous suffix, so
 	// prefix+suffix is the complete ordered history.
 	var out []*Event
+	var idBuf []byte
 	err := st.journal.Replay(1, func(index uint64, payload []byte) error {
 		if ramFirst != 0 && index >= ramFirst {
 			return errStopReplay
 		}
 		// Other instances' records are skipped undecoded.
-		if _, inst, err := peekEvent(payload); err == nil && string(inst) != instanceID {
+		if _, inst, err := peekEvent(payload, &idBuf); err == nil && string(inst) != instanceID {
 			return nil
 		}
 		e, derr := DecodeEvent(payload)

@@ -4,7 +4,7 @@ import "encoding/binary"
 
 // windowChunk is the capacity of one record chunk. Above 32 KiB the Go
 // allocator hands out whole 8 KiB pages with no size-class rounding, so
-// a 64 KiB chunk wastes nothing, and about a thousand 60 B records share
+// a 64 KiB chunk wastes nothing, and about 1 500 records of ~41 B share
 // its one allocation (storage.MemJournal sizes its chunks the same way).
 const windowChunk = 64 << 10
 

@@ -60,7 +60,7 @@ func (keepOpen) Close() error { return nil }
 // the trail of 20 000 pipeline cases (320 000 events) at window 100 000
 // against window 1, the difference in live heap per extra resident
 // event. As decoded events the window cost about 330 B each; as packed
-// records, a record's ~60 B, its locator and its instance's index.
+// records, a record's ~41 B, its locator and its instance's index.
 func TestResidentWindowHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 320 000-event journal")
@@ -90,8 +90,8 @@ func TestResidentWindowHeap(t *testing.T) {
 	small, large := opened(1), opened(window)
 	per := float64(large-small) / (window - 1)
 	t.Logf("%.0f B of heap per resident event (window 1: %d B, window %d: %d B)", per, small, window, large)
-	if per > 150 {
-		t.Errorf("a resident event holds %.0f B of heap, want at most 150", per)
+	if per > 70 {
+		t.Errorf("a resident event holds %.0f B of heap, want at most 70", per)
 	}
 }
 

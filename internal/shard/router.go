@@ -381,6 +381,14 @@ func (r *Router) TrySnapshot() int {
 	return n
 }
 
+// Close ends every shard's snapshots (engine.Close) before the caller
+// closes the shard journals.
+func (r *Router) Close() {
+	for _, s := range r.shards {
+		s.Close()
+	}
+}
+
 // RecoveryDuration reports how long one shard's boot-time recovery
 // took (zero when the shard started fresh).
 func (r *Router) RecoveryDuration(i int) time.Duration {

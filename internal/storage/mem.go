@@ -9,9 +9,9 @@ import (
 
 // Go allocates a heap object above 32 KiB as a run of 8 KiB pages, with
 // no size-class rounding, so a chunk that is such a page multiple wastes
-// nothing in the allocator. At 64 KiB one chunk holds about a thousand
-// 60 B audit records, so its allocation vanishes from the per-record
-// cost, while an idle journal's partly filled chunk stays small.
+// nothing in the allocator. At 64 KiB one chunk holds about 1 500 audit
+// records of ~41 B, so its allocation vanishes from the per-record cost,
+// while an idle journal's partly filled chunk stays small.
 const (
 	heapPage     = 8 << 10
 	memChunkSize = 8 * heapPage

@@ -166,11 +166,36 @@ type Item struct {
 	Outcome    map[string]any `json:"outcome,omitempty"` // completion payload
 	Reason     string         `json:"reason,omitempty"`  // failure/skip reason
 
-	CreatedAt   time.Time `json:"createdAt"`
-	DueAt       time.Time `json:"dueAt,omitempty"`
-	AllocatedAt time.Time `json:"allocatedAt,omitempty"`
-	StartedAt   time.Time `json:"startedAt,omitempty"`
-	ClosedAt    time.Time `json:"closedAt,omitempty"`
+	CreatedAt time.Time `json:"createdAt"`
+	// The lifecycle times are left out of the JSON while unset
+	// (MarshalJSON).
+	DueAt       time.Time `json:"dueAt"`
+	AllocatedAt time.Time `json:"allocatedAt"`
+	StartedAt   time.Time `json:"startedAt"`
+	ClosedAt    time.Time `json:"closedAt"`
+}
+
+// MarshalJSON encodes the item with its unset lifecycle times left out.
+// omitempty never omits a time.Time, a struct, and omitzero needs Go
+// 1.24, so the times are written through pointers, nil when zero, that
+// shadow the item's own fields.
+func (it *Item) MarshalJSON() ([]byte, error) {
+	type fields Item // Item without this method
+	return json.Marshal(struct {
+		*fields
+		DueAt       *time.Time `json:"dueAt,omitempty"`
+		AllocatedAt *time.Time `json:"allocatedAt,omitempty"`
+		StartedAt   *time.Time `json:"startedAt,omitempty"`
+		ClosedAt    *time.Time `json:"closedAt,omitempty"`
+	}{(*fields)(it), unlessZero(&it.DueAt), unlessZero(&it.AllocatedAt), unlessZero(&it.StartedAt), unlessZero(&it.ClosedAt)})
+}
+
+// unlessZero returns t, or nil for the zero time.
+func unlessZero(t *time.Time) *time.Time {
+	if t.IsZero() {
+		return nil
+	}
+	return t
 }
 
 func (it *Item) clone() *Item {

@@ -1,7 +1,9 @@
 package task
 
 import (
+	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -299,5 +301,61 @@ func TestStateStringAndTerminal(t *testing.T) {
 		if !s.Terminal() {
 			t.Errorf("%s should be terminal", s)
 		}
+	}
+}
+
+// TestItemJSONOmitsUnsetTimes: a fresh offered item's JSON has no
+// lifecycle time it has not reached, and each time appears once set,
+// in the form time.Time writes it. Decoding the JSON gives the item back.
+func TestItemJSONOmitsUnsetTimes(t *testing.T) {
+	svc, _, now := newService(t, false)
+	it, err := svc.Create(Spec{ProcessID: "p", InstanceID: "i1", ElementID: "review", Role: "clerk", Data: map[string]any{"n": 1.0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := func(it *Item) map[string]any {
+		t.Helper()
+		data, err := json.Marshal(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		var back Item
+		if err := json.Unmarshal(data, &back); err != nil || !reflect.DeepEqual(&back, it) {
+			t.Errorf("%s decodes to %+v (%v), want %+v", data, back, err, it)
+		}
+		return m
+	}
+	m := keys(it)
+	for _, k := range []string{"dueAt", "allocatedAt", "startedAt", "closedAt"} {
+		if v, ok := m[k]; ok {
+			t.Errorf("a fresh offered item carries %q: %v", k, v)
+		}
+	}
+	if m["createdAt"] != base.Format(time.RFC3339Nano) || m["state"] != "offered" || m["instanceId"] != "i1" {
+		t.Errorf("fresh item JSON = %v", m)
+	}
+	*now = base.Add(time.Minute)
+	if _, err := svc.Claim(it.ID, "bob"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Start(it.ID, "bob"); err != nil {
+		t.Fatal(err)
+	}
+	done, err := svc.Complete(it.ID, "bob", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = keys(done)
+	for _, k := range []string{"allocatedAt", "startedAt", "closedAt"} {
+		if m[k] != now.Format(time.RFC3339Nano) {
+			t.Errorf("completed item %q = %v, want %v", k, m[k], *now)
+		}
+	}
+	if _, ok := m["dueAt"]; ok {
+		t.Errorf("an item without a deadline carries dueAt: %v", m)
 	}
 }
