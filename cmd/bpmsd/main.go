@@ -71,7 +71,7 @@ func main() {
 	snapshotInterval := flag.Duration("snapshot-interval", 0, "wall-clock snapshot cadence for shards whose journal advanced (0 = append-count trigger only)")
 	segmentSize := flag.Int64("wal-segment-size", 0, "max bytes per WAL segment file before rollover (0 = default 4MiB)")
 	recoveryWorkers := flag.Int("recovery-workers", 0, "ignored: recovery reads each shard's snapshot and WAL serially")
-	timerStripes := flag.Int("timer-stripes", 0, "independently locked timing-wheel stripes (0 = default 8, 1 = single wheel)")
+	timerStripes := flag.Int("timer-stripes", 0, "ignored: the timer service is one timing wheel")
 	historyStripes := flag.Int("history-stripes", 1, "history store stripes, each with its own journal and commit pipeline (data dirs must be reopened with the stripe count they were created with)")
 	historyWindow := flag.Int("history-window", 100000, "audit events each history stripe keeps resident in RAM, as packed records (about 65 B of heap per pipeline event); 0 = unbounded; older events are served from the journal")
 	worklistStripes := flag.Int("worklist-stripes", 1, "worklist lock stripes, each with its own item map and secondary indexes (in-memory; any value reopens any data dir)")
@@ -106,6 +106,9 @@ func main() {
 	if *recoveryWorkers != 0 {
 		fmt.Printf("bpmsd: -recovery-workers %d ignored: recovery is serial per shard\n", *recoveryWorkers)
 	}
+	if *timerStripes != 0 {
+		fmt.Printf("bpmsd: -timer-stripes %d ignored: the timer service is one timing wheel\n", *timerStripes)
+	}
 	policy, err := bpms.ParseSyncPolicy(*syncMode)
 	if err != nil {
 		log.Fatal(err)
@@ -121,7 +124,6 @@ func main() {
 		HistoryStripes:  *historyStripes,
 		HistoryWindow:   *historyWindow,
 		WorklistStripes: *worklistStripes,
-		TimerStripes:    *timerStripes,
 		AutoAllocate:    *autoAllocate,
 		AuditInterval:   *auditInterval,
 		TaskSLA:         *taskSLA,

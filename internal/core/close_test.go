@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -73,5 +74,65 @@ func TestCloseWaitsForSnapshot(t *testing.T) {
 			t.Errorf("round %d: %v", round, degraded)
 		}
 		mu.Unlock()
+	}
+}
+
+// TestSnapshotIntervalTrigger: with no append-count trigger, the time
+// trigger alone snapshots a journal that advanced, leaves an idle
+// journal's snapshots/ alone across many ticks, and Close returns with
+// no round running although starts were still landing on the tick.
+func TestSnapshotIntervalTrigger(t *testing.T) {
+	const interval = 5 * time.Millisecond
+	dir := t.TempDir()
+	var degraded atomic.Value
+	b, err := Open(Options{DataDir: dir, SnapshotInterval: interval, OnDegrade: func(shard int, reason string) {
+		degraded.Store(fmt.Sprintf("shard %d: %s", shard, reason))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.DeployFile("../../benchmark/testdata/pipeline.json"); err != nil {
+		t.Fatal(err)
+	}
+	start := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			vars := map[string]any{"amount": i, "customer": "c", "region": "north"}
+			if _, err := b.Engine.StartInstance("bench-pipeline", vars); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	start(20)
+	last, _ := b.JournalIndexes()
+	newest := filepath.Join(dir, "snapshots", fmt.Sprintf("snap-%020d.snap", last))
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := os.Stat(newest); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no snapshot at journal index %d within 5s: %v", last, snapshotListing(t, dir))
+		}
+		time.Sleep(interval)
+	}
+
+	idle := snapshotListing(t, dir)
+	time.Sleep(20 * interval)
+	if later := snapshotListing(t, dir); !reflect.DeepEqual(later, idle) {
+		t.Fatalf("idle journal was snapshotted again:\n%v\nthen\n%v", idle, later)
+	}
+
+	start(100)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := snapshotListing(t, dir)
+	time.Sleep(4 * interval)
+	if later := snapshotListing(t, dir); !reflect.DeepEqual(later, closed) {
+		t.Fatalf("snapshots/ changed after Close:\n%v\nthen\n%v", closed, later)
+	}
+	if d := degraded.Load(); d != nil {
+		t.Fatal(d)
 	}
 }

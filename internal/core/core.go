@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"bpms/internal/fault"
@@ -51,8 +50,6 @@ type Options struct {
 	// BatchMaxDelay is the SyncBatch max-latency tick (default 2ms):
 	// buffered records reach stable storage at least this often.
 	BatchMaxDelay time.Duration
-	// BatchMaxRecords bounds a SyncBatch group commit (default 1024).
-	BatchMaxRecords int
 	// Durable makes API-visible state transitions wait for the state
 	// journal's durability acknowledgement before returning. Under
 	// SyncBatch, concurrent transitions share one group-commit fsync,
@@ -64,7 +61,7 @@ type Options struct {
 	// SnapshotInterval snapshots every shard whose journal advanced on
 	// a wall-clock cadence, complementing the append-count trigger:
 	// a shard trickling writes still gets its replay prefix bounded
-	// (0 disables the scheduler; requires DataDir).
+	// (0 disables the time trigger; requires DataDir).
 	SnapshotInterval time.Duration
 	// SegmentSize caps each WAL segment file before rollover (default
 	// 4MiB). Smaller segments tighten snapshot truncation granularity;
@@ -99,11 +96,6 @@ type Options struct {
 	Clock timer.Clock
 	// TimerTick is the timing-wheel granularity (default 10ms).
 	TimerTick time.Duration
-	// TimerStripes shards the timing wheel across this many
-	// independently locked wheels (default 8; 1 restores the single
-	// global wheel). Timer IDs map to stripes by the same modulo
-	// placement family the other striped subsystems use.
-	TimerStripes int
 	// RunTimers starts a background runner driving the timer wheel
 	// from the clock (disable when driving time manually).
 	RunTimers bool
@@ -160,13 +152,11 @@ type BPMS struct {
 	// format did (zero when there was nothing to rewrite).
 	Upgrade UpgradeReport
 
-	clock    timer.Clock
-	runner   *timer.Runner
-	state    []storage.Journal // one per shard
-	dirs     []string          // per-shard data dirs (empty in memory)
-	fs       fault.FS          // filesystem behind the journals/snapshots
-	snapStop chan struct{}     // stops the time-based snapshot scheduler
-	snapWG   sync.WaitGroup
+	clock  timer.Clock
+	runner *timer.Runner
+	state  []storage.Journal // one per shard
+	dirs   []string          // per-shard data dirs (empty in memory)
+	fs     fault.FS          // filesystem behind the journals/snapshots
 }
 
 // shardDir returns the on-disk home of one shard's state. A single
@@ -306,12 +296,11 @@ func Open(opts Options) (*BPMS, error) {
 			return nil, err
 		}
 		jopts := storage.Options{
-			SegmentSize:     opts.SegmentSize,
-			Policy:          opts.SyncPolicy,
-			SyncInterval:    opts.SyncInterval,
-			BatchMaxDelay:   opts.BatchMaxDelay,
-			BatchMaxRecords: opts.BatchMaxRecords,
-			FS:              opts.FS,
+			SegmentSize:   opts.SegmentSize,
+			Policy:        opts.SyncPolicy,
+			SyncInterval:  opts.SyncInterval,
+			BatchMaxDelay: opts.BatchMaxDelay,
+			FS:            opts.FS,
 		}
 		for i := 0; i < shards; i++ {
 			dir := shardDir(opts.DataDir, shards, i)
@@ -383,29 +372,23 @@ func Open(opts Options) (*BPMS, error) {
 		DefaultSLA:   opts.TaskSLA,
 		Metrics:      opts.Metrics.Tasks(),
 	})
-	var wheel timer.Service
-	if opts.TimerStripes == 1 {
-		wheel = timer.NewWheelService(opts.TimerTick, 512)
-	} else {
-		wheel = timer.NewStripedWheel(opts.TimerStripes, opts.TimerTick, 512)
-	}
+	wheel := timer.NewWheelService(opts.TimerTick, 512)
 	if opts.Metrics != nil {
-		if fl, ok := wheel.(timer.FireLagObserver); ok {
-			fl.SetFireLag(opts.Metrics.Timers().FireLag)
-		}
+		wheel.SetFireLag(opts.Metrics.Timers().FireLag)
 	}
 	onDegrade := opts.OnDegrade
 	engineBegan := time.Now()
 	router, err := shard.New(shard.Config{
-		Journals:      stateJournals,
-		Snapshots:     snaps,
-		SnapshotEvery: opts.SnapshotEvery,
-		Durable:       opts.Durable,
-		Tasks:         tasks,
-		Timers:        wheel,
-		Clock:         opts.Clock,
-		History:       hist,
-		Metrics:       opts.Metrics,
+		Journals:         stateJournals,
+		Snapshots:        snaps,
+		SnapshotEvery:    opts.SnapshotEvery,
+		SnapshotInterval: opts.SnapshotInterval,
+		Durable:          opts.Durable,
+		Tasks:            tasks,
+		Timers:           wheel,
+		Clock:            opts.Clock,
+		History:          hist,
+		Metrics:          opts.Metrics,
 		OnDegrade: func(i int, reason string) {
 			log.Printf("core: shard %d fail-stopped (read-only degraded mode): %s", i, reason)
 			if onDegrade != nil {
@@ -460,25 +443,6 @@ func Open(opts Options) (*BPMS, error) {
 	if opts.RunTimers {
 		b.runner = timer.NewRunner(wheel, opts.Clock, opts.TimerTick)
 		b.runner.Start()
-	}
-	if opts.SnapshotInterval > 0 && opts.DataDir != "" {
-		b.snapStop = make(chan struct{})
-		b.snapWG.Add(1)
-		go func() {
-			defer b.snapWG.Done()
-			t := time.NewTicker(opts.SnapshotInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-b.snapStop:
-					return
-				case <-t.C:
-					// Shards whose journal is idle or already
-					// snapshotting skip the tick.
-					b.Engine.TrySnapshot()
-				}
-			}
-		}()
 	}
 	return b, nil
 }
@@ -596,8 +560,8 @@ func (b *BPMS) auditorConfig(opts Options) obs.AuditorConfig {
 	}
 }
 
-// Close stops the auditor, the snapshot scheduler and the timer runner,
-// ends the shards' snapshots (waiting for a running one), drains the
+// Close stops the auditor and the timer runner, ends the shards'
+// snapshots (waiting for a running round), drains the
 // history pipeline, and syncs/closes every journal (all shard WALs plus
 // the history stripe journals). Under SyncBatch journals this drains
 // in-flight commit batches: every acknowledged append is on stable
@@ -605,11 +569,6 @@ func (b *BPMS) auditorConfig(opts Options) obs.AuditorConfig {
 func (b *BPMS) Close() error {
 	if b.Auditor != nil {
 		b.Auditor.Stop()
-	}
-	if b.snapStop != nil {
-		close(b.snapStop)
-		b.snapWG.Wait()
-		b.snapStop = nil
 	}
 	if b.runner != nil {
 		b.runner.Stop()

@@ -77,6 +77,10 @@ type Config struct {
 	// SnapshotEvery writes a snapshot after this many journal appends
 	// (0 = never).
 	SnapshotEvery int
+	// SnapshotInterval writes a snapshot on this wall-clock cadence
+	// whenever the journal has advanced past the last one, so a shard
+	// trickling writes still gets its replay bounded (0 = never).
+	SnapshotInterval time.Duration
 	// Tasks is the worklist service for user/manual tasks (default: a
 	// fresh service with an empty directory).
 	Tasks *task.Service
@@ -128,8 +132,7 @@ type Engine struct {
 
 	journal       storage.Journal
 	snapshots     *storage.SnapshotStore
-	snapshotEvery int
-	appendsSince  int
+	snapshotEvery uint64
 	durable       bool
 
 	tasks  *task.Service
@@ -146,12 +149,17 @@ type Engine struct {
 	idSeq           atomic.Uint64
 	tokSeq          atomic.Uint64
 	closing         atomic.Bool
-	snapshotting    atomic.Bool
-	snapshotPending atomic.Bool
 	snapMu          sync.Mutex // one Snapshot at a time (see Snapshot)
 	lastSnapIndex   atomic.Uint64
 	recoveryDur     atomic.Int64
 	reissueFailures atomic.Uint64 // recovered work items not re-issued
+
+	// The snapshotter goroutine (see snapshotter); snapStop is nil when
+	// the engine has no snapshot store or no automatic trigger.
+	appends  atomic.Uint64 // journal appends, counted for SnapshotEvery
+	snapReq  chan struct{} // 1-slot: a round is owed
+	snapStop chan struct{} // closed by Close
+	snapDone chan struct{} // closed when the snapshotter exits
 
 	degraded  atomic.Bool
 	degrade   degradeState
@@ -189,7 +197,7 @@ func New(cfg Config) (*Engine, error) {
 		handlers:      map[string]Handler{},
 		journal:       cfg.Journal,
 		snapshots:     cfg.Snapshots,
-		snapshotEvery: cfg.SnapshotEvery,
+		snapshotEvery: uint64(max(cfg.SnapshotEvery, 0)),
 		durable:       cfg.Durable,
 		tasks:         cfg.Tasks,
 		timers:        cfg.Timers,
@@ -201,6 +209,11 @@ func New(cfg Config) (*Engine, error) {
 		metrics:       cfg.Metrics,
 		onDegrade:     cfg.OnDegrade,
 	}
+	if cfg.Snapshots != nil && (e.snapshotEvery > 0 || cfg.SnapshotInterval > 0) {
+		e.snapReq = make(chan struct{}, 1)
+		e.snapStop = make(chan struct{})
+		e.snapDone = make(chan struct{})
+	}
 	e.tasks.Subscribe(e.onTaskTransition)
 	if cfg.Journal.LastIndex() > 0 || cfg.Snapshots != nil {
 		begin := time.Now()
@@ -208,6 +221,9 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		e.recoveryDur.Store(int64(time.Since(begin)))
+	}
+	if e.snapStop != nil {
+		go e.snapshotter(cfg.SnapshotInterval)
 	}
 	return e, nil
 }

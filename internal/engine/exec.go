@@ -76,7 +76,7 @@ func (e *Engine) finishChecks(inst *Instance) error {
 
 // retire moves a finished case from the live map to the archive,
 // keeping only the state record persistInstance just journaled. Lock
-// order instance → engine, as in maybeSnapshot.
+// order instance → engine.
 func (e *Engine) retire(inst *Instance, state []byte) {
 	e.mu.Lock()
 	delete(e.instances, inst.ID)

@@ -153,43 +153,47 @@ func (e *Engine) persistDeploy(p *model.Process) error {
 	return nil
 }
 
-// maybeSnapshot triggers a snapshot after every SnapshotEvery appends.
-// The snapshot itself runs asynchronously: persistInstance calls this
-// while holding an instance lock, and Snapshot must be free to lock
-// every instance.
+// maybeSnapshot asks the snapshotter for a round after every
+// SnapshotEvery appends. It never blocks: persistInstance calls it under
+// an instance lock, which Snapshot must be free to take, and a request
+// already waiting in the 1-slot channel covers this one too.
 func (e *Engine) maybeSnapshot() {
-	if e.snapshots == nil || e.snapshotEvery <= 0 || e.degraded.Load() || e.closing.Load() {
+	if e.snapshotEvery == 0 || e.snapStop == nil || e.appends.Add(1)%e.snapshotEvery != 0 {
 		return
 	}
-	e.mu.Lock()
-	e.appendsSince++
-	due := e.appendsSince >= e.snapshotEvery
-	if due {
-		e.appendsSince = 0
-	}
-	e.mu.Unlock()
-	if due {
-		e.requestSnapshot()
+	select {
+	case e.snapReq <- struct{}{}:
+	default:
 	}
 }
 
-// requestSnapshot starts an asynchronous snapshot, or — when one is
-// already in flight — re-arms the trigger so it fires when the
-// in-flight snapshot completes. Without the re-arm the trigger would
-// be lost entirely: maybeSnapshot has already reset its append counter
-// by the time the CAS fails, so nothing would schedule the snapshot
-// those appends were owed.
-func (e *Engine) requestSnapshot() {
-	if e.snapshotting.CompareAndSwap(false, true) {
-		go e.snapshotLoop()
-		return
+// snapshotter runs the automatic snapshot rounds, one at a time: on a
+// request from maybeSnapshot, and on every interval tick at which the
+// journal has advanced past the last snapshot. A request that arrives
+// while a round runs waits in the channel and gets exactly one more
+// round. It exits when Close closes snapStop.
+func (e *Engine) snapshotter(interval time.Duration) {
+	defer close(e.snapDone)
+	var tick <-chan time.Time
+	if interval > 0 {
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		tick = t.C
 	}
-	e.snapshotPending.Store(true)
-	// The in-flight snapshot may have finished between the failed CAS
-	// and the pending store, missing the flag; retry the claim so the
-	// trigger cannot fall into that gap.
-	if e.snapshotting.CompareAndSwap(false, true) {
-		go e.snapshotLoop()
+	for {
+		select {
+		case <-e.snapStop:
+			return
+		case <-e.snapReq:
+		case <-tick:
+			if e.journal.LastIndex() == e.lastSnapIndex.Load() {
+				continue
+			}
+		}
+		// A degraded engine stops churning the failing disk.
+		if !e.degraded.Load() {
+			_ = e.Snapshot()
+		}
 	}
 }
 
@@ -197,56 +201,21 @@ func (e *Engine) requestSnapshot() {
 var errClosing = errors.New("engine: closing")
 
 // Close ends the engine's snapshots before its owner closes the journal
-// and the snapshot store: no snapshot round starts after it, and it
-// waits for the running one, which would otherwise write and truncate
-// behind the closed journal and fail-stop the engine. It also quiets the
-// worklist listener. The journal stays open; the caller closes it.
+// and the snapshot store: it stops the snapshotter, waits for its
+// running round and for any explicit Snapshot call, and refuses later
+// ones, which would otherwise write and truncate behind the closed
+// journal and fail-stop the engine. It also quiets the worklist
+// listener. The journal stays open; the caller closes it.
 func (e *Engine) Close() {
-	e.closing.Store(true)
-	e.snapMu.Lock() // the running Snapshot, if any, holds it
+	if !e.closing.CompareAndSwap(false, true) {
+		return
+	}
+	if e.snapStop != nil {
+		close(e.snapStop)
+		<-e.snapDone
+	}
+	e.snapMu.Lock() // a running explicit Snapshot holds it
 	e.snapMu.Unlock()
-}
-
-// snapshotLoop runs snapshots while triggers keep arriving, releasing
-// the in-flight claim between rounds. The pending flag is cleared
-// before each snapshot so a trigger arriving mid-snapshot schedules
-// exactly one follow-up round.
-func (e *Engine) snapshotLoop() {
-	for {
-		e.snapshotPending.Store(false)
-		if e.degraded.Load() || e.closing.Load() {
-			// Frozen: stop churning the failing disk with snapshots.
-			// Closing: the journal is about to close under us.
-			e.snapshotting.Store(false)
-			return
-		}
-		_ = e.Snapshot()
-		e.snapshotting.Store(false)
-		if !e.snapshotPending.Load() {
-			return
-		}
-		if !e.snapshotting.CompareAndSwap(false, true) {
-			return // a concurrent requestSnapshot claimed the follow-up
-		}
-	}
-}
-
-// TrySnapshot starts an asynchronous snapshot unless one is already in
-// flight or the journal has not advanced past the last snapshot. The
-// time-based scheduler calls this on every tick; an in-flight snapshot
-// or an idle journal satisfies the tick rather than queueing behind it.
-func (e *Engine) TrySnapshot() bool {
-	if e.snapshots == nil || e.degraded.Load() || e.closing.Load() {
-		return false
-	}
-	if e.journal.LastIndex() == e.lastSnapIndex.Load() {
-		return false
-	}
-	if !e.snapshotting.CompareAndSwap(false, true) {
-		return false
-	}
-	go e.snapshotLoop()
-	return true
 }
 
 // snapCase is one case a snapshot writes: a live instance, encoded
@@ -308,7 +277,7 @@ func (e *Engine) Snapshot() error {
 		return fmt.Errorf("engine: no snapshot store configured")
 	}
 	// An explicit call (admin endpoint, shutdown) may meet the
-	// scheduler's snapshot in flight; two writers at one journal index
+	// snapshotter's round in flight; two writers at one journal index
 	// share a temp file, and the slower one's rename fails.
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()

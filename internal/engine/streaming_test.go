@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"bpms/internal/expr"
 	"bpms/internal/model"
@@ -168,39 +169,40 @@ func TestSnapshotWhileAppending(t *testing.T) {
 	}
 }
 
-// TestRequestSnapshotRearm: a trigger arriving while a snapshot is in
-// flight is not dropped — the pending flag re-runs the loop, so the
-// journal prefix those appends owed a snapshot to is eventually
-// compacted. (The seed code consumed the trigger and reset the
-// counter, losing it.)
+// TestRequestSnapshotRearm: a snapshot request that arrives while a
+// round is running is not dropped. The first round is held after it has
+// read its journal index, a start then requests another, and once the
+// held round is let go the snapshotter runs one more, so the last
+// snapshot covers the whole journal. With the request dropped it would
+// stop short of the second start's records.
 func TestRequestSnapshotRearm(t *testing.T) {
 	dir := t.TempDir()
-	e, j := openStreamingFixture(t, dir, Config{})
+	e, j := openStreamingFixture(t, dir, Config{SnapshotEvery: 1})
 	defer j.Close()
+	defer e.Close()
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	e.afterSnapshotIndex = func() {
+		once.Do(func() {
+			close(held)
+			<-release
+		})
+	}
 	if err := e.Deploy(model.Sequence(3)); err != nil {
 		t.Fatal(err)
 	}
+	<-held
 	if _, err := e.StartInstance("seq-3", nil); err != nil {
 		t.Fatal(err)
 	}
-	// Claim the in-flight slot by hand: requestSnapshot must fall into
-	// the pending path and the release must re-run the loop.
-	if !e.snapshotting.CompareAndSwap(false, true) {
-		t.Fatal("in-flight flag already set")
-	}
-	e.requestSnapshot()
-	if !e.snapshotPending.Load() {
-		t.Fatal("trigger during in-flight snapshot was dropped, not re-armed")
-	}
-	// Release the claim the way snapshotLoop does: run the snapshot,
-	// clear the flag, and honour the pending trigger.
-	e.snapshotLoop()
-	if e.snapshotPending.Load() {
-		t.Fatal("pending trigger not consumed by the follow-up snapshot")
-	}
-	sn, err := e.snapshots.LatestSnapshot()
-	if err != nil || sn == nil {
-		t.Fatalf("no snapshot written for re-armed trigger: sn=%v err=%v", sn, err)
+	close(release)
+	deadline := time.Now().Add(5 * time.Second)
+	for e.lastSnapIndex.Load() != j.LastIndex() {
+		if time.Now().After(deadline) {
+			t.Fatalf("last snapshot at index %d, journal at %d: the request made mid-round was dropped",
+				e.lastSnapIndex.Load(), j.LastIndex())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestStripedDirectoryRegistrationOrder: UsersInRole merges role
-// members across stripes in global registration order, and re-adding a
-// user moves them to the end (the single-map behaviour).
-func TestStripedDirectoryRegistrationOrder(t *testing.T) {
-	d := NewDirectoryStriped(4)
+// TestDirectoryRegistrationOrder: UsersInRole lists role members in
+// registration order, whatever their IDs, and re-adding a user moves
+// them to the end.
+func TestDirectoryRegistrationOrder(t *testing.T) {
+	d := NewDirectory()
 	ids := []string{"zoe", "alice", "mallory", "bob", "carol", "dave", "erin", "frank"}
 	for _, id := range ids {
 		d.AddUser(&User{ID: id, Roles: []string{"clerk"}})
@@ -21,7 +21,7 @@ func TestStripedDirectoryRegistrationOrder(t *testing.T) {
 	}
 	for i, u := range got {
 		if u.ID != ids[i] {
-			t.Fatalf("role order[%d] = %s, want %s (registration order across stripes)", i, u.ID, ids[i])
+			t.Fatalf("role order[%d] = %s, want %s (registration order)", i, u.ID, ids[i])
 		}
 	}
 	// Re-registering alice moves her to the end.
@@ -41,12 +41,12 @@ func TestStripedDirectoryRegistrationOrder(t *testing.T) {
 	}
 }
 
-// TestStripedDirectoryConcurrent mirrors the task.Service
-// index-consistency pattern: concurrent registrations, lookups, and
-// role queries race across stripes (run with -race), and the final
-// directory holds exactly the expected membership.
-func TestStripedDirectoryConcurrent(t *testing.T) {
-	d := NewDirectoryStriped(4)
+// TestDirectoryConcurrent mirrors the task.Service index-consistency
+// pattern: concurrent registrations, lookups, and role queries race
+// (run with -race), and the final directory holds exactly the expected
+// membership.
+func TestDirectoryConcurrent(t *testing.T) {
+	d := NewDirectory()
 	const writers, per = 4, 100
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {

@@ -11,9 +11,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
-
-	"bpms/internal/fnv1a"
 )
 
 // User is one human resource.
@@ -51,83 +48,42 @@ func (u *User) clone() *User {
 	return &cp
 }
 
-// Directory is the thread-safe registry of users and roles. Users are
-// striped by FNV-1a of their ID — fnv1a.Sum32, the hash the shard
-// router, history pipeline, and worklist use for placement — so lookup
-// traffic from concurrent work allocation (every offered task resolves
-// its role's candidate set here) spreads over independent locks
-// instead of serializing on one directory-wide mutex.
+// Directory is the thread-safe registry of users and roles. Reads
+// (every task creation resolves its role's candidates here) share one
+// read lock; writes happen at boot and on user registration.
 type Directory struct {
-	stripes []*dirStripe
-	seq     atomic.Uint64 // global registration order across stripes
-}
-
-type dirStripe struct {
 	mu     sync.RWMutex
-	users  map[string]*dirEntry
-	byRole map[string][]*dirEntry
+	users  map[string]*User
+	byRole map[string][]*User // role -> members in registration order
 }
 
-// dirEntry pins a user's global registration sequence so role listings
-// merged across stripes reproduce directory-wide registration order.
-type dirEntry struct {
-	user *User
-	seq  uint64
-}
-
-// DefaultDirectoryStripes is the stripe count NewDirectory uses.
-const DefaultDirectoryStripes = 8
-
-// NewDirectory returns an empty directory with the default striping.
+// NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return NewDirectoryStriped(DefaultDirectoryStripes)
-}
-
-// NewDirectoryStriped returns an empty directory with the given number
-// of lock stripes (values < 1 fall back to the default).
-func NewDirectoryStriped(stripes int) *Directory {
-	if stripes < 1 {
-		stripes = DefaultDirectoryStripes
-	}
-	d := &Directory{stripes: make([]*dirStripe, stripes)}
-	for i := range d.stripes {
-		d.stripes[i] = &dirStripe{users: map[string]*dirEntry{}, byRole: map[string][]*dirEntry{}}
-	}
-	return d
-}
-
-// Stripes returns the number of lock stripes.
-func (d *Directory) Stripes() int { return len(d.stripes) }
-
-// stripeOf hashes a user ID to its stripe.
-func (d *Directory) stripeOf(id string) *dirStripe {
-	return d.stripes[fnv1a.Sum32(id)%uint32(len(d.stripes))]
+	return &Directory{users: map[string]*User{}, byRole: map[string][]*User{}}
 }
 
 // AddUser registers a user (replacing any same-ID user; replacement
-// moves the user to the end of the registration order, as appending
-// to the role lists always did).
+// moves the user to the end of the registration order).
 func (d *Directory) AddUser(u *User) {
-	s := d.stripeOf(u.ID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.users[u.ID]; ok {
-		for _, r := range old.user.Roles {
-			s.byRole[r] = removeEntry(s.byRole[r], u.ID)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if old, ok := d.users[u.ID]; ok {
+		for _, r := range old.Roles {
+			d.byRole[r] = removeUser(d.byRole[r], u.ID)
 		}
 	}
-	e := &dirEntry{user: u.clone(), seq: d.seq.Add(1)}
-	s.users[u.ID] = e
-	for _, r := range e.user.Roles {
-		s.byRole[r] = append(s.byRole[r], e)
+	cp := u.clone()
+	d.users[u.ID] = cp
+	for _, r := range cp.Roles {
+		d.byRole[r] = append(d.byRole[r], cp)
 	}
 }
 
-func removeEntry(s []*dirEntry, id string) []*dirEntry {
+func removeUser(s []*User, id string) []*User {
 	out := s[:0]
-	for _, e := range s {
-		if e.user.ID != id {
-			out = append(out, e)
+	for _, u := range s {
+		if u.ID != id {
+			out = append(out, u)
 		}
 	}
 	return out
@@ -135,62 +91,45 @@ func removeEntry(s []*dirEntry, id string) []*dirEntry {
 
 // UserByID returns a copy of the user, or nil.
 func (d *Directory) UserByID(id string) *User {
-	s := d.stripeOf(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.users[id]
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	u, ok := d.users[id]
 	if !ok {
 		return nil
 	}
-	return e.user.clone()
+	return u.clone()
 }
 
 // UsersInRole returns copies of the users holding role, in
-// registration order (merged across stripes by global sequence).
+// registration order.
 func (d *Directory) UsersInRole(role string) []*User {
-	type cand struct {
-		u   *User
-		seq uint64
-	}
-	var found []cand
-	for _, s := range d.stripes {
-		s.mu.RLock()
-		for _, e := range s.byRole[role] {
-			found = append(found, cand{u: e.user.clone(), seq: e.seq})
-		}
-		s.mu.RUnlock()
-	}
-	sort.Slice(found, func(a, b int) bool { return found[a].seq < found[b].seq })
-	out := make([]*User, 0, len(found))
-	for _, c := range found {
-		out = append(out, c.u)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	members := d.byRole[role]
+	out := make([]*User, len(members))
+	for i, u := range members {
+		out[i] = u.clone()
 	}
 	return out
 }
 
 // AllUsers returns copies of all users sorted by ID.
 func (d *Directory) AllUsers() []*User {
-	var out []*User
-	for _, s := range d.stripes {
-		s.mu.RLock()
-		for _, e := range s.users {
-			out = append(out, e.user.clone())
-		}
-		s.mu.RUnlock()
+	d.mu.RLock()
+	out := make([]*User, 0, len(d.users))
+	for _, u := range d.users {
+		out = append(out, u.clone())
 	}
+	d.mu.RUnlock()
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
 }
 
 // Count returns the number of registered users.
 func (d *Directory) Count() int {
-	n := 0
-	for _, s := range d.stripes {
-		s.mu.RLock()
-		n += len(s.users)
-		s.mu.RUnlock()
-	}
-	return n
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return len(d.users)
 }
 
 // LoadFunc reports the current queue length (allocated + started work

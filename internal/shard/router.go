@@ -12,8 +12,8 @@
 //   - An instance lives on the shard its ID hashes to (FNV-1a); the
 //     router allocates IDs from one sequence and dispatches every
 //     instance-addressed operation (query, cancel, variable update) to
-//     the owner shard, falling back to a scan when a data dir was
-//     opened with a different shard count.
+//     that shard. A data dir reopens only with the shard count it was
+//     created with, so the hash shard is the owner.
 //   - Deployments fan out to every shard, so each shard's journal is
 //     self-contained for recovery.
 //   - A published message fans out to every shard (its subscriber — if
@@ -59,6 +59,10 @@ type Config struct {
 	// SnapshotEvery writes a shard snapshot after this many appends to
 	// that shard's journal (0 = only on explicit Snapshot calls).
 	SnapshotEvery int
+	// SnapshotInterval snapshots a shard on this wall-clock cadence
+	// whenever its journal has advanced past its last snapshot (0 =
+	// off).
+	SnapshotInterval time.Duration
 	// Durable makes API-visible transitions wait for the owning
 	// shard's WAL commit acknowledgement.
 	Durable bool
@@ -137,6 +141,7 @@ func New(cfg Config) (*Router, error) {
 				Journal:          cfg.Journals[i],
 				Snapshots:        snaps,
 				SnapshotEvery:    cfg.SnapshotEvery,
+				SnapshotInterval: cfg.SnapshotInterval,
 				Durable:          cfg.Durable,
 				Tasks:            cfg.Tasks,
 				Timers:           cfg.Timers,
@@ -156,6 +161,12 @@ func New(cfg Config) (*Router, error) {
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
+		// Each engine built owns a snapshotter goroutine.
+		for _, s := range r.shards {
+			if s != nil {
+				s.Close()
+			}
+		}
 		return nil, err
 	}
 	r.seq.Store(r.maxInstanceSeq())
@@ -180,21 +191,11 @@ func (r *Router) shardOf(key string) int {
 	return int(fnv1a.Sum32(key) % uint32(len(r.shards)))
 }
 
-// owner locates the shard holding an instance: the hash shard first,
-// then a scan (instances placed under a different historical shard
-// count remain reachable). Unknown IDs resolve to the hash shard,
-// whose engine reports the unknown-instance error.
+// owner is the shard an instance ID hashes to: StartInstance placed it
+// there. For an unknown ID that engine reports the unknown-instance
+// error.
 func (r *Router) owner(id string) *engine.Engine {
-	home := r.shards[r.shardOf(id)]
-	if home.Has(id) {
-		return home
-	}
-	for _, s := range r.shards {
-		if s.Has(id) {
-			return s
-		}
-	}
-	return home
+	return r.shards[r.shardOf(id)]
 }
 
 func (r *Router) audit(ev *history.Event) {
@@ -365,20 +366,6 @@ func (r *Router) Publish(name, key string, vars map[string]any) (int, bool, erro
 // on the shard the correlation key hashes to.
 func (r *Router) takeBuffered(name, key string) (map[string]expr.Value, bool) {
 	return r.shards[r.shardOf(key)].TakeBuffered(name, key)
-}
-
-// TrySnapshot asks every shard to start an asynchronous snapshot
-// unless one is already in flight or the shard's journal has not
-// advanced past its last snapshot. The time-based scheduler drives it;
-// it returns the number of shards that started a snapshot.
-func (r *Router) TrySnapshot() int {
-	n := 0
-	for _, s := range r.shards {
-		if s.TrySnapshot() {
-			n++
-		}
-	}
-	return n
 }
 
 // Close ends every shard's snapshots (engine.Close) before the caller

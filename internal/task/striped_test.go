@@ -561,52 +561,6 @@ func TestPagination(t *testing.T) {
 	}
 }
 
-// TestAsyncNotify: the bounded async notifier delivers every
-// transition, in per-item order, by Close.
-func TestAsyncNotify(t *testing.T) {
-	d := resource.NewDirectory()
-	d.AddUser(&resource.User{ID: "alice", Roles: []string{"clerk"}})
-	svc := NewService(Config{Directory: d, Stripes: 4, AsyncNotify: true, NotifyQueue: 8})
-	var mu sync.Mutex
-	got := map[string][]State{}
-	svc.Subscribe(func(it *Item, from, to State) {
-		// A deliberately slow listener: transitions must not block on
-		// it beyond queue backpressure.
-		time.Sleep(100 * time.Microsecond)
-		mu.Lock()
-		got[it.ID] = append(got[it.ID], to)
-		mu.Unlock()
-	})
-	const n = 50
-	for i := 0; i < n; i++ {
-		it, err := svc.Create(Spec{InstanceID: "i", ElementID: "e", Role: "clerk"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc.Claim(it.ID, "alice")
-		svc.Start(it.ID, "alice")
-		svc.Complete(it.ID, "alice", nil)
-	}
-	svc.Close()
-	svc.Close() // idempotent
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != n {
-		t.Fatalf("notified for %d items, want %d", len(got), n)
-	}
-	want := []State{Created, Offered, Allocated, Started, Completed}
-	for id, seq := range got {
-		if len(seq) != len(want) {
-			t.Fatalf("item %s transitions = %v", id, seq)
-		}
-		for i := range want {
-			if seq[i] != want[i] {
-				t.Fatalf("item %s transitions = %v, want %v", id, seq, want)
-			}
-		}
-	}
-}
-
 // TestStateRoundTrip covers ParseState against every name.
 func TestStateRoundTrip(t *testing.T) {
 	for s := Created; s <= Cancelled; s++ {

@@ -225,12 +225,12 @@ type Spec struct {
 }
 
 // Listener observes lifecycle transitions. from==to==Created for the
-// initial creation event. Listeners run under no lock: on the
-// transitioning goroutine by default, or on the notifier goroutine
-// with Config.AsyncNotify.
+// initial creation event. Listeners run under no lock, on the
+// transitioning goroutine, before the operation returns.
 type Listener func(item *Item, from, to State)
 
-// notification is one queued listener dispatch.
+// notification is one listener call, collected under a stripe lock and
+// delivered after it is released.
 type notification struct {
 	item     *Item
 	from, to State
@@ -339,10 +339,6 @@ type Service struct {
 	// allocation policies — never touches an item-stripe lock.
 	loadMu sync.RWMutex
 	loads  map[string]int
-
-	notifyCh   chan notification
-	notifyDone chan struct{}
-	closed     atomic.Bool
 }
 
 // Config configures a Service.
@@ -362,15 +358,6 @@ type Config struct {
 	// stripe count answers identically; more stripes admit more
 	// concurrent claims/completions on multi-core hosts.
 	Stripes int
-	// AsyncNotify dispatches lifecycle listeners from a dedicated
-	// notifier goroutine through a bounded queue, so transitions never
-	// block on a slow subscriber (a full queue applies backpressure —
-	// events are never dropped). Callers owning an async service must
-	// Close it. Default synchronous: listeners run on the
-	// transitioning goroutine before the operation returns.
-	AsyncNotify bool
-	// NotifyQueue bounds the async notifier queue (default 1024).
-	NotifyQueue int
 	// DefaultSLA applies a due time of now+DefaultSLA to items created
 	// without an explicit deadline (0 = items without a dueIn carry no
 	// deadline). Because it lands on the due-time heap, the SLA audit
@@ -416,14 +403,6 @@ func NewService(cfg Config) *Service {
 	for i := range s.stripes {
 		s.stripes[i] = newStripe()
 	}
-	if cfg.AsyncNotify {
-		if cfg.NotifyQueue <= 0 {
-			cfg.NotifyQueue = 1024
-		}
-		s.notifyCh = make(chan notification, cfg.NotifyQueue)
-		s.notifyDone = make(chan struct{})
-		go s.dispatch()
-	}
 	return s
 }
 
@@ -451,14 +430,6 @@ func (s *Service) Subscribe(l Listener) {
 }
 
 func (s *Service) notify(item *Item, from, to State) {
-	if s.notifyCh != nil {
-		s.notifyCh <- notification{item, from, to}
-		return
-	}
-	s.deliver(item, from, to)
-}
-
-func (s *Service) deliver(item *Item, from, to State) {
 	p := s.listeners.Load()
 	if p == nil {
 		return
@@ -468,29 +439,9 @@ func (s *Service) deliver(item *Item, from, to State) {
 	}
 }
 
-// dispatch drains the async notifier queue.
-func (s *Service) dispatch() {
-	for n := range s.notifyCh {
-		s.deliver(n.item, n.from, n.to)
-	}
-	close(s.notifyDone)
-}
-
-// Close drains and stops the async notifier: every notification
-// enqueued before the call is delivered on return. A no-op for
-// synchronous services; callers must not issue operations after (or
-// concurrently with) Close.
-func (s *Service) Close() {
-	if s.notifyCh == nil || !s.closed.CompareAndSwap(false, true) {
-		return
-	}
-	close(s.notifyCh)
-	<-s.notifyDone
-}
-
-// NotifyBacklog reports the queued async notifications (0 when
-// synchronous).
-func (s *Service) NotifyBacklog() int { return len(s.notifyCh) }
+// Close releases the service. It is a no-op: listeners run on the
+// transitioning goroutine, so nothing is left to drain.
+func (s *Service) Close() {}
 
 // Load returns the queue length (allocated + started) of a user. It
 // reads the dedicated load index — no item-stripe lock is taken, so
@@ -1050,9 +1001,6 @@ type Stats struct {
 	ByState map[string]int `json:"byState"`
 	// Users is the number of users with a non-empty queue.
 	Users int `json:"users"`
-	// NotifyBacklog is the queued async notifications (0 when
-	// synchronous).
-	NotifyBacklog int `json:"notifyBacklog"`
 	// PerStripe is the per-stripe breakdown.
 	PerStripe []StripeStat `json:"perStripe"`
 }
@@ -1061,10 +1009,9 @@ type Stats struct {
 // monitoring poll never blocks the whole worklist.
 func (s *Service) Stats() Stats {
 	out := Stats{
-		Stripes:       len(s.stripes),
-		ByState:       map[string]int{},
-		NotifyBacklog: s.NotifyBacklog(),
-		PerStripe:     make([]StripeStat, len(s.stripes)),
+		Stripes:   len(s.stripes),
+		ByState:   map[string]int{},
+		PerStripe: make([]StripeStat, len(s.stripes)),
 	}
 	for i, st := range s.stripes {
 		st.mu.Lock()

@@ -4,8 +4,6 @@ import (
 	"container/heap"
 	"sync"
 	"time"
-
-	"bpms/internal/obs"
 )
 
 // HeapService is a binary-heap implementation of Service: O(log n)
@@ -16,11 +14,7 @@ type HeapService struct {
 	h      entryHeap
 	byID   map[ID]*heapEntry
 	nextID ID
-	lag    *obs.Histogram
 }
-
-// SetFireLag implements FireLagObserver.
-func (s *HeapService) SetFireLag(h *obs.Histogram) { s.lag = h }
 
 type heapEntry struct {
 	id        ID
@@ -113,13 +107,6 @@ func (s *HeapService) AdvanceTo(now time.Time) int {
 	}
 	s.mu.Unlock()
 	for _, e := range due {
-		if s.lag != nil {
-			d := now.Sub(e.at)
-			if d < 0 {
-				d = 0
-			}
-			s.lag.Observe(d)
-		}
 		e.fn()
 	}
 	return len(due)

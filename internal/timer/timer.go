@@ -1,6 +1,6 @@
 // Package timer implements the BPMS timer service: deadline callbacks
-// for timer events, task due dates, and escalations: a hashed timing
-// wheel, striped or single, plus a virtual clock so engine tests and
+// for timer events, task due dates, and escalations: one hashed timing
+// wheel under one lock, plus a virtual clock so engine tests and
 // simulations run deterministically without sleeping. The tests keep a
 // binary-heap service as the wheel's ordering oracle.
 package timer
@@ -8,8 +8,6 @@ package timer
 import (
 	"sync"
 	"time"
-
-	"bpms/internal/obs"
 )
 
 // ID identifies a scheduled timer within its service.
@@ -77,12 +75,6 @@ type Overdue struct {
 // sweeper.
 type OverdueReporter interface {
 	Overdue(now time.Time) []Overdue
-}
-
-// FireLagObserver is an optional Service extension wiring a fire-lag
-// histogram: every fired entry observes fire-time minus deadline.
-type FireLagObserver interface {
-	SetFireLag(h *obs.Histogram)
 }
 
 // Service schedules one-shot deadline callbacks. Implementations are

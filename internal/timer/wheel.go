@@ -28,7 +28,8 @@ type WheelService struct {
 	lag      *obs.Histogram // fire lag (nil = uninstrumented)
 }
 
-// SetFireLag implements FireLagObserver.
+// SetFireLag wires a fire-lag histogram: every fired entry observes
+// fire-time minus deadline.
 func (w *WheelService) SetFireLag(h *obs.Histogram) { w.lag = h }
 
 type wheelEntry struct {
@@ -80,36 +81,6 @@ func (w *WheelService) Schedule(at time.Time, fn func()) ID {
 	defer w.mu.Unlock()
 	w.nextID++
 	id := w.nextID
-	w.scheduleLocked(id, at, fn)
-	return id
-}
-
-// scheduleID inserts an entry under a caller-assigned ID. The striped
-// wheel allocates IDs from one global sequence (so a timer's stripe is
-// recoverable from its ID alone); IDs passed here must be unique
-// within this wheel.
-func (w *WheelService) scheduleID(id ID, at time.Time, fn func()) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.scheduleLocked(id, at, fn)
-}
-
-// anchor fixes the wheel's origin, a no-op once started. The striped
-// wheel anchors every stripe at its first schedule's deadline so all
-// stripes agree on tick boundaries — otherwise a stripe whose first
-// timer arrives late would clamp already-due deadlines forward and
-// fire them later than a single wheel would.
-func (w *WheelService) anchor(at time.Time) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.started {
-		w.origin = at
-		w.lastTick = w.tickOf(at) - 1
-		w.started = true
-	}
-}
-
-func (w *WheelService) scheduleLocked(id ID, at time.Time, fn func()) {
 	if !w.started {
 		// Anchor the wheel's origin at the first schedule.
 		w.origin = at
@@ -122,6 +93,7 @@ func (w *WheelService) scheduleLocked(id ID, at time.Time, fn func()) {
 	}
 	w.buckets[int(e.tick%int64(w.slots))][id] = e
 	w.byID[id] = e
+	return id
 }
 
 // Cancel implements Service.
@@ -145,9 +117,25 @@ func (w *WheelService) Pending() int {
 }
 
 // AdvanceTo implements Service: sweeps all ticks in (lastTick, nowTick]
-// and fires due entries in deadline order.
+// and fires due entries in (deadline, id) order outside the lock. With
+// a fire-lag histogram wired, every entry observes fire-time minus
+// deadline (clamped at zero: entries rounded up to a tick boundary can
+// fire within the same advance that makes them due).
 func (w *WheelService) AdvanceTo(now time.Time) int {
-	return fireDue(w.collectDue(now), now, w.lag)
+	due := w.collectDue(now)
+	sort.Slice(due, func(a, b int) bool {
+		if !due[a].at.Equal(due[b].at) {
+			return due[a].at.Before(due[b].at)
+		}
+		return due[a].id < due[b].id
+	})
+	for _, e := range due {
+		if w.lag != nil {
+			w.lag.Observe(max(now.Sub(e.at), 0))
+		}
+		e.fn()
+	}
+	return len(due)
 }
 
 // Overdue implements OverdueReporter: pending entries whose deadline
@@ -181,9 +169,7 @@ func (w *WheelService) Overdue(now time.Time) []Overdue {
 }
 
 // collectDue removes and returns (unsorted) every entry due at or
-// before now, advancing the wheel's swept tick. Shared by AdvanceTo
-// and the striped wheel's merged advance, which gathers due entries
-// from all stripes before establishing the global firing order.
+// before now, advancing the wheel's swept tick.
 func (w *WheelService) collectDue(now time.Time) []*wheelEntry {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -214,29 +200,4 @@ func (w *WheelService) collectDue(now time.Time) []*wheelEntry {
 	}
 	w.lastTick = nowTick
 	return due
-}
-
-// fireDue fires collected entries in (deadline, id) order outside any
-// wheel lock and returns the number fired. now is the advance time;
-// when lag is instrumented every entry observes fire-time minus
-// deadline (clamped at zero — entries rounded up to a tick boundary
-// can fire within the same advance that makes them due).
-func fireDue(due []*wheelEntry, now time.Time, lag *obs.Histogram) int {
-	sort.Slice(due, func(a, b int) bool {
-		if !due[a].at.Equal(due[b].at) {
-			return due[a].at.Before(due[b].at)
-		}
-		return due[a].id < due[b].id
-	})
-	for _, e := range due {
-		if lag != nil {
-			d := now.Sub(e.at)
-			if d < 0 {
-				d = 0
-			}
-			lag.Observe(d)
-		}
-		e.fn()
-	}
-	return len(due)
 }
