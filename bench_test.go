@@ -8,7 +8,6 @@
 package bpms_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -375,7 +374,7 @@ func BenchmarkT12_AuditOn4Stripes(b *testing.B) {
 }
 
 // BenchmarkT12_EventEncode isolates the audit-path encoding: the
-// append-style encoder into a reused buffer vs json.Marshal per event.
+// append-style encoder into a reused buffer.
 
 func BenchmarkT12_EventEncode(b *testing.B) {
 	e := &history.Event{
@@ -395,29 +394,13 @@ func BenchmarkT12_EventEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkT12_EventEncodeJSON(b *testing.B) {
-	e := &history.Event{
-		Type: history.ElementCompleted, Time: time.Now(),
-		ProcessID: "order", InstanceID: "order-12345", ElementID: "approve",
-		Element: "Approve order", Actor: "alice",
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(e); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // T13: striped worklist. Mixed read/write throughput under parallel
 // clients against the stripe count: every iteration runs a full
 // auto-allocated work-item lifecycle (create → start → complete), and
-// every eighth iteration additionally polls the read side (per-user
-// Worklist plus the indexed deadline query Overdue against a standing
-// pool of open overdue items). With one stripe all operations
-// serialize on a single mutex — the seed behaviour — while N stripes
-// admit parallel claims/completions and index-backed queries.
+// every eighth iteration additionally reads a per-user Worklist. With
+// one stripe all operations serialize on a single mutex — the seed
+// behaviour — while N stripes admit parallel claims/completions and
+// index-backed queries.
 
 func benchWorklistMixed(b *testing.B, stripes int) {
 	const users = 16
@@ -426,16 +409,6 @@ func benchWorklistMixed(b *testing.B, stripes int) {
 		dir.AddUser(&resource.User{ID: fmt.Sprintf("u%02d", i), Roles: []string{"crew"}})
 	}
 	svc := task.NewService(task.Config{Directory: dir, AutoAllocate: true, Stripes: stripes})
-	// Standing overdue pool: Overdue must walk the due-time index, not
-	// the ever-growing item map.
-	for i := 0; i < 200; i++ {
-		if _, err := svc.Create(task.Spec{
-			InstanceID: "seed", ElementID: "late",
-			Assignee: fmt.Sprintf("late%02d", i%8), Due: time.Nanosecond,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
 	var seq atomic.Uint64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -458,10 +431,6 @@ func benchWorklistMixed(b *testing.B, stripes int) {
 			if n%8 == 0 {
 				user := fmt.Sprintf("u%02d", n%users)
 				svc.Worklist(user)
-				if len(svc.Overdue(time.Now())) < 200 {
-					b.Error("overdue pool missing")
-					return
-				}
 			}
 		}
 	})
@@ -470,41 +439,6 @@ func benchWorklistMixed(b *testing.B, stripes int) {
 func BenchmarkT13_WorklistMixed1Stripe(b *testing.B)  { benchWorklistMixed(b, 1) }
 func BenchmarkT13_WorklistMixed4Stripes(b *testing.B) { benchWorklistMixed(b, 4) }
 func BenchmarkT13_WorklistMixed8Stripes(b *testing.B) { benchWorklistMixed(b, 8) }
-
-// BenchmarkT13_Overdue isolates the deadline query: 100k items ever
-// created, 200 of them open and overdue. The due-time min-heap answers
-// in O(overdue · log pending); the seed scanned all 100k.
-
-func BenchmarkT13_Overdue(b *testing.B) {
-	svc := task.NewService(task.Config{Stripes: 4})
-	for i := 0; i < 100000; i++ {
-		it, err := svc.Create(task.Spec{InstanceID: "i", ElementID: "e", Assignee: "u"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := svc.Start(it.ID, "u"); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := svc.Complete(it.ID, "u", nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < 200; i++ {
-		if _, err := svc.Create(task.Spec{
-			InstanceID: "i", ElementID: "late", Assignee: "u", Due: time.Nanosecond,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	now := time.Now()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := svc.Overdue(now); len(got) != 200 {
-			b.Fatalf("overdue = %d", len(got))
-		}
-	}
-}
 
 // T13 page/claim: the shape of the benchmark's human_backlog workload —
 // six clerks each offered every item of a standing backlog, paging the

@@ -18,7 +18,7 @@
 //		Seq("received", "approve", "done").
 //		MustBuild()
 //
-//	sys.Engine.Deploy(proc)
+//	sys.Deploy(proc) // also verifies soundness once
 //	inst, _ := sys.Engine.StartInstance("order", map[string]any{"amount": 420})
 //
 // The sub-systems are exposed as fields of BPMS: Engine (enactment),

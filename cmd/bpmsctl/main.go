@@ -24,7 +24,7 @@
 //	publish <message> <key> [k=v ...]    publish a correlated message
 //	adduser <id> [role ...]              register a user in the directory
 //	stats [json]                         engine statistics, pretty-printed (json = raw document)
-//	violations [json]                    active SLA violations from the audit sweeper
+//	violations [json]                    open SLA violations (overdue items, unsound definitions)
 //	snapshot                             write a state snapshot on every shard
 //	xes                                  export history as XES to stdout
 //
@@ -278,18 +278,13 @@ func prettyStats(ctx context.Context) error {
 	return nil
 }
 
-// prettyViolations renders the sweeper's active violation set, one
-// line per violation.
+// prettyViolations renders the open violations, one line each.
 func prettyViolations(ctx context.Context) error {
 	rep, err := api.Violations(ctx)
 	if err != nil {
 		return err
 	}
-	if !rep.Enabled {
-		fmt.Println("audit sweeper disabled (start bpmsd with -audit-interval)")
-		return nil
-	}
-	fmt.Printf("%d active violation(s), %d sweep(s)\n", rep.Count, rep.Sweeps)
+	fmt.Printf("%d open violation(s)\n", rep.Count)
 	for _, v := range rep.Items {
 		loc := v.InstanceID
 		if loc == "" {

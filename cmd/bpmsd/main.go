@@ -77,8 +77,8 @@ func main() {
 	worklistStripes := flag.Int("worklist-stripes", 1, "worklist lock stripes, each with its own item map and secondary indexes (in-memory; any value reopens any data dir)")
 	autoAllocate := flag.Bool("auto-allocate", false, "push tasks to users instead of offering")
 	metrics := flag.Bool("metrics", false, "instrument hot paths and serve Prometheus text format at GET /metrics")
-	auditInterval := flag.Duration("audit-interval", 0, "SLA-audit sweep cadence (0 = sweeper off); violations surface at /metrics, /api/v1/violations, and in the audit trail")
-	taskSLA := flag.Duration("task-sla", 0, "default due time applied to work items created without a deadline, so the audit sweep covers every open item (0 = explicit deadlines only)")
+	auditInterval := flag.Duration("audit-interval", 0, "ignored: deadlines fire on the timer wheel and deploy checks soundness")
+	taskSLA := flag.Duration("task-sla", 0, "default due time for work items created without a deadline; an item still open at its due time is reported once at /api/v1/violations, in /metrics and in the audit trail (0 = explicit deadlines only)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight requests on shutdown")
 	httpReadTimeout := flag.Duration("http-read-timeout", 0, "max time to read a full request including body (0 = 30s default)")
 	httpWriteTimeout := flag.Duration("http-write-timeout", 0, "max time to write a full response (0 = 5m default, sized for XES exports)")
@@ -109,6 +109,9 @@ func main() {
 	if *timerStripes != 0 {
 		fmt.Printf("bpmsd: -timer-stripes %d ignored: the timer service is one timing wheel\n", *timerStripes)
 	}
+	if *auditInterval != 0 {
+		fmt.Printf("bpmsd: -audit-interval %s ignored: deadlines fire on the timer wheel\n", *auditInterval)
+	}
 	policy, err := bpms.ParseSyncPolicy(*syncMode)
 	if err != nil {
 		log.Fatal(err)
@@ -125,14 +128,11 @@ func main() {
 		HistoryWindow:   *historyWindow,
 		WorklistStripes: *worklistStripes,
 		AutoAllocate:    *autoAllocate,
-		AuditInterval:   *auditInterval,
 		TaskSLA:         *taskSLA,
 		RunTimers:       true,
 		Users:           users,
 	}
-	if *metrics || *auditInterval > 0 {
-		// The audit sweeper exports its counters through the same
-		// registry, so enabling it implies the instrumentation layer.
+	if *metrics {
 		opts.Metrics = obs.New()
 	}
 	if *data != "" {
@@ -174,7 +174,10 @@ func main() {
 			u.Took.Seconds(), u.Files, u.Records)
 	}
 	if opts.Metrics != nil {
-		fmt.Printf("bpmsd: metrics on (GET /metrics), audit-interval=%s, task-sla=%s\n", *auditInterval, *taskSLA)
+		fmt.Println("bpmsd: metrics on (GET /metrics)")
+	}
+	if *taskSLA > 0 {
+		fmt.Printf("bpmsd: task-sla=%s for work items without a dueIn\n", *taskSLA)
 	}
 	// Sum the per-shard counts: Instances() would copy and sort every ID
 	// on the way to the listener.

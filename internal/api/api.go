@@ -21,7 +21,6 @@ import (
 	"bpms/internal/engine"
 	"bpms/internal/history"
 	"bpms/internal/model"
-	"bpms/internal/obs"
 	"bpms/internal/task"
 	"bpms/internal/verify"
 )
@@ -293,7 +292,7 @@ func (s *Server) deploy(w http.ResponseWriter, r *http.Request) {
 		writeErrCode(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
-	if err := s.bpms.Engine.Deploy(p); err != nil {
+	if err := s.bpms.Deploy(p); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -668,26 +667,11 @@ func (s *Server) stats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// violations serves GET /violations: the audit sweeper's currently
-// active violation set. With the sweeper disabled it reports enabled:
-// false and an empty list rather than an error, so dashboards can poll
-// it unconditionally.
+// violations serves GET /violations: the open SLA violations — work
+// items past their due time and unsound deployed definitions.
 func (s *Server) violations(w http.ResponseWriter, _ *http.Request) {
-	aud := s.bpms.Auditor
-	items := []obs.Violation{}
-	var sweeps uint64
-	if aud != nil {
-		if v := aud.Violations(); v != nil {
-			items = v
-		}
-		sweeps = aud.Sweeps()
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"enabled": aud != nil,
-		"items":   items,
-		"count":   len(items),
-		"sweeps":  sweeps,
-	})
+	items := s.bpms.Violations()
+	writeJSON(w, http.StatusOK, map[string]any{"items": items, "count": len(items)})
 }
 
 type userRequest struct {

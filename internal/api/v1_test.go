@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"bpms/internal/core"
 	"bpms/internal/model"
@@ -315,10 +314,11 @@ func TestTaskUserStatePaging(t *testing.T) {
 
 // TestMetricsEndpointAndViolations covers the observability surface:
 // an instrumented server exposes GET /metrics in the text exposition
-// format with per-route request counters, /api/v1/violations reports
-// the sweeper state, and /api/v1/stats carries uptime.
+// format with per-route request counters, an unsound definition is
+// counted and listed at /api/v1/violations as soon as it is deployed,
+// and /api/v1/stats carries uptime.
 func TestMetricsEndpointAndViolations(t *testing.T) {
-	b, err := core.Open(core.Options{Metrics: obs.New(), AuditInterval: time.Hour})
+	b, err := core.Open(core.Options{Metrics: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,8 +326,17 @@ func TestMetricsEndpointAndViolations(t *testing.T) {
 	ts := httptest.NewServer(New(b).Handler())
 	t.Cleanup(ts.Close)
 
-	// Drive one instrumented request, and one query on each worklist
-	// index, then scrape.
+	// Drive one instrumented request, one query on each worklist
+	// index and one unsound deploy, then scrape.
+	data, _ := model.EncodeJSON(model.WithDeadlock(2))
+	resp, err := http.Post(ts.URL+"/api/v1/definitions", "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("deploy status = %d", resp.StatusCode)
+	}
 	get(t, ts.URL+"/api/v1/tasks?user=alice")
 	get(t, ts.URL+"/api/v1/tasks?state=completed")
 	stats := doJSON(t, "GET", ts.URL+"/api/v1/stats", nil, http.StatusOK)
@@ -338,7 +347,7 @@ func TestMetricsEndpointAndViolations(t *testing.T) {
 		t.Errorf("stats missing startedAt: %v", stats)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,6 +373,7 @@ func TestMetricsEndpointAndViolations(t *testing.T) {
 		`bpms_task_op_seconds_count{op="page_state"} 1`,
 		`bpms_recovery_seconds{phase="history"}`,
 		`bpms_recovery_seconds{phase="engine"}`,
+		`bpms_audit_violations_total{kind="definition_unsound"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %q in /metrics:\n%.2000s", want, text)
@@ -371,16 +381,14 @@ func TestMetricsEndpointAndViolations(t *testing.T) {
 	}
 
 	viol := doJSON(t, "GET", ts.URL+"/api/v1/violations", nil, http.StatusOK)
-	if viol["enabled"] != true {
-		t.Errorf("violations enabled = %v, want true", viol["enabled"])
-	}
-	if _, ok := viol["items"].([]any); !ok {
-		t.Errorf("violations items missing: %v", viol)
+	items, _ := viol["items"].([]any)
+	if viol["count"] != 1.0 || len(items) != 1 || items[0].(map[string]any)["id"] != "deadlock-2" {
+		t.Errorf("violations = %v, want deadlock-2 listed", viol)
 	}
 }
 
 // TestMetricsDisabled checks the uninstrumented server 404s the scrape
-// endpoint and reports the sweeper disabled.
+// endpoint and still answers /api/v1/violations.
 func TestMetricsDisabled(t *testing.T) {
 	ts, _ := newServer(t)
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -392,7 +400,7 @@ func TestMetricsDisabled(t *testing.T) {
 		t.Errorf("GET /metrics on uninstrumented server = %d, want 404", resp.StatusCode)
 	}
 	viol := doJSON(t, "GET", ts.URL+"/api/v1/violations", nil, http.StatusOK)
-	if viol["enabled"] != false {
-		t.Errorf("violations enabled = %v, want false", viol["enabled"])
+	if items, ok := viol["items"].([]any); !ok || len(items) != 0 || viol["count"] != 0.0 || len(viol) != 2 {
+		t.Errorf("violations = %v, want {items: [], count: 0}", viol)
 	}
 }

@@ -478,29 +478,28 @@ func (c *Client) Stats(ctx context.Context) (map[string]any, error) {
 	return out, err
 }
 
-// Violation is one active SLA/deadline violation as the audit sweeper
-// reports it.
+// Violation is one open SLA violation: a work item past its due time
+// or an unsound deployed definition.
 type Violation struct {
 	Kind       string `json:"kind"`
 	ID         string `json:"id"`
 	InstanceID string `json:"instanceId,omitempty"`
 	ProcessID  string `json:"processId,omitempty"`
 	Detail     string `json:"detail,omitempty"`
-	Since      string `json:"since"`
-	Detected   string `json:"detected"`
+	// Since is the item's due time, or when the definition was verified.
+	Since string `json:"since"`
+	// Detected is when the item's deadline fired, or when the
+	// definition was verified.
+	Detected string `json:"detected"`
 }
 
-// ViolationsReport is the GET /violations document: the sweeper's
-// currently active violation set (empty with Enabled false when the
-// server runs without -audit-interval).
+// ViolationsReport is the GET /violations document.
 type ViolationsReport struct {
-	Enabled bool        `json:"enabled"`
-	Items   []Violation `json:"items"`
-	Count   int         `json:"count"`
-	Sweeps  uint64      `json:"sweeps"`
+	Items []Violation `json:"items"`
+	Count int         `json:"count"`
 }
 
-// Violations fetches the active SLA-violation set.
+// Violations fetches the open SLA violations.
 func (c *Client) Violations(ctx context.Context) (*ViolationsReport, error) {
 	var out ViolationsReport
 	if err := c.do(ctx, http.MethodGet, "/violations", nil, &out); err != nil {

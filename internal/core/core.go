@@ -10,8 +10,10 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"bpms/internal/fault"
@@ -109,14 +111,9 @@ type Options struct {
 	// samplers. Nil runs fully uninstrumented: each site pays one
 	// branch and no clock reads.
 	Metrics *obs.Metrics
-	// AuditInterval starts the background SLA-audit sweeper on this
-	// cadence (0 disables it). The sweeper walks the worklist
-	// due-time heap and the timer wheel for deadline violations and
-	// re-verifies deployed definitions' soundness on a slower cadence.
-	AuditInterval time.Duration
 	// TaskSLA applies a default due time to work items created
-	// without an explicit deadline, so the audit sweep covers every
-	// open item (0 = only explicit dueIn deadlines are audited).
+	// without an explicit deadline, so every open item is reported
+	// when it runs late (0 = only explicit dueIn deadlines are).
 	TaskSLA time.Duration
 	// FS is the filesystem the state and history journals and snapshot
 	// stores operate through (default the real OS filesystem). Chaos
@@ -146,8 +143,6 @@ type BPMS struct {
 	// Metrics is the observability registry (nil when the system runs
 	// uninstrumented).
 	Metrics *obs.Metrics
-	// Auditor is the background SLA sweeper (nil when disabled).
-	Auditor *obs.Auditor
 	// Upgrade is what Open's one-shot rewrite of a data dir in an older
 	// format did (zero when there was nothing to rewrite).
 	Upgrade UpgradeReport
@@ -157,6 +152,43 @@ type BPMS struct {
 	state  []storage.Journal // one per shard
 	dirs   []string          // per-shard data dirs (empty in memory)
 	fs     fault.FS          // filesystem behind the journals/snapshots
+
+	// soundness memoises each definition's verdict by ID: nil when
+	// sound, its violation when not. A deployed definition never
+	// changes, so it is verified once.
+	soundMu   sync.Mutex
+	soundness map[string]*Violation
+}
+
+// Violation kinds.
+const (
+	// KindTaskOverdue: an open work item whose due time has passed
+	// (explicit dueIn deadlines and the TaskSLA default alike).
+	KindTaskOverdue = "task_overdue"
+	// KindDefinitionUnsound: a deployed process definition that fails
+	// soundness verification.
+	KindDefinitionUnsound = "definition_unsound"
+)
+
+// Violation is one open SLA violation.
+type Violation struct {
+	// Kind classifies the violation (Kind* constants).
+	Kind string `json:"kind"`
+	// ID identifies the violating object within its kind: work-item ID
+	// or process-definition ID.
+	ID string `json:"id"`
+	// InstanceID / ProcessID locate the violation in the process space
+	// when known.
+	InstanceID string `json:"instanceId,omitempty"`
+	ProcessID  string `json:"processId,omitempty"`
+	// Detail is a human-readable explanation.
+	Detail string `json:"detail,omitempty"`
+	// Since is the work item's due time, or when the definition was
+	// verified.
+	Since time.Time `json:"since"`
+	// Detected is when the work item's deadline fired, or when the
+	// definition was verified.
+	Detected time.Time `json:"detected"`
 }
 
 // shardDir returns the on-disk home of one shard's state. A single
@@ -363,6 +395,10 @@ func Open(opts Options) (*BPMS, error) {
 	for i := range opts.Users {
 		dir.AddUser(&opts.Users[i])
 	}
+	wheel := timer.NewWheelService(opts.TimerTick, 512)
+	if opts.Metrics != nil {
+		wheel.SetFireLag(opts.Metrics.Timers().FireLag)
+	}
 	tasks := task.NewService(task.Config{
 		Directory:    dir,
 		Policy:       opts.Policy,
@@ -370,12 +406,12 @@ func Open(opts Options) (*BPMS, error) {
 		Now:          opts.Clock.Now,
 		Stripes:      opts.WorklistStripes,
 		DefaultSLA:   opts.TaskSLA,
-		Metrics:      opts.Metrics.Tasks(),
+		Timers:       wheel,
+		OnOverdue: func(o task.OverdueItem) {
+			report(opts.Metrics, hist, overdueViolation(o))
+		},
+		Metrics: opts.Metrics.Tasks(),
 	})
-	wheel := timer.NewWheelService(opts.TimerTick, 512)
-	if opts.Metrics != nil {
-		wheel.SetFireLag(opts.Metrics.Timers().FireLag)
-	}
 	onDegrade := opts.OnDegrade
 	engineBegan := time.Now()
 	router, err := shard.New(shard.Config{
@@ -426,6 +462,7 @@ func Open(opts Options) (*BPMS, error) {
 		state:     stateJournals,
 		dirs:      shardDirs,
 		fs:        opts.FS,
+		soundness: map[string]*Violation{},
 	}
 	if opts.Metrics != nil {
 		opts.Metrics.Recovery("history").SetFloat(hist.Stats().RecoverySeconds)
@@ -435,10 +472,6 @@ func Open(opts Options) (*BPMS, error) {
 		// callers), not owned by core, so their instruments attach
 		// through the package-level hook.
 		rules.SetMetrics(opts.Metrics)
-	}
-	if opts.AuditInterval > 0 {
-		b.Auditor = obs.NewAuditor(b.auditorConfig(opts))
-		b.Auditor.Start()
 	}
 	if opts.RunTimers {
 		b.runner = timer.NewRunner(wheel, opts.Clock, opts.TimerTick)
@@ -469,107 +502,124 @@ func (b *BPMS) registerSamplers(m *obs.Metrics) {
 	})
 }
 
-// auditorConfig adapts the worklist due-time heap, the timer wheel,
-// the verifier, and the history pipeline into the obs.Auditor's sweep
-// closures.
-func (b *BPMS) auditorConfig(opts Options) obs.AuditorConfig {
-	return obs.AuditorConfig{
-		Interval: opts.AuditInterval,
-		Now:      opts.Clock.Now,
-		Metrics:  opts.Metrics,
-		Overdue: func(now time.Time) []obs.Violation {
-			items := b.Tasks.Overdue(now)
-			out := make([]obs.Violation, 0, len(items))
-			for _, it := range items {
-				out = append(out, obs.Violation{
-					Kind:       obs.KindTaskOverdue,
-					ID:         it.ID,
-					InstanceID: it.InstanceID,
-					ProcessID:  it.ProcessID,
-					Detail: fmt.Sprintf("work item %s (%s, state %s) open past its due time %s",
-						it.ID, it.Name, it.State, it.DueAt.Format(time.RFC3339)),
-					Since: it.DueAt,
-				})
-			}
-			return out
+// report counts a newly detected violation and writes its one
+// sla.violation event to the audit trail.
+func report(m *obs.Metrics, hist *history.Store, v Violation) {
+	m.Violations(v.Kind).Inc()
+	ev := &history.Event{
+		Type:       history.SLAViolation,
+		Time:       v.Detected,
+		ProcessID:  v.ProcessID,
+		InstanceID: v.InstanceID,
+		Data: map[string]any{
+			"kind":   v.Kind,
+			"object": v.ID,
+			"detail": v.Detail,
+			"since":  v.Since,
 		},
-		TimerLag: func(horizon time.Time) []obs.Violation {
-			rep, ok := b.Timers.(timer.OverdueReporter)
-			if !ok {
-				return nil
-			}
-			lagging := rep.Overdue(horizon)
-			out := make([]obs.Violation, 0, len(lagging))
-			for _, o := range lagging {
-				out = append(out, obs.Violation{
-					Kind:   obs.KindTimerLag,
-					ID:     fmt.Sprintf("timer-%d", o.ID),
-					Detail: fmt.Sprintf("timer %d still pending past %s", o.ID, o.At.Format(time.RFC3339)),
-					Since:  o.At,
-				})
-			}
-			return out
-		},
-		CheckDefinitions: func() []obs.Violation {
-			var out []obs.Violation
-			for _, id := range b.Engine.Definitions() {
-				p, ok := b.Engine.Definition(id)
-				if !ok {
-					continue
-				}
-				res, err := verify.Check(p, verify.Options{MaxStates: 50000, UseReduction: true})
-				now := b.clock.Now()
-				switch {
-				case err != nil:
-					out = append(out, obs.Violation{
-						Kind: obs.KindDefinitionUnsound, ID: id, ProcessID: id,
-						Detail: fmt.Sprintf("soundness re-verification failed: %v", err),
-						Since:  now,
-					})
-				case !res.Sound:
-					detail := "definition is not sound"
-					if len(res.Violations) > 0 {
-						detail = res.Violations[0]
-					}
-					out = append(out, obs.Violation{
-						Kind: obs.KindDefinitionUnsound, ID: id, ProcessID: id,
-						Detail: detail, Since: now,
-					})
-				}
-			}
-			return out
-		},
-		Emit: func(v obs.Violation) {
-			ev := &history.Event{
-				Type:       history.SLAViolation,
-				Time:       v.Detected,
-				ProcessID:  v.ProcessID,
-				InstanceID: v.InstanceID,
-				Data: map[string]any{
-					"kind":   v.Kind,
-					"object": v.ID,
-					"detail": v.Detail,
-					"since":  v.Since,
-				},
-			}
-			if v.Kind == obs.KindTaskOverdue {
-				ev.TaskID = v.ID
-			}
-			b.History.Enqueue(ev)
-		},
+	}
+	if v.Kind == KindTaskOverdue {
+		ev.TaskID = v.ID
+	}
+	hist.Enqueue(ev)
+}
+
+// overdueViolation describes a work item whose deadline fired.
+func overdueViolation(o task.OverdueItem) Violation {
+	it := o.Item
+	return Violation{
+		Kind:       KindTaskOverdue,
+		ID:         it.ID,
+		InstanceID: it.InstanceID,
+		ProcessID:  it.ProcessID,
+		Detail: fmt.Sprintf("work item %s (%s, state %s) open past its due time %s",
+			it.ID, it.Name, it.State, it.DueAt.Format(time.RFC3339)),
+		Since:    it.DueAt,
+		Detected: o.Detected,
 	}
 }
 
-// Close stops the auditor and the timer runner, ends the shards'
+// checkSoundness verifies a definition, returning its violation (nil
+// when sound). A check that cannot finish within its state budget
+// counts as unsound.
+func (b *BPMS) checkSoundness(p *model.Process) *Violation {
+	res, err := verify.Check(p, verify.Options{MaxStates: 50000, UseReduction: true})
+	var detail string
+	switch {
+	case err != nil:
+		detail = fmt.Sprintf("soundness verification failed: %v", err)
+	case !res.Sound:
+		detail = "definition is not sound"
+		if len(res.Violations) > 0 {
+			detail = res.Violations[0]
+		}
+	default:
+		return nil
+	}
+	now := b.clock.Now()
+	return &Violation{Kind: KindDefinitionUnsound, ID: p.ID, ProcessID: p.ID, Detail: detail, Since: now, Detected: now}
+}
+
+// Deploy deploys a definition on every shard and verifies its
+// soundness once. An unsound definition is still deployed, and is
+// reported at once: one sla.violation event, one count, and a row in
+// Violations for as long as it stays deployed.
+func (b *BPMS) Deploy(p *model.Process) error {
+	if err := b.Engine.Deploy(p); err != nil {
+		return err
+	}
+	v := b.checkSoundness(p)
+	b.soundMu.Lock()
+	b.soundness[p.ID] = v
+	b.soundMu.Unlock()
+	if v != nil {
+		report(b.Metrics, b.History, *v)
+	}
+	return nil
+}
+
+// Violations lists the open SLA violations by detection time: work
+// items whose deadline fired while they are open, and unsound deployed
+// definitions. A definition that did not come through Deploy (one
+// recovered at boot) is verified by the first listing that sees it,
+// once, and reports no event: it was reported when it was deployed.
+func (b *BPMS) Violations() []Violation {
+	out := []Violation{}
+	for _, o := range b.Tasks.Overdue() {
+		out = append(out, overdueViolation(o))
+	}
+	b.soundMu.Lock()
+	for _, id := range b.Engine.Definitions() {
+		v, ok := b.soundness[id]
+		if !ok {
+			p, found := b.Engine.Definition(id)
+			if !found {
+				continue
+			}
+			v = b.checkSoundness(p)
+			b.soundness[id] = v
+		}
+		if v != nil {
+			out = append(out, *v)
+		}
+	}
+	b.soundMu.Unlock()
+	sort.SliceStable(out, func(i, j int) bool {
+		if !out[i].Detected.Equal(out[j].Detected) {
+			return out[i].Detected.Before(out[j].Detected)
+		}
+		return out[i].Kind < out[j].Kind
+	})
+	return out
+}
+
+// Close stops the timer runner, ends the shards'
 // snapshots (waiting for a running round), drains the
 // history pipeline, and syncs/closes every journal (all shard WALs plus
 // the history stripe journals). Under SyncBatch journals this drains
 // in-flight commit batches: every acknowledged append is on stable
 // storage when Close returns.
 func (b *BPMS) Close() error {
-	if b.Auditor != nil {
-		b.Auditor.Stop()
-	}
 	if b.runner != nil {
 		b.runner.Stop()
 	}
@@ -702,7 +752,7 @@ func (b *BPMS) FaultReport() (fault.Report, bool) {
 }
 
 // DeployFile loads a definition from a .json or .xml file, validates
-// it, and deploys it.
+// it, and deploys it through Deploy.
 func (b *BPMS) DeployFile(path string) (*model.Process, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -720,7 +770,7 @@ func (b *BPMS) DeployFile(path string) (*model.Process, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := b.Engine.Deploy(p); err != nil {
+	if err := b.Deploy(p); err != nil {
 		return nil, err
 	}
 	return p, nil

@@ -487,19 +487,30 @@ func TestWorklistStripesThreading(t *testing.T) {
 	}
 }
 
-// TestAuditorDetectsOverdueTaskOnce is the sweeper's system-level
-// contract: with a default task SLA, an unattended work item becomes a
-// violation after its synthetic deadline passes; the violation is
-// counted and written to the audit trail exactly once across repeated
-// sweeps; and completing the item clears it from the active set.
-func TestAuditorDetectsOverdueTaskOnce(t *testing.T) {
-	clock := timer.NewVirtualClock(time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC))
+// scrape renders the registry in the text exposition format.
+func scrape(t *testing.T, m *obs.Metrics) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := m.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// TestOverdueItemReportedOnce: with only a default task SLA set, an
+// item still open at its due time is reported exactly once, within one
+// timer tick of the deadline — one sla.violation event, one count, one
+// /violations row — and an item completed in time is never reported
+// and leaves no timer entry behind.
+func TestOverdueItemReportedOnce(t *testing.T) {
+	start := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+	clock := timer.NewVirtualClock(start)
+	m := obs.New()
 	b, err := Open(Options{
-		Clock:         clock,
-		Metrics:       obs.New(),
-		AuditInterval: time.Hour, // ticker never fires in-test; sweeps are manual
-		TaskSLA:       time.Minute,
-		Users:         []resource.User{{ID: "alice", Roles: []string{"clerk"}}},
+		Clock:   clock,
+		Metrics: m,
+		TaskSLA: time.Minute,
+		Users:   []resource.User{{ID: "alice", Roles: []string{"clerk"}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -508,58 +519,159 @@ func TestAuditorDetectsOverdueTaskOnce(t *testing.T) {
 	p := model.New("audited").
 		Start("s").UserTask("work", model.Role("clerk")).End("e").
 		Seq("s", "work", "e").MustBuild()
-	if err := b.Engine.Deploy(p); err != nil {
+	if err := b.Deploy(p); err != nil {
 		t.Fatal(err)
 	}
-	v, err := b.Engine.StartInstance("audited", nil)
+	late, err := b.Engine.StartInstance("audited", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Before the SLA passes: clean sweep.
-	if fresh := b.Auditor.Sweep(); len(fresh) != 0 {
-		t.Fatalf("pre-deadline sweep found %d violation(s)", len(fresh))
-	}
-
-	clock.Advance(2 * time.Minute)
-	fresh := b.Auditor.Sweep()
-	if len(fresh) != 1 || fresh[0].Kind != obs.KindTaskOverdue || fresh[0].InstanceID != v.ID {
-		t.Fatalf("post-deadline sweep fresh = %+v, want one task_overdue for %s", fresh, v.ID)
-	}
-	// Still overdue on later sweeps: active, but never re-counted.
-	clock.Advance(time.Minute)
-	if again := b.Auditor.Sweep(); len(again) != 0 {
-		t.Fatalf("repeat sweep re-detected: %+v", again)
-	}
-	if got := b.Auditor.Violations(); len(got) != 1 {
-		t.Fatalf("active violations = %d, want 1", len(got))
-	}
-	if err := b.History.Flush(); err != nil {
+	if _, err := b.Engine.StartInstance("audited", nil); err != nil {
 		t.Fatal(err)
 	}
-	if n := b.History.CountByType(history.SLAViolation); n != 1 {
-		t.Fatalf("sla.violation audit events = %d, want exactly 1", n)
-	}
-
-	// Work the item: the violation clears from the active set.
 	items := b.Tasks.ByState(task.Offered)
-	if len(items) != 1 {
-		t.Fatalf("offered items = %d", len(items))
+	if len(items) != 2 {
+		t.Fatalf("offered items = %d, want 2", len(items))
 	}
-	id := items[0].ID
-	if _, err := b.Tasks.Claim(id, "alice"); err != nil {
+	var lateID, doneID string
+	for _, it := range items {
+		if it.InstanceID == late.ID {
+			lateID = it.ID
+		} else {
+			doneID = it.ID
+		}
+	}
+	work := func(id string) {
+		t.Helper()
+		if _, err := b.Tasks.Claim(id, "alice"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Tasks.Start(id, "alice"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Tasks.Complete(id, "alice", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events := func() int {
+		t.Helper()
+		if err := b.History.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return b.History.CountByType(history.SLAViolation)
+	}
+	const counted = `bpms_audit_violations_total{kind="task_overdue"} 1`
+
+	// The item completed in time cancels its timer entry.
+	pending := b.Timers.Pending()
+	work(doneID)
+	if got := b.Timers.Pending(); got != pending-1 {
+		t.Fatalf("pending timers after completion = %d, want %d", got, pending-1)
+	}
+
+	// One tick short of the deadline: nothing.
+	clock.Set(start.Add(time.Minute - 10*time.Millisecond))
+	b.Timers.AdvanceTo(clock.Now())
+	if v := b.Violations(); len(v) != 0 || events() != 0 {
+		t.Fatalf("before the deadline: violations %+v, %d event(s)", v, events())
+	}
+	// At the deadline: exactly one report.
+	clock.Set(start.Add(time.Minute))
+	b.Timers.AdvanceTo(clock.Now())
+	v := b.Violations()
+	if len(v) != 1 || v[0].Kind != KindTaskOverdue || v[0].ID != lateID || v[0].InstanceID != late.ID {
+		t.Fatalf("violations = %+v, want one task_overdue for %s", v, lateID)
+	}
+	if !v[0].Since.Equal(start.Add(time.Minute)) || !v[0].Detected.Equal(clock.Now()) {
+		t.Errorf("since %v detected %v, want both %v", v[0].Since, v[0].Detected, clock.Now())
+	}
+	if n := events(); n != 1 {
+		t.Fatalf("sla.violation events = %d, want 1", n)
+	}
+	if text := scrape(t, m); !strings.Contains(text, counted) {
+		t.Fatalf("missing %q in /metrics", counted)
+	}
+	// Later advances add nothing.
+	for i := 0; i < 5; i++ {
+		clock.Advance(time.Minute)
+		b.Timers.AdvanceTo(clock.Now())
+	}
+	if v := b.Violations(); len(v) != 1 || events() != 1 {
+		t.Fatalf("after later advances: violations %+v, %d event(s)", v, events())
+	}
+	// Working the item takes it off the list; the count stays.
+	work(lateID)
+	if v := b.Violations(); len(v) != 0 {
+		t.Fatalf("violations after completion = %+v, want none", v)
+	}
+	if n := events(); n != 1 {
+		t.Fatalf("sla.violation events after completion = %d, want 1", n)
+	}
+	if text := scrape(t, m); !strings.Contains(text, counted) {
+		t.Fatalf("missing %q in /metrics after completion", counted)
+	}
+}
+
+// TestUnsoundDeployReportedOnce: Deploy verifies a definition once. An
+// unsound one is listed and reported by the deploy itself, with no
+// clock advance; after a restart it is still listed, verified again
+// lazily, and not reported a second time.
+func TestUnsoundDeployReportedOnce(t *testing.T) {
+	dir := t.TempDir()
+	clock := timer.NewVirtualClock(time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC))
+	open := func() *BPMS {
+		t.Helper()
+		b, err := Open(Options{DataDir: dir, Clock: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	unsound := func(b *BPMS) {
+		t.Helper()
+		if err := b.History.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		v := b.Violations()
+		if len(v) != 1 || v[0].Kind != KindDefinitionUnsound || v[0].ID != "deadlock-2" || v[0].Detail == "" {
+			t.Fatalf("violations = %+v, want deadlock-2 unsound", v)
+		}
+		if n := b.History.CountByType(history.SLAViolation); n != 1 {
+			t.Fatalf("sla.violation events = %d, want 1", n)
+		}
+	}
+	b := open()
+	// A listing racing the deploys may verify a definition first; the
+	// deploy still reports it exactly once.
+	stop := make(chan struct{})
+	var lister sync.WaitGroup
+	lister.Add(1)
+	go func() {
+		defer lister.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				b.Violations()
+			}
+		}
+	}()
+	if err := b.Deploy(model.Sequence(3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Tasks.Start(id, "alice"); err != nil {
+	if err := b.Deploy(model.WithDeadlock(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Tasks.Complete(id, "alice", nil); err != nil {
+	close(stop)
+	lister.Wait()
+	unsound(b)
+	unsound(b) // listing again verifies nothing and reports nothing
+	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if fresh := b.Auditor.Sweep(); len(fresh) != 0 {
-		t.Fatalf("post-completion sweep fresh = %+v", fresh)
-	}
-	if got := b.Auditor.Violations(); len(got) != 0 {
-		t.Fatalf("active after completion = %+v, want none", got)
-	}
+	b = open()
+	defer b.Close()
+	unsound(b)
+	unsound(b)
 }

@@ -293,6 +293,9 @@ func TestSyntaxErrors(t *testing.T) {
 		"", "1 +", "(1", "[1, 2", `{"a": }`, `"unterminated`,
 		"1 ? 2", "a..b", "@", "1 2", "foo(1,", "{1: 2}", "3(4)",
 		`"bad \q escape"`,
+		// Characters whose first byte reads as a Latin-1 letter: the
+		// lexer once took them for an empty identifier and looped.
+		"€", "x + €", "\xff", "\xc3",
 	}
 	for _, src := range bad {
 		if _, err := Compile(src); err == nil {

@@ -134,7 +134,11 @@ func (l *lexer) next() (token, error) {
 		return l.lexNumber()
 	case c == '"' || c == '\'':
 		return l.lexString(c)
-	case isIdentStart(rune(c)):
+	}
+	// Decode the rune: a byte of a multi-byte character (or of invalid
+	// UTF-8) read as a Latin-1 letter would start an empty identifier.
+	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+	if isIdentStart(r) {
 		return l.lexIdent()
 	}
 	// Operators and punctuation.
@@ -201,7 +205,7 @@ func (l *lexer) next() (token, error) {
 	case '!':
 		return token{kind: tokNot, pos: start}, nil
 	}
-	return token{}, l.errf(start, "unexpected character %q", c)
+	return token{}, l.errf(start, "unexpected character %q", r)
 }
 
 func (l *lexer) lexNumber() (token, error) {

@@ -53,9 +53,9 @@ const (
 	VariableSet    EventType = "variable.set"
 	IncidentRaised EventType = "incident.raised"
 
-	// SLA audit: emitted once by the audit sweeper when it first
-	// detects a violation (overdue work item, lagging timer, or a
-	// deployed definition failing soundness re-verification).
+	// SLA audit: emitted once per violation, when it is detected (a
+	// work item's deadline firing while it is open, or a deploy
+	// failing soundness verification).
 	SLAViolation EventType = "sla.violation"
 )
 

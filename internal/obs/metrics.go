@@ -25,10 +25,7 @@ const (
 	MetricHTTPSeconds      = "bpms_http_request_seconds"
 	MetricShardInstances   = "bpms_shard_instances"
 	MetricShardDegraded    = "bpms_shard_degraded"
-	MetricAuditSweeps      = "bpms_audit_sweeps_total"
 	MetricAuditViolations  = "bpms_audit_violations_total"
-	MetricAuditActive      = "bpms_audit_active_violations"
-	MetricAuditSweepTime   = "bpms_audit_sweep_seconds"
 	MetricRulesEval        = "bpms_rules_eval_seconds"
 	MetricRulesDecisions   = "bpms_rules_decisions_total"
 	MetricUptime           = "bpms_uptime_seconds"
@@ -264,37 +261,14 @@ func (m *Metrics) ShardDegraded(i int) *Gauge {
 		"Shard fail-stop state: 1 = degraded (read-only), 0 = healthy.", "shard", strconv.Itoa(i))
 }
 
-// AuditMetrics instruments the SLA-audit sweeper.
-type AuditMetrics struct {
-	// Sweeps counts completed audit sweeps.
-	Sweeps *Counter
-	// SweepSeconds observes sweep duration.
-	SweepSeconds *Histogram
-	// Violations returns the counter for newly detected violations of
-	// one kind; Active the gauge of currently active violations.
-	Violations func(kind string) *Counter
-	Active     func(kind string) *Gauge
-}
-
-// Audit returns the sweeper handles.
-func (m *Metrics) Audit() AuditMetrics {
+// Violations returns the counter of SLA violations of one kind; each
+// violation is counted once, when it is detected.
+func (m *Metrics) Violations(kind string) *Counter {
 	if m == nil {
-		return AuditMetrics{}
+		return nil
 	}
-	return AuditMetrics{
-		Sweeps: m.registry.Counter(MetricAuditSweeps,
-			"Completed SLA-audit sweeps."),
-		SweepSeconds: m.registry.Histogram(MetricAuditSweepTime,
-			"SLA-audit sweep duration.", nil),
-		Violations: func(kind string) *Counter {
-			return m.registry.Counter(MetricAuditViolations,
-				"SLA violations detected, by kind (counted once per violation).", "kind", kind)
-		},
-		Active: func(kind string) *Gauge {
-			return m.registry.Gauge(MetricAuditActive,
-				"Currently active SLA violations by kind.", "kind", kind)
-		},
-	}
+	return m.registry.Counter(MetricAuditViolations,
+		"SLA violations detected, by kind (counted once per violation).", "kind", kind)
 }
 
 // HTTPRouteMetrics instruments one registered HTTP route. The

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"regexp"
 	"strconv"
 	"strings"
@@ -159,100 +158,5 @@ func TestConcurrentObserveScrape(t *testing.T) {
 	scraper.Wait()
 	if _, _, _, count := h.Snapshot(); count != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", count, workers*perWorker)
-	}
-}
-
-// TestAuditorExactlyOnce checks the sweeper's dedup contract: a
-// violation persisting across sweeps is counted and emitted once, and
-// one that clears and reappears is not re-counted (the seen set never
-// forgets), while the active set always reflects the current sweep.
-func TestAuditorExactlyOnce(t *testing.T) {
-	now := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
-	overdue := []Violation{{Kind: KindTaskOverdue, ID: "wi-1", Since: now}}
-	var emitted []Violation
-	m := New()
-	a := NewAuditor(AuditorConfig{
-		Interval: time.Second,
-		Now:      func() time.Time { return now },
-		Overdue:  func(time.Time) []Violation { return overdue },
-		Emit:     func(v Violation) { emitted = append(emitted, v) },
-		Metrics:  m,
-	})
-
-	if fresh := a.Sweep(); len(fresh) != 1 {
-		t.Fatalf("first sweep fresh = %d, want 1", len(fresh))
-	}
-	firstDetected := a.Violations()[0].Detected
-	now = now.Add(time.Second)
-	if fresh := a.Sweep(); len(fresh) != 0 {
-		t.Fatalf("second sweep fresh = %d, want 0 (still violating)", len(fresh))
-	}
-	if got := a.Violations(); len(got) != 1 || !got[0].Detected.Equal(firstDetected) {
-		t.Fatalf("active = %+v, want original detection time kept", got)
-	}
-
-	// Violation clears: active drops to zero, nothing emitted.
-	overdue = nil
-	now = now.Add(time.Second)
-	a.Sweep()
-	if got := a.Violations(); len(got) != 0 {
-		t.Fatalf("active after clear = %d, want 0", len(got))
-	}
-
-	// Reappears: active again, but never re-counted or re-emitted.
-	overdue = []Violation{{Kind: KindTaskOverdue, ID: "wi-1", Since: now}}
-	now = now.Add(time.Second)
-	if fresh := a.Sweep(); len(fresh) != 0 {
-		t.Fatalf("reappear sweep fresh = %d, want 0", len(fresh))
-	}
-	if len(a.Violations()) != 1 {
-		t.Fatal("reappeared violation not active")
-	}
-	if len(emitted) != 1 || emitted[0].ID != "wi-1" {
-		t.Fatalf("emitted = %+v, want exactly one", emitted)
-	}
-
-	var b strings.Builder
-	if err := m.Registry().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	text := b.String()
-	for _, want := range []string{
-		fmt.Sprintf(`%s{kind="task_overdue"} 1`, MetricAuditViolations),
-		fmt.Sprintf(`%s{kind="task_overdue"} 1`, MetricAuditActive),
-		fmt.Sprintf("%s 4", MetricAuditSweeps),
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("missing %q in:\n%s", want, text)
-		}
-	}
-	if a.Sweeps() != 4 {
-		t.Errorf("sweeps = %d, want 4", a.Sweeps())
-	}
-}
-
-// TestAuditorSoundnessCadence checks the definition check runs on its
-// slower cadence and its violations persist between soundness passes.
-func TestAuditorSoundnessCadence(t *testing.T) {
-	now := time.Unix(0, 0)
-	checks := 0
-	a := NewAuditor(AuditorConfig{
-		Interval:       time.Second,
-		SoundnessEvery: 3,
-		Now:            func() time.Time { return now },
-		CheckDefinitions: func() []Violation {
-			checks++
-			return []Violation{{Kind: KindDefinitionUnsound, ID: "p1", Since: now}}
-		},
-	})
-	for i := 0; i < 6; i++ {
-		a.Sweep()
-		now = now.Add(time.Second)
-		if len(a.Violations()) != 1 {
-			t.Fatalf("sweep %d: active = %d, want 1 (persisted between passes)", i, len(a.Violations()))
-		}
-	}
-	if checks != 2 {
-		t.Errorf("definition checks = %d, want 2 (sweeps 0 and 3)", checks)
 	}
 }

@@ -1,10 +1,7 @@
 // Package obs is the observability layer of the BPMS: a
 // dependency-free metrics registry (atomic counters, gauges, and
 // fixed-bucket latency histograms) rendered in the Prometheus text
-// exposition format, plus a continuous SLA-audit sweeper (Auditor)
-// that re-checks live work items, timers, and deployed definitions
-// for violations in the background — the gatekeeper pattern of an
-// admission path paired with an audit loop and exported metrics.
+// exposition format.
 //
 // Instruments are handed to the hot paths as pre-resolved handles so
 // an observation is a few atomic adds with no map lookups or locks;

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"bpms/internal/resource"
+	"bpms/internal/timer"
 )
 
 // refPage is the brute-force reference every page query is checked
@@ -97,7 +98,7 @@ func checkPages(t *testing.T, svc *Service, user string, state State, offset, li
 // ground-truth scan of the stripe item maps: the per-user
 // allocated/started and offered indexes and the per-state indexes must
 // hold exactly the stripe's matching items in strict worklist order,
-// and the due-time heaps and the cross-stripe load counters must agree
+// and the deadline sets and the cross-stripe load counters must agree
 // with the items themselves.
 func checkConsistency(t *testing.T, svc *Service) {
 	t.Helper()
@@ -165,24 +166,24 @@ func checkConsistency(t *testing.T, svc *Service) {
 		for state := range st.byState {
 			checkIndex("byState["+State(state).String()+"]", &st.byState[state], inState(State(state)))
 		}
-		// due heap: entries reference live items with that deadline, at
-		// most one entry per item, and every OPEN item with a deadline
-		// is present (closed items may linger until lazily popped).
-		dueIDs := map[string]bool{}
-		for _, e := range st.due {
-			it, ok := st.items[e.id]
-			if !ok || !it.DueAt.Equal(e.at) {
-				t.Errorf("stripe %d: due entry %s@%v does not match its item", si, e.id, e.at)
-			}
-			if dueIDs[e.id] {
-				t.Errorf("stripe %d: duplicate due entry for %s", si, e.id)
-			}
-			dueIDs[e.id] = true
-		}
+		// Deadlines: an open item with a due time is either waiting on
+		// its timer entry or overdue (never both); a closed item is
+		// neither.
 		for id, it := range st.items {
-			if !it.State.Terminal() && !it.DueAt.IsZero() && !dueIDs[id] {
-				t.Errorf("stripe %d: open item %s with deadline missing from due heap", si, id)
+			_, waiting := st.deadlines[id]
+			_, overdue := st.overdue[id]
+			switch {
+			case it.State.Terminal() && (waiting || overdue):
+				t.Errorf("stripe %d: closed item %s keeps a deadline (waiting %v, overdue %v)", si, id, waiting, overdue)
+			case it.State.Terminal() || svc.timers == nil:
+			case it.DueAt.IsZero() && (waiting || overdue):
+				t.Errorf("stripe %d: item %s without a due time has a deadline", si, id)
+			case !it.DueAt.IsZero() && waiting == overdue:
+				t.Errorf("stripe %d: open item %s: waiting %v, overdue %v", si, id, waiting, overdue)
 			}
+		}
+		if len(st.deadlines)+len(st.overdue) > len(st.items) {
+			t.Errorf("stripe %d: %d deadlines and %d overdue marks for %d items", si, len(st.deadlines), len(st.overdue), len(st.items))
 		}
 		st.mu.Unlock()
 	}
@@ -200,28 +201,6 @@ func checkConsistency(t *testing.T, svc *Service) {
 	}
 	svc.loadMu.RUnlock()
 
-	// Query answers match brute-force scans over the ground truth.
-	bruteOverdue := func(now time.Time) map[string]bool {
-		out := map[string]bool{}
-		for id, f := range all {
-			if !f.it.State.Terminal() && !f.it.DueAt.IsZero() && f.it.DueAt.Before(now) {
-				out[id] = true
-			}
-		}
-		return out
-	}
-	for _, now := range []time.Time{base, base.Add(30 * time.Minute), base.Add(24 * time.Hour)} {
-		want := bruteOverdue(now)
-		got := svc.Overdue(now)
-		if len(got) != len(want) {
-			t.Errorf("Overdue(%v) = %d items, brute force %d", now, len(got), len(want))
-		}
-		for _, it := range got {
-			if !want[it.ID] {
-				t.Errorf("Overdue(%v) returned %s, not overdue", now, it.ID)
-			}
-		}
-	}
 	// Every full listing matches the brute-force reference.
 	for user := range users {
 		for state := Created; state <= Cancelled; state++ {
@@ -251,11 +230,15 @@ func randomOps(t *testing.T, seed int64, steps int) {
 	}
 	now := base
 	var svcs []*Service
+	var wheels []*timer.WheelService
 	for _, stripes := range []int{1, 4, 8} {
+		wheel := timer.NewWheelService(time.Second, 64)
+		wheels = append(wheels, wheel)
 		svcs = append(svcs, NewService(Config{
 			Directory: d,
 			Stripes:   stripes,
 			Now:       func() time.Time { return now },
+			Timers:    wheel,
 		}))
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -273,6 +256,9 @@ func randomOps(t *testing.T, seed int64, steps int) {
 		// Half the steps keep the clock where it is: equal creation
 		// times fall through to the ID tie-break (wi-10 < wi-9).
 		now = now.Add(time.Duration(rng.Intn(2)) * time.Second)
+		for _, w := range wheels {
+			w.AdvanceTo(now)
+		}
 		if len(ids) == 0 || rng.Intn(10) < 3 {
 			spec := Spec{InstanceID: "i", ElementID: fmt.Sprintf("e%d", step), Priority: rng.Intn(5)}
 			switch rng.Intn(3) {
@@ -282,7 +268,7 @@ func randomOps(t *testing.T, seed int64, steps int) {
 				spec.Role = "clerk"
 			}
 			if rng.Intn(2) == 0 {
-				spec.Due = time.Duration(1+rng.Intn(120)) * time.Minute
+				spec.Due = time.Duration(1+rng.Intn(240)) * time.Second
 			}
 			var id string
 			each(fmt.Sprintf("create %+v", spec), func(svc *Service) {
@@ -326,7 +312,24 @@ func randomOps(t *testing.T, seed int64, steps int) {
 		if rng.Intn(3) == 0 {
 			offset = 0
 		}
+		// The overdue set is the brute-force scan: open, due time
+		// reached.
+		var want []string
+		for _, it := range refPage(svcs[0], func(it *Item) bool {
+			return !it.State.Terminal() && !it.DueAt.IsZero() && !it.DueAt.After(now)
+		}, 0, -1) {
+			want = append(want, it.ID)
+		}
+		sort.Strings(want)
 		for _, svc := range svcs {
+			var got []string
+			for _, o := range svc.Overdue() {
+				got = append(got, o.Item.ID)
+			}
+			sort.Strings(got)
+			if !slices.Equal(got, want) {
+				t.Errorf("%d stripes at %s: overdue %v, brute force %v", len(svc.stripes), now.Sub(base), got, want)
+			}
 			checkPages(t, svc, u, state, offset, limit)
 			if step%250 == 249 || step == steps-1 {
 				checkConsistency(t, svc)
@@ -340,8 +343,9 @@ func randomOps(t *testing.T, seed int64, steps int) {
 
 // TestStripedConcurrent hammers an 8-stripe service with parallel
 // writers (full lifecycles, delegations, releases) and readers
-// (Worklist, OfferedItems, ByState, Overdue, Load, Stats) under
-// -race, then checks index consistency and final counts.
+// (Worklist, OfferedItems, ByState, Overdue, Load, Stats) and the
+// timer wheel firing due times under -race, then checks index
+// consistency and final counts.
 func TestStripedConcurrent(t *testing.T) {
 	const (
 		workers = 8
@@ -351,7 +355,8 @@ func TestStripedConcurrent(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		d.AddUser(&resource.User{ID: fmt.Sprintf("w%d", w), Roles: []string{"crew"}})
 	}
-	svc := NewService(Config{Directory: d, Stripes: 8})
+	wheel := timer.NewWheelService(time.Millisecond, 64)
+	svc := NewService(Config{Directory: d, Stripes: 8, Timers: wheel})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Readers poll every surface concurrently with the writers.
@@ -369,7 +374,8 @@ func TestStripedConcurrent(t *testing.T) {
 				svc.Worklist(user)
 				svc.OfferedItems(user)
 				svc.ByState(Started)
-				svc.Overdue(time.Now())
+				svc.Overdue()
+				wheel.AdvanceTo(time.Now())
 				svc.Load(user)
 				svc.Stats()
 			}
@@ -386,7 +392,7 @@ func TestStripedConcurrent(t *testing.T) {
 			for i := 0; i < per; i++ {
 				it, err := svc.Create(Spec{
 					InstanceID: "i", ElementID: "e", Assignee: me,
-					Priority: i % 5, Due: time.Hour,
+					Priority: i % 5, Due: time.Duration(i%3) * time.Millisecond,
 				})
 				if err != nil {
 					errc <- err
@@ -487,10 +493,6 @@ func TestDelegateReleaseCrossUser(t *testing.T) {
 	}
 	if len(svc.OfferedItems("alice")) != 1 || len(svc.OfferedItems("bob")) != 1 {
 		t.Errorf("offers after release = %d/%d", len(svc.OfferedItems("alice")), len(svc.OfferedItems("bob")))
-	}
-	// Still overdue-indexed across the moves.
-	if got := svc.Overdue(base.Add(2 * time.Hour)); len(got) != 1 {
-		t.Errorf("overdue after delegate+release = %d", len(got))
 	}
 	checkConsistency(t, svc)
 }

@@ -9,10 +9,10 @@
 // across N stripes by FNV-1a on the item ID (fnv1a.Sum32, the hash the
 // shard router and the history stripes use), each stripe guarded by
 // its own mutex and carrying its own secondary indexes — per-user
-// allocated and offered sets, a per-state set, and a due-time
-// min-heap — so claims and completions on different items proceed in
-// parallel. The three set indexes are one type, ordered, kept in
-// worklist order (priority desc, creation time, ID):
+// allocated and offered sets and a per-state set — so claims and
+// completions on different items proceed in parallel. The three set
+// indexes are one type, ordered, kept in worklist order (priority
+// desc, creation time, ID):
 //
 //   - a page query (WorklistPage, OfferedPage, ByStatePage,
 //     UserStatePage) walks the first offset+limit entries of each
@@ -23,8 +23,12 @@
 //     shift of the shorter side of the slice — nothing for an append
 //     at the bottom, at most the page depth for a claim near the top,
 //     and n/2 entries in the worst case (a priority insert into the
-//     middle of a deep backlog);
-//   - Overdue pops its due-time heap, O(overdue · log pending).
+//     middle of a deep backlog).
+//
+// An item with a due time holds one entry on the timer service from
+// creation until it closes. An entry that fires while its item is open
+// puts the item in its stripe's overdue set and reports it once
+// (Config.OnOverdue); nothing polls for deadlines.
 //
 // Per-user load counters live outside the item stripes, so allocation
 // policies (resource.ShortestQueuePolicy) read them without touching
@@ -32,7 +36,6 @@
 package task
 
 import (
-	"container/heap"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -45,6 +48,7 @@ import (
 	"bpms/internal/fnv1a"
 	"bpms/internal/obs"
 	"bpms/internal/resource"
+	"bpms/internal/timer"
 )
 
 // State is a work-item lifecycle state.
@@ -236,33 +240,6 @@ type notification struct {
 	from, to State
 }
 
-// dueEntry is one deadline-index record. Entries are removed lazily:
-// a surfaced entry whose item has closed is dropped instead of
-// re-pushed.
-type dueEntry struct {
-	at time.Time
-	id string
-}
-
-type dueHeap []dueEntry
-
-func (h dueHeap) Len() int { return len(h) }
-func (h dueHeap) Less(a, b int) bool {
-	if !h[a].at.Equal(h[b].at) {
-		return h[a].at.Before(h[b].at)
-	}
-	return h[a].id < h[b].id
-}
-func (h dueHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *dueHeap) Push(x any)   { *h = append(*h, x.(dueEntry)) }
-func (h *dueHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
 // stripe is one lock-striped partition of the item store with its own
 // secondary indexes. All fields are guarded by mu.
 type stripe struct {
@@ -271,14 +248,20 @@ type stripe struct {
 	byUser  map[string]*ordered      // user -> items allocated/started
 	offered map[string]*ordered      // user -> items offered
 	byState [len(stateNames)]ordered // state -> items
-	due     dueHeap                  // open items with deadlines
+	// deadlines holds the timer entry of each open item whose due time
+	// has not passed; overdue the open items whose due time has passed,
+	// with the time their entry fired.
+	deadlines map[string]timer.ID
+	overdue   map[string]time.Time
 }
 
 func newStripe() *stripe {
 	return &stripe{
-		items:   map[string]*Item{},
-		byUser:  map[string]*ordered{},
-		offered: map[string]*ordered{},
+		items:     map[string]*Item{},
+		byUser:    map[string]*ordered{},
+		offered:   map[string]*ordered{},
+		deadlines: map[string]timer.ID{},
+		overdue:   map[string]time.Time{},
 	}
 }
 
@@ -316,9 +299,10 @@ type Service struct {
 	now       func() time.Time
 
 	// defaultSLA is the due time applied to items created without an
-	// explicit deadline, so the audit sweeper's due-heap walk covers
-	// them (0 = none).
+	// explicit deadline (0 = none).
 	defaultSLA time.Duration
+	timers     timer.Service
+	onOverdue  func(OverdueItem)
 	// opHist holds one pre-resolved latency histogram per operation
 	// (index = target State; opCreate covers Create, the opPage* three
 	// the page queries by the index they read). Nil entries when
@@ -360,9 +344,15 @@ type Config struct {
 	Stripes int
 	// DefaultSLA applies a due time of now+DefaultSLA to items created
 	// without an explicit deadline (0 = items without a dueIn carry no
-	// deadline). Because it lands on the due-time heap, the SLA audit
-	// sweep stays O(overdue).
+	// deadline).
 	DefaultSLA time.Duration
+	// Timers watches due times: each item with one schedules an entry
+	// here (nil = due times are recorded but never fire). Schedule and
+	// Cancel are called under a stripe lock; entries fire outside it.
+	Timers timer.Service
+	// OnOverdue is called once for each item whose due time passes
+	// while it is open, outside any stripe lock (nil = none).
+	OnOverdue func(OverdueItem)
 	// Metrics instruments operation latency (zero value =
 	// uninstrumented).
 	Metrics obs.TaskMetrics
@@ -389,6 +379,8 @@ func NewService(cfg Config) *Service {
 		autoAlloc:  cfg.AutoAllocate,
 		now:        cfg.Now,
 		defaultSLA: cfg.DefaultSLA,
+		timers:     cfg.Timers,
+		onOverdue:  cfg.OnOverdue,
 		loads:      map[string]int{},
 	}
 	if cfg.Metrics.Op != nil {
@@ -515,7 +507,9 @@ func (s *Service) Create(spec Spec) (*Item, error) {
 	}
 	if due > 0 {
 		it.DueAt = now.Add(due)
-		heap.Push(&st.due, dueEntry{at: it.DueAt, id: id})
+		if s.timers != nil {
+			st.deadlines[id] = s.timers.Schedule(it.DueAt, func() { s.fireDue(st, id) })
+		}
 	}
 	st.items[id] = it
 	st.byState[Created].insert(it)
@@ -590,6 +584,35 @@ func clearOffersLocked(st *stripe, it *Item) {
 	it.OfferedTo = nil
 }
 
+// clearDueLocked forgets a closing item's deadline: a pending timer
+// entry is cancelled, an overdue mark dropped.
+func (s *Service) clearDueLocked(st *stripe, id string) {
+	if tid, ok := st.deadlines[id]; ok {
+		s.timers.Cancel(tid)
+		delete(st.deadlines, id)
+	}
+	delete(st.overdue, id)
+}
+
+// fireDue runs when an item's due-time entry fires. The entry fires
+// once, so an item still open is marked overdue and reported exactly
+// once; a closed one raced the firing and is left alone.
+func (s *Service) fireDue(st *stripe, id string) {
+	st.mu.Lock()
+	it := st.items[id]
+	delete(st.deadlines, id)
+	if it.State.Terminal() {
+		st.mu.Unlock()
+		return
+	}
+	o := OverdueItem{Item: it.clone(), Detected: s.now()}
+	st.overdue[id] = o.Detected
+	st.mu.Unlock()
+	if s.onOverdue != nil {
+		s.onOverdue(o)
+	}
+}
+
 // Get returns a copy of the work item.
 func (s *Service) Get(id string) (*Item, error) {
 	st := s.stripeFor(id)
@@ -650,6 +673,7 @@ func (s *Service) transition(id string, to State, mutate func(*Item) error) (*It
 	}
 	if to.Terminal() {
 		clearOffersLocked(st, it)
+		s.clearDueLocked(st, id)
 		if it.Assignee != "" {
 			s.userRemoveLocked(st, it.Assignee, it)
 		}
@@ -882,46 +906,31 @@ func (s *Service) UserStatePage(userID string, state State, offset, limit int) [
 		func(it *Item) bool { return it.Assignee == userID }, offset, limit)
 }
 
-// Overdue returns open items whose deadline has passed at the given
-// time. Each stripe consults its due-time min-heap: entries are
-// popped while due, stale ones (closed items) dropped, live ones
-// collected and re-pushed — O(overdue · log pending) per call instead
-// of a scan over every item ever created.
-func (s *Service) Overdue(now time.Time) []*Item {
-	var out []*Item
+// OverdueItem is an open work item whose due time has passed.
+type OverdueItem struct {
+	Item *Item
+	// Detected is when the item's due-time entry fired.
+	Detected time.Time
+}
+
+// Overdue returns the open items whose due time has passed, in the
+// order their entries fired (worklist order among equal times).
+func (s *Service) Overdue() []OverdueItem {
+	var out []OverdueItem
 	for _, st := range s.stripes {
 		st.mu.Lock()
-		out = append(out, st.overdueLocked(now)...)
+		for id, at := range st.overdue {
+			out = append(out, OverdueItem{Item: st.items[id].clone(), Detected: at})
+		}
 		st.mu.Unlock()
 	}
-	sortItems(out)
-	return out
-}
-
-func (st *stripe) overdueLocked(now time.Time) []*Item {
-	var out []*Item
-	var keep []dueEntry
-	for len(st.due) > 0 {
-		top := st.due[0]
-		if !top.at.Before(now) {
-			break
+	sort.Slice(out, func(a, b int) bool {
+		if !out[a].Detected.Equal(out[b].Detected) {
+			return out[a].Detected.Before(out[b].Detected)
 		}
-		heap.Pop(&st.due)
-		it, ok := st.items[top.id]
-		if !ok || it.State.Terminal() || !it.DueAt.Equal(top.at) {
-			continue // stale: closed (lazy removal) or superseded entry
-		}
-		out = append(out, it.clone())
-		keep = append(keep, top)
-	}
-	for _, e := range keep {
-		heap.Push(&st.due, e)
-	}
+		return itemLess(out[a].Item, out[b].Item)
+	})
 	return out
-}
-
-func sortItems(items []*Item) {
-	sort.Slice(items, func(a, b int) bool { return itemLess(items[a], items[b]) })
 }
 
 // mergeSorted k-way-merges per-stripe pre-sorted slices, stopping at
@@ -984,9 +993,6 @@ type StripeStat struct {
 	Items int `json:"items"`
 	// Open is the number of non-terminal items on the stripe.
 	Open int `json:"open"`
-	// Due is the stripe's deadline-index size (may include entries for
-	// closed items pending lazy removal).
-	Due int `json:"due"`
 }
 
 // Stats reports the worklist's shape and load for monitoring.
@@ -1015,7 +1021,7 @@ func (s *Service) Stats() Stats {
 	}
 	for i, st := range s.stripes {
 		st.mu.Lock()
-		ss := StripeStat{Items: len(st.items), Due: len(st.due)}
+		ss := StripeStat{Items: len(st.items)}
 		for state := range st.byState {
 			n := st.byState[state].len()
 			if n == 0 {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bpms/internal/resource"
+	"bpms/internal/timer"
 )
 
 var base = time.Date(2026, 6, 1, 9, 0, 0, 0, time.UTC)
@@ -223,23 +224,55 @@ func TestRelease(t *testing.T) {
 	}
 }
 
+// TestOverdueAndDue: an item with a due time holds one timer entry; it
+// is reported once when the entry fires while it is open, and an item
+// closed first cancels its entry and is never reported.
 func TestOverdueAndDue(t *testing.T) {
-	svc, _, nowPtr := newService(t, false)
-	it, _ := svc.Create(Spec{InstanceID: "i1", ElementID: "t", Assignee: "alice", Due: time.Hour})
-	if it.DueAt.IsZero() {
+	now := base
+	wheel := timer.NewWheelService(time.Second, 64)
+	var reported []OverdueItem
+	svc := NewService(Config{
+		Directory: resource.NewDirectory(),
+		Now:       func() time.Time { return now },
+		Timers:    wheel,
+		OnOverdue: func(o OverdueItem) { reported = append(reported, o) },
+	})
+	advance := func(d time.Duration) {
+		now = now.Add(d)
+		wheel.AdvanceTo(now)
+	}
+	late, _ := svc.Create(Spec{InstanceID: "i1", ElementID: "t", Assignee: "alice", Due: time.Hour})
+	done, _ := svc.Create(Spec{InstanceID: "i2", ElementID: "t", Assignee: "alice", Due: time.Hour})
+	svc.Create(Spec{InstanceID: "i3", ElementID: "t", Assignee: "alice"}) // no deadline
+	if late.DueAt.IsZero() {
 		t.Fatal("DueAt not set")
 	}
-	if got := svc.Overdue(base.Add(30 * time.Minute)); len(got) != 0 {
-		t.Errorf("not yet overdue: %v", got)
+	if wheel.Pending() != 2 {
+		t.Fatalf("pending entries = %d, want 2", wheel.Pending())
 	}
-	if got := svc.Overdue(base.Add(2 * time.Hour)); len(got) != 1 {
-		t.Errorf("overdue = %v", got)
+	advance(30 * time.Minute)
+	if got := svc.Overdue(); len(got) != 0 || len(reported) != 0 {
+		t.Errorf("not yet overdue: %v, reported %v", got, reported)
 	}
-	// Completed items are never overdue.
-	*nowPtr = nowPtr.Add(time.Minute)
-	svc.Start(it.ID, "alice")
-	svc.Complete(it.ID, "alice", nil)
-	if got := svc.Overdue(base.Add(2 * time.Hour)); len(got) != 0 {
+	// Closing an item cancels its entry.
+	svc.Start(done.ID, "alice")
+	svc.Complete(done.ID, "alice", nil)
+	if wheel.Pending() != 1 {
+		t.Errorf("pending entries after completion = %d, want 1", wheel.Pending())
+	}
+	advance(30 * time.Minute)
+	got := svc.Overdue()
+	if len(got) != 1 || got[0].Item.ID != late.ID || !got[0].Detected.Equal(late.DueAt) {
+		t.Fatalf("overdue = %+v, want %s detected at %v", got, late.ID, late.DueAt)
+	}
+	advance(time.Hour)
+	if len(reported) != 1 || reported[0].Item.ID != late.ID {
+		t.Fatalf("reported = %+v, want %s once", reported, late.ID)
+	}
+	// Completing an overdue item takes it off the set.
+	svc.Start(late.ID, "alice")
+	svc.Complete(late.ID, "alice", nil)
+	if got := svc.Overdue(); len(got) != 0 {
 		t.Errorf("completed item overdue: %v", got)
 	}
 }

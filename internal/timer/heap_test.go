@@ -111,25 +111,3 @@ func (s *HeapService) AdvanceTo(now time.Time) int {
 	}
 	return len(due)
 }
-
-// Overdue implements OverdueReporter: a heap-order walk that descends
-// only into subtrees whose root is due (a child's deadline is never
-// earlier than its parent's), so the cost is O(overdue), not O(n).
-func (s *HeapService) Overdue(now time.Time) []Overdue {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Overdue
-	var walk func(i int)
-	walk = func(i int) {
-		if i >= len(s.h) || s.h[i].at.After(now) {
-			return
-		}
-		if !s.h[i].cancelled {
-			out = append(out, Overdue{ID: s.h[i].id, At: s.h[i].at})
-		}
-		walk(2*i + 1)
-		walk(2*i + 2)
-	}
-	walk(0)
-	return out
-}

@@ -61,22 +61,6 @@ func (c *VirtualClock) Set(t time.Time) {
 	}
 }
 
-// Overdue describes one pending timer whose deadline has passed
-// without firing — the raw material of the audit sweeper's timer-lag
-// check.
-type Overdue struct {
-	ID ID
-	At time.Time
-}
-
-// OverdueReporter is an optional Service extension: implementations
-// that can enumerate pending past-deadline entries cheaply (the wheel
-// scans only the buckets behind the swept tick) expose it for the SLA
-// sweeper.
-type OverdueReporter interface {
-	Overdue(now time.Time) []Overdue
-}
-
 // Service schedules one-shot deadline callbacks. Implementations are
 // safe for concurrent use. Callbacks run synchronously inside the
 // AdvanceTo (or background tick) that fires them, so they must be

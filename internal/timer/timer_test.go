@@ -155,7 +155,6 @@ func TestConcurrentScheduleAndAdvance(t *testing.T) {
 			var fired int64
 			var wg sync.WaitGroup
 			const n = 500
-			s.Schedule(t0, func() {}) // anchor
 			for g := 0; g < 4; g++ {
 				wg.Add(1)
 				go func(g int) {
@@ -176,9 +175,35 @@ func TestConcurrentScheduleAndAdvance(t *testing.T) {
 	}
 }
 
+// TestWheelFiresWhateverTheScheduleOrder schedules a long timer before a
+// short one: the short one must fire at its own deadline, not wait for
+// the first deadline the wheel ever saw. A deadline already past when
+// scheduled, before any advance, fires on the first one.
+func TestWheelFiresWhateverTheScheduleOrder(t *testing.T) {
+	w := NewWheelService(10*time.Millisecond, 512)
+	var hourAt, secondAt, pastAt time.Time
+	now := t0
+	w.Schedule(t0.Add(time.Hour), func() { hourAt = now })
+	w.Schedule(t0.Add(time.Second), func() { secondAt = now })
+	w.Schedule(t0.Add(-time.Minute), func() { pastAt = now })
+	for now.Before(t0.Add(time.Hour)) {
+		now = now.Add(10 * time.Millisecond)
+		w.AdvanceTo(now)
+	}
+	if want := t0.Add(10 * time.Millisecond); !pastAt.Equal(want) {
+		t.Errorf("past timer fired at +%s, want +%s", pastAt.Sub(t0), want.Sub(t0))
+	}
+	if want := t0.Add(time.Second); !secondAt.Equal(want) {
+		t.Errorf("1s timer fired at +%s, want +%s", secondAt.Sub(t0), want.Sub(t0))
+	}
+	if want := t0.Add(time.Hour); !hourAt.Equal(want) {
+		t.Errorf("1h timer fired at +%s, want +%s", hourAt.Sub(t0), want.Sub(t0))
+	}
+}
+
 // Property: the wheel and the heap fire exactly the same sets of
-// timers for the same random schedule/advance interleavings — the heap
-// acts as the oracle for the wheel.
+// timers after every advance of the same random schedule/advance
+// interleavings — the heap acts as the oracle for the wheel.
 func TestQuickWheelMatchesHeapOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -187,11 +212,17 @@ func TestQuickWheelMatchesHeapOracle(t *testing.T) {
 		firedW := map[int]bool{}
 		firedH := map[int]bool{}
 		now := t0
-		// Anchor both.
-		wheel.Schedule(now, func() {})
-		hp.Schedule(now, func() {})
-		wheel.AdvanceTo(now)
-		hp.AdvanceTo(now)
+		same := func() bool {
+			if len(firedW) != len(firedH) {
+				return false
+			}
+			for k := range firedW {
+				if !firedH[k] {
+					return false
+				}
+			}
+			return wheel.Pending() == hp.Pending()
+		}
 		type pending struct{ w, h ID }
 		active := map[int]pending{}
 		for i := 0; i < 120; i++ {
@@ -207,6 +238,9 @@ func TestQuickWheelMatchesHeapOracle(t *testing.T) {
 				now = now.Add(time.Duration(1+r.Intn(30)) * time.Millisecond)
 				wheel.AdvanceTo(now)
 				hp.AdvanceTo(now)
+				if !same() {
+					return false
+				}
 			case 3: // cancel a random active timer
 				for k, p := range active {
 					cw := wheel.Cancel(p.w)
@@ -222,15 +256,7 @@ func TestQuickWheelMatchesHeapOracle(t *testing.T) {
 		now = now.Add(time.Second)
 		wheel.AdvanceTo(now)
 		hp.AdvanceTo(now)
-		if len(firedW) != len(firedH) {
-			return false
-		}
-		for k := range firedW {
-			if !firedH[k] {
-				return false
-			}
-		}
-		return wheel.Pending() == hp.Pending()
+		return same()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -22,9 +22,7 @@ type WheelService struct {
 	buckets  []map[ID]*wheelEntry
 	byID     map[ID]*wheelEntry
 	nextID   ID
-	lastTick int64 // last fully swept tick
-	origin   time.Time
-	started  bool
+	lastTick int64          // last fully swept tick
 	lag      *obs.Histogram // fire lag (nil = uninstrumented)
 }
 
@@ -60,14 +58,21 @@ func NewWheelService(tick time.Duration, slots int) *WheelService {
 	return w
 }
 
+// epoch is where tick 0 starts. Ticks are fixed spans of absolute
+// time, so an entry's tick does not depend on what was scheduled before
+// it. A new wheel counts as swept up to the epoch: its first advance
+// spans more than a rotation and visits every bucket, and a deadline
+// before the epoch fires on that advance.
+var epoch = time.Unix(0, 0)
+
 func (w *WheelService) tickOf(t time.Time) int64 {
-	return int64(t.Sub(w.origin) / w.tick)
+	return int64(t.Sub(epoch) / w.tick)
 }
 
 // entryTickOf rounds a deadline up to the next tick boundary so an
 // entry never fires before its wall-clock deadline.
 func (w *WheelService) entryTickOf(t time.Time) int64 {
-	d := t.Sub(w.origin)
+	d := t.Sub(epoch)
 	tk := int64(d / w.tick)
 	if d%w.tick != 0 {
 		tk++
@@ -81,12 +86,6 @@ func (w *WheelService) Schedule(at time.Time, fn func()) ID {
 	defer w.mu.Unlock()
 	w.nextID++
 	id := w.nextID
-	if !w.started {
-		// Anchor the wheel's origin at the first schedule.
-		w.origin = at
-		w.lastTick = w.tickOf(at) - 1
-		w.started = true
-	}
 	e := &wheelEntry{id: id, at: at, tick: w.entryTickOf(at), fn: fn}
 	if e.tick <= w.lastTick {
 		e.tick = w.lastTick + 1 // past deadlines fire on next advance
@@ -138,44 +137,11 @@ func (w *WheelService) AdvanceTo(now time.Time) int {
 	return len(due)
 }
 
-// Overdue implements OverdueReporter: pending entries whose deadline
-// is at or before now, without firing or removing them. Like
-// collectDue it visits only the buckets behind the swept tick, so the
-// walk is O(buckets spanned + overdue entries).
-func (w *WheelService) Overdue(now time.Time) []Overdue {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.started {
-		return nil
-	}
-	nowTick := w.tickOf(now)
-	if nowTick <= w.lastTick {
-		return nil
-	}
-	var out []Overdue
-	span := nowTick - w.lastTick
-	if span > int64(w.slots) {
-		span = int64(w.slots)
-	}
-	for i := int64(1); i <= span; i++ {
-		tk := w.lastTick + i
-		for _, e := range w.buckets[int(tk%int64(w.slots))] {
-			if e.tick <= nowTick && !e.at.After(now) {
-				out = append(out, Overdue{ID: e.id, At: e.at})
-			}
-		}
-	}
-	return out
-}
-
 // collectDue removes and returns (unsorted) every entry due at or
 // before now, advancing the wheel's swept tick.
 func (w *WheelService) collectDue(now time.Time) []*wheelEntry {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.started {
-		return nil
-	}
 	nowTick := w.tickOf(now)
 	if nowTick <= w.lastTick {
 		return nil

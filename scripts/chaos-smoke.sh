@@ -11,12 +11,12 @@
 #   SIGKILL, restart WITHOUT the fault, and require every acked start
 #   to be recovered — acked-but-lost must be exactly zero.
 #
-#   The same scrape gates the instrumentation and the SLA sweeper:
-#   nonzero bpms_http_requests_total, bpms_engine_transition_seconds
+#   The same scrape gates the instrumentation and the SLA deadlines:
+#   nonzero bpms_http_requests_total and bpms_engine_transition_seconds
 #   (one case is completed through its user task before the fault
-#   trips) and bpms_audit_sweeps_total, plus at least one
-#   bpms_audit_violations_total — the parked approval items outlive
-#   the 200ms -task-sla default deadline.
+#   trips), plus at least one bpms_audit_violations_total — the parked
+#   approval items outlive the 200ms -task-sla default deadline, and
+#   each one's timer reports it when it fires.
 #
 # Episode 2 — ENOSPC budget: same contract with the journal hitting a
 #   byte-budget wall instead of an I/O error.
@@ -93,8 +93,7 @@ fault_episode() {
   DATA="$(mktemp -d)"
   echo "== [$name] bpmsd with injected fault: $spec"
   "$BIN/bpmsd" -addr "$ADDR" -data "$DATA" -sync batch -metrics \
-    -audit-interval 100ms -task-sla 200ms \
-    -fault "$spec" -user alice=clerk >"$LOG" 2>&1 &
+    -task-sla 200ms -fault "$spec" -user alice=clerk >"$LOG" 2>&1 &
   PID=$!
   wait_listening
   wait_ready
@@ -164,8 +163,8 @@ fault_episode() {
     exit 1
   }
   # Scrape to a file: grep -q closing the pipe early would trip
-  # pipefail on curl's write error. The sweeper needs a few 100ms
-  # cycles to find the overdue items, so rescrape until it has.
+  # pipefail on curl's write error. The first items fall due 200ms
+  # after they were created, so rescrape until one has.
   for _ in $(seq 50); do
     curl -s "http://$ADDR/metrics" -o "$BIN/metrics.txt"
     [ "$(msum bpms_audit_violations_total "$BIN/metrics.txt")" -ge 1 ] && break
@@ -177,7 +176,7 @@ fault_episode() {
     exit 1
   }
   for fam in bpms_http_requests_total bpms_engine_transition_seconds_bucket \
-    bpms_audit_sweeps_total bpms_audit_violations_total; do
+    bpms_audit_violations_total; do
     check_nonzero "$fam" "$BIN/metrics.txt"
   done
   # Scrape the fault report (stats carries the injector counters)
