@@ -22,6 +22,7 @@ import (
 	"bpms/internal/model"
 	"bpms/internal/resource"
 	"bpms/internal/rules"
+	"bpms/internal/shard"
 	"bpms/internal/sim"
 	"bpms/internal/storage"
 	"bpms/internal/task"
@@ -29,21 +30,30 @@ import (
 	"bpms/internal/verify"
 )
 
-func newBenchEngine(b *testing.B, procs ...*model.Process) *engine.Engine {
+// newBenchEngine builds a one-shard router that keeps no state records
+// and no audit trail, with procs deployed.
+func newBenchEngine(b *testing.B, procs ...*model.Process) *shard.Router {
+	return newBenchRouter(b, shard.Config{Journals: []storage.Journal{storage.NewDiscardJournal()}}, procs...)
+}
+
+// newBenchRouter builds a router from cfg, as core.Open does, with the
+// noop handler registered and procs deployed. A journal that holds
+// records is recovered from.
+func newBenchRouter(b *testing.B, cfg shard.Config, procs ...*model.Process) *shard.Router {
 	b.Helper()
-	e, err := engine.New(engine.Config{})
+	r, err := shard.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	e.RegisterHandler(model.NoopHandler, func(engine.TaskContext) (map[string]expr.Value, error) {
+	r.RegisterHandler(model.NoopHandler, func(engine.TaskContext) (map[string]expr.Value, error) {
 		return nil, nil
 	})
 	for _, p := range procs {
-		if err := e.Deploy(p); err != nil {
+		if err := r.Deploy(p); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return e
+	return r
 }
 
 // T1: engine throughput by topology — one sub-benchmark per topology.
@@ -310,17 +320,8 @@ func benchAudit(b *testing.B, mkHist func(b *testing.B) *history.Store) {
 		hist = mkHist(b)
 		defer hist.Close()
 	}
-	e, err := engine.New(engine.Config{History: hist})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e.RegisterHandler(model.NoopHandler, func(engine.TaskContext) (map[string]expr.Value, error) {
-		return nil, nil
-	})
 	proc := model.Sequence(10)
-	if err := e.Deploy(proc); err != nil {
-		b.Fatal(err)
-	}
+	e := newBenchRouter(b, shard.Config{Journals: []storage.Journal{storage.NewDiscardJournal()}, History: hist}, proc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -858,14 +859,7 @@ func BenchmarkF5_Recovery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := engine.New(engine.Config{Journal: j})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e.RegisterHandler(model.NoopHandler, func(engine.TaskContext) (map[string]expr.Value, error) { return nil, nil })
-	if err := e.Deploy(model.Sequence(5)); err != nil {
-		b.Fatal(err)
-	}
+	e := newBenchRouter(b, shard.Config{Journals: []storage.Journal{j}}, model.Sequence(5))
 	for i := 0; i < 500; i++ {
 		if _, err := e.StartInstance("seq-5", nil); err != nil {
 			b.Fatal(err)
@@ -878,10 +872,7 @@ func BenchmarkF5_Recovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e2, err := engine.New(engine.Config{Journal: j2})
-		if err != nil {
-			b.Fatal(err)
-		}
+		e2 := newBenchRouter(b, shard.Config{Journals: []storage.Journal{j2}})
 		if len(e2.Instances()) != 500 {
 			b.Fatalf("recovered %d", len(e2.Instances()))
 		}
@@ -903,14 +894,7 @@ func buildT16BenchFixture(b *testing.B, dir string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := engine.New(engine.Config{Journal: j, Snapshots: sn})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e.RegisterHandler(model.NoopHandler, func(engine.TaskContext) (map[string]expr.Value, error) { return nil, nil })
-	if err := e.Deploy(model.Sequence(3)); err != nil {
-		b.Fatal(err)
-	}
+	e := newBenchRouter(b, shard.Config{Journals: []storage.Journal{j}, Snapshots: []*storage.SnapshotStore{sn}}, model.Sequence(3))
 	const inSnapshot, suffix = 2000, 500
 	for i := 0; i < inSnapshot; i++ {
 		if _, err := e.StartInstance("seq-3", map[string]any{"n": i}); err != nil {
@@ -942,10 +926,7 @@ func BenchmarkT16_ColdStartStreaming(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e, err := engine.New(engine.Config{Journal: j, Snapshots: sn})
-		if err != nil {
-			b.Fatal(err)
-		}
+		e := newBenchRouter(b, shard.Config{Journals: []storage.Journal{j}, Snapshots: []*storage.SnapshotStore{sn}})
 		if got := len(e.Instances()); got != 2500 {
 			b.Fatalf("recovered %d", got)
 		}
@@ -964,14 +945,7 @@ func BenchmarkT16_SnapshotStreaming(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := engine.New(engine.Config{Journal: j, Snapshots: sn})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e.RegisterHandler(model.NoopHandler, func(engine.TaskContext) (map[string]expr.Value, error) { return nil, nil })
-	if err := e.Deploy(model.Sequence(3)); err != nil {
-		b.Fatal(err)
-	}
+	e := newBenchRouter(b, shard.Config{Journals: []storage.Journal{j}, Snapshots: []*storage.SnapshotStore{sn}}, model.Sequence(3))
 	for i := 0; i < 2000; i++ {
 		if _, err := e.StartInstance("seq-3", map[string]any{"n": i}); err != nil {
 			b.Fatal(err)
@@ -1166,14 +1140,7 @@ func BenchmarkT16_RecoverDecode(b *testing.B) {
 	const instances = 20000
 	b.Run(fmt.Sprintf("instances=%d", instances), func(b *testing.B) {
 		j := storage.NewMemJournal()
-		e, err := engine.New(engine.Config{Journal: j})
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.RegisterHandler(model.NoopHandler, func(engine.TaskContext) (map[string]expr.Value, error) { return nil, nil })
-		if err := e.Deploy(model.Sequence(3)); err != nil {
-			b.Fatal(err)
-		}
+		e := newBenchRouter(b, shard.Config{Journals: []storage.Journal{j}}, model.Sequence(3))
 		regions := []string{"north", "south", "east", "west"}
 		for i := 0; i < instances; i++ {
 			vars := map[string]any{"amount": i % 10000, "customer": fmt.Sprintf("c-%06d", i), "region": regions[i%4], "checked": true}
@@ -1182,11 +1149,11 @@ func BenchmarkT16_RecoverDecode(b *testing.B) {
 			}
 		}
 		recoverAll := func() {
-			e2, err := engine.New(engine.Config{Journal: j})
+			e2, err := shard.New(shard.Config{Journals: []storage.Journal{j}})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if got := e2.InstanceCount(); got != instances {
+			if got := e2.Shard(0).InstanceCount(); got != instances {
 				b.Fatalf("recovered %d", got)
 			}
 		}

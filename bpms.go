@@ -208,7 +208,7 @@ type (
 	Dist = sim.Dist
 )
 
-// Simulate runs a discrete-event simulation of a process.
+// Simulate runs a discrete-event simulation of a process on Open's wiring, in virtual time.
 var Simulate = sim.Run
 
 // Distributions for simulation workloads.

@@ -166,6 +166,45 @@ func TestDegradedShardEnvelope(t *testing.T) {
 	}
 }
 
+// TestPublishOnDegradedShard: POST /messages for a message nobody waits
+// for would buffer it on a fail-stopped shard, so it answers 503
+// shard_degraded, not 200 buffered.
+func TestPublishOnDegradedShard(t *testing.T) {
+	b, err := core.Open(core.Options{
+		DataDir:    t.TempDir(),
+		SyncPolicy: storage.SyncAlways,
+		Durable:    true,
+		FS:         fault.NewInjector(fault.OS, fault.Plan{PathContains: "state", FailFsyncAt: 3}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	ts := httptest.NewServer(New(b).Handler())
+	t.Cleanup(ts.Close)
+	if err := b.Engine.Deploy(model.Sequence(1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100 && !b.Engine.OwnerDegraded("k"); i++ {
+		b.Engine.StartInstance("seq-1", nil)
+	}
+	if !b.Engine.OwnerDegraded("k") {
+		t.Fatal("the injected fault never tripped the shard")
+	}
+	resp, err := http.Post(ts.URL+"/api/v1/messages", "application/json",
+		jsonBody(`{"name":"orphan","key":"k","vars":{"n":1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("publish on degraded shard = %d, want 503", resp.StatusCode)
+	}
+	if code, _ := envelopeOf(t, resp); code != codeShardDegraded {
+		t.Fatalf("code = %q, want %q", code, codeShardDegraded)
+	}
+}
+
 // TestAdmissionShed saturates a 1-slot write gate and asserts the
 // shed contract: queue overflow answers 429 overloaded, queue timeout
 // answers 503 overloaded, both with Retry-After, and reads (separate

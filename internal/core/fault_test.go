@@ -7,6 +7,7 @@ import (
 
 	"bpms/internal/engine"
 	"bpms/internal/fault"
+	"bpms/internal/history"
 	"bpms/internal/model"
 	"bpms/internal/storage"
 )
@@ -91,6 +92,39 @@ func TestFailStopOnFsyncFaultSyncAlways(t *testing.T) {
 
 func TestFailStopOnFsyncFaultSyncBatch(t *testing.T) {
 	testFailStop(t, storage.SyncBatch, true)
+}
+
+// TestPublishRefusedOnDegradedShard: a message nobody waits for would
+// be buffered on a fail-stopped shard, so the publish is refused with
+// ErrDegraded; nothing is buffered and no message.buffered event is
+// written.
+func TestPublishRefusedOnDegradedShard(t *testing.T) {
+	b, err := Open(Options{
+		DataDir:    t.TempDir(),
+		SyncPolicy: storage.SyncAlways,
+		Durable:    true,
+		FS:         fault.NewInjector(fault.OS, fault.Plan{PathContains: "state", FailFsyncAt: 3}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := startUntilFault(t, b); err == nil {
+		t.Fatal("no error surfaced from injected fsync fault")
+	}
+	delivered, buffered, err := b.Engine.Publish("orphan", "k", map[string]any{"n": 1})
+	if !errors.Is(err, engine.ErrDegraded) || buffered || delivered != 0 {
+		t.Fatalf("publish on degraded shard: delivered=%d buffered=%v err=%v, want ErrDegraded", delivered, buffered, err)
+	}
+	if _, ok := b.Engine.Shard(0).TakeBuffered("orphan", "k"); ok {
+		t.Fatal("refused message was buffered")
+	}
+	if err := b.History.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := b.History.CountByType(history.MessageBuffered); n != 0 {
+		t.Fatalf("message.buffered events = %d, want 0", n)
+	}
 }
 
 // TestFailStopENOSPC drives the journal into a byte-budget wall: once

@@ -182,7 +182,7 @@ func (e *Engine) parkForMessage(inst *Instance, tok *Token, proc *model.Process,
 		e.incident(inst, tok.Elem, err.Error())
 		return
 	}
-	if msg, ok := e.takeBufferedMessage(el.Message, key); ok {
+	if msg, ok := e.buffered(el.Message, key); ok {
 		for k, v := range msg {
 			inst.Vars[k] = v
 		}
@@ -208,40 +208,8 @@ func (e *Engine) parkForMessage(inst *Instance, tok *Token, proc *model.Process,
 	inst.dirty = true
 }
 
-// Publish correlates a message to every waiting subscription with the
-// same name and key, merging vars into each receiving instance. When
-// nobody waits, the message is buffered (up to the buffer bound) for a
-// future subscriber. It returns the number of resumed waits and
-// whether the message was buffered instead. When a Publisher hook is
-// configured (shard router), publication is delegated so the message
-// reaches waiting instances on every shard.
-func (e *Engine) Publish(name, key string, vars map[string]any) (int, bool, error) {
-	if e.publisher != nil {
-		return e.publisher(name, key, vars)
-	}
-	if err := e.checkWritable(); err != nil {
-		return 0, false, err
-	}
-	converted, err := ConvertVars(vars)
-	if err != nil {
-		return 0, false, err
-	}
-	e.audit(&history.Event{Type: history.MessagePublished, Time: e.clock.Now(),
-		Data: map[string]any{"message": name, "key": key}})
-	delivered := e.PublishLocal(name, key, converted)
-	if delivered == 0 {
-		if e.BufferMessage(name, key, converted) {
-			e.audit(&history.Event{Type: history.MessageBuffered, Time: e.clock.Now(),
-				Data: map[string]any{"message": name, "key": key}})
-			return 0, true, nil
-		}
-		return 0, false, fmt.Errorf("engine: message buffer full, %q dropped", name)
-	}
-	return delivered, false, nil
-}
-
 // ConvertVars converts Go message payloads to expression values (the
-// conversion the engine applies on Publish).
+// conversion the shard router applies on Publish).
 func ConvertVars(vars map[string]any) (map[string]expr.Value, error) {
 	converted := make(map[string]expr.Value, len(vars))
 	for k, v := range vars {
@@ -285,25 +253,23 @@ func (e *Engine) PublishLocal(name, key string, vars map[string]expr.Value) int 
 }
 
 // BufferMessage stores an early message in this engine's buffer for a
-// future subscriber; it reports false when the buffer is full. The
-// shard router buffers each undelivered message on the shard its
-// correlation key hashes to.
-func (e *Engine) BufferMessage(name, key string, vars map[string]expr.Value) bool {
-	return e.subs.buffer(name, key, vars)
+// future subscriber. The shard router buffers each undelivered message
+// on the shard its correlation key hashes to. A degraded engine refuses
+// the message with ErrDegraded, and a full buffer drops it; either way
+// nothing is stored.
+func (e *Engine) BufferMessage(name, key string, vars map[string]expr.Value) error {
+	if err := e.checkWritable(); err != nil {
+		return err
+	}
+	if !e.subs.buffer(name, key, vars) {
+		return fmt.Errorf("engine: message buffer full, %q dropped", name)
+	}
+	return nil
 }
 
 // TakeBuffered pops one buffered message for a correlation point from
 // this engine's buffer, if any.
 func (e *Engine) TakeBuffered(name, key string) (map[string]expr.Value, bool) {
-	return e.subs.takeBuffered(name, key)
-}
-
-// takeBufferedMessage consults the configured cross-shard buffer
-// lookup when present, else the local buffer.
-func (e *Engine) takeBufferedMessage(name, key string) (map[string]expr.Value, bool) {
-	if e.buffered != nil {
-		return e.buffered(name, key)
-	}
 	return e.subs.takeBuffered(name, key)
 }
 

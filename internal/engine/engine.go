@@ -91,26 +91,20 @@ type Config struct {
 	Clock timer.Clock
 	// History, when set, receives audit events.
 	History *history.Store
-	// Recover replays the journal to restore engine state (default
-	// true when the journal is non-empty).
-	Recover bool
 	// Durable makes API-visible state transitions wait for the
 	// journal's durability acknowledgement (Journal.AppendDurable)
-	// before returning: once StartInstance, a task completion, or a
+	// before returning: once StartInstanceID, a task completion, or a
 	// message delivery returns, the resulting state survives a crash.
 	// Under a SyncBatch journal, concurrent transitions share one
 	// group-commit fsync.
 	Durable bool
-	// Publisher, when set, replaces local message publication: Publish
-	// calls and messages thrown by send tasks are routed through it
-	// instead of this engine's own registry. The shard router installs
-	// itself here so a message thrown on one shard reaches waiting
-	// instances on every shard.
-	Publisher func(name, key string, vars map[string]any) (int, bool, error)
-	// BufferedMessages, when set, replaces the local early-message
-	// buffer lookup performed when a token parks at a receive point.
-	// The shard router installs a lookup against the key-hashed owner
-	// shard's buffer, making early messages visible across shards.
+	// Publisher publishes the messages send tasks and throw events
+	// emit (required; the shard router supplies it, so a message thrown
+	// on one shard reaches waiting instances on every shard).
+	Publisher func(name, key string, vars map[string]expr.Value) (int, bool, error)
+	// BufferedMessages looks up an early message when a token parks at
+	// a receive point (required; the shard router supplies it, reading
+	// the buffer of the shard the correlation key hashes to).
 	BufferedMessages func(name, key string) (map[string]expr.Value, bool)
 	// Metrics instruments this shard's StartInstance and transition
 	// latency (zero value = uninstrumented).
@@ -141,12 +135,11 @@ type Engine struct {
 	hist   *history.Store
 
 	subs          *subscriptions
-	publisher     func(name, key string, vars map[string]any) (int, bool, error)
+	publisher     func(name, key string, vars map[string]expr.Value) (int, bool, error)
 	buffered      func(name, key string) (map[string]expr.Value, bool)
 	upstreamCache sync.Map // upstreamKey -> map[string]bool
 	metrics       obs.EngineMetrics
 
-	idSeq           atomic.Uint64
 	tokSeq          atomic.Uint64
 	closing         atomic.Bool
 	snapMu          sync.Mutex // one Snapshot at a time (see Snapshot)
@@ -176,8 +169,13 @@ type Engine struct {
 }
 
 // New creates an engine, recovering state from the journal when it is
-// non-empty.
+// non-empty. Only the shard router builds engines: it supplies the
+// Publisher and BufferedMessages hooks, and New refuses a config
+// without them.
 func New(cfg Config) (*Engine, error) {
+	if cfg.Publisher == nil || cfg.BufferedMessages == nil {
+		return nil, errors.New("engine: config needs Publisher and BufferedMessages (the shard router supplies them)")
+	}
 	if cfg.Journal == nil {
 		cfg.Journal = storage.NewDiscardJournal()
 	}
@@ -314,25 +312,16 @@ func (e *Engine) Tasks() *task.Service { return e.tasks }
 // Now returns the engine clock's current time.
 func (e *Engine) Now() time.Time { return e.clock.Now() }
 
-// StartInstance creates and advances a new instance of a deployed
-// process with the given initial variables (Go values are converted to
-// expression values).
-func (e *Engine) StartInstance(processID string, vars map[string]any) (*InstanceView, error) {
-	return e.start(processID, "", vars)
-}
-
-// StartInstanceID starts an instance under a caller-assigned ID. The
-// shard router allocates IDs from one sequence and routes each to the
-// shard its hash selects, so IDs stay unique and routable across
-// shards. The ID must not collide with an existing instance.
+// StartInstanceID creates and advances a new instance of a deployed
+// process under a caller-assigned ID, with the given initial variables
+// (Go values are converted to expression values). The shard router
+// allocates IDs from one sequence and routes each to the shard its
+// hash selects, so IDs stay unique and routable across shards. The ID
+// must not collide with an existing instance.
 func (e *Engine) StartInstanceID(processID, id string, vars map[string]any) (*InstanceView, error) {
 	if id == "" {
 		return nil, fmt.Errorf("engine: empty instance id")
 	}
-	return e.start(processID, id, vars)
-}
-
-func (e *Engine) start(processID, id string, vars map[string]any) (*InstanceView, error) {
 	if err := e.checkWritable(); err != nil {
 		return nil, err
 	}
@@ -351,9 +340,6 @@ func (e *Engine) start(processID, id string, vars map[string]any) (*InstanceView
 			return nil, fmt.Errorf("engine: variable %q: %w", k, err)
 		}
 		converted[k] = ev
-	}
-	if id == "" {
-		id = fmt.Sprintf("%s-%d", processID, e.idSeq.Add(1))
 	}
 	inst := newInstance(id, def, converted)
 	e.mu.Lock()

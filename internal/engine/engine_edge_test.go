@@ -141,7 +141,7 @@ func TestRecoveryRearmsEventGatewayAndBoundary(t *testing.T) {
 	dirr := resource.NewDirectory()
 	dirr.AddUser(&resource.User{ID: "alice", Roles: []string{"clerk"}})
 	tasks := task.NewService(task.Config{Directory: dirr, Now: clock.Now})
-	e1, err := New(Config{Journal: journal, Tasks: tasks, Timers: wheel, Clock: clock})
+	e1, err := newTestEngine(Config{Journal: journal, Tasks: tasks, Timers: wheel, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestRecoveryRearmsEventGatewayAndBoundary(t *testing.T) {
 	clock2 := timer.NewVirtualClock(clock.Now())
 	wheel2 := timer.NewWheelService(time.Millisecond, 256)
 	tasks2 := task.NewService(task.Config{Directory: dirr, Now: clock2.Now})
-	e2, err := New(Config{Journal: journal2, Tasks: tasks2, Timers: wheel2, Clock: clock2})
+	e2, err := newTestEngine(Config{Journal: journal2, Tasks: tasks2, Timers: wheel2, Clock: clock2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,7 +222,7 @@ func TestRecoveryFromJournal(t *testing.T) {
 	dirr := resource.NewDirectory()
 	dirr.AddUser(&resource.User{ID: "alice", Roles: []string{"clerk"}})
 	tasks := task.NewService(task.Config{Directory: dirr, Now: clock.Now})
-	e1, err := New(Config{Journal: journal, Tasks: tasks, Timers: wheel, Clock: clock})
+	e1, err := newTestEngine(Config{Journal: journal, Tasks: tasks, Timers: wheel, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestRecoveryFromJournal(t *testing.T) {
 	clock2 := timer.NewVirtualClock(clock.Now())
 	wheel2 := timer.NewWheelService(time.Millisecond, 256)
 	tasks2 := task.NewService(task.Config{Directory: dirr, Now: clock2.Now})
-	e2, err := New(Config{Journal: journal2, Tasks: tasks2, Timers: wheel2, Clock: clock2})
+	e2, err := newTestEngine(Config{Journal: journal2, Tasks: tasks2, Timers: wheel2, Clock: clock2})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -324,7 +324,7 @@ func TestRecoveryWithSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, err := New(Config{Journal: journal, Snapshots: snaps, SnapshotEvery: 10})
+	e1, err := newTestEngine(Config{Journal: journal, Snapshots: snaps, SnapshotEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestRecoveryWithSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer journal2.Close()
-	e2, err := New(Config{Journal: journal2, Snapshots: snaps})
+	e2, err := newTestEngine(Config{Journal: journal2, Snapshots: snaps})
 	if err != nil {
 		t.Fatalf("recovery with snapshot: %v", err)
 	}

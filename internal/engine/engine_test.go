@@ -43,7 +43,7 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Config{
+	e, err := newTestEngine(Config{
 		Tasks:   tasks,
 		Timers:  wheel,
 		Clock:   clock,
@@ -717,5 +717,13 @@ func TestSetVariableAndQueries(t *testing.T) {
 	}
 	if _, ok := f.e.Definition("vars"); !ok {
 		t.Error("Definition lookup failed")
+	}
+}
+
+// TestNewNeedsRouterHooks: only the shard router builds engines, and an
+// engine without its publish hooks is refused.
+func TestNewNeedsRouterHooks(t *testing.T) {
+	if _, err := New(Config{}); err == nil {
+		t.Fatal("New accepted a config without Publisher and BufferedMessages")
 	}
 }

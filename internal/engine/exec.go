@@ -91,13 +91,11 @@ func (e *Engine) releaseStep(inst *Instance) {
 	inst.outbox = nil
 	inst.mu.Unlock()
 	for _, m := range out {
-		vars := make(map[string]any, len(m.Vars))
-		for k, v := range m.Vars {
-			vars[k] = v.ToGo()
-		}
-		// Self-correlation re-enters via the public API, which takes
-		// the instance lock afresh.
-		e.Publish(m.Name, m.Key, vars)
+		// Self-correlation re-enters through the publisher, which takes
+		// the instance lock afresh. A send is fire-and-forget: the step
+		// is journaled already, so a message the router refuses (buffer
+		// full, buffer shard degraded) is dropped.
+		_, _, _ = e.publisher(m.Name, m.Key, m.Vars)
 	}
 }
 

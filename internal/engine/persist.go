@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -449,12 +447,11 @@ func (e *Engine) recover() error {
 		return err
 	}
 
-	var maxSeq, maxTok uint64
+	var maxTok uint64
 	for id, a := range archive {
 		if defs[a.processID] == nil {
 			return fmt.Errorf("engine: instance %s references unknown process %q", id, a.processID)
 		}
-		maxSeq = max(maxSeq, instanceSeq(id))
 	}
 	ids := make([]string, 0, len(states))
 	for id := range states {
@@ -472,12 +469,10 @@ func (e *Engine) recover() error {
 		for _, tok := range st.Tokens {
 			maxTok = max(maxTok, tok.ID)
 		}
-		maxSeq = max(maxSeq, instanceSeq(id))
 	}
 	e.mu.Lock()
 	e.definitions, e.instances, e.archive = defs, insts, archive
 	e.mu.Unlock()
-	e.idSeq.Store(maxSeq)
 	e.tokSeq.Store(maxTok)
 
 	// Re-arm volatile machinery for the live instances.
@@ -488,28 +483,6 @@ func (e *Engine) recover() error {
 		inst.mu.Unlock()
 	}
 	return nil
-}
-
-// MaxInstanceSeq returns the highest trailing "-<n>" sequence number
-// among the given instance IDs (0 when none parses). Engine recovery
-// and the shard router both re-seed their ID sequences with it.
-func MaxInstanceSeq(ids []string) uint64 {
-	var seq uint64
-	for _, id := range ids {
-		seq = max(seq, instanceSeq(id))
-	}
-	return seq
-}
-
-// instanceSeq returns an instance ID's trailing "-<n>" number (0 when
-// it has none).
-func instanceSeq(id string) uint64 {
-	if i := strings.LastIndex(id, "-"); i >= 0 {
-		if n, err := strconv.ParseUint(id[i+1:], 10, 64); err == nil {
-			return n
-		}
-	}
-	return 0
 }
 
 // rearmInstance restores timers, message subscriptions, and work items

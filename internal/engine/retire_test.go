@@ -69,7 +69,7 @@ func TestReadFinishedHead(t *testing.T) {
 // engine counts it instead of dropping it silently.
 func TestReissueFailuresCounted(t *testing.T) {
 	j := storage.NewMemJournal()
-	e, err := New(Config{Journal: j})
+	e, err := newTestEngine(Config{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestReissueFailuresCounted(t *testing.T) {
 	if _, err := j.Append(broken); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := New(Config{Journal: j})
+	e2, err := newTestEngine(Config{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFinishedCaseHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := storage.NewMemJournal()
-	e, err := New(Config{Journal: j})
+	e, err := newTestEngine(Config{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestRetireRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := newFixture(t)
-	e, err := New(Config{Journal: j, Snapshots: snaps, Tasks: f.tasks, Timers: f.wheel, Clock: f.clock})
+	e, err := newTestEngine(Config{Journal: j, Snapshots: snaps, Tasks: f.tasks, Timers: f.wheel, Clock: f.clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestRetireRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := New(Config{Journal: j2, Snapshots: snaps2})
+	e2, err := newTestEngine(Config{Journal: j2, Snapshots: snaps2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestLegacyBlobSnapshotOpens(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { j.Close() })
-		return New(Config{Journal: j, Snapshots: snaps, Tasks: f.tasks})
+		return newTestEngine(Config{Journal: j, Snapshots: snaps, Tasks: f.tasks})
 	}
 	if _, err := open(); err == nil || !strings.Contains(err.Error(), "recovery needs it from") {
 		t.Fatalf("a blob snapshot dir opened without an upgrade: %v", err)

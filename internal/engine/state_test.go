@@ -275,7 +275,7 @@ func localAtZero(inst *Instance) bool {
 // floats; the binary record persists it, and a restart reads it back.
 func TestInfiniteVariablePersists(t *testing.T) {
 	j := storage.NewMemJournal()
-	e, err := New(Config{Journal: j})
+	e, err := newTestEngine(Config{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestInfiniteVariablePersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := New(Config{Journal: j})
+	e2, err := newTestEngine(Config{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func tryOpenUpgradeDir(t *testing.T, dir string, clock timer.Clock) (*Engine, *s
 	users := resource.NewDirectory()
 	users.AddUser(&resource.User{ID: "carol", Roles: []string{"clerk"}})
 	tasks := task.NewService(task.Config{Directory: users, Now: clock.Now})
-	e, err := New(Config{Journal: j, Snapshots: snaps, Tasks: tasks, Clock: clock,
+	e, err := newTestEngine(Config{Journal: j, Snapshots: snaps, Tasks: tasks, Clock: clock,
 		Timers: timer.NewWheelService(time.Millisecond, 64)})
 	if err != nil {
 		return nil, nil, nil, err

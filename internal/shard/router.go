@@ -20,17 +20,24 @@
 //     any — lives wherever that instance hashes to); a message nobody
 //     is waiting for is buffered on the shard its correlation key
 //     hashes to, and parking tokens on any shard consult that buffer
-//     through the engine's BufferedMessages hook.
+//     through the engine's BufferedMessages hook. If that shard is
+//     degraded, the message is refused with engine.ErrDegraded instead.
+//   - Messages thrown by send tasks take the same path: the router is
+//     every engine's Publisher.
 //
-// Recovery opens all shards in parallel: each engine replays its own
-// snapshot + journal suffix, and the router then re-seeds its ID
-// sequence from the highest recovered instance number.
+// The router is the only code that builds engines, so instance IDs and
+// message publication each have one implementation, here. Recovery
+// opens all shards in parallel: each engine replays its own snapshot +
+// journal suffix, and the router then re-seeds its ID sequence from the
+// highest recovered instance number.
 package shard
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -147,7 +154,7 @@ func New(cfg Config) (*Router, error) {
 				Timers:           cfg.Timers,
 				Clock:            cfg.Clock,
 				History:          cfg.History,
-				Publisher:        r.Publish,
+				Publisher:        r.publish,
 				BufferedMessages: r.takeBuffered,
 				Metrics:          cfg.Metrics.EngineShard(i),
 				OnDegrade:        onDegrade,
@@ -176,13 +183,24 @@ func New(cfg Config) (*Router, error) {
 // maxInstanceSeq scans every shard's recovered instances for the
 // highest trailing sequence number, so new IDs continue past them.
 func (r *Router) maxInstanceSeq() uint64 {
-	var max uint64
+	var seq uint64
 	for _, s := range r.shards {
-		if n := engine.MaxInstanceSeq(s.Instances()); n > max {
-			max = n
+		for _, id := range s.Instances() {
+			seq = max(seq, instanceSeq(id))
 		}
 	}
-	return max
+	return seq
+}
+
+// instanceSeq returns an instance ID's trailing "-<n>" number (0 when
+// it has none).
+func instanceSeq(id string) uint64 {
+	if i := strings.LastIndex(id, "-"); i >= 0 {
+		if n, err := strconv.ParseUint(id[i+1:], 10, 64); err == nil {
+			return n
+		}
+	}
+	return 0
 }
 
 // shardOf hashes a routing key (instance ID or correlation key) to a
@@ -337,28 +355,36 @@ func (r *Router) SetVariable(id, name string, value any) error {
 
 // Publish fans a correlated message out to every shard's waiting
 // subscriptions; when nobody waits anywhere, the message is buffered
-// on the shard its correlation key hashes to. Semantics (counts,
-// buffering bound, audit events) match a single engine's Publish.
+// on the shard its correlation key hashes to. It returns the number of
+// resumed waits and whether the message was buffered instead.
 func (r *Router) Publish(name, key string, vars map[string]any) (int, bool, error) {
 	converted, err := engine.ConvertVars(vars)
 	if err != nil {
 		return 0, false, err
 	}
+	return r.publish(name, key, converted)
+}
+
+// publish is Publish on converted variables, and every engine's
+// Publisher: messages thrown by send tasks come through it too. A
+// message nobody waits for is refused, not buffered, when its buffer
+// shard is degraded or its buffer is full.
+func (r *Router) publish(name, key string, vars map[string]expr.Value) (int, bool, error) {
 	r.audit(&history.Event{Type: history.MessagePublished, Time: r.clock.Now(),
 		Data: map[string]any{"message": name, "key": key}})
 	delivered := 0
 	for _, s := range r.shards {
-		delivered += s.PublishLocal(name, key, converted)
+		delivered += s.PublishLocal(name, key, vars)
 	}
-	if delivered == 0 {
-		if r.shards[r.shardOf(key)].BufferMessage(name, key, converted) {
-			r.audit(&history.Event{Type: history.MessageBuffered, Time: r.clock.Now(),
-				Data: map[string]any{"message": name, "key": key}})
-			return 0, true, nil
-		}
-		return 0, false, fmt.Errorf("engine: message buffer full, %q dropped", name)
+	if delivered > 0 {
+		return delivered, false, nil
 	}
-	return delivered, false, nil
+	if err := r.shards[r.shardOf(key)].BufferMessage(name, key, vars); err != nil {
+		return 0, false, err
+	}
+	r.audit(&history.Event{Type: history.MessageBuffered, Time: r.clock.Now(),
+		Data: map[string]any{"message": name, "key": key}})
+	return 0, true, nil
 }
 
 // takeBuffered is the cross-shard early-message lookup installed on

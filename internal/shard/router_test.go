@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -389,5 +390,82 @@ func TestRouterParallelRecovery(t *testing.T) {
 		if id == v.ID {
 			t.Fatalf("post-recovery instance reused id %s", id)
 		}
+	}
+}
+
+// TestRouterMessageSemantics pins what a publish does, on one shard and
+// on four: the audit events it writes, the buffer bound, and a send
+// task that correlates with a receive task of its own instance.
+func TestRouterMessageSemantics(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%dshards", n), func(t *testing.T) {
+			r, hist, _ := newTestRouter(t, n)
+			if err := r.Deploy(waiterProcess()); err != nil {
+				t.Fatal(err)
+			}
+			counts := func() (published, buffered int) {
+				if err := hist.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				return hist.CountByType(history.MessagePublished), hist.CountByType(history.MessageBuffered)
+			}
+
+			// Delivered: one published event, none buffered.
+			w, err := r.StartInstance("waiter", map[string]any{"k": "k1"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d, b, err := r.Publish("evt", "k1", nil); d != 1 || b || err != nil {
+				t.Fatalf("publish to waiter: delivered=%d buffered=%v err=%v", d, b, err)
+			}
+			if v, _ := r.Instance(w.ID); v.Status != engine.StatusCompleted {
+				t.Fatalf("waiter = %s", v.Status)
+			}
+			if p, b := counts(); p != 1 || b != 0 {
+				t.Fatalf("after delivery: published=%d buffered=%d, want 1/0", p, b)
+			}
+
+			// Buffered up to the bound, then refused; a refused message
+			// is published but not buffered.
+			const bound = 10000
+			for i := 0; i < bound; i++ {
+				if d, b, err := r.Publish("orphan", "same", nil); d != 0 || !b || err != nil {
+					t.Fatalf("publish %d: delivered=%d buffered=%v err=%v", i, d, b, err)
+				}
+			}
+			if _, b, err := r.Publish("orphan", "same", nil); b || err == nil || !strings.Contains(err.Error(), "buffer full") {
+				t.Fatalf("overflow: buffered=%v err=%v", b, err)
+			}
+			if p, b := counts(); p != 1+bound+1 || b != bound {
+				t.Fatalf("after overflow: published=%d buffered=%d, want %d/%d", p, b, bound+2, bound)
+			}
+
+			// A send task whose receive task waits in the same instance.
+			self := model.New("self").
+				Start("s").AND("split").
+				ReceiveTask("recv", "ping", model.CorrelationKey("k")).
+				SendTask("emit", "ping", model.CorrelationKey("k")).
+				AND("join").End("e").
+				Flow("s", "split").Flow("split", "recv").Flow("split", "emit").
+				Flow("recv", "join").Flow("emit", "join").Flow("join", "e").
+				MustBuild()
+			if err := r.Deploy(self); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 8; i++ {
+				v, err := r.StartInstance("self", map[string]any{"k": fmt.Sprintf("self-%d", i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, _ := r.Instance(v.ID); got.Status != engine.StatusCompleted {
+					t.Fatalf("%s did not receive its own message: %s", v.ID, got.Status)
+				}
+			}
+			// A send writes two published events: the instance's own
+			// (it names the element) and the router's.
+			if p, b := counts(); p != bound+2+2*8 || b != bound {
+				t.Fatalf("after self-correlation: published=%d buffered=%d, want %d/%d", p, b, bound+2+2*8, bound)
+			}
+		})
 	}
 }

@@ -1,8 +1,10 @@
 // Package sim implements the discrete-event simulator of the BPMS. It
-// drives the real engine (internal/engine) under a virtual clock:
-// cases arrive according to an arrival process, user tasks are served
-// by simulated resources with sampled service times, and timers fire
-// in virtual time. The simulator doubles as the workload generator for
+// runs the server's own wiring (core.Open: shard router, worklist,
+// timer wheel, history) in memory under a virtual clock: cases arrive
+// according to an arrival process, user tasks are served by simulated
+// resources with sampled service times, and timers and work-item
+// deadlines fire in virtual time, so a late task is reported as an
+// sla.violation just as on a server. The simulator doubles as the workload generator for
 // the micro-benchmarks (experiments F2, F3, T8 in bench_test.go) and as
 // a what-if analysis tool (the "digital twin" use of classic BPMS suites).
 package sim

@@ -4,14 +4,15 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
+	"bpms/internal/core"
 	"bpms/internal/engine"
 	"bpms/internal/expr"
 	"bpms/internal/history"
 	"bpms/internal/model"
 	"bpms/internal/resource"
-	"bpms/internal/storage"
 	"bpms/internal/task"
 	"bpms/internal/timer"
 )
@@ -70,8 +71,8 @@ type Result struct {
 	Makespan float64
 	// Log is the generated event log (for mining experiments).
 	Log *history.Log
-	// History exposes the raw audit store. Run closes it; it keeps
-	// every event resident, so its queries still answer.
+	// History exposes the raw audit store. Run closes the system; the
+	// store keeps every event resident, so its queries still answer.
 	History *history.Store
 }
 
@@ -95,15 +96,13 @@ func (q eventQueue) Swap(a, b int) { q[a], q[b] = q[b], q[a] }
 func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
 func (q *eventQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
 
-// Simulator executes a Config against a real engine instance.
+// Simulator executes a Config against the server's own wiring: a
+// core.BPMS in memory, on a virtual clock, with no timer runner.
 type Simulator struct {
 	cfg   Config
 	rng   *rand.Rand
 	clock *timer.VirtualClock
-	wheel timer.Service
-	eng   *engine.Engine
-	tasks *task.Service
-	hist  *history.Store
+	b     *core.BPMS
 
 	q         eventQueue
 	seq       int
@@ -144,58 +143,27 @@ func New(cfg Config) (*Simulator, error) {
 		clock:     timer.NewVirtualClock(cfg.Start),
 		busyUntil: map[string]time.Time{},
 	}
-	s.wheel = timer.NewWheelService(time.Second, 1024)
-
-	dir := resource.NewDirectory()
-	for role, users := range cfg.Resources {
-		for _, u := range users {
-			existing := dir.UserByID(u)
-			if existing != nil {
-				existing.Roles = append(existing.Roles, role)
-				dir.AddUser(existing)
-			} else {
-				dir.AddUser(&resource.User{ID: u, Roles: []string{role}})
-			}
-		}
-	}
-	s.tasks = task.NewService(task.Config{
-		Directory:    dir,
+	b, err := core.Open(core.Options{
+		Clock:        s.clock,
+		TimerTick:    time.Second,
+		Users:        users(cfg.Resources),
 		Policy:       cfg.Policy,
 		AutoAllocate: true,
-		Now:          s.clock.Now,
 	})
-	// Unbounded window: see Result.History.
-	hist, err := history.NewStriped([]storage.Journal{storage.NewMemJournal()}, history.StoreOptions{})
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*Simulator, error) {
-		hist.Close()
-		return nil, err
-	}
-	s.hist = hist
-	eng, err := engine.New(engine.Config{
-		Tasks:   s.tasks,
-		Timers:  s.wheel,
-		Clock:   s.clock,
-		History: hist,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	s.eng = eng
-	eng.RegisterHandler(model.NoopHandler, func(engine.TaskContext) (map[string]expr.Value, error) {
+	s.b = b
+	b.Engine.RegisterHandler(model.NoopHandler, func(engine.TaskContext) (map[string]expr.Value, error) {
 		return nil, nil
 	})
 	for name, h := range cfg.Handlers {
-		eng.RegisterHandler(name, h)
+		b.Engine.RegisterHandler(name, h)
 	}
-	if err := eng.Deploy(cfg.Process); err != nil {
-		return fail(err)
-	}
-	for _, p := range cfg.Extra {
-		if err := eng.Deploy(p); err != nil {
-			return fail(err)
+	for _, p := range append([]*model.Process{cfg.Process}, cfg.Extra...) {
+		if err := b.Deploy(p); err != nil {
+			b.Close()
+			return nil, err
 		}
 	}
 	s.res = &Result{
@@ -206,12 +174,35 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	// Simulated workers: whenever an item lands on someone's queue,
 	// schedule its service.
-	s.tasks.Subscribe(func(it *task.Item, from, to task.State) {
+	b.Tasks.Subscribe(func(it *task.Item, from, to task.State) {
 		if to == task.Allocated && from != task.Allocated {
 			s.scheduleService(it)
 		}
 	})
 	return s, nil
+}
+
+// users lists the simulated workers in role order, one entry per user
+// with every role it is listed under.
+func users(resources map[string][]string) []resource.User {
+	roles := make([]string, 0, len(resources))
+	for role := range resources {
+		roles = append(roles, role)
+	}
+	sort.Strings(roles)
+	var out []resource.User
+	at := map[string]int{}
+	for _, role := range roles {
+		for _, u := range resources[role] {
+			if i, ok := at[u]; ok {
+				out[i].Roles = append(out[i].Roles, role)
+				continue
+			}
+			at[u] = len(out)
+			out = append(out, resource.User{ID: u, Roles: []string{role}})
+		}
+	}
+	return out
 }
 
 func (s *Simulator) schedule(at time.Time, fn func()) {
@@ -240,10 +231,10 @@ func (s *Simulator) scheduleService(it *task.Item) {
 	s.res.ServiceTime.AddDuration(service)
 	itemID := it.ID
 	s.schedule(startAt, func() {
-		_, _ = s.tasks.Start(itemID, user)
+		_, _ = s.b.Tasks.Start(itemID, user)
 	})
 	s.schedule(finishAt, func() {
-		_, _ = s.tasks.Complete(itemID, user, nil)
+		_, _ = s.b.Tasks.Complete(itemID, user, nil)
 	})
 }
 
@@ -261,7 +252,7 @@ func (s *Simulator) Run() (*Result, error) {
 			if s.cfg.Vars != nil {
 				vars = s.cfg.Vars(idx, s.rng)
 			}
-			v, err := s.eng.StartInstance(s.cfg.Process.ID, vars)
+			v, err := s.b.Engine.StartInstance(s.cfg.Process.ID, vars)
 			if err != nil {
 				return
 			}
@@ -277,28 +268,28 @@ func (s *Simulator) Run() (*Result, error) {
 		}
 		s.clock.Set(ev.at)
 		// Fire engine timers due up to this moment first.
-		s.wheel.AdvanceTo(ev.at)
+		s.b.Timers.AdvanceTo(ev.at)
 		ev.fn()
 	}
 	// Drain any remaining engine timers (timer catch events with no
 	// queued worker events behind them).
 	for guard := 0; guard < 1000; guard++ {
 		end := s.clock.Now().Add(time.Hour)
-		if s.wheel.AdvanceTo(end) == 0 && s.q.Len() == 0 {
+		if s.b.Timers.AdvanceTo(end) == 0 && s.q.Len() == 0 {
 			break
 		}
 		s.clock.Set(end)
 		for s.q.Len() > 0 {
 			ev := heap.Pop(&s.q).(*event)
 			s.clock.Set(ev.at)
-			s.wheel.AdvanceTo(ev.at)
+			s.b.Timers.AdvanceTo(ev.at)
 			ev.fn()
 		}
 	}
 
 	var lastEnd time.Time
-	for _, id := range s.eng.Instances() {
-		v, err := s.eng.Instance(id)
+	for _, id := range s.b.Engine.Instances() {
+		v, err := s.b.Engine.Instance(id)
 		if err != nil {
 			continue
 		}
@@ -321,9 +312,9 @@ func (s *Simulator) Run() (*Result, error) {
 		lastEnd = s.clock.Now()
 	}
 	s.res.Makespan = lastEnd.Sub(s.cfg.Start).Seconds()
-	s.res.Log = history.FromEvents(s.hist, false)
-	s.res.History = s.hist
-	if err := s.hist.Close(); err != nil {
+	s.res.Log = s.b.Log()
+	s.res.History = s.b.History
+	if err := s.b.Close(); err != nil {
 		return nil, err
 	}
 	return s.res, nil

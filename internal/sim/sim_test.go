@@ -3,9 +3,11 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
+	"bpms/internal/history"
 	"bpms/internal/model"
 	"bpms/internal/resource"
 )
@@ -78,6 +80,41 @@ func TestSimulationCompletesAllCases(t *testing.T) {
 	if u <= 0.1 || u >= 1.2 {
 		t.Errorf("total utilisation = %.3f, expected ~0.5", u)
 	}
+	checkGolden(t, res, golden{
+		started: 200, completed: 200, makespan: 24988.519342305,
+		busy:   map[string]float64{"w1": 8796.870854280993, "w2": 3766.954971567999},
+		cycle:  [2]float64{50.833952721, 155.900458634},
+		wait:   [2]float64{0, 0},
+		traces: 200, entries: 200, events: 2401,
+	})
+}
+
+// golden is a simulation's result for a fixed seed, as the simulator
+// wired by hand (before it ran on core) produced it.
+type golden struct {
+	started, completed, faulted int
+	makespan                    float64
+	busy                        map[string]float64
+	cycle, wait                 [2]float64 // p50, p90 in seconds
+	traces, entries, events     int        // log traces, log entries, audit events
+}
+
+func checkGolden(t *testing.T, res *Result, want golden) {
+	t.Helper()
+	entries := 0
+	for _, tr := range res.Log.Traces {
+		entries += len(tr.Entries)
+	}
+	got := golden{
+		started: res.Started, completed: res.Completed, faulted: res.Faulted,
+		makespan: res.Makespan, busy: res.Busy,
+		cycle:  [2]float64{res.CycleTime.Percentile(0.5), res.CycleTime.Percentile(0.9)},
+		wait:   [2]float64{res.WaitTime.Percentile(0.5), res.WaitTime.Percentile(0.9)},
+		traces: len(res.Log.Traces), entries: entries, events: res.History.Count(),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("result moved for a fixed seed:\n got %+v\nwant %+v", got, want)
+	}
 }
 
 func TestSimulationReproducible(t *testing.T) {
@@ -133,7 +170,7 @@ func TestQueueingGrowsWithUtilisation(t *testing.T) {
 func TestPolicyComparison(t *testing.T) {
 	// Shortest-queue must beat random on mean wait under load with
 	// heterogeneous queues.
-	run := func(p resource.Policy, seed int64) float64 {
+	run := func(p resource.Policy, seed int64, want golden) float64 {
 		res, err := Run(Config{
 			Process:        singleTask(),
 			Cases:          500,
@@ -146,10 +183,25 @@ func TestPolicyComparison(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkGolden(t, res, want)
 		return res.WaitTime.Percentile(0.9)
 	}
-	sq := run(resource.ShortestQueuePolicy{}, 3)
-	rnd := run(resource.NewRandomPolicy(99), 3)
+	sq := run(resource.ShortestQueuePolicy{}, 3, golden{
+		started: 500, completed: 500, makespan: 13567.879357438,
+		busy: map[string]float64{"w1": 11661.244886294005, "w2": 11392.888495285004,
+			"w3": 10248.778465409001, "w4": 8631.377066909003},
+		cycle:  [2]float64{112.784132273, 322.05041909},
+		wait:   [2]float64{6.495883659, 196.871376822},
+		traces: 500, entries: 500, events: 6001,
+	})
+	rnd := run(resource.NewRandomPolicy(99), 3, golden{
+		started: 500, completed: 500, makespan: 14463.925242225,
+		busy: map[string]float64{"w1": 9600.102530148999, "w2": 9546.933449385999,
+			"w3": 12859.651172901002, "w4": 9927.601761461005},
+		cycle:  [2]float64{202.714090734, 626.455439137},
+		wait:   [2]float64{120.915123175, 563.982549122},
+		traces: 500, entries: 500, events: 6001,
+	})
 	if sq > rnd {
 		t.Errorf("p90 wait: shortest-queue %.1fs should not exceed random %.1fs", sq, rnd)
 	}
@@ -249,5 +301,57 @@ func TestInjectedRandDeterminism(t *testing.T) {
 	}
 	if a.CycleTime.Percentile(0.5) != b.CycleTime.Percentile(0.5) {
 		t.Fatalf("median cycle time diverged")
+	}
+}
+
+// TestSimulationReportsLateWork: a simulated task that misses its
+// deadline is reported as on a server, once per work item.
+func TestSimulationReportsLateWork(t *testing.T) {
+	p := model.New("late").
+		Start("s").
+		UserTask("inspect", model.Role("agent"), model.DueIn("1m")).
+		End("e").
+		Seq("s", "inspect", "e").
+		MustBuild()
+	res, err := Run(Config{
+		Process:        p,
+		Cases:          20,
+		Interarrival:   Fixed(time.Hour),
+		DefaultService: Fixed(5 * time.Minute),
+		Resources:      map[string][]string{"agent": {"w1"}},
+		Seed:           1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 20 {
+		t.Fatalf("completed = %d", res.Completed)
+	}
+	if n := res.History.CountByType(history.SLAViolation); n != 20 {
+		t.Errorf("sla.violation events = %d, want 20", n)
+	}
+}
+
+// TestSimulationUserInSeveralRoles: a worker listed under two roles
+// serves both.
+func TestSimulationUserInSeveralRoles(t *testing.T) {
+	p := model.New("two-roles").
+		Start("s").
+		UserTask("enter", model.Role("clerk")).
+		UserTask("check", model.Role("auditor")).
+		End("e").
+		Seq("s", "enter", "check", "e").
+		MustBuild()
+	res, err := Run(Config{
+		Process:   p,
+		Cases:     10,
+		Resources: map[string][]string{"clerk": {"w1"}, "auditor": {"w1"}},
+		Seed:      2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 10 {
+		t.Fatalf("completed = %d, want 10", res.Completed)
 	}
 }

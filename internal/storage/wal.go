@@ -116,7 +116,7 @@ func OpenFileJournal(dir string, opts Options) (*FileJournal, error) {
 		j.firstIndex = j.segments[0]
 		// Recover the last segment: scan and truncate a torn tail.
 		last := j.segments[len(j.segments)-1]
-		lastGood, size, err := j.scanSegment(last, nil)
+		next, size, err := j.scanSegment(last, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -124,12 +124,7 @@ func OpenFileJournal(dir string, opts Options) (*FileJournal, error) {
 		if err := opts.FS.Truncate(path, size); err != nil {
 			return nil, fmt.Errorf("storage: truncate torn tail: %w", err)
 		}
-		if lastGood == 0 {
-			// Empty last segment: next index is its base.
-			j.nextIndex = last
-		} else {
-			j.nextIndex = lastGood + 1
-		}
+		j.nextIndex = next
 		f, err := opts.FS.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, err
@@ -150,8 +145,10 @@ func OpenFileJournal(dir string, opts Options) (*FileJournal, error) {
 }
 
 // scanSegment reads a segment, calling fn per valid record, and
-// returns the last valid index seen (0 if none) and the byte offset
-// just past the last valid record.
+// returns the index after the last valid record (the base when there
+// is none) and the byte offset just past it. A segment's records are
+// numbered from its base without gaps, so a record out of that
+// sequence ends the valid prefix, as a torn or corrupt one does.
 func (j *FileJournal) scanSegment(base uint64, fn func(uint64, []byte) error) (uint64, int64, error) {
 	path := filepath.Join(j.dir, segmentName(base))
 	f, err := j.opts.FS.Open(path)
@@ -161,38 +158,41 @@ func (j *FileJournal) scanSegment(base uint64, fn func(uint64, []byte) error) (u
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 256<<10)
 	var offset int64
-	var lastGood uint64
+	next := base
 	hdr := make([]byte, recordHeader)
 	var payload []byte
 	for {
 		if _, err := io.ReadFull(r, hdr); err != nil {
-			return lastGood, offset, nil // clean EOF or torn header
+			return next, offset, nil // clean EOF or torn header
 		}
 		length := binary.LittleEndian.Uint32(hdr[0:4])
 		crc := binary.LittleEndian.Uint32(hdr[4:8])
 		index := binary.LittleEndian.Uint64(hdr[8:16])
 		if length > 64<<20 {
-			return lastGood, offset, nil // implausible: treat as torn
+			return next, offset, nil // implausible: treat as torn
 		}
 		if cap(payload) < int(length) {
 			payload = make([]byte, length)
 		}
 		payload = payload[:length]
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return lastGood, offset, nil // torn payload
+			return next, offset, nil // torn payload
 		}
 		h := crc32.New(castagnoli)
 		h.Write(hdr[8:16])
 		h.Write(payload)
 		if h.Sum32() != crc {
-			return lastGood, offset, nil // corrupt: truncate here
+			return next, offset, nil // corrupt: truncate here
+		}
+		if index != next {
+			return next, offset, nil // out of sequence: truncate here
 		}
 		if fn != nil {
 			if err := fn(index, payload); err != nil {
-				return lastGood, offset, err
+				return next, offset, err
 			}
 		}
-		lastGood = index
+		next++
 		offset += int64(recordHeader) + int64(length)
 	}
 }
