@@ -1171,6 +1171,47 @@ func BenchmarkT16_RecoverDecode(b *testing.B) {
 	})
 }
 
+// BenchmarkT16_RecoverDecodeLive: cases parked at a user task, as a
+// human backlog leaves them, recovered through shard.New: each record
+// is decoded, its case rebuilt and its work item re-issued to the
+// engine's fresh worklist.
+func BenchmarkT16_RecoverDecodeLive(b *testing.B) {
+	const instances = 20000
+	b.Run(fmt.Sprintf("instances=%d", instances), func(b *testing.B) {
+		j := storage.NewMemJournal()
+		proc := model.New("held").Start("s").UserTask("register", model.Role("clerk")).End("e").
+			Seq("s", "register", "e").MustBuild()
+		e := newBenchRouter(b, shard.Config{Journals: []storage.Journal{j}}, proc)
+		regions := []string{"north", "south", "east", "west"}
+		for i := 0; i < instances; i++ {
+			vars := map[string]any{"amount": i % 10000, "customer": fmt.Sprintf("c-%06d", i), "region": regions[i%4]}
+			if _, err := e.StartInstance("held", vars); err != nil {
+				b.Fatal(err)
+			}
+		}
+		recoverAll := func() {
+			e2, err := shard.New(shard.Config{Journals: []storage.Journal{j}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got := e2.Shard(0).InstanceCount(); got != instances {
+				b.Fatalf("recovered %d", got)
+			}
+		}
+		// 34 allocations per case: about half decode and rebuild it,
+		// the rest re-issue its work item.
+		if per := testing.AllocsPerRun(1, recoverAll) / instances; per > 36 {
+			b.Fatalf("recovery allocates %.1f times per live instance, want at most 36", per)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			recoverAll()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*instances), "ns/instance")
+	})
+}
+
 // T8: end-to-end simulated loan process (100 cases per iteration).
 
 func BenchmarkT8_LoanSimulation(b *testing.B) {

@@ -16,11 +16,13 @@ import (
 
 // dataFormat is the data dir format this build reads and writes, kept in
 // the dir's FORMAT file: v2 history records, which may hold an instance
-// ID as its sequence number, binary instance state records and streaming
-// snapshots. Format 2 differs only in holding no numbered IDs, and its
-// records read as they are; the number keeps a build that does not read
-// them from opening a dir that holds them.
-const dataFormat, formatFile = 3, "FORMAT"
+// ID as its sequence number, binary instance state records whose tokens
+// and joins are binary too, and streaming snapshots. Format 3 held a
+// live case's tokens and joins as a JSON tail; format 2 besides held no
+// numbered IDs, and its history records read as they are. The number
+// keeps a build that does not read a format from opening a dir that
+// holds it.
+const dataFormat, formatFile = 4, "FORMAT"
 
 // UpgradeReport is what Open's one-shot data dir upgrade rewrote, and
 // how long it took (zero when FORMAT was current).
@@ -30,13 +32,14 @@ type UpgradeReport struct {
 }
 
 // upgradeDataDir brings a data dir to dataFormat before any journal
-// opens. A current FORMAT skips it; a newer one is refused; format 2
-// only has FORMAT rewritten. Otherwise (no FORMAT, an empty or garbled
-// one) every WAL, snapshot and history journal is rewritten where it
-// holds a record in an older format. Current records pass through, so a
-// crash only means the next open reruns it. FORMAT is written last,
-// without an fsync of its own: losing it costs one more scan that
-// rewrites nothing.
+// opens. A current FORMAT skips it; a newer one is refused. Formats 2
+// and 3 have every WAL and snapshot rewritten where it holds a JSON
+// tail; their history journals stay as they are. Otherwise (no FORMAT,
+// an empty or garbled one) the history journals are rewritten too,
+// where they hold a record in an older format. Current records pass
+// through, so a crash only means the next open reruns it. FORMAT is
+// written last, without an fsync of its own: losing it costs one more
+// scan that rewrites nothing.
 func upgradeDataDir(fsys fault.FS, dataDir string, shards, stripes int) (UpgradeReport, error) {
 	began := time.Now()
 	path := filepath.Join(dataDir, formatFile)
@@ -53,7 +56,7 @@ func upgradeDataDir(fsys fault.FS, dataDir string, shards, stripes int) (Upgrade
 		return UpgradeReport{}, fmt.Errorf("core: data dir %s has format %d, newer than the format %d this build reads", dataDir, format, dataFormat)
 	}
 	var up UpgradeReport
-	for i := 0; i < shards && format != 2; i++ {
+	for i := 0; i < shards; i++ {
 		for _, sub := range []string{"state", "snapshots"} {
 			st, err := engine.Upgrade(fsys, filepath.Join(shardDir(dataDir, shards, i), sub))
 			if err != nil {
@@ -62,7 +65,7 @@ func upgradeDataDir(fsys fault.FS, dataDir string, shards, stripes int) (Upgrade
 			up.Add(st)
 		}
 	}
-	for i := 0; i < stripes && format != 2; i++ {
+	for i := 0; i < stripes && format < 2; i++ {
 		st, err := history.Upgrade(fsys, historyDir(dataDir, stripes, i))
 		if err != nil {
 			return UpgradeReport{}, err

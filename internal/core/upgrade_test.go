@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -245,7 +246,7 @@ func TestUpgradeAtOpen(t *testing.T) {
 	if n := legacyRecords(t, dir); n != 0 {
 		t.Errorf("%d legacy records remain after the upgrade", n)
 	}
-	if data, err := os.ReadFile(filepath.Join(dir, formatFile)); err != nil || string(data) != "3\n" {
+	if data, err := os.ReadFile(filepath.Join(dir, formatFile)); err != nil || string(data) != formatLine {
 		t.Errorf("FORMAT = %q, %v", data, err)
 	}
 	b, err = openLegacy(t, dir, nil)
@@ -261,10 +262,13 @@ func TestUpgradeAtOpen(t *testing.T) {
 	}
 }
 
+// formatLine is what FORMAT holds once a dir is current.
+var formatLine = fmt.Sprintf("%d\n", dataFormat)
+
 // TestUpgradeFormatFile: a newer format is refused with an error naming
-// it; a FORMAT that is lost, empty or garbled costs one scan that
-// rewrites nothing, and is then written again; format 2 is rewritten as
-// 3 without a scan.
+// it; a FORMAT that is lost, empty or garbled, or names format 2 or 3,
+// costs one scan that rewrites nothing in a dir of current records, and
+// is then written again.
 func TestUpgradeFormatFile(t *testing.T) {
 	dir := t.TempDir()
 	b, err := Open(Options{DataDir: dir})
@@ -275,7 +279,7 @@ func TestUpgradeFormatFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, formatFile)
-	for _, content := range []string{"", "x\n", "-", "2", "2\n", "3"} {
+	for _, content := range []string{"", "x\n", "-", "2", "2\n", "3", "3\n", "4"} {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +293,7 @@ func TestUpgradeFormatFile(t *testing.T) {
 		if b.Upgrade.Files != 0 {
 			t.Errorf("FORMAT %q: upgrade rewrote %d files", content, b.Upgrade.Files)
 		}
-		if data, _ := os.ReadFile(path); content != "3" && string(data) != "3\n" {
+		if data, _ := os.ReadFile(path); content != "4" && string(data) != formatLine {
 			t.Errorf("FORMAT %q rewritten as %q", content, data)
 		}
 	}
@@ -300,10 +304,10 @@ func TestUpgradeFormatFile(t *testing.T) {
 		t.Fatalf("lost FORMAT: %v", err)
 	}
 	b.Close()
-	if err := os.WriteFile(path, []byte("4\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(fmt.Sprintf("%d\n", dataFormat+1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Options{DataDir: dir}); err == nil || !strings.Contains(err.Error(), "format 4, newer") {
+	if _, err := Open(Options{DataDir: dir}); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format %d, newer", dataFormat+1)) {
 		t.Errorf("newer format opened: %v", err)
 	}
 }
@@ -333,8 +337,10 @@ func historyPayloads(t *testing.T, dir string) [][]byte {
 	return out
 }
 
-// TestFormat2DirOpens: a format 2 dir opens with nothing rewritten but
-// FORMAT, and answers what the build that wrote it answered. The same
+// TestFormat2DirOpens: a format 2 dir opens with its history records
+// kept byte for byte and only the state records of parked cases, whose
+// tokens were a JSON tail, rewritten, and answers what the build that
+// wrote it answered. The same
 // events written with numbered instance IDs export byte-identical XES.
 // New cases then append numbered records beside the literal ones, and a
 // reopen reads the mixed journal back as the live store answered it.
@@ -408,14 +414,14 @@ func TestFormat2DirOpens(t *testing.T) {
 		return b
 	}
 	b := open()
-	if b.Upgrade.Files != 0 || b.Upgrade.Records != 0 {
-		t.Errorf("upgrade report %+v, want nothing rewritten", b.Upgrade)
+	if b.Upgrade.Files != 2 || b.Upgrade.Records != 3 {
+		t.Errorf("upgrade report %+v, want the WAL segment and the snapshot rewritten, 3 records of parked cases", b.Upgrade)
 	}
-	if data, err := os.ReadFile(filepath.Join(dir, formatFile)); err != nil || string(data) != "3\n" {
+	if data, err := os.ReadFile(filepath.Join(dir, formatFile)); err != nil || string(data) != formatLine {
 		t.Errorf("FORMAT = %q, %v", data, err)
 	}
 	for path, old := range before {
-		if now, err := os.ReadFile(path); err != nil || (filepath.Base(path) != formatFile && !bytes.HasPrefix(now, old)) {
+		if now, err := os.ReadFile(path); filepath.Base(filepath.Dir(path)) == "history" && (err != nil || !bytes.HasPrefix(now, old)) {
 			t.Errorf("%s was rewritten (%v)", path, err)
 		}
 	}
@@ -480,6 +486,153 @@ func TestFormat2DirOpens(t *testing.T) {
 		if n := len(b.History.EventsOf(id)); n != 16 {
 			t.Errorf("history of %s = %d events, want 16", id, n)
 		}
+	}
+}
+
+// format3Fixture is a data dir a format 3 build wrote, whose live cases'
+// tokens and joins are JSON tails: a token parked at every wait kind
+// (user tasks with boundary timers fired and not, messages, a timer,
+// event-gateway races, parallel and sequential multi-instance tasks, a
+// sub-process scope, AND and OR joins with arrivals queued), finished
+// cases, a snapshot and WAL records past it. answers.txt holds its cases
+// and events as that build answered them, answers-after.txt its cases
+// and every event after format3Drive moved them on.
+const (
+	format3Fixture = "testdata/format3"
+	format3Events  = 159
+)
+
+// format3Drive moves every parked case of the format 3 fixture on:
+// messages to a payment, a race and an approval, time past the race
+// timers, every offered work item done, then time past the cooldown and
+// the approvals' deadlines.
+func format3Drive(t *testing.T, b *BPMS, clock *timer.VirtualClock) {
+	t.Helper()
+	for _, m := range [][2]string{{"payment", "p-1"}, {"reply", "r-1"}, {"recall", "a-2"}} {
+		if n, _, err := b.Engine.Publish(m[0], m[1], map[string]any{"via": m[0]}); err != nil || n != 1 {
+			t.Fatalf("publish %s/%s: %d, %v", m[0], m[1], n, err)
+		}
+	}
+	clock.Advance(4 * time.Hour)
+	b.Timers.AdvanceTo(clock.Now())
+	for {
+		items := b.Tasks.OfferedItems("carol")
+		if len(items) == 0 {
+			break
+		}
+		sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
+		for _, it := range items {
+			clock.Advance(time.Minute)
+			if _, err := b.Tasks.Claim(it.ID, "carol"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Tasks.Start(it.ID, "carol"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Tasks.Complete(it.ID, "carol", map[string]any{"done": it.ElementID}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	clock.Advance(80 * time.Hour)
+	b.Timers.AdvanceTo(clock.Now())
+}
+
+// TestFormat3DirOpens: a format 3 dir opens with the WAL segment and the
+// snapshot rewritten, no JSON tail left and its history kept byte for
+// byte; FORMAT becomes 4. It answers what the build that wrote it
+// answered, before and after every parked case moves on, and reopens
+// without a second upgrade.
+func TestFormat3DirOpens(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(format3Fixture)); err != nil {
+		t.Fatal(err)
+	}
+	var want [2]string
+	for i, name := range []string{"answers.txt", "answers-after.txt"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = string(data)
+	}
+	jsonTails := func() int {
+		n := 0
+		for _, sub := range []string{"state", "snapshots"} {
+			files, err := filepath.Glob(filepath.Join(dir, sub, "*"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range files {
+				data, err := os.ReadFile(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n += bytes.Count(data, []byte(`{"tokens":`))
+			}
+		}
+		return n
+	}
+	if n := jsonTails(); n == 0 {
+		t.Fatal("the fixture holds no JSON tail")
+	}
+	histSegment := filepath.Join(dir, "history", "wal-00000000000000000001.log")
+	literal, err := os.ReadFile(histSegment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := timer.NewVirtualClock(time.Date(2026, 7, 8, 10, 30, 18, 0, time.FixedZone("", 2*3600)))
+	open := func() *BPMS {
+		b, err := Open(Options{DataDir: dir, Clock: clock, Users: []resource.User{{ID: "carol", Roles: []string{"clerk"}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	answers := func(b *BPMS, upTo uint64) string {
+		var events []*history.Event
+		err := b.History.All(func(e *history.Event) error {
+			if e.Index <= upTo {
+				events = append(events, e)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderCases(t, b) + renderEvents(t, events)
+	}
+	b := open()
+	if b.Upgrade.Files != 2 || b.Upgrade.Records == 0 {
+		t.Errorf("upgrade report %+v, want the WAL segment and the snapshot rewritten", b.Upgrade)
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, formatFile)); err != nil || string(data) != formatLine {
+		t.Errorf("FORMAT = %q, %v", data, err)
+	}
+	if n := jsonTails(); n != 0 {
+		t.Errorf("%d JSON tails remain after the upgrade", n)
+	}
+	if now, err := os.ReadFile(histSegment); err != nil || !bytes.HasPrefix(now, literal) {
+		t.Errorf("the history segment was rewritten (%v)", err)
+	}
+	if got := answers(b, format3Events); got != want[0] {
+		t.Errorf("the format 3 dir answers\n%s\nthe build that wrote it answered\n%s", got, want[0])
+	}
+	format3Drive(t, b, clock)
+	after := answers(b, math.MaxUint64)
+	if after != want[1] {
+		t.Errorf("after the drive the format 3 dir answers\n%s\nthe build that wrote it answered\n%s", after, want[1])
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b = open()
+	defer b.Close()
+	if b.Upgrade != (UpgradeReport{}) {
+		t.Errorf("second open upgraded %+v", b.Upgrade)
+	}
+	if got := answers(b, math.MaxUint64); got != after {
+		t.Errorf("the reopened dir answers\n%s\nwant\n%s", got, after)
 	}
 }
 

@@ -382,7 +382,6 @@ func (e *Engine) runServiceTask(inst *Instance, tok *Token, proc *model.Process,
 			e.handleTaskError(inst, tok, proc, el, err)
 			return
 		}
-		inst.Retries[tok.ID] = attempt + 1
 	}
 	for k, v := range updates {
 		inst.Vars[k] = v

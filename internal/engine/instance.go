@@ -71,7 +71,9 @@ func (w WaitKind) String() string {
 
 // Token is one locus of control in an instance. Element positions are
 // paths: "approve" at the root, "sp/inner" inside sub-process sp —
-// the prefix is the sub-process element's own path.
+// the prefix is the sub-process element's own path. A state record
+// holds it in binary (state.go); the JSON tags spell it as data dirs
+// before format 4 held it, for Upgrade to read.
 type Token struct {
 	ID   uint64   `json:"id"`
 	Elem string   `json:"elem"` // element path
@@ -154,8 +156,6 @@ type Instance struct {
 	// Joins holds the queued arrival-token IDs per join element path
 	// and incoming flow ID.
 	Joins map[string]map[string][]uint64
-	// Faults counts service-task retry attempts per token.
-	Retries map[uint64]int
 
 	StartedAt time.Time
 	EndedAt   time.Time
@@ -176,7 +176,6 @@ func newInstance(id string, def *model.Process, vars map[string]expr.Value) *Ins
 		Vars:      vars,
 		Tokens:    map[uint64]*Token{},
 		Joins:     map[string]map[string][]uint64{},
-		Retries:   map[uint64]int{},
 	}
 }
 
@@ -188,7 +187,6 @@ func (inst *Instance) newToken(e *Engine, elem string) *Token {
 
 func (inst *Instance) dropToken(t *Token) {
 	delete(inst.Tokens, t.ID)
-	delete(inst.Retries, t.ID)
 }
 
 // scopeOf returns the path prefix of an element path ("" at root;

@@ -75,6 +75,23 @@ func legacyStateRecord(inst *Instance) ([]byte, error) {
 	return json.Marshal(jsonRecord{Kind: "instance", State: state})
 }
 
+// format3Record is the state record format 3 engines wrote: the binary
+// record up to its variables, then, when the case has tokens or joins,
+// a JSON tail {"tokens":…,"joins":…}.
+func format3Record(inst *Instance) ([]byte, error) {
+	rec := encodeInstance(nil, &Instance{ID: inst.ID, ProcessID: inst.ProcessID, Status: inst.Status,
+		Vars: inst.Vars, StartedAt: inst.StartedAt, EndedAt: inst.EndedAt})
+	if len(inst.Tokens) == 0 && len(inst.Joins) == 0 {
+		return rec, nil
+	}
+	st := stateOf(inst)
+	tail, err := json.Marshal(struct {
+		Tokens []*Token                       `json:"tokens,omitempty"`
+		Joins  map[string]map[string][]uint64 `json:"joins,omitempty"`
+	}{st.Tokens, st.Joins})
+	return append(rec, tail...), err
+}
+
 // writeBlobSnapshot writes a snapshot into a snapshot store's dir in the
 // single-blob format engines wrote before streaming snapshots:
 // [8B index][4B CRC-32C of image][image].

@@ -110,21 +110,16 @@ func encodeDeploy(def []byte) *[]byte {
 // journal and, for a finished case, returns an exact-size copy of it for
 // retire to archive. Called under the instance lock. The returned error
 // matters in durable mode: it is the failed durability acknowledgement,
-// and API entry points must not report success past it. Serialization
-// failures still must not kill execution on async (listener/timer)
-// paths, whose callers ignore the return value as before.
+// and API entry points must not report success past it. Async
+// (listener/timer) paths ignore it.
 func (e *Engine) persistInstance(inst *Instance) ([]byte, error) {
 	bp := recordBufPool.Get().(*[]byte)
 	defer recordBufPool.Put(bp)
-	data, err := encodeInstance((*bp)[:0], inst)
+	data := encodeInstance((*bp)[:0], inst)
 	*bp = data
-	if err != nil {
-		return nil, fmt.Errorf("engine: encode instance %s: %w", inst.ID, err)
-	}
-	if _, err = e.appendRecord(data); err != nil {
+	if _, err := e.appendRecord(data); err != nil {
 		// A failed append (or durability ack) is a storage I/O error:
-		// fail-stop the shard. Encode errors above do not — the disk is
-		// fine, only this record is unrepresentable.
+		// fail-stop the shard.
 		e.failStop("journal append", err)
 		return nil, fmt.Errorf("engine: persist instance %s: %w", inst.ID, err)
 	}
@@ -288,8 +283,9 @@ func (e *Engine) Snapshot() error {
 		e.failStop("snapshot create", err)
 		return err
 	}
-	// Encode errors abort the snapshot but do not fail-stop (the disk
-	// is healthy); append/commit/truncate errors are storage I/O and do.
+	// A definition's encode error aborts the snapshot but does not
+	// fail-stop (the disk is healthy); append/commit/truncate errors are
+	// storage I/O and do.
 	bp := recordBufPool.Get().(*[]byte)
 	defer recordBufPool.Put(bp)
 	appendRec := func(payload []byte) error {
@@ -312,19 +308,14 @@ func (e *Engine) Snapshot() error {
 		}
 	}
 	for _, c := range cases {
-		var err error
-		switch {
-		case c.inst != nil:
+		rec := c.state
+		if c.inst != nil {
 			c.inst.mu.Lock()
-			*bp, err = encodeInstance((*bp)[:0], c.inst)
+			*bp = encodeInstance((*bp)[:0], c.inst)
 			c.inst.mu.Unlock()
-			if err == nil {
-				err = appendRec(*bp)
-			}
-		default:
-			err = appendRec(c.state)
+			rec = *bp
 		}
-		if err != nil {
+		if err := appendRec(rec); err != nil {
 			w.Abort()
 			return err
 		}

@@ -30,10 +30,7 @@ func TestReadFinishedHead(t *testing.T) {
 		{ID: "zoë-2", ProcessID: "p", Status: StatusFaulted, Tokens: map[uint64]*Token{4: {ID: 4, Elem: "x"}}},
 		{ID: `a"b-3`, ProcessID: "p", Status: StatusCancelled},
 	} {
-		rec, err := encodeInstance(nil, inst)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := encodeInstance(nil, inst)
 		v, err := decodeRecoveryRecord(rec)
 		if err != nil {
 			t.Fatalf("%s: %v", inst.ID, err)
@@ -46,10 +43,7 @@ func TestReadFinishedHead(t *testing.T) {
 			t.Errorf("%s: the archived record aliases the payload", inst.ID)
 		}
 	}
-	live, err := encodeInstance(nil, &Instance{ID: "p-7", ProcessID: "p", Status: StatusActive})
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := encodeInstance(nil, &Instance{ID: "p-7", ProcessID: "p", Status: StatusActive})
 	if v, err := decodeRecoveryRecord(live); err != nil || v.(*instState).ID != "p-7" {
 		t.Errorf("live state decoded to %+v, %v", v, err)
 	}
@@ -89,7 +83,7 @@ func TestReissueFailuresCounted(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	broken := bytes.Replace(last, []byte(`"elem":"work"`), []byte(`"elem":"gone"`), 1)
+	broken := bytes.Replace(last, []byte("\x04work"), []byte("\x04gone"), 1)
 	if bytes.Equal(broken, last) {
 		t.Fatalf("no parked token in %s", last)
 	}
@@ -291,11 +285,8 @@ func checkArchiveReencodes(t *testing.T, e *Engine) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := encodeInstance(nil, inst)
+		data := encodeInstance(nil, inst)
 		inst.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
 		e.mu.RLock()
 		a := e.archive[s.ID]
 		e.mu.RUnlock()

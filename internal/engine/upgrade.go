@@ -11,20 +11,22 @@ import (
 )
 
 // Upgrade rewrites a state journal's or snapshot store's dir so that
-// every instance state is a binary record. Engines before binary records
-// wrote a state as the JSON envelope {"kind":"instance","state":…},
-// and engines before streaming snapshots wrote a snapshot as one JSON
-// blob. Deploy records stay JSON.
+// every instance state is a binary record with a binary tail. Format 3
+// engines wrote a live case's tokens and joins as a JSON tail, engines
+// before binary records wrote a state as the JSON envelope
+// {"kind":"instance","state":…}, and engines before streaming
+// snapshots wrote a snapshot as one JSON blob. Deploy records stay JSON.
 func Upgrade(fsys fault.FS, dir string) (storage.UpgradeStats, error) {
 	return storage.Upgrade(fsys, dir, upgradeRecord, splitImage)
 }
 
-// upgradeRecord transcodes a JSON instance envelope; any other record is
-// kept, a deployment being current and anything else refused by
-// recovery as before.
+// upgradeRecord transcodes a binary record with a JSON tail and a JSON
+// instance envelope. Any other record is kept: a binary record without
+// a JSON tail or a deployment as current, anything else for recovery to
+// refuse as before.
 func upgradeRecord(rec []byte) ([]byte, error) {
 	if len(rec) > 0 && rec[0] == stateV2 {
-		return nil, nil
+		return upgradeTail(rec)
 	}
 	var r struct {
 		Kind  string
@@ -39,6 +41,25 @@ func upgradeRecord(rec []byte) ([]byte, error) {
 	return upgradeState(r.State)
 }
 
+// upgradeTail returns the record of the case a format 3 record holds,
+// its tokens and joins read from the JSON tail {"tokens":…,"joins":…}
+// by encoding/json, or nil for a record without a JSON tail.
+func upgradeTail(rec []byte) ([]byte, error) {
+	st, i, err := parseStateHead(rec)
+	if err != nil || i == len(rec) || rec[i] != '{' {
+		return nil, nil
+	}
+	var tail struct {
+		Tokens []*Token
+		Joins  map[string]map[string][]uint64
+	}
+	if err := json.Unmarshal(rec[i:], &tail); err != nil {
+		return nil, fmt.Errorf("engine: upgrade instance state %s: %w", st.ID, err)
+	}
+	st.Tokens, st.Joins = tail.Tokens, tail.Joins
+	return upgradeCase(st)
+}
+
 // upgradeState returns the binary record of the case encoding/json
 // reads from a JSON state (its keys are instState's field names, as
 // JSON spells them), which so answers as it did.
@@ -47,10 +68,22 @@ func upgradeState(state []byte) ([]byte, error) {
 	if err := json.Unmarshal(state, &st); err != nil {
 		return nil, fmt.Errorf("engine: upgrade instance state: %w", err)
 	}
+	return upgradeCase(&st)
+}
+
+// upgradeCase returns the binary record of a case read from JSON. It
+// refuses a null token, an unknown status, and a case whose record the
+// decoder declines (such as an open work item past its collection),
+// which no engine wrote.
+func upgradeCase(st *instState) ([]byte, error) {
 	if slices.Contains(st.Tokens, nil) || st.Status < StatusActive || st.Status > StatusFaulted {
 		return nil, fmt.Errorf("engine: upgrade instance state %s: null token or unknown status %d", st.ID, st.Status)
 	}
-	return encodeInstance(nil, restoreInstance(&st, &model.Process{ID: st.ProcessID}))
+	rec := encodeInstance(nil, restoreInstance(st, &model.Process{ID: st.ProcessID}))
+	if _, err := parseState(rec); err != nil {
+		return nil, fmt.Errorf("engine: upgrade instance state %s: %w", st.ID, err)
+	}
+	return rec, nil
 }
 
 // splitImage turns the image of a blob snapshot,

@@ -223,9 +223,10 @@ func TestJSONStateDirOpens(t *testing.T) {
 }
 
 // checkUpgradeRecord is the transcoder contract, on any record: no
-// panic; a record it keeps is binary or not an instance envelope; a
-// record it transcodes decodes, to the case encoding/json reads from
-// the envelope's state (but for a time in Local at offset 0, which the
+// panic; a record it keeps is binary without a JSON tail or not an
+// instance envelope; a record it transcodes decodes, to the case
+// encoding/json reads from the envelope's state or from the binary
+// record's JSON tail (but for a time in Local at offset 0, which the
 // binary encoder turns into UTC).
 func checkUpgradeRecord(t *testing.T, rec []byte) {
 	t.Helper()
@@ -233,9 +234,11 @@ func checkUpgradeRecord(t *testing.T, rec []byte) {
 	if err != nil {
 		return
 	}
+	_, head, headErr := parseStateHead(rec)
+	jsonTail := headErr == nil && head < len(rec) && rec[head] == '{'
 	var env jsonRecord
 	if out == nil {
-		if len(rec) > 0 && rec[0] != stateV2 && (json.Unmarshal(rec, &env) != nil || env.Kind == "instance") {
+		if jsonTail || len(rec) > 0 && rec[0] != stateV2 && (json.Unmarshal(rec, &env) != nil || env.Kind == "instance") {
 			t.Fatalf("upgrade kept %q", rec)
 		}
 		return
@@ -243,6 +246,18 @@ func checkUpgradeRecord(t *testing.T, rec []byte) {
 	got, err := decodeCase(out)
 	if err != nil {
 		t.Fatalf("upgrade of %q gives %x, which does not decode: %v", rec, out, err)
+	}
+	if jsonTail {
+		st, _, _ := parseStateHead(rec)
+		var tail jsonState
+		if err := json.Unmarshal(rec[head:], &tail); err != nil {
+			t.Fatalf("upgrade transcoded %q, whose tail encoding/json rejects: %v", rec, err)
+		}
+		st.Tokens, st.Joins = tail.Tokens, tail.Joins
+		if a, b := renderState(got), renderState(instanceOf(st)); a != b {
+			t.Fatalf("upgrade of %q decodes to\n%s\nits JSON tail reads\n%s", rec, a, b)
+		}
+		return
 	}
 	var st jsonState
 	if err := json.Unmarshal(rec, &env); err != nil || env.Kind != "instance" {
@@ -266,12 +281,13 @@ func FuzzUpgradeRecord(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		bin, err := encodeInstance(nil, inst)
+		f3, err := format3Record(inst)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(js)
-		f.Add(bin)
+		f.Add(encodeInstance(nil, inst))
+		f.Add(f3)
 	}
 	for _, s := range []string{
 		`{"kind":"deploy","process":{"id":"p"}}`,

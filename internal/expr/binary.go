@@ -8,8 +8,8 @@ import (
 	"bpms/internal/binrec"
 )
 
-// Values in binary records (AppendBinaryMap, ReadBinaryMap) are a tag
-// byte and the payload the tag calls for:
+// Values in binary records (AppendBinary, AppendBinaryMap and their
+// readers) are a tag byte and the payload the tag calls for:
 //
 //	null            0
 //	Bool(false)     1
@@ -39,8 +39,8 @@ const (
 // encoding/json bounds the nesting of the tagged form.
 const maxBinaryDepth = 10000
 
-// appendBinary appends v's binary form to buf.
-func appendBinary(buf []byte, v Value) []byte {
+// AppendBinary appends v's binary form to buf.
+func AppendBinary(buf []byte, v Value) []byte {
 	switch v.kind {
 	case KindBool:
 		if v.b {
@@ -56,7 +56,7 @@ func appendBinary(buf []byte, v Value) []byte {
 	case KindList:
 		buf = binary.AppendUvarint(append(buf, binList), uint64(len(v.l)))
 		for _, e := range v.l {
-			buf = appendBinary(buf, e)
+			buf = AppendBinary(buf, e)
 		}
 		return buf
 	case KindMap:
@@ -77,7 +77,7 @@ func AppendBinaryMap(buf []byte, m map[string]Value) []byte {
 	slices.Sort(keys)
 	buf = binary.AppendUvarint(buf, uint64(len(keys)))
 	for _, k := range keys {
-		buf = appendBinary(binrec.AppendString(buf, k), m[k])
+		buf = AppendBinary(binrec.AppendString(buf, k), m[k])
 	}
 	return buf
 }
@@ -92,7 +92,13 @@ func ReadBinaryMap(p []byte, i int) (map[string]Value, int, bool) {
 	return readBinaryMap(p, i, 0)
 }
 
-// readBinary reads the value appendBinary wrote at p[i:], depth levels
+// ReadBinary reads what AppendBinary wrote at p[i:] and returns it with
+// the offset just past it, declining what ReadBinaryMap declines.
+func ReadBinary(p []byte, i int) (Value, int, bool) {
+	return readBinary(p, i, 0)
+}
+
+// readBinary reads the value AppendBinary wrote at p[i:], depth levels
 // down.
 func readBinary(p []byte, i, depth int) (Value, int, bool) {
 	if i >= len(p) || depth > maxBinaryDepth {

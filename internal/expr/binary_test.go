@@ -15,7 +15,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		List(), List(Int(1), Float(1), List(Null)),
 		Map(nil), Map(map[string]Value{"b": Int(2), "a": Map(map[string]Value{"": False}), "\xff": String("x")}),
 	} {
-		rec := appendBinary([]byte{0xee}, v)
+		rec := AppendBinary([]byte{0xee}, v)
 		got, next, ok := readBinary(rec, 1, 0)
 		if !ok || next != len(rec) {
 			t.Fatalf("%s: read ok=%v next=%d of %d", v, ok, next, len(rec))
@@ -31,7 +31,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryDeclines: what appendBinary cannot have written is an
+// TestBinaryDeclines: what AppendBinary cannot have written is an
 // error, never a value.
 func TestBinaryDeclines(t *testing.T) {
 	for name, rec := range map[string][]byte{

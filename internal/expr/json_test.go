@@ -120,11 +120,10 @@ func TestQuickTaggedJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// refValue decodes the way Value did before UnmarshalJSON learnt to
-// split the canonical form in place: encoding/json reads the tagged
-// envelope, then the payload, at every level (lists and maps recurse
-// through encoding/json into refValue). The oracle for
-// FuzzValueUnmarshalJSON.
+// refValue decodes the tagged form written out case by case:
+// encoding/json reads the tagged envelope, then the payload, at every
+// level (lists and maps recurse through encoding/json into refValue).
+// The oracle for FuzzValueUnmarshalJSON.
 type refValue struct{ Value }
 
 func (r *refValue) UnmarshalJSON(data []byte) error {
@@ -243,8 +242,8 @@ func unmarshalSeeds(t testing.TB) [][]byte {
 		seeds = append(seeds, data)
 	}
 	for _, s := range []string{
-		// Spellings encoding/json reads and the in-place split must
-		// decline or read alike.
+		// Spellings the decoder must decline or read as encoding/json
+		// reads them.
 		`{"v":"5","t":"i"}`, `{ "t":"i","v":"5"}`, `{"t":"i", "v":"5"}`, `{"t":"i","v": "5"}`, `{"t":"i","v":"5" }`,
 		`{"t":"i","v":"5"} `, `{"t":"s","v":"a","v":"b"}`, `{"t":"s","v":"a","x":1}`, `{"t":"s","t":"i","v":"5"}`,
 		`{"T":"b","V":true}`, `{"t":"n","v":123}`, `{"t":"n","v":@}`, `{"t":"n","v":}`, `{"t":"n" }`,
