@@ -34,8 +34,8 @@
 //
 // The human-task worklist is likewise lock-striped: -worklist-stripes N
 // partitions work items across N independently locked stripes with
-// per-user, per-state, and due-time indexes (experiment T13). The
-// worklist is in-memory — work items are reissued from the engine
+// per-user and per-state indexes; due times fire on the engine's timer
+// wheel. The worklist is in-memory — work items are reissued from the engine
 // journals on recovery — so the flag composes freely with any data dir.
 //
 // Definitions are deployed and instances driven through the REST API

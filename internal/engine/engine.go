@@ -13,11 +13,17 @@
 // completion conditions; per-instance data with expression-guarded
 // flows; incidents; and message correlation with buffering.
 //
+// A parked token's fields say what it waits for (wait.go). armToken
+// registers the timers and message subscriptions they describe, wake is
+// the one entry through which a fired timer or a delivered message
+// resumes the token, and disarmToken revokes them when it moves on.
+//
 // Persistence is write-behind state journaling: after every quiescent
-// step the affected instance's state is appended to the journal, and
-// recovery (NewEngine on an existing journal) restores the latest
-// state of every instance, re-arms timers, and re-registers message
-// subscriptions. Snapshots bound replay cost (experiments T4/F5).
+// step the affected instance's state is appended to the journal.
+// Recovery, when the shard router builds an engine on an existing
+// journal (New), restores the latest state of every instance, issues
+// open work items again and arms every parked token with armToken, as
+// its first park did. Snapshots bound replay cost (experiments T4/F5).
 //
 // Finished cases are archived as their final record: once a completed,
 // cancelled or faulted instance's state is journaled, it leaves the live
@@ -564,6 +570,12 @@ func (e *Engine) audit(ev *history.Event) {
 	if e.hist != nil {
 		e.hist.Enqueue(ev)
 	}
+}
+
+// auditAt audits an event of inst at element path elem, timed now.
+func (e *Engine) auditAt(inst *Instance, typ history.EventType, elem string, data map[string]any) {
+	e.audit(&history.Event{Type: typ, Time: e.clock.Now(),
+		ProcessID: inst.ProcessID, InstanceID: inst.ID, ElementID: elem, Data: data})
 }
 
 // onTaskTransition is the worklist listener resuming instances when

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -130,24 +132,119 @@ func TestPublishBufferBound(t *testing.T) {
 	}
 }
 
-func TestRecoveryRearmsEventGatewayAndBoundary(t *testing.T) {
-	dir := t.TempDir()
-	clock := timer.NewVirtualClock(t0)
-	wheel := timer.NewWheelService(time.Millisecond, 256)
-	journal, err := storage.OpenFileJournal(dir, storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirr := resource.NewDirectory()
-	dirr.AddUser(&resource.User{ID: "alice", Roles: []string{"clerk"}})
-	tasks := task.NewService(task.Config{Directory: dirr, Now: clock.Now})
-	e1, err := newTestEngine(Config{Journal: journal, Tasks: tasks, Timers: wheel, Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1.RegisterHandler(model.NoopHandler, func(TaskContext) (map[string]expr.Value, error) { return nil, nil })
+// parkEnv is one engine with its own clock, timer wheel, worklist and
+// history. Work items with a due time schedule their deadline on the
+// engine's wheel, so the wheel's pending count covers them too.
+type parkEnv struct {
+	e     *Engine
+	clock *timer.VirtualClock
+	wheel *timer.WheelService
+	tasks *task.Service
+	hist  *history.Store
+}
 
-	race := model.New("race-persist").
+func newParkEnv(t *testing.T, at time.Time, journal storage.Journal, sla time.Duration) *parkEnv {
+	t.Helper()
+	clock := timer.NewVirtualClock(at)
+	wheel := timer.NewWheelService(time.Millisecond, 256)
+	dir := resource.NewDirectory()
+	dir.AddUser(&resource.User{ID: "alice", Roles: []string{"clerk"}})
+	tasks := task.NewService(task.Config{Directory: dir, Now: clock.Now, Timers: wheel, DefaultSLA: sla})
+	hist, err := history.NewStriped([]storage.Journal{storage.NewMemJournal()}, history.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newTestEngine(Config{Journal: journal, Tasks: tasks, Timers: wheel, Clock: clock, History: hist})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RegisterHandler(model.NoopHandler, func(TaskContext) (map[string]expr.Value, error) { return nil, nil })
+	return &parkEnv{e: e, clock: clock, wheel: wheel, tasks: tasks, hist: hist}
+}
+
+// restart recovers a second engine from a copy of journal, at p's
+// current time, leaving p running on the original.
+func (p *parkEnv) restart(t *testing.T, journal *storage.MemJournal, sla time.Duration) *parkEnv {
+	t.Helper()
+	cp := storage.NewMemJournal()
+	if err := journal.Replay(1, func(_ uint64, rec []byte) error {
+		_, err := cp.Append(rec)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return newParkEnv(t, p.clock.Now(), cp, sla)
+}
+
+func (p *parkEnv) tick(d time.Duration) { p.wheel.AdvanceTo(p.clock.Advance(d)) }
+
+// openItems returns the open work items of case id, sorted by name.
+func (p *parkEnv) openItems(id string) []*task.Item {
+	var out []*task.Item
+	for _, st := range []task.State{task.Created, task.Offered, task.Allocated, task.Started} {
+		for _, it := range p.tasks.ByState(st) {
+			if it.InstanceID == id {
+				out = append(out, it)
+			}
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
+	return out
+}
+
+// completeOpen has alice claim, start and complete every open item of
+// case id, until none is left.
+func (p *parkEnv) completeOpen(t *testing.T, id string) {
+	t.Helper()
+	for items := p.openItems(id); len(items) > 0; items = p.openItems(id) {
+		for _, it := range items {
+			if it.State == task.Offered {
+				if _, err := p.tasks.Claim(it.ID, "alice"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := p.tasks.Start(it.ID, "alice"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.tasks.Complete(it.ID, "alice", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// itemView is a work item as the park ≡ recover comparison sees it:
+// everything but its ID and lifecycle times other than the due time.
+type itemView struct {
+	Name, Role, Assignee string
+	Priority             int
+	DueAt                time.Time
+	Data                 map[string]any
+}
+
+func itemViews(items []*task.Item) []itemView {
+	out := make([]itemView, len(items))
+	for i, it := range items {
+		out[i] = itemView{it.Name, it.Role, it.Assignee, it.Priority, it.DueAt, it.Data}
+	}
+	return out
+}
+
+func eventTypes(evs []*history.Event) []history.EventType {
+	out := make([]history.EventType, len(evs))
+	for i, ev := range evs {
+		out[i] = ev.Type
+	}
+	return out
+}
+
+// TestRecoveryRearmsEventGatewayAndBoundary parks one case per wait
+// kind, then recovers a second engine from a copy of its journal. The
+// recovered engine must hold the same armed timers and the same open
+// work items as the engine that parked the case, and, given the same
+// stimulus, reach the same status through the same audit events.
+func TestRecoveryRearmsEventGatewayAndBoundary(t *testing.T) {
+	race := model.New("race").
 		Start("s").
 		EventGateway("wait").
 		MessageCatch("msg", "ping", model.CorrelationKey("k")).
@@ -165,72 +262,107 @@ func TestRecoveryRearmsEventGatewayAndBoundary(t *testing.T) {
 		Flow("onTime", "merge").
 		Flow("merge", "e").
 		MustBuild()
-	esc := model.New("esc-persist").
+	bounded := model.New("bounded").
 		Start("s").
 		UserTask("work", model.Role("clerk")).
-		BoundaryTimer("late", "work", "2h", true).
-		ServiceTask("escalate", model.NoopHandler, model.Output("escalated", "true")).
-		XOR("merge").
+		BoundaryTimer("remind", "work", "1h", false).
+		BoundaryTimer("late", "work", "4h", true).
+		BoundaryMessage("abort", "work", "stop", true, model.CorrelationKey("k")).
+		ServiceTask("note", model.NoopHandler).
+		ScriptTask("escalate", model.Output("escalated", "true")).
 		End("e").
+		End("noted").
+		End("aborted").
 		Flow("s", "work").
-		Flow("work", "merge").
+		Flow("work", "e").
+		Flow("remind", "note").
+		Flow("note", "noted").
 		Flow("late", "escalate").
-		Flow("escalate", "merge").
-		Flow("merge", "e").
+		Flow("escalate", "e").
+		Flow("abort", "aborted").
 		MustBuild()
-	if err := e1.Deploy(race); err != nil {
-		t.Fatal(err)
+	inner := model.New("inner").
+		Start("bs").UserTask("hold", model.Assignee("alice")).End("be").
+		Seq("bs", "hold", "be").MustBuild()
+	scoped := model.New("scoped").
+		Start("s").
+		SubProcess("sp", inner).
+		BoundaryTimer("timeout", "sp", "2h", true).
+		End("e").
+		End("timedOut").
+		Flow("s", "sp").
+		Flow("sp", "e").
+		Flow("timeout", "timedOut").
+		MustBuild()
+	userTask := func(id string, opts ...model.Opt) *model.Process {
+		opts = append([]model.Opt{model.Role("clerk"), model.Priority(3), model.DueIn("1h")}, opts...)
+		return model.New(id).Start("s").UserTask("review", opts...).End("e").Seq("s", "review", "e").MustBuild()
 	}
-	if err := e1.Deploy(esc); err != nil {
-		t.Fatal(err)
+	publish := func(name string) func(*testing.T, *parkEnv, string) {
+		return func(t *testing.T, p *parkEnv, _ string) {
+			if n, _, err := p.e.Publish(name, "A", map[string]any{"got": 1}); err != nil || n != 1 {
+				t.Fatalf("publish %s: delivered %d, err %v", name, n, err)
+			}
+		}
 	}
-	r1, _ := e1.StartInstance("race-persist", map[string]any{"k": "A"})
-	r2, _ := e1.StartInstance("race-persist", map[string]any{"k": "B"})
-	b1, _ := e1.StartInstance("esc-persist", nil)
-	journal.Close()
+	tick := func(d time.Duration) func(*testing.T, *parkEnv, string) {
+		return func(_ *testing.T, p *parkEnv, _ string) { p.tick(d) }
+	}
+	complete := func(t *testing.T, p *parkEnv, id string) { p.completeOpen(t, id) }
 
-	// Crash and recover on fresh timers/clock.
-	journal2, err := storage.OpenFileJournal(dir, storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer journal2.Close()
-	clock2 := timer.NewVirtualClock(clock.Now())
-	wheel2 := timer.NewWheelService(time.Millisecond, 256)
-	tasks2 := task.NewService(task.Config{Directory: dirr, Now: clock2.Now})
-	e2, err := newTestEngine(Config{Journal: journal2, Tasks: tasks2, Timers: wheel2, Clock: clock2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2.RegisterHandler(model.NoopHandler, func(TaskContext) (map[string]expr.Value, error) { return nil, nil })
+	for _, tc := range []struct {
+		name     string
+		proc     *model.Process
+		before   time.Duration // run the parked case this long before the restart
+		stimulus func(t *testing.T, p *parkEnv, id string)
+		want     Status
+	}{
+		{"timer catch", model.New("timer").Start("s").TimerCatch("t", "2h").End("e").Seq("s", "t", "e").MustBuild(),
+			0, tick(3 * time.Hour), StatusCompleted},
+		{"message catch", model.New("catch").Start("s").MessageCatch("m", "ping", model.CorrelationKey("k")).End("e").
+			Seq("s", "m", "e").MustBuild(), 0, publish("ping"), StatusCompleted},
+		{"event gateway, message arm", race, 0, publish("ping"), StatusCompleted},
+		{"event gateway, timer arm", race, 0, tick(5 * time.Hour), StatusCompleted},
+		{"timer boundary after a non-interrupting one fired", bounded, 90 * time.Minute, tick(3 * time.Hour), StatusCompleted},
+		{"message boundary after a non-interrupting one fired", bounded, 90 * time.Minute, publish("stop"), StatusCompleted},
+		{"user task with dueIn", userTask("due"), 0, complete, StatusCompleted},
+		{"parallel multi-instance user task", userTask("mip", model.MultiParallel("xs", "x")), 0, complete, StatusCompleted},
+		{"sequential multi-instance user task", userTask("mis", model.MultiSequential("xs", "x")), 0, complete, StatusCompleted},
+		{"sub-process scope, inner item", scoped, 0, complete, StatusCompleted},
+		{"sub-process scope, boundary", scoped, 0, tick(3 * time.Hour), StatusCompleted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			journal := storage.NewMemJournal()
+			parked := newParkEnv(t, t0, journal, 0)
+			if err := parked.e.Deploy(tc.proc); err != nil {
+				t.Fatal(err)
+			}
+			v, err := parked.e.StartInstance(tc.proc.ID, map[string]any{"k": "A", "xs": []any{"a", "b"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			parked.tick(tc.before)
+			recovered := parked.restart(t, journal, 0)
 
-	// r1: message arm still registered — publish resolves the race.
-	if n, _, _ := e2.Publish("ping", "A", nil); n != 1 {
-		t.Fatal("race message arm lost in recovery")
-	}
-	got1, _ := e2.Instance(r1.ID)
-	if got1.Status != StatusCompleted {
-		t.Fatalf("r1 = %s", got1.Status)
-	}
-	if via, _ := got1.Vars["via"].AsString(); via != "msg" {
-		t.Errorf("r1 via = %q", via)
-	}
-
-	// r2 + b1: timer arms were re-scheduled at their absolute times.
-	wheel2.AdvanceTo(clock2.Advance(5 * time.Hour))
-	got2, _ := e2.Instance(r2.ID)
-	if got2.Status != StatusCompleted {
-		t.Fatalf("r2 = %s", got2.Status)
-	}
-	if via, _ := got2.Vars["via"].AsString(); via != "timer" {
-		t.Errorf("r2 via = %q", via)
-	}
-	gotB, _ := e2.Instance(b1.ID)
-	if gotB.Status != StatusCompleted {
-		t.Fatalf("b1 = %s", gotB.Status)
-	}
-	if esc, _ := gotB.Vars["escalated"].AsBool(); !esc {
-		t.Error("boundary timer did not escalate after recovery")
+			if a, b := parked.wheel.Pending(), recovered.wheel.Pending(); a != b {
+				t.Errorf("pending timers: parked %d, recovered %d", a, b)
+			}
+			if a, b := itemViews(parked.openItems(v.ID)), itemViews(recovered.openItems(v.ID)); !reflect.DeepEqual(a, b) {
+				t.Errorf("open items:\nparked    %+v\nrecovered %+v", a, b)
+			}
+			var got [2][]history.EventType
+			for i, p := range []*parkEnv{parked, recovered} {
+				from := len(p.hist.EventsOf(v.ID))
+				tc.stimulus(t, p, v.ID)
+				got[i] = eventTypes(p.hist.EventsOf(v.ID)[from:])
+				if after, err := p.e.Instance(v.ID); err != nil || after.Status != tc.want {
+					t.Errorf("engine %d: status %v (err %v), want %s", i, after.Status, err, tc.want)
+				}
+			}
+			if !reflect.DeepEqual(got[0], got[1]) {
+				t.Errorf("audit after the stimulus:\nparked    %v\nrecovered %v", got[0], got[1])
+			}
+		})
 	}
 }
 
@@ -349,5 +481,59 @@ func TestVariableIsolationBetweenInstances(t *testing.T) {
 	}
 	if got, _ := v2.Vars["n"].AsInt(); got != 1 {
 		t.Errorf("v2 n = %v", v2.Vars["n"])
+	}
+}
+
+// TestWakeIgnoresFaultedCase: a faulted case keeps its parked tokens
+// for forensics, and their work items and timers stay open. Until the
+// case leaves the live map, closing such an item or firing such a timer
+// must not move its token on.
+func TestWakeIgnoresFaultedCase(t *testing.T) {
+	f := newFixture(t)
+	var retirements []func()
+	DeferRetirement(f.e, func(retire func()) { retirements = append(retirements, retire) })
+	p := model.New("fault-parked").
+		Start("s").
+		AND("fork").
+		UserTask("hold", model.Assignee("alice")).
+		TimerCatch("wait", "1h").
+		ServiceTask("boom", "ghost").
+		AND("join").
+		End("e").
+		Flow("s", "fork").
+		Flow("fork", "hold").
+		Flow("fork", "wait").
+		Flow("fork", "boom").
+		Flow("hold", "join").
+		Flow("wait", "join").
+		Flow("boom", "join").
+		Flow("join", "e").
+		MustBuild()
+	v := deployAndStart(t, f, p, nil)
+	if v.Status != StatusFaulted || len(v.ActiveTokens) != 3 {
+		t.Fatalf("status %s, tokens %v; want faulted with three parked tokens", v.Status, v.ActiveTokens)
+	}
+	before := len(f.hist.EventsOf(v.ID))
+	wl := f.tasks.Worklist("alice")
+	if len(wl) != 1 {
+		t.Fatalf("worklist = %v", wl)
+	}
+	if _, err := f.tasks.Start(wl[0].ID, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.tasks.Complete(wl[0].ID, "alice", nil); err != nil {
+		t.Fatal(err)
+	}
+	f.tick(2 * time.Hour)
+	for _, ev := range f.hist.EventsOf(v.ID)[before:] {
+		if ev.Type != history.TaskStarted && ev.Type != history.TaskCompleted {
+			t.Errorf("faulted case moved on: %s at %s", ev.Type, ev.ElementID)
+		}
+	}
+	if after, _ := f.e.Instance(v.ID); !reflect.DeepEqual(after.ActiveTokens, v.ActiveTokens) {
+		t.Errorf("tokens %v, were %v", after.ActiveTokens, v.ActiveTokens)
+	}
+	if len(retirements) != 1 {
+		t.Errorf("%d retirements, want 1", len(retirements))
 	}
 }

@@ -176,6 +176,71 @@ func TestMultiInstanceSequentialWithCompletionCondition(t *testing.T) {
 	}
 }
 
+// TestMultiInstanceItemsTakeDueIn: a multi-instance user task gives
+// each of its items the task's dueIn, as a single user task does, both
+// when the item is created and when recovery issues it again. Without a
+// dueIn an item takes the worklist's default SLA.
+func TestMultiInstanceItemsTakeDueIn(t *testing.T) {
+	const sla = 30 * time.Minute
+	for _, tc := range []struct {
+		name string
+		opts []model.Opt
+		due  time.Duration
+	}{
+		{"parallel", []model.Opt{model.DueIn("1h"), model.MultiParallel("xs", "x")}, time.Hour},
+		{"sequential", []model.Opt{model.DueIn("1h"), model.MultiSequential("xs", "x")}, time.Hour},
+		{"parallel without dueIn", []model.Opt{model.MultiParallel("xs", "x")}, sla},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := model.New("mi-due").Start("s").UserTask("review", append(tc.opts, model.Role("clerk"))...).End("e").
+				Seq("s", "review", "e").MustBuild()
+			journal := storage.NewMemJournal()
+			first := newParkEnv(t, t0, journal, sla)
+			if err := first.e.Deploy(p); err != nil {
+				t.Fatal(err)
+			}
+			v, err := first.e.StartInstance("mi-due", map[string]any{"xs": []any{"a", "b"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDue := func(when string, items []*task.Item) {
+				t.Helper()
+				if len(items) == 0 {
+					t.Fatalf("%s: no open items", when)
+				}
+				for _, it := range items {
+					if want := it.CreatedAt.Add(tc.due); !it.DueAt.Equal(want) {
+						t.Errorf("%s: %s due %v, want %v", when, it.Name, it.DueAt, want)
+					}
+				}
+			}
+			created := first.openItems(v.ID)
+			checkDue("created", created)
+			reissued := first.restart(t, journal, sla).openItems(v.ID)
+			checkDue("re-issued", reissued)
+			for i := range reissued {
+				if i >= len(created) || !reissued[i].DueAt.Equal(created[i].DueAt) {
+					t.Errorf("re-issued items %v, created %v", reissued, created)
+				}
+			}
+			// The next item comes later: a sequential task's second
+			// item, or the parallel task's remaining one.
+			first.tick(10 * time.Minute)
+			it := created[0]
+			if _, err := first.tasks.Claim(it.ID, "alice"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := first.tasks.Start(it.ID, "alice"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := first.tasks.Complete(it.ID, "alice", nil); err != nil {
+				t.Fatal(err)
+			}
+			checkDue("next", first.openItems(v.ID))
+		})
+	}
+}
+
 func TestMultiInstanceSyncServiceTask(t *testing.T) {
 	f := newFixture(t)
 	var processed []string

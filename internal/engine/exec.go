@@ -9,7 +9,6 @@ import (
 	"bpms/internal/expr"
 	"bpms/internal/history"
 	"bpms/internal/model"
-	"bpms/internal/task"
 )
 
 // BPMNError is a coded error a service-task handler can return to be
@@ -191,7 +190,12 @@ func (e *Engine) advance(inst *Instance, tok *Token, viaFlow ...string) {
 		e.continueOutgoing(inst, tok, proc, el)
 
 	case model.KindUserTask, model.KindManualTask:
-		e.createWorkItem(inst, tok, proc, el, nil)
+		if err := e.issueWorkItem(inst, tok, el, -1); err != nil {
+			e.incident(inst, tok.Elem, fmt.Sprintf("create work item: %v", err))
+			return
+		}
+		tok.Wait = WaitUserTask
+		e.parkActivity(inst, tok, proc, el)
 
 	case model.KindSendTask, model.KindMessageThrowEvent:
 		key, err := e.corrKey(inst, el, nil)
@@ -217,7 +221,8 @@ func (e *Engine) advance(inst *Instance, tok *Token, viaFlow ...string) {
 		d, _ := time.ParseDuration(el.Timer) // validated at deploy
 		tok.Wait = WaitTimer
 		tok.TimerAt = e.clock.Now().Add(d)
-		e.armTokenTimer(inst, tok)
+		e.armToken(inst, tok)
+		e.auditAt(inst, history.TimerScheduled, tok.Elem, map[string]any{"at": tok.TimerAt})
 		inst.dirty = true
 
 	case model.KindExclusiveGateway:
@@ -433,126 +438,37 @@ func (e *Engine) handleTaskError(inst *Instance, tok *Token, proc *model.Process
 	e.incident(inst, tok.Elem, fmt.Sprintf("activity %q failed: %v", el.ID, err))
 }
 
-// createWorkItem parks the token on a new user/manual work item and
-// arms boundary events.
-func (e *Engine) createWorkItem(inst *Instance, tok *Token, proc *model.Process, el *model.Element, extra map[string]expr.Value) {
-	data := map[string]any{}
-	for k, v := range inst.Vars {
-		data[k] = v.ToGo()
-	}
-	for k, v := range extra {
-		data[k] = v.ToGo()
-	}
-	var due time.Duration
-	if el.DueIn != "" {
-		due, _ = time.ParseDuration(el.DueIn) // validated at deploy
-	}
-	name := el.Name
-	if name == "" {
-		name = el.ID
-	}
-	it, err := e.tasks.Create(task.Spec{
-		ProcessID:  inst.ProcessID,
-		InstanceID: inst.ID,
-		ElementID:  tok.Elem,
-		Name:       name,
-		Role:       el.Role,
-		Assignee:   el.Assignee,
-		Capability: el.Capability,
-		Priority:   el.Priority,
-		Due:        due,
-		Data:       data,
-	})
-	if err != nil {
-		e.incident(inst, tok.Elem, fmt.Sprintf("create work item: %v", err))
-		return
-	}
-	tok.Wait = WaitUserTask
-	if tok.MI != nil {
-		tok.Wait = WaitMulti
-		tok.MI.OpenItems = append(tok.MI.OpenItems, it.ID)
-	} else {
-		tok.WorkItemID = it.ID
-	}
-	e.armBoundaries(inst, tok, proc, el)
-	inst.dirty = true
-}
-
-// resumeWorkItem continues the instance whose token waits on the
-// closed work item. success=false routes through error boundaries.
-func (e *Engine) resumeWorkItem(it *task.Item, success bool) {
-	t0 := e.metrics.Transition.Start()
-	defer e.metrics.Transition.Since(t0)
-	e.mu.RLock()
-	inst, ok := e.instances[it.InstanceID]
-	e.mu.RUnlock()
-	if !ok {
-		return
-	}
-	inst.mu.Lock()
-	if inst.Status != StatusActive {
-		inst.mu.Unlock()
-		return
-	}
-	tok := inst.tokenForWorkItem(it.ID)
-	if tok == nil {
-		inst.mu.Unlock()
-		return
-	}
-	proc, el, err := e.resolve(inst, tok.Elem)
-	if err != nil {
-		e.incident(inst, tok.Elem, err.Error())
-		e.finishStep(inst)
-		return
-	}
-	// Merge the outcome payload into case data.
-	for k, raw := range it.Outcome {
-		v, convErr := expr.FromGo(raw)
-		if convErr != nil {
-			e.incident(inst, tok.Elem, fmt.Sprintf("outcome %q: %v", k, convErr))
-			e.finishStep(inst)
-			return
+// parkActivity parks a busy activity's token: it records the
+// activity's timer and message boundary events on the token, then arms
+// it. Error boundaries are matched synchronously in handleTaskError.
+func (e *Engine) parkActivity(inst *Instance, tok *Token, proc *model.Process, el *model.Element) {
+	scope := scopeOf(tok.Elem)
+	for _, bd := range proc.BoundaryEvents(el.ID) {
+		arm := boundaryArm{
+			Elem:      scope + bd.ID,
+			Kind:      bd.Boundary,
+			Interrupt: bd.CancelActivity,
+			ErrorCode: bd.ErrorCode,
 		}
-		inst.Vars[k] = v
-		inst.dirty = true
-	}
-	if !success && it.State == task.Failed {
-		e.handleTaskError(inst, tok, proc, el, &BPMNError{Code: "task-failed", Msg: it.Reason})
-		e.finishStep(inst)
-		return
-	}
-	if tok.MI != nil {
-		e.multiInstanceItemDone(inst, tok, proc, el, it)
-		e.finishStep(inst)
-		return
-	}
-	if err := e.applyOutputs(inst, el, nil); err != nil {
-		e.handleTaskError(inst, tok, proc, el, err)
-		e.finishStep(inst)
-		return
-	}
-	e.disarmToken(inst, tok)
-	tok.Wait = WaitNone
-	tok.WorkItemID = ""
-	e.elementCompleted(inst, el, tok.Elem, it.Assignee)
-	e.continueOutgoing(inst, tok, proc, el)
-	e.finishStep(inst)
-}
-
-func (inst *Instance) tokenForWorkItem(itemID string) *Token {
-	for _, t := range inst.Tokens {
-		if t.WorkItemID == itemID {
-			return t
-		}
-		if t.MI != nil {
-			for _, id := range t.MI.OpenItems {
-				if id == itemID {
-					return t
-				}
+		switch bd.Boundary {
+		case model.BoundaryTimer:
+			d, _ := time.ParseDuration(bd.Timer) // validated at deploy
+			arm.TimerAt = e.clock.Now().Add(d)
+		case model.BoundaryMessage:
+			key, err := e.corrKey(inst, bd, nil)
+			if err != nil {
+				e.incident(inst, tok.Elem, err.Error())
+				return
 			}
+			arm.Message = bd.Message
+			arm.CorrKey = key
+		case model.BoundaryError:
+			continue
 		}
+		tok.Boundaries = append(tok.Boundaries, arm)
 	}
-	return nil
+	e.armToken(inst, tok)
+	inst.dirty = true
 }
 
 // enterScope starts a sub-process or called process body under the
@@ -564,8 +480,7 @@ func (e *Engine) enterScope(inst *Instance, tok *Token, body *model.Process) {
 		return
 	}
 	tok.Wait = WaitSubProc
-	e.armBoundaries(inst, tok, proc, el)
-	inst.dirty = true
+	e.parkActivity(inst, tok, proc, el)
 	prefix := tok.Elem + "/"
 	starts := body.StartEvents()
 	children := make([]*Token, 0, len(starts))
@@ -637,30 +552,6 @@ func (e *Engine) terminateScope(inst *Instance, scope string) {
 		return // checkCompletion completes the instance
 	}
 	e.completeScopeIfDrained(inst, scope)
-}
-
-// cancelToken disarms and removes a token, cancelling any open work
-// items and nested scope tokens.
-func (e *Engine) cancelToken(inst *Instance, tok *Token, reason string) {
-	e.disarmToken(inst, tok)
-	if tok.WorkItemID != "" {
-		_, _ = e.tasks.Cancel(tok.WorkItemID, reason)
-	}
-	if tok.MI != nil {
-		for _, id := range tok.MI.OpenItems {
-			_, _ = e.tasks.Cancel(id, reason)
-		}
-	}
-	if tok.Wait == WaitSubProc {
-		prefix := tok.Elem + "/"
-		for _, t := range inst.Tokens {
-			if strings.HasPrefix(t.Elem, prefix) {
-				e.cancelToken(inst, t, reason)
-			}
-		}
-	}
-	inst.dropToken(tok)
-	inst.dirty = true
 }
 
 func (e *Engine) cancelAllTokens(inst *Instance, reason string) {

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"bpms/internal/expr"
-	"bpms/internal/history"
 	"bpms/internal/model"
 )
 
@@ -301,12 +299,8 @@ func (e *Engine) armEventGateway(inst *Instance, tok *Token, proc *model.Process
 		arm := raceArm{Elem: scope + succ.ID}
 		switch succ.Kind {
 		case model.KindTimerCatchEvent:
-			d, _ := time.ParseDuration(succ.Timer)
+			d, _ := time.ParseDuration(succ.Timer) // validated at deploy
 			arm.TimerAt = e.clock.Now().Add(d)
-			instID, tokID, armElem := inst.ID, tok.ID, arm.Elem
-			arm.timerID = e.timers.Schedule(arm.TimerAt, func() {
-				e.fireRace(instID, tokID, armElem, nil)
-			})
 		case model.KindMessageCatchEvent, model.KindReceiveTask:
 			key, err := e.corrKey(inst, succ, nil)
 			if err != nil {
@@ -315,75 +309,12 @@ func (e *Engine) armEventGateway(inst *Instance, tok *Token, proc *model.Process
 			}
 			arm.Message = succ.Message
 			arm.CorrKey = key
-			e.subs.add(subscription{
-				Name: succ.Message, Key: key, InstanceID: inst.ID,
-				TokenID: tok.ID, Elem: arm.Elem, Kind: subRace,
-			})
 		default:
 			e.incident(inst, tok.Elem, fmt.Sprintf("event gateway successor %q is %s", succ.ID, succ.Kind))
 			return
 		}
 		tok.Race = append(tok.Race, arm)
 	}
+	e.armToken(inst, tok)
 	inst.dirty = true
-}
-
-// fireRace resolves an event-gateway race in favour of the given arm.
-func (e *Engine) fireRace(instID string, tokID uint64, armElem string, msgVars map[string]expr.Value) {
-	if e.degraded.Load() {
-		return // frozen: race arms re-arm from the journal after repair
-	}
-	e.mu.RLock()
-	inst, ok := e.instances[instID]
-	e.mu.RUnlock()
-	if !ok {
-		return
-	}
-	inst.mu.Lock()
-	if inst.Status != StatusActive {
-		inst.mu.Unlock()
-		return
-	}
-	tok := inst.Tokens[tokID]
-	if tok == nil || tok.Wait != WaitEventGate {
-		inst.mu.Unlock()
-		return
-	}
-	found := false
-	for _, a := range tok.Race {
-		if a.Elem == armElem {
-			found = true
-		}
-	}
-	if !found {
-		inst.mu.Unlock()
-		return
-	}
-	e.disarmToken(inst, tok)
-	tok.Wait = WaitNone
-	tok.Elem = armElem
-	for k, v := range msgVars {
-		inst.Vars[k] = v
-	}
-	proc, el, err := e.resolve(inst, armElem)
-	if err != nil {
-		e.incident(inst, armElem, err.Error())
-		e.finishStep(inst)
-		return
-	}
-	if el.Kind == model.KindTimerCatchEvent {
-		e.audit(&history.Event{Type: history.TimerFired, Time: e.clock.Now(),
-			ProcessID: inst.ProcessID, InstanceID: inst.ID, ElementID: armElem})
-	} else {
-		e.audit(&history.Event{Type: history.MessageCorrelated, Time: e.clock.Now(),
-			ProcessID: inst.ProcessID, InstanceID: inst.ID, ElementID: armElem})
-	}
-	if err := e.applyOutputs(inst, el, nil); err != nil {
-		e.handleTaskError(inst, tok, proc, el, err)
-		e.finishStep(inst)
-		return
-	}
-	e.elementCompleted(inst, el, armElem, "")
-	e.continueOutgoing(inst, tok, proc, el)
-	e.finishStep(inst)
 }

@@ -64,14 +64,14 @@ func (e *Engine) enterMultiInstance(inst *Instance, tok *Token, proc *model.Proc
 		tok.Wait = WaitMulti
 		if mi.Parallel {
 			for idx := range items {
-				e.spawnMultiItem(inst, tok, proc, el, idx)
+				e.spawnMultiItem(inst, tok, el, idx)
 				if inst.Status != StatusActive {
 					return
 				}
 			}
 		} else {
 			mi.NextIdx = 1
-			e.spawnMultiItem(inst, tok, proc, el, 0)
+			e.spawnMultiItem(inst, tok, el, 0)
 		}
 		inst.dirty = true
 	default:
@@ -114,41 +114,11 @@ func (e *Engine) runSyncMulti(inst *Instance, tok *Token, proc *model.Process, e
 	e.continueOutgoing(inst, tok, proc, el)
 }
 
-// spawnMultiItem creates the work item for collection index idx.
-func (e *Engine) spawnMultiItem(inst *Instance, tok *Token, proc *model.Process, el *model.Element, idx int) {
-	mi := tok.MI
-	extra := map[string]expr.Value{
-		mi.ElemVar:    mi.Items[idx],
-		"loopCounter": expr.Int(int64(idx)),
-	}
-	data := map[string]any{}
-	for k, v := range inst.Vars {
-		data[k] = v.ToGo()
-	}
-	for k, v := range extra {
-		data[k] = v.ToGo()
-	}
-	name := el.Name
-	if name == "" {
-		name = el.ID
-	}
-	it, err := e.tasks.Create(task.Spec{
-		ProcessID:  inst.ProcessID,
-		InstanceID: inst.ID,
-		ElementID:  tok.Elem,
-		Name:       fmt.Sprintf("%s [%d/%d]", name, idx+1, mi.Total),
-		Role:       el.Role,
-		Assignee:   el.Assignee,
-		Capability: el.Capability,
-		Priority:   el.Priority,
-		Data:       data,
-	})
-	if err != nil {
+// spawnMultiItem opens the work item for collection index idx.
+func (e *Engine) spawnMultiItem(inst *Instance, tok *Token, el *model.Element, idx int) {
+	if err := e.issueWorkItem(inst, tok, el, idx); err != nil {
 		e.incident(inst, tok.Elem, fmt.Sprintf("create multi-instance work item: %v", err))
-		return
 	}
-	mi.OpenItems = append(mi.OpenItems, it.ID)
-	mi.ItemIdx[it.ID] = idx
 }
 
 // multiInstanceItemDone handles one completed/skipped work item of a
@@ -196,7 +166,7 @@ func (e *Engine) multiInstanceItemDone(inst *Instance, tok *Token, proc *model.P
 		if !mi.Parallel && mi.NextIdx < mi.Total {
 			next := mi.NextIdx
 			mi.NextIdx++
-			e.spawnMultiItem(inst, tok, proc, el, next)
+			e.spawnMultiItem(inst, tok, el, next)
 		}
 		return
 	}

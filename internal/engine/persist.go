@@ -2,16 +2,17 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"bpms/internal/expr"
 	"bpms/internal/model"
-	"bpms/internal/task"
 )
 
 // Persistence model: each journal record carries either a deployment
@@ -366,17 +367,18 @@ func decodeRecoveryRecord(payload []byte) (any, error) {
 }
 
 // recover rebuilds engine state from the latest snapshot (when
-// present) plus the journal suffix, then re-arms all volatile wait
-// machinery. Both are read serially, one record at a time. Finished
-// cases go straight to the archive, mostly undecoded; only live ones
-// are rebuilt and re-armed. The definition, instance and archive maps
-// are built locally and published into the engine under its lock in
-// one step: under the shard router, sibling shards recover
-// concurrently and their task-transition listeners call Has on this
-// engine while it is still replaying (holding the lock across the
-// whole replay instead would deadlock — rearmInstance's work-item
-// re-issue notifies this engine's own listener, which takes a read
-// lock).
+// present) plus the journal suffix, then arms every live case's waits
+// the way its first park did: work items are issued again and armToken
+// registers each token's timers and subscriptions (wait.go). Both are
+// read serially, one record at a time. Finished cases go straight to
+// the archive, mostly undecoded; only live ones are rebuilt and armed.
+// The definition, instance and archive maps are built locally and
+// published into the engine under its lock in one step: under the
+// shard router, sibling shards recover concurrently and their
+// task-transition listeners call Has on this engine while it is still
+// replaying (holding the lock across the whole replay instead would
+// deadlock — re-issuing a work item notifies this engine's own
+// listener, which takes a read lock).
 func (e *Engine) recover() error {
 	defs := map[string]*model.Process{}
 	states := map[string]*instState{}
@@ -466,132 +468,23 @@ func (e *Engine) recover() error {
 	e.mu.Unlock()
 	e.tokSeq.Store(maxTok)
 
-	// Re-arm volatile machinery for the live instances.
+	// Arm the live cases' waits as their first park did, token by
+	// token in ID order. The worklist is in memory, so open work items
+	// are issued again first.
+	var buf [8]*Token
 	for _, id := range ids {
 		inst := insts[id]
 		inst.mu.Lock()
-		e.rearmInstance(inst)
+		toks := buf[:0]
+		for _, tok := range inst.Tokens {
+			toks = append(toks, tok)
+		}
+		slices.SortFunc(toks, func(a, b *Token) int { return cmp.Compare(a.ID, b.ID) })
+		for _, tok := range toks {
+			e.reissueWorkItems(inst, tok)
+			e.armToken(inst, tok)
+		}
 		inst.mu.Unlock()
 	}
 	return nil
-}
-
-// rearmInstance restores timers, message subscriptions, and work items
-// for every parked token of a recovered instance.
-func (e *Engine) rearmInstance(inst *Instance) {
-	tokIDs := make([]uint64, 0, len(inst.Tokens))
-	for id := range inst.Tokens {
-		tokIDs = append(tokIDs, id)
-	}
-	sort.Slice(tokIDs, func(a, b int) bool { return tokIDs[a] < tokIDs[b] })
-	for _, id := range tokIDs {
-		tok := inst.Tokens[id]
-		switch tok.Wait {
-		case WaitTimer:
-			instID, tokID := inst.ID, tok.ID
-			tok.timerID = e.timers.Schedule(tok.TimerAt, func() {
-				e.fireTokenTimer(instID, tokID)
-			})
-		case WaitMessage:
-			e.subs.add(subscription{
-				Name: tok.Message, Key: tok.CorrKey, InstanceID: inst.ID,
-				TokenID: tok.ID, Elem: tok.Elem, Kind: subMessage,
-			})
-		case WaitEventGate:
-			for i := range tok.Race {
-				arm := &tok.Race[i]
-				if arm.Message != "" {
-					e.subs.add(subscription{
-						Name: arm.Message, Key: arm.CorrKey, InstanceID: inst.ID,
-						TokenID: tok.ID, Elem: arm.Elem, Kind: subRace,
-					})
-				} else {
-					instID, tokID, armElem := inst.ID, tok.ID, arm.Elem
-					arm.timerID = e.timers.Schedule(arm.TimerAt, func() {
-						e.fireRace(instID, tokID, armElem, nil)
-					})
-				}
-			}
-		case WaitUserTask:
-			// The worklist is in-memory: re-issue the work item.
-			e.reissueWorkItem(inst, tok, -1)
-		case WaitMulti:
-			open := append([]string(nil), tok.MI.OpenItems...)
-			tok.MI.OpenItems = nil
-			oldIdx := tok.MI.ItemIdx
-			tok.MI.ItemIdx = map[string]int{}
-			for _, old := range open {
-				e.reissueWorkItem(inst, tok, oldIdx[old])
-			}
-		}
-		// Boundary arms (independent of the main wait kind).
-		for i := range tok.Boundaries {
-			arm := &tok.Boundaries[i]
-			if arm.Fired {
-				continue
-			}
-			switch {
-			case arm.Message != "":
-				e.subs.add(subscription{
-					Name: arm.Message, Key: arm.CorrKey, InstanceID: inst.ID,
-					TokenID: tok.ID, Elem: arm.Elem, Kind: subBoundary,
-				})
-			case !arm.TimerAt.IsZero():
-				instID, tokID, armElem := inst.ID, tok.ID, arm.Elem
-				arm.timerID = e.timers.Schedule(arm.TimerAt, func() {
-					e.fireBoundary(instID, tokID, armElem, nil)
-				})
-			}
-		}
-	}
-}
-
-// reissueWorkItem recreates the work item behind a recovered user-task
-// token. idx >= 0 recreates a multi-instance item for that collection
-// index.
-func (e *Engine) reissueWorkItem(inst *Instance, tok *Token, idx int) {
-	_, el, err := e.resolve(inst, tok.Elem)
-	if err != nil {
-		e.reissueFailures.Add(1)
-		return
-	}
-	data := map[string]any{}
-	for k, v := range inst.Vars {
-		data[k] = v.ToGo()
-	}
-	name := el.Name
-	if name == "" {
-		name = el.ID
-	}
-	if idx >= 0 && tok.MI != nil {
-		data[tok.MI.ElemVar] = tok.MI.Items[idx].ToGo()
-		data["loopCounter"] = int64(idx)
-		name = fmt.Sprintf("%s [%d/%d]", name, idx+1, tok.MI.Total)
-	}
-	var due time.Duration
-	if el.DueIn != "" {
-		due, _ = time.ParseDuration(el.DueIn)
-	}
-	it, err := e.tasks.Create(task.Spec{
-		ProcessID:  inst.ProcessID,
-		InstanceID: inst.ID,
-		ElementID:  tok.Elem,
-		Name:       name,
-		Role:       el.Role,
-		Assignee:   el.Assignee,
-		Capability: el.Capability,
-		Priority:   el.Priority,
-		Due:        due,
-		Data:       data,
-	})
-	if err != nil {
-		e.reissueFailures.Add(1)
-		return
-	}
-	if idx >= 0 && tok.MI != nil {
-		tok.MI.OpenItems = append(tok.MI.OpenItems, it.ID)
-		tok.MI.ItemIdx[it.ID] = idx
-	} else {
-		tok.WorkItemID = it.ID
-	}
 }
