@@ -307,14 +307,15 @@ func BenchmarkT11_DurableStart1Shard(b *testing.B) { benchShardedStart(b, 1) }
 func BenchmarkT11_DurableStart2Shard(b *testing.B) { benchShardedStart(b, 2) }
 func BenchmarkT11_DurableStart4Shard(b *testing.B) { benchShardedStart(b, 4) }
 
-// T12: audit/history pipeline. Transition cost with history recording
-// on vs off: the async striped store turns the per-transition audit
-// work (JSON encode + journal append under a global lock) into a
-// channel hand-off drained by per-stripe committers, so AuditOn should
-// approach AuditOff. History journals are real files; the state
-// journal is in-memory so the audit path is the only difference.
+// T12: audit trail. Cost of a 10-task case with history recording on
+// vs off: each audit event is encoded into its stripe's reused buffer,
+// appended to the stripe journal's write buffer and indexed, on the
+// engine's goroutine, so AuditOn should approach AuditOff. History
+// journals are real files; the state journal is in-memory so the audit
+// path is the only difference. maxAllocs, when above 0, fails the
+// benchmark when a case allocates more often than that.
 
-func benchAudit(b *testing.B, mkHist func(b *testing.B) *history.Store) {
+func benchAudit(b *testing.B, mkHist func(b *testing.B) *history.Store, maxAllocs float64) {
 	var hist *history.Store
 	if mkHist != nil {
 		hist = mkHist(b)
@@ -322,6 +323,16 @@ func benchAudit(b *testing.B, mkHist func(b *testing.B) *history.Store) {
 	}
 	proc := model.Sequence(10)
 	e := newBenchRouter(b, shard.Config{Journals: []storage.Journal{storage.NewDiscardJournal()}, History: hist}, proc)
+	if maxAllocs > 0 {
+		start := func() {
+			if _, err := e.StartInstance(proc.ID, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, start); allocs > maxAllocs {
+			b.Fatalf("a 10-task case allocates %.0f times with audit on, want at most %.0f", allocs, maxAllocs)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -334,8 +345,7 @@ func benchAudit(b *testing.B, mkHist func(b *testing.B) *history.Store) {
 		}
 	}
 	if hist != nil {
-		// Drain the pipeline inside the measured window so the async
-		// variant cannot hide unfinished work.
+		// Sync inside the measured window, as a durable store would.
 		if err := hist.Flush(); err != nil {
 			b.Fatal(err)
 		}
@@ -364,14 +374,14 @@ func histStore(b *testing.B, stripes int) *history.Store {
 	return s
 }
 
-func BenchmarkT12_AuditOff(b *testing.B) { benchAudit(b, nil) }
+func BenchmarkT12_AuditOff(b *testing.B) { benchAudit(b, nil, 0) }
 
 func BenchmarkT12_AuditOn(b *testing.B) {
-	benchAudit(b, func(b *testing.B) *history.Store { return histStore(b, 1) })
+	benchAudit(b, func(b *testing.B) *history.Store { return histStore(b, 1) }, 90)
 }
 
 func BenchmarkT12_AuditOn4Stripes(b *testing.B) {
-	benchAudit(b, func(b *testing.B) *history.Store { return histStore(b, 4) })
+	benchAudit(b, func(b *testing.B) *history.Store { return histStore(b, 4) }, 0)
 }
 
 // BenchmarkT12_EventEncode isolates the audit-path encoding: the

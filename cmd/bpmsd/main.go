@@ -25,12 +25,13 @@
 // (README "Data dir format"), and a boot line counts the files and
 // records rewritten; one written by a newer build is refused.
 //
-// The audit trail is recorded through an asynchronous striped history
-// pipeline: -history-stripes partitions audit events by instance ID
-// across independent journals and committers, and -history-window
-// bounds the events each stripe keeps resident in RAM (older events
-// are served by journal replay). On shutdown the pipeline is drained,
-// so every enqueued audit event reaches its journal.
+// The audit trail is recorded in a striped history store, on the
+// goroutine that makes each transition: -history-stripes partitions
+// audit events by instance ID across independently locked journals, and
+// -history-window bounds the events each stripe keeps resident in RAM
+// (older events are served by journal replay). The history journals
+// follow the state journals' sync policy but acknowledge nothing; on
+// shutdown they are synced and closed.
 //
 // The human-task worklist is likewise lock-striped: -worklist-stripes N
 // partitions work items across N independently locked stripes with
@@ -72,7 +73,7 @@ func main() {
 	segmentSize := flag.Int64("wal-segment-size", 0, "max bytes per WAL segment file before rollover (0 = default 4MiB)")
 	recoveryWorkers := flag.Int("recovery-workers", 0, "ignored: recovery reads each shard's snapshot and WAL serially")
 	timerStripes := flag.Int("timer-stripes", 0, "ignored: the timer service is one timing wheel")
-	historyStripes := flag.Int("history-stripes", 1, "history store stripes, each with its own journal and commit pipeline (data dirs must be reopened with the stripe count they were created with)")
+	historyStripes := flag.Int("history-stripes", 1, "history store stripes, each with its own journal and lock (data dirs must be reopened with the stripe count they were created with)")
 	historyWindow := flag.Int("history-window", 100000, "audit events each history stripe keeps resident in RAM, as packed records (about 65 B of heap per pipeline event); 0 = unbounded; older events are served from the journal")
 	worklistStripes := flag.Int("worklist-stripes", 1, "worklist lock stripes, each with its own item map and secondary indexes (in-memory; any value reopens any data dir)")
 	autoAllocate := flag.Bool("auto-allocate", false, "push tasks to users instead of offering")

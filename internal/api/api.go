@@ -637,9 +637,6 @@ func (s *Server) stats(w http.ResponseWriter, _ *http.Request) {
 	for _, sm := range s.bpms.Engine.Summaries() {
 		counts[sm.Status.String()]++
 	}
-	// Stats() snapshots the history pipeline without barriering on it:
-	// a monitoring poll must not block behind a busy committer (its
-	// Events equals Count() once the pipeline drains).
 	hist := s.bpms.History.Stats()
 	body := map[string]any{
 		"definitions":   len(s.bpms.Engine.Definitions()),

@@ -70,8 +70,8 @@ type Options struct {
 	// the crash-recovery gate uses tiny segments to observe it.
 	SegmentSize int64
 	// HistoryStripes partitions the audit/history store into this many
-	// stripes (default 1), each with its own journal, committer, and
-	// locks; events hash by instance ID. With a DataDir and more than
+	// stripes (default 1), each with its own journal and lock; events
+	// hash by instance ID. With a DataDir and more than
 	// one stripe, history journals live under history/stripe-0000/…; a
 	// data dir must be reopened with the stripe count it was created
 	// with.
@@ -381,8 +381,7 @@ func Open(opts Options) (*BPMS, error) {
 		return nil, err
 	}
 	// Past this point the store owns the history journals: failures
-	// must stop its committer goroutines and close the journals
-	// through it, not out from under it.
+	// close them through it.
 	closeAll = func() {
 		for _, j := range stateJournals {
 			if j != nil {
@@ -613,9 +612,8 @@ func (b *BPMS) Violations() []Violation {
 	return out
 }
 
-// Close stops the timer runner, ends the shards'
-// snapshots (waiting for a running round), drains the
-// history pipeline, and syncs/closes every journal (all shard WALs plus
+// Close stops the timer runner, ends the shards' snapshots (waiting for
+// a running round), and syncs/closes every journal (all shard WALs plus
 // the history stripe journals). Under SyncBatch journals this drains
 // in-flight commit batches: every acknowledged append is on stable
 // storage when Close returns.
@@ -637,8 +635,8 @@ func (b *BPMS) Close() error {
 }
 
 // SyncJournals forces every journal to stable storage (without
-// closing them). The history store drains its async pipeline first,
-// so every audit event enqueued before the call is durable on return.
+// closing them): every audit event recorded before the call is durable
+// on return.
 func (b *BPMS) SyncJournals() error {
 	var first error
 	for _, j := range b.state {

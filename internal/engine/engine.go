@@ -559,13 +559,12 @@ func (e *Engine) SetVariable(id, name string, value any) error {
 	return e.finishStep(inst)
 }
 
-// audit forwards an event to the history store when configured. The
-// hand-off is a non-blocking enqueue onto the store's striped pipeline
-// (backpressure only when a stripe's queue is full), so recording
-// history costs the transition path a channel send, not an encode and
-// a disk append. Audit failures must not break execution; the history
-// journal is best-effort (e.g. full disk) while the state journal is
-// authoritative, and async append errors surface via Store.Flush.
+// audit records an event in the history store when configured: the
+// store encodes it and appends it to its stripe journal's write buffer
+// on this goroutine, and keeps nothing of ev. Audit failures must not
+// break execution; the history journal is best-effort (e.g. full disk)
+// while the state journal is authoritative, and append errors surface
+// via Store.Flush.
 func (e *Engine) audit(ev *history.Event) {
 	if e.hist != nil {
 		e.hist.Enqueue(ev)

@@ -294,6 +294,16 @@ func TestRecoveryRearmsEventGatewayAndBoundary(t *testing.T) {
 		Flow("sp", "e").
 		Flow("timeout", "timedOut").
 		MustBuild()
+	multiBounded := model.New("mib").
+		Start("s").
+		UserTask("review", model.Role("clerk"), model.MultiParallel("xs", "x")).
+		BoundaryTimer("late", "review", "2h", true).
+		End("e").
+		End("timedOut").
+		Flow("s", "review").
+		Flow("review", "e").
+		Flow("late", "timedOut").
+		MustBuild()
 	userTask := func(id string, opts ...model.Opt) *model.Process {
 		opts = append([]model.Opt{model.Role("clerk"), model.Priority(3), model.DueIn("1h")}, opts...)
 		return model.New(id).Start("s").UserTask("review", opts...).End("e").Seq("s", "review", "e").MustBuild()
@@ -328,6 +338,7 @@ func TestRecoveryRearmsEventGatewayAndBoundary(t *testing.T) {
 		{"user task with dueIn", userTask("due"), 0, complete, StatusCompleted},
 		{"parallel multi-instance user task", userTask("mip", model.MultiParallel("xs", "x")), 0, complete, StatusCompleted},
 		{"sequential multi-instance user task", userTask("mis", model.MultiSequential("xs", "x")), 0, complete, StatusCompleted},
+		{"multi-instance user task, boundary", multiBounded, 0, tick(3 * time.Hour), StatusCompleted},
 		{"sub-process scope, inner item", scoped, 0, complete, StatusCompleted},
 		{"sub-process scope, boundary", scoped, 0, tick(3 * time.Hour), StatusCompleted},
 	} {
@@ -363,6 +374,129 @@ func TestRecoveryRearmsEventGatewayAndBoundary(t *testing.T) {
 				t.Errorf("audit after the stimulus:\nparked    %v\nrecovered %v", got[0], got[1])
 			}
 		})
+	}
+}
+
+// TestCatchAndBoundaryOutputsApply: a catch event applies its output
+// mappings however it fires (on its own, as the winner of an event
+// gateway race, by message), and so does a boundary event, interrupting
+// or not. A boundary output that fails raises an incident.
+func TestCatchAndBoundaryOutputsApply(t *testing.T) {
+	fired := model.Output("fired", "true")
+	bounded := func(interrupt bool, output model.Opt) *model.Process {
+		return model.New("bounded").
+			Start("s").
+			UserTask("work", model.Role("clerk")).
+			BoundaryTimer("late", "work", "1h", interrupt, output).
+			End("e").
+			End("lateEnd").
+			Flow("s", "work").
+			Flow("work", "e").
+			Flow("late", "lateEnd").
+			MustBuild()
+	}
+	tick := func(_ *testing.T, p *parkEnv) { p.tick(2 * time.Hour) }
+	for _, tc := range []struct {
+		name     string
+		proc     *model.Process
+		stimulus func(*testing.T, *parkEnv)
+		want     Status
+	}{
+		{"timer catch", model.New("timer").Start("s").TimerCatch("t", "1h", fired).End("e").
+			Seq("s", "t", "e").MustBuild(), tick, StatusCompleted},
+		{"timer behind an event gateway", model.New("race").
+			Start("s").
+			EventGateway("wait").
+			MessageCatch("msg", "ping", model.CorrelationKey("k")).
+			TimerCatch("t", "1h", fired).
+			End("e1").
+			End("e2").
+			Flow("s", "wait").
+			Flow("wait", "msg").
+			Flow("wait", "t").
+			Flow("msg", "e1").
+			Flow("t", "e2").
+			MustBuild(), tick, StatusCompleted},
+		{"message catch", model.New("catch").Start("s").MessageCatch("m", "ping", model.CorrelationKey("k"), fired).End("e").
+			Seq("s", "m", "e").MustBuild(), func(t *testing.T, p *parkEnv) {
+			if n, _, err := p.e.Publish("ping", "A", nil); err != nil || n != 1 {
+				t.Fatalf("publish: delivered %d, err %v", n, err)
+			}
+		}, StatusCompleted},
+		{"interrupting timer boundary", bounded(true, fired), tick, StatusCompleted},
+		{"non-interrupting timer boundary", bounded(false, fired), tick, StatusActive},
+		{"boundary output that fails", bounded(true, model.Output("fired", "amount + 1")), tick, StatusFaulted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newParkEnv(t, t0, storage.NewMemJournal(), 0)
+			if err := p.e.Deploy(tc.proc); err != nil {
+				t.Fatal(err)
+			}
+			v, err := p.e.StartInstance(tc.proc.ID, map[string]any{"k": "A"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.stimulus(t, p)
+			after, err := p.e.Instance(v.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Status != tc.want {
+				t.Errorf("status %s, want %s", after.Status, tc.want)
+			}
+			if got, _ := after.Vars["fired"].AsBool(); !got && tc.want != StatusFaulted {
+				t.Errorf("fired = %v, want true", after.Vars["fired"])
+			}
+		})
+	}
+}
+
+// TestMultiInstanceUserTaskBoundaryFires: a timer boundary on a parallel
+// multi-instance user task is armed when its items are spawned; when it
+// fires it cancels every open item and the case leaves the task.
+func TestMultiInstanceUserTaskBoundaryFires(t *testing.T) {
+	p := newParkEnv(t, t0, storage.NewMemJournal(), 0)
+	proc := model.New("mib").
+		Start("s").
+		UserTask("review", model.Role("clerk"), model.MultiParallel("xs", "x")).
+		BoundaryTimer("late", "review", "1h", true).
+		End("e").
+		End("timedOut").
+		Flow("s", "review").
+		Flow("review", "e").
+		Flow("late", "timedOut").
+		MustBuild()
+	if err := p.e.Deploy(proc); err != nil {
+		t.Fatal(err)
+	}
+	v, err := p.e.StartInstance(proc.ID, map[string]any{"xs": []any{"a", "b", "c"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := p.openItems(v.ID)
+	if len(items) != 3 {
+		t.Fatalf("%d open items, want 3", len(items))
+	}
+	p.tick(2 * time.Hour)
+	if after, err := p.e.Instance(v.ID); err != nil || after.Status != StatusCompleted {
+		t.Fatalf("status %v (err %v), want completed through the boundary", after.Status, err)
+	}
+	for _, it := range items {
+		if got, _ := p.tasks.Get(it.ID); got.State != task.Cancelled {
+			t.Errorf("item %s is %s, want cancelled", it.Name, got.State)
+		}
+	}
+	if n := p.wheel.Pending(); n != 0 {
+		t.Errorf("%d timers pending, want 0", n)
+	}
+	var ran []string
+	for _, ev := range p.hist.EventsOf(v.ID) {
+		if ev.Type == history.ElementCompleted {
+			ran = append(ran, ev.ElementID)
+		}
+	}
+	if want := []string{"s", "late", "timedOut"}; !reflect.DeepEqual(ran, want) {
+		t.Errorf("completed elements %v, want %v", ran, want)
 	}
 }
 

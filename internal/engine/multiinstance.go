@@ -62,18 +62,17 @@ func (e *Engine) enterMultiInstance(inst *Instance, tok *Token, proc *model.Proc
 		e.runSyncMulti(inst, tok, proc, el)
 	case model.KindUserTask, model.KindManualTask:
 		tok.Wait = WaitMulti
-		if mi.Parallel {
-			for idx := range items {
-				e.spawnMultiItem(inst, tok, el, idx)
-				if inst.Status != StatusActive {
-					return
-				}
-			}
-		} else {
-			mi.NextIdx = 1
-			e.spawnMultiItem(inst, tok, el, 0)
+		spawn := len(items)
+		if !mi.Parallel {
+			mi.NextIdx, spawn = 1, 1
 		}
-		inst.dirty = true
+		for idx := range spawn {
+			e.spawnMultiItem(inst, tok, el, idx)
+			if inst.Status != StatusActive {
+				return
+			}
+		}
+		e.parkActivity(inst, tok, proc, el)
 	default:
 		e.incident(inst, tok.Elem, fmt.Sprintf("multi-instance not supported on %s", el.Kind))
 	}

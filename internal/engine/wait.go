@@ -156,15 +156,13 @@ func (e *Engine) wake(w waiter, vars map[string]expr.Value) bool {
 func (e *Engine) resumeCatch(inst *Instance, tok *Token, elem string, proc *model.Process, el *model.Element) {
 	if tok.Wait == WaitTimer {
 		e.auditAt(inst, history.TimerFired, elem, nil)
-		tok.Wait = WaitNone
 		tok.timerID = 0
-		e.elementCompleted(inst, el, elem, "")
-		e.continueOutgoing(inst, tok, proc, el)
-		return
+	} else {
+		e.auditAt(inst, history.MessageCorrelated, elem, map[string]any{"message": tok.Message, "key": tok.CorrKey})
+		e.disarmToken(inst, tok)
+		tok.Message, tok.CorrKey = "", ""
 	}
-	e.auditAt(inst, history.MessageCorrelated, elem, map[string]any{"message": tok.Message, "key": tok.CorrKey})
-	e.disarmToken(inst, tok)
-	tok.Wait, tok.Message, tok.CorrKey = WaitNone, "", ""
+	tok.Wait = WaitNone
 	e.completeCatch(inst, tok, proc, el)
 }
 
@@ -205,6 +203,7 @@ func (tok *Token) boundary(elem string) *boundaryArm {
 // fireBoundary triggers the armed boundary event at elem on a busy
 // activity. An interrupting one ends the activity and its token becomes
 // the boundary's; a non-interrupting one fires once, on a new token.
+// The boundary's outputs then apply; one that fails raises an incident.
 func (e *Engine) fireBoundary(inst *Instance, tok *Token, elem string, proc *model.Process, el *model.Element) {
 	arm := tok.boundary(elem)
 	if arm.Kind == model.BoundaryTimer {
@@ -224,6 +223,10 @@ func (e *Engine) fireBoundary(inst *Instance, tok *Token, elem string, proc *mod
 		arm.Fired = true
 		arm.timerID = 0
 		tok = inst.newToken(e, elem)
+	}
+	if err := e.applyOutputs(inst, el, nil); err != nil {
+		e.incident(inst, elem, err.Error())
+		return
 	}
 	e.elementCompleted(inst, el, elem, "")
 	e.continueOutgoing(inst, tok, proc, el)

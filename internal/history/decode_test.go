@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"bpms/internal/binrec"
-	"bpms/internal/obs"
 	"bpms/internal/storage"
 )
 
@@ -457,7 +456,7 @@ func referenceStore(t *testing.T, journals []storage.Journal, window int) (s *St
 	t.Helper()
 	s = &Store{window: window}
 	for _, j := range journals {
-		st := newStripe(j, window, obs.HistoryStripeMetrics{})
+		st := newStripe(j, window, nil)
 		err := j.Replay(1, func(index uint64, payload []byte) error {
 			e, err := referenceDecode(payload)
 			if err != nil {
@@ -528,13 +527,13 @@ func checkRecoverEquivalence(t *testing.T, r *rand.Rand, window, stripes, n int)
 			continue
 		}
 		// A record as journals written before numbered IDs hold it,
-		// appended once the writer's committer is idle.
+		// appended behind the writer's back.
 		if _, err := writer.stripeFor(e.InstanceID).journal.Append(appendLiteral(t, e)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The writer is abandoned unclosed, its idle committers with it:
-	// Close would close the journals the two readers need.
+	// The writer is abandoned unclosed: Close would close the journals
+	// the two readers need.
 	checkReopen(t, journals, window, n)
 }
 

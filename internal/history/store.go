@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bpms/internal/fnv1a"
@@ -19,17 +18,16 @@ import (
 //
 // The store is striped: events hash by instance ID (FNV-1a, mirroring
 // the shard router) onto N stripes, each owning its own journal,
-// in-memory index, and locks, so audit traffic on different instances
-// never contends on one global mutex. Within a stripe a dedicated
-// committer goroutine drains a bounded queue, encodes events into a
-// reusable buffer, appends them to the journal OUTSIDE the index lock
-// (a slow fsync never blocks readers), and then indexes the batch.
-// Enqueue is therefore a non-blocking hand-off on the engine's
-// transition path; it applies backpressure (blocks, never drops) when
-// a stripe's queue is full.
+// in-memory index, and lock, so audit traffic on different instances
+// never contends on one global mutex. Enqueue records an event on the
+// caller's goroutine: under the stripe lock it encodes the event into
+// the stripe's reused buffer, appends the record to the journal (which
+// buffers it; the journal's sync policy decides when it reaches disk)
+// and indexes it. The store starts no goroutine and keeps nothing of
+// the event passed in.
 //
 // Ordering: events of one instance always land on one stripe and are
-// enqueued in emission order, so per-instance order is preserved both
+// recorded in emission order, so per-instance order is preserved both
 // in RAM and in that stripe's journal. With more than one stripe there
 // is no global cross-instance order (All streams stripe by stripe).
 //
@@ -48,11 +46,9 @@ import (
 // records are copied into the resident window as they are (see replay).
 // A journal holding a record that is not v2 does not open (decode.go).
 //
-// Queries barrier on the async pipeline: every event enqueued before
-// the query call is indexed before the query reads, preserving the
-// read-your-writes behaviour of the previous synchronous store.
-// Rebuilding the indexes from the journals on open makes the store
-// fully recoverable.
+// A query sees every event recorded before it was called. Rebuilding
+// the indexes from the journals on open makes the store fully
+// recoverable.
 type Store struct {
 	stripes []*stripe
 	window  int
@@ -65,57 +61,19 @@ type StoreOptions struct {
 	// and a locator each for a pipeline event). Older events remain
 	// queryable through journal replay.
 	Window int
-	// QueueSize is the per-stripe async queue capacity (default 1024).
-	// A full queue applies backpressure to Enqueue callers.
-	QueueSize int
-	// Metrics, when set, instruments each stripe's queue depth and
-	// enqueue-to-commit latency.
+	// Metrics, when set, times each stripe's appends.
 	Metrics *obs.Metrics
 }
-
-func (o StoreOptions) withDefaults() StoreOptions {
-	if o.Window < 0 {
-		o.Window = 0
-	}
-	if o.QueueSize <= 0 {
-		o.QueueSize = 1024
-	}
-	return o
-}
-
-// commitBatchMax bounds how many queued events one committer pass
-// encodes and appends before indexing them.
-const commitBatchMax = 256
 
 // errStopReplay is the internal sentinel that ends a bounded journal
 // replay early once the in-RAM window is reached.
 var errStopReplay = errors.New("history: stop replay")
 
-// appendReq is one queued event; err is non-nil for synchronous
-// Append callers awaiting the result. at is the enqueue instant when
-// the stripe is instrumented (zero otherwise).
-type appendReq struct {
-	ev  *Event
-	err chan error
-	at  time.Time
-}
-
 type stripe struct {
 	journal storage.Journal
-	metrics obs.HistoryStripeMetrics
+	commit  *obs.Histogram // times append
 
-	// Async pipeline.
-	queue     chan appendReq
-	committed chan struct{} // closed when the committer exits
-	closed    atomic.Bool
-	senders   sync.WaitGroup
-	closeOnce sync.Once
-
-	mu      sync.RWMutex
-	cond    *sync.Cond // on mu: signalled when doneSeq advances
-	enqSeq  atomic.Uint64
-	doneSeq uint64 // guarded by mu
-
+	mu         sync.RWMutex
 	res        packedWindow // resident records, oldest first
 	evicted    int          // events dropped from RAM (journal-only)
 	byInstance map[string]instRecords
@@ -131,13 +89,10 @@ type stripe struct {
 	recovery  time.Duration
 	recovered int
 
-	// Encode scratch, the committer's. The window copies what it keeps,
+	// Encode scratch, guarded by mu. The window copies what it keeps,
 	// so the buffer is reused from event to event.
-	encBuf  []byte
-	idBuf   []byte // evictLocked's, for a numbered instance ID
-	idxBuf  []uint64
-	errsBuf []error
-	endsBuf []int
+	encBuf []byte
+	idBuf  []byte // evictLocked's, for a numbered instance ID
 }
 
 // instRecords is one instance's resident records: their journal
@@ -155,38 +110,28 @@ func NewStriped(journals []storage.Journal, opts StoreOptions) (*Store, error) {
 	if len(journals) == 0 {
 		return nil, fmt.Errorf("history: no journals")
 	}
-	opts = opts.withDefaults()
-	s := &Store{window: opts.Window}
-	// Phase 1: replay every journal. No committer goroutine starts
-	// until all stripes recovered, so an error here leaks nothing.
+	window := max(opts.Window, 0)
+	s := &Store{window: window}
 	for i, j := range journals {
-		st := newStripe(j, opts.Window, opts.Metrics.HistoryStripe(i))
+		st := newStripe(j, window, opts.Metrics.HistoryCommit(i))
 		if err := st.replay(); err != nil {
 			return nil, err
 		}
 		s.stripes = append(s.stripes, st)
 	}
-	// Phase 2: start the pipeline.
-	for _, st := range s.stripes {
-		st.queue = make(chan appendReq, opts.QueueSize)
-		st.committed = make(chan struct{})
-		go st.run()
-	}
 	return s, nil
 }
 
 // newStripe returns an empty stripe over j, nothing replayed yet.
-func newStripe(j storage.Journal, window int, metrics obs.HistoryStripeMetrics) *stripe {
-	st := &stripe{
+func newStripe(j storage.Journal, window int, commit *obs.Histogram) *stripe {
+	return &stripe{
 		journal:    j,
-		metrics:    metrics,
+		commit:     commit,
 		res:        packedWindow{limit: window},
 		byInstance: map[string]instRecords{},
 		instCount:  map[string]int{},
 		byType:     map[EventType]int{},
 	}
-	st.cond = sync.NewCond(&st.mu)
-	return st
 }
 
 // tally counts occurrences by key, allocating only for a key's first
@@ -296,117 +241,40 @@ func (s *Store) stripeFor(instanceID string) *stripe {
 	return s.stripes[fnv1a.Sum32(instanceID)%uint32(len(s.stripes))]
 }
 
-// Enqueue hands an event to the store without waiting for it to be
-// encoded, appended, or indexed — the engine's audit hot path. Events
-// of one instance keep their emission order. When the stripe's queue
-// is full the call blocks (backpressure; events are never dropped);
-// failures past the hand-off are best-effort and surface via Flush.
-// The event must not be mutated by the caller after Enqueue.
+// Enqueue records an event: the engine's audit path. Events of one
+// instance keep their emission order. A failure is best-effort: it is
+// kept for the next Flush to report.
 func (s *Store) Enqueue(e *Event) {
-	s.stripeFor(e.InstanceID).enqueue(appendReq{ev: e})
+	_ = s.Append(e)
 }
 
-// Append records an event and returns once it is encoded, appended to
-// the stripe journal, and indexed. The event's Index field is set to
-// the assigned journal index.
+// Append records an event as Enqueue does and also returns the failure.
+// On success the event's Index field is set to its journal index.
 func (s *Store) Append(e *Event) error {
-	st := s.stripeFor(e.InstanceID)
-	errCh := make(chan error, 1)
-	if !st.enqueue(appendReq{ev: e, err: errCh}) {
-		return storage.ErrClosed
-	}
-	return <-errCh
+	return s.stripeFor(e.InstanceID).append(e)
 }
 
-// enqueue reserves a pipeline slot and sends. It reports false when
-// the store is closed.
-func (st *stripe) enqueue(req appendReq) bool {
-	st.senders.Add(1)
-	defer st.senders.Done()
-	if st.closed.Load() {
-		return false
-	}
-	req.at = st.metrics.Commit.Start()
-	st.metrics.Depth.Add(1)
-	st.enqSeq.Add(1)
-	st.queue <- req
-	return true
-}
-
-// run is the stripe committer: it drains the queue in batches,
-// encodes and appends outside the index lock, then indexes the batch
-// and wakes barrier waiters.
-func (st *stripe) run() {
-	defer close(st.committed)
-	batch := make([]appendReq, 0, commitBatchMax)
-	for req := range st.queue {
-		batch = append(batch[:0], req)
-	gather:
-		for len(batch) < commitBatchMax {
-			select {
-			case more, ok := <-st.queue:
-				if !ok {
-					break gather
-				}
-				batch = append(batch, more)
-			default:
-				break gather
-			}
-		}
-		st.commit(batch)
-		clear(batch) // the window kept copies: drop the events
-	}
-}
-
-// commit encodes and journal-appends a batch (no index lock held — a
-// slow disk append never blocks EventsOf/Count readers), then indexes
-// it under the lock, copying each record into the window, and releases
-// synchronous waiters. The batch's records are encoded back to back into
-// one reused buffer, so the copies need no second encode.
-func (st *stripe) commit(batch []appendReq) {
-	if cap(st.idxBuf) < len(batch) {
-		st.idxBuf = make([]uint64, len(batch))
-		st.errsBuf = make([]error, len(batch))
-		st.endsBuf = make([]int, len(batch))
-	}
-	idxs := st.idxBuf[:len(batch)]
-	errs := st.errsBuf[:len(batch)]
-	ends := st.endsBuf[:len(batch)]
-	buf := st.encBuf[:0]
-	for i, req := range batch {
-		start := len(buf)
-		var err error
-		buf, err = AppendEncode(buf, req.ev)
-		if err == nil {
-			idxs[i], err = st.journal.Append(buf[start:])
-		}
-		if err != nil {
-			buf = buf[:start]
-		}
-		errs[i], ends[i] = err, len(buf)
-	}
-	st.encBuf = buf[:0] // keep the grown capacity for the next batch
+// append encodes e into the stripe's reused buffer, appends the record
+// to the journal and indexes it, all under the stripe lock, so the
+// window receives the journal's indexes in order.
+func (st *stripe) append(e *Event) error {
+	t0 := st.commit.Start()
 	st.mu.Lock()
-	start := 0
-	for i, req := range batch {
-		if errs[i] == nil {
-			req.ev.Index = idxs[i]
-			st.indexLocked(idxs[i], buf[start:ends[i]], req.ev.Type, req.ev.InstanceID)
-		} else if st.lastErr == nil {
-			st.lastErr = errs[i]
+	buf, err := AppendEncode(st.encBuf[:0], e)
+	if err == nil {
+		var index uint64
+		if index, err = st.journal.Append(buf); err == nil {
+			e.Index = index
+			st.indexLocked(index, buf, e.Type, e.InstanceID)
 		}
-		start = ends[i]
 	}
-	st.doneSeq += uint64(len(batch))
-	st.cond.Broadcast()
+	st.encBuf = buf[:0]
+	if err != nil && st.lastErr == nil {
+		st.lastErr = err
+	}
 	st.mu.Unlock()
-	st.metrics.Depth.Add(-int64(len(batch)))
-	for i, req := range batch {
-		st.metrics.Commit.Since(req.at)
-		if req.err != nil {
-			req.err <- errs[i]
-		}
-	}
+	st.commit.Since(t0)
+	return err
 }
 
 // recordErr keeps the first failure a query could not return (an
@@ -482,22 +350,10 @@ func (st *stripe) evictLocked() {
 	st.evicted++
 }
 
-// barrier waits until every event enqueued before the call is indexed,
-// giving queries read-your-writes over the async pipeline.
-func (st *stripe) barrier() {
-	target := st.enqSeq.Load()
-	st.mu.Lock()
-	for st.doneSeq < target {
-		st.cond.Wait()
-	}
-	st.mu.Unlock()
-}
-
 // Count returns the total number of events (including evicted ones).
 func (s *Store) Count() int {
 	total := 0
 	for _, st := range s.stripes {
-		st.barrier()
 		st.mu.RLock()
 		total += st.count
 		st.mu.RUnlock()
@@ -509,7 +365,6 @@ func (s *Store) Count() int {
 func (s *Store) CountByType(t EventType) int {
 	total := 0
 	for _, st := range s.stripes {
-		st.barrier()
 		st.mu.RLock()
 		total += st.byType[t]
 		st.mu.RUnlock()
@@ -521,7 +376,6 @@ func (s *Store) CountByType(t EventType) int {
 func (s *Store) InstanceIDs() []string {
 	var out []string
 	for _, st := range s.stripes {
-		st.barrier()
 		st.mu.RLock()
 		for id := range st.instCount {
 			out = append(out, id)
@@ -543,7 +397,6 @@ func (s *Store) InstanceIDs() []string {
 // so is a resident record that fails to decode, which is left out.
 func (s *Store) EventsOf(instanceID string) []*Event {
 	st := s.stripeFor(instanceID)
-	st.barrier()
 	st.mu.RLock()
 	indexes := st.byInstance[instanceID].indexes
 	total := st.instCount[instanceID]
@@ -611,7 +464,6 @@ func (s *Store) EventsOf(instanceID string) []*Event {
 // lock, after it is released.
 func (s *Store) All(fn func(*Event) error) error {
 	for _, st := range s.stripes {
-		st.barrier()
 		st.mu.RLock()
 		res := st.res.snapshot()
 		evicted := st.evicted
@@ -646,14 +498,12 @@ func (s *Store) All(fn func(*Event) error) error {
 	return nil
 }
 
-// Flush drains the async pipeline and syncs every stripe journal:
-// when it returns, every event enqueued before the call is on stable
-// storage (and any async append failure since the last Flush is
-// reported).
+// Flush syncs every stripe journal: when it returns, every event
+// recorded before the call is on stable storage (and any append or
+// query failure since the last Flush is reported).
 func (s *Store) Flush() error {
 	var first error
 	for _, st := range s.stripes {
-		st.barrier()
 		st.mu.Lock()
 		err := st.lastErr
 		st.lastErr = nil
@@ -668,19 +518,12 @@ func (s *Store) Flush() error {
 	return first
 }
 
-// Close drains and stops the committer goroutines and closes every
-// stripe journal. Events enqueued before Close are appended; queries
-// remain answerable from the resident window afterwards (evicted
-// ranges need the journals and are no longer reachable).
+// Close closes every stripe journal. Queries remain answerable from
+// the resident window afterwards (evicted ranges need the journals and
+// are no longer reachable); an event recorded after Close fails.
 func (s *Store) Close() error {
 	var first error
 	for _, st := range s.stripes {
-		st.closeOnce.Do(func() {
-			st.closed.Store(true)
-			st.senders.Wait()
-			close(st.queue)
-			<-st.committed
-		})
 		if err := st.journal.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -688,7 +531,7 @@ func (s *Store) Close() error {
 	return first
 }
 
-// StoreStats reports the pipeline's shape and load for monitoring.
+// StoreStats reports the store's shape and size for monitoring.
 type StoreStats struct {
 	// Stripes is the stripe count.
 	Stripes int `json:"stripes"`
@@ -703,8 +546,6 @@ type StoreStats struct {
 	ResidentBytes int `json:"residentBytes"`
 	// Evicted is the number of events only reachable via the journals.
 	Evicted int `json:"evicted"`
-	// Pending is the number of enqueued events not yet indexed.
-	Pending int `json:"pending"`
 	// RecoverySeconds is how long the boot-time journal replay took,
 	// summed over the stripes (they replay one after another).
 	RecoverySeconds float64 `json:"recoverySeconds"`
@@ -712,21 +553,15 @@ type StoreStats struct {
 	RecoveredEvents int `json:"recoveredEvents"`
 }
 
-// Stats snapshots the store without waiting for the pipeline to drain
-// (monitoring must not block behind a busy committer).
+// Stats snapshots the store for monitoring.
 func (s *Store) Stats() StoreStats {
 	out := StoreStats{Stripes: len(s.stripes), Window: s.window}
 	for _, st := range s.stripes {
 		st.mu.RLock()
-		done := st.doneSeq
-		// Read enqSeq after doneSeq: enqueues may race ahead (pending
-		// reads slightly high) but never behind (pending stays ≥ 0).
-		enq := st.enqSeq.Load()
 		out.Events += st.count
 		out.Resident += st.res.n
 		out.ResidentBytes += st.res.heapBytes()
 		out.Evicted += st.evicted
-		out.Pending += int(enq - done)
 		st.mu.RUnlock()
 		out.RecoverySeconds += st.recovery.Seconds()
 		out.RecoveredEvents += st.recovered

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -77,7 +78,7 @@ func TestAppendEncodeRoundTrip(t *testing.T) {
 // writers while readers query it (run under -race in CI): per-instance
 // order must hold throughout and all events must land.
 func TestStripedConcurrentAppendQuery(t *testing.T) {
-	s, err := NewStriped(memJournals(4), StoreOptions{Window: 64, QueueSize: 32})
+	s, err := NewStriped(memJournals(4), StoreOptions{Window: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +123,7 @@ func TestStripedConcurrentAppendQuery(t *testing.T) {
 		}(w)
 	}
 	// Wait for the writers, stop the readers, then verify the final
-	// image: queries barrier on the pipeline, so everything written is
-	// visible.
+	// image: everything written is visible.
 	writeWG.Wait()
 	close(stop)
 	readWG.Wait()
@@ -167,13 +167,13 @@ func TestFlushedPrefixSurvivesCrash(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// A tail past the Flush barrier: appended to the journals' write
+	// A tail past the Flush: appended to the journals' write
 	// buffers but never synced — the crash may lose it.
 	for i := flushed; i < flushed+tail; i++ {
 		s.Enqueue(&Event{Type: ElementCompleted, Time: ts(i),
 			InstanceID: fmt.Sprintf("i-%d", i%3), Data: map[string]any{"seq": float64(i)}})
 	}
-	if got := s.Count(); got != flushed+tail { // drains the pipeline
+	if got := s.Count(); got != flushed+tail {
 		t.Fatalf("pre-crash Count = %d", got)
 	}
 
@@ -306,8 +306,8 @@ func TestWindowEvictionEquivalence(t *testing.T) {
 	}
 }
 
-// TestStoreCloseStopsPipeline checks Close is idempotent, drains the
-// queue, and that queries still answer from RAM afterwards.
+// TestStoreCloseStopsPipeline checks Close is idempotent and that
+// queries still answer from RAM afterwards.
 func TestStoreCloseStopsPipeline(t *testing.T) {
 	s, err := NewStriped(memJournals(2), StoreOptions{})
 	if err != nil {
@@ -328,14 +328,40 @@ func TestStoreCloseStopsPipeline(t *testing.T) {
 	if got := len(s.EventsOf("i-1")); got != 20 {
 		t.Errorf("post-close EventsOf = %d, want 20", got)
 	}
-	// Enqueue after Close must not panic (events are dropped).
+	// Enqueue after Close must not panic (the append fails).
 	s.Enqueue(&Event{Type: ElementCompleted, Time: ts(99), InstanceID: "i-1"})
 	if err := s.Append(&Event{Type: ElementCompleted, Time: ts(99)}); err == nil {
 		t.Error("Append after Close should error")
 	}
 }
 
-// TestFlushSurfacesEnqueueErrors: a failed committer append on the
+// TestStoreStartsNoGoroutine: a store records on its callers'
+// goroutines, so opening, writing, reading and closing one leaves the
+// goroutine count as it was.
+func TestStoreStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, err := NewStriped(memJournals(4), StoreOptions{Window: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got != before {
+		t.Errorf("NewStriped: %d goroutines, want %d", got, before)
+	}
+	for i := 0; i < 40; i++ {
+		s.Enqueue(&Event{Type: ElementCompleted, Time: ts(i), InstanceID: fmt.Sprintf("i-%d", i%5)})
+	}
+	if got := len(s.EventsOf("i-1")); got != 8 {
+		t.Errorf("EventsOf = %d events, want 8", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got != before {
+		t.Errorf("after Close: %d goroutines, want %d", got, before)
+	}
+}
+
+// TestFlushSurfacesEnqueueErrors: a failed append on the
 // fire-and-forget Enqueue path must still surface via Flush.
 func TestFlushSurfacesEnqueueErrors(t *testing.T) {
 	j := storage.NewMemJournal()

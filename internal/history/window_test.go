@@ -50,8 +50,8 @@ func pipelineTrail(t testing.TB, j storage.Journal, cases int) {
 	}
 }
 
-// keepOpen hides a journal's Close, so a store over it can be closed,
-// stopping its committers, and the journal opened again.
+// keepOpen hides a journal's Close, so a store over it can be closed
+// and the journal opened again.
 type keepOpen struct{ storage.Journal }
 
 func (keepOpen) Close() error { return nil }
@@ -80,7 +80,7 @@ func TestResidentWindowHeap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close() // stops the committer, which would keep s alive
+		defer s.Close()
 		held := heap() - before
 		if st := s.Stats(); st.Resident != window || st.Events != 16*cases {
 			t.Fatalf("window %d: %d resident of %d events", window, st.Resident, st.Events)
@@ -172,7 +172,7 @@ func (j skippingJournal) Append(p []byte) (uint64, error) {
 }
 
 // TestWindowRestartsAfterIndexGap: a failed append that took an index
-// leaves a gap in what the committer indexes. The window holds
+// leaves a gap in what the stripe indexes. The window holds
 // contiguous indexes, so it is emptied there; every answer still equals
 // the journal's, which keeps the failed record too.
 func TestWindowRestartsAfterIndexGap(t *testing.T) {
@@ -244,13 +244,13 @@ func storeAnswers(t *testing.T, s *Store) answers {
 	return a
 }
 
-// TestResidentReadsRaceCommitter reads the packed windows while the
-// committers append to them and evict from them (run under -race in
+// TestResidentReadsRaceCommitter reads the packed windows while
+// writers append to them and evict from them (run under -race in
 // CI): EventsOf decodes under the read lock, All and the XES export
 // from a snapshot after releasing it. Per-instance order holds
 // throughout.
 func TestResidentReadsRaceCommitter(t *testing.T) {
-	s, err := NewStriped(memJournals(4), StoreOptions{Window: 16, QueueSize: 32})
+	s, err := NewStriped(memJournals(4), StoreOptions{Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,9 @@ import (
 // multi-instance collection/completion conditions, correlation keys —
 // can be compiled exactly once and evaluated arbitrarily often. The
 // engine calls Process.Compile from Deploy and journal recovery;
-// runtime evaluation then goes through the accessors below, which
-// serve the retained programs and fall back to the shared expression
-// cache (expr.Cached) for definitions that were never compiled (ad-hoc
-// models in tests, simulation, and benchmarks).
+// runtime evaluation then goes through the accessors below, which serve
+// the retained programs and return an error for an element or flow
+// that was never compiled.
 
 // OutputMapping is one compiled output assignment of an element, in
 // deterministic (name-sorted) evaluation order.
@@ -108,75 +107,53 @@ func (p *Process) Compiled() bool {
 }
 
 // Program returns the flow's compiled condition (nil when the flow is
-// unconditional). Uncompiled definitions fall back to the shared
-// expression cache, so the method is always safe for concurrent use.
+// unconditional). A condition that was never compiled is an error, so
+// it can never be skipped silently.
 func (f *Flow) Program() (*expr.Program, error) {
-	if f.Condition == "" {
-		return nil, nil
+	if f.Condition != "" && f.program == nil {
+		return nil, fmt.Errorf("model: flow %q (%s -> %s) is not compiled", f.ID, f.From, f.To)
 	}
-	if f.program != nil {
-		return f.program, nil
-	}
-	return expr.Cached(f.Condition)
+	return f.program, nil
+}
+
+// notCompiled is the error of an accessor on an element Compile has not
+// reached.
+func (e *Element) notCompiled() error {
+	return fmt.Errorf("model: element %q is not compiled", e.ID)
 }
 
 // OutputMappings returns the element's compiled output mappings in
 // deterministic name order (nil when the element has none).
 func (e *Element) OutputMappings() ([]OutputMapping, error) {
-	if e.compiled != nil {
-		return e.compiled.outputs, nil
+	if e.compiled == nil {
+		return nil, e.notCompiled()
 	}
-	if len(e.Outputs) == 0 {
-		return nil, nil
-	}
-	names := make([]string, 0, len(e.Outputs))
-	for name := range e.Outputs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]OutputMapping, 0, len(names))
-	for _, name := range names {
-		prog, err := expr.Cached(e.Outputs[name])
-		if err != nil {
-			return nil, fmt.Errorf("output %q: %w", name, err)
-		}
-		out = append(out, OutputMapping{Name: name, Program: prog})
-	}
-	return out, nil
+	return e.compiled.outputs, nil
 }
 
 // CollectionProgram returns the compiled multi-instance collection
 // expression (nil when the element has no multi-instance marker).
 func (e *Element) CollectionProgram() (*expr.Program, error) {
-	if e.compiled != nil {
-		return e.compiled.collection, nil
+	if e.compiled == nil {
+		return nil, e.notCompiled()
 	}
-	if e.Multi == nil || e.Multi.Collection == "" {
-		return nil, nil
-	}
-	return expr.Cached(e.Multi.Collection)
+	return e.compiled.collection, nil
 }
 
 // CompletionProgram returns the compiled multi-instance completion
 // condition (nil when none is declared).
 func (e *Element) CompletionProgram() (*expr.Program, error) {
-	if e.compiled != nil {
-		return e.compiled.completion, nil
+	if e.compiled == nil {
+		return nil, e.notCompiled()
 	}
-	if e.Multi == nil || e.Multi.CompletionCondition == "" {
-		return nil, nil
-	}
-	return expr.Cached(e.Multi.CompletionCondition)
+	return e.compiled.completion, nil
 }
 
 // CorrelationProgram returns the compiled correlation-key expression
 // (nil when the element declares none).
 func (e *Element) CorrelationProgram() (*expr.Program, error) {
-	if e.compiled != nil {
-		return e.compiled.corrKey, nil
+	if e.compiled == nil {
+		return nil, e.notCompiled()
 	}
-	if e.CorrelationKey == "" {
-		return nil, nil
-	}
-	return expr.Cached(e.CorrelationKey)
+	return e.compiled.corrKey, nil
 }

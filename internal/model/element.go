@@ -222,8 +222,7 @@ type Element struct {
 
 	// compiled holds the element's deploy-time compiled expression
 	// programs (built by Process.Compile; nil until then). Readers go
-	// through the accessor methods in compile.go, which fall back to
-	// the shared expression cache for uncompiled definitions.
+	// through the accessor methods in compile.go, which fail until then.
 	compiled *compiledElement
 }
 

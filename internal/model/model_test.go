@@ -387,3 +387,56 @@ func TestKindPredicates(t *testing.T) {
 		}
 	}
 }
+
+// TestAccessorsNeedCompile: every expression accessor fails, naming its
+// element or flow, until Compile has run, so an uncompiled condition or
+// output is never skipped; afterwards each serves its program.
+func TestAccessorsNeedCompile(t *testing.T) {
+	p := New("compiled").
+		Start("s").
+		UserTask("review", MultiParallel("xs", "x"), CompletionCondition("done"), Output("seen", "true")).
+		MessageCatch("paid", "payment", CorrelationKey("orderId")).
+		End("e").
+		Seq("s", "review").
+		FlowIf("review", "paid", "amount > 1").
+		Flow("paid", "e").
+		MustBuild()
+	review, paid := p.ElementByID("review"), p.ElementByID("paid")
+	var guarded *Flow
+	for _, f := range p.Flows {
+		if f.Condition != "" {
+			guarded = f
+		}
+	}
+	type result struct {
+		names string // what the error must name
+		err   error
+	}
+	accessors := func() []result {
+		_, outErr := review.OutputMappings()
+		_, collErr := review.CollectionProgram()
+		_, complErr := review.CompletionProgram()
+		_, corrErr := paid.CorrelationProgram()
+		_, flowErr := guarded.Program()
+		return []result{{"review", outErr}, {"review", collErr}, {"review", complErr}, {"paid", corrErr}, {"review -> paid", flowErr}}
+	}
+	for i, r := range accessors() {
+		if r.err == nil || !strings.Contains(r.err.Error(), r.names) {
+			t.Errorf("uncompiled accessor %d: error %v, want one naming %s", i, r.err, r.names)
+		}
+	}
+	if err := p.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range accessors() {
+		if r.err != nil {
+			t.Errorf("compiled accessor %d: %v", i, r.err)
+		}
+	}
+	if outs, _ := review.OutputMappings(); len(outs) != 1 || outs[0].Name != "seen" {
+		t.Errorf("compiled outputs = %+v", outs)
+	}
+	if prog, _ := guarded.Program(); prog == nil {
+		t.Error("compiled condition is nil")
+	}
+}

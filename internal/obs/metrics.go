@@ -15,7 +15,6 @@ const (
 	MetricWALAppend        = "bpms_wal_append_seconds"
 	MetricWALFsync         = "bpms_wal_fsync_seconds"
 	MetricHistoryCommit    = "bpms_history_commit_seconds"
-	MetricHistoryQueue     = "bpms_history_queue_depth"
 	MetricRecovery         = "bpms_recovery_seconds"
 	MetricTaskOp           = "bpms_task_op_seconds"
 	MetricTaskItems        = "bpms_task_items"
@@ -130,28 +129,14 @@ func (m *Metrics) WAL(name string) WALMetrics {
 	}
 }
 
-// HistoryStripeMetrics instruments one history pipeline stripe.
-type HistoryStripeMetrics struct {
-	// Commit observes enqueue-to-commit latency: the time an audit
-	// event spends in the stripe queue plus encode+append.
-	Commit *Histogram
-	// Depth tracks the stripe queue depth (enqueued, not yet
-	// committed).
-	Depth *Gauge
-}
-
-// HistoryStripe returns the handles for stripe i.
-func (m *Metrics) HistoryStripe(i int) HistoryStripeMetrics {
+// HistoryCommit returns the histogram timing history stripe i's
+// appends: encode, journal append and indexing, on the caller.
+func (m *Metrics) HistoryCommit(i int) *Histogram {
 	if m == nil {
-		return HistoryStripeMetrics{}
+		return nil
 	}
-	stripe := strconv.Itoa(i)
-	return HistoryStripeMetrics{
-		Commit: m.registry.Histogram(MetricHistoryCommit,
-			"History event enqueue-to-commit latency by stripe.", nil, "stripe", stripe),
-		Depth: m.registry.Gauge(MetricHistoryQueue,
-			"History pipeline queue depth by stripe.", "stripe", stripe),
-	}
+	return m.registry.Histogram(MetricHistoryCommit,
+		"History event append latency by stripe.", nil, "stripe", strconv.Itoa(i))
 }
 
 // Recovery returns the gauge holding how long one phase of the boot

@@ -218,9 +218,7 @@ func (r *Router) owner(id string) *engine.Engine {
 
 func (r *Router) audit(ev *history.Event) {
 	if r.hist != nil {
-		// Non-blocking hand-off to the striped history pipeline (same
-		// path as the per-shard engine audit).
-		r.hist.Enqueue(ev)
+		r.hist.Enqueue(ev) // as the per-shard engine audit does
 	}
 }
 

@@ -76,9 +76,9 @@ for i in $(seq "$N"); do
 done
 started=$(ctl ps | grep -c '"approval-' || true)
 [ "$started" -eq "$N" ] || { echo "started $started of $N" >&2; exit 1; }
-# History is recorded through the async pipeline; the state acks do
-# not cover it. Give the stripe committers and the WAL's batch tick a
-# moment to put the audit tail on disk before we pull the plug.
+# History is appended on the request's goroutine, but the state acks
+# do not cover its journal. Give the WAL's batch tick a moment to put
+# the audit tail on disk before we pull the plug.
 sleep 0.5
 
 echo "== SIGKILL bpmsd (pid $PID)"
