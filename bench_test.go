@@ -405,21 +405,17 @@ func BenchmarkT12_EventEncode(b *testing.B) {
 	}
 }
 
-// T13: striped worklist. Mixed read/write throughput under parallel
-// clients against the stripe count: every iteration runs a full
-// auto-allocated work-item lifecycle (create → start → complete), and
-// every eighth iteration additionally reads a per-user Worklist. With
-// one stripe all operations serialize on a single mutex — the seed
-// behaviour — while N stripes admit parallel claims/completions and
-// index-backed queries.
-
-func benchWorklistMixed(b *testing.B, stripes int) {
+// T13: worklist under mixed load. Parallel clients each run a full
+// auto-allocated work-item lifecycle (create → start → complete) per
+// iteration, and every eighth iteration additionally reads a per-user
+// Worklist; every operation takes the one store lock.
+func BenchmarkT13_WorklistMixed(b *testing.B) {
 	const users = 16
 	dir := resource.NewDirectory()
 	for i := 0; i < users; i++ {
 		dir.AddUser(&resource.User{ID: fmt.Sprintf("u%02d", i), Roles: []string{"crew"}})
 	}
-	svc := task.NewService(task.Config{Directory: dir, AutoAllocate: true, Stripes: stripes})
+	svc := task.NewService(task.Config{Directory: dir, AutoAllocate: true})
 	var seq atomic.Uint64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -446,10 +442,6 @@ func benchWorklistMixed(b *testing.B, stripes int) {
 		}
 	})
 }
-
-func BenchmarkT13_WorklistMixed1Stripe(b *testing.B)  { benchWorklistMixed(b, 1) }
-func BenchmarkT13_WorklistMixed4Stripes(b *testing.B) { benchWorklistMixed(b, 4) }
-func BenchmarkT13_WorklistMixed8Stripes(b *testing.B) { benchWorklistMixed(b, 8) }
 
 // T13 page/claim: the shape of the benchmark's human_backlog workload —
 // six clerks each offered every item of a standing backlog, paging the

@@ -173,8 +173,8 @@ var (
 type (
 	// WorkItem is a human task on a worklist.
 	WorkItem = task.Item
-	// WorklistStats reports the striped task service's shape and load
-	// (BPMS.Tasks.Stats; see Options.WorklistStripes).
+	// WorklistStats reports the task service's shape and load
+	// (BPMS.Tasks.Stats).
 	WorklistStats = task.Stats
 	// User is one organisational resource.
 	User = resource.User
@@ -245,7 +245,7 @@ var (
 
 // History store surface (BPMS.History).
 type (
-	// History is the striped audit-event store.
+	// History is the audit-event store, one journal per shard.
 	History = history.Store
 	// HistoryStats reports the audit pipeline's shape and load.
 	HistoryStats = history.StoreStats

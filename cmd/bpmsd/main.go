@@ -7,10 +7,11 @@
 //
 // With -shards N the runtime partitions process instances across N
 // independent engine shards — each with its own WAL (under
-// shard-0000/… subdirectories of the data dir), snapshot store, and
-// group-commit batcher — multiplying durable throughput on multi-core
-// boxes. A data dir must be reopened with the shard count it was
-// created with.
+// shard-0000/… subdirectories of the data dir), snapshot store,
+// group-commit batcher and history journal (under history/stripe-0000/…)
+// — multiplying durable throughput on multi-core boxes. The shard count
+// is the only partition count: a data dir must be reopened with the
+// shard count it was created with.
 //
 // Durability is controlled by -sync (never|always|every|batch; see the
 // README's Durability section), -sync-every (append count for the
@@ -25,19 +26,22 @@
 // (README "Data dir format"), and a boot line counts the files and
 // records rewritten; one written by a newer build is refused.
 //
-// The audit trail is recorded in a striped history store, on the
-// goroutine that makes each transition: -history-stripes partitions
-// audit events by instance ID across independently locked journals, and
-// -history-window bounds the events each stripe keeps resident in RAM
-// (older events are served by journal replay). The history journals
-// follow the state journals' sync policy but acknowledge nothing; on
-// shutdown they are synced and closed.
+// The audit trail is recorded on the goroutine that makes each
+// transition, in one history journal per shard: events hash by instance
+// ID exactly as the shards do. -history-window bounds the events each
+// shard's journal keeps resident in RAM (older events are served by
+// journal replay). The history journals follow the state journals' sync
+// policy but acknowledge nothing; on shutdown they are synced and
+// closed.
 //
-// The human-task worklist is likewise lock-striped: -worklist-stripes N
-// partitions work items across N independently locked stripes with
-// per-user and per-state indexes; due times fire on the engine's timer
-// wheel. The worklist is in-memory — work items are reissued from the engine
-// journals on recovery — so the flag composes freely with any data dir.
+// The human-task worklist is one in-memory store with per-user and
+// per-state indexes, whatever the shard count; due times fire on the
+// engine's timer wheel. Work items are reissued from the engine journals
+// on recovery.
+//
+// -history-stripes, -worklist-stripes, -recovery-workers,
+// -timer-stripes and -audit-interval are accepted and ignored; a value
+// other than the default prints one "ignored" line at boot.
 //
 // Definitions are deployed and instances driven through the REST API
 // (see internal/api); bpmsctl is the companion client.
@@ -73,9 +77,9 @@ func main() {
 	segmentSize := flag.Int64("wal-segment-size", 0, "max bytes per WAL segment file before rollover (0 = default 4MiB)")
 	recoveryWorkers := flag.Int("recovery-workers", 0, "ignored: recovery reads each shard's snapshot and WAL serially")
 	timerStripes := flag.Int("timer-stripes", 0, "ignored: the timer service is one timing wheel")
-	historyStripes := flag.Int("history-stripes", 1, "history store stripes, each with its own journal and lock (data dirs must be reopened with the stripe count they were created with)")
-	historyWindow := flag.Int("history-window", 100000, "audit events each history stripe keeps resident in RAM, as packed records (about 65 B of heap per pipeline event); 0 = unbounded; older events are served from the journal")
-	worklistStripes := flag.Int("worklist-stripes", 1, "worklist lock stripes, each with its own item map and secondary indexes (in-memory; any value reopens any data dir)")
+	historyStripes := flag.Int("history-stripes", 1, "ignored: the history has one journal per shard")
+	historyWindow := flag.Int("history-window", 100000, "audit events each shard's history journal keeps resident in RAM, as packed records (about 65 B of heap per pipeline event); 0 = unbounded; older events are served from the journal")
+	worklistStripes := flag.Int("worklist-stripes", 1, "ignored: the worklist is one store")
 	autoAllocate := flag.Bool("auto-allocate", false, "push tasks to users instead of offering")
 	metrics := flag.Bool("metrics", false, "instrument hot paths and serve Prometheus text format at GET /metrics")
 	auditInterval := flag.Duration("audit-interval", 0, "ignored: deadlines fire on the timer wheel and deploy checks soundness")
@@ -110,6 +114,12 @@ func main() {
 	if *timerStripes != 0 {
 		fmt.Printf("bpmsd: -timer-stripes %d ignored: the timer service is one timing wheel\n", *timerStripes)
 	}
+	if *historyStripes != 1 {
+		fmt.Printf("bpmsd: -history-stripes %d ignored: the history has one journal per shard\n", *historyStripes)
+	}
+	if *worklistStripes != 1 {
+		fmt.Printf("bpmsd: -worklist-stripes %d ignored: the worklist is one store\n", *worklistStripes)
+	}
 	if *auditInterval != 0 {
 		fmt.Printf("bpmsd: -audit-interval %s ignored: deadlines fire on the timer wheel\n", *auditInterval)
 	}
@@ -118,20 +128,18 @@ func main() {
 		log.Fatal(err)
 	}
 	opts := bpms.Options{
-		DataDir:         *data,
-		Shards:          *shards,
-		SyncPolicy:      policy,
-		SyncInterval:    *syncEvery,
-		BatchMaxDelay:   *syncInterval,
-		Durable:         *durable && policy != bpms.SyncNever,
-		SegmentSize:     *segmentSize,
-		HistoryStripes:  *historyStripes,
-		HistoryWindow:   *historyWindow,
-		WorklistStripes: *worklistStripes,
-		AutoAllocate:    *autoAllocate,
-		TaskSLA:         *taskSLA,
-		RunTimers:       true,
-		Users:           users,
+		DataDir:       *data,
+		Shards:        *shards,
+		SyncPolicy:    policy,
+		SyncInterval:  *syncEvery,
+		BatchMaxDelay: *syncInterval,
+		Durable:       *durable && policy != bpms.SyncNever,
+		SegmentSize:   *segmentSize,
+		HistoryWindow: *historyWindow,
+		AutoAllocate:  *autoAllocate,
+		TaskSLA:       *taskSLA,
+		RunTimers:     true,
+		Users:         users,
 	}
 	if *metrics {
 		opts.Metrics = obs.New()
@@ -167,8 +175,8 @@ func main() {
 		case bpms.SyncBatch:
 			fmt.Printf(" interval=%s", *syncInterval)
 		}
-		fmt.Printf(", durable=%v, shards=%d, history-stripes=%d, history-window=%d, worklist-stripes=%d\n",
-			opts.Durable, sys.Engine.Shards(), *historyStripes, *historyWindow, sys.Tasks.Stripes())
+		fmt.Printf(", durable=%v, shards=%d, history-journals=%d, history-window=%d\n",
+			opts.Durable, sys.Engine.Shards(), sys.History.Stripes(), *historyWindow)
 	}
 	if u := sys.Upgrade; u.Files > 0 {
 		fmt.Printf("bpmsd: data dir upgraded in %.3fs (%d file(s) rewritten, %d record(s) transcoded)\n",

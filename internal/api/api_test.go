@@ -353,9 +353,9 @@ func TestWriteJSONEncodesBeforeHeader(t *testing.T) {
 }
 
 // TestAPITaskPaginationAndFilters drives GET /api/v1/tasks' limit/offset
-// and state/user filters against a striped worklist.
+// and state/user filters against a worklist fed by 4 engine shards.
 func TestAPITaskPaginationAndFilters(t *testing.T) {
-	b, err := core.Open(core.Options{WorklistStripes: 4})
+	b, err := core.Open(core.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,10 +437,14 @@ func TestAPITaskPaginationAndFilters(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/api/v1/tasks?user=alice&limit=-1", nil, http.StatusBadRequest)
 	doJSON(t, "GET", ts.URL+"/api/v1/tasks?user=alice&offset=x", nil, http.StatusBadRequest)
 
-	// /api/v1/stats reports the striped worklist.
+	// /api/v1/stats reports the worklist, and one history journal per
+	// shard.
 	stats := doJSON(t, "GET", ts.URL+"/api/v1/stats", nil, http.StatusOK)
+	if hist, _ := stats["history"].(map[string]any); hist == nil || int(hist["stripes"].(float64)) != 4 {
+		t.Fatalf("stats history = %v", stats["history"])
+	}
 	wl, ok := stats["worklist"].(map[string]any)
-	if !ok || int(wl["stripes"].(float64)) != 4 {
+	if !ok {
 		t.Fatalf("stats worklist = %v", stats["worklist"])
 	}
 	if int(wl["items"].(float64)) != 10 {

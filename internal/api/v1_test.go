@@ -223,11 +223,11 @@ func TestInstancePagination(t *testing.T) {
 // worklist filtered by state) and user+terminal state (the state index
 // filtered by assignee). Each page must hold exactly the items, in the
 // order and encoding, that slicing the unpaged ?state= listing filtered
-// by assignee gives — on one stripe and on four.
+// by assignee gives — on one engine shard and on four.
 func TestTaskUserStatePaging(t *testing.T) {
-	for _, stripes := range []int{1, 4} {
-		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
-			b, err := core.Open(core.Options{WorklistStripes: stripes})
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			b, err := core.Open(core.Options{Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,6 +10,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,10 +40,13 @@ type Options struct {
 	DataDir string
 	// Shards partitions process instances across this many independent
 	// engine shards, each with its own WAL, snapshot store, and
-	// group-commit batcher (default 1). With a DataDir and Shards > 1,
-	// shard state lives in per-shard subdirectories (shard-0000/…); a
-	// data dir must be reopened with the shard count it was created
-	// with.
+	// group-commit batcher (default 1), and their audit trail across as
+	// many history journals, placed by the same hash. With a DataDir and
+	// Shards > 1, shard state lives in per-shard subdirectories
+	// (shard-0000/…) and history in history/stripe-0000/…; a data dir
+	// must be reopened with the shard count it was created with. A data
+	// dir keeps the history journals it was created with (see
+	// historyDirs).
 	Shards int
 	// SyncPolicy applies to the file journals (ignored in memory).
 	SyncPolicy storage.SyncPolicy
@@ -69,24 +73,14 @@ type Options struct {
 	// 4MiB). Smaller segments tighten snapshot truncation granularity;
 	// the crash-recovery gate uses tiny segments to observe it.
 	SegmentSize int64
-	// HistoryStripes partitions the audit/history store into this many
-	// stripes (default 1), each with its own journal and lock; events
-	// hash by instance ID. With a DataDir and more than
-	// one stripe, history journals live under history/stripe-0000/…; a
-	// data dir must be reopened with the stripe count it was created
-	// with.
+	// HistoryStripes is ignored: the history has one journal per shard.
 	HistoryStripes int
 	// HistoryWindow bounds the number of audit events each history
-	// stripe keeps resident in RAM (0 = unbounded), as their packed
-	// journal records. Older events stay queryable through journal
-	// replay.
+	// journal (one per shard) keeps resident in RAM (0 = unbounded), as
+	// their packed journal records. Older events stay queryable through
+	// journal replay.
 	HistoryWindow int
-	// WorklistStripes partitions the task service across this many
-	// independently locked item stripes (default 1), each with its own
-	// secondary indexes, so claims and completions on different items
-	// proceed in parallel. The worklist is in-memory (work items are
-	// reissued from the engine journals on recovery), so any stripe
-	// count reopens any data dir.
+	// WorklistStripes is ignored: the worklist is one store.
 	WorklistStripes int
 	// AutoAllocate pushes role-routed tasks to users via Policy
 	// instead of offering them for claiming.
@@ -132,11 +126,12 @@ type BPMS struct {
 	// behind an instance-hash router presenting the single-engine
 	// surface.
 	Engine *shard.Router
-	// Tasks is the worklist service (shared across shards).
+	// Tasks is the worklist service (one store for every shard).
 	Tasks *task.Service
 	// Directory is the organisational model.
 	Directory *resource.Directory
-	// History is the audit store (shared across shards).
+	// History is the audit store: one journal per shard, placed by the
+	// shard router's hash.
 	History *history.Store
 	// Timers is the deadline service.
 	Timers timer.Service
@@ -201,75 +196,75 @@ func shardDir(dataDir string, shards, i int) string {
 	return filepath.Join(dataDir, fmt.Sprintf("shard-%04d", i))
 }
 
-// checkPartitionLayout rejects reopening partitioned on-disk state
-// under a different partition count: data would silently vanish from
-// queries (or new partitions would start empty) because the layout no
-// longer matches the journals on disk. scanDir holds the partition
-// subdirectories (<prefix>NNNN), legacy reports whether the
-// unpartitioned layout is present, and noun/action name the subsystem
-// in errors ("shard"/"resharding", "history stripe"/"re-striping").
-func checkPartitionLayout(dataDir, scanDir, prefix string, want int, legacy bool, noun, action string) error {
-	existing := 0
-	if entries, err := os.ReadDir(scanDir); err == nil {
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() && len(name) == len(prefix)+4 && strings.HasPrefix(name, prefix) {
-				if _, err := strconv.Atoi(name[len(prefix):]); err == nil {
-					existing++
-				}
+// partitionDirs counts the subdirectories of dir named prefix+NNNN.
+func partitionDirs(dir, prefix string) int {
+	n := 0
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() && len(name) == len(prefix)+4 && strings.HasPrefix(name, prefix) {
+			if _, err := strconv.Atoi(name[len(prefix):]); err == nil {
+				n++
 			}
 		}
 	}
-	if want <= 1 {
-		if existing > 0 {
-			return fmt.Errorf("core: data dir %s holds %d-%s state; reopen it with the %s count it was created with", dataDir, existing, noun, noun)
-		}
-		return nil
-	}
-	if legacy {
-		return fmt.Errorf("core: data dir %s holds single-%s state; %s an existing data dir is not supported", dataDir, noun, action)
-	}
-	if existing > 0 && existing != want {
-		return fmt.Errorf("core: data dir %s was created with %d %ss, not %d; reopen it with the %s count it was created with", dataDir, existing, noun, want, noun)
+	return n
+}
+
+// checkShardLayout rejects reopening a data dir under a different shard
+// count (shard-NNNN dirs vs the state/ dir directly under DataDir):
+// instances would silently vanish from queries, or new shards would
+// start empty, because the layout no longer matches the journals on
+// disk.
+func checkShardLayout(dataDir string, shards int) error {
+	existing := partitionDirs(dataDir, "shard-")
+	_, err := os.Stat(filepath.Join(dataDir, "state"))
+	switch single := err == nil; {
+	case shards <= 1 && existing > 0:
+		return fmt.Errorf("core: data dir %s holds %d-shard state; reopen it with the shard count it was created with", dataDir, existing)
+	case shards > 1 && single:
+		return fmt.Errorf("core: data dir %s holds single-shard state; resharding an existing data dir is not supported", dataDir)
+	case shards > 1 && existing > 0 && existing != shards:
+		return fmt.Errorf("core: data dir %s was created with %d shards, not %d; reopen it with the shard count it was created with", dataDir, existing, shards)
 	}
 	return nil
 }
 
-// checkShardLayout guards the engine-shard layout (shard-NNNN dirs vs
-// the legacy state/ dir directly under DataDir).
-func checkShardLayout(dataDir string, shards int) error {
-	legacy := false
-	if _, err := os.Stat(filepath.Join(dataDir, "state")); err == nil {
-		legacy = true
-	}
-	return checkPartitionLayout(dataDir, dataDir, "shard-", shards, legacy, "shard", "resharding")
-}
-
-// historyDir returns the on-disk home of one history stripe's journal.
-// A single stripe keeps the pre-striping layout (history/ directly
-// under DataDir) so existing data dirs reopen unchanged.
-func historyDir(dataDir string, stripes, i int) string {
-	if stripes <= 1 {
-		return filepath.Join(dataDir, "history")
-	}
-	return filepath.Join(dataDir, "history", fmt.Sprintf("stripe-%04d", i))
-}
-
-// checkHistoryLayout guards the history-stripe layout (stripe-NNNN
-// dirs vs legacy wal files directly under history/): stripes hash
-// events by instance ID, so a different count would scatter an
-// instance's history across journals that no longer match the layout.
-func checkHistoryLayout(dataDir string, stripes int) error {
+// historyDirs returns the dirs of a data dir's history journals. A dir
+// that already holds a history keeps its journals: history/ itself when
+// it holds wal-* files, else its history/stripe-NNNN dirs. Events hash
+// by instance ID onto the journals, so a dir written with a history
+// stripe count other than its shard count reopens with its own
+// journals. A new history gets one journal per shard: history/ for one,
+// history/stripe-NNNN for several. A dir holding both layouts, or
+// stripe dirs not numbered 0…n-1, is refused.
+func historyDirs(dataDir string, shards int) ([]string, error) {
 	histDir := filepath.Join(dataDir, "history")
-	legacy := false
-	if entries, err := os.ReadDir(histDir); err == nil {
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasPrefix(e.Name(), "wal-") {
-				legacy = true
-			}
+	entries, err := os.ReadDir(histDir)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("core: read %s: %w", histDir, err)
+	}
+	flat := slices.ContainsFunc(entries, func(e os.DirEntry) bool {
+		return !e.IsDir() && strings.HasPrefix(e.Name(), "wal-")
+	})
+	n := partitionDirs(histDir, "stripe-")
+	found := n > 0
+	switch {
+	case flat && found:
+		return nil, fmt.Errorf("core: data dir %s holds history journals in both layouts (history/wal-* and history/stripe-NNNN)", dataDir)
+	case flat || (!found && shards <= 1):
+		return []string{histDir}, nil
+	case !found:
+		n = shards
+	}
+	dirs := make([]string, n)
+	for i := range dirs {
+		dirs[i] = filepath.Join(histDir, fmt.Sprintf("stripe-%04d", i))
+		if _, err := os.Stat(dirs[i]); found && err != nil {
+			return nil, fmt.Errorf("core: data dir %s holds %d history journals, but not %s", dataDir, n, dirs[i])
 		}
 	}
-	return checkPartitionLayout(dataDir, histDir, "stripe-", stripes, legacy, "history stripe", "re-striping")
+	return dirs, nil
 }
 
 // Open assembles and (when DataDir is set) recovers a BPMS. The
@@ -292,14 +287,24 @@ func Open(opts Options) (*BPMS, error) {
 	if shards <= 0 {
 		shards = 1
 	}
-	histStripes := opts.HistoryStripes
-	if histStripes <= 0 {
-		histStripes = 1
+	histJournals := make([]storage.Journal, shards)
+	var histDirs []string
+	if opts.DataDir != "" {
+		if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
+			return nil, fmt.Errorf("core: create data dir: %w", err)
+		}
+		if err := checkShardLayout(opts.DataDir, shards); err != nil {
+			return nil, err
+		}
+		var err error
+		if histDirs, err = historyDirs(opts.DataDir, shards); err != nil {
+			return nil, err
+		}
+		histJournals = make([]storage.Journal, len(histDirs))
 	}
 
 	stateJournals := make([]storage.Journal, shards)
 	snaps := make([]*storage.SnapshotStore, shards)
-	histJournals := make([]storage.Journal, histStripes)
 	var upgrade UpgradeReport
 	closeAll := func() {
 		for _, j := range stateJournals {
@@ -314,17 +319,8 @@ func Open(opts Options) (*BPMS, error) {
 		}
 	}
 	if opts.DataDir != "" {
-		if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
-			return nil, fmt.Errorf("core: create data dir: %w", err)
-		}
-		if err := checkShardLayout(opts.DataDir, shards); err != nil {
-			return nil, err
-		}
-		if err := checkHistoryLayout(opts.DataDir, histStripes); err != nil {
-			return nil, err
-		}
 		var err error
-		if upgrade, err = upgradeDataDir(opts.FS, opts.DataDir, shards, histStripes); err != nil {
+		if upgrade, err = upgradeDataDir(opts.FS, opts.DataDir, shards, histDirs); err != nil {
 			return nil, err
 		}
 		jopts := storage.Options{
@@ -351,10 +347,10 @@ func Open(opts Options) (*BPMS, error) {
 			}
 			snaps[i] = sn
 		}
-		for i := 0; i < histStripes; i++ {
+		for i, dir := range histDirs {
 			jo := jopts
 			jo.Metrics = opts.Metrics.WAL(fmt.Sprintf("history-%d", i))
-			hj, err := storage.OpenFileJournal(historyDir(opts.DataDir, histStripes, i), jo)
+			hj, err := storage.OpenFileJournal(dir, jo)
 			if err != nil {
 				closeAll()
 				return nil, err
@@ -403,7 +399,6 @@ func Open(opts Options) (*BPMS, error) {
 		Policy:       opts.Policy,
 		AutoAllocate: opts.AutoAllocate,
 		Now:          opts.Clock.Now,
-		Stripes:      opts.WorklistStripes,
 		DefaultSLA:   opts.TaskSLA,
 		Timers:       wheel,
 		OnOverdue: func(o task.OverdueItem) {
@@ -614,7 +609,7 @@ func (b *BPMS) Violations() []Violation {
 
 // Close stops the timer runner, ends the shards' snapshots (waiting for
 // a running round), and syncs/closes every journal (all shard WALs plus
-// the history stripe journals). Under SyncBatch journals this drains
+// the history journals). Under SyncBatch journals this drains
 // in-flight commit batches: every acknowledged append is on stable
 // storage when Close returns.
 func (b *BPMS) Close() error {
@@ -682,8 +677,9 @@ type ShardStat struct {
 	// RecoverySeconds is how long this shard's boot-time recovery
 	// (snapshot load + journal replay) took; 0 when it started fresh.
 	RecoverySeconds float64 `json:"recoverySeconds"`
-	// DiskBytes is the shard's on-disk footprint (WAL segments plus
-	// snapshots); 0 when running in memory.
+	// DiskBytes is the shard's on-disk footprint (its state/ WAL
+	// segments plus its snapshots/); 0 when running in memory. History
+	// journals and FORMAT are not counted.
 	DiskBytes int64 `json:"diskBytes"`
 	// Degraded reports a fail-stopped shard serving reads only.
 	Degraded bool `json:"degraded,omitempty"`
@@ -725,7 +721,7 @@ func (b *BPMS) ShardStats() []ShardStat {
 			DegradedReason:  s.DegradedReason,
 		}
 		if i < len(b.dirs) {
-			out[i].DiskBytes = dirSize(b.dirs[i])
+			out[i].DiskBytes = dirSize(filepath.Join(b.dirs[i], "state")) + dirSize(filepath.Join(b.dirs[i], "snapshots"))
 		}
 	}
 	return out

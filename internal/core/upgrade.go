@@ -40,7 +40,7 @@ type UpgradeReport struct {
 // through, so a crash only means the next open reruns it. FORMAT is
 // written last, without an fsync of its own: losing it costs one more
 // scan that rewrites nothing.
-func upgradeDataDir(fsys fault.FS, dataDir string, shards, stripes int) (UpgradeReport, error) {
+func upgradeDataDir(fsys fault.FS, dataDir string, shards int, histDirs []string) (UpgradeReport, error) {
 	began := time.Now()
 	path := filepath.Join(dataDir, formatFile)
 	format := 0 // none, empty or garbled
@@ -65,12 +65,14 @@ func upgradeDataDir(fsys fault.FS, dataDir string, shards, stripes int) (Upgrade
 			up.Add(st)
 		}
 	}
-	for i := 0; i < stripes && format < 2; i++ {
-		st, err := history.Upgrade(fsys, historyDir(dataDir, stripes, i))
-		if err != nil {
-			return UpgradeReport{}, err
+	if format < 2 {
+		for _, dir := range histDirs {
+			st, err := history.Upgrade(fsys, dir)
+			if err != nil {
+				return UpgradeReport{}, err
+			}
+			up.Add(st)
 		}
-		up.Add(st)
 	}
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err == nil {

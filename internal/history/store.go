@@ -16,10 +16,10 @@ import (
 // Store is the audit-event store: events are appended durably to
 // journals and indexed in memory for queries.
 //
-// The store is striped: events hash by instance ID (FNV-1a, mirroring
-// the shard router) onto N stripes, each owning its own journal,
-// in-memory index, and lock, so audit traffic on different instances
-// never contends on one global mutex. Enqueue records an event on the
+// The store is striped: events hash by instance ID (FNV-1a, as the
+// shard router places instances) onto N stripes, each owning its own
+// journal, in-memory index, and lock. core opens one stripe per engine
+// shard, so stripe k holds the audit trail of shard k's cases. Enqueue records an event on the
 // caller's goroutine: under the stripe lock it encodes the event into
 // the stripe's reused buffer, appends the record to the journal (which
 // buffers it; the journal's sync policy decides when it reaches disk)

@@ -134,9 +134,8 @@ func (d *Directory) Count() int {
 
 // LoadFunc reports the current queue length (allocated + started work
 // items) of a user; allocation policies minimise or ignore it. The
-// worklist service backs it with dedicated cross-stripe load counters,
-// so policies may call it from inside worklist operations (it never
-// takes an item-stripe lock).
+// worklist service calls Pick under its store lock and passes a LoadFunc
+// that reads its indexes without taking that lock again.
 type LoadFunc func(userID string) int
 
 // Policy selects one user from a candidate set.

@@ -18,16 +18,14 @@ import (
 )
 
 // refPage is the brute-force reference every page query is checked
-// against: scan the item maps, filter, sort with itemLess, slice. An
+// against: scan the item map, filter, sort with itemLess, slice. An
 // empty answer is nil, as it is from the service. Single-goroutine
-// tests only: the items are read outside the stripe locks.
+// tests only: the items are read outside the store lock.
 func refPage(svc *Service, keep func(*Item) bool, offset, limit int) []*Item {
 	var all []*Item
-	for _, st := range svc.stripes {
-		for _, it := range st.items {
-			if keep(it) {
-				all = append(all, it)
-			}
+	for _, it := range svc.items {
+		if keep(it) {
+			all = append(all, it)
 		}
 	}
 	sort.Slice(all, func(a, b int) bool { return itemLess(all[a], all[b]) })
@@ -88,118 +86,99 @@ func checkPages(t *testing.T, svc *Service, user string, state State, offset, li
 		if !reflect.DeepEqual(q.got, q.want) {
 			got, _ := json.Marshal(q.got)
 			want, _ := json.Marshal(q.want)
-			t.Errorf("%d stripes: %s(%s, %s, offset %d, limit %d)\n got %s\nwant %s",
-				len(svc.stripes), q.name, user, state, offset, limit, got, want)
+			t.Errorf("%s(%s, %s, offset %d, limit %d)\n got %s\nwant %s",
+				q.name, user, state, offset, limit, got, want)
 		}
 	}
 }
 
 // checkConsistency verifies every secondary index against a
-// ground-truth scan of the stripe item maps: the per-user
-// allocated/started and offered indexes and the per-state indexes must
-// hold exactly the stripe's matching items in strict worklist order,
-// and the deadline sets and the cross-stripe load counters must agree
-// with the items themselves.
+// ground-truth scan of the item map: the per-user allocated/started and
+// offered indexes and the per-state indexes must hold exactly the
+// matching items in strict worklist order, and the deadline sets and
+// every user's load must agree with the items themselves.
 func checkConsistency(t *testing.T, svc *Service) {
 	t.Helper()
-	type flat struct {
-		it     *Item
-		stripe int
-	}
-	all := map[string]flat{}
 	wantLoads := map[string]int{}
 	users := map[string]bool{} // every user an item or an index names
-	for si, st := range svc.stripes {
-		st.mu.Lock()
-		for id, it := range st.items {
-			all[id] = flat{it.clone(), si}
-			if (it.State == Allocated || it.State == Started) && it.Assignee != "" {
-				wantLoads[it.Assignee]++
-			}
-			users[it.Assignee] = true
-			for _, u := range it.OfferedTo {
-				users[u] = true
-			}
+	svc.mu.Lock()
+	for _, it := range svc.items {
+		if (it.State == Allocated || it.State == Started) && it.Assignee != "" {
+			wantLoads[it.Assignee]++
 		}
-		checkIndex := func(name string, o *ordered, want func(*Item) bool) {
-			var live []*Item
-			if o != nil {
-				live = o.buf[o.head:]
-				for _, it := range o.buf[:o.head] {
-					if it != nil {
-						t.Errorf("stripe %d: %s keeps %s alive in a free slot", si, name, it.ID)
-					}
-				}
-			}
-			for i, it := range live {
-				if st.items[it.ID] != it {
-					t.Errorf("stripe %d: %s holds %s, which is not the stripe's item", si, name, it.ID)
-				} else if !want(it) {
-					t.Errorf("stripe %d: %s holds %s (state %s, assignee %q, offered to %v)", si, name, it.ID, it.State, it.Assignee, it.OfferedTo)
-				}
-				if i > 0 && !itemLess(live[i-1], it) {
-					t.Errorf("stripe %d: %s out of order at %d: %s before %s", si, name, i, live[i-1].ID, it.ID)
-				}
-			}
-			n := 0
-			for _, it := range st.items {
-				if want(it) {
-					n++
-				}
-			}
-			if n != len(live) {
-				t.Errorf("stripe %d: %s holds %d items, ground truth %d", si, name, len(live), n)
-			}
-		}
-		for name, index := range map[string]map[string]*ordered{"byUser": st.byUser, "offered": st.offered} {
-			for user, o := range index {
-				users[user] = true
-				if o.len() == 0 {
-					t.Errorf("stripe %d: empty %s entry for %s", si, name, user)
-				}
-			}
-		}
-		for user := range users {
-			checkIndex("byUser["+user+"]", st.byUser[user], onWorklist(user))
-			checkIndex("offered["+user+"]", st.offered[user], offeredTo(user))
-		}
-		for state := range st.byState {
-			checkIndex("byState["+State(state).String()+"]", &st.byState[state], inState(State(state)))
-		}
-		// Deadlines: an open item with a due time is either waiting on
-		// its timer entry or overdue (never both); a closed item is
-		// neither.
-		for id, it := range st.items {
-			_, waiting := st.deadlines[id]
-			_, overdue := st.overdue[id]
-			switch {
-			case it.State.Terminal() && (waiting || overdue):
-				t.Errorf("stripe %d: closed item %s keeps a deadline (waiting %v, overdue %v)", si, id, waiting, overdue)
-			case it.State.Terminal() || svc.timers == nil:
-			case it.DueAt.IsZero() && (waiting || overdue):
-				t.Errorf("stripe %d: item %s without a due time has a deadline", si, id)
-			case !it.DueAt.IsZero() && waiting == overdue:
-				t.Errorf("stripe %d: open item %s: waiting %v, overdue %v", si, id, waiting, overdue)
-			}
-		}
-		if len(st.deadlines)+len(st.overdue) > len(st.items) {
-			t.Errorf("stripe %d: %d deadlines and %d overdue marks for %d items", si, len(st.deadlines), len(st.overdue), len(st.items))
-		}
-		st.mu.Unlock()
-	}
-	// Load counters match the ground truth exactly.
-	svc.loadMu.RLock()
-	for user, n := range svc.loads {
-		if wantLoads[user] != n {
-			t.Errorf("loads[%s] = %d, ground truth %d", user, n, wantLoads[user])
+		users[it.Assignee] = true
+		for _, u := range it.OfferedTo {
+			users[u] = true
 		}
 	}
-	for user, n := range wantLoads {
-		if svc.loads[user] != n {
-			t.Errorf("loads[%s] missing (ground truth %d)", user, n)
+	checkIndex := func(name string, o *ordered, want func(*Item) bool) {
+		var live []*Item
+		if o != nil {
+			live = o.buf[o.head:]
+			for _, it := range o.buf[:o.head] {
+				if it != nil {
+					t.Errorf("%s keeps %s alive in a free slot", name, it.ID)
+				}
+			}
+		}
+		for i, it := range live {
+			if svc.items[it.ID] != it {
+				t.Errorf("%s holds %s, which is not the store's item", name, it.ID)
+			} else if !want(it) {
+				t.Errorf("%s holds %s (state %s, assignee %q, offered to %v)", name, it.ID, it.State, it.Assignee, it.OfferedTo)
+			}
+			if i > 0 && !itemLess(live[i-1], it) {
+				t.Errorf("%s out of order at %d: %s before %s", name, i, live[i-1].ID, it.ID)
+			}
+		}
+		n := 0
+		for _, it := range svc.items {
+			if want(it) {
+				n++
+			}
+		}
+		if n != len(live) {
+			t.Errorf("%s holds %d items, ground truth %d", name, len(live), n)
 		}
 	}
-	svc.loadMu.RUnlock()
+	for name, index := range map[string]map[string]*ordered{"byUser": svc.byUser, "offered": svc.offered} {
+		for user, o := range index {
+			users[user] = true
+			if o.len() == 0 {
+				t.Errorf("empty %s entry for %s", name, user)
+			}
+		}
+	}
+	for user := range users {
+		checkIndex("byUser["+user+"]", svc.byUser[user], onWorklist(user))
+		checkIndex("offered["+user+"]", svc.offered[user], offeredTo(user))
+		// A user's load is the length of their worklist index.
+		if got := svc.loadLocked(user); got != wantLoads[user] {
+			t.Errorf("load of %q = %d, ground truth %d", user, got, wantLoads[user])
+		}
+	}
+	for state := range svc.byState {
+		checkIndex("byState["+State(state).String()+"]", &svc.byState[state], inState(State(state)))
+	}
+	// Deadlines: an open item with a due time is either waiting on its
+	// timer entry or overdue (never both); a closed item is neither.
+	for id, it := range svc.items {
+		_, waiting := svc.deadlines[id]
+		_, overdue := svc.overdue[id]
+		switch {
+		case it.State.Terminal() && (waiting || overdue):
+			t.Errorf("closed item %s keeps a deadline (waiting %v, overdue %v)", id, waiting, overdue)
+		case it.State.Terminal() || svc.timers == nil:
+		case it.DueAt.IsZero() && (waiting || overdue):
+			t.Errorf("item %s without a due time has a deadline", id)
+		case !it.DueAt.IsZero() && waiting == overdue:
+			t.Errorf("open item %s: waiting %v, overdue %v", id, waiting, overdue)
+		}
+	}
+	if len(svc.deadlines)+len(svc.overdue) > len(svc.items) {
+		t.Errorf("%d deadlines and %d overdue marks for %d items", len(svc.deadlines), len(svc.overdue), len(svc.items))
+	}
+	svc.mu.Unlock()
 
 	// Every full listing matches the brute-force reference.
 	for user := range users {
@@ -211,10 +190,9 @@ func checkConsistency(t *testing.T, svc *Service) {
 
 // TestIndexConsistencyRandomOps drives one seeded random op stream —
 // creates with random priority and colliding creation times, and every
-// lifecycle verb — through services of 1, 4 and 8 stripes in lockstep.
-// After every step the page queries at a random (offset, limit) must
-// equal the brute-force reference on each service (so striped N ≡
-// striped 1); the index structure itself is checked every 250 steps.
+// lifecycle verb — through the service. After every step the page
+// queries at a random (offset, limit) must equal the brute-force
+// reference; the index structure itself is checked every 250 steps.
 // A failure prints the seed's op trace.
 func TestIndexConsistencyRandomOps(t *testing.T) {
 	for _, seed := range []int64{13, 14, 15} {
@@ -229,36 +207,25 @@ func randomOps(t *testing.T, seed int64, steps int) {
 		d.AddUser(&resource.User{ID: u, Roles: []string{"clerk"}})
 	}
 	now := base
-	var svcs []*Service
-	var wheels []*timer.WheelService
-	for _, stripes := range []int{1, 4, 8} {
-		wheel := timer.NewWheelService(time.Second, 64)
-		wheels = append(wheels, wheel)
-		svcs = append(svcs, NewService(Config{
-			Directory: d,
-			Stripes:   stripes,
-			Now:       func() time.Time { return now },
-			Timers:    wheel,
-		}))
-	}
+	wheel := timer.NewWheelService(time.Second, 64)
+	svc := NewService(Config{
+		Directory: d,
+		Now:       func() time.Time { return now },
+		Timers:    wheel,
+	})
 	rng := rand.New(rand.NewSource(seed))
 	var ids, trace []string
 	user := func() string { return users[rng.Intn(len(users))] }
-	// each applies one op to every service; the services see the same
-	// clock and mint the same IDs, so they stay in the same state.
+	// each applies one op to the service and records it in the trace.
 	each := func(desc string, op func(svc *Service)) {
 		trace = append(trace, fmt.Sprintf("%4d %s", len(trace), desc))
-		for _, svc := range svcs {
-			op(svc)
-		}
+		op(svc)
 	}
 	for step := 0; step < steps && !t.Failed(); step++ {
 		// Half the steps keep the clock where it is: equal creation
 		// times fall through to the ID tie-break (wi-10 < wi-9).
 		now = now.Add(time.Duration(rng.Intn(2)) * time.Second)
-		for _, w := range wheels {
-			w.AdvanceTo(now)
-		}
+		wheel.AdvanceTo(now)
 		if len(ids) == 0 || rng.Intn(10) < 3 {
 			spec := Spec{InstanceID: "i", ElementID: fmt.Sprintf("e%d", step), Priority: rng.Intn(5)}
 			switch rng.Intn(3) {
@@ -281,7 +248,7 @@ func randomOps(t *testing.T, seed int64, steps int) {
 			ids = append(ids, id)
 		} else {
 			id := ids[rng.Intn(len(ids))]
-			cur, err := svcs[0].Get(id)
+			cur, err := svc.Get(id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,25 +282,23 @@ func randomOps(t *testing.T, seed int64, steps int) {
 		// The overdue set is the brute-force scan: open, due time
 		// reached.
 		var want []string
-		for _, it := range refPage(svcs[0], func(it *Item) bool {
+		for _, it := range refPage(svc, func(it *Item) bool {
 			return !it.State.Terminal() && !it.DueAt.IsZero() && !it.DueAt.After(now)
 		}, 0, -1) {
 			want = append(want, it.ID)
 		}
 		sort.Strings(want)
-		for _, svc := range svcs {
-			var got []string
-			for _, o := range svc.Overdue() {
-				got = append(got, o.Item.ID)
-			}
-			sort.Strings(got)
-			if !slices.Equal(got, want) {
-				t.Errorf("%d stripes at %s: overdue %v, brute force %v", len(svc.stripes), now.Sub(base), got, want)
-			}
-			checkPages(t, svc, u, state, offset, limit)
-			if step%250 == 249 || step == steps-1 {
-				checkConsistency(t, svc)
-			}
+		var got []string
+		for _, o := range svc.Overdue() {
+			got = append(got, o.Item.ID)
+		}
+		sort.Strings(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("at %s: overdue %v, brute force %v", now.Sub(base), got, want)
+		}
+		checkPages(t, svc, u, state, offset, limit)
+		if step%250 == 249 || step == steps-1 {
+			checkConsistency(t, svc)
 		}
 	}
 	if t.Failed() {
@@ -341,12 +306,12 @@ func randomOps(t *testing.T, seed int64, steps int) {
 	}
 }
 
-// TestStripedConcurrent hammers an 8-stripe service with parallel
-// writers (full lifecycles, delegations, releases) and readers
-// (Worklist, OfferedItems, ByState, Overdue, Load, Stats) and the
-// timer wheel firing due times under -race, then checks index
-// consistency and final counts.
-func TestStripedConcurrent(t *testing.T) {
+// TestConcurrentLifecycles hammers the service with parallel writers
+// (full lifecycles, delegations, releases) and readers (Worklist,
+// OfferedItems, ByState, Overdue, Load, Stats) and the timer wheel
+// firing due times under -race, then checks index consistency and
+// final counts.
+func TestConcurrentLifecycles(t *testing.T) {
 	const (
 		workers = 8
 		per     = 200
@@ -356,7 +321,7 @@ func TestStripedConcurrent(t *testing.T) {
 		d.AddUser(&resource.User{ID: fmt.Sprintf("w%d", w), Roles: []string{"crew"}})
 	}
 	wheel := timer.NewWheelService(time.Millisecond, 64)
-	svc := NewService(Config{Directory: d, Stripes: 8, Timers: wheel})
+	svc := NewService(Config{Directory: d, Timers: wheel})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Readers poll every surface concurrently with the writers.
@@ -443,9 +408,6 @@ func TestStripedConcurrent(t *testing.T) {
 	if st.Open > workers*per/4 {
 		t.Errorf("Stats.Open = %d, too many open items", st.Open)
 	}
-	if st.Stripes != 8 || len(st.PerStripe) != 8 {
-		t.Errorf("Stats stripes = %d/%d", st.Stripes, len(st.PerStripe))
-	}
 }
 
 // TestDelegateReleaseCrossUser verifies the per-user indexes and load
@@ -521,7 +483,7 @@ func TestClaimStarted(t *testing.T) {
 }
 
 // TestPagination exercises the limit/offset variants against the
-// merged per-stripe order.
+// worklist order.
 func TestPagination(t *testing.T) {
 	svc, _, nowPtr := newService(t, false)
 	var want []string

@@ -15,10 +15,10 @@ func itemLess(a, b *Item) bool {
 	return a.ID < b.ID
 }
 
-// ordered is a set of a stripe's items kept in worklist order. Because
-// the order key is immutable it holds the stripe's live *Item directly
+// ordered is a set of the service's items kept in worklist order.
+// Because the order key is immutable it holds the live *Item directly
 // and finds an entry by binary search; every method runs under the
-// stripe lock.
+// store lock.
 //
 // The entries are buf[head:]. A worklist is consumed from the top and
 // fed at the bottom, so neither end may cost a shift of the whole set:

@@ -5,20 +5,17 @@
 // package. The engine creates an item when a user task is activated
 // and resumes the process instance from the completion callback.
 //
-// The service is a striped concurrent store: items are partitioned
-// across N stripes by FNV-1a on the item ID (fnv1a.Sum32, the hash the
-// shard router and the history stripes use), each stripe guarded by
-// its own mutex and carrying its own secondary indexes — per-user
-// allocated and offered sets and a per-state set — so claims and
-// completions on different items proceed in parallel. The three set
-// indexes are one type, ordered, kept in worklist order (priority
-// desc, creation time, ID):
+// The service is one store under one mutex, whatever the engine's
+// shard count: an item map plus secondary indexes — per-user allocated
+// and offered sets and a per-state set. The three set indexes are one
+// type, ordered, kept in worklist order (priority desc, creation time,
+// ID):
 //
 //   - a page query (WorklistPage, OfferedPage, ByStatePage,
-//     UserStatePage) walks the first offset+limit entries of each
-//     stripe's index and clones only the entries it returns — there is
-//     no per-query sort and no item-map lookup; a filtered page
-//     (UserStatePage) walks until offset+limit entries have matched;
+//     UserStatePage) walks the first offset+limit entries of the index
+//     and clones only the entries it returns — there is no per-query
+//     sort and no item-map lookup; a filtered page (UserStatePage)
+//     walks until offset+limit entries have matched;
 //   - an index insert or remove is a binary search, O(log n), plus a
 //     shift of the shorter side of the slice — nothing for an append
 //     at the bottom, at most the page depth for a claim near the top,
@@ -27,12 +24,11 @@
 //
 // An item with a due time holds one entry on the timer service from
 // creation until it closes. An entry that fires while its item is open
-// puts the item in its stripe's overdue set and reports it once
+// puts the item in the overdue set and reports it once
 // (Config.OnOverdue); nothing polls for deadlines.
 //
-// Per-user load counters live outside the item stripes, so allocation
-// policies (resource.ShortestQueuePolicy) read them without touching
-// any stripe lock.
+// A user's load (allocated + started items), which allocation policies
+// read, is the length of their worklist index.
 package task
 
 import (
@@ -45,7 +41,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bpms/internal/fnv1a"
 	"bpms/internal/obs"
 	"bpms/internal/resource"
 	"bpms/internal/timer"
@@ -233,36 +228,11 @@ type Spec struct {
 // transitioning goroutine, before the operation returns.
 type Listener func(item *Item, from, to State)
 
-// notification is one listener call, collected under a stripe lock and
-// delivered after it is released.
+// notification is one listener call, collected under the store lock
+// and delivered after it is released.
 type notification struct {
 	item     *Item
 	from, to State
-}
-
-// stripe is one lock-striped partition of the item store with its own
-// secondary indexes. All fields are guarded by mu.
-type stripe struct {
-	mu      sync.Mutex
-	items   map[string]*Item
-	byUser  map[string]*ordered      // user -> items allocated/started
-	offered map[string]*ordered      // user -> items offered
-	byState [len(stateNames)]ordered // state -> items
-	// deadlines holds the timer entry of each open item whose due time
-	// has not passed; overdue the open items whose due time has passed,
-	// with the time their entry fired.
-	deadlines map[string]timer.ID
-	overdue   map[string]time.Time
-}
-
-func newStripe() *stripe {
-	return &stripe{
-		items:     map[string]*Item{},
-		byUser:    map[string]*ordered{},
-		offered:   map[string]*ordered{},
-		deadlines: map[string]timer.ID{},
-		overdue:   map[string]time.Time{},
-	}
 }
 
 // addTo inserts an item into a per-user index, reporting whether it
@@ -290,8 +260,18 @@ func dropFrom(index map[string]*ordered, userID string, it *Item) bool {
 
 // Service is the worklist manager.
 type Service struct {
-	stripes []*stripe
-	nextID  atomic.Uint64
+	// mu guards the item store and its indexes.
+	mu      sync.Mutex
+	items   map[string]*Item
+	byUser  map[string]*ordered      // user -> items allocated/started
+	offered map[string]*ordered      // user -> items offered
+	byState [len(stateNames)]ordered // state -> items
+	// deadlines holds the timer entry of each open item whose due time
+	// has not passed; overdue the open items whose due time has passed,
+	// with the time their entry fired.
+	deadlines map[string]timer.ID
+	overdue   map[string]time.Time
+	nextID    atomic.Uint64
 
 	directory *resource.Directory
 	policy    resource.Policy
@@ -317,12 +297,6 @@ type Service struct {
 	// notify (hot) loads the pointer with no lock and no allocation.
 	subMu     sync.Mutex
 	listeners atomic.Pointer[[]Listener]
-
-	// loads counts allocated+started items per user across all
-	// stripes. It has its own (leaf) lock so Load — and through it the
-	// allocation policies — never touches an item-stripe lock.
-	loadMu sync.RWMutex
-	loads  map[string]int
 }
 
 // Config configures a Service.
@@ -337,21 +311,16 @@ type Config struct {
 	AutoAllocate bool
 	// Now supplies timestamps (default time.Now).
 	Now func() time.Time
-	// Stripes partitions items across this many independently locked
-	// stripes (default 1). Queries merge per-stripe results, so any
-	// stripe count answers identically; more stripes admit more
-	// concurrent claims/completions on multi-core hosts.
-	Stripes int
 	// DefaultSLA applies a due time of now+DefaultSLA to items created
 	// without an explicit deadline (0 = items without a dueIn carry no
 	// deadline).
 	DefaultSLA time.Duration
 	// Timers watches due times: each item with one schedules an entry
 	// here (nil = due times are recorded but never fire). Schedule and
-	// Cancel are called under a stripe lock; entries fire outside it.
+	// Cancel are called under the store lock; entries fire outside it.
 	Timers timer.Service
 	// OnOverdue is called once for each item whose due time passes
-	// while it is open, outside any stripe lock (nil = none).
+	// while it is open, outside the store lock (nil = none).
 	OnOverdue func(OverdueItem)
 	// Metrics instruments operation latency (zero value =
 	// uninstrumented).
@@ -369,11 +338,12 @@ func NewService(cfg Config) *Service {
 	if cfg.Directory == nil {
 		cfg.Directory = resource.NewDirectory()
 	}
-	if cfg.Stripes <= 0 {
-		cfg.Stripes = 1
-	}
 	s := &Service{
-		stripes:    make([]*stripe, cfg.Stripes),
+		items:      map[string]*Item{},
+		byUser:     map[string]*ordered{},
+		offered:    map[string]*ordered{},
+		deadlines:  map[string]timer.ID{},
+		overdue:    map[string]time.Time{},
 		directory:  cfg.Directory,
 		policy:     cfg.Policy,
 		autoAlloc:  cfg.AutoAllocate,
@@ -381,7 +351,6 @@ func NewService(cfg Config) *Service {
 		defaultSLA: cfg.DefaultSLA,
 		timers:     cfg.Timers,
 		onOverdue:  cfg.OnOverdue,
-		loads:      map[string]int{},
 	}
 	if cfg.Metrics.Op != nil {
 		s.opCreate = cfg.Metrics.Op("create")
@@ -392,19 +361,8 @@ func NewService(cfg Config) *Service {
 			s.opHist[i] = cfg.Metrics.Op(name)
 		}
 	}
-	for i := range s.stripes {
-		s.stripes[i] = newStripe()
-	}
 	return s
 }
-
-// stripeFor hashes an item ID to its stripe.
-func (s *Service) stripeFor(id string) *stripe {
-	return s.stripes[fnv1a.Sum32(id)%uint32(len(s.stripes))]
-}
-
-// Stripes returns the stripe count.
-func (s *Service) Stripes() int { return len(s.stripes) }
 
 // Subscribe registers a lifecycle listener (copy-on-write: concurrent
 // transitions keep dispatching the previous set unblocked).
@@ -435,46 +393,22 @@ func (s *Service) notify(item *Item, from, to State) {
 // transitioning goroutine, so nothing is left to drain.
 func (s *Service) Close() {}
 
-// Load returns the queue length (allocated + started) of a user. It
-// reads the dedicated load index — no item-stripe lock is taken, so
-// allocation policies may call it from inside Create.
+// Load returns the queue length (allocated + started) of a user.
 func (s *Service) Load(userID string) int {
-	s.loadMu.RLock()
-	defer s.loadMu.RUnlock()
-	return s.loads[userID]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.loadLocked(userID)
 }
 
-func (s *Service) addLoad(userID string, delta int) {
-	s.loadMu.Lock()
-	n := s.loads[userID] + delta
-	if n <= 0 {
-		delete(s.loads, userID)
-	} else {
-		s.loads[userID] = n
-	}
-	s.loadMu.Unlock()
-}
-
-// userAddLocked inserts an item into a user's allocated/started index
-// and bumps the load counter on first insertion.
-func (s *Service) userAddLocked(st *stripe, userID string, it *Item) {
-	if addTo(st.byUser, userID, it) {
-		s.addLoad(userID, 1)
-	}
-}
-
-// userRemoveLocked is the inverse of userAddLocked.
-func (s *Service) userRemoveLocked(st *stripe, userID string, it *Item) {
-	if dropFrom(st.byUser, userID, it) {
-		s.addLoad(userID, -1)
-	}
-}
+// loadLocked is Load for a caller that holds the store lock: the
+// allocation policy inside Create.
+func (s *Service) loadLocked(userID string) int { return s.byUser[userID].len() }
 
 // setStateLocked moves an item between per-state index sets.
-func (st *stripe) setStateLocked(it *Item, to State) {
-	st.byState[it.State].remove(it)
+func (s *Service) setStateLocked(it *Item, to State) {
+	s.byState[it.State].remove(it)
 	it.State = to
-	st.byState[to].insert(it)
+	s.byState[to].insert(it)
 }
 
 // Create registers a new work item and routes it: direct assignees are
@@ -485,8 +419,7 @@ func (s *Service) Create(spec Spec) (*Item, error) {
 	t0 := s.opCreate.Start()
 	defer s.opCreate.Since(t0)
 	id := fmt.Sprintf("wi-%d", s.nextID.Add(1))
-	st := s.stripeFor(id)
-	st.mu.Lock()
+	s.mu.Lock()
 	now := s.now()
 	it := &Item{
 		ID:         id,
@@ -508,31 +441,29 @@ func (s *Service) Create(spec Spec) (*Item, error) {
 	if due > 0 {
 		it.DueAt = now.Add(due)
 		if s.timers != nil {
-			st.deadlines[id] = s.timers.Schedule(it.DueAt, func() { s.fireDue(st, id) })
+			s.deadlines[id] = s.timers.Schedule(it.DueAt, func() { s.fireDue(id) })
 		}
 	}
-	st.items[id] = it
-	st.byState[Created].insert(it)
+	s.items[id] = it
+	s.byState[Created].insert(it)
 
 	events := []notification{{it.clone(), Created, Created}}
 	switch {
 	case spec.Assignee != "":
-		s.allocateLocked(st, it, spec.Assignee, &events)
+		s.allocateLocked(it, spec.Assignee, &events)
 	case spec.Role != "":
 		candidates := s.candidates(it)
 		if s.autoAlloc {
-			// Load reads the dedicated counters, not the stripe locks,
-			// so the policy runs safely inside this critical section.
-			if u := s.policy.Pick(candidates, s.Load); u != nil {
-				s.allocateLocked(st, it, u.ID, &events)
+			if u := s.policy.Pick(candidates, s.loadLocked); u != nil {
+				s.allocateLocked(it, u.ID, &events)
 			} else {
-				s.offerLocked(st, it, candidates, &events)
+				s.offerLocked(it, candidates, &events)
 			}
 		} else {
-			s.offerLocked(st, it, candidates, &events)
+			s.offerLocked(it, candidates, &events)
 		}
 	}
-	st.mu.Unlock()
+	s.mu.Unlock()
 	for _, n := range events {
 		s.notify(n.item, n.from, n.to)
 	}
@@ -541,7 +472,7 @@ func (s *Service) Create(spec Spec) (*Item, error) {
 }
 
 // candidates resolves an item's role members, capability-filtered. The
-// directory has its own lock; no stripe lock is required.
+// directory has its own lock.
 func (s *Service) candidates(it *Item) []*resource.User {
 	users := s.directory.UsersInRole(it.Role)
 	if it.Capability == "" {
@@ -556,58 +487,58 @@ func (s *Service) candidates(it *Item) []*resource.User {
 	return out
 }
 
-func (s *Service) offerLocked(st *stripe, it *Item, candidates []*resource.User, events *[]notification) {
+func (s *Service) offerLocked(it *Item, candidates []*resource.User, events *[]notification) {
 	from := it.State
-	st.setStateLocked(it, Offered)
+	s.setStateLocked(it, Offered)
 	it.OfferedTo = it.OfferedTo[:0]
 	for _, u := range candidates {
 		it.OfferedTo = append(it.OfferedTo, u.ID)
-		addTo(st.offered, u.ID, it)
+		addTo(s.offered, u.ID, it)
 	}
 	*events = append(*events, notification{it.clone(), from, Offered})
 }
 
-func (s *Service) allocateLocked(st *stripe, it *Item, userID string, events *[]notification) {
+func (s *Service) allocateLocked(it *Item, userID string, events *[]notification) {
 	from := it.State
-	clearOffersLocked(st, it)
-	st.setStateLocked(it, Allocated)
+	s.clearOffersLocked(it)
+	s.setStateLocked(it, Allocated)
 	it.Assignee = userID
 	it.AllocatedAt = s.now()
-	s.userAddLocked(st, userID, it)
+	addTo(s.byUser, userID, it)
 	*events = append(*events, notification{it.clone(), from, Allocated})
 }
 
-func clearOffersLocked(st *stripe, it *Item) {
+func (s *Service) clearOffersLocked(it *Item) {
 	for _, uid := range it.OfferedTo {
-		dropFrom(st.offered, uid, it)
+		dropFrom(s.offered, uid, it)
 	}
 	it.OfferedTo = nil
 }
 
 // clearDueLocked forgets a closing item's deadline: a pending timer
 // entry is cancelled, an overdue mark dropped.
-func (s *Service) clearDueLocked(st *stripe, id string) {
-	if tid, ok := st.deadlines[id]; ok {
+func (s *Service) clearDueLocked(id string) {
+	if tid, ok := s.deadlines[id]; ok {
 		s.timers.Cancel(tid)
-		delete(st.deadlines, id)
+		delete(s.deadlines, id)
 	}
-	delete(st.overdue, id)
+	delete(s.overdue, id)
 }
 
 // fireDue runs when an item's due-time entry fires. The entry fires
 // once, so an item still open is marked overdue and reported exactly
 // once; a closed one raced the firing and is left alone.
-func (s *Service) fireDue(st *stripe, id string) {
-	st.mu.Lock()
-	it := st.items[id]
-	delete(st.deadlines, id)
+func (s *Service) fireDue(id string) {
+	s.mu.Lock()
+	it := s.items[id]
+	delete(s.deadlines, id)
 	if it.State.Terminal() {
-		st.mu.Unlock()
+		s.mu.Unlock()
 		return
 	}
 	o := OverdueItem{Item: it.clone(), Detected: s.now()}
-	st.overdue[id] = o.Detected
-	st.mu.Unlock()
+	s.overdue[id] = o.Detected
+	s.mu.Unlock()
 	if s.onOverdue != nil {
 		s.onOverdue(o)
 	}
@@ -615,18 +546,17 @@ func (s *Service) fireDue(st *stripe, id string) {
 
 // Get returns a copy of the work item.
 func (s *Service) Get(id string) (*Item, error) {
-	st := s.stripeFor(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	it, ok := st.items[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	it, ok := s.items[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	return it.clone(), nil
 }
 
-// transition applies a guarded state change under the item's stripe
-// lock and then notifies listeners.
+// transition applies a guarded state change under the store lock and
+// then notifies listeners.
 func (s *Service) transition(id string, to State, mutate func(*Item) error) (*Item, error) {
 	var h *obs.Histogram
 	if int(to) < len(s.opHist) {
@@ -634,22 +564,21 @@ func (s *Service) transition(id string, to State, mutate func(*Item) error) (*It
 	}
 	t0 := h.Start()
 	defer h.Since(t0)
-	st := s.stripeFor(id)
-	st.mu.Lock()
-	it, ok := st.items[id]
+	s.mu.Lock()
+	it, ok := s.items[id]
 	if !ok {
-		st.mu.Unlock()
+		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	from := it.State
 	if !canTransition(from, to) {
-		st.mu.Unlock()
+		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s -> %s (item %s)", ErrBadTransition, from, to, id)
 	}
 	prevAssignee := it.Assignee
 	if mutate != nil {
 		if err := mutate(it); err != nil {
-			st.mu.Unlock()
+			s.mu.Unlock()
 			return nil, err
 		}
 	}
@@ -658,30 +587,30 @@ func (s *Service) transition(id string, to State, mutate func(*Item) error) (*It
 	// the offer rebuild in one critical section.)
 	switch to {
 	case Allocated:
-		clearOffersLocked(st, it)
+		s.clearOffersLocked(it)
 		// A mutate hook may have changed the assignee: migrate the
 		// per-user index with it so the item never sits on two queues.
 		if prevAssignee != "" && prevAssignee != it.Assignee {
-			s.userRemoveLocked(st, prevAssignee, it)
+			dropFrom(s.byUser, prevAssignee, it)
 		}
 		if it.Assignee != "" {
-			s.userAddLocked(st, it.Assignee, it)
+			addTo(s.byUser, it.Assignee, it)
 		}
 		it.AllocatedAt = s.now()
 	case Started:
 		it.StartedAt = s.now()
 	}
 	if to.Terminal() {
-		clearOffersLocked(st, it)
-		s.clearDueLocked(st, id)
+		s.clearOffersLocked(it)
+		s.clearDueLocked(id)
 		if it.Assignee != "" {
-			s.userRemoveLocked(st, it.Assignee, it)
+			dropFrom(s.byUser, it.Assignee, it)
 		}
 		it.ClosedAt = s.now()
 	}
-	st.setStateLocked(it, to)
+	s.setStateLocked(it, to)
 	snap := it.clone()
-	st.mu.Unlock()
+	s.mu.Unlock()
 	s.notify(snap, from, to)
 	return snap, nil
 }
@@ -758,30 +687,29 @@ func (s *Service) Cancel(id, reason string) (*Item, error) {
 
 // Delegate moves an allocated item from its assignee to another user.
 func (s *Service) Delegate(id, fromUser, toUser string) (*Item, error) {
-	st := s.stripeFor(id)
-	st.mu.Lock()
-	it, ok := st.items[id]
+	s.mu.Lock()
+	it, ok := s.items[id]
 	if !ok {
-		st.mu.Unlock()
+		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	if it.State != Allocated && it.State != Started {
-		st.mu.Unlock()
+		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: delegate from %s", ErrBadTransition, it.State)
 	}
 	if it.Assignee != fromUser {
-		st.mu.Unlock()
+		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s is not the assignee of %s", ErrNotAuthorized, fromUser, id)
 	}
 	from := it.State
-	s.userRemoveLocked(st, fromUser, it)
+	dropFrom(s.byUser, fromUser, it)
 	it.Assignee = toUser
-	s.userAddLocked(st, toUser, it)
+	addTo(s.byUser, toUser, it)
 	// Delegation returns a started item to Allocated for the new owner.
-	st.setStateLocked(it, Allocated)
+	s.setStateLocked(it, Allocated)
 	it.AllocatedAt = s.now()
 	snap := it.clone()
-	st.mu.Unlock()
+	s.mu.Unlock()
 	s.notify(snap, from, Allocated)
 	return snap, nil
 }
@@ -790,64 +718,43 @@ func (s *Service) Delegate(id, fromUser, toUser string) (*Item, error) {
 // role member can claim it. The worklist index, offered index, and
 // state change apply in one critical section.
 func (s *Service) Release(id, userID string) (*Item, error) {
-	st := s.stripeFor(id)
-	st.mu.Lock()
-	it, ok := st.items[id]
+	s.mu.Lock()
+	it, ok := s.items[id]
 	if !ok {
-		st.mu.Unlock()
+		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	if !canTransition(it.State, Offered) {
-		st.mu.Unlock()
+		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s -> %s (item %s)", ErrBadTransition, it.State, Offered, id)
 	}
 	if it.Assignee != userID {
-		st.mu.Unlock()
+		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s is not the assignee of %s", ErrNotAuthorized, userID, id)
 	}
-	s.userRemoveLocked(st, it.Assignee, it)
+	dropFrom(s.byUser, it.Assignee, it)
 	it.Assignee = ""
 	var events []notification
-	s.offerLocked(st, it, s.candidates(it), &events)
+	s.offerLocked(it, s.candidates(it), &events)
 	snap := it.clone()
-	st.mu.Unlock()
+	s.mu.Unlock()
 	for _, n := range events {
 		s.notify(n.item, n.from, n.to)
 	}
 	return snap, nil
 }
 
-// page answers one paginated query: pick selects the index to read on
-// each stripe, pred (nil = none) filters its entries. A single stripe
-// is read in place; several are each asked for their first
-// offset+limit matches — any one of them may hold the whole answer —
-// and merged.
-func (s *Service) page(h *obs.Histogram, pick func(*stripe) *ordered, pred func(*Item) bool, offset, limit int) []*Item {
+// page answers one paginated query from the index o returns (nil =
+// empty), filtered by pred (nil = none).
+func (s *Service) page(h *obs.Histogram, o func() *ordered, pred func(*Item) bool, offset, limit int) []*Item {
 	t0 := h.Start()
 	defer h.Since(t0)
 	if offset < 0 {
 		offset = 0
 	}
-	if len(s.stripes) == 1 {
-		st := s.stripes[0]
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return pick(st).page(offset, limit, pred)
-	}
-	first := -1
-	if limit >= 0 {
-		first = offset + limit
-	}
-	lists := make([][]*Item, 0, len(s.stripes))
-	for _, st := range s.stripes {
-		st.mu.Lock()
-		l := pick(st).page(0, first, pred)
-		st.mu.Unlock()
-		if len(l) > 0 {
-			lists = append(lists, l)
-		}
-	}
-	return mergeSorted(lists, offset, limit)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return o().page(offset, limit, pred)
 }
 
 // Worklist returns the items allocated to or started by user, sorted
@@ -858,7 +765,7 @@ func (s *Service) Worklist(userID string) []*Item {
 
 // WorklistPage is Worklist with pagination (limit < 0 = no limit).
 func (s *Service) WorklistPage(userID string, offset, limit int) []*Item {
-	return s.page(s.opPageWorklist, func(st *stripe) *ordered { return st.byUser[userID] }, nil, offset, limit)
+	return s.page(s.opPageWorklist, func() *ordered { return s.byUser[userID] }, nil, offset, limit)
 }
 
 // OfferedItems returns the items offered to user.
@@ -868,7 +775,7 @@ func (s *Service) OfferedItems(userID string) []*Item {
 
 // OfferedPage is OfferedItems with pagination (limit < 0 = no limit).
 func (s *Service) OfferedPage(userID string, offset, limit int) []*Item {
-	return s.page(s.opPageOffered, func(st *stripe) *ordered { return st.offered[userID] }, nil, offset, limit)
+	return s.page(s.opPageOffered, func() *ordered { return s.offered[userID] }, nil, offset, limit)
 }
 
 // ByState returns copies of all items in the given state, read from
@@ -882,7 +789,7 @@ func (s *Service) ByStatePage(state State, offset, limit int) []*Item {
 	if int(state) >= len(stateNames) {
 		return nil
 	}
-	return s.page(s.opPageState, func(st *stripe) *ordered { return &st.byState[state] }, nil, offset, limit)
+	return s.page(s.opPageState, func() *ordered { return &s.byState[state] }, nil, offset, limit)
 }
 
 // UserStatePage returns one page of the items in the given state that
@@ -896,13 +803,13 @@ func (s *Service) UserStatePage(userID string, state State, offset, limit int) [
 	case Offered:
 		return s.OfferedPage(userID, offset, limit)
 	case Allocated, Started:
-		return s.page(s.opPageWorklist, func(st *stripe) *ordered { return st.byUser[userID] },
+		return s.page(s.opPageWorklist, func() *ordered { return s.byUser[userID] },
 			func(it *Item) bool { return it.State == state }, offset, limit)
 	}
 	if int(state) >= len(stateNames) {
 		return nil
 	}
-	return s.page(s.opPageState, func(st *stripe) *ordered { return &st.byState[state] },
+	return s.page(s.opPageState, func() *ordered { return &s.byState[state] },
 		func(it *Item) bool { return it.Assignee == userID }, offset, limit)
 }
 
@@ -917,13 +824,11 @@ type OverdueItem struct {
 // order their entries fired (worklist order among equal times).
 func (s *Service) Overdue() []OverdueItem {
 	var out []OverdueItem
-	for _, st := range s.stripes {
-		st.mu.Lock()
-		for id, at := range st.overdue {
-			out = append(out, OverdueItem{Item: st.items[id].clone(), Detected: at})
-		}
-		st.mu.Unlock()
+	s.mu.Lock()
+	for id, at := range s.overdue {
+		out = append(out, OverdueItem{Item: s.items[id].clone(), Detected: at})
 	}
+	s.mu.Unlock()
 	sort.Slice(out, func(a, b int) bool {
 		if !out[a].Detected.Equal(out[b].Detected) {
 			return out[a].Detected.Before(out[b].Detected)
@@ -933,72 +838,8 @@ func (s *Service) Overdue() []OverdueItem {
 	return out
 }
 
-// mergeSorted k-way-merges per-stripe pre-sorted slices, stopping at
-// offset+limit and slicing off the first offset items (limit < 0 =
-// everything). The stripe count is small, so a linear min scan beats
-// a heap here.
-func mergeSorted(lists [][]*Item, offset, limit int) []*Item {
-	if offset < 0 {
-		offset = 0
-	}
-	if len(lists) == 1 {
-		l := lists[0]
-		if offset >= len(l) {
-			return nil
-		}
-		l = l[offset:]
-		if limit >= 0 && len(l) > limit {
-			l = l[:limit]
-		}
-		return l
-	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	if total == 0 || offset >= total {
-		return nil
-	}
-	want := total
-	if limit >= 0 && offset+limit < want {
-		want = offset + limit
-	}
-	idx := make([]int, len(lists))
-	out := make([]*Item, 0, want)
-	for len(out) < want {
-		best := -1
-		for i, l := range lists {
-			if idx[i] >= len(l) {
-				continue
-			}
-			if best < 0 || itemLess(l[idx[i]], lists[best][idx[best]]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out = append(out, lists[best][idx[best]])
-		idx[best]++
-	}
-	if offset >= len(out) {
-		return nil
-	}
-	return out[offset:]
-}
-
-// StripeStat reports one stripe's load.
-type StripeStat struct {
-	// Items is the number of items (any state) on the stripe.
-	Items int `json:"items"`
-	// Open is the number of non-terminal items on the stripe.
-	Open int `json:"open"`
-}
-
 // Stats reports the worklist's shape and load for monitoring.
 type Stats struct {
-	// Stripes is the stripe count.
-	Stripes int `json:"stripes"`
 	// Items is the total number of items tracked.
 	Items int `json:"items"`
 	// Open is the number of non-terminal items.
@@ -1007,38 +848,24 @@ type Stats struct {
 	ByState map[string]int `json:"byState"`
 	// Users is the number of users with a non-empty queue.
 	Users int `json:"users"`
-	// PerStripe is the per-stripe breakdown.
-	PerStripe []StripeStat `json:"perStripe"`
 }
 
-// Stats snapshots the service. Stripes are read one at a time, so a
-// monitoring poll never blocks the whole worklist.
+// Stats snapshots the service.
 func (s *Service) Stats() Stats {
-	out := Stats{
-		Stripes:   len(s.stripes),
-		ByState:   map[string]int{},
-		PerStripe: make([]StripeStat, len(s.stripes)),
-	}
-	for i, st := range s.stripes {
-		st.mu.Lock()
-		ss := StripeStat{Items: len(st.items)}
-		for state := range st.byState {
-			n := st.byState[state].len()
-			if n == 0 {
-				continue
-			}
-			out.ByState[State(state).String()] += n
-			if !State(state).Terminal() {
-				ss.Open += n
-			}
+	out := Stats{ByState: map[string]int{}}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out.Items = len(s.items)
+	out.Users = len(s.byUser)
+	for state := range s.byState {
+		n := s.byState[state].len()
+		if n == 0 {
+			continue
 		}
-		st.mu.Unlock()
-		out.Items += ss.Items
-		out.Open += ss.Open
-		out.PerStripe[i] = ss
+		out.ByState[State(state).String()] = n
+		if !State(state).Terminal() {
+			out.Open += n
+		}
 	}
-	s.loadMu.RLock()
-	out.Users = len(s.loads)
-	s.loadMu.RUnlock()
 	return out
 }

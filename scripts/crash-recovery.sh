@@ -2,8 +2,8 @@
 # Crash-recovery gate: prove that no acknowledged instance is lost
 # when bpmsd is SIGKILLed under the group-commit (-sync batch) policy.
 #
-#  1. start bpmsd -sync batch (SHARDS engine shards, HIST_STRIPES
-#     history stripes) on a fresh data dir
+#  1. start bpmsd -sync batch (SHARDS engine shards, each with its own
+#     history journal) on a fresh data dir
 #  2. deploy a user-task definition and start N instances via bpmsctl
 #     (each `start` returns only after the durable WAL ack of the
 #     instance's owner shard)
@@ -11,15 +11,14 @@
 #  4. restart on the same data dir and assert all N instances are
 #     recovered and active (with SHARDS > 1 this exercises the
 #     parallel per-shard recovery path and the instance-hash routing),
-#     that the history journal recovered alongside the engine
-#     journal (each instance's audit trail replays with its
-#     instance.started event in first position), and that the N
-#     reissued work items landed back in the (striped) worklist —
-#     offered to the clerk role's user
+#     that the history journals recovered alongside the engine
+#     journals (one per shard; each instance's audit trail replays
+#     with its instance.started event in first position), and that
+#     the N reissued work items landed back in the worklist — offered
+#     to the clerk role's user
 #  5. SIGTERM the second daemon and check the graceful-shutdown path
 #
-# SHARDS=4 N=16 HIST_STRIPES=2 WORKLIST_STRIPES=4
-# ./scripts/crash-recovery.sh runs the sharded + striped variant.
+# SHARDS=4 N=16 ./scripts/crash-recovery.sh runs the sharded variant.
 #
 # SNAPSHOT_EVERY=8 ./scripts/crash-recovery.sh additionally runs the
 # daemon with snapshots on and 4 KiB WAL segments, recovers through a
@@ -32,8 +31,6 @@ cd "$(dirname "$0")/.."
 ADDR="${ADDR:-127.0.0.1:18080}"
 N="${N:-5}"
 SHARDS="${SHARDS:-1}"
-HIST_STRIPES="${HIST_STRIPES:-1}"
-WORKLIST_STRIPES="${WORKLIST_STRIPES:-1}"
 SNAPSHOT_EVERY="${SNAPSHOT_EVERY:-0}"
 SNAP_FLAGS=()
 if [ "$SNAPSHOT_EVERY" -gt 0 ]; then
@@ -64,8 +61,8 @@ wait_ready() {
   return 1
 }
 
-echo "== start bpmsd (-sync batch, $SHARDS shard(s), $HIST_STRIPES history stripe(s), $WORKLIST_STRIPES worklist stripe(s), snapshot-every $SNAPSHOT_EVERY) on $DATA"
-"$BIN/bpmsd" -addr "$ADDR" -data "$DATA" -sync batch -shards "$SHARDS" -history-stripes "$HIST_STRIPES" -worklist-stripes "$WORKLIST_STRIPES" ${SNAP_FLAGS[@]+"${SNAP_FLAGS[@]}"} -user alice=clerk >"$LOG" 2>&1 &
+echo "== start bpmsd (-sync batch, $SHARDS shard(s), snapshot-every $SNAPSHOT_EVERY) on $DATA"
+"$BIN/bpmsd" -addr "$ADDR" -data "$DATA" -sync batch -shards "$SHARDS" ${SNAP_FLAGS[@]+"${SNAP_FLAGS[@]}"} -user alice=clerk >"$LOG" 2>&1 &
 PID=$!
 wait_ready
 
@@ -86,7 +83,7 @@ kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 
 echo "== restart on the same data dir"
-"$BIN/bpmsd" -addr "$ADDR" -data "$DATA" -sync batch -shards "$SHARDS" -history-stripes "$HIST_STRIPES" -worklist-stripes "$WORKLIST_STRIPES" ${SNAP_FLAGS[@]+"${SNAP_FLAGS[@]}"} -user alice=clerk >"$LOG" 2>&1 &
+"$BIN/bpmsd" -addr "$ADDR" -data "$DATA" -sync batch -shards "$SHARDS" ${SNAP_FLAGS[@]+"${SNAP_FLAGS[@]}"} -user alice=clerk >"$LOG" 2>&1 &
 PID=$!
 wait_ready
 
@@ -107,28 +104,26 @@ fi
 echo "OK: all $N acked instances recovered and active after SIGKILL"
 
 # Worklist recovery: every recovered instance re-issues its parked
-# work item into the (striped) in-memory worklist, offered to alice
-# (the clerk). The striped variant routes the items across
-# WORKLIST_STRIPES stripes and must still answer per-user queries
-# identically.
+# work item into the in-memory worklist, offered to alice (the clerk),
+# from whichever shard owns the instance.
 reissued=$(ctl tasks alice | grep -o '"id": *"wi-[0-9]*"' | sort -u | wc -l)
 if [ "$reissued" -ne "$N" ]; then
   echo "FAIL: $reissued of $N reissued work items on alice's worklist" >&2
   ctl tasks alice >&2 || true
   exit 1
 fi
-# The worklist block sorts after the history block in the stats JSON,
-# so the last "stripes" key is the worklist's.
-wl_stripes=$(ctl stats json | grep -o '"stripes": *[0-9]*' | tail -1 | grep -o '[0-9]*$' || echo 0)
-if [ "$wl_stripes" -ne "$WORKLIST_STRIPES" ]; then
-  echo "FAIL: stats report $wl_stripes worklist stripes, want $WORKLIST_STRIPES" >&2
+echo "OK: $reissued reissued work item(s) on alice's worklist"
+# The history keeps one journal per shard: the history block's
+# "stripes" (the only key of that name in the stats JSON) is SHARDS.
+hist_stripes=$(ctl stats json | grep -o '"stripes": *[0-9]*' | head -1 | grep -o '[0-9]*$' || echo 0)
+if [ "$hist_stripes" -ne "$SHARDS" ]; then
+  echo "FAIL: stats report $hist_stripes history journals, want one per shard ($SHARDS)" >&2
   ctl stats json >&2 || true
   exit 1
 fi
-echo "OK: $reissued reissued work item(s) across $wl_stripes worklist stripe(s)"
 
 # History-journal recovery: every instance's audit trail must replay
-# from the striped history journals, ordered per instance (the
+# from its shard's history journal, ordered per instance (the
 # instance.started event comes first).
 hist_ok=0
 for id in $(ctl ps | grep -o '"approval-[0-9]*"' | tr -d '"'); do
@@ -148,7 +143,7 @@ if [ "$events" -lt "$N" ]; then
   ctl stats json >&2 || true
   exit 1
 fi
-echo "OK: history journal recovered ($events events, per-instance order intact)"
+echo "OK: $hist_stripes history journal(s) recovered ($events events, per-instance order intact)"
 
 if [ "$SNAPSHOT_EVERY" -gt 0 ]; then
   echo "== snapshot compaction: WAL footprint bounded under sustained starts"
