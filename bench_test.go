@@ -226,12 +226,10 @@ func BenchmarkMemJournalAppend(b *testing.B) {
 }
 
 // T10: group-commit durable appends. Durable throughput under
-// parallelism is the group-commit win: batch coalesces concurrent
-// AppendDurable calls behind one fsync, while always pays one fsync
-// per append.
-
-func benchAppend(b *testing.B, opts storage.Options, durable bool) {
-	j, err := storage.OpenFileJournal(b.TempDir(), opts)
+// parallelism is the group-commit win: concurrent AppendDurable calls
+// share one fsync.
+func BenchmarkT10_AppendDurableBatch(b *testing.B) {
+	j, err := storage.OpenFileJournal(b.TempDir(), storage.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -242,30 +240,12 @@ func benchAppend(b *testing.B, opts storage.Options, durable bool) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			var err error
-			if durable {
-				_, err = j.AppendDurable(payload)
-			} else {
-				_, err = j.Append(payload)
-			}
-			if err != nil {
+			if _, err := j.AppendDurable(payload); err != nil {
 				b.Error(err)
 				return
 			}
 		}
 	})
-}
-
-func BenchmarkT10_AppendDurableBatch(b *testing.B) {
-	benchAppend(b, storage.Options{Policy: storage.SyncBatch}, true)
-}
-
-func BenchmarkT10_AppendSyncAlways(b *testing.B) {
-	benchAppend(b, storage.Options{Policy: storage.SyncAlways}, false)
-}
-
-func BenchmarkT10_AppendSyncEvery256(b *testing.B) {
-	benchAppend(b, storage.Options{Policy: storage.SyncEvery, SyncInterval: 256}, false)
 }
 
 // T11: sharded runtime. Durable StartInstance throughput under
@@ -274,12 +254,7 @@ func BenchmarkT10_AppendSyncEvery256(b *testing.B) {
 // independent WAL pipelines.
 
 func benchShardedStart(b *testing.B, shards int) {
-	sys, err := bpms.Open(bpms.Options{
-		DataDir:    b.TempDir(),
-		Shards:     shards,
-		SyncPolicy: bpms.SyncBatch,
-		Durable:    true,
-	})
+	sys, err := bpms.Open(bpms.Options{DataDir: b.TempDir(), Shards: shards})
 	if err != nil {
 		b.Fatal(err)
 	}

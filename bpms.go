@@ -38,7 +38,6 @@ import (
 	"bpms/internal/rules"
 	"bpms/internal/shard"
 	"bpms/internal/sim"
-	"bpms/internal/storage"
 	"bpms/internal/task"
 	"bpms/internal/verify"
 )
@@ -57,26 +56,7 @@ type (
 	Router = shard.Router
 	// ShardStat reports one shard's load (BPMS.ShardStats).
 	ShardStat = core.ShardStat
-	// SyncPolicy selects when the file journals force records to disk
-	// (see Options.SyncPolicy and the README's Durability section).
-	SyncPolicy = storage.SyncPolicy
 )
-
-// Journal sync policies for Options.SyncPolicy.
-const (
-	// SyncNever leaves flushing to the OS (fastest, weakest).
-	SyncNever = storage.SyncNever
-	// SyncAlways fsyncs after every append (slowest, strongest).
-	SyncAlways = storage.SyncAlways
-	// SyncEvery fsyncs after every Options.SyncInterval appends.
-	SyncEvery = storage.SyncEvery
-	// SyncBatch group-commits concurrent appends behind one fsync and
-	// acknowledges durability per append (pair with Options.Durable).
-	SyncBatch = storage.SyncBatch
-)
-
-// ParseSyncPolicy parses a policy name (never|always|every|batch).
-var ParseSyncPolicy = storage.ParseSyncPolicy
 
 // Open assembles (and, with a DataDir, recovers) a BPMS.
 var Open = core.Open

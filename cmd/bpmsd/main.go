@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	bpmsd -addr :8080 -data ./data -sync batch -shards 4 -user alice=clerk,manager
+//	bpmsd -addr :8080 -data ./data -shards 4 -user alice=clerk,manager
 //
 // With -shards N the runtime partitions process instances across N
 // independent engine shards — each with its own WAL (under
@@ -13,14 +13,13 @@
 // is the only partition count: a data dir must be reopened with the
 // shard count it was created with.
 //
-// Durability is controlled by -sync (never|always|every|batch; see the
-// README's Durability section), -sync-every (append count for the
-// every policy), and -sync-interval (max fsync latency for the batch
-// policy). With -durable (default on for any policy except never),
-// API-visible state transitions wait for the WAL commit
-// acknowledgement, so a SIGKILL after a response never loses the
-// acknowledged state. On SIGINT/SIGTERM the daemon drains in-flight
-// HTTP requests and commit batches, syncs the WAL, and closes cleanly.
+// With -data every journal group-commits (README "Durability"): an
+// API-visible state transition returns only after the fsync of its
+// batch, so a SIGKILL after a response never loses the acknowledged
+// state, and buffered history records are fsynced within
+// -sync-interval. Without -data nothing is journaled to disk. On
+// SIGINT/SIGTERM the daemon drains in-flight HTTP requests and commit
+// batches, syncs the WAL, and closes cleanly.
 //
 // A data dir in an older record format is rewritten once when it opens
 // (README "Data dir format"), and a boot line counts the files and
@@ -30,8 +29,8 @@
 // transition, in one history journal per shard: events hash by instance
 // ID exactly as the shards do. -history-window bounds the events each
 // shard's journal keeps resident in RAM (older events are served by
-// journal replay). The history journals follow the state journals' sync
-// policy but acknowledge nothing; on shutdown they are synced and
+// journal replay). The history journals group-commit like the state
+// journals but acknowledge nothing; on shutdown they are synced and
 // closed.
 //
 // The human-task worklist is one in-memory store with per-user and
@@ -39,9 +38,10 @@
 // engine's timer wheel. Work items are reissued from the engine journals
 // on recovery.
 //
-// -history-stripes, -worklist-stripes, -recovery-workers,
-// -timer-stripes and -audit-interval are accepted and ignored; a value
-// other than the default prints one "ignored" line at boot.
+// -sync, -sync-every, -durable, -history-stripes, -worklist-stripes,
+// -recovery-workers, -timer-stripes and -audit-interval are accepted
+// and ignored; a value other than the default prints one "ignored" line
+// at boot.
 //
 // Definitions are deployed and instances driven through the REST API
 // (see internal/api); bpmsctl is the companion client.
@@ -69,9 +69,9 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	data := flag.String("data", "", "data directory (empty = in-memory)")
 	shards := flag.Int("shards", 1, "engine shards, each with its own WAL/snapshot/commit pipeline (data dirs must be reopened with the shard count they were created with)")
-	syncMode := flag.String("sync", "batch", "WAL sync policy: never|always|every|batch")
-	syncEvery := flag.Int("sync-every", 256, "appends between fsyncs (every policy)")
-	syncInterval := flag.Duration("sync-interval", 2*time.Millisecond, "max delay before batched appends are fsynced (batch policy)")
+	syncMode := flag.String("sync", "batch", "ignored: a data dir always group-commits")
+	syncEvery := flag.Int("sync-every", 256, "ignored: a data dir always group-commits")
+	syncInterval := flag.Duration("sync-interval", 2*time.Millisecond, "max delay before buffered appends are fsynced by the group commit")
 	snapshotEvery := flag.Int("snapshot-every", 1000, "journal appends between snapshots (0 = never)")
 	snapshotInterval := flag.Duration("snapshot-interval", 0, "wall-clock snapshot cadence for shards whose journal advanced (0 = append-count trigger only)")
 	segmentSize := flag.Int64("wal-segment-size", 0, "max bytes per WAL segment file before rollover (0 = default 4MiB)")
@@ -105,7 +105,7 @@ func main() {
 		users = append(users, u)
 		return nil
 	})
-	durable := flag.Bool("durable", true, "state transitions wait for the WAL commit ack (forced off with -sync never)")
+	durable := flag.Bool("durable", true, "ignored: with -data every state transition waits for its group commit")
 	flag.Parse()
 
 	if *recoveryWorkers != 0 {
@@ -123,17 +123,19 @@ func main() {
 	if *auditInterval != 0 {
 		fmt.Printf("bpmsd: -audit-interval %s ignored: deadlines fire on the timer wheel\n", *auditInterval)
 	}
-	policy, err := bpms.ParseSyncPolicy(*syncMode)
-	if err != nil {
-		log.Fatal(err)
+	if *syncMode != "batch" {
+		fmt.Printf("bpmsd: -sync %s ignored: a data dir always group-commits\n", *syncMode)
+	}
+	if *syncEvery != 256 {
+		fmt.Printf("bpmsd: -sync-every %d ignored: a data dir always group-commits\n", *syncEvery)
+	}
+	if !*durable {
+		fmt.Println("bpmsd: -durable=false ignored: every state transition waits for its group commit")
 	}
 	opts := bpms.Options{
 		DataDir:       *data,
 		Shards:        *shards,
-		SyncPolicy:    policy,
-		SyncInterval:  *syncEvery,
 		BatchMaxDelay: *syncInterval,
-		Durable:       *durable && policy != bpms.SyncNever,
 		SegmentSize:   *segmentSize,
 		HistoryWindow: *historyWindow,
 		AutoAllocate:  *autoAllocate,
@@ -166,17 +168,10 @@ func main() {
 
 	// Effective configuration, then recovery summary.
 	if *data == "" {
-		fmt.Println("bpmsd: in-memory (no data dir; -sync has no effect)")
+		fmt.Println("bpmsd: in-memory (no data dir, nothing journaled to disk)")
 	} else {
-		fmt.Printf("bpmsd: data dir %s, sync=%s", *data, policy)
-		switch policy {
-		case bpms.SyncEvery:
-			fmt.Printf(" every=%d", *syncEvery)
-		case bpms.SyncBatch:
-			fmt.Printf(" interval=%s", *syncInterval)
-		}
-		fmt.Printf(", durable=%v, shards=%d, history-journals=%d, history-window=%d\n",
-			opts.Durable, sys.Engine.Shards(), sys.History.Stripes(), *historyWindow)
+		fmt.Printf("bpmsd: data dir %s, sync=batch interval=%s, shards=%d, history-journals=%d, history-window=%d\n",
+			*data, *syncInterval, sys.Engine.Shards(), sys.History.Stripes(), *historyWindow)
 	}
 	if u := sys.Upgrade; u.Files > 0 {
 		fmt.Printf("bpmsd: data dir upgraded in %.3fs (%d file(s) rewritten, %d record(s) transcoded)\n",

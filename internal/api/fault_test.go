@@ -16,7 +16,6 @@ import (
 	"bpms/internal/core"
 	"bpms/internal/fault"
 	"bpms/internal/model"
-	"bpms/internal/storage"
 )
 
 // jsonBody wraps a JSON literal as a request body.
@@ -43,10 +42,8 @@ func envelopeOf(t *testing.T, resp *http.Response) (code, msg string) {
 // working reads, failing /readyz, live /healthz.
 func TestDegradedShardEnvelope(t *testing.T) {
 	b, err := core.Open(core.Options{
-		DataDir:    t.TempDir(),
-		SyncPolicy: storage.SyncAlways,
-		Durable:    true,
-		FS:         fault.NewInjector(fault.OS, fault.Plan{PathContains: "state", FailFsyncAt: 3}),
+		DataDir: t.TempDir(),
+		FS:      fault.NewInjector(fault.OS, fault.Plan{PathContains: "state", FailFsyncAt: 3}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,10 +168,8 @@ func TestDegradedShardEnvelope(t *testing.T) {
 // shard_degraded, not 200 buffered.
 func TestPublishOnDegradedShard(t *testing.T) {
 	b, err := core.Open(core.Options{
-		DataDir:    t.TempDir(),
-		SyncPolicy: storage.SyncAlways,
-		Durable:    true,
-		FS:         fault.NewInjector(fault.OS, fault.Plan{PathContains: "state", FailFsyncAt: 3}),
+		DataDir: t.TempDir(),
+		FS:      fault.NewInjector(fault.OS, fault.Plan{PathContains: "state", FailFsyncAt: 3}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -313,12 +308,7 @@ func TestAdmissionShed(t *testing.T) {
 // overloaded shed rather than an unclassified error, and every
 // acknowledged case survives a close and reopen.
 func TestOverloadCarriedByClientRetry(t *testing.T) {
-	opts := core.Options{
-		DataDir:    t.TempDir(),
-		Shards:     2,
-		SyncPolicy: storage.SyncBatch,
-		Durable:    true,
-	}
+	opts := core.Options{DataDir: t.TempDir(), Shards: 2}
 	slow := opts
 	// Every group commit of a state journal waits 25ms, so one write
 	// slot admits about 40 starts a second.

@@ -33,10 +33,13 @@ import (
 // Options configures a BPMS.
 type Options struct {
 	// DataDir persists the state journal, history journal, and
-	// snapshots under this directory. Empty runs fully in memory: engine
-	// state records are numbered but not kept (nothing replays them),
-	// and the audit trail is kept packed in RAM, where it answers every
-	// history query as a data dir's journal would.
+	// snapshots under this directory. Every file journal group-commits:
+	// a state transition returns only after its batch's fsync, and
+	// history records reach stable storage within BatchMaxDelay. Empty
+	// runs fully in memory: engine state records are numbered but not
+	// kept (nothing replays them), and the audit trail is kept packed
+	// in RAM, where it answers every history query as a data dir's
+	// journal would.
 	DataDir string
 	// Shards partitions process instances across this many independent
 	// engine shards, each with its own WAL, snapshot store, and
@@ -48,18 +51,15 @@ type Options struct {
 	// dir keeps the history journals it was created with (see
 	// historyDirs).
 	Shards int
-	// SyncPolicy applies to the file journals (ignored in memory).
+	// SyncPolicy is ignored: every file journal group-commits.
 	SyncPolicy storage.SyncPolicy
-	// SyncInterval is the append count between fsyncs for SyncEvery
-	// (default 256).
+	// SyncInterval is ignored: see SyncPolicy.
 	SyncInterval int
-	// BatchMaxDelay is the SyncBatch max-latency tick (default 2ms):
-	// buffered records reach stable storage at least this often.
+	// BatchMaxDelay bounds how long a journal record that no caller
+	// waits for stays unsynced (default 2ms).
 	BatchMaxDelay time.Duration
-	// Durable makes API-visible state transitions wait for the state
-	// journal's durability acknowledgement before returning. Under
-	// SyncBatch, concurrent transitions share one group-commit fsync,
-	// so this costs one fsync per batch rather than per transition.
+	// Durable is ignored: with a DataDir every state transition waits
+	// for its group commit.
 	Durable bool
 	// SnapshotEvery writes a state snapshot after this many journal
 	// appends (0 disables snapshots; requires DataDir).
@@ -325,8 +325,6 @@ func Open(opts Options) (*BPMS, error) {
 		}
 		jopts := storage.Options{
 			SegmentSize:   opts.SegmentSize,
-			Policy:        opts.SyncPolicy,
-			SyncInterval:  opts.SyncInterval,
 			BatchMaxDelay: opts.BatchMaxDelay,
 			FS:            opts.FS,
 		}
@@ -413,7 +411,6 @@ func Open(opts Options) (*BPMS, error) {
 		Snapshots:        snaps,
 		SnapshotEvery:    opts.SnapshotEvery,
 		SnapshotInterval: opts.SnapshotInterval,
-		Durable:          opts.Durable,
 		Tasks:            tasks,
 		Timers:           wheel,
 		Clock:            opts.Clock,
@@ -609,9 +606,8 @@ func (b *BPMS) Violations() []Violation {
 
 // Close stops the timer runner, ends the shards' snapshots (waiting for
 // a running round), and syncs/closes every journal (all shard WALs plus
-// the history journals). Under SyncBatch journals this drains
-// in-flight commit batches: every acknowledged append is on stable
-// storage when Close returns.
+// the history journals). This drains in-flight commit batches: every
+// acknowledged append is on stable storage when Close returns.
 func (b *BPMS) Close() error {
 	if b.runner != nil {
 		b.runner.Stop()

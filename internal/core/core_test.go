@@ -15,7 +15,6 @@ import (
 	"bpms/internal/model"
 	"bpms/internal/obs"
 	"bpms/internal/resource"
-	"bpms/internal/storage"
 	"bpms/internal/task"
 	"bpms/internal/timer"
 )
@@ -101,18 +100,38 @@ func TestOpenPersistentAndReopen(t *testing.T) {
 	}
 }
 
+// TestDataDirAcknowledgesEveryTransition: a data dir needs no sync
+// setting to be durable. Once StartInstance returns, the state
+// journal's synced index has caught up with its last index, without a
+// Sync or Close.
+func TestDataDirAcknowledgesEveryTransition(t *testing.T) {
+	b, err := Open(Options{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.Engine.Deploy(model.Sequence(1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := b.Engine.StartInstance("seq-1", nil); err != nil {
+			t.Fatal(err)
+		}
+		if last, synced := b.JournalIndexes(); last == 0 || synced != last {
+			t.Fatalf("after start %d: journal last %d, synced %d, want equal", i, last, synced)
+		}
+	}
+}
+
 // TestDurableBatchRecoveryWithoutClose is the group-commit durability
-// contract at the system level: with SyncPolicy SyncBatch and Durable
-// acknowledgements, every state transition that returned survives a
-// crash — simulated by reopening the data dir WITHOUT closing the
+// contract at the system level: every state transition that returned
+// survives a crash — simulated by reopening the data dir WITHOUT closing the
 // first system (Close would flush everything and mask the guarantee).
 func TestDurableBatchRecoveryWithoutClose(t *testing.T) {
 	dir := t.TempDir()
 	b, err := Open(Options{
-		DataDir:    dir,
-		SyncPolicy: storage.SyncBatch,
-		Durable:    true,
-		Users:      []resource.User{{ID: "alice", Roles: []string{"clerk"}}},
+		DataDir: dir,
+		Users:   []resource.User{{ID: "alice", Roles: []string{"clerk"}}},
 	})
 	if err != nil {
 		t.Fatal(err)

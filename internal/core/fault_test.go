@@ -9,7 +9,6 @@ import (
 	"bpms/internal/fault"
 	"bpms/internal/history"
 	"bpms/internal/model"
-	"bpms/internal/storage"
 )
 
 // startUntilFault drives StartInstance until the injected fault
@@ -27,18 +26,17 @@ func startUntilFault(t *testing.T, b *BPMS) error {
 	return nil
 }
 
-// testFailStop exercises the full fail-stop path under one sync
-// policy: an injected fsync fault on the state journal must surface
-// as an error from the durable write, flip the owning shard into
-// read-only degraded mode, fire the OnDegrade callback, and refuse
-// subsequent writes with engine.ErrDegraded while reads still serve.
-func testFailStop(t *testing.T, policy storage.SyncPolicy, durable bool) {
+// TestFailStopOnFsyncFaultSyncBatch exercises the full fail-stop path
+// under the group commit: an injected fsync fault on the state journal
+// must surface as an error from the durable write, flip the owning
+// shard into read-only degraded mode, fire the OnDegrade callback, and
+// refuse subsequent writes with engine.ErrDegraded while reads still
+// serve.
+func TestFailStopOnFsyncFaultSyncBatch(t *testing.T) {
 	var degradedShard atomic.Int64
 	degradedShard.Store(-1)
 	b, err := Open(Options{
-		DataDir:    t.TempDir(),
-		SyncPolicy: policy,
-		Durable:    durable,
+		DataDir: t.TempDir(),
 		// Fail the 3rd fsync on the state journal only (the deploy
 		// record eats the first); history and snapshots stay healthy.
 		FS: fault.NewInjector(fault.OS, fault.Plan{PathContains: "state", FailFsyncAt: 3}),
@@ -86,24 +84,14 @@ func testFailStop(t *testing.T, policy storage.SyncPolicy, durable bool) {
 	}
 }
 
-func TestFailStopOnFsyncFaultSyncAlways(t *testing.T) {
-	testFailStop(t, storage.SyncAlways, true)
-}
-
-func TestFailStopOnFsyncFaultSyncBatch(t *testing.T) {
-	testFailStop(t, storage.SyncBatch, true)
-}
-
 // TestPublishRefusedOnDegradedShard: a message nobody waits for would
 // be buffered on a fail-stopped shard, so the publish is refused with
 // ErrDegraded; nothing is buffered and no message.buffered event is
 // written.
 func TestPublishRefusedOnDegradedShard(t *testing.T) {
 	b, err := Open(Options{
-		DataDir:    t.TempDir(),
-		SyncPolicy: storage.SyncAlways,
-		Durable:    true,
-		FS:         fault.NewInjector(fault.OS, fault.Plan{PathContains: "state", FailFsyncAt: 3}),
+		DataDir: t.TempDir(),
+		FS:      fault.NewInjector(fault.OS, fault.Plan{PathContains: "state", FailFsyncAt: 3}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,10 +120,8 @@ func TestPublishRefusedOnDegradedShard(t *testing.T) {
 // it can no longer persist.
 func TestFailStopENOSPC(t *testing.T) {
 	b, err := Open(Options{
-		DataDir:    t.TempDir(),
-		SyncPolicy: storage.SyncAlways,
-		Durable:    true,
-		FS:         fault.NewInjector(fault.OS, fault.Plan{PathContains: "state", ENOSPCAfter: 4096}),
+		DataDir: t.TempDir(),
+		FS:      fault.NewInjector(fault.OS, fault.Plan{PathContains: "state", ENOSPCAfter: 4096}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +141,7 @@ func TestFailStopENOSPC(t *testing.T) {
 // system surface (scraped by /api/stats before a chaos kill).
 func TestFaultReportExposed(t *testing.T) {
 	inj := fault.NewInjector(fault.OS, fault.Plan{})
-	b, err := Open(Options{DataDir: t.TempDir(), SyncPolicy: storage.SyncAlways, FS: inj})
+	b, err := Open(Options{DataDir: t.TempDir(), FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +177,8 @@ func TestFaultReportExposed(t *testing.T) {
 func TestRecoveryAfterFailStop(t *testing.T) {
 	dir := t.TempDir()
 	b, err := Open(Options{
-		DataDir:    dir,
-		SyncPolicy: storage.SyncAlways,
-		Durable:    true,
-		FS:         fault.NewInjector(fault.OS, fault.Plan{PathContains: "state", FailFsyncAt: 4}),
+		DataDir: dir,
+		FS:      fault.NewInjector(fault.OS, fault.Plan{PathContains: "state", FailFsyncAt: 4}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +201,7 @@ func TestRecoveryAfterFailStop(t *testing.T) {
 	// exercised elsewhere; here nothing may flush the lost write.)
 	_ = b
 
-	b2, err := Open(Options{DataDir: dir, SyncPolicy: storage.SyncAlways, Durable: true})
+	b2, err := Open(Options{DataDir: dir})
 	if err != nil {
 		t.Fatalf("recovery after fail-stop: %v", err)
 	}

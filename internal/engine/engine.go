@@ -76,7 +76,10 @@ type TaskContext struct {
 // Config assembles an Engine.
 type Config struct {
 	// Journal persists instance state (default: a journal that numbers
-	// records and keeps none, since only recovery reads them).
+	// records and keeps none, since only recovery reads them). Every
+	// transition waits for its durability acknowledgement
+	// (Journal.AppendDurable): once StartInstanceID, a task completion
+	// or a message delivery returns, its state survives a crash.
 	Journal storage.Journal
 	// Snapshots, when set, enables snapshot-based recovery compaction.
 	Snapshots *storage.SnapshotStore
@@ -97,13 +100,6 @@ type Config struct {
 	Clock timer.Clock
 	// History, when set, receives audit events.
 	History *history.Store
-	// Durable makes API-visible state transitions wait for the
-	// journal's durability acknowledgement (Journal.AppendDurable)
-	// before returning: once StartInstanceID, a task completion, or a
-	// message delivery returns, the resulting state survives a crash.
-	// Under a SyncBatch journal, concurrent transitions share one
-	// group-commit fsync.
-	Durable bool
 	// Publisher publishes the messages send tasks and throw events
 	// emit (required; the shard router supplies it, so a message thrown
 	// on one shard reaches waiting instances on every shard).
@@ -133,7 +129,6 @@ type Engine struct {
 	journal       storage.Journal
 	snapshots     *storage.SnapshotStore
 	snapshotEvery uint64
-	durable       bool
 
 	tasks  *task.Service
 	timers timer.Service
@@ -202,7 +197,6 @@ func New(cfg Config) (*Engine, error) {
 		journal:       cfg.Journal,
 		snapshots:     cfg.Snapshots,
 		snapshotEvery: uint64(max(cfg.SnapshotEvery, 0)),
-		durable:       cfg.Durable,
 		tasks:         cfg.Tasks,
 		timers:        cfg.Timers,
 		clock:         cfg.Clock,

@@ -335,6 +335,7 @@ func TestRecoveryFromJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer journal2.Close()
 	clock2 := timer.NewVirtualClock(clock.Now())
 	wheel2 := timer.NewWheelService(time.Millisecond, 256)
 	tasks2 := task.NewService(task.Config{Directory: dirr, Now: clock2.Now})

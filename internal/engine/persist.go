@@ -73,18 +73,6 @@ func restoreInstance(st *instState, def *model.Process) *Instance {
 	return inst
 }
 
-// appendRecord writes one journal record, waiting for the durability
-// acknowledgement when the engine runs in durable mode. In durable
-// mode the caller (holding one instance's lock) blocks only for its
-// batch's fsync; transitions on other instances proceed concurrently
-// and share the same group commit.
-func (e *Engine) appendRecord(rec []byte) (uint64, error) {
-	if e.durable {
-		return e.journal.AppendDurable(rec)
-	}
-	return e.journal.Append(rec)
-}
-
 // recordBufPool recycles record buffers: every transition persists the
 // instance state, so its record is assembled in a pooled buffer instead
 // of allocating one per append (journals and the snapshot writer copy
@@ -109,16 +97,17 @@ func encodeDeploy(def []byte) *[]byte {
 
 // persistInstance appends the instance's current state record to the
 // journal and, for a finished case, returns an exact-size copy of it for
-// retire to archive. Called under the instance lock. The returned error
-// matters in durable mode: it is the failed durability acknowledgement,
-// and API entry points must not report success past it. Async
-// (listener/timer) paths ignore it.
+// retire to archive. Called under the instance lock: the caller waits
+// for its batch's fsync, while transitions on other instances proceed
+// and share the same group commit. The returned error is the failed
+// durability acknowledgement, and API entry points must not report
+// success past it. Async (listener/timer) paths ignore it.
 func (e *Engine) persistInstance(inst *Instance) ([]byte, error) {
 	bp := recordBufPool.Get().(*[]byte)
 	defer recordBufPool.Put(bp)
 	data := encodeInstance((*bp)[:0], inst)
 	*bp = data
-	if _, err := e.appendRecord(data); err != nil {
+	if _, err := e.journal.AppendDurable(data); err != nil {
 		// A failed append (or durability ack) is a storage I/O error:
 		// fail-stop the shard.
 		e.failStop("journal append", err)
@@ -137,7 +126,7 @@ func (e *Engine) persistDeploy(p *model.Process) error {
 		return err
 	}
 	bp := encodeDeploy(data)
-	_, err = e.appendRecord(*bp)
+	_, err = e.journal.AppendDurable(*bp)
 	recordBufPool.Put(bp)
 	if err != nil {
 		e.failStop("journal append", err)

@@ -218,7 +218,7 @@ func TestRequestSnapshotRearm(t *testing.T) {
 func TestSnapshotUnderLoadLosesNoAckedStart(t *testing.T) {
 	const starters, snapshots = 3, 6
 	dir := t.TempDir()
-	e, j := openStreamingFixture(t, dir, Config{Durable: true})
+	e, j := openStreamingFixture(t, dir, Config{})
 	if err := e.Deploy(model.Sequence(3)); err != nil {
 		t.Fatal(err)
 	}

@@ -19,12 +19,12 @@ import (
 // The store is striped: events hash by instance ID (FNV-1a, as the
 // shard router places instances) onto N stripes, each owning its own
 // journal, in-memory index, and lock. core opens one stripe per engine
-// shard, so stripe k holds the audit trail of shard k's cases. Enqueue records an event on the
-// caller's goroutine: under the stripe lock it encodes the event into
-// the stripe's reused buffer, appends the record to the journal (which
-// buffers it; the journal's sync policy decides when it reaches disk)
-// and indexes it. The store starts no goroutine and keeps nothing of
-// the event passed in.
+// shard, so stripe k holds the audit trail of shard k's cases. Enqueue
+// records an event on the caller's goroutine: under the stripe lock it
+// encodes the event into the stripe's reused buffer, appends the record
+// to the journal (which buffers it; a file journal's group commit
+// fsyncs it within its max delay) and indexes it. The store starts no
+// goroutine and keeps nothing of the event passed in.
 //
 // Ordering: events of one instance always land on one stripe and are
 // recorded in emission order, so per-instance order is preserved both

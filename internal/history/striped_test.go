@@ -28,6 +28,9 @@ func fileJournals(t *testing.T, dir string, n int, opts storage.Options) []stora
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A test that simulates a crash abandons its journals; closing
+		// them at the end stops their committers.
+		t.Cleanup(func() { j.Close() })
 		out[i] = j
 	}
 	return out
@@ -154,7 +157,7 @@ func TestStripedConcurrentAppendQuery(t *testing.T) {
 func TestFlushedPrefixSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
 	const stripes = 2
-	js := fileJournals(t, dir, stripes, storage.Options{Policy: storage.SyncNever})
+	js := fileJournals(t, dir, stripes, storage.Options{})
 	s, err := NewStriped(js, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +181,7 @@ func TestFlushedPrefixSurvivesCrash(t *testing.T) {
 	}
 
 	// "Crash": reopen the journal dirs without closing the store.
-	js2 := fileJournals(t, dir, stripes, storage.Options{Policy: storage.SyncNever})
+	js2 := fileJournals(t, dir, stripes, storage.Options{})
 	s2, err := NewStriped(js2, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +342,17 @@ func TestStoreCloseStopsPipeline(t *testing.T) {
 // goroutines, so opening, writing, reading and closing one leaves the
 // goroutine count as it was.
 func TestStoreStartsNoGoroutine(t *testing.T) {
+	// A file journal closed by an earlier test may still be returning
+	// from its committer goroutine: count from a settled number.
 	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == before {
+			break
+		}
+		before = n
+	}
 	s, err := NewStriped(memJournals(4), StoreOptions{Window: 8})
 	if err != nil {
 		t.Fatal(err)

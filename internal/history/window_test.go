@@ -156,8 +156,8 @@ func TestResidentAnswersMatchReopened(t *testing.T) {
 }
 
 // skippingJournal is a journal whose appends at the listed indexes take
-// the index, keep the record and still fail, as a FileJournal append
-// whose fsync fails under a per-append sync policy does.
+// the index, keep the record and still fail, as an append that syncs
+// each record and whose fsync fails would.
 type skippingJournal struct {
 	*storage.MemJournal
 	fail map[uint64]bool

@@ -70,9 +70,6 @@ type Config struct {
 	// whenever its journal has advanced past its last snapshot (0 =
 	// off).
 	SnapshotInterval time.Duration
-	// Durable makes API-visible transitions wait for the owning
-	// shard's WAL commit acknowledgement.
-	Durable bool
 	// Tasks is the shared worklist service.
 	Tasks *task.Service
 	// Timers is the shared deadline service.
@@ -149,7 +146,6 @@ func New(cfg Config) (*Router, error) {
 				Snapshots:        snaps,
 				SnapshotEvery:    cfg.SnapshotEvery,
 				SnapshotInterval: cfg.SnapshotInterval,
-				Durable:          cfg.Durable,
 				Tasks:            cfg.Tasks,
 				Timers:           cfg.Timers,
 				Clock:            cfg.Clock,

@@ -8,18 +8,18 @@
 // appended record, recovery replays the journal (from the latest
 // snapshot when present).
 //
-// Durability contract: Append returns after the record is in the OS
-// page cache; Sync (or the SyncEvery/SyncAlways/SyncBatch policies)
-// forces it to stable storage. AppendDurable returns only after the
-// record is on stable storage — under SyncBatch, concurrent callers
-// are group-committed behind a single fsync. Records are
-// length-prefixed and CRC-protected, and a torn tail (partial final
-// record after a crash) is detected and truncated on open.
+// Durability contract: a file journal group-commits. AppendDurable
+// returns only after the record is on stable storage; concurrent
+// callers share one fsync. A plain Append returns once the record is
+// buffered, and the same committer makes it durable within
+// Options.BatchMaxDelay (sooner when batchMaxRecords appends are
+// waiting, or on Sync). Records are length-prefixed and CRC-protected,
+// and a torn tail (partial final record after a crash) is detected and
+// truncated on open.
 package storage
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"bpms/internal/fault"
@@ -40,10 +40,8 @@ type Journal interface {
 	// Append adds a record and returns its index.
 	Append(payload []byte) (uint64, error)
 	// AppendDurable adds a record and blocks until it is on stable
-	// storage. Under SyncBatch, concurrent callers are coalesced into
-	// one group commit (a single write+fsync acknowledges the whole
-	// batch); under other policies the append is followed by a sync
-	// where needed.
+	// storage. Concurrent callers are coalesced into one group commit
+	// (a single write+fsync acknowledges the whole batch).
 	AppendDurable(payload []byte) (uint64, error)
 	// Replay streams records with index >= from, in order. The
 	// callback's payload is only valid for the duration of the call.
@@ -66,72 +64,32 @@ type Journal interface {
 	Close() error
 }
 
-// SyncPolicy selects when a file journal forces data to disk.
+// SyncPolicy names how a file journal forces data to disk. There is
+// one policy, SyncBatch: Options.Policy is read nowhere and kept only
+// for callers that still set it.
 type SyncPolicy int
 
-// Sync policies.
-const (
-	// SyncNever leaves flushing to the OS (fastest, weakest).
-	SyncNever SyncPolicy = iota
-	// SyncAlways fsyncs after every append (slowest, strongest).
-	SyncAlways
-	// SyncEvery fsyncs after every N appends.
-	SyncEvery
-	// SyncBatch group-commits: a dedicated committer goroutine
-	// coalesces concurrent appends into one write+fsync and wakes all
-	// AppendDurable waiters once their records are durable. Plain
-	// Appends are synced within BatchMaxDelay or after BatchMaxRecords
-	// unsynced appends, whichever comes first.
-	SyncBatch
-)
+// SyncBatch group-commits: a dedicated committer goroutine coalesces
+// concurrent appends into one write+fsync and wakes every AppendDurable
+// waiter once its record is durable.
+const SyncBatch SyncPolicy = 0
 
 // String names the policy (flag value form).
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncNever:
-		return "never"
-	case SyncAlways:
-		return "always"
-	case SyncEvery:
-		return "every"
-	case SyncBatch:
-		return "batch"
-	}
-	return fmt.Sprintf("policy(%d)", int(p))
-}
+func (SyncPolicy) String() string { return "batch" }
 
-// ParseSyncPolicy parses a policy name as accepted by bpmsd's -sync
-// flag: never, always, every, batch.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "never":
-		return SyncNever, nil
-	case "always":
-		return SyncAlways, nil
-	case "every":
-		return SyncEvery, nil
-	case "batch":
-		return SyncBatch, nil
-	}
-	return 0, fmt.Errorf("storage: unknown sync policy %q (want never|always|every|batch)", s)
-}
+// batchMaxRecords bounds a group commit: after this many unsynced
+// appends the committer is woken even if no durability ack is pending.
+const batchMaxRecords = 1024
 
 // Options configures a file journal.
 type Options struct {
 	// SegmentSize is the maximum byte size of one segment file
 	// (default 4 MiB).
 	SegmentSize int64
-	// Policy is the sync policy (default SyncNever).
+	// Policy is ignored: every file journal group-commits.
 	Policy SyncPolicy
-	// SyncInterval is N for SyncEvery (default 256).
-	SyncInterval int
-	// BatchMaxRecords bounds a SyncBatch group: after this many
-	// unsynced appends the committer is woken even if no durability
-	// ack is pending (default 1024).
-	BatchMaxRecords int
-	// BatchMaxDelay is the SyncBatch max-latency tick: buffered
-	// records are fsynced at least this often, so a lone writer never
-	// stalls behind an empty batch (default 2ms).
+	// BatchMaxDelay bounds how long an appended record stays unsynced
+	// when no durability ack asks for it sooner (default 2ms).
 	BatchMaxDelay time.Duration
 	// Metrics instruments append and fsync latency (zero value =
 	// uninstrumented; the nil handles cost one branch per site).
@@ -145,12 +103,6 @@ func (o Options) withDefaults() Options {
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = 4 << 20
 	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 256
-	}
-	if o.BatchMaxRecords <= 0 {
-		o.BatchMaxRecords = 1024
-	}
 	if o.BatchMaxDelay <= 0 {
 		o.BatchMaxDelay = 2 * time.Millisecond
 	}
@@ -158,15 +110,4 @@ func (o Options) withDefaults() Options {
 		o.FS = fault.OS
 	}
 	return o
-}
-
-func (o Options) String() string {
-	pol := o.Policy.String()
-	switch o.Policy {
-	case SyncEvery:
-		pol = fmt.Sprintf("every%d", o.SyncInterval)
-	case SyncBatch:
-		pol = fmt.Sprintf("batch(max=%d,tick=%s)", o.BatchMaxRecords, o.BatchMaxDelay)
-	}
-	return fmt.Sprintf("seg=%dB sync=%s", o.SegmentSize, pol)
 }

@@ -318,27 +318,6 @@ func TestDropBefore(t *testing.T) {
 	})
 }
 
-func TestSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncNever, SyncAlways, SyncEvery} {
-		dir := t.TempDir()
-		j, err := OpenFileJournal(dir, Options{Policy: pol, SyncInterval: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 20; i++ {
-			if _, err := j.Append([]byte("data")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := j.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestConcurrentAppend(t *testing.T) {
 	j, err := OpenFileJournal(t.TempDir(), Options{SegmentSize: 4096})
 	if err != nil {

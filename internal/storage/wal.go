@@ -65,7 +65,8 @@ type FileJournal struct {
 	closed      bool
 	appendedAny bool
 
-	// Group-commit machinery (SyncBatch only).
+	// Group-commit machinery.
+	delay    *time.Timer   // max-delay clock, armed by the first unsynced append
 	commitCh chan struct{} // wakes the committer; buffered, coalescing
 	stopCh   chan struct{}
 	doneCh   chan struct{}
@@ -135,12 +136,12 @@ func OpenFileJournal(dir string, opts Options) (*FileJournal, error) {
 		j.activeBuf = bufio.NewWriterSize(f, 64<<10)
 	}
 	j.syncedIndex = j.nextIndex - 1 // everything recovered is on disk
-	if j.opts.Policy == SyncBatch {
-		j.commitCh = make(chan struct{}, 1)
-		j.stopCh = make(chan struct{})
-		j.doneCh = make(chan struct{})
-		go j.committer()
-	}
+	j.delay = time.NewTimer(opts.BatchMaxDelay)
+	j.delay.Stop()
+	j.commitCh = make(chan struct{}, 1)
+	j.stopCh = make(chan struct{})
+	j.doneCh = make(chan struct{})
+	go j.committer()
 	return j, nil
 }
 
@@ -208,11 +209,9 @@ func (j *FileJournal) Append(payload []byte) (uint64, error) {
 }
 
 // AppendDurable implements Journal: the append returns only after the
-// record is on stable storage. Under SyncBatch the caller parks on an
-// ack channel and the committer goroutine group-commits all records
-// buffered since the last fsync; under other policies the append is
-// followed by a direct sync when the policy alone does not guarantee
-// durability.
+// record is on stable storage. The caller parks on an ack channel and
+// the committer goroutine group-commits all records buffered since the
+// last fsync.
 func (j *FileJournal) AppendDurable(payload []byte) (uint64, error) {
 	t0 := j.opts.Metrics.Append.Start()
 	j.mu.Lock()
@@ -221,26 +220,13 @@ func (j *FileJournal) AppendDurable(payload []byte) (uint64, error) {
 		j.mu.Unlock()
 		return 0, err
 	}
-	switch j.opts.Policy {
-	case SyncAlways:
-		// appendLocked already synced.
-		j.mu.Unlock()
-		j.opts.Metrics.Append.Since(t0)
-		return index, nil
-	case SyncBatch:
-		ch := make(chan error, 1)
-		j.waiters = append(j.waiters, commitWaiter{index: index, ch: ch})
-		j.mu.Unlock()
-		j.kickCommitter()
-		err := <-ch
-		j.opts.Metrics.Append.Since(t0)
-		return index, err
-	default: // SyncNever, SyncEvery
-		err := j.syncLocked()
-		j.mu.Unlock()
-		j.opts.Metrics.Append.Since(t0)
-		return index, err
-	}
+	ch := make(chan error, 1)
+	j.waiters = append(j.waiters, commitWaiter{index: index, ch: ch})
+	j.mu.Unlock()
+	j.kickCommitter()
+	err = <-ch
+	j.opts.Metrics.Append.Since(t0)
+	return index, err
 }
 
 // kickCommitter wakes the committer without blocking; a pending wakeup
@@ -252,14 +238,14 @@ func (j *FileJournal) kickCommitter() {
 	}
 }
 
-// committer is the SyncBatch group-commit loop: it fsyncs whenever an
-// AppendDurable waiter is parked or the max-latency tick elapses with
-// unsynced appends, then wakes every waiter whose record the fsync
-// covered.
+// committer is the group-commit loop: it fsyncs whenever an
+// AppendDurable waiter is parked or an unsynced append has waited
+// BatchMaxDelay, then wakes every waiter whose record the fsync
+// covered. The delay clock runs only while records are unsynced, so an
+// idle journal does not wake.
 func (j *FileJournal) committer() {
 	defer close(j.doneCh)
-	ticker := time.NewTicker(j.opts.BatchMaxDelay)
-	defer ticker.Stop()
+	defer j.delay.Stop()
 	for {
 		select {
 		case <-j.stopCh:
@@ -268,7 +254,7 @@ func (j *FileJournal) committer() {
 		case <-j.commitCh:
 			j.gather()
 			j.commitBatch()
-		case <-ticker.C:
+		case <-j.delay.C:
 			j.commitBatch()
 		}
 	}
@@ -286,7 +272,7 @@ func (j *FileJournal) gather() {
 	for i := 0; i < 64; i++ {
 		j.mu.Lock()
 		n := j.sinceSync
-		full := n >= j.opts.BatchMaxRecords
+		full := n >= batchMaxRecords
 		j.mu.Unlock()
 		if full || n == prev {
 			return
@@ -321,6 +307,7 @@ func (j *FileJournal) commitBatch() {
 	}
 	if err := j.activeBuf.Flush(); err != nil {
 		j.notifyWaitersLocked(err)
+		j.delay.Reset(j.opts.BatchMaxDelay) // retry the unsynced records
 		j.mu.Unlock()
 		return
 	}
@@ -330,6 +317,7 @@ func (j *FileJournal) commitBatch() {
 	// during the fsync below restart the counter for the next batch.
 	pending := j.sinceSync
 	j.sinceSync = 0
+	j.delay.Stop()
 	j.mu.Unlock()
 
 	t0 := j.opts.Metrics.Fsync.Start()
@@ -346,8 +334,10 @@ func (j *FileJournal) commitBatch() {
 	}
 	if err != nil {
 		// Genuine sync failure: fail every parked caller and put the
-		// batch back on the unsynced counter so the tick retries it.
+		// batch back on the unsynced counter so the delay clock
+		// retries it.
 		j.sinceSync += pending
+		j.delay.Reset(j.opts.BatchMaxDelay)
 		j.notifyWaitersLocked(err)
 		j.mu.Unlock()
 		return
@@ -383,8 +373,8 @@ func (j *FileJournal) notifyWaitersLocked(err error) {
 	j.waiters = nil
 }
 
-// appendLocked buffers one record and applies the sync policy. Called
-// under j.mu.
+// appendLocked buffers one record and wakes the committer when the
+// batch is full. Called under j.mu.
 func (j *FileJournal) appendLocked(payload []byte) (uint64, error) {
 	if j.closed {
 		return 0, ErrClosed
@@ -411,24 +401,14 @@ func (j *FileJournal) appendLocked(payload []byte) (uint64, error) {
 	}
 	j.appendedAny = true
 	j.sinceSync++
-	switch j.opts.Policy {
-	case SyncAlways:
-		if err := j.syncLocked(); err != nil {
-			return 0, err
-		}
-	case SyncEvery:
-		if j.sinceSync >= j.opts.SyncInterval {
-			if err := j.syncLocked(); err != nil {
-				return 0, err
-			}
-		}
-	case SyncBatch:
-		// Bounded batch: a full batch wakes the committer even when no
-		// durability ack is pending; otherwise the max-latency tick
-		// picks the record up.
-		if j.sinceSync >= j.opts.BatchMaxRecords {
-			j.kickCommitter()
-		}
+	// The first unsynced record starts the delay clock. A full batch
+	// wakes the committer at once, even when no durability ack is
+	// pending.
+	if j.sinceSync == 1 {
+		j.delay.Reset(j.opts.BatchMaxDelay)
+	}
+	if j.sinceSync >= batchMaxRecords {
+		j.kickCommitter()
 	}
 	return index, nil
 }
@@ -438,10 +418,10 @@ func (j *FileJournal) rollLocked() error {
 		if err := j.activeBuf.Flush(); err != nil {
 			return err
 		}
-		// Sync before closing: once the segment is rolled, a later
-		// explicit Sync() only reaches the new active file, so under
-		// SyncEvery/SyncNever this is the last chance to make the
-		// outgoing segment's tail durable.
+		// Sync before closing: once the segment is rolled, the
+		// committer and Sync only reach the new active file, so this
+		// is the last chance to make the outgoing segment's tail
+		// durable.
 		if err := j.active.Sync(); err != nil {
 			return err
 		}
@@ -594,14 +574,12 @@ func (j *FileJournal) SyncedIndex() uint64 {
 	return j.syncedIndex
 }
 
-// Close implements Journal: the committer (when running) is drained
-// first so parked AppendDurable calls complete, then the active
-// segment is flushed, fsynced, and closed.
+// Close implements Journal: the committer is drained first so parked
+// AppendDurable calls complete, then the active segment is flushed,
+// fsynced, and closed.
 func (j *FileJournal) Close() error {
-	if j.stopCh != nil {
-		j.stopOnce.Do(func() { close(j.stopCh) })
-		<-j.doneCh
-	}
+	j.stopOnce.Do(func() { close(j.stopCh) })
+	<-j.doneCh
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {

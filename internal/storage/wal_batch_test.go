@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Group-commit (SyncBatch) tests. The durability contract under test:
+// Group-commit tests. The durability contract under test:
 // once AppendDurable returns, the record survives a crash — modelled
 // here by reopening the directory with a fresh journal WITHOUT closing
 // the first one (a closed journal flushes everything, which would mask
@@ -17,7 +17,6 @@ import (
 func TestAppendDurableConcurrentBatch(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenFileJournal(dir, Options{
-		Policy:      SyncBatch,
 		SegmentSize: 8 << 10, // force several rolls mid-run
 	})
 	if err != nil {
@@ -84,7 +83,7 @@ func TestAppendDurableConcurrentBatch(t *testing.T) {
 // whole buffered prefix.
 func TestAppendDurableAckOrdering(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenFileJournal(dir, Options{Policy: SyncBatch})
+	j, err := OpenFileJournal(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,17 +115,15 @@ func TestAppendDurableAckOrdering(t *testing.T) {
 	}
 }
 
-// TestSyncBatchTickFlushesPlainAppends: without any durability ack,
-// the max-latency tick alone must push buffered appends to disk.
+// TestSyncBatchTickFlushesPlainAppends: a journal opened with no
+// options group-commits, so without any durability ack the delay clock
+// (BatchMaxDelay, 2ms by default) alone must push buffered appends to
+// disk; Sync and Close then still succeed.
 func TestSyncBatchTickFlushesPlainAppends(t *testing.T) {
-	j, err := OpenFileJournal(t.TempDir(), Options{
-		Policy:        SyncBatch,
-		BatchMaxDelay: time.Millisecond,
-	})
+	j, err := OpenFileJournal(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
 	var last uint64
 	for i := 0; i < 20; i++ {
 		if last, err = j.Append([]byte("tick-flushed")); err != nil {
@@ -140,68 +137,70 @@ func TestSyncBatchTickFlushesPlainAppends(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSyncBatchBoundedBatch: a full batch wakes the committer before
-// the tick. With a long tick, BatchMaxRecords plain appends must
+// the tick. With a long tick, batchMaxRecords plain appends must
 // still become durable promptly.
 func TestSyncBatchBoundedBatch(t *testing.T) {
 	j, err := OpenFileJournal(t.TempDir(), Options{
-		Policy:          SyncBatch,
-		BatchMaxRecords: 8,
-		BatchMaxDelay:   time.Minute, // tick effectively disabled
+		BatchMaxDelay: time.Minute, // tick effectively disabled
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	for i := 0; i < 8; i++ {
+	for i := 0; i < batchMaxRecords; i++ {
 		if _, err := j.Append([]byte("batch-full")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for j.SyncedIndex() < 8 {
+	for j.SyncedIndex() < batchMaxRecords {
 		if time.Now().After(deadline) {
-			t.Fatalf("SyncedIndex = %d, want 8 (full batch did not trigger commit)", j.SyncedIndex())
+			t.Fatalf("SyncedIndex = %d, want %d (full batch did not trigger commit)", j.SyncedIndex(), batchMaxRecords)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestAppendDurableAllPolicies: AppendDurable keeps its contract under
-// every policy and for the in-memory journal.
+// TestAppendDurableAllPolicies: AppendDurable keeps its contract for
+// the file journal's one policy and for the in-memory journal.
 func TestAppendDurableAllPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncNever, SyncAlways, SyncEvery, SyncBatch} {
-		t.Run(pol.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			j, err := OpenFileJournal(dir, Options{Policy: pol, SyncInterval: 4})
+	t.Run(SyncBatch.String(), func(t *testing.T) {
+		dir := t.TempDir()
+		j, err := OpenFileJournal(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 10; i++ {
+			idx, err := j.AppendDurable([]byte(fmt.Sprintf("d-%d", i)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 1; i <= 10; i++ {
-				idx, err := j.AppendDurable([]byte(fmt.Sprintf("d-%d", i)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if idx != uint64(i) {
-					t.Fatalf("index = %d, want %d", idx, i)
-				}
+			if idx != uint64(i) {
+				t.Fatalf("index = %d, want %d", idx, i)
 			}
-			if synced := j.SyncedIndex(); synced != 10 {
-				t.Fatalf("SyncedIndex = %d, want 10", synced)
-			}
-			// Crash-reopen: all acked records present.
-			j2, err := OpenFileJournal(dir, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer j2.Close()
-			if got := j2.LastIndex(); got != 10 {
-				t.Fatalf("recovered LastIndex = %d, want 10", got)
-			}
-		})
-	}
+		}
+		if synced := j.SyncedIndex(); synced != 10 {
+			t.Fatalf("SyncedIndex = %d, want 10", synced)
+		}
+		// Crash-reopen: all acked records present.
+		j2, err := OpenFileJournal(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j2.Close()
+		if got := j2.LastIndex(); got != 10 {
+			t.Fatalf("recovered LastIndex = %d, want 10", got)
+		}
+	})
 	t.Run("mem", func(t *testing.T) {
 		m := NewMemJournal()
 		if idx, err := m.AppendDurable([]byte("x")); err != nil || idx != 1 {
@@ -216,7 +215,7 @@ func TestAppendDurableAllPolicies(t *testing.T) {
 // TestAppendDurableAfterClose: durable appends on a closed journal
 // fail fast instead of hanging on a dead committer.
 func TestAppendDurableAfterClose(t *testing.T) {
-	j, err := OpenFileJournal(t.TempDir(), Options{Policy: SyncBatch})
+	j, err := OpenFileJournal(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,10 +247,7 @@ func TestAppendDurableAfterClose(t *testing.T) {
 // TestSyncReleasesBatchWaiters: an explicit Sync makes everything
 // durable, so SyncedIndex catches up even between committer ticks.
 func TestSyncReleasesBatchWaiters(t *testing.T) {
-	j, err := OpenFileJournal(t.TempDir(), Options{
-		Policy:        SyncBatch,
-		BatchMaxDelay: time.Minute,
-	})
+	j, err := OpenFileJournal(t.TempDir(), Options{BatchMaxDelay: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,15 +3,17 @@ package storage
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
 // TestRollSyncsOutgoingSegment verifies that rolling to a new segment
-// leaves the outgoing segment complete on disk even when the sync
-// policy never fsyncs: every record in a non-active segment must be
-// readable directly from the file, without Sync or Close.
+// leaves the outgoing segment complete on disk even when no group
+// commit runs (the tick is a minute away and no append waits for an
+// ack): every record in a non-active segment must be readable directly
+// from the file, without Sync or Close.
 func TestRollSyncsOutgoingSegment(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenFileJournal(dir, Options{SegmentSize: 128, Policy: SyncNever})
+	j, err := OpenFileJournal(dir, Options{SegmentSize: 128, BatchMaxDelay: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ fault_episode() {
   local spec="$1" name="$2"
   DATA="$(mktemp -d)"
   echo "== [$name] bpmsd with injected fault: $spec"
-  "$BIN/bpmsd" -addr "$ADDR" -data "$DATA" -sync batch -metrics \
+  "$BIN/bpmsd" -addr "$ADDR" -data "$DATA" -metrics \
     -task-sla 200ms -fault "$spec" -user alice=clerk >"$LOG" 2>&1 &
   PID=$!
   wait_listening
@@ -190,7 +190,7 @@ fault_episode() {
 
   echo "== [$name] SIGKILL and clean restart"
   kill -9 "$PID"; wait "$PID" 2>/dev/null || true; PID=
-  "$BIN/bpmsd" -addr "$ADDR" -data "$DATA" -sync batch -user alice=clerk >"$LOG" 2>&1 &
+  "$BIN/bpmsd" -addr "$ADDR" -data "$DATA" -user alice=clerk >"$LOG" 2>&1 &
   PID=$!
   wait_ready
 

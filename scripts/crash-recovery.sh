@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Crash-recovery gate: prove that no acknowledged instance is lost
-# when bpmsd is SIGKILLed under the group-commit (-sync batch) policy.
+# when bpmsd is SIGKILLed (a -data dir always group-commits).
 #
-#  1. start bpmsd -sync batch (SHARDS engine shards, each with its own
+#  1. start bpmsd (SHARDS engine shards, each with its own
 #     history journal) on a fresh data dir
 #  2. deploy a user-task definition and start N instances via bpmsctl
 #     (each `start` returns only after the durable WAL ack of the
@@ -61,8 +61,8 @@ wait_ready() {
   return 1
 }
 
-echo "== start bpmsd (-sync batch, $SHARDS shard(s), snapshot-every $SNAPSHOT_EVERY) on $DATA"
-"$BIN/bpmsd" -addr "$ADDR" -data "$DATA" -sync batch -shards "$SHARDS" ${SNAP_FLAGS[@]+"${SNAP_FLAGS[@]}"} -user alice=clerk >"$LOG" 2>&1 &
+echo "== start bpmsd ($SHARDS shard(s), snapshot-every $SNAPSHOT_EVERY) on $DATA"
+"$BIN/bpmsd" -addr "$ADDR" -data "$DATA" -shards "$SHARDS" ${SNAP_FLAGS[@]+"${SNAP_FLAGS[@]}"} -user alice=clerk >"$LOG" 2>&1 &
 PID=$!
 wait_ready
 
@@ -83,7 +83,7 @@ kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 
 echo "== restart on the same data dir"
-"$BIN/bpmsd" -addr "$ADDR" -data "$DATA" -sync batch -shards "$SHARDS" ${SNAP_FLAGS[@]+"${SNAP_FLAGS[@]}"} -user alice=clerk >"$LOG" 2>&1 &
+"$BIN/bpmsd" -addr "$ADDR" -data "$DATA" -shards "$SHARDS" ${SNAP_FLAGS[@]+"${SNAP_FLAGS[@]}"} -user alice=clerk >"$LOG" 2>&1 &
 PID=$!
 wait_ready
 
