@@ -318,6 +318,39 @@ func TestDropBefore(t *testing.T) {
 	})
 }
 
+// TestSyncPolicies: under every sync policy a file journal takes plain
+// appends, syncs and closes, and a reopen finds every record.
+func TestSyncPolicies(t *testing.T) {
+	for _, pol := range []SyncPolicy{SyncBatch} {
+		dir := t.TempDir()
+		j, err := OpenFileJournal(dir, Options{Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			if _, err := j.Append([]byte("data")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j2, err := OpenFileJournal(dir, Options{Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := j2.LastIndex(); got != 20 {
+			t.Fatalf("%s: reopened LastIndex = %d, want 20", pol, got)
+		}
+		if err := j2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestConcurrentAppend(t *testing.T) {
 	j, err := OpenFileJournal(t.TempDir(), Options{SegmentSize: 4096})
 	if err != nil {
