@@ -247,6 +247,9 @@ func TestLegacyHistoryStripes(t *testing.T) {
 		return b
 	}
 	b := open()
+	if b.Upgrade.Files != 3 {
+		t.Errorf("upgrade report %+v, want the state segment and both history segments reframed", b.Upgrade)
+	}
 	// Recovery re-issues the open cases' work items, which appends to
 	// their trails: each answer must be a prefix of today's.
 	ids := b.Engine.Instances()
@@ -297,6 +300,9 @@ func TestLegacyHistoryStripes(t *testing.T) {
 		t.Fatal(err)
 	}
 	b = open()
+	if b.Upgrade != (UpgradeReport{}) {
+		t.Errorf("second open upgraded %+v", b.Upgrade)
+	}
 	for id, trail := range before {
 		if got := renderEvents(t, b.History.EventsOf(id)); !strings.HasPrefix(got, trail) {
 			t.Errorf("after a reopen the history of %s is\n%s\nwant it to begin\n%s", id, got, trail)

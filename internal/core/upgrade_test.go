@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -147,6 +148,9 @@ func fixtureAnswers(t *testing.T) string {
 	if err := os.CopyFS(dir, os.DirFS(v1JournalFixture)); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := storage.Upgrade(fault.OS, dir, nil, nil); err != nil { // reframe, records kept
+		t.Fatal(err)
+	}
 	j, err := storage.OpenFileJournal(dir, storage.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -172,12 +176,26 @@ func fixtureAnswers(t *testing.T) string {
 }
 
 // legacyRecords counts what remains of the older formats in a data dir:
-// state records neither binary nor a deployment, history records not v2,
-// and snapshots without the streaming magic.
+// segments and snapshots in the format 4 framing (one each), state
+// records neither binary nor a deployment, history records not v2, and
+// snapshots without the streaming magic.
 func legacyRecords(t *testing.T, dir string) int {
 	t.Helper()
 	n := 0
 	replay := func(sub string, current func(p []byte) bool) {
+		segs, err := filepath.Glob(filepath.Join(dir, sub, "wal-*.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldFramed := 0
+		for _, name := range segs {
+			if data, err := os.ReadFile(name); err != nil || !bytes.HasPrefix(data, []byte("BWL5")) {
+				oldFramed++
+			}
+		}
+		if n += oldFramed; oldFramed > 0 {
+			return
+		}
 		j, err := storage.OpenFileJournal(filepath.Join(dir, sub), storage.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -205,16 +223,16 @@ func legacyRecords(t *testing.T, dir string) int {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasPrefix(data, []byte("BSN2")) {
+		if !bytes.HasPrefix(data, []byte("BSN5")) {
 			n++
 			continue
 		}
-		for rest := data[12:]; len(rest) >= 8; {
-			size := binary.LittleEndian.Uint32(rest)
-			if !state(rest[8 : 8+size]) {
+		for rest := data[12:]; len(rest) > 0; {
+			size, k := binary.Uvarint(rest)
+			if !state(rest[k+4 : k+4+int(size)]) {
 				n++
 			}
-			rest = rest[8+size:]
+			rest = rest[k+4+int(size):]
 		}
 	}
 	return n
@@ -266,9 +284,9 @@ func TestUpgradeAtOpen(t *testing.T) {
 var formatLine = fmt.Sprintf("%d\n", dataFormat)
 
 // TestUpgradeFormatFile: a newer format is refused with an error naming
-// it; a FORMAT that is lost, empty or garbled, or names format 2 or 3,
-// costs one scan that rewrites nothing in a dir of current records, and
-// is then written again.
+// it; a FORMAT that is lost, empty or garbled, or names format 2, 3 or
+// 4, costs one scan that rewrites nothing in a dir of current records
+// and framing, and is then written again.
 func TestUpgradeFormatFile(t *testing.T) {
 	dir := t.TempDir()
 	b, err := Open(Options{DataDir: dir})
@@ -279,7 +297,7 @@ func TestUpgradeFormatFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, formatFile)
-	for _, content := range []string{"", "x\n", "-", "2", "2\n", "3", "3\n", "4"} {
+	for _, content := range []string{"", "x\n", "-", "2", "2\n", "3", "3\n", "4", "4\n", "5"} {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +311,7 @@ func TestUpgradeFormatFile(t *testing.T) {
 		if b.Upgrade.Files != 0 {
 			t.Errorf("FORMAT %q: upgrade rewrote %d files", content, b.Upgrade.Files)
 		}
-		if data, _ := os.ReadFile(path); content != "4" && string(data) != formatLine {
+		if data, _ := os.ReadFile(path); content != "5" && string(data) != formatLine {
 			t.Errorf("FORMAT %q rewritten as %q", content, data)
 		}
 	}
@@ -322,10 +340,18 @@ const (
 	format2Events  = 101
 )
 
-// historyPayloads returns the records of a data dir's history journal.
+// historyPayloads returns the records of a data dir's history journal,
+// read from a copy reframed as need be.
 func historyPayloads(t *testing.T, dir string) [][]byte {
 	t.Helper()
-	j, err := storage.OpenFileJournal(filepath.Join(dir, "history"), storage.Options{})
+	copied := t.TempDir()
+	if err := os.CopyFS(copied, os.DirFS(filepath.Join(dir, "history"))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := storage.Upgrade(fault.OS, copied, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	j, err := storage.OpenFileJournal(copied, storage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,10 +363,10 @@ func historyPayloads(t *testing.T, dir string) [][]byte {
 	return out
 }
 
-// TestFormat2DirOpens: a format 2 dir opens with its history records
-// kept byte for byte and only the state records of parked cases, whose
-// tokens were a JSON tail, rewritten, and answers what the build that
-// wrote it answered. The same
+// TestFormat2DirOpens: a format 2 dir opens with every file reframed,
+// its history records kept byte for byte and only the state records of
+// parked cases, whose tokens were a JSON tail, rewritten, and answers
+// what the build that wrote it answered. The same
 // events written with numbered instance IDs export byte-identical XES.
 // New cases then append numbered records beside the literal ones, and a
 // reopen reads the mixed journal back as the live store answered it.
@@ -354,16 +380,6 @@ func TestFormat2DirOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantXES, err := os.ReadFile(filepath.Join(dir, "answers.xes"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := map[string][]byte{}
-	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			before[path], err = os.ReadFile(path)
-		}
-		return err
-	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,16 +430,11 @@ func TestFormat2DirOpens(t *testing.T) {
 		return b
 	}
 	b := open()
-	if b.Upgrade.Files != 2 || b.Upgrade.Records != 3 {
-		t.Errorf("upgrade report %+v, want the WAL segment and the snapshot rewritten, 3 records of parked cases", b.Upgrade)
+	if b.Upgrade.Files != 3 || b.Upgrade.Records != 3 {
+		t.Errorf("upgrade report %+v, want the WAL segment, the snapshot and the history segment rewritten, 3 records of parked cases", b.Upgrade)
 	}
 	if data, err := os.ReadFile(filepath.Join(dir, formatFile)); err != nil || string(data) != formatLine {
 		t.Errorf("FORMAT = %q, %v", data, err)
-	}
-	for path, old := range before {
-		if now, err := os.ReadFile(path); filepath.Base(filepath.Dir(path)) == "history" && (err != nil || !bytes.HasPrefix(now, old)) {
-			t.Errorf("%s was rewritten (%v)", path, err)
-		}
 	}
 	var events []*history.Event
 	err = b.History.All(func(e *history.Event) error {
@@ -469,6 +480,9 @@ func TestFormat2DirOpens(t *testing.T) {
 	}
 	b = open()
 	defer b.Close()
+	if b.Upgrade != (UpgradeReport{}) {
+		t.Errorf("second open upgraded %+v", b.Upgrade)
+	}
 	var reopened []*history.Event
 	err = b.History.All(func(e *history.Event) error {
 		if e.Index <= uint64(len(live)) {
@@ -538,11 +552,11 @@ func format3Drive(t *testing.T, b *BPMS, clock *timer.VirtualClock) {
 	b.Timers.AdvanceTo(clock.Now())
 }
 
-// TestFormat3DirOpens: a format 3 dir opens with the WAL segment and the
-// snapshot rewritten, no JSON tail left and its history kept byte for
-// byte; FORMAT becomes 4. It answers what the build that wrote it
-// answered, before and after every parked case moves on, and reopens
-// without a second upgrade.
+// TestFormat3DirOpens: a format 3 dir opens with the WAL segment, the
+// snapshot and the history segment rewritten, no JSON tail left and its
+// history records kept byte for byte; FORMAT becomes current. It
+// answers what the build that wrote it answered, before and after every
+// parked case moves on, and reopens without a second upgrade.
 func TestFormat3DirOpens(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS(format3Fixture)); err != nil {
@@ -576,11 +590,7 @@ func TestFormat3DirOpens(t *testing.T) {
 	if n := jsonTails(); n == 0 {
 		t.Fatal("the fixture holds no JSON tail")
 	}
-	histSegment := filepath.Join(dir, "history", "wal-00000000000000000001.log")
-	literal, err := os.ReadFile(histSegment)
-	if err != nil {
-		t.Fatal(err)
-	}
+	literal := historyPayloads(t, dir)
 	clock := timer.NewVirtualClock(time.Date(2026, 7, 8, 10, 30, 18, 0, time.FixedZone("", 2*3600)))
 	open := func() *BPMS {
 		b, err := Open(Options{DataDir: dir, Clock: clock, Users: []resource.User{{ID: "carol", Roles: []string{"clerk"}}}})
@@ -603,17 +613,14 @@ func TestFormat3DirOpens(t *testing.T) {
 		return renderCases(t, b) + renderEvents(t, events)
 	}
 	b := open()
-	if b.Upgrade.Files != 2 || b.Upgrade.Records == 0 {
-		t.Errorf("upgrade report %+v, want the WAL segment and the snapshot rewritten", b.Upgrade)
+	if b.Upgrade.Files != 3 || b.Upgrade.Records == 0 {
+		t.Errorf("upgrade report %+v, want the WAL segment, the snapshot and the history segment rewritten", b.Upgrade)
 	}
 	if data, err := os.ReadFile(filepath.Join(dir, formatFile)); err != nil || string(data) != formatLine {
 		t.Errorf("FORMAT = %q, %v", data, err)
 	}
 	if n := jsonTails(); n != 0 {
 		t.Errorf("%d JSON tails remain after the upgrade", n)
-	}
-	if now, err := os.ReadFile(histSegment); err != nil || !bytes.HasPrefix(now, literal) {
-		t.Errorf("the history segment was rewritten (%v)", err)
 	}
 	if got := answers(b, format3Events); got != want[0] {
 		t.Errorf("the format 3 dir answers\n%s\nthe build that wrote it answered\n%s", got, want[0])
@@ -625,6 +632,9 @@ func TestFormat3DirOpens(t *testing.T) {
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if now := historyPayloads(t, dir); len(now) < len(literal) || !slices.EqualFunc(now[:len(literal)], literal, bytes.Equal) {
+		t.Error("the history records the fixture held changed")
 	}
 	b = open()
 	defer b.Close()
@@ -718,16 +728,58 @@ func (f *failingFile) Sync() error {
 	return f.File.Sync()
 }
 
-// TestUpgradeCrashSafe fails Open of a legacy data dir at each of its
-// mutating operations in turn, the upgrade's and then the journals'.
-// Every reopen over the plain filesystem finishes the upgrade, answers
-// exactly what the fixtures answered, and leaves no legacy record.
+// TestUpgradeCrashSafe fails Open of a data dir in an older format at
+// each of its mutating operations in turn, the upgrade's and then the
+// journals': a dir of the committed legacy fixtures, and the format 3
+// fixture. Every reopen over the plain filesystem finishes the upgrade,
+// answers exactly what the fixtures answered, and leaves no legacy
+// record.
 func TestUpgradeCrashSafe(t *testing.T) {
-	want := fixtureAnswers(t)
+	t.Run("legacy", func(t *testing.T) {
+		open := func(dir string, fsys fault.FS) (*BPMS, error) { return openLegacy(t, dir, fsys) }
+		crashSafe(t, legacyDataDir, open, answers, fixtureAnswers(t))
+	})
+	t.Run("format3", func(t *testing.T) {
+		want, err := os.ReadFile(filepath.Join(format3Fixture, "answers.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		copyFixture := func(t *testing.T) string {
+			dir := t.TempDir()
+			if err := os.CopyFS(dir, os.DirFS(format3Fixture)); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		}
+		open := func(dir string, fsys fault.FS) (*BPMS, error) {
+			clock := timer.NewVirtualClock(time.Date(2026, 7, 8, 10, 30, 18, 0, time.FixedZone("", 2*3600)))
+			return Open(Options{DataDir: dir, FS: fsys, Clock: clock, Users: []resource.User{{ID: "carol", Roles: []string{"clerk"}}}})
+		}
+		answer := func(t *testing.T, b *BPMS) string {
+			var events []*history.Event
+			err := b.History.All(func(e *history.Event) error {
+				if e.Index <= format3Events {
+					events = append(events, e)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return renderCases(t, b) + renderEvents(t, events)
+		}
+		crashSafe(t, copyFixture, open, answer, string(want))
+	})
+}
+
+// crashSafe fails the open of each dir mkdir makes at the n-th mutating
+// operation, for n = 1, 2, … until an open makes fewer, and holds every
+// reopen to want.
+func crashSafe(t *testing.T, mkdir func(*testing.T) string, open func(dir string, fsys fault.FS) (*BPMS, error),
+	answer func(*testing.T, *BPMS) string, want string) {
 	for n := 1; ; n++ {
-		dir := legacyDataDir(t)
-		fsys := &failingFS{FS: fault.OS, failAt: n}
-		b, err := openLegacy(t, dir, fsys)
+		dir := mkdir(t)
+		b, err := open(dir, &failingFS{FS: fault.OS, failAt: n})
 		if err == nil {
 			b.Close()
 			if n < 10 {
@@ -739,11 +791,11 @@ func TestUpgradeCrashSafe(t *testing.T) {
 		if !errors.Is(err, errInjected) {
 			t.Fatalf("op %d: %v", n, err)
 		}
-		b, err = openLegacy(t, dir, nil)
+		b, err = open(dir, nil)
 		if err != nil {
 			t.Fatalf("op %d failed, then reopen: %v", n, err)
 		}
-		got := answers(t, b)
+		got := answer(t, b)
 		if err := b.Close(); err != nil {
 			t.Fatal(err)
 		}

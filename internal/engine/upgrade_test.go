@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bpms/internal/expr"
+	"bpms/internal/fault"
 	"bpms/internal/model"
 	"bpms/internal/resource"
 	"bpms/internal/storage"
@@ -63,13 +64,13 @@ func openUpgradeDir(t *testing.T, dir string, clock timer.Clock) (*Engine, *stor
 	return e, j, tasks
 }
 
-// tryOpenUpgradeDir is openUpgradeDir returning New's error; the
-// journal is closed when the test ends.
+// tryOpenUpgradeDir is openUpgradeDir returning the journal's or New's
+// error; the journal is closed when the test ends.
 func tryOpenUpgradeDir(t *testing.T, dir string, clock timer.Clock) (*Engine, *storage.FileJournal, *task.Service, error) {
 	t.Helper()
 	j, err := storage.OpenFileJournal(filepath.Join(dir, "state"), storage.Options{})
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, nil, err
 	}
 	t.Cleanup(func() { j.Close() })
 	snaps, err := storage.OpenSnapshotStore(filepath.Join(dir, "snapshots"), 2)
@@ -118,7 +119,8 @@ func renderCases(t *testing.T, e *Engine) string {
 	return b.String()
 }
 
-// TestJSONStateDirOpens: the JSON-era fixture does not open as it is.
+// TestJSONStateDirOpens: the JSON-era fixture does not open as it is,
+// nor once reframed with its records kept, which the engine refuses.
 // Upgraded, it answers as the engine that wrote it did, and a second
 // upgrade rewrites nothing. Then binary records go on top, finishing
 // the live case and starting new ones, and the dir reopens alike from
@@ -137,6 +139,14 @@ func TestJSONStateDirOpens(t *testing.T) {
 	stateDir, snapDir := filepath.Join(dir, "state"), filepath.Join(dir, "snapshots")
 	if _, _, _, err := tryOpenUpgradeDir(t, dir, clock); err == nil {
 		t.Fatal("the JSON-era dir opened without an upgrade")
+	}
+	for _, sub := range []string{stateDir, snapDir} {
+		if st, err := storage.Upgrade(fault.OS, sub, nil, nil); err != nil || st.Files != 1 || st.Records != 0 {
+			t.Fatalf("reframing %s = %+v, %v", sub, st, err)
+		}
+	}
+	if _, _, _, err := tryOpenUpgradeDir(t, dir, clock); err == nil {
+		t.Fatal("the reframed JSON-era dir opened without its records upgraded")
 	}
 	if st, err := upgradeDirs(stateDir, snapDir); err != nil || st.Files != 2 || st.Records == 0 {
 		t.Fatalf("upgrade = %+v, %v; want the segment and the snapshot rewritten", st, err)

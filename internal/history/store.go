@@ -301,15 +301,10 @@ func (st *stripe) indexLocked(index uint64, rec []byte, typ EventType, inst stri
 }
 
 // keepLocked copies a record into the resident window, evicting the
-// oldest resident record when the window is full. A journal append that
-// failed after taking an index leaves a gap; the window holds contiguous
-// indexes, so it is emptied first and the journal serves what it held.
+// oldest resident record when the window is full. The window holds
+// contiguous indexes: a journal append that fails takes no index
+// (storage.Journal), so the next record kept is always the next one.
 func (st *stripe) keepLocked(index uint64, rec []byte, inst string) {
-	if st.res.n > 0 && index != st.res.next() {
-		for st.res.n > 0 {
-			st.evictLocked()
-		}
-	}
 	if st.res.full() {
 		st.evictLocked()
 	}

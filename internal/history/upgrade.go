@@ -9,9 +9,10 @@ import (
 )
 
 // Upgrade rewrites the history journal in dir so that every record is
-// v2: journals written before v2 records hold v1 records, the JSON
-// encoding of an Event, which the readers no longer take. core.Open
-// runs it once per data dir, before the journal opens.
+// v2, in the current framing: journals written before v2 records hold
+// v1 records, the JSON encoding of an Event, which the readers no
+// longer take. core.Open runs it once per data dir, before the journal
+// opens.
 func Upgrade(fsys fault.FS, dir string) (storage.UpgradeStats, error) {
 	return storage.Upgrade(fsys, dir, upgradeRecord, nil)
 }

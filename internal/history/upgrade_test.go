@@ -21,8 +21,9 @@ import (
 // events, the zero time, a record with a leading "index".
 const v1Journal, v1Records = "testdata/v1-journal", 22
 
-// openV1Copy opens a copy of the v1 journal (opening may truncate a
-// torn tail, the mixed case appends, and the upgrade rewrites it).
+// openV1Copy opens a copy of the v1 journal, reframed with its records
+// kept (opening may truncate a torn tail, the mixed case appends, and
+// the upgrade rewrites it).
 func openV1Copy(t *testing.T) (dir string, j *storage.FileJournal) {
 	t.Helper()
 	dir = t.TempDir()
@@ -38,6 +39,9 @@ func openV1Copy(t *testing.T) (dir string, j *storage.FileJournal) {
 		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := storage.Upgrade(fault.OS, dir, nil, nil); err != nil {
+		t.Fatal(err)
 	}
 	return dir, reopen(t, dir)
 }

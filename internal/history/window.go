@@ -34,10 +34,6 @@ type packedWindow struct {
 // of its length prefix there.
 type recLoc struct{ chunk, off uint32 }
 
-// next is the journal index the next record must have to keep the
-// window contiguous.
-func (w *packedWindow) next() uint64 { return w.first + uint64(w.n) }
-
 // full reports whether the next add must drop the oldest record first.
 func (w *packedWindow) full() bool { return w.limit > 0 && w.n >= w.limit }
 

@@ -155,67 +155,6 @@ func TestResidentAnswersMatchReopened(t *testing.T) {
 	}
 }
 
-// skippingJournal is a journal whose appends at the listed indexes take
-// the index, keep the record and still fail, as an append that syncs
-// each record and whose fsync fails would.
-type skippingJournal struct {
-	*storage.MemJournal
-	fail map[uint64]bool
-}
-
-func (j skippingJournal) Append(p []byte) (uint64, error) {
-	index, err := j.MemJournal.Append(p)
-	if err == nil && j.fail[index] {
-		return 0, fmt.Errorf("fsync of record %d failed", index)
-	}
-	return index, err
-}
-
-// TestWindowRestartsAfterIndexGap: a failed append that took an index
-// leaves a gap in what the stripe indexes. The window holds
-// contiguous indexes, so it is emptied there; every answer still equals
-// the journal's, which keeps the failed record too.
-func TestWindowRestartsAfterIndexGap(t *testing.T) {
-	j := skippingJournal{storage.NewMemJournal(), map[uint64]bool{5: true, 9: true}}
-	s, err := NewStriped([]storage.Journal{j}, StoreOptions{Window: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	failed := 0
-	for i := 0; i < 12; i++ {
-		e := &Event{Type: ElementCompleted, Time: ts(i), InstanceID: fmt.Sprintf("i-%d", i%2),
-			Data: map[string]any{"seq": float64(i)}}
-		if err := s.Append(e); err != nil {
-			failed++
-		}
-	}
-	if failed != 2 || s.Flush() == nil {
-		t.Fatalf("%d appends failed, want 2 reported by Flush too", failed)
-	}
-	if st := s.Stats(); st.Resident > 4 || st.Events != 10 || st.Evicted != st.Events-st.Resident {
-		t.Errorf("stats %+v: want 10 events, at most 4 resident, the rest evicted", st)
-	}
-	reopened, err := NewStriped([]storage.Journal{j}, StoreOptions{Window: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"i-0", "i-1"} {
-		if got, want := s.EventsOf(id), reopened.EventsOf(id); !reflect.DeepEqual(got, want) || len(want) != 6 {
-			t.Errorf("EventsOf(%s): %d events, reopened %d, want 6 each and equal", id, len(got), len(want))
-		}
-	}
-	var live, again []*Event
-	if err := s.All(func(e *Event) error { live = append(live, e); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := reopened.All(func(e *Event) error { again = append(again, e); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live, again) || len(live) != 12 {
-		t.Errorf("All: %d events, reopened %d, want 12 each and equal", len(live), len(again))
-	}
-}
-
 type answers struct {
 	eventsOf map[string][]*Event
 	all      []*Event

@@ -65,6 +65,9 @@ func (m *MemJournal) Append(payload []byte) (uint64, error) {
 	if m.closed {
 		return 0, ErrClosed
 	}
+	if err := checkPayload(payload); err != nil {
+		return 0, err
+	}
 	size := uint64(len(payload))
 	need := uvarintLen(size) + len(payload)
 	if len(m.chunks) == 0 || len(m.chunks[len(m.chunks)-1].buf)-m.fill < need {
@@ -204,9 +207,12 @@ type DiscardJournal struct {
 func NewDiscardJournal() *DiscardJournal { return &DiscardJournal{} }
 
 // Append implements Journal.
-func (d *DiscardJournal) Append([]byte) (uint64, error) {
+func (d *DiscardJournal) Append(payload []byte) (uint64, error) {
 	if d.closed.Load() {
 		return 0, ErrClosed
+	}
+	if err := checkPayload(payload); err != nil {
+		return 0, err
 	}
 	return d.last.Add(1), nil
 }

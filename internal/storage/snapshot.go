@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -34,17 +33,20 @@ type SnapshotStore struct {
 
 // Streaming snapshot file layout:
 //
-//	[4B magic "BSN2"][8B little-endian index]
-//	then per record: [4B little-endian length][4B crc over payload][payload]
+//	[4B magic "BSN5"][8B little-endian index]
+//	then per record: a frame (frame.go) whose CRC covers the payload
 //
-// A clean EOF ends the record stream; a torn header, torn payload, or
-// CRC mismatch marks the whole snapshot unusable (snapshots are
-// written atomically, so a damaged tail means the file is not to be
-// trusted) and readers fall back to the next-older snapshot.
+// A clean EOF ends the record stream; a torn or corrupt frame marks the
+// whole snapshot unusable (snapshots are written atomically, so a
+// damaged tail means the file is not to be trusted) and readers fall
+// back to the next-older snapshot. So does a file with another magic,
+// such as "BSN2", the framing data format 4 wrote, which only Upgrade
+// reads.
 
-var snapshotMagic = [4]byte{'B', 'S', 'N', '2'}
+var snapshotMagic = [frameMagicLen]byte{'B', 'S', 'N', '5'}
 
-const snapshotRecordHeader = 4 + 4
+// snapshotHeader is the magic and the index a snapshot opens with.
+const snapshotHeader = frameMagicLen + 8
 
 // OpenSnapshotStore opens (or creates) a snapshot store in dir,
 // retaining at most retain snapshots (older ones are pruned on write;
@@ -133,22 +135,15 @@ func (s *SnapshotStore) Writer(index uint64) (*SnapshotWriter, error) {
 		return nil, fmt.Errorf("storage: create snapshot temp: %w", err)
 	}
 	w := bufio.NewWriterSize(f, 256<<10)
-	var hdr [12]byte
-	copy(hdr[0:4], snapshotMagic[:])
-	binary.LittleEndian.PutUint64(hdr[4:12], index)
+	var hdr [snapshotHeader]byte
+	copy(hdr[:], snapshotMagic[:])
+	binary.LittleEndian.PutUint64(hdr[frameMagicLen:], index)
 	if _, err := w.Write(hdr[:]); err != nil {
 		f.Close()
 		s.fs.Remove(tmp)
 		return nil, err
 	}
 	return &SnapshotWriter{store: s, index: index, tmp: tmp, f: f, w: w}, nil
-}
-
-// snapshotRecordHead is the header of the record holding payload.
-func snapshotRecordHead(payload []byte) (hdr [snapshotRecordHeader]byte) {
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	return hdr
 }
 
 // Index reports the journal index this snapshot covers.
@@ -159,8 +154,12 @@ func (w *SnapshotWriter) Append(payload []byte) error {
 	if w.done {
 		return fmt.Errorf("storage: snapshot writer already closed")
 	}
-	hdr := snapshotRecordHead(payload)
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	if err := checkPayload(payload); err != nil {
+		return err
+	}
+	var hdr [maxFrameHead]byte
+	n := putFrameHead(&hdr, 0, payload)
+	if _, err := w.w.Write(hdr[:n]); err != nil {
 		return err
 	}
 	_, err := w.w.Write(payload)
@@ -270,46 +269,30 @@ func openSnapshot(fsys fault.FS, path string) (*Snapshot, bool) {
 		return nil, false
 	}
 	defer f.Close()
-	var hdr [12]byte
+	var hdr [snapshotHeader]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return nil, false
 	}
-	if [4]byte(hdr[0:4]) != snapshotMagic {
+	if [frameMagicLen]byte(hdr[:]) != snapshotMagic {
 		return nil, false
 	}
-	index := binary.LittleEndian.Uint64(hdr[4:12])
+	index := binary.LittleEndian.Uint64(hdr[frameMagicLen:])
 	if !scanSnapshotRecords(f, nil) {
 		return nil, false
 	}
 	return &Snapshot{Index: index, path: path, fs: fsys}, true
 }
 
-// scanSnapshotRecords reads streaming records from r until EOF,
-// verifying every CRC; fn (when non-nil) receives each payload, which
-// is only valid for the duration of the call. It reports whether the
-// stream ended cleanly.
+// scanSnapshotRecords reads frames from r until EOF, verifying every
+// CRC; fn (when non-nil) receives each payload, which is only valid for
+// the duration of the call. It reports whether the stream ended
+// cleanly.
 func scanSnapshotRecords(r io.Reader, fn func(payload []byte) error) bool {
-	br := bufio.NewReaderSize(r, 256<<10)
-	var hdr [snapshotRecordHeader]byte
-	var payload []byte
+	fr := newFrameReader(r)
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return err == io.EOF // clean end vs torn header
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > 256<<20 {
-			return false // implausible length: treat as corrupt
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return false // torn payload
-		}
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return false
+		payload, _, err := fr.next(0)
+		if err != nil {
+			return err == io.EOF // clean end vs damage
 		}
 		if fn != nil {
 			if err := fn(payload); err != nil {
@@ -327,7 +310,7 @@ func (sn *Snapshot) Iterate(fn func(payload []byte) error) error {
 		return fmt.Errorf("storage: open snapshot: %w", err)
 	}
 	defer f.Close()
-	if _, err := f.Seek(12, io.SeekStart); err != nil {
+	if _, err := f.Seek(snapshotHeader, io.SeekStart); err != nil {
 		return err
 	}
 	var cbErr error

@@ -13,9 +13,16 @@
 // callers share one fsync. A plain Append returns once the record is
 // buffered, and the same committer makes it durable within
 // Options.BatchMaxDelay (sooner when batchMaxRecords appends are
-// waiting, or on Sync). Records are length-prefixed and CRC-protected,
-// and a torn tail (partial final record after a crash) is detected and
-// truncated on open.
+// waiting, or on Sync).
+//
+// On disk, WAL segments and snapshots share one record frame,
+// [uvarint length][4B CRC-32C][payload] (frame.go): 5 bytes of framing
+// for a record up to 127 bytes. A WAL record's index is implied by its
+// segment and position, and its CRC covers it, so a torn tail (partial
+// final record after a crash), a corrupt record or one written for
+// another index ends the valid prefix, which open truncates to. Each
+// file begins with a magic naming this framing; files in the framing of
+// data format 4 are refused by the readers and rewritten by Upgrade.
 package storage
 
 import (
@@ -34,8 +41,10 @@ var ErrClosed = errors.New("storage: journal closed")
 var ErrCorrupt = errors.New("storage: corrupt record")
 
 // Journal is an append-only, replayable record log. Indices are
-// contiguous and start at 1. Implementations are safe for concurrent
-// use.
+// contiguous and start at 1. A record holds 1 to 64 MiB; an append that
+// fails, such a record refused among others, takes no index, so the
+// next append gets the one it would have had. Implementations are safe
+// for concurrent use.
 type Journal interface {
 	// Append adds a record and returns its index.
 	Append(payload []byte) (uint64, error)

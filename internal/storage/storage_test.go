@@ -470,21 +470,28 @@ func TestQuickAppendReplayIdentity(t *testing.T) {
 			return false
 		}
 		defer file.Close()
+		// An empty record is refused and takes no index.
+		var kept [][]byte
+		for _, p := range payloads {
+			if len(p) > 0 {
+				kept = append(kept, p)
+			}
+		}
 		for _, j := range []Journal{mem, file} {
 			for _, p := range payloads {
-				if _, err := j.Append(p); err != nil {
+				if _, err := j.Append(p); (err != nil) != (len(p) == 0) {
 					return false
 				}
 			}
 			i := 0
-			err := j.Replay(1, func(_ uint64, got []byte) error {
-				if !bytes.Equal(got, payloads[i]) {
+			err := j.Replay(1, func(index uint64, got []byte) error {
+				if index != uint64(i+1) || !bytes.Equal(got, kept[i]) {
 					return fmt.Errorf("mismatch at %d", i)
 				}
 				i++
 				return nil
 			})
-			if err != nil || i != len(payloads) {
+			if err != nil || i != len(kept) || j.LastIndex() != uint64(len(kept)) {
 				return false
 			}
 		}

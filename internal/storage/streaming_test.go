@@ -221,7 +221,7 @@ func TestLegacyAndStreamingCoexist(t *testing.T) {
 // are not touched, and the journal opens and appends after.
 func TestUpgradeJournalRewritesInPlace(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenFileJournal(dir, Options{SegmentSize: 64})
+	j, err := OpenFileJournal(dir, Options{SegmentSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestUpgradeJournalRewritesInPlace(t *testing.T) {
 	if st, err := Upgrade(fault.OS, dir, transcode, nil); err != nil || st != (UpgradeStats{}) {
 		t.Errorf("second upgrade = %+v, %v; want nothing rewritten", st, err)
 	}
-	j, err = OpenFileJournal(dir, Options{SegmentSize: 64})
+	j, err = OpenFileJournal(dir, Options{SegmentSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

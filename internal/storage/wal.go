@@ -2,9 +2,8 @@ package storage
 
 import (
 	"bufio"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -21,30 +20,24 @@ import (
 // obs handles arrive through Options.Metrics (see storage.go); the
 // hot-path cost when uninstrumented is one nil check per site.
 
-// Record layout on disk:
+// Segment layout on disk:
 //
-//	[4B little-endian payload length]
-//	[4B CRC32-Castagnoli over index+payload]
-//	[8B little-endian record index]
-//	[payload bytes]
+//	[4B magic "BWL5"]
+//	then per record: a frame (frame.go) whose CRC covers the record's
+//	index and payload
 //
 // Segment files are named wal-<firstIndex>.log with a zero-padded
-// 20-digit first index, so lexical order equals index order.
+// 20-digit first index, so lexical order equals index order. A
+// segment's records are numbered from its first index without gaps, so
+// a record's index is its position; a failed append takes none. A file
+// shorter than the magic is a segment created but never written to,
+// and holds no record.
 
-const recordHeader = 4 + 4 + 8
+var segmentMagic = [frameMagicLen]byte{'B', 'W', 'L', '5'}
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// putRecordHead fills hdr with the header of the record holding payload
-// at index.
-func putRecordHead(hdr *[recordHeader]byte, index uint64, payload []byte) {
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], index)
-	h := crc32.New(castagnoli)
-	h.Write(hdr[8:16])
-	h.Write(payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], h.Sum32())
-}
+// errOldFraming refuses a segment in the framing before segmentMagic,
+// which only Upgrade reads.
+var errOldFraming = errors.New("storage: segment in the framing of data format 4 or older (the data dir needs its upgrade)")
 
 // FileJournal is a durable Journal over segmented append-only files.
 type FileJournal struct {
@@ -134,6 +127,9 @@ func OpenFileJournal(dir string, opts Options) (*FileJournal, error) {
 		j.activeBase = last
 		j.activeSize = size
 		j.activeBuf = bufio.NewWriterSize(f, 64<<10)
+		if size == 0 {
+			j.startSegmentLocked()
+		}
 	}
 	j.syncedIndex = j.nextIndex - 1 // everything recovered is on disk
 	j.delay = time.NewTimer(opts.BatchMaxDelay)
@@ -147,9 +143,11 @@ func OpenFileJournal(dir string, opts Options) (*FileJournal, error) {
 
 // scanSegment reads a segment, calling fn per valid record, and
 // returns the index after the last valid record (the base when there
-// is none) and the byte offset just past it. A segment's records are
-// numbered from its base without gaps, so a record out of that
-// sequence ends the valid prefix, as a torn or corrupt one does.
+// is none) and the byte offset just past it (0 for a file shorter than
+// the magic). A frame that fails its check for the next index, the
+// index it would hold, ends the valid prefix, torn or corrupt or
+// written for another index alike. A segment in the older framing is
+// refused, never read as this one.
 func (j *FileJournal) scanSegment(base uint64, fn func(uint64, []byte) error) (uint64, int64, error) {
 	path := filepath.Join(j.dir, segmentName(base))
 	f, err := j.opts.FS.Open(path)
@@ -157,44 +155,29 @@ func (j *FileJournal) scanSegment(base uint64, fn func(uint64, []byte) error) (u
 		return 0, 0, fmt.Errorf("storage: open segment: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 256<<10)
-	var offset int64
-	next := base
-	hdr := make([]byte, recordHeader)
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			return next, offset, nil // clean EOF or torn header
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		index := binary.LittleEndian.Uint64(hdr[8:16])
-		if length > 64<<20 {
-			return next, offset, nil // implausible: treat as torn
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return next, offset, nil // torn payload
-		}
-		h := crc32.New(castagnoli)
-		h.Write(hdr[8:16])
-		h.Write(payload)
-		if h.Sum32() != crc {
-			return next, offset, nil // corrupt: truncate here
-		}
-		if index != next {
-			return next, offset, nil // out of sequence: truncate here
+	fr := newFrameReader(f)
+	var magic [frameMagicLen]byte
+	if _, err := io.ReadFull(fr.r, magic[:]); err == io.EOF || err == io.ErrUnexpectedEOF {
+		return base, 0, nil
+	} else if err != nil {
+		return 0, 0, fmt.Errorf("storage: read segment %s: %w", path, err)
+	} else if magic != segmentMagic {
+		return 0, 0, fmt.Errorf("%w: %s", errOldFraming, path)
+	}
+	offset := int64(frameMagicLen)
+	for next := base; ; next++ {
+		payload, size, err := fr.next(indexSeed(next))
+		if err == io.EOF || err == errBadFrame {
+			return next, offset, nil
+		} else if err != nil {
+			return next, offset, fmt.Errorf("storage: read segment %s: %w", path, err)
 		}
 		if fn != nil {
-			if err := fn(index, payload); err != nil {
+			if err := fn(next, payload); err != nil {
 				return next, offset, err
 			}
 		}
-		next++
-		offset += int64(recordHeader) + int64(length)
+		offset += size
 	}
 }
 
@@ -374,21 +357,25 @@ func (j *FileJournal) notifyWaitersLocked(err error) {
 }
 
 // appendLocked buffers one record and wakes the committer when the
-// batch is full. Called under j.mu.
+// batch is full. An append that fails takes no index: the next one gets
+// the same. Called under j.mu.
 func (j *FileJournal) appendLocked(payload []byte) (uint64, error) {
 	if j.closed {
 		return 0, ErrClosed
 	}
-	recSize := int64(recordHeader) + int64(len(payload))
-	if j.active == nil || (j.activeSize > 0 && j.activeSize+recSize > j.opts.SegmentSize) {
+	if err := checkPayload(payload); err != nil {
+		return 0, err
+	}
+	recSize := frameSize(len(payload))
+	if j.active == nil || (j.activeSize > frameMagicLen && j.activeSize+recSize > j.opts.SegmentSize) {
 		if err := j.rollLocked(); err != nil {
 			return 0, err
 		}
 	}
 	index := j.nextIndex
-	var hdr [recordHeader]byte
-	putRecordHead(&hdr, index, payload)
-	if _, err := j.activeBuf.Write(hdr[:]); err != nil {
+	var hdr [maxFrameHead]byte
+	n := putFrameHead(&hdr, indexSeed(index), payload)
+	if _, err := j.activeBuf.Write(hdr[:n]); err != nil {
 		return 0, err
 	}
 	if _, err := j.activeBuf.Write(payload); err != nil {
@@ -442,7 +429,15 @@ func (j *FileJournal) rollLocked() error {
 	j.activeSize = 0
 	j.activeBuf = bufio.NewWriterSize(f, 64<<10)
 	j.segments = append(j.segments, base)
+	j.startSegmentLocked()
 	return nil
+}
+
+// startSegmentLocked buffers the magic that opens the empty active
+// segment; it reaches the file with the segment's first flush.
+func (j *FileJournal) startSegmentLocked() {
+	j.activeBuf.Write(segmentMagic[:]) // a fresh buffer takes it whole
+	j.activeSize = frameMagicLen
 }
 
 func (j *FileJournal) syncLocked() error {

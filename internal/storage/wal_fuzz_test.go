@@ -11,9 +11,7 @@ import (
 
 // fuzzRecord encodes one on-disk record.
 func fuzzRecord(index uint64, payload string) []byte {
-	var hdr [recordHeader]byte
-	putRecordHead(&hdr, index, []byte(payload))
-	return append(hdr[:], payload...)
+	return appendFrame(nil, indexSeed(index), []byte(payload))
 }
 
 type indexed struct {
@@ -43,20 +41,24 @@ func replayAll(t *testing.T, j *FileJournal) []indexed {
 }
 
 // FuzzOpenSegment opens a journal whose one segment holds any bytes at
-// all. Opening must not panic, and what it keeps must replay numbered
+// all. Opening must not panic; when it fails (a segment in the older
+// framing) it leaves the segment as it was, and what it keeps must
+// replay numbered
 // without gaps up to LastIndex. It must survive an append, a close and
 // a reopen: the records replayed before, then the new one at LastIndex.
 func FuzzOpenSegment(f *testing.F) {
-	clean := bytes.Join([][]byte{fuzzRecord(1, "a"), fuzzRecord(2, "bb"), fuzzRecord(3, "ccc")}, nil)
+	clean := bytes.Join([][]byte{segmentMagic[:], fuzzRecord(1, "a"), fuzzRecord(2, "bb"), fuzzRecord(3, "ccc")}, nil)
 	f.Add(clean)
-	f.Add(append(append([]byte(nil), clean...), fuzzRecord(4, "dddd")[:recordHeader-3]...)) // torn header
-	f.Add(append(append([]byte(nil), clean...), fuzzRecord(4, "dddd")[:recordHeader+2]...)) // torn payload
+	f.Add(append(append([]byte(nil), clean...), fuzzRecord(4, "dddd")[:3]...)) // torn header
+	f.Add(append(append([]byte(nil), clean...), fuzzRecord(4, "dddd")[:7]...)) // torn payload
 	badCRC := append([]byte(nil), clean...)
-	badCRC[len(fuzzRecord(1, "a"))+recordHeader] ^= 0xFF // record 2's payload
+	badCRC[frameMagicLen+len(fuzzRecord(1, "a"))+5] ^= 0xFF // record 2's payload
 	f.Add(badCRC)
-	huge := fuzzRecord(4, "e")
-	binary.LittleEndian.PutUint32(huge[0:4], 64<<20+1)
-	f.Add(append(append([]byte(nil), clean...), huge...)) // length over 64 MiB
+	huge := binary.AppendUvarint(nil, maxFrame+1)
+	huge = append(huge, fuzzRecord(4, "e")[1:]...)
+	f.Add(append(append([]byte(nil), clean...), huge...))             // length over 64 MiB
+	f.Add(append(append([]byte(nil), clean...), make([]byte, 16)...)) // zero-filled tail
+	f.Add(segmentMagic[:2])                                           // torn magic
 	f.Fuzz(func(t *testing.T, seg []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
@@ -64,6 +66,9 @@ func FuzzOpenSegment(f *testing.F) {
 		}
 		j, err := OpenFileJournal(dir, Options{})
 		if err != nil {
+			if now, rerr := os.ReadFile(filepath.Join(dir, segmentName(1))); rerr != nil || !bytes.Equal(now, seg) {
+				t.Fatalf("open failed (%v) and changed the segment (%v)", err, rerr)
+			}
 			return
 		}
 		want := replayAll(t, j)

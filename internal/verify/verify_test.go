@@ -194,26 +194,74 @@ func TestBoundaryEventTranslation(t *testing.T) {
 		t.Errorf("interrupting boundary process should be sound: %v", res.Violations)
 	}
 
-	// Non-interrupting boundary without merging the extra token is
-	// unsound (improper completion).
-	p2, err := model.New("noninterrupting").
-		Start("start").
-		UserTask("work", model.Role("clerk")).
-		BoundaryTimer("remind", "work", "1h", false).
-		ServiceTask("notify", model.NoopHandler).
-		End("end").
-		End("end2").
-		Flow("start", "work").
-		Flow("work", "end").
-		Flow("remind", "notify").
-		Flow("notify", "end2").
-		Build()
+}
+
+// TestNonInterruptingBoundary: a non-interrupting boundary event leaves
+// its activity running and starts a branch of its own, and a case ends
+// when its last branch does. So an activity that completes after its
+// boundary fired, or without it firing, makes a sound definition,
+// whether the branch ends at the activity's end event or at one of its
+// own; so do an interrupting boundary beside it, two of them, a loop
+// through the activity, and one on a sub-process. A branch that must
+// join a branch that may never start still deadlocks, and one that
+// forks and ends twice completes improperly. Interrupting boundaries
+// keep their verdicts. Every verdict holds with and without reduction.
+func TestNonInterruptingBoundary(t *testing.T) {
+	notify := func(b *model.Builder) *model.Builder {
+		return b.Start("start").UserTask("work", model.Role("clerk")).
+			BoundaryTimer("remind", "work", "1h", false).ServiceTask("notify", model.NoopHandler)
+	}
+	sub, err := model.New("inner").Start("s").UserTask("sign", model.Role("clerk")).End("e").Seq("s", "sign", "e").Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2 := check(t, p2, Options{Diagnostics: true})
-	if res2.Sound {
-		t.Error("non-interrupting boundary with unsynchronised extra token should be unsound")
+	cases := []struct {
+		name  string
+		b     *model.Builder
+		sound bool
+	}{
+		{"one end event", notify(model.New("one-end")).End("end").
+			Flow("start", "work").Flow("work", "end").Flow("remind", "notify").Flow("notify", "end"), true},
+		{"two end events", notify(model.New("two-ends")).End("end").End("end2").
+			Flow("start", "work").Flow("work", "end").Flow("remind", "notify").Flow("notify", "end2"), true},
+		{"beside an interrupting one", notify(model.New("both")).BoundaryTimer("late", "work", "48h", true).
+			ServiceTask("expire", model.NoopHandler).XOR("merge").End("end").End("end2").
+			Flow("start", "work").Flow("work", "merge").Flow("late", "expire").Flow("expire", "merge").
+			Flow("merge", "end").Flow("remind", "notify").Flow("notify", "end2"), true},
+		{"two of them", notify(model.New("two")).BoundaryMessage("ping", "work", "ping", false).
+			ServiceTask("log", model.NoopHandler).End("end").End("end2").End("end3").
+			Flow("start", "work").Flow("work", "end").Flow("remind", "notify").Flow("notify", "end2").
+			Flow("ping", "log").Flow("log", "end3"), true},
+		{"in a loop", notify(model.New("loop")).XOR("again").XOR("back").End("end").End("end2").
+			Flow("start", "back").Flow("back", "work").Flow("work", "again").
+			FlowIf("again", "back", "retry").Flow("again", "end").Flow("remind", "notify").Flow("notify", "end2"), true},
+		{"on a sub-process", model.New("scoped").Start("start").SubProcess("sp", sub).
+			BoundaryTimer("remind", "sp", "1h", false).ServiceTask("notify", model.NoopHandler).End("end").End("end2").
+			Flow("start", "sp").Flow("sp", "end").Flow("remind", "notify").Flow("notify", "end2"), true},
+		{"interrupting, own end event", model.New("escalate").Start("start").UserTask("work", model.Role("clerk")).
+			BoundaryTimer("late", "work", "48h", true).ServiceTask("expire", model.NoopHandler).End("end").End("end2").
+			Flow("start", "work").Flow("work", "end").Flow("late", "expire").Flow("expire", "end2"), true},
+		{"interrupting, joined by AND", model.New("escalate-join").Start("start").UserTask("work", model.Role("clerk")).
+			BoundaryTimer("late", "work", "48h", true).ServiceTask("expire", model.NoopHandler).AND("join").End("end").
+			Flow("start", "work").Flow("work", "join").Flow("late", "expire").Flow("expire", "join").Flow("join", "end"), false},
+		{"joined by AND", notify(model.New("and-join")).AND("join").End("end").
+			Flow("start", "work").Flow("work", "join").Flow("remind", "notify").Flow("notify", "join").Flow("join", "end"), false},
+		{"forked and ended twice", notify(model.New("fork")).AND("fork").End("end").End("end2").End("end3").
+			Flow("start", "work").Flow("work", "end").Flow("remind", "notify").Flow("notify", "fork").
+			Flow("fork", "end2").Flow("fork", "end3"), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := tc.b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range []Options{{}, {UseReduction: true}, {UseReduction: true, Diagnostics: true}} {
+				if res := check(t, p, opts); res.Sound != tc.sound {
+					t.Errorf("%+v: sound = %v, want %v: %v", opts, res.Sound, tc.sound, res.Violations)
+				}
+			}
+		})
 	}
 }
 

@@ -210,6 +210,6 @@ fault_episode() {
 }
 
 fault_episode "path=state;fsync-at=$((N / 2))" "fsync-fault"
-fault_episode "path=state;enospc-after=4096" "enospc"
+fault_episode "path=state;enospc-after=3584" "enospc"
 
 echo "== chaos smoke OK — fault report in $FAULT_REPORT"
