@@ -110,7 +110,7 @@ func TestPublishRefusedOnDegradedShard(t *testing.T) {
 	if err := b.History.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n := b.History.CountByType(history.MessageBuffered); n != 0 {
+	if n := countType(t, b.History, history.MessageBuffered); n != 0 {
 		t.Fatalf("message.buffered events = %d, want 0", n)
 	}
 }

@@ -9,9 +9,11 @@ import (
 	"io"
 	"maps"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -463,7 +465,7 @@ func referenceStore(t *testing.T, journals []storage.Journal, window int) (s *St
 				return err
 			}
 			e.Index = index
-			st.indexLocked(index, payload, e.Type, e.InstanceID)
+			st.indexLocked(index, payload, e.InstanceID)
 			all = append(all, e)
 			return nil
 		})
@@ -477,7 +479,11 @@ func referenceStore(t *testing.T, journals []storage.Journal, window int) (s *St
 
 // TestRecoverWindowEquivalence reopens seeded journals of sizes around
 // the window edge and holds the store NewStriped builds — count-only
-// prefix, in-place peek — to the reference, state and answers.
+// prefix and kept records read at once, in-place peek — to the
+// reference, state and answers. File journals cut into segments of a few
+// records each put the edge between the two ranges in the middle of a
+// segment, on a segment boundary, and inside one case's run of records;
+// a damaged record in either range must fail the open as one scan would.
 func TestRecoverWindowEquivalence(t *testing.T) {
 	const w = 16
 	sizes := []int{0, 1, w - 1, w, w + 1, 2 * w, 4*w - 1, 4 * w, 4*w + 1, 40 * w}
@@ -486,20 +492,67 @@ func TestRecoverWindowEquivalence(t *testing.T) {
 			for _, n := range sizes {
 				seed := int64(1000*window + 100*stripes + n)
 				t.Run(fmt.Sprintf("window=%d/stripes=%d/n=%d", window, stripes, n), func(t *testing.T) {
-					checkRecoverEquivalence(t, rand.New(rand.NewSource(seed)), window, stripes, n)
+					journals := memJournals(stripes)
+					appendTrail(t, rand.New(rand.NewSource(seed)), writerOver(t, journals), n, 1)
+					checkReopen(t, journals, window, n)
 				})
 			}
 		}
 	}
+
+	const n = 400
+	dir := t.TempDir()
+	journals := fileJournals(t, dir, 1, storage.Options{SegmentSize: 512})
+	appendTrail(t, rand.New(rand.NewSource(7)), writerOver(t, journals), n, 6)
+	bases := segmentBases(t, filepath.Join(dir, "stripe-0000"))
+	if len(bases) < 8 {
+		t.Fatalf("%d segments, want at least 8", len(bases))
+	}
+	insts := recordInstances(t, journals[0])
+	boundary := bases[len(bases)/2] - 1 // the prefix ends its segment
+	middle := boundary + 3
+	if next := bases[len(bases)/2+1]; middle+1 >= next {
+		t.Fatalf("segment [%d, %d) holds too few records", boundary+1, next)
+	}
+	straddle := uint64(n / 3) // a case has records on both sides
+	for insts[straddle] == "" || insts[straddle] != insts[straddle+1] {
+		straddle++
+	}
+	for _, c := range []struct {
+		name string
+		cut  uint64
+	}{{"boundary", boundary}, {"mid-segment", middle}, {"straddle", straddle}, {"first", 1}, {"last", n - 1}} {
+		t.Run("file/cut="+c.name, func(t *testing.T) {
+			checkReopen(t, journals, n-int(c.cut), n)
+		})
+	}
+	t.Run("file/stripes=4", func(t *testing.T) {
+		journals := fileJournals(t, t.TempDir(), 4, storage.Options{SegmentSize: 512})
+		appendTrail(t, rand.New(rand.NewSource(8)), writerOver(t, journals), n, 6)
+		checkReopen(t, journals, w, n)
+	})
+	t.Run("file/damaged", recoverDamagedRecord)
 }
 
-func checkRecoverEquivalence(t *testing.T, r *rand.Rand, window, stripes, n int) {
-	journals := memJournals(stripes)
-	writer, err := NewStriped(journals, StoreOptions{Window: window})
+// writerOver opens a store to append to the journals. It is abandoned
+// unclosed: Close would close the journals the readers need.
+func writerOver(t *testing.T, journals []storage.Journal) *Store {
+	t.Helper()
+	writer, err := NewStriped(journals, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return writer
+}
+
+// appendTrail appends n seeded events through writer, about a third of
+// them as the records journals written before numbered instance IDs
+// hold. An instance emits from 1 to maxRun events in a row, and one run
+// in twelve has no instance.
+func appendTrail(t *testing.T, r *rand.Rand, writer *Store, n, maxRun int) {
+	t.Helper()
 	instances := 1 + n/6
+	inst, left := "", 0
 	for i := 0; i < n; i++ {
 		e := &Event{
 			Type:      allEventTypes[r.Intn(len(allEventTypes))],
@@ -507,9 +560,17 @@ func checkRecoverEquivalence(t *testing.T, r *rand.Rand, window, stripes, n int)
 			ProcessID: "order",
 			ElementID: fmt.Sprintf("el-%d", r.Intn(5)),
 		}
-		if r.Intn(12) > 0 { // the rest are instance-less (deployments)
-			e.InstanceID = fmt.Sprintf("order-%d", r.Intn(instances))
+		if left == 0 {
+			inst, left = "", 1
+			if maxRun > 1 {
+				left += r.Intn(maxRun)
+			}
+			if r.Intn(12) > 0 { // the rest are instance-less (deployments)
+				inst = fmt.Sprintf("order-%d", r.Intn(instances))
+			}
 		}
+		left--
+		e.InstanceID = inst
 		switch r.Intn(8) {
 		case 0:
 			e.Data = map[string]any{"routing": true}
@@ -532,9 +593,113 @@ func checkRecoverEquivalence(t *testing.T, r *rand.Rand, window, stripes, n int)
 			t.Fatal(err)
 		}
 	}
-	// The writer is abandoned unclosed: Close would close the journals
-	// the two readers need.
-	checkReopen(t, journals, window, n)
+}
+
+// segmentBases returns the first indexes of a file journal's segments,
+// in order, from their file names.
+func segmentBases(t *testing.T, dir string) []uint64 {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bases []uint64
+	for _, name := range names {
+		base, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(name), "wal-"), ".log"), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases = append(bases, base)
+	}
+	slices.Sort(bases)
+	return bases
+}
+
+// recordInstances returns the instance ID of every record of j, by
+// index ("" for none).
+func recordInstances(t *testing.T, j storage.Journal) map[uint64]string {
+	t.Helper()
+	out := map[uint64]string{}
+	if err := j.Replay(1, func(index uint64, payload []byte) error {
+		e, err := referenceDecode(payload)
+		if err == nil {
+			out[index] = e.InstanceID
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// recoverDamagedRecord: a record no encoder wrote, in the count-only
+// prefix, among the kept records or in both, fails NewStriped with the
+// error one scan of the journals, stripe after stripe, meets first, and
+// the failed open leaves no goroutine behind.
+func recoverDamagedRecord(t *testing.T) {
+	const n, window = 300, 30
+	notV2, malformed := []byte(`{"type":"x"}`), []byte{recordV2, 0xff}
+	for _, c := range []struct {
+		name         string
+		prefix, kept []byte // stripe 0's damaged records, nil for none
+		other        []byte // stripe 1's, in its prefix
+		want         error
+	}{
+		{"prefix", notV2, nil, nil, errNotV2},
+		{"kept", nil, malformed, nil, errMalformedRecord},
+		{"both", notV2, malformed, nil, errNotV2},
+		{"stripes", nil, malformed, notV2, errMalformedRecord},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			journals := fileJournals(t, t.TempDir(), 2, storage.Options{SegmentSize: 512})
+			damage := func(stripe int, rec []byte) uint64 {
+				if rec == nil {
+					return 0
+				}
+				index, err := journals[stripe].Append(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return index
+			}
+			r, writer := rand.New(rand.NewSource(int64(len(c.name)))), writerOver(t, journals)
+			appendTrail(t, r, writer, n/3, 6)
+			inPrefix := damage(0, c.prefix)
+			damage(1, c.other)
+			appendTrail(t, r, writer, n*2/3, 6)
+			inKept := damage(0, c.kept)
+			cut := journals[0].LastIndex() - window
+			if inPrefix > cut || inKept != 0 && inKept <= cut {
+				t.Fatalf("damaged records at %d and %d, cut at %d", inPrefix, inKept, cut)
+			}
+			want := serialReplayErr(journals)
+			before := settledGoroutines()
+			_, err := NewStriped(journals, StoreOptions{Window: window})
+			if err == nil || want == nil || err.Error() != want.Error() || !errors.Is(err, c.want) {
+				t.Errorf("NewStriped: %v, want %v", err, want)
+			}
+			if got := goroutinesBackTo(before); got != before {
+				t.Errorf("after the failed open: %d goroutines, want %d", got, before)
+			}
+		})
+	}
+}
+
+// serialReplayErr is the error one scan of the journals, stripe after
+// stripe, meets first.
+func serialReplayErr(journals []storage.Journal) error {
+	for _, j := range journals {
+		var r record
+		if err := j.Replay(1, func(index uint64, payload []byte) error {
+			if err := r.peek(payload); err != nil {
+				return fmt.Errorf("history: replay record %d: %w", index, err)
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // checkReopen opens journals holding n records twice, with NewStriped
@@ -563,9 +728,6 @@ func checkReopen(t *testing.T, journals []storage.Journal, window, n int) {
 		if !reflect.DeepEqual(gs.instCount, ws.instCount) {
 			t.Errorf("stripe %d: instCount = %v, want %v", i, gs.instCount, ws.instCount)
 		}
-		if !reflect.DeepEqual(gs.byType, ws.byType) {
-			t.Errorf("stripe %d: byType = %v, want %v", i, gs.byType, ws.byType)
-		}
 	}
 	gotStats, wantStats := got.Stats(), want.Stats()
 	if gotStats.RecoveredEvents != n {
@@ -577,15 +739,6 @@ func checkReopen(t *testing.T, journals []storage.Journal, window, n int) {
 	}
 	if got.Count() != want.Count() || got.Count() != n {
 		t.Errorf("Count = %d, reference %d, appended %d", got.Count(), want.Count(), n)
-	}
-	types := append([]EventType(nil), allEventTypes...)
-	for _, e := range all {
-		types = append(types, e.Type)
-	}
-	for _, typ := range types {
-		if g, w := got.CountByType(typ), want.CountByType(typ); g != w {
-			t.Errorf("CountByType(%s) = %d, want %d", typ, g, w)
-		}
 	}
 	ids := want.InstanceIDs()
 	if !reflect.DeepEqual(got.InstanceIDs(), ids) {

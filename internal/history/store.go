@@ -23,8 +23,8 @@ import (
 // records an event on the caller's goroutine: under the stripe lock it
 // encodes the event into the stripe's reused buffer, appends the record
 // to the journal (which buffers it; a file journal's group commit
-// fsyncs it within its max delay) and indexes it. The store starts no
-// goroutine and keeps nothing of the event passed in.
+// fsyncs it within its max delay) and indexes it. No goroutine of the
+// store outlives its open, and it keeps nothing of the event passed in.
 //
 // Ordering: events of one instance always land on one stripe and are
 // recorded in emission order, so per-instance order is preserved both
@@ -41,10 +41,13 @@ import (
 // Data come back as float64.
 //
 // Open: rebuilding a stripe costs O(journal bytes scanned) and decodes
-// nothing. Every record is read; its type and instance ID are peeked
-// where they lie to bump the cumulative counters, and the last `window`
-// records are copied into the resident window as they are (see replay).
-// A journal holding a record that is not v2 does not open (decode.go).
+// nothing. Every record is read; its instance ID is peeked where it lies
+// to bump the cumulative counters, and the last `window` records are
+// copied into the resident window as they are (see replay). The stripes
+// replay at once, and a stripe whose journal outgrows its window reads
+// the count-only prefix and the window's records on two goroutines, so
+// an open takes about the time of its longest range. A journal holding
+// a record that is not v2 does not open (decode.go).
 //
 // A query sees every event recorded before it was called. Rebuilding
 // the indexes from the journals on open makes the store fully
@@ -52,6 +55,10 @@ import (
 type Store struct {
 	stripes []*stripe
 	window  int
+
+	// Boot replay, fixed once NewStriped returns.
+	recovery  time.Duration
+	recovered int
 }
 
 // StoreOptions configures a striped store.
@@ -81,13 +88,8 @@ type stripe struct {
 	// (unaffected by eviction): when an instance's resident records are
 	// fewer than its count, the difference lives in the journal.
 	instCount map[string]int
-	byType    map[EventType]int
 	count     int
 	lastErr   error // first append failure (surfaced by Flush)
-
-	// Boot replay, fixed once NewStriped returns.
-	recovery  time.Duration
-	recovered int
 
 	// Encode scratch, guarded by mu. The window copies what it keeps,
 	// so the buffer is reused from event to event.
@@ -104,21 +106,35 @@ type instRecords struct {
 	indexes []uint64
 }
 
-// NewStriped opens a store over one journal per stripe, replaying each
-// journal to rebuild that stripe's indexes.
+// NewStriped opens a store over one journal per stripe, replaying the
+// journals concurrently to rebuild the stripes' indexes. It returns once
+// every replay has ended, with the first stripe's failure if any failed.
 func NewStriped(journals []storage.Journal, opts StoreOptions) (*Store, error) {
 	if len(journals) == 0 {
 		return nil, fmt.Errorf("history: no journals")
 	}
 	window := max(opts.Window, 0)
 	s := &Store{window: window}
+	began := time.Now()
+	errs := make([]error, len(journals))
+	var wg sync.WaitGroup
 	for i, j := range journals {
 		st := newStripe(j, window, opts.Metrics.HistoryCommit(i))
-		if err := st.replay(); err != nil {
-			return nil, err
-		}
 		s.stripes = append(s.stripes, st)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = st.replay()
+		}()
 	}
+	wg.Wait()
+	for i, st := range s.stripes {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		s.recovered += st.count
+	}
+	s.recovery = time.Since(began)
 	return s, nil
 }
 
@@ -130,7 +146,6 @@ func newStripe(j storage.Journal, window int, commit *obs.Histogram) *stripe {
 		res:        packedWindow{limit: window},
 		byInstance: map[string]instRecords{},
 		instCount:  map[string]int{},
-		byType:     map[EventType]int{},
 	}
 }
 
@@ -138,8 +153,6 @@ func newStripe(j storage.Journal, window int, commit *obs.Histogram) *stripe {
 // occurrence (a lookup by string(bytes) does not allocate; an
 // assignment to a map[string]int would, every time).
 type tally map[string]*int
-
-func (t tally) add(key []byte) { *t.ref(key)++ }
 
 // ref returns key's counter, adding it at 0.
 func (t tally) ref(key []byte) *int {
@@ -152,83 +165,126 @@ func (t tally) ref(key []byte) *int {
 }
 
 // replay rebuilds the stripe's indexes from its journal and decodes
-// nothing. Every record's type and instance ID are read in place and
-// bump the cumulative counters; the records the window keeps — the last
-// `window` of them — are then copied into it as they are. The stripe
-// ends up as if every record had gone through indexLocked.
+// nothing. Every record's instance ID is read in place and counted; the
+// records the window keeps — the last `window` of them, past cut — are
+// also copied into it as they are. The stripe ends up as if every record
+// had gone through indexLocked.
 //
-// A case's records mostly follow one another, so a record of the
-// previous record's instance, found by the bytes and number that hold
-// its ID, reuses that instance's counter and key: its numbered ID is not
-// spelled out and nothing is looked up.
+// When the journal outgrows the window, its two ranges are read at once:
+// the records up to cut, only counted, on a goroutine of their own, and
+// the rest, counted and kept, on the caller's. Each range is one serial
+// scan with counters of its own, summed once both have ended (counts do
+// not depend on the order they were taken in). A damaged record fails
+// the replay with the error of the lowest index, as one scan would.
 func (st *stripe) replay() error {
-	began := time.Now()
 	var cut uint64 // records at or below cut are counted, not kept
 	if last := st.journal.LastIndex(); st.res.limit > 0 && last > uint64(st.res.limit) {
 		cut = last - uint64(st.res.limit)
 	}
-	types, insts, prefix, total := tally{}, tally{}, 0, 0
-	var prev struct {
-		seq   uint64 // the instance's number, 0 for a literal ID
-		key   []byte // its process ID, or its literal ID, copied
-		count *int
-		id    string // instanceKey's, once a record was kept
+	prefix, rest := rangeCount{insts: tally{}}, rangeCount{st: st, insts: tally{}}
+	var prefixErr error
+	var wg sync.WaitGroup
+	if cut > 0 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prefixErr = st.journal.Replay(1, func(index uint64, payload []byte) error {
+				if index > cut {
+					return errStopReplay
+				}
+				return prefix.add(index, payload)
+			})
+			prefix.flush()
+		}()
 	}
-	var r record
-	var idBuf []byte
-	err := st.journal.Replay(1, func(index uint64, payload []byte) error {
-		if err := r.peek(payload); err != nil {
-			return fmt.Errorf("history: replay record %d: %w", index, err)
-		}
-		types.add(r.typ)
-		key, id := r.strs[instanceField], ""
-		if r.seq > 0 {
-			key = r.strs[processField]
-		}
-		if len(key) > 0 {
-			if prev.count == nil || prev.seq != r.seq || !bytes.Equal(prev.key, key) {
-				prev.seq, prev.key, prev.id = r.seq, append(prev.key[:0], key...), ""
-				prev.count = insts.ref(r.instance(&idBuf))
-			}
-			*prev.count++
-		}
-		total++
-		if index <= cut {
-			prefix++
-			return nil
-		}
-		if len(key) > 0 {
-			if prev.id == "" {
-				prev.id = st.instanceKey(r.instance(&idBuf))
-			}
-			id = prev.id
-		}
-		st.keepLocked(index, payload, id)
-		return nil
-	})
+	err := st.journal.Replay(cut+1, rest.add)
+	rest.flush()
+	wg.Wait()
+	if prefixErr != nil && !errors.Is(prefixErr, errStopReplay) {
+		return prefixErr
+	}
 	if err != nil {
 		return err
 	}
-	for typ, n := range types {
-		st.byType[EventType(typ)] += *n
+	st.instCount = make(map[string]int, len(prefix.insts)+len(rest.insts))
+	for _, c := range []*rangeCount{&prefix, &rest} {
+		for inst, n := range c.insts {
+			st.instCount[inst] += *n
+		}
 	}
-	for inst, n := range insts {
-		st.instCount[inst] += *n
-	}
-	st.count += total
-	st.evicted += prefix
-	st.recovery, st.recovered = time.Since(began), st.count
+	st.count = prefix.records + rest.records
+	st.evicted = prefix.records
 	return nil
 }
 
-// instanceKey returns an instance ID read from a record as a string,
-// the resident map's own key when the instance has records there (so
-// only an instance's first resident record allocates).
-func (st *stripe) instanceKey(inst []byte) string {
-	if r, ok := st.byInstance[string(inst)]; ok {
-		return r.id
+// rangeCount counts one contiguous range of a stripe's journal run by
+// run. A case's records mostly follow one another, so the records of
+// one instance in a row, found by the bytes and number that hold its ID,
+// are counted at once: the ID is spelled out and looked up once per run.
+type rangeCount struct {
+	st      *stripe // when set, the range's records are kept in its window
+	insts   tally   // events per instance
+	records int
+
+	r   record
+	buf []byte // record.instance's
+	run struct {
+		seq   uint64 // the instance's number, 0 for a literal ID
+		key   []byte // its process ID, or its literal ID, copied
+		id    []byte // the instance ID, spelled out
+		first uint64 // the index of the run's first record
+		n     int    // its records, 0 when no run is open
 	}
-	return string(inst)
+}
+
+// add peeks the record at index, counts it and, for a kept range, copies
+// it into the window. A record of another instance, or of none, ends the
+// open run.
+func (c *rangeCount) add(index uint64, payload []byte) error {
+	r := &c.r
+	if err := r.peek(payload); err != nil {
+		return fmt.Errorf("history: replay record %d: %w", index, err)
+	}
+	c.records++
+	if c.st != nil {
+		c.st.res.add(index, payload)
+	}
+	key := r.strs[instanceField]
+	if r.seq > 0 {
+		key = r.strs[processField]
+	}
+	if c.run.n > 0 && (len(key) == 0 || r.seq != c.run.seq || !bytes.Equal(key, c.run.key)) {
+		c.flush()
+	}
+	if len(key) == 0 {
+		return nil
+	}
+	if c.run.n == 0 {
+		c.run.seq, c.run.key, c.run.first = r.seq, append(c.run.key[:0], key...), index
+		c.run.id = append(c.run.id[:0], r.instance(&c.buf)...)
+	}
+	c.run.n++
+	return nil
+}
+
+// flush counts the open run, if any, and for a kept range adds its
+// indexes to the stripe's resident index.
+func (c *rangeCount) flush() {
+	if c.run.n == 0 {
+		return
+	}
+	*c.insts.ref(c.run.id) += c.run.n
+	if st := c.st; st != nil {
+		r, ok := st.byInstance[string(c.run.id)]
+		if !ok {
+			r = instRecords{id: string(c.run.id), indexes: make([]uint64, 0, 16)}
+		}
+		for i := range uint64(c.run.n) {
+			r.indexes = append(r.indexes, c.run.first+i)
+		}
+		st.byInstance[r.id] = r
+	}
+	c.run.n = 0
 }
 
 // Stripes returns the stripe count.
@@ -265,7 +321,7 @@ func (st *stripe) append(e *Event) error {
 		var index uint64
 		if index, err = st.journal.Append(buf); err == nil {
 			e.Index = index
-			st.indexLocked(index, buf, e.Type, e.InstanceID)
+			st.indexLocked(index, buf, e.InstanceID)
 		}
 	}
 	st.encBuf = buf[:0]
@@ -289,14 +345,13 @@ func (st *stripe) recordErr(err error) {
 }
 
 // indexLocked adds one appended event, its record rec at journal index,
-// to the stripe indexes. Counters (count, byType, instances) are
-// cumulative and unaffected by eviction.
-func (st *stripe) indexLocked(index uint64, rec []byte, typ EventType, inst string) {
+// to the stripe indexes. Counters (count, instances) are cumulative and
+// unaffected by eviction.
+func (st *stripe) indexLocked(index uint64, rec []byte, inst string) {
 	st.keepLocked(index, rec, inst)
 	if inst != "" {
 		st.instCount[inst]++
 	}
-	st.byType[typ]++
 	st.count++
 }
 
@@ -351,17 +406,6 @@ func (s *Store) Count() int {
 	for _, st := range s.stripes {
 		st.mu.RLock()
 		total += st.count
-		st.mu.RUnlock()
-	}
-	return total
-}
-
-// CountByType returns the number of events of the given type.
-func (s *Store) CountByType(t EventType) int {
-	total := 0
-	for _, st := range s.stripes {
-		st.mu.RLock()
-		total += st.byType[t]
 		st.mu.RUnlock()
 	}
 	return total
@@ -541,8 +585,8 @@ type StoreStats struct {
 	ResidentBytes int `json:"residentBytes"`
 	// Evicted is the number of events only reachable via the journals.
 	Evicted int `json:"evicted"`
-	// RecoverySeconds is how long the boot-time journal replay took,
-	// summed over the stripes (they replay one after another).
+	// RecoverySeconds is the wall time of the boot-time journal replay:
+	// the open of the store, every stripe's replay within it.
 	RecoverySeconds float64 `json:"recoverySeconds"`
 	// RecoveredEvents is how many events that replay found.
 	RecoveredEvents int `json:"recoveredEvents"`
@@ -550,7 +594,8 @@ type StoreStats struct {
 
 // Stats snapshots the store for monitoring.
 func (s *Store) Stats() StoreStats {
-	out := StoreStats{Stripes: len(s.stripes), Window: s.window}
+	out := StoreStats{Stripes: len(s.stripes), Window: s.window,
+		RecoverySeconds: s.recovery.Seconds(), RecoveredEvents: s.recovered}
 	for _, st := range s.stripes {
 		st.mu.RLock()
 		out.Events += st.count
@@ -558,8 +603,6 @@ func (s *Store) Stats() StoreStats {
 		out.ResidentBytes += st.res.heapBytes()
 		out.Evicted += st.evicted
 		st.mu.RUnlock()
-		out.RecoverySeconds += st.recovery.Seconds()
-		out.RecoveredEvents += st.recovered
 	}
 	return out
 }

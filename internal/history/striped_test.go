@@ -2,6 +2,7 @@ package history
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -339,25 +340,16 @@ func TestStoreCloseStopsPipeline(t *testing.T) {
 }
 
 // TestStoreStartsNoGoroutine: a store records on its callers'
-// goroutines, so opening, writing, reading and closing one leaves the
-// goroutine count as it was.
+// goroutines, and its open waits for the replay goroutines it starts, so
+// opening, writing, reading and closing one leaves the goroutine count
+// as it was.
 func TestStoreStartsNoGoroutine(t *testing.T) {
-	// A file journal closed by an earlier test may still be returning
-	// from its committer goroutine: count from a settled number.
-	before := runtime.NumGoroutine()
-	for i := 0; i < 100; i++ {
-		time.Sleep(time.Millisecond)
-		n := runtime.NumGoroutine()
-		if n == before {
-			break
-		}
-		before = n
-	}
+	before := settledGoroutines()
 	s, err := NewStriped(memJournals(4), StoreOptions{Window: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runtime.NumGoroutine(); got != before {
+	if got := goroutinesBackTo(before); got != before {
 		t.Errorf("NewStriped: %d goroutines, want %d", got, before)
 	}
 	for i := 0; i < 40; i++ {
@@ -372,6 +364,45 @@ func TestStoreStartsNoGoroutine(t *testing.T) {
 	if got := runtime.NumGoroutine(); got != before {
 		t.Errorf("after Close: %d goroutines, want %d", got, before)
 	}
+	// Reopened, the journals outgrow the window: each stripe's count-only
+	// prefix is read on a goroutine of its own, ended before the open
+	// returns.
+	journals := memJournals(4)
+	appendTrail(t, rand.New(rand.NewSource(1)), writerOver(t, journals), 200, 6)
+	before = settledGoroutines()
+	if _, err := NewStriped(journals, StoreOptions{Window: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if got := goroutinesBackTo(before); got != before {
+		t.Errorf("reopen: %d goroutines, want %d", got, before)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it holds still: a
+// file journal closed by an earlier test may still be returning from its
+// committer goroutine.
+func settledGoroutines() int {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == before {
+			break
+		}
+		before = n
+	}
+	return before
+}
+
+// goroutinesBackTo returns the goroutine count once it is want again,
+// or after a second: a goroutine that has signalled its end may not have
+// returned yet.
+func goroutinesBackTo(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n != want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
 }
 
 // TestFlushSurfacesEnqueueErrors: a failed append on the

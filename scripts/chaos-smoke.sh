@@ -19,7 +19,10 @@
 #   each one's timer reports it when it fires.
 #
 # Episode 2 — ENOSPC budget: same contract with the journal hitting a
-#   byte-budget wall instead of an I/O error.
+#   byte-budget wall instead of an I/O error. The budget is read off a
+#   server with no fault first: the state bytes the deploy and the first
+#   case write, plus those of N/2 starts, so the wall falls mid-run
+#   whatever size the records have.
 #
 # Overload shedding and client retry are covered in-process by
 # TestOverloadCarriedByClientRetry (internal/api).
@@ -85,6 +88,49 @@ check_nonzero() {
   echo "   gate ok: $1 = $v"
 }
 
+# state_bytes DIR prints the size of the state journal's segments in DIR.
+state_bytes() {
+  cat "$1"/state/wal-*.log | wc -c
+}
+
+# first_case drives one approval case through its user task and prints
+# nothing: completing the work item is the engine transition the
+# metrics gate looks for (starts are timed in a family of their own).
+first_case() {
+  local name="$1" item
+  item=$(ctl -retries 1 start approval amount=0 | sed -n 's/.*"workItemId": *"\([^"]*\)".*/\1/p')
+  if [ -z "$item" ]; then
+    echo "FAIL [$name]: first start parked no work item" >&2
+    cat "$LOG" >&2
+    exit 1
+  fi
+  for verb in claim begin complete; do ctl -retries 1 "$verb" "$item" alice >/dev/null; done
+}
+
+# enospc_budget prints the byte budget of the ENOSPC episode: what the
+# deploy and the first case write to the state journal of a server with
+# no fault, plus N/2 times what one more start writes. Acknowledged
+# writes are fsynced, so the file sizes hold them when read.
+enospc_budget() {
+  local first one
+  DATA="$(mktemp -d)"
+  "$BIN/bpmsd" -addr "$ADDR" -data "$DATA" -task-sla 200ms -user alice=clerk >"$LOG" 2>&1 &
+  PID=$!
+  wait_ready
+  ctl deploy scripts/testdata/approval.json >/dev/null
+  first_case calibration
+  first=$(state_bytes "$DATA")
+  ctl -retries 1 start approval amount=1 >/dev/null
+  one=$(($(state_bytes "$DATA") - first))
+  kill -9 "$PID"; wait "$PID" 2>/dev/null || true; PID=
+  rm -rf "$DATA"; DATA=
+  if [ "$one" -le 0 ]; then
+    echo "FAIL [calibration]: a start wrote $one state byte(s)" >&2
+    exit 1
+  fi
+  echo $((first + N / 2 * one))
+}
+
 # fault_episode FAULT_SPEC EPISODE_NAME
 # Runs the inject → fail-stop → SIGKILL → clean-restart → zero-lost
 # cycle for one fault plan.
@@ -99,17 +145,7 @@ fault_episode() {
   wait_ready
 
   ctl deploy scripts/testdata/approval.json >/dev/null
-
-  # One case through its user task: completing the work item is the
-  # engine transition the metrics gate looks for (starts are timed in
-  # a family of their own).
-  item=$(ctl -retries 1 start approval amount=0 | sed -n 's/.*"workItemId": *"\([^"]*\)".*/\1/p')
-  if [ -z "$item" ]; then
-    echo "FAIL [$name]: first start parked no work item" >&2
-    cat "$LOG" >&2
-    exit 1
-  fi
-  for verb in claim begin complete; do ctl -retries 1 "$verb" "$item" alice >/dev/null; done
+  first_case "$name"
 
   # Durable starts until the fault trips the shard. bpmsctl runs with
   # -retries 1: a start either acks durably or fails — no ambiguity
@@ -210,6 +246,8 @@ fault_episode() {
 }
 
 fault_episode "path=state;fsync-at=$((N / 2))" "fsync-fault"
-fault_episode "path=state;enospc-after=3584" "enospc"
+budget=$(enospc_budget)
+echo "== ENOSPC budget: $budget state bytes (deploy, first case and $((N / 2)) starts)"
+fault_episode "path=state;enospc-after=$budget" "enospc"
 
 echo "== chaos smoke OK — fault report in $FAULT_REPORT"
