@@ -19,6 +19,7 @@ import (
 	"bpms"
 	"bpms/internal/engine"
 	"bpms/internal/expr"
+	"bpms/internal/fnv1a"
 	"bpms/internal/history"
 	"bpms/internal/mine"
 	"bpms/internal/model"
@@ -1006,17 +1007,23 @@ type keepOpen struct{ storage.Journal }
 
 func (keepOpen) Close() error { return nil }
 
-func openHistory(b *testing.B, j storage.Journal, window, wantEvents int) {
+func openHistory(b *testing.B, window, wantEvents int, js ...storage.Journal) {
 	b.Helper()
-	s, err := history.NewStriped([]storage.Journal{keepOpen{j}}, history.StoreOptions{Window: window})
+	kept := make([]storage.Journal, len(js))
+	resident := 0
+	for i, j := range js {
+		kept[i] = keepOpen{j}
+		n := int(j.LastIndex())
+		if window > 0 && window < n {
+			n = window
+		}
+		resident += n
+	}
+	s, err := history.NewStriped(kept, history.StoreOptions{Window: window})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close() // stops the committer; j stays open for the next run
-	resident := wantEvents
-	if window > 0 && window < resident {
-		resident = window
-	}
 	if st := s.Stats(); st.Events != wantEvents || st.Resident != resident {
 		b.Fatalf("opened %d events, %d resident; want %d, %d", st.Events, st.Resident, wantEvents, resident)
 	}
@@ -1047,8 +1054,8 @@ func BenchmarkT16_HistoryOpen(b *testing.B) {
 				// A record below the window is counted where it lies:
 				// a longer prefix allocates nothing more (the slack is
 				// the journal's own replay and the counters' map growth).
-				short := testing.AllocsPerRun(1, func() { openHistory(b, j, window, cases*perCase) })
-				long := testing.AllocsPerRun(1, func() { openHistory(b, longer, window, cases*perCase*3/2) })
+				short := testing.AllocsPerRun(1, func() { openHistory(b, window, cases*perCase, j) })
+				long := testing.AllocsPerRun(1, func() { openHistory(b, window, cases*perCase*3/2, longer) })
 				if long-short > 64 {
 					b.Fatalf("160000 more count-only records cost %.0f allocations, want none", long-short)
 				}
@@ -1062,10 +1069,33 @@ func BenchmarkT16_HistoryOpen(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				openHistory(b, j, window, cases*perCase)
+				openHistory(b, window, cases*perCase, j)
 			}
 		})
 	}
+	// The same trail on four stripes, each case on the stripe its ID
+	// hashes to, as a -shards 4 data dir holds it. At a window of 25 000
+	// a stripe (100 000 resident in all) every stripe outgrows its
+	// window, so each is read as two ranges.
+	striped := make([]storage.Journal, 4)
+	for k := range striped {
+		striped[k] = storage.NewMemJournal()
+	}
+	if err := j.Replay(1, func(_ uint64, p []byte) error {
+		e, err := history.DecodeEvent(p)
+		if err == nil {
+			_, err = striped[fnv1a.Sum32(e.InstanceID)%uint32(len(striped))].Append(p)
+		}
+		return err
+	}); err != nil {
+		b.Fatal(err)
+	}
+	b.Run(fmt.Sprintf("events=%d/stripes=%d/window=25000", cases*perCase, len(striped)), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			openHistory(b, 25000, cases*perCase, striped...)
+		}
+	})
 }
 
 // The most DecodeEvent may allocate for a plain record (the event and

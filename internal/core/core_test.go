@@ -12,6 +12,7 @@ import (
 	"bpms/internal/engine"
 	"bpms/internal/expr"
 	"bpms/internal/history"
+	"bpms/internal/history/historytest"
 	"bpms/internal/model"
 	"bpms/internal/obs"
 	"bpms/internal/resource"
@@ -480,7 +481,7 @@ func TestOverdueItemReportedOnce(t *testing.T) {
 		if err := b.History.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		return countType(t, b.History, history.SLAViolation)
+		return historytest.CountType(t, b.History, history.SLAViolation)
 	}
 	const counted = `bpms_audit_violations_total{kind="task_overdue"} 1`
 
@@ -558,7 +559,7 @@ func TestUnsoundDeployReportedOnce(t *testing.T) {
 		if len(v) != 1 || v[0].Kind != KindDefinitionUnsound || v[0].ID != "deadlock-2" || v[0].Detail == "" {
 			t.Fatalf("violations = %+v, want deadlock-2 unsound", v)
 		}
-		if n := countType(t, b.History, history.SLAViolation); n != 1 {
+		if n := historytest.CountType(t, b.History, history.SLAViolation); n != 1 {
 			t.Fatalf("sla.violation events = %d, want 1", n)
 		}
 	}
@@ -596,19 +597,4 @@ func TestUnsoundDeployReportedOnce(t *testing.T) {
 	defer b.Close()
 	unsound(b)
 	unsound(b)
-}
-
-// countType counts h's events of type typ, read through All.
-func countType(t testing.TB, h *history.Store, typ history.EventType) int {
-	t.Helper()
-	n := 0
-	if err := h.All(func(e *history.Event) error {
-		if e.Type == typ {
-			n++
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return n
 }

@@ -8,6 +8,7 @@ import (
 	"bpms/internal/engine"
 	"bpms/internal/fault"
 	"bpms/internal/history"
+	"bpms/internal/history/historytest"
 	"bpms/internal/model"
 )
 
@@ -110,7 +111,7 @@ func TestPublishRefusedOnDegradedShard(t *testing.T) {
 	if err := b.History.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n := countType(t, b.History, history.MessageBuffered); n != 0 {
+	if n := historytest.CountType(t, b.History, history.MessageBuffered); n != 0 {
 		t.Fatalf("message.buffered events = %d, want 0", n)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"bpms/internal/expr"
 	"bpms/internal/history"
+	"bpms/internal/history/historytest"
 	"bpms/internal/model"
 	"bpms/internal/resource"
 	"bpms/internal/storage"
@@ -656,7 +657,7 @@ func TestIncidents(t *testing.T) {
 	if v.Status != StatusFaulted {
 		t.Fatalf("status = %s", v.Status)
 	}
-	if countType(t, f.hist, history.IncidentRaised) == 0 {
+	if historytest.CountType(t, f.hist, history.IncidentRaised) == 0 {
 		t.Error("no incident recorded")
 	}
 
@@ -726,19 +727,4 @@ func TestNewNeedsRouterHooks(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted a config without Publisher and BufferedMessages")
 	}
-}
-
-// countType counts h's events of type typ, read through All.
-func countType(t testing.TB, h *history.Store, typ history.EventType) int {
-	t.Helper()
-	n := 0
-	if err := h.All(func(e *history.Event) error {
-		if e.Type == typ {
-			n++
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return n
 }

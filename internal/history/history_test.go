@@ -65,8 +65,17 @@ func TestStoreAppendAndQuery(t *testing.T) {
 	if s.Count() != 4 {
 		t.Errorf("Count = %d", s.Count())
 	}
-	if n := countType(t, s, ElementCompleted); n != 3 {
-		t.Errorf("%d %s events, want 3", n, ElementCompleted)
+	completed := 0
+	if err := s.All(func(e *Event) error {
+		if e.Type == ElementCompleted {
+			completed++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if completed != 3 {
+		t.Errorf("%d %s events, want 3", completed, ElementCompleted)
 	}
 	ids := s.InstanceIDs()
 	if len(ids) != 2 || ids[0] != "i-0" || ids[1] != "i-1" {
@@ -225,19 +234,4 @@ func TestFromEvents(t *testing.T) {
 	if len(l2.Traces[0].Entries) != 3 {
 		t.Errorf("includeAll trace: %+v", l2.Traces[0].Entries)
 	}
-}
-
-// countType counts s's events of type typ, read through All.
-func countType(t testing.TB, s *Store, typ EventType) int {
-	t.Helper()
-	n := 0
-	if err := s.All(func(e *Event) error {
-		if e.Type == typ {
-			n++
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return n
 }

@@ -46,8 +46,9 @@ import (
 // copied into the resident window as they are (see replay). The stripes
 // replay at once, and a stripe whose journal outgrows its window reads
 // the count-only prefix and the window's records on two goroutines, so
-// an open takes about the time of its longest range. A journal holding
-// a record that is not v2 does not open (decode.go).
+// an open spreads its scans over the cores: up to two per stripe run at
+// a time, each with counters of its own until its stripe is done. A
+// journal holding a record that is not v2 does not open (decode.go).
 //
 // A query sees every event recorded before it was called. Rebuilding
 // the indexes from the journals on open makes the store fully
@@ -220,7 +221,9 @@ func (st *stripe) replay() error {
 // rangeCount counts one contiguous range of a stripe's journal run by
 // run. A case's records mostly follow one another, so the records of
 // one instance in a row, found by the bytes and number that hold its ID,
-// are counted at once: the ID is spelled out and looked up once per run.
+// are counted at once: the ID is spelled out and its counter looked up
+// once per run. A kept range hands each record to keepLocked, as an
+// append does, so one function fills the window and evicts.
 type rangeCount struct {
 	st      *stripe // when set, the range's records are kept in its window
 	insts   tally   // events per instance
@@ -229,16 +232,16 @@ type rangeCount struct {
 	r   record
 	buf []byte // record.instance's
 	run struct {
-		seq   uint64 // the instance's number, 0 for a literal ID
-		key   []byte // its process ID, or its literal ID, copied
-		id    []byte // the instance ID, spelled out
-		first uint64 // the index of the run's first record
-		n     int    // its records, 0 when no run is open
+		seq  uint64 // the instance's number, 0 for a literal ID
+		key  []byte // its process ID, or its literal ID, copied
+		id   []byte // the instance ID, spelled out
+		kept string // the ID the window keeps its records under
+		n    int    // its records, 0 when no run is open
 	}
 }
 
-// add peeks the record at index, counts it and, for a kept range, copies
-// it into the window. A record of another instance, or of none, ends the
+// add peeks the record at index, counts it and, for a kept range, keeps
+// it in the window. A record of another instance, or of none, ends the
 // open run.
 func (c *rangeCount) add(index uint64, payload []byte) error {
 	r := &c.r
@@ -246,9 +249,6 @@ func (c *rangeCount) add(index uint64, payload []byte) error {
 		return fmt.Errorf("history: replay record %d: %w", index, err)
 	}
 	c.records++
-	if c.st != nil {
-		c.st.res.add(index, payload)
-	}
 	key := r.strs[instanceField]
 	if r.seq > 0 {
 		key = r.strs[processField]
@@ -256,35 +256,40 @@ func (c *rangeCount) add(index uint64, payload []byte) error {
 	if c.run.n > 0 && (len(key) == 0 || r.seq != c.run.seq || !bytes.Equal(key, c.run.key)) {
 		c.flush()
 	}
-	if len(key) == 0 {
-		return nil
+	id := ""
+	if len(key) > 0 {
+		if c.run.n == 0 {
+			c.run.seq, c.run.key = r.seq, append(c.run.key[:0], key...)
+			c.run.id = append(c.run.id[:0], r.instance(&c.buf)...)
+			if c.st != nil {
+				c.run.kept = c.st.instanceKey(c.run.id)
+			}
+		}
+		c.run.n++
+		id = c.run.kept
 	}
-	if c.run.n == 0 {
-		c.run.seq, c.run.key, c.run.first = r.seq, append(c.run.key[:0], key...), index
-		c.run.id = append(c.run.id[:0], r.instance(&c.buf)...)
+	if c.st != nil {
+		c.st.keepLocked(index, payload, id)
 	}
-	c.run.n++
 	return nil
 }
 
-// flush counts the open run, if any, and for a kept range adds its
-// indexes to the stripe's resident index.
+// flush counts the open run, if any.
 func (c *rangeCount) flush() {
-	if c.run.n == 0 {
-		return
+	if c.run.n > 0 {
+		*c.insts.ref(c.run.id) += c.run.n
+		c.run.n = 0
 	}
-	*c.insts.ref(c.run.id) += c.run.n
-	if st := c.st; st != nil {
-		r, ok := st.byInstance[string(c.run.id)]
-		if !ok {
-			r = instRecords{id: string(c.run.id), indexes: make([]uint64, 0, 16)}
-		}
-		for i := range uint64(c.run.n) {
-			r.indexes = append(r.indexes, c.run.first+i)
-		}
-		st.byInstance[r.id] = r
+}
+
+// instanceKey returns an instance ID read from a record as a string,
+// the resident map's own key when the instance has records there (so
+// only an instance's first resident record allocates).
+func (st *stripe) instanceKey(inst []byte) string {
+	if r, ok := st.byInstance[string(inst)]; ok {
+		return r.id
 	}
-	c.run.n = 0
+	return string(inst)
 }
 
 // Stripes returns the stripe count.

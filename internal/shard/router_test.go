@@ -11,6 +11,7 @@ import (
 	"bpms/internal/engine"
 	"bpms/internal/expr"
 	"bpms/internal/history"
+	"bpms/internal/history/historytest"
 	"bpms/internal/model"
 	"bpms/internal/resource"
 	"bpms/internal/storage"
@@ -56,7 +57,7 @@ func TestRouterPartitionsInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deployment fans out to all shards but is audited exactly once.
-	if got := countType(t, hist, history.ProcessDeployed); got != 1 {
+	if got := historytest.CountType(t, hist, history.ProcessDeployed); got != 1 {
 		t.Errorf("ProcessDeployed events = %d, want 1", got)
 	}
 	for _, s := range []int{0, 1, 2, 3} {
@@ -407,7 +408,7 @@ func TestRouterMessageSemantics(t *testing.T) {
 				if err := hist.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				return countType(t, hist, history.MessagePublished), countType(t, hist, history.MessageBuffered)
+				return historytest.CountType(t, hist, history.MessagePublished), historytest.CountType(t, hist, history.MessageBuffered)
 			}
 
 			// Delivered: one published event, none buffered.
@@ -468,19 +469,4 @@ func TestRouterMessageSemantics(t *testing.T) {
 			}
 		})
 	}
-}
-
-// countType counts h's events of type typ, read through All.
-func countType(t testing.TB, h *history.Store, typ history.EventType) int {
-	t.Helper()
-	n := 0
-	if err := h.All(func(e *history.Event) error {
-		if e.Type == typ {
-			n++
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return n
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bpms/internal/history"
+	"bpms/internal/history/historytest"
 	"bpms/internal/model"
 	"bpms/internal/resource"
 )
@@ -327,7 +328,7 @@ func TestSimulationReportsLateWork(t *testing.T) {
 	if res.Completed != 20 {
 		t.Fatalf("completed = %d", res.Completed)
 	}
-	if n := countType(t, res.History, history.SLAViolation); n != 20 {
+	if n := historytest.CountType(t, res.History, history.SLAViolation); n != 20 {
 		t.Errorf("sla.violation events = %d, want 20", n)
 	}
 }
@@ -354,19 +355,4 @@ func TestSimulationUserInSeveralRoles(t *testing.T) {
 	if res.Completed != 10 {
 		t.Fatalf("completed = %d, want 10", res.Completed)
 	}
-}
-
-// countType counts h's events of type typ, read through All.
-func countType(t testing.TB, h *history.Store, typ history.EventType) int {
-	t.Helper()
-	n := 0
-	if err := h.All(func(e *history.Event) error {
-		if e.Type == typ {
-			n++
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return n
 }

@@ -107,10 +107,12 @@ first_case() {
   for verb in claim begin complete; do ctl -retries 1 "$verb" "$item" alice >/dev/null; done
 }
 
-# enospc_budget prints the byte budget of the ENOSPC episode: what the
-# deploy and the first case write to the state journal of a server with
-# no fault, plus N/2 times what one more start writes. Acknowledged
-# writes are fsynced, so the file sizes hold them when read.
+# enospc_budget sets BUDGET, the byte budget of the ENOSPC episode: what
+# the deploy and the first case write to the state journal of a server
+# with no fault, plus N/2 times what one more start writes. Acknowledged
+# writes are fsynced, so the file sizes hold them when read. It runs in
+# this shell, not in a $(...), so errexit and the EXIT trap cover its
+# server.
 enospc_budget() {
   local first one
   DATA="$(mktemp -d)"
@@ -128,7 +130,7 @@ enospc_budget() {
     echo "FAIL [calibration]: a start wrote $one state byte(s)" >&2
     exit 1
   fi
-  echo $((first + N / 2 * one))
+  BUDGET=$((first + N / 2 * one))
 }
 
 # fault_episode FAULT_SPEC EPISODE_NAME
@@ -246,8 +248,8 @@ fault_episode() {
 }
 
 fault_episode "path=state;fsync-at=$((N / 2))" "fsync-fault"
-budget=$(enospc_budget)
-echo "== ENOSPC budget: $budget state bytes (deploy, first case and $((N / 2)) starts)"
-fault_episode "path=state;enospc-after=$budget" "enospc"
+enospc_budget
+echo "== ENOSPC budget: $BUDGET state bytes (deploy, first case and $((N / 2)) starts)"
+fault_episode "path=state;enospc-after=$BUDGET" "enospc"
 
 echo "== chaos smoke OK — fault report in $FAULT_REPORT"
