@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -1096,6 +1097,86 @@ func BenchmarkT16_HistoryOpen(b *testing.B) {
 			openHistory(b, 25000, cases*perCase, striped...)
 		}
 	})
+
+	// The trail in 4 MiB file segments, as a data dir holds it, once and
+	// four times over (1 280 000 events of the same 20 000 instances, so
+	// the two differ in events only, as `longer` does above). The first
+	// open scans every segment and writes its index file; every later
+	// one seeks to the window's first record, reads from there, and takes
+	// the other segments' counts from their index files. So an open costs
+	// about the same at either length. (An open still enters every
+	// instance the index files name: a trail of as many events but 80 000
+	// instances opens in about 1.4 times the time.)
+	const window = 100000
+	fileTrails := map[int]string{}
+	for _, times := range []int{1, 4} {
+		dir, events := b.TempDir(), times*cases*perCase
+		fj, err := storage.OpenFileJournal(dir, storage.Options{SegmentSize: 4 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for range times {
+			scriptCaseEvents(b, fj, cases)
+		}
+		if err := fj.Close(); err != nil {
+			b.Fatal(err)
+		}
+		first := openFileHistory(b, dir, window, events)
+		again := openFileHistory(b, dir, window, events)
+		if first.IndexFallbacks == 0 || first.IndexedSegments != 0 || again.IndexFallbacks != 0 || again.IndexedSegments != first.IndexFallbacks {
+			b.Fatalf("opens of %d events: first %+v, then %+v; want every sealed segment scanned, then indexed", events, first, again)
+		}
+		fileTrails[events] = dir
+	}
+	// The fastest of seven opens each, taken in turns, so that a slower
+	// spell of the machine does not fall on one length only, and each
+	// after a collection, so that none pays for another's garbage.
+	short, long := time.Duration(1<<62), time.Duration(1<<62)
+	for range 7 {
+		for _, o := range []struct {
+			events int
+			best   *time.Duration
+		}{{cases * perCase, &short}, {4 * cases * perCase, &long}} {
+			runtime.GC()
+			t0 := time.Now()
+			openFileHistory(b, fileTrails[o.events], window, o.events)
+			*o.best = min(*o.best, time.Since(t0))
+		}
+	}
+	if float64(long) > 1.2*float64(short) {
+		b.Fatalf("an indexed open of %d events takes %v, of %d events %v: want within 1.2x", 4*cases*perCase, long, cases*perCase, short)
+	}
+	for _, events := range []int{cases * perCase, 4 * cases * perCase} {
+		b.Run(fmt.Sprintf("events=%d/file/window=%d", events, window), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				openFileHistory(b, fileTrails[events], window, events)
+			}
+		})
+	}
+}
+
+// openFileHistory opens the file journal in dir as a store with the
+// given window, checks that it holds wantEvents, closes it and returns
+// its stats.
+func openFileHistory(b *testing.B, dir string, window, wantEvents int) history.StoreStats {
+	b.Helper()
+	fj, err := storage.OpenFileJournal(dir, storage.Options{SegmentSize: 4 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := history.NewStriped([]storage.Journal{fj}, history.StoreOptions{Window: window})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := s.Stats()
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if st.Events != wantEvents || st.Resident != min(window, wantEvents) {
+		b.Fatalf("opened %d events, %d resident; want %d, %d", st.Events, st.Resident, wantEvents, min(window, wantEvents))
+	}
+	return st
 }
 
 // The most DecodeEvent may allocate for a plain record (the event and

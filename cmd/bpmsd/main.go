@@ -193,8 +193,9 @@ func main() {
 		len(sys.Engine.Definitions()), recovered, sys.Engine.Shards(), sys.Directory.Count())
 	if *data != "" {
 		hs := sys.History.Stats()
-		fmt.Printf("bpmsd: history replayed in %.3fs, %d stripe(s) at once (%d events, %d resident in %d B)\n",
-			hs.RecoverySeconds, hs.Stripes, hs.RecoveredEvents, hs.Resident, hs.ResidentBytes)
+		fmt.Printf("bpmsd: history replayed in %.3fs, %d stripe(s) at once (%d events, %d resident in %d B; %d segment(s) from .idx, %d scanned, %d .idx fallback(s))\n",
+			hs.RecoverySeconds, hs.Stripes, hs.RecoveredEvents, hs.Resident, hs.ResidentBytes,
+			hs.IndexedSegments, hs.ScannedSegments, hs.IndexFallbacks)
 		for _, st := range sys.ShardStats() {
 			fmt.Printf("bpmsd: shard %d replayed in %.3fs (%d instance(s), journal index %d, %d byte(s) on disk)\n",
 				st.Shard, st.RecoverySeconds, st.Instances, st.JournalLast, st.DiskBytes)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"bpms/internal/model"
 	"bpms/internal/obs"
 	"bpms/internal/resource"
+	"bpms/internal/storage"
 	"bpms/internal/task"
 	"bpms/internal/timer"
 )
@@ -597,4 +599,53 @@ func TestUnsoundDeployReportedOnce(t *testing.T) {
 	defer b.Close()
 	unsound(b)
 	unsound(b)
+}
+
+// TestDamagedSealedSegmentRefused: a byte flipped in a sealed segment of
+// the state WAL, or of a history journal the open reads whole, refuses
+// the open with storage.ErrCorrupt naming the file, instead of opening
+// with the records after it missing.
+func TestDamagedSealedSegmentRefused(t *testing.T) {
+	for _, sub := range []string{"state", "history"} {
+		t.Run(sub, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{DataDir: dir, SegmentSize: 2048}
+			b, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := b.DeployFile("../../benchmark/testdata/pipeline.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 30; i++ {
+				if _, err := b.Engine.StartInstance(p.ID, map[string]any{"amount": i, "customer": "c", "region": "north"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			segs, err := filepath.Glob(filepath.Join(dir, sub, "wal-*.log"))
+			if err != nil || len(segs) < 2 {
+				t.Fatalf("%d %s segments (%v), want a sealed one", len(segs), sub, err)
+			}
+			data, err := os.ReadFile(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0xff
+			if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			b, err = Open(opts)
+			var ce *storage.ErrCorrupt
+			if err == nil {
+				b.Close()
+			}
+			if !errors.As(err, &ce) || ce.Segment != segs[0] || !strings.Contains(err.Error(), segs[0]) {
+				t.Fatalf("open with %s damaged: %v, want ErrCorrupt naming it", segs[0], err)
+			}
+		})
+	}
 }

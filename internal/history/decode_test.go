@@ -9,6 +9,7 @@ import (
 	"io"
 	"maps"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -449,9 +450,10 @@ func FuzzDecodeEvent(f *testing.F) {
 	})
 }
 
-// referenceStore is what NewStriped built before the count-only prefix
-// replay: every record decoded by the reference decoder and passed, with
-// its type and instance, through indexLocked, which evicts as it goes.
+// referenceStore is what NewStriped built before segment index files
+// and the in-place peek: every record decoded by the reference decoder
+// and passed, with its type and instance, through indexLocked, which
+// evicts as it goes.
 // Beside it, every event in stripe order: the answers of All and,
 // filtered, of EventsOf.
 func referenceStore(t *testing.T, journals []storage.Journal, window int) (s *Store, all []*Event) {
@@ -478,12 +480,14 @@ func referenceStore(t *testing.T, journals []storage.Journal, window int) (s *St
 }
 
 // TestRecoverWindowEquivalence reopens seeded journals of sizes around
-// the window edge and holds the store NewStriped builds — count-only
-// prefix and kept records read at once, in-place peek — to the
-// reference, state and answers. File journals cut into segments of a few
-// records each put the edge between the two ranges in the middle of a
-// segment, on a segment boundary, and inside one case's run of records;
-// a damaged record in either range must fail the open as one scan would.
+// the window edge and holds the store NewStriped builds — sealed
+// segments' counts from their index files, kept records read from the
+// nearest mark, in-place peek — to the reference, state and answers.
+// File journals cut into segments of a few records each put the window's
+// edge in the middle of a segment, on a segment boundary, and inside one
+// case's run of records; their index files are present, absent, stale,
+// damaged, or beside a leftover temp file; a damaged record must fail
+// the open as one scan would.
 func TestRecoverWindowEquivalence(t *testing.T) {
 	const w = 16
 	sizes := []int{0, 1, w - 1, w, w + 1, 2 * w, 4*w - 1, 4 * w, 4*w + 1, 40 * w}
@@ -532,6 +536,105 @@ func TestRecoverWindowEquivalence(t *testing.T) {
 		checkReopen(t, journals, w, n)
 	})
 	t.Run("file/damaged", recoverDamagedRecord)
+	t.Run("file/index", recoverIndexFiles)
+}
+
+// recoverIndexFiles reopens a file journal whose sealed segments' index
+// files are present, absent, stale, damaged or beside a leftover temp
+// file, or whose body does not decode. Every reopen answers as a scan
+// does; an index file is taken when it is valid and written anew when it
+// is not.
+func recoverIndexFiles(t *testing.T) {
+	const n, window = 600, 40
+	trail := func(dir string, segmentSize int64) []storage.Journal {
+		journals := fileJournals(t, dir, 1, storage.Options{SegmentSize: segmentSize})
+		appendTrail(t, rand.New(rand.NewSource(9)), writerOver(t, journals), n, 6)
+		return journals
+	}
+	dir := t.TempDir()
+	journals := trail(dir, 1024)
+	jdir := filepath.Join(dir, "stripe-0000")
+	bases := segmentBases(t, jdir)
+	sealed := len(bases) - 1
+	if sealed < 8 {
+		t.Fatalf("%d sealed segments, want at least 8", sealed)
+	}
+	idx := func(base uint64) string { return filepath.Join(jdir, fmt.Sprintf("wal-%020d.idx", base)) }
+	// A shorter first segment of the same trail, whose index file is
+	// stale for this one: its base matches, its records and bytes do not.
+	shortDir := t.TempDir()
+	trail(shortDir, 512)
+	stale, err := os.ReadFile(filepath.Join(shortDir, "stripe-0000", fmt.Sprintf("wal-%020d.idx", bases[0])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopen := func(t *testing.T, indexed, fallbacks int) {
+		t.Helper()
+		s := checkReopen(t, journals, window, n)
+		if st := s.Stats(); st.IndexedSegments != indexed || st.IndexFallbacks != fallbacks || st.ScannedSegments != fallbacks+1 {
+			t.Errorf("first reopen's stats %+v, want %d indexed, %d fallbacks", st, indexed, fallbacks)
+		}
+		// The fallbacks wrote their index files anew.
+		again, err := NewStriped(journals, StoreOptions{Window: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := again.Stats(); st.IndexedSegments != sealed || st.IndexFallbacks != 0 {
+			t.Errorf("second reopen's stats %+v, want every sealed segment indexed", st)
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		change    func(t *testing.T)
+		fallbacks int
+	}{
+		{"present", func(*testing.T) {}, 0},
+		{"absent", func(t *testing.T) {
+			for _, base := range bases[:sealed] {
+				if err := os.Remove(idx(base)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, sealed},
+		{"stale", func(t *testing.T) {
+			if err := os.WriteFile(idx(bases[0]), stale, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, 1},
+		{"damaged", func(t *testing.T) {
+			for _, base := range bases[2:4] {
+				data, err := os.ReadFile(idx(base))
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[len(data)/2] ^= 0x40
+				if err := os.WriteFile(idx(base), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, 2},
+		{"undecodable", func(t *testing.T) {
+			// A whole index file whose body is not one a stripe writes.
+			if err := journals[0].(*storage.FileJournal).WriteSegmentIndex(bases[3], []byte{0xff}); err != nil {
+				t.Fatal(err)
+			}
+		}, 1},
+		{"temp", func(t *testing.T) {
+			// A crash between the temp file's write and its rename leaves
+			// the temp file and no index file.
+			if err := os.Rename(idx(bases[1]), idx(bases[1])+".tmp"); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(idx(bases[2])+".tmp", []byte("torn"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.change(t)
+			reopen(t, sealed-c.fallbacks, c.fallbacks)
+		})
+	}
 }
 
 // writerOver opens a store to append to the journals. It is abandoned
@@ -588,8 +691,16 @@ func appendTrail(t *testing.T, r *rand.Rand, writer *Store, n, maxRun int) {
 			continue
 		}
 		// A record as journals written before numbered IDs hold it,
-		// appended behind the writer's back.
-		if _, err := writer.stripeFor(e.InstanceID).journal.Append(appendLiteral(t, e)); err != nil {
+		// appended and indexed as the stripe's own appends are, so the
+		// stripe counts it for its segment's index file.
+		st, rec := writer.stripeFor(e.InstanceID), appendLiteral(t, e)
+		st.mu.Lock()
+		index, err := st.journal.Append(rec)
+		if err == nil {
+			st.indexLocked(index, rec, e.InstanceID)
+		}
+		st.mu.Unlock()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -632,10 +743,12 @@ func recordInstances(t *testing.T, j storage.Journal) map[uint64]string {
 	return out
 }
 
-// recoverDamagedRecord: a record no encoder wrote, in the count-only
-// prefix, among the kept records or in both, fails NewStriped with the
-// error one scan of the journals, stripe after stripe, meets first, and
-// the failed open leaves no goroutine behind.
+// recoverDamagedRecord: a record no encoder wrote, below the window,
+// among the kept records or in both, fails NewStriped with the error one
+// scan of the journals, stripe after stripe, meets first, and the failed
+// open leaves no goroutine behind. The damaged records are appended
+// behind the stores' backs, so their segments have no index file and
+// are read.
 func recoverDamagedRecord(t *testing.T) {
 	const n, window = 300, 30
 	notV2, malformed := []byte(`{"type":"x"}`), []byte{recordV2, 0xff}
@@ -703,9 +816,9 @@ func serialReplayErr(journals []storage.Journal) error {
 }
 
 // checkReopen opens journals holding n records twice, with NewStriped
-// and with referenceStore, and holds the first to the second: stripe
-// state, stats and the answer of every query.
-func checkReopen(t *testing.T, journals []storage.Journal, window, n int) {
+// and with referenceStore, holds the first to the second: stripe state,
+// stats and the answer of every query, and returns the first.
+func checkReopen(t *testing.T, journals []storage.Journal, window, n int) *Store {
 	t.Helper()
 	got, err := NewStriped(journals, StoreOptions{Window: window})
 	if err != nil {
@@ -722,11 +835,8 @@ func checkReopen(t *testing.T, journals []storage.Journal, window, n int) {
 		if g, w := residentRecords(gs), residentRecords(ws); !reflect.DeepEqual(g, w) {
 			t.Errorf("stripe %d: resident records differ (%d vs %d records)", i, len(g), len(w))
 		}
-		if !reflect.DeepEqual(gs.byInstance, ws.byInstance) {
-			t.Errorf("stripe %d: byInstance differs", i)
-		}
-		if !reflect.DeepEqual(gs.instCount, ws.instCount) {
-			t.Errorf("stripe %d: instCount = %v, want %v", i, gs.instCount, ws.instCount)
+		if g, w := instanceStates(gs), instanceStates(ws); !reflect.DeepEqual(g, w) {
+			t.Errorf("stripe %d: instances = %v, want %v", i, g, w)
 		}
 	}
 	gotStats, wantStats := got.Stats(), want.Stats()
@@ -734,6 +844,7 @@ func checkReopen(t *testing.T, journals []storage.Journal, window, n int) {
 		t.Errorf("RecoveredEvents = %d, want %d", gotStats.RecoveredEvents, n)
 	}
 	gotStats.RecoverySeconds, gotStats.RecoveredEvents = 0, 0
+	gotStats.IndexedSegments, gotStats.ScannedSegments, gotStats.IndexFallbacks = 0, 0, 0
 	if gotStats != wantStats {
 		t.Errorf("Stats = %+v, want %+v", gotStats, wantStats)
 	}
@@ -765,6 +876,7 @@ func checkReopen(t *testing.T, journals []storage.Journal, window, n int) {
 	if err := got.Flush(); err != nil { // a failed prefix replay would surface here
 		t.Errorf("Flush after queries: %v", err)
 	}
+	return got
 }
 
 // appendLiteral returns the record of e with every present string
@@ -796,6 +908,16 @@ func appendLiteral(t testing.TB, e *Event) []byte {
 	return out
 }
 
+// instanceStates returns what a stripe knows of each instance: its
+// count and resident indexes (the active segment's tally is left out).
+func instanceStates(st *stripe) map[string]instance {
+	out := map[string]instance{}
+	for id, inst := range st.insts {
+		out[id] = instance{id: inst.id, indexes: inst.indexes, count: inst.count}
+	}
+	return out
+}
+
 // residentRecords returns the bytes of a stripe's resident records,
 // oldest first.
 func residentRecords(st *stripe) [][]byte {
@@ -807,8 +929,8 @@ func residentRecords(st *stripe) [][]byte {
 	return out
 }
 
-// TestPeekAllocatesNothing: the count-only replay and EventsOf's skip
-// read a record's type and a literal instance ID where they lie, and
+// TestPeekAllocatesNothing: the boot scan and EventsOf's skip read a
+// record's type and a literal instance ID where they lie, and
 // build a numbered one in the caller's buffer, reused from record to
 // record. The numbered records are checked to be numbered.
 func TestPeekAllocatesNothing(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -40,15 +41,32 @@ import (
 // fresh events, their times carry no monotonic reading, and numbers in
 // Data come back as float64.
 //
-// Open: rebuilding a stripe costs O(journal bytes scanned) and decodes
-// nothing. Every record is read; its instance ID is peeked where it lies
-// to bump the cumulative counters, and the last `window` records are
-// copied into the resident window as they are (see replay). The stripes
-// replay at once, and a stripe whose journal outgrows its window reads
-// the count-only prefix and the window's records on two goroutines, so
-// an open spreads its scans over the cores: up to two per stripe run at
-// a time, each with counters of its own until its stripe is done. A
-// journal holding a record that is not v2 does not open (decode.go).
+// Open: rebuilding a stripe reads what the window keeps and little
+// else. The append that seals a segment of a file journal writes the
+// segment's index file, wal-<base>.idx: its event count per instance,
+// tallied run by run as the stripe counted its records (segindex.go).
+// At open a sealed segment with a valid index file contributes its
+// counts and is not read; the records past the window's cut, the last
+// `window` of them, are read from the nearest mark below the cut and
+// copied into the window as they are, and the active segment's records
+// are counted too. Nothing is decoded: an instance ID is peeked where it
+// lies, and looked up once per run of one instance's records. A sealed
+// segment whose index file is missing, damaged or stale (written for
+// other bytes than the segment holds) is read and counted instead, and
+// its index file written anew, so the answers never depend on an index
+// file, only the time an open takes. A journal without segment files
+// (storage.MemJournal) is read whole. The stripes replay at once, one
+// goroutine each; a journal holding a record that is not v2 does not
+// open (decode.go).
+//
+// Damage: only the active segment of a journal may end in a torn tail,
+// which its open truncates. A sealed segment whose records do not run up
+// to the next segment's base fails any read of it with
+// storage.ErrCorrupt, naming the file: the open, when it reads the
+// segment, or else the first query that reaches below the window into
+// it (EventsOf reports it through Flush, All returns it). A segment the
+// open takes from its index file is not read, so its damage shows only
+// then.
 //
 // A query sees every event recorded before it was called. Rebuilding
 // the indexes from the journals on open makes the store fully
@@ -73,24 +91,38 @@ type StoreOptions struct {
 	Metrics *obs.Metrics
 }
 
-// errStopReplay is the internal sentinel that ends a bounded journal
-// replay early once the in-RAM window is reached.
+// errStopReplay ends a query's replay of the journal prefix once it
+// reaches the resident window.
 var errStopReplay = errors.New("history: stop replay")
+
+// segmented is a journal kept in segment files, each sealed one with an
+// index file whose body the stripe writes (storage.FileJournal).
+type segmented interface {
+	Segments() ([]storage.Segment, error)
+	WriteSegmentIndex(base uint64, body []byte) error
+	IndexSegments(index func(base, end uint64) []byte)
+}
 
 type stripe struct {
 	journal storage.Journal
+	segs    segmented      // the journal's segment files; nil without
 	commit  *obs.Histogram // times append
 
-	mu         sync.RWMutex
-	res        packedWindow // resident records, oldest first
-	evicted    int          // events dropped from RAM (journal-only)
-	byInstance map[string]instRecords
-	// instCount is the cumulative event count per instance ever seen
-	// (unaffected by eviction): when an instance's resident records are
-	// fewer than its count, the difference lives in the journal.
-	instCount map[string]int
-	count     int
-	lastErr   error // first append failure (surfaced by Flush)
+	mu      sync.RWMutex
+	res     packedWindow // resident records, oldest first
+	evicted int          // events dropped from RAM (journal-only)
+	// insts holds every instance the stripe has a record of, by ID.
+	insts map[string]*instance
+	// last is the instance of the newest appended record, so a run of
+	// one instance's records looks its entry up once.
+	last *instance
+	// seg tallies the active segment for its index file; nil for a
+	// journal without segment files.
+	seg     *segTally
+	spare   []instance // the rest of the last chunk of entries
+	count   int
+	lastErr error // first append failure (surfaced by Flush)
+	boot    bootStats
 
 	// Encode scratch, guarded by mu. The window copies what it keeps,
 	// so the buffer is reused from event to event.
@@ -98,14 +130,21 @@ type stripe struct {
 	idBuf  []byte // evictLocked's, for a numbered instance ID
 }
 
-// instRecords is one instance's resident records: their journal
-// indexes, oldest first. It carries the instance ID so the eviction
-// path, which reads the ID from a record's bytes, can rewrite the entry
-// under the map's own key instead of allocating a new one.
-type instRecords struct {
+// instance is what a stripe knows of one instance. Its count is
+// cumulative (unaffected by eviction): when the resident records are
+// fewer, the difference lives in the journal. Entries are allocated
+// instanceChunk at a time, 48 bytes each.
+type instance struct {
 	id      string
-	indexes []uint64
+	indexes []uint64 // journal indexes of its resident records, oldest first
+	count   int32    // its records, resident or not
+	seg     int32    // its records in the active segment (segTally)
 }
+
+const instanceChunk = 64
+
+// bootStats counts how an open took a file journal's segments.
+type bootStats struct{ indexed, scanned, fallbacks int }
 
 // NewStriped opens a store over one journal per stripe, replaying the
 // journals concurrently to rebuild the stripes' indexes. It returns once
@@ -135,161 +174,158 @@ func NewStriped(journals []storage.Journal, opts StoreOptions) (*Store, error) {
 		}
 		s.recovered += st.count
 	}
+	for _, st := range s.stripes {
+		if st.segs != nil {
+			st.segs.IndexSegments(st.sealLocked)
+		}
+	}
 	s.recovery = time.Since(began)
 	return s, nil
 }
 
 // newStripe returns an empty stripe over j, nothing replayed yet.
 func newStripe(j storage.Journal, window int, commit *obs.Histogram) *stripe {
-	return &stripe{
-		journal:    j,
-		commit:     commit,
-		res:        packedWindow{limit: window},
-		byInstance: map[string]instRecords{},
-		instCount:  map[string]int{},
+	st := &stripe{
+		journal: j,
+		commit:  commit,
+		res:     packedWindow{limit: window},
+		insts:   map[string]*instance{},
 	}
+	if segs, ok := j.(segmented); ok {
+		st.segs, st.seg = segs, &segTally{}
+	}
+	return st
 }
 
-// tally counts occurrences by key, allocating only for a key's first
-// occurrence (a lookup by string(bytes) does not allocate; an
-// assignment to a map[string]int would, every time).
-type tally map[string]*int
-
-// ref returns key's counter, adding it at 0.
-func (t tally) ref(key []byte) *int {
-	n := t[string(key)]
-	if n == nil {
-		n = new(int)
-		t[string(key)] = n
-	}
-	return n
-}
-
-// replay rebuilds the stripe's indexes from its journal and decodes
-// nothing. Every record's instance ID is read in place and counted; the
-// records the window keeps — the last `window` of them, past cut — are
-// also copied into it as they are. The stripe ends up as if every record
-// had gone through indexLocked.
-//
-// When the journal outgrows the window, its two ranges are read at once:
-// the records up to cut, only counted, on a goroutine of their own, and
-// the rest, counted and kept, on the caller's. Each range is one serial
-// scan with counters of its own, summed once both have ended (counts do
-// not depend on the order they were taken in). A damaged record fails
-// the replay with the error of the lowest index, as one scan would.
+// replay rebuilds the stripe from its journal and decodes nothing. A
+// sealed segment with a valid index file gives its counts; every other
+// segment is read and counted, and a sealed one among them gets its index
+// file written anew. The records past cut, the last `window` of them,
+// are copied into the window as they are. The stripe ends up as if every
+// record had gone through an append.
 func (st *stripe) replay() error {
-	var cut uint64 // records at or below cut are counted, not kept
-	if last := st.journal.LastIndex(); st.res.limit > 0 && last > uint64(st.res.limit) {
+	last := st.journal.LastIndex()
+	var cut uint64 // records at or below cut are not kept
+	if st.res.limit > 0 && last > uint64(st.res.limit) {
 		cut = last - uint64(st.res.limit)
 	}
-	prefix, rest := rangeCount{insts: tally{}}, rangeCount{st: st, insts: tally{}}
-	var prefixErr error
-	var wg sync.WaitGroup
-	if cut > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			prefixErr = st.journal.Replay(1, func(index uint64, payload []byte) error {
-				if index > cut {
-					return errStopReplay
-				}
-				return prefix.add(index, payload)
-			})
-			prefix.flush()
-		}()
-	}
-	err := st.journal.Replay(cut+1, rest.add)
-	rest.flush()
-	wg.Wait()
-	if prefixErr != nil && !errors.Is(prefixErr, errStopReplay) {
-		return prefixErr
-	}
-	if err != nil {
-		return err
-	}
-	st.instCount = make(map[string]int, len(prefix.insts)+len(rest.insts))
-	for _, c := range []*rangeCount{&prefix, &rest} {
-		for inst, n := range c.insts {
-			st.instCount[inst] += *n
+	segs := []storage.Segment{{Base: st.journal.FirstIndex()}}
+	if st.segs != nil {
+		var err error
+		if segs, err = st.segs.Segments(); err != nil || len(segs) == 0 {
+			return err
 		}
 	}
-	st.count = prefix.records + rest.records
-	st.evicted = prefix.records
+	// The last segment takes whatever the replay finds past it.
+	segs[len(segs)-1].End = math.MaxUint64
+	st.addIndexes(segs)
+	from := cut + 1 // the first record read
+	for _, s := range segs {
+		if s.Index != nil {
+			st.boot.indexed++
+			continue
+		}
+		from = min(from, s.Base)
+		st.boot.scanned++
+		if s.Sealed {
+			st.boot.fallbacks++
+		}
+	}
+	if st.segs == nil {
+		st.boot = bootStats{} // a journal without segment files
+	}
+	st.res.reserve(int(last - cut)) // the records the window keeps
+	scan := bootScan{st: st, segs: segs, cut: cut}
+	if err := st.journal.Replay(from, scan.add); err != nil {
+		return err
+	}
+	for scan.k < len(segs) {
+		scan.endSegment()
+	}
+	st.evicted = st.count - st.res.n
 	return nil
 }
 
-// rangeCount counts one contiguous range of a stripe's journal run by
-// run. A case's records mostly follow one another, so the records of
-// one instance in a row, found by the bytes and number that hold its ID,
-// are counted at once: the ID is spelled out and its counter looked up
-// once per run. A kept range hands each record to keepLocked, as an
-// append does, so one function fills the window and evicts.
-type rangeCount struct {
-	st      *stripe // when set, the range's records are kept in its window
-	insts   tally   // events per instance
-	records int
+// bootScan reads a stripe's journal from the first record replay needs.
+// A record is counted when its segment has no valid index file, and kept
+// when it lies past cut. Its instance is looked up once per run: a
+// case's records mostly follow one another, and the records of one
+// instance in a row are found by the bytes and number that hold its ID.
+type bootScan struct {
+	st   *stripe
+	segs []storage.Segment // Index nil: the segment is counted
+	k    int               // the segment being read
+	cut  uint64
 
-	r   record
-	buf []byte // record.instance's
-	run struct {
-		seq  uint64 // the instance's number, 0 for a literal ID
-		key  []byte // its process ID, or its literal ID, copied
-		id   []byte // the instance ID, spelled out
-		kept string // the ID the window keeps its records under
-		n    int    // its records, 0 when no run is open
-	}
+	r    record
+	buf  []byte    // record.instance's
+	open bool      // a run is open
+	seq  uint64    // the run's instance number, 0 for a literal ID
+	key  []byte    // its process ID, or its literal ID, copied
+	inst *instance // nil for a run of records of no instance
 }
 
-// add peeks the record at index, counts it and, for a kept range, keeps
-// it in the window. A record of another instance, or of none, ends the
-// open run.
-func (c *rangeCount) add(index uint64, payload []byte) error {
+// add peeks the record at index and enters it into the stripe.
+func (c *bootScan) add(index uint64, payload []byte) error {
+	for index >= c.segs[c.k].End {
+		c.endSegment()
+	}
+	count, keep := c.segs[c.k].Index == nil, index > c.cut
+	if !count && !keep {
+		return nil // a record of an indexed segment, read in passing
+	}
 	r := &c.r
 	if err := r.peek(payload); err != nil {
 		return fmt.Errorf("history: replay record %d: %w", index, err)
 	}
-	c.records++
 	key := r.strs[instanceField]
 	if r.seq > 0 {
 		key = r.strs[processField]
 	}
-	if c.run.n > 0 && (len(key) == 0 || r.seq != c.run.seq || !bytes.Equal(key, c.run.key)) {
-		c.flush()
-	}
-	id := ""
-	if len(key) > 0 {
-		if c.run.n == 0 {
-			c.run.seq, c.run.key = r.seq, append(c.run.key[:0], key...)
-			c.run.id = append(c.run.id[:0], r.instance(&c.buf)...)
-			if c.st != nil {
-				c.run.kept = c.st.instanceKey(c.run.id)
-			}
+	if !c.open || r.seq != c.seq || !bytes.Equal(key, c.key) {
+		c.open, c.seq, c.key, c.inst = true, r.seq, append(c.key[:0], key...), nil
+		if len(key) > 0 {
+			c.inst = c.st.instanceOf(r.instance(&c.buf))
 		}
-		c.run.n++
-		id = c.run.kept
 	}
-	if c.st != nil {
-		c.st.keepLocked(index, payload, id)
-	}
+	c.st.addLocked(index, payload, c.inst, keep, count)
 	return nil
 }
 
-// flush counts the open run, if any.
-func (c *rangeCount) flush() {
-	if c.run.n > 0 {
-		*c.insts.ref(c.run.id) += c.run.n
-		c.run.n = 0
+// endSegment ends the segment being read and moves to the next. A
+// sealed segment that was counted gets its index file written anew: a
+// failed write costs the next open a scan of it again.
+func (c *bootScan) endSegment() {
+	s, st := c.segs[c.k], c.st
+	c.k++
+	if s.Index != nil || !s.Sealed || st.seg == nil {
+		return
 	}
+	if body := st.seg.encode(s.End - s.Base); body != nil {
+		_ = st.segs.WriteSegmentIndex(s.Base, body)
+	}
+	st.seg.reset()
 }
 
-// instanceKey returns an instance ID read from a record as a string,
-// the resident map's own key when the instance has records there (so
-// only an instance's first resident record allocates).
-func (st *stripe) instanceKey(inst []byte) string {
-	if r, ok := st.byInstance[string(inst)]; ok {
-		return r.id
+// instanceOf returns the entry of the instance whose ID is id, adding
+// it. A lookup by string(id) does not allocate: only a new instance does.
+func (st *stripe) instanceOf(id []byte) *instance {
+	if inst := st.insts[string(id)]; inst != nil {
+		return inst
 	}
-	return string(inst)
+	return st.newInstance(string(id))
+}
+
+// newInstance enters a new instance.
+func (st *stripe) newInstance(id string) *instance {
+	if len(st.spare) == 0 {
+		st.spare = make([]instance, instanceChunk)
+	}
+	inst := &st.spare[0]
+	st.spare = st.spare[1:]
+	inst.id = id
+	st.insts[id] = inst
+	return inst
 }
 
 // Stripes returns the stripe count.
@@ -350,55 +386,70 @@ func (st *stripe) recordErr(err error) {
 }
 
 // indexLocked adds one appended event, its record rec at journal index,
-// to the stripe indexes. Counters (count, instances) are cumulative and
-// unaffected by eviction.
-func (st *stripe) indexLocked(index uint64, rec []byte, inst string) {
-	st.keepLocked(index, rec, inst)
-	if inst != "" {
-		st.instCount[inst]++
+// to the stripe: kept in the window and counted. The instance entry is
+// looked up once per run of the instance's records.
+func (st *stripe) indexLocked(index uint64, rec []byte, id string) {
+	inst := st.last
+	if id == "" {
+		inst = nil
+	} else if inst == nil || inst.id != id {
+		if inst = st.insts[id]; inst == nil {
+			inst = st.newInstance(id)
+		}
+		st.last = inst
 	}
-	st.count++
+	st.addLocked(index, rec, inst, true, true)
 }
 
-// keepLocked copies a record into the resident window, evicting the
-// oldest resident record when the window is full. The window holds
-// contiguous indexes: a journal append that fails takes no index
-// (storage.Journal), so the next record kept is always the next one.
-func (st *stripe) keepLocked(index uint64, rec []byte, inst string) {
-	if st.res.full() {
-		st.evictLocked()
+// addLocked enters the record at journal index, of inst (nil for a
+// record of no instance): when keep, it copies it into the resident
+// window, evicting the oldest resident record when the window is full;
+// when count, it counts it, and tallies it for the active segment's
+// index file. An append does both, the boot scan what the record's place
+// asks for. The window holds contiguous indexes: a journal append that
+// fails takes no index (storage.Journal), so the next record kept is
+// always the next one.
+func (st *stripe) addLocked(index uint64, rec []byte, inst *instance, keep, count bool) {
+	if keep {
+		if st.res.full() {
+			st.evictLocked()
+		}
+		st.res.add(index, rec)
+		if inst != nil {
+			if inst.indexes == nil {
+				// A workflow instance emits tens of events; starting at a
+				// realistic capacity skips the early doubling chain that
+				// otherwise dominates index allocations.
+				inst.indexes = make([]uint64, 0, 16)
+			}
+			inst.indexes = append(inst.indexes, index)
+		}
 	}
-	st.res.add(index, rec)
-	if inst == "" {
+	if !count {
 		return
 	}
-	r, ok := st.byInstance[inst]
-	if !ok {
-		// A workflow instance emits tens of events; starting at a
-		// realistic capacity skips the early doubling chain that
-		// otherwise dominates index allocations.
-		r = instRecords{id: inst, indexes: make([]uint64, 0, 16)}
+	st.count++
+	if inst != nil {
+		inst.count++
 	}
-	r.indexes = append(r.indexes, index)
-	st.byInstance[r.id] = r
+	if st.seg != nil {
+		st.seg.add(inst)
+	}
 }
 
 // evictLocked drops the oldest resident record, and its index from its
 // instance's list, which it heads. The instance ID is read from the
-// record in place, and the entry is rewritten under its own key, so
-// eviction allocates nothing.
+// record in place, so eviction allocates nothing.
 func (st *stripe) evictLocked() {
 	index, rec := st.res.first, st.res.oldest()
 	// The window keeps only records peek accepted, so scan does too.
 	var fields record
 	_ = fields.scan(rec)
-	inst := fields.instance(&st.idBuf)
-	if r, ok := st.byInstance[string(inst)]; ok && len(inst) > 0 && r.indexes[0] == index {
-		if len(r.indexes) == 1 {
-			delete(st.byInstance, r.id)
+	if inst := st.insts[string(fields.instance(&st.idBuf))]; inst != nil && len(inst.indexes) > 0 && inst.indexes[0] == index {
+		if len(inst.indexes) == 1 {
+			inst.indexes = nil
 		} else {
-			r.indexes = r.indexes[1:]
-			st.byInstance[r.id] = r
+			inst.indexes = inst.indexes[1:]
 		}
 	}
 	st.res.drop()
@@ -421,7 +472,7 @@ func (s *Store) InstanceIDs() []string {
 	var out []string
 	for _, st := range s.stripes {
 		st.mu.RLock()
-		for id := range st.instCount {
+		for id := range st.insts {
 			out = append(out, id)
 		}
 		st.mu.RUnlock()
@@ -442,8 +493,11 @@ func (s *Store) InstanceIDs() []string {
 func (s *Store) EventsOf(instanceID string) []*Event {
 	st := s.stripeFor(instanceID)
 	st.mu.RLock()
-	indexes := st.byInstance[instanceID].indexes
-	total := st.instCount[instanceID]
+	var indexes []uint64
+	total := 0
+	if inst := st.insts[instanceID]; inst != nil {
+		indexes, total = inst.indexes, int(inst.count)
+	}
 	ramFirst := st.res.first
 	var ram []*Event
 	var bad error
@@ -595,6 +649,17 @@ type StoreStats struct {
 	RecoverySeconds float64 `json:"recoverySeconds"`
 	// RecoveredEvents is how many events that replay found.
 	RecoveredEvents int `json:"recoveredEvents"`
+	// IndexedSegments is how many sealed journal segments the replay took
+	// from their index files (wal-<base>.idx) without counting their
+	// records.
+	IndexedSegments int `json:"indexedSegments"`
+	// ScannedSegments is how many segments the replay read to count
+	// them: each journal's active segment, and every sealed one whose
+	// index file was missing, damaged or stale.
+	ScannedSegments int `json:"scannedSegments"`
+	// IndexFallbacks is how many of those were sealed, each given a new
+	// index file: 0 once every sealed segment has a valid one.
+	IndexFallbacks int `json:"indexFallbacks"`
 }
 
 // Stats snapshots the store for monitoring.
@@ -607,6 +672,9 @@ func (s *Store) Stats() StoreStats {
 		out.Resident += st.res.n
 		out.ResidentBytes += st.res.heapBytes()
 		out.Evicted += st.evicted
+		out.IndexedSegments += st.boot.indexed
+		out.ScannedSegments += st.boot.scanned
+		out.IndexFallbacks += st.boot.fallbacks
 		st.mu.RUnlock()
 	}
 	return out

@@ -364,9 +364,8 @@ func TestStoreStartsNoGoroutine(t *testing.T) {
 	if got := runtime.NumGoroutine(); got != before {
 		t.Errorf("after Close: %d goroutines, want %d", got, before)
 	}
-	// Reopened, the journals outgrow the window: each stripe's count-only
-	// prefix is read on a goroutine of its own, ended before the open
-	// returns.
+	// Reopened, the journals outgrow the window: each stripe replays on
+	// a goroutine of its own, ended before the open returns.
 	journals := memJournals(4)
 	appendTrail(t, rand.New(rand.NewSource(1)), writerOver(t, journals), 200, 6)
 	before = settledGoroutines()

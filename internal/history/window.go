@@ -67,8 +67,19 @@ func (w *packedWindow) add(index uint64, rec []byte) {
 }
 
 // grow enlarges the locator ring, oldest record first, never past limit.
-func (w *packedWindow) grow() {
-	size := max(16, 2*len(w.recs))
+func (w *packedWindow) grow() { w.reserve(len(w.recs) + 1) }
+
+// reserve sizes the locator ring for n records at once, to the size
+// adding them one by one would grow it to: 16 doubled as often as they
+// need, never past limit.
+func (w *packedWindow) reserve(n int) {
+	if n <= len(w.recs) {
+		return
+	}
+	size := max(16, len(w.recs))
+	for size < n {
+		size *= 2
+	}
 	if w.limit > 0 {
 		size = min(size, w.limit)
 	}

@@ -327,7 +327,7 @@ func (sn *Snapshot) Iterate(fn func(payload []byte) error) error {
 	if !ok {
 		// The file validated at open time; damage appearing between
 		// open and read is genuine corruption.
-		return fmt.Errorf("storage: snapshot %s: %w", sn.path, ErrCorrupt)
+		return &ErrCorrupt{Segment: sn.path}
 	}
 	return nil
 }

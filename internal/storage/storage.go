@@ -27,6 +27,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"bpms/internal/fault"
@@ -36,9 +37,25 @@ import (
 // ErrClosed is returned by operations on a closed journal.
 var ErrClosed = errors.New("storage: journal closed")
 
-// ErrCorrupt is returned when a record fails its integrity check in a
-// context where truncation is not permitted (e.g. mid-log corruption).
-var ErrCorrupt = errors.New("storage: corrupt record")
+// ErrCorrupt reports a record that fails its integrity check where no
+// torn tail may end the log: inside a sealed WAL segment, which must
+// hold every record up to the next segment's base, or in a snapshot that
+// validated when it was opened. Only the last segment may end early: a
+// crash tears its tail, and open truncates it.
+type ErrCorrupt struct {
+	// Segment is the damaged file.
+	Segment string
+	// Index is the first record of a segment that could not be read (0
+	// for a snapshot).
+	Index uint64
+}
+
+func (e *ErrCorrupt) Error() string {
+	if e.Index == 0 {
+		return fmt.Sprintf("storage: corrupt record in %s", e.Segment)
+	}
+	return fmt.Sprintf("storage: corrupt record %d in sealed segment %s", e.Index, e.Segment)
+}
 
 // Journal is an append-only, replayable record log. Indices are
 // contiguous and start at 1. A record holds 1 to 64 MiB; an append that

@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"bpms/internal/fault"
 )
@@ -50,11 +51,17 @@ func Upgrade(fsys fault.FS, dir string, transcode Transcoder, split func(image [
 	if transcode == nil {
 		transcode = func([]byte) ([]byte, error) { return nil, nil }
 	}
+	var segments []uint64 // ReadDir sorts by name, so by base
+	for _, e := range entries {
+		if base, ok := parseSegmentName(e.Name()); ok {
+			segments = append(segments, base)
+		}
+	}
 	for _, e := range entries {
 		var out []byte
 		n, path := 0, filepath.Join(dir, e.Name())
 		if base, ok := parseSegmentName(e.Name()); ok {
-			out, n, err = upgradeSegment(fsys, dir, base, transcode)
+			out, n, err = upgradeSegment(fsys, dir, segments, base, transcode)
 		} else if _, ok := parseSnapshotName(e.Name()); ok {
 			out, n, err = upgradeSnapshot(fsys, path, transcode, split)
 		}
@@ -69,15 +76,19 @@ func Upgrade(fsys fault.FS, dir string, transcode Transcoder, split func(image [
 	return st, nil
 }
 
-// upgradeSegment returns the current form of one WAL segment and how
-// many records it transcoded, or nil when it is current: in this
-// framing with no record to transcode, or shorter than the magic, which
-// both framings read as holding no record.
-func upgradeSegment(fsys fault.FS, dir string, base uint64, transcode Transcoder) (out []byte, n int, err error) {
+// upgradeSegment returns the current form of the WAL segment at base,
+// one of segments, and how many records it transcoded, or nil when it is
+// current: in this framing with no record to transcode, or shorter than
+// the magic, which both framings read as holding no record. A sealed
+// segment whose records do not run up to the next base is ErrCorrupt,
+// as Replay finds it.
+func upgradeSegment(fsys fault.FS, dir string, segments []uint64, base uint64, transcode Transcoder) (out []byte, n int, err error) {
 	data, err := fsys.ReadFile(filepath.Join(dir, segmentName(base)))
 	if err != nil || len(data) < frameMagicLen {
 		return nil, 0, err
 	}
+	j := &FileJournal{dir: dir, opts: Options{FS: fsys}}
+	i, _ := slices.BinarySearch(segments, base)
 	out = append(out, segmentMagic[:]...)
 	keep := func(index uint64, p []byte) error {
 		rec, err := transcode(p)
@@ -95,10 +106,17 @@ func upgradeSegment(fsys fault.FS, dir string, base uint64, transcode Transcoder
 		return nil
 	}
 	if [frameMagicLen]byte(data) != segmentMagic {
-		return out, n, scanV4Segment(data, base, keep)
+		next, err := scanV4Segment(data, base, keep)
+		if err == nil {
+			err = j.checkSealed(segments, i, next)
+		}
+		return out, n, err
 	}
-	j := &FileJournal{dir: dir, opts: Options{FS: fsys}}
-	if _, _, err := j.scanSegment(base, keep); err != nil || n == 0 {
+	next, _, err := j.scanSegment(base, keep)
+	if err == nil {
+		err = j.checkSealed(segments, i, next)
+	}
+	if err != nil || n == 0 {
 		return nil, 0, err
 	}
 	return out, n, nil
@@ -173,24 +191,25 @@ var snapshotMagicV4 = [frameMagicLen]byte{'B', 'S', 'N', '2'}
 
 // scanV4Segment calls fn for each valid record of a segment in the
 // format 4 framing, up to the first torn, corrupt or out-of-sequence
-// one.
-func scanV4Segment(data []byte, base uint64, fn func(uint64, []byte) error) error {
-	for next := base; len(data) >= 16; next++ {
+// one, and returns the index after the last valid record.
+func scanV4Segment(data []byte, base uint64, fn func(uint64, []byte) error) (uint64, error) {
+	next := base
+	for ; len(data) >= 16; next++ {
 		length := binary.LittleEndian.Uint32(data[0:4])
 		if length > 64<<20 || uint64(len(data)-16) < uint64(length) {
-			return nil
+			break
 		}
 		p := data[16 : 16+length]
 		crc := crc32.Update(crc32.Checksum(data[8:16], castagnoli), castagnoli, p)
 		if crc != binary.LittleEndian.Uint32(data[4:8]) || binary.LittleEndian.Uint64(data[8:16]) != next {
-			return nil
+			break
 		}
 		if err := fn(next, p); err != nil {
-			return err
+			return next, err
 		}
 		data = data[16+length:]
 	}
-	return nil
+	return next, nil
 }
 
 // scanV4Snapshot calls fn for each record of a snapshot's records in
@@ -217,10 +236,10 @@ func scanV4Snapshot(data []byte, fn func([]byte) error) (bool, error) {
 }
 
 // replaceFile atomically replaces the file at path with data: it
-// writes a temp file beside it, fsyncs it, renames it over path and
-// fsyncs the dir.
+// writes a temp file beside it, path + ".tmp", fsyncs it, renames it
+// over path and fsyncs the dir.
 func replaceFile(fsys fault.FS, path string, data []byte) error {
-	tmp := path + ".upgrade"
+	tmp := path + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err

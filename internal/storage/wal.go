@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,6 +58,12 @@ type FileJournal struct {
 	waiters     []commitWaiter
 	closed      bool
 	appendedAny bool
+	index       func(base, end uint64) []byte // IndexSegments'
+	// Marks: the byte offset of every markStride-th record of a segment
+	// (segindex.go), the active segment's and those sealed ones' that
+	// were read whole or taken from an index file.
+	activeMarks []int64
+	marks       map[uint64][]int64
 
 	// Group-commit machinery.
 	delay    *time.Timer   // max-delay clock, armed by the first unsynced append
@@ -95,7 +102,7 @@ func OpenFileJournal(dir string, opts Options) (*FileJournal, error) {
 	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create dir: %w", err)
 	}
-	j := &FileJournal{dir: dir, opts: opts, nextIndex: 1}
+	j := &FileJournal{dir: dir, opts: opts, nextIndex: 1, marks: map[uint64][]int64{}}
 	entries, err := opts.FS.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("storage: read dir: %w", err)
@@ -110,7 +117,7 @@ func OpenFileJournal(dir string, opts Options) (*FileJournal, error) {
 		j.firstIndex = j.segments[0]
 		// Recover the last segment: scan and truncate a torn tail.
 		last := j.segments[len(j.segments)-1]
-		next, size, err := j.scanSegment(last, nil)
+		next, size, err := j.scanFrom(last, last, frameMagicLen, nil, &j.activeMarks)
 		if err != nil {
 			return nil, err
 		}
@@ -141,33 +148,50 @@ func OpenFileJournal(dir string, opts Options) (*FileJournal, error) {
 	return j, nil
 }
 
-// scanSegment reads a segment, calling fn per valid record, and
-// returns the index after the last valid record (the base when there
-// is none) and the byte offset just past it (0 for a file shorter than
-// the magic). A frame that fails its check for the next index, the
-// index it would hold, ends the valid prefix, torn or corrupt or
-// written for another index alike. A segment in the older framing is
-// refused, never read as this one.
+// scanSegment reads a whole segment (scanFrom its first record).
 func (j *FileJournal) scanSegment(base uint64, fn func(uint64, []byte) error) (uint64, int64, error) {
+	return j.scanFrom(base, base, frameMagicLen, fn, nil)
+}
+
+// scanFrom reads the segment at base from its record first, whose frame
+// begins at byte offset, calling fn per valid record, and returns the
+// index after the last valid record (first when there is none) and the
+// byte offset just past it (0 for a file shorter than the magic). When
+// marks is set, the offset of each markStride-th record is appended to
+// it. A frame that fails its check for the next index, the index it
+// would hold, ends the valid prefix, torn or corrupt or written for
+// another index alike. A segment in the older framing is refused, never
+// read as this one.
+func (j *FileJournal) scanFrom(base, first uint64, offset int64, fn func(uint64, []byte) error, marks *[]int64) (uint64, int64, error) {
 	path := filepath.Join(j.dir, segmentName(base))
 	f, err := j.opts.FS.Open(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("storage: open segment: %w", err)
 	}
 	defer f.Close()
-	fr := newFrameReader(f)
 	var magic [frameMagicLen]byte
-	if _, err := io.ReadFull(fr.r, magic[:]); err == io.EOF || err == io.ErrUnexpectedEOF {
+	if _, err := io.ReadFull(f, magic[:]); err == io.EOF || err == io.ErrUnexpectedEOF {
 		return base, 0, nil
 	} else if err != nil {
 		return 0, 0, fmt.Errorf("storage: read segment %s: %w", path, err)
 	} else if magic != segmentMagic {
 		return 0, 0, fmt.Errorf("%w: %s", errOldFraming, path)
 	}
-	offset := int64(frameMagicLen)
-	for next := base; ; next++ {
+	if offset > frameMagicLen {
+		if _, err := f.Seek(offset, io.SeekStart); err != nil {
+			return 0, 0, fmt.Errorf("storage: read segment %s: %w", path, err)
+		}
+	}
+	fr := newFrameReader(f)
+	for next := first; ; next++ {
+		if marks != nil && next > base && (next-base)%markStride == 0 {
+			*marks = append(*marks, offset)
+		}
 		payload, size, err := fr.next(indexSeed(next))
 		if err == io.EOF || err == errBadFrame {
+			if marks != nil && len(*marks) > 0 && (*marks)[len(*marks)-1] == offset {
+				*marks = (*marks)[:len(*marks)-1] // no record begins there
+			}
 			return next, offset, nil
 		} else if err != nil {
 			return next, offset, fmt.Errorf("storage: read segment %s: %w", path, err)
@@ -373,6 +397,9 @@ func (j *FileJournal) appendLocked(payload []byte) (uint64, error) {
 		}
 	}
 	index := j.nextIndex
+	if n := index - j.activeBase; n > 0 && n%markStride == 0 {
+		j.activeMarks = append(j.activeMarks, j.activeSize)
+	}
 	var hdr [maxFrameHead]byte
 	n := putFrameHead(&hdr, indexSeed(index), payload)
 	if _, err := j.activeBuf.Write(hdr[:n]); err != nil {
@@ -401,7 +428,9 @@ func (j *FileJournal) appendLocked(payload []byte) (uint64, error) {
 }
 
 func (j *FileJournal) rollLocked() error {
-	if j.active != nil {
+	sealing := j.active != nil
+	sealed, sealedSize, sealedMarks := Segment{Base: j.activeBase, End: j.nextIndex}, j.activeSize, j.activeMarks
+	if sealing {
 		if err := j.activeBuf.Flush(); err != nil {
 			return err
 		}
@@ -428,8 +457,15 @@ func (j *FileJournal) rollLocked() error {
 	j.activeBase = base
 	j.activeSize = 0
 	j.activeBuf = bufio.NewWriterSize(f, 64<<10)
+	j.activeMarks = nil
 	j.segments = append(j.segments, base)
 	j.startSegmentLocked()
+	if sealing && j.index != nil {
+		j.marks[sealed.Base] = sealedMarks
+		if body := j.index(sealed.Base, sealed.End); body != nil {
+			_ = j.writeIndexLocked(sealed, sealedSize, sealedMarks, body) // without one, a reader scans
+		}
+	}
 	return nil
 }
 
@@ -472,6 +508,9 @@ func (j *FileJournal) Replay(from uint64, fn func(uint64, []byte) error) error {
 		}
 	}
 	segments := append([]uint64(nil), j.segments...)
+	// The segment holding from is read from its mark nearest below from,
+	// when it has marks; a sealed segment read whole leaves its marks.
+	seek := j.marks[segmentOf(segments, from)]
 	j.mu.Unlock()
 
 	for i, base := range segments {
@@ -479,15 +518,64 @@ func (j *FileJournal) Replay(from uint64, fn func(uint64, []byte) error) error {
 		if i+1 < len(segments) && segments[i+1] <= from {
 			continue
 		}
-		_, _, err := j.scanSegment(base, func(index uint64, payload []byte) error {
+		first, offset := base, int64(frameMagicLen)
+		if k := min(int((max(from, base)-base)/markStride), len(seek)); k > 0 {
+			first, offset = base+uint64(k)*markStride, seek[k-1]
+		}
+		seek = nil
+		var marks *[]int64
+		if first == base && i+1 < len(segments) {
+			j.mu.Lock()
+			if _, ok := j.marks[base]; !ok {
+				marks = new([]int64)
+			}
+			j.mu.Unlock()
+		}
+		deliver := func(index uint64, payload []byte) error {
 			if index < from {
 				return nil
 			}
 			return fn(index, payload)
-		})
+		}
+		next, _, err := j.scanFrom(base, first, offset, deliver, marks)
+		if err == nil && next == first && first != base {
+			// The mark does not begin its record: the segment is read
+			// from its start, and its marks are forgotten.
+			j.mu.Lock()
+			delete(j.marks, base)
+			j.mu.Unlock()
+			next, _, err = j.scanFrom(base, base, frameMagicLen, deliver, nil)
+		}
 		if err != nil {
 			return err
 		}
+		if err := j.checkSealed(segments, i, next); err != nil {
+			return err
+		}
+		if marks != nil {
+			j.mu.Lock()
+			j.marks[base] = *marks
+			j.mu.Unlock()
+		}
+	}
+	return nil
+}
+
+// segmentOf returns the base of the segment that holds index, or 0.
+func segmentOf(segments []uint64, index uint64) uint64 {
+	i, _ := slices.BinarySearch(segments, index+1)
+	if i == 0 {
+		return 0
+	}
+	return segments[i-1]
+}
+
+// checkSealed fails a sealed segment, segments[i], whose valid records
+// end at next rather than at the next segment's base: only the last
+// segment may end in a torn tail.
+func (j *FileJournal) checkSealed(segments []uint64, i int, next uint64) error {
+	if i+1 < len(segments) && next != segments[i+1] {
+		return &ErrCorrupt{Segment: filepath.Join(j.dir, segmentName(segments[i])), Index: next}
 	}
 	return nil
 }
@@ -527,6 +615,12 @@ func (j *FileJournal) DropBefore(upTo uint64) error {
 			if err := j.opts.FS.Remove(filepath.Join(j.dir, segmentName(base))); err != nil {
 				return err
 			}
+			if j.index != nil {
+				// One left behind names a segment that is gone: no reader
+				// looks for it.
+				_ = j.opts.FS.Remove(filepath.Join(j.dir, indexName(base)))
+			}
+			delete(j.marks, base)
 			continue
 		}
 		keep = append(keep, base)

@@ -46,6 +46,8 @@ func replayAll(t *testing.T, j *FileJournal) []indexed {
 // replay numbered
 // without gaps up to LastIndex. It must survive an append, a close and
 // a reopen: the records replayed before, then the new one at LastIndex.
+// The same bytes as the sealed first segment of two, a clean one at
+// index 4 after it, must replay gap-free up to LastIndex, or fail.
 func FuzzOpenSegment(f *testing.F) {
 	clean := bytes.Join([][]byte{segmentMagic[:], fuzzRecord(1, "a"), fuzzRecord(2, "bb"), fuzzRecord(3, "ccc")}, nil)
 	f.Add(clean)
@@ -95,6 +97,30 @@ func FuzzOpenSegment(f *testing.F) {
 		}
 		if last := j2.LastIndex(); last != idx {
 			t.Fatalf("reopened LastIndex = %d, want %d", last, idx)
+		}
+
+		sealed := t.TempDir()
+		next := bytes.Join([][]byte{segmentMagic[:], fuzzRecord(4, "dddd"), fuzzRecord(5, "e")}, nil)
+		for base, data := range map[uint64][]byte{1: seg, 4: next} {
+			if err := os.WriteFile(filepath.Join(sealed, segmentName(base)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j3, err := OpenFileJournal(sealed, Options{})
+		if err != nil {
+			t.Fatalf("open with a clean last segment: %v", err)
+		}
+		defer j3.Close()
+		wantNext, got := uint64(1), uint64(0)
+		err = j3.Replay(1, func(i uint64, _ []byte) error {
+			if i != wantNext {
+				t.Fatalf("replayed index %d, want %d", i, wantNext)
+			}
+			got, wantNext = i, wantNext+1
+			return nil
+		})
+		if err == nil && got != j3.LastIndex() {
+			t.Fatalf("replay ended at %d without an error, LastIndex %d", got, j3.LastIndex())
 		}
 	})
 }
