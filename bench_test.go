@@ -321,7 +321,7 @@ func benchAudit(b *testing.B, mkHist func(b *testing.B) *history.Store, maxAlloc
 		defer hist.Close()
 	}
 	proc := model.Sequence(10)
-	e := newBenchRouter(b, shard.Config{Journals: []storage.Journal{storage.NewDiscardJournal()}, History: hist}, proc)
+	e := newBenchRouter(b, shard.Config{Journals: []storage.Journal{storage.NewDiscardJournal()}, History: func() (*history.Store, error) { return hist, nil }}, proc)
 	if maxAllocs > 0 {
 		start := func() {
 			if _, err := e.StartInstance(proc.ID, nil); err != nil {

@@ -161,10 +161,12 @@ func main() {
 		opts.FS = fault.NewInjector(fault.OS, plan)
 		fmt.Printf("bpmsd: fault injection armed: %s\n", *faultSpec)
 	}
+	began := time.Now()
 	sys, err := bpms.Open(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	opened := time.Since(began)
 
 	// Effective configuration, then recovery summary.
 	if *data == "" {
@@ -196,10 +198,15 @@ func main() {
 		fmt.Printf("bpmsd: history replayed in %.3fs, %d stripe(s) at once (%d events, %d resident in %d B; %d segment(s) from .idx, %d scanned, %d .idx fallback(s))\n",
 			hs.RecoverySeconds, hs.Stripes, hs.RecoveredEvents, hs.Resident, hs.ResidentBytes,
 			hs.IndexedSegments, hs.ScannedSegments, hs.IndexFallbacks)
+		var load, arm float64
 		for _, st := range sys.ShardStats() {
-			fmt.Printf("bpmsd: shard %d replayed in %.3fs (%d instance(s), journal index %d, %d byte(s) on disk)\n",
-				st.Shard, st.RecoverySeconds, st.Instances, st.JournalLast, st.DiskBytes)
+			fmt.Printf("bpmsd: shard %d loaded in %.3fs, armed in %.3fs (%d instance(s), journal index %d, %d byte(s) on disk)\n",
+				st.Shard, st.LoadSeconds, st.ArmSeconds, st.Instances, st.JournalLast, st.DiskBytes)
+			load, arm = max(load, st.LoadSeconds), max(arm, st.ArmSeconds)
 		}
+		// The shards load beside the history replay and arm after both.
+		fmt.Printf("bpmsd: opened in %.3fs (history %.3fs beside shard load %.3fs, then arm %.3fs)\n",
+			opened.Seconds(), hs.RecoverySeconds, load, arm)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -31,6 +31,27 @@ func snapshotListing(t *testing.T, dir string) map[string]string {
 	return out
 }
 
+// snapshotsSettled reports whether dir's snapshots/ holds newest, at
+// most retain snapshots and no temp file, as after the prune of the
+// round that wrote newest.
+func snapshotsSettled(t *testing.T, dir, newest string, retain int) bool {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(dir, "snapshots"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, n := false, 0
+	for _, e := range entries {
+		switch filepath.Ext(e.Name()) {
+		case ".tmp":
+			return false
+		case ".snap":
+			found, n = found || e.Name() == newest, n+1
+		}
+	}
+	return found && n <= retain
+}
+
 // TestCloseWaitsForSnapshot: Close refuses new automatic snapshot rounds
 // and waits for a running one before any journal closes. Across seeded
 // rounds of Open, durable starts that trigger snapshots, and Close, no
@@ -106,13 +127,15 @@ func TestSnapshotIntervalTrigger(t *testing.T) {
 	start(20)
 	last, _ := b.JournalIndexes()
 	newest := filepath.Join(dir, "snapshots", fmt.Sprintf("snap-%020d.snap", last))
+	// The round that writes newest renames it into place and then prunes
+	// the older ones: the idle listing is taken once that prune is done
+	// (newest there, at most the two retained snapshots, no temp file).
+	// Names only while the round may still run: a listing with sizes
+	// would stat files it renames or removes.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := os.Stat(newest); err == nil {
-			break
-		}
+	for !snapshotsSettled(t, dir, filepath.Base(newest), 2) {
 		if time.Now().After(deadline) {
-			t.Fatalf("no snapshot at journal index %d within 5s: %v", last, snapshotListing(t, dir))
+			t.Fatalf("no pruned snapshot at journal index %d within 5s: %v", last, snapshotListing(t, dir))
 		}
 		time.Sleep(interval)
 	}

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -267,10 +268,55 @@ func historyDirs(dataDir string, shards int) ([]string, error) {
 	return dirs, nil
 }
 
+// openHistory opens the history journals (one per dir, or n in memory
+// when there are no dirs) and replays them into a store. On failure
+// it closes what it opened.
+func openHistory(opts Options, dirs []string, n int, jopts storage.Options) (*history.Store, error) {
+	if dirs != nil {
+		n = len(dirs)
+	}
+	journals := make([]storage.Journal, n)
+	closeAll := func() {
+		for _, j := range journals {
+			if j != nil {
+				j.Close()
+			}
+		}
+	}
+	for i := range journals {
+		if dirs == nil {
+			journals[i] = storage.NewMemJournal()
+			continue
+		}
+		jo := jopts
+		jo.Metrics = opts.Metrics.WAL(fmt.Sprintf("history-%d", i))
+		j, err := storage.OpenFileJournal(dirs[i], jo)
+		if err != nil {
+			closeAll()
+			return nil, err
+		}
+		journals[i] = j
+	}
+	hist, err := history.NewStriped(journals, history.StoreOptions{
+		Window:  opts.HistoryWindow,
+		Metrics: opts.Metrics,
+	})
+	if err != nil {
+		closeAll()
+		return nil, err
+	}
+	return hist, nil
+}
+
 // Open assembles and (when DataDir is set) recovers a BPMS. The
-// journals open in sequence; then the shards recover concurrently, each
-// reading its own snapshot and WAL serially.
+// history journals open and replay on a goroutine of their own while
+// the shards load their snapshots and state journals, each shard on
+// its own goroutine (shard.New). The two join before the first audit
+// event: the shards arm their live cases (re-issuing work items records
+// task.created) only once the store is open. A failure on either side
+// fails Open with every error joined, and leaves no goroutine behind.
 func Open(opts Options) (*BPMS, error) {
+	began := time.Now()
 	if opts.Clock == nil {
 		opts.Clock = timer.RealClock{}
 	}
@@ -287,8 +333,8 @@ func Open(opts Options) (*BPMS, error) {
 	if shards <= 0 {
 		shards = 1
 	}
-	histJournals := make([]storage.Journal, shards)
 	var histDirs []string
+	var upgrade UpgradeReport
 	if opts.DataDir != "" {
 		if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
 			return nil, fmt.Errorf("core: create data dir: %w", err)
@@ -300,60 +346,56 @@ func Open(opts Options) (*BPMS, error) {
 		if histDirs, err = historyDirs(opts.DataDir, shards); err != nil {
 			return nil, err
 		}
-		histJournals = make([]storage.Journal, len(histDirs))
+		if upgrade, err = upgradeDataDir(opts.FS, opts.DataDir, shards, histDirs); err != nil {
+			return nil, err
+		}
+	}
+	jopts := storage.Options{
+		SegmentSize:   opts.SegmentSize,
+		BatchMaxDelay: opts.BatchMaxDelay,
+		FS:            opts.FS,
+	}
+
+	var hist *history.Store
+	var histErr error
+	histDone := make(chan struct{})
+	go func() {
+		defer close(histDone)
+		hist, histErr = openHistory(opts, histDirs, shards, jopts)
+	}()
+	waitHistory := func() (*history.Store, error) {
+		<-histDone
+		return hist, histErr
 	}
 
 	stateJournals := make([]storage.Journal, shards)
 	snaps := make([]*storage.SnapshotStore, shards)
-	var upgrade UpgradeReport
-	closeAll := func() {
+	closeState := func() {
 		for _, j := range stateJournals {
-			if j != nil {
-				j.Close()
-			}
-		}
-		for _, j := range histJournals {
 			if j != nil {
 				j.Close()
 			}
 		}
 	}
 	if opts.DataDir != "" {
-		var err error
-		if upgrade, err = upgradeDataDir(opts.FS, opts.DataDir, shards, histDirs); err != nil {
-			return nil, err
-		}
-		jopts := storage.Options{
-			SegmentSize:   opts.SegmentSize,
-			BatchMaxDelay: opts.BatchMaxDelay,
-			FS:            opts.FS,
-		}
 		for i := 0; i < shards; i++ {
 			dir := shardDir(opts.DataDir, shards, i)
 			jo := jopts
 			jo.Metrics = opts.Metrics.WAL(fmt.Sprintf("state-%d", i))
 			sj, err := storage.OpenFileJournal(filepath.Join(dir, "state"), jo)
+			if err == nil {
+				stateJournals[i] = sj
+				snaps[i], err = storage.OpenSnapshotStoreFS(filepath.Join(dir, "snapshots"), 2, opts.FS)
+			}
 			if err != nil {
-				closeAll()
+				closeState()
+				if h, herr := waitHistory(); herr != nil {
+					err = errors.Join(err, herr)
+				} else {
+					h.Close()
+				}
 				return nil, err
 			}
-			stateJournals[i] = sj
-			sn, err := storage.OpenSnapshotStoreFS(filepath.Join(dir, "snapshots"), 2, opts.FS)
-			if err != nil {
-				closeAll()
-				return nil, err
-			}
-			snaps[i] = sn
-		}
-		for i, dir := range histDirs {
-			jo := jopts
-			jo.Metrics = opts.Metrics.WAL(fmt.Sprintf("history-%d", i))
-			hj, err := storage.OpenFileJournal(dir, jo)
-			if err != nil {
-				closeAll()
-				return nil, err
-			}
-			histJournals[i] = hj
 		}
 	} else {
 		// Nothing reads a state journal after open unless a snapshot
@@ -361,28 +403,6 @@ func Open(opts Options) (*BPMS, error) {
 		for i := range stateJournals {
 			stateJournals[i] = storage.NewDiscardJournal()
 		}
-		for i := range histJournals {
-			histJournals[i] = storage.NewMemJournal()
-		}
-	}
-
-	hist, err := history.NewStriped(histJournals, history.StoreOptions{
-		Window:  opts.HistoryWindow,
-		Metrics: opts.Metrics,
-	})
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	// Past this point the store owns the history journals: failures
-	// close them through it.
-	closeAll = func() {
-		for _, j := range stateJournals {
-			if j != nil {
-				j.Close()
-			}
-		}
-		hist.Close()
 	}
 	dir := resource.NewDirectory()
 	for i := range opts.Users {
@@ -405,7 +425,6 @@ func Open(opts Options) (*BPMS, error) {
 		Metrics: opts.Metrics.Tasks(),
 	})
 	onDegrade := opts.OnDegrade
-	engineBegan := time.Now()
 	router, err := shard.New(shard.Config{
 		Journals:         stateJournals,
 		Snapshots:        snaps,
@@ -414,7 +433,7 @@ func Open(opts Options) (*BPMS, error) {
 		Tasks:            tasks,
 		Timers:           wheel,
 		Clock:            opts.Clock,
-		History:          hist,
+		History:          waitHistory,
 		Metrics:          opts.Metrics,
 		OnDegrade: func(i int, reason string) {
 			log.Printf("core: shard %d fail-stopped (read-only degraded mode): %s", i, reason)
@@ -424,10 +443,13 @@ func Open(opts Options) (*BPMS, error) {
 		},
 	})
 	if err != nil {
-		closeAll()
+		// The router waited for the history and joined its error.
+		closeState()
+		if h, _ := waitHistory(); h != nil {
+			h.Close()
+		}
 		return nil, err
 	}
-	engineRecovery := time.Since(engineBegan)
 	var unissued uint64
 	for _, s := range router.Stats() {
 		unissued += s.ReissueFailures
@@ -456,8 +478,15 @@ func Open(opts Options) (*BPMS, error) {
 		soundness: map[string]*Violation{},
 	}
 	if opts.Metrics != nil {
+		// The shards load beside the history replay, then arm.
+		var load, arm time.Duration
+		for i := 0; i < shards; i++ {
+			l, a := router.Recovery(i)
+			load, arm = max(load, l), max(arm, a)
+		}
 		opts.Metrics.Recovery("history").SetFloat(hist.Stats().RecoverySeconds)
-		opts.Metrics.Recovery("engine").SetFloat(engineRecovery.Seconds())
+		opts.Metrics.Recovery("engine").SetFloat((load + arm).Seconds())
+		opts.Metrics.Recovery("open").SetFloat(time.Since(began).Seconds())
 		b.registerSamplers(opts.Metrics)
 		// Decision tables are compiled ad hoc (script tasks, API
 		// callers), not owned by core, so their instruments attach
@@ -670,9 +699,13 @@ type ShardStat struct {
 	JournalLast uint64 `json:"journalLast"`
 	// JournalSynced is the shard WAL's last durably synced index.
 	JournalSynced uint64 `json:"journalSynced"`
-	// RecoverySeconds is how long this shard's boot-time recovery
-	// (snapshot load + journal replay) took; 0 when it started fresh.
-	RecoverySeconds float64 `json:"recoverySeconds"`
+	// LoadSeconds is how long this shard's boot took to read its
+	// snapshot and journal; ArmSeconds, how long re-issuing its open work
+	// items and re-arming its timers and subscriptions took. Both are 0
+	// when the shard started fresh; neither counts the wait for the
+	// history store, which replays beside the load.
+	LoadSeconds float64 `json:"loadSeconds"`
+	ArmSeconds  float64 `json:"armSeconds"`
 	// DiskBytes is the shard's on-disk footprint (its state/ WAL
 	// segments plus its snapshots/); 0 when running in memory. History
 	// journals and FORMAT are not counted.
@@ -705,6 +738,7 @@ func (b *BPMS) ShardStats() []ShardStat {
 	stats := b.Engine.Stats()
 	out := make([]ShardStat, len(stats))
 	for i, s := range stats {
+		load, arm := b.Engine.Recovery(i)
 		out[i] = ShardStat{
 			Shard:           s.Shard,
 			Instances:       s.Instances,
@@ -712,7 +746,8 @@ func (b *BPMS) ShardStats() []ShardStat {
 			ReissueFailures: s.ReissueFailures,
 			JournalLast:     b.state[i].LastIndex(),
 			JournalSynced:   b.state[i].SyncedIndex(),
-			RecoverySeconds: b.Engine.RecoveryDuration(i).Seconds(),
+			LoadSeconds:     load.Seconds(),
+			ArmSeconds:      arm.Seconds(),
 			Degraded:        s.Degraded,
 			DegradedReason:  s.DegradedReason,
 		}

@@ -42,7 +42,7 @@ func condHeavyWaiter() *model.Process {
 // sees the shared precompiled programs being evaluated from many
 // goroutines at once.
 func TestConcurrentStartAndPublish(t *testing.T) {
-	e, err := newTestEngine(Config{})
+	e, err := newTestEngine(Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestConcurrentStartAndPublish(t *testing.T) {
 // contract: after Deploy the engine's copy of the definition holds
 // precompiled programs for every expression it carries.
 func TestDeployCompilesDefinition(t *testing.T) {
-	e, err := newTestEngine(Config{})
+	e, err := newTestEngine(Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

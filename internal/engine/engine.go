@@ -98,8 +98,6 @@ type Config struct {
 	Timers timer.Service
 	// Clock supplies time (default RealClock).
 	Clock timer.Clock
-	// History, when set, receives audit events.
-	History *history.Store
 	// Publisher publishes the messages send tasks and throw events
 	// emit (required; the shard router supplies it, so a message thrown
 	// on one shard reaches waiting instances on every shard).
@@ -129,6 +127,7 @@ type Engine struct {
 	journal       storage.Journal
 	snapshots     *storage.SnapshotStore
 	snapshotEvery uint64
+	snapInterval  time.Duration
 
 	tasks  *task.Service
 	timers timer.Service
@@ -145,11 +144,16 @@ type Engine struct {
 	closing         atomic.Bool
 	snapMu          sync.Mutex // one Snapshot at a time (see Snapshot)
 	lastSnapIndex   atomic.Uint64
-	recoveryDur     atomic.Int64
 	reissueFailures atomic.Uint64 // recovered work items not re-issued
 
-	// The snapshotter goroutine (see snapshotter); snapStop is nil when
-	// the engine has no snapshot store or no automatic trigger.
+	// Boot recovery: the live cases New loaded for Start to arm, and
+	// how long each step took (see Recovery).
+	toArm             []*Instance
+	loadTook, armTook time.Duration
+
+	// The snapshotter goroutine (see snapshotter); snapStop is nil until
+	// Start, and after it when the engine has no snapshot store or no
+	// automatic trigger.
 	appends  atomic.Uint64 // journal appends, counted for SnapshotEvery
 	snapReq  chan struct{} // 1-slot: a round is owed
 	snapStop chan struct{} // closed by Close
@@ -169,10 +173,13 @@ type Engine struct {
 	retireHook func(retire func())
 }
 
-// New creates an engine, recovering state from the journal when it is
-// non-empty. Only the shard router builds engines: it supplies the
-// Publisher and BufferedMessages hooks, and New refuses a config
-// without them.
+// New creates an engine and loads its state: the latest snapshot (when
+// a store is set) plus the journal suffix. Loading reads only this
+// shard's files and records no audit event, so it may run while the
+// history store is still opening. The engine serves nothing until Start
+// arms what it loaded. Only the shard router builds engines: it
+// supplies the Publisher and BufferedMessages hooks, and New refuses a
+// config without them.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Publisher == nil || cfg.BufferedMessages == nil {
 		return nil, errors.New("engine: config needs Publisher and BufferedMessages (the shard router supplies them)")
@@ -197,39 +204,54 @@ func New(cfg Config) (*Engine, error) {
 		journal:       cfg.Journal,
 		snapshots:     cfg.Snapshots,
 		snapshotEvery: uint64(max(cfg.SnapshotEvery, 0)),
+		snapInterval:  cfg.SnapshotInterval,
 		tasks:         cfg.Tasks,
 		timers:        cfg.Timers,
 		clock:         cfg.Clock,
-		hist:          cfg.History,
 		subs:          newSubscriptions(),
 		publisher:     cfg.Publisher,
 		buffered:      cfg.BufferedMessages,
 		metrics:       cfg.Metrics,
 		onDegrade:     cfg.OnDegrade,
 	}
-	if cfg.Snapshots != nil && (e.snapshotEvery > 0 || cfg.SnapshotInterval > 0) {
-		e.snapReq = make(chan struct{}, 1)
-		e.snapStop = make(chan struct{})
-		e.snapDone = make(chan struct{})
-	}
 	e.tasks.Subscribe(e.onTaskTransition)
 	if cfg.Journal.LastIndex() > 0 || cfg.Snapshots != nil {
 		begin := time.Now()
-		if err := e.recover(); err != nil {
+		live, err := e.load()
+		if err != nil {
 			return nil, err
 		}
-		e.recoveryDur.Store(int64(time.Since(begin)))
-	}
-	if e.snapStop != nil {
-		go e.snapshotter(cfg.SnapshotInterval)
+		e.toArm = live
+		e.loadTook = time.Since(begin)
 	}
 	return e, nil
 }
 
-// RecoveryDuration reports how long boot-time recovery (snapshot load
-// plus journal replay) took; zero when the engine started fresh.
-func (e *Engine) RecoveryDuration() time.Duration {
-	return time.Duration(e.recoveryDur.Load())
+// Start completes boot: hist (nil for none) becomes the audit sink, the
+// loaded live cases are armed (arm; re-issued work items record
+// task.created in hist), and the snapshotter starts. The router calls
+// it once, after every shard has loaded and the store has opened.
+func (e *Engine) Start(hist *history.Store) {
+	e.hist = hist
+	if e.toArm != nil {
+		begin := time.Now()
+		e.arm(e.toArm)
+		e.toArm = nil
+		e.armTook = time.Since(begin)
+	}
+	if e.snapshots != nil && (e.snapshotEvery > 0 || e.snapInterval > 0) {
+		e.snapReq = make(chan struct{}, 1)
+		e.snapStop = make(chan struct{})
+		e.snapDone = make(chan struct{})
+		go e.snapshotter(e.snapInterval)
+	}
+}
+
+// Recovery reports how long boot took to load the snapshot and journal
+// (New) and to arm the live cases (Start); both zero when the engine
+// started fresh. Neither includes waiting for the history store.
+func (e *Engine) Recovery() (load, arm time.Duration) {
+	return e.loadTook, e.armTook
 }
 
 // RegisterHandler binds a service-task handler name to its function.

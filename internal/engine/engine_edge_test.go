@@ -154,7 +154,7 @@ func newParkEnv(t *testing.T, at time.Time, journal storage.Journal, sla time.Du
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := newTestEngine(Config{Journal: journal, Tasks: tasks, Timers: wheel, Clock: clock, History: hist})
+	e, err := newTestEngine(Config{Journal: journal, Tasks: tasks, Timers: wheel, Clock: clock}, hist)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -287,7 +287,7 @@ func TestRecoveryFromJournal(t *testing.T) {
 	dirr := resource.NewDirectory()
 	dirr.AddUser(&resource.User{ID: "alice", Roles: []string{"clerk"}})
 	tasks := task.NewService(task.Config{Directory: dirr, Now: clock.Now})
-	e1, err := newTestEngine(Config{Journal: journal, Tasks: tasks, Timers: wheel, Clock: clock})
+	e1, err := newTestEngine(Config{Journal: journal, Tasks: tasks, Timers: wheel, Clock: clock}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestRecoveryFromJournal(t *testing.T) {
 	clock2 := timer.NewVirtualClock(clock.Now())
 	wheel2 := timer.NewWheelService(time.Millisecond, 256)
 	tasks2 := task.NewService(task.Config{Directory: dirr, Now: clock2.Now})
-	e2, err := newTestEngine(Config{Journal: journal2, Tasks: tasks2, Timers: wheel2, Clock: clock2})
+	e2, err := newTestEngine(Config{Journal: journal2, Tasks: tasks2, Timers: wheel2, Clock: clock2}, nil)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -390,7 +390,7 @@ func TestRecoveryWithSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, err := newTestEngine(Config{Journal: journal, Snapshots: snaps, SnapshotEvery: 10})
+	e1, err := newTestEngine(Config{Journal: journal, Snapshots: snaps, SnapshotEvery: 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestRecoveryWithSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer journal2.Close()
-	e2, err := newTestEngine(Config{Journal: journal2, Snapshots: snaps})
+	e2, err := newTestEngine(Config{Journal: journal2, Snapshots: snaps}, nil)
 	if err != nil {
 		t.Fatalf("recovery with snapshot: %v", err)
 	}

@@ -45,11 +45,10 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	e, err := newTestEngine(Config{
-		Tasks:   tasks,
-		Timers:  wheel,
-		Clock:   clock,
-		History: hist,
-	})
+		Tasks:  tasks,
+		Timers: wheel,
+		Clock:  clock,
+	}, hist)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,10 +29,11 @@ func DecodeRecord(p []byte) error {
 // *atomic.Uint64), standing in for the shard router's.
 var testSeqs sync.Map
 
-// newTestEngine builds an engine as the shard router builds a
-// one-shard one. Its publisher delivers to the engine alone and
-// buffers on it, and StartInstance numbers IDs past the recovered ones.
-func newTestEngine(cfg Config) (*Engine, error) {
+// newTestEngine builds and starts an engine over hist (nil for no
+// audit trail) as the shard router builds a one-shard one. Its
+// publisher delivers to the engine alone and buffers on it, and
+// StartInstance numbers IDs past the recovered ones.
+func newTestEngine(cfg Config, hist *history.Store) (*Engine, error) {
 	var e *Engine
 	cfg.Publisher = func(name, key string, vars map[string]expr.Value) (int, bool, error) {
 		e.audit(&history.Event{Type: history.MessagePublished, Time: e.clock.Now(),
@@ -54,6 +55,7 @@ func newTestEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.Start(hist)
 	seq := new(atomic.Uint64)
 	for _, id := range e.Instances() {
 		if i := strings.LastIndex(id, "-"); i >= 0 {

@@ -355,20 +355,16 @@ func decodeRecoveryRecord(payload []byte) (any, error) {
 	return rec.Process, nil
 }
 
-// recover rebuilds engine state from the latest snapshot (when
-// present) plus the journal suffix, then arms every live case's waits
-// the way its first park did: work items are issued again and armToken
-// registers each token's timers and subscriptions (wait.go). Both are
-// read serially, one record at a time. Finished cases go straight to
-// the archive, mostly undecoded; only live ones are rebuilt and armed.
-// The definition, instance and archive maps are built locally and
-// published into the engine under its lock in one step: under the
-// shard router, sibling shards recover concurrently and their
-// task-transition listeners call Has on this engine while it is still
-// replaying (holding the lock across the whole replay instead would
-// deadlock — re-issuing a work item notifies this engine's own
-// listener, which takes a read lock).
-func (e *Engine) recover() error {
+// load rebuilds engine state from the latest snapshot (when present)
+// plus the journal suffix, read serially, one record at a time, and
+// returns the live cases in ID order for arm. Finished cases go
+// straight to the archive, mostly undecoded; only live ones are
+// rebuilt. The definition, instance and archive maps are built locally
+// and published into the engine under its lock in one step: under the
+// shard router, a sibling shard arming its cases calls Has on this
+// engine from its task-transition listener. Nothing here touches the
+// worklist, the timers or the history store; arm does.
+func (e *Engine) load() ([]*Instance, error) {
 	defs := map[string]*model.Process{}
 	states := map[string]*instState{}
 	archive := map[string]archived{}
@@ -403,11 +399,11 @@ func (e *Engine) recover() error {
 	if e.snapshots != nil {
 		sn, err := e.snapshots.LatestSnapshot()
 		if err != nil {
-			return fmt.Errorf("engine: read snapshot: %w", err)
+			return nil, fmt.Errorf("engine: read snapshot: %w", err)
 		}
 		if sn != nil {
 			if err := sn.Iterate(apply); err != nil {
-				return err
+				return nil, err
 			}
 			fromIndex = sn.Index + 1
 			e.lastSnapIndex.Store(sn.Index)
@@ -419,20 +415,20 @@ func (e *Engine) recover() error {
 	// (damaged, or missing), and the records in between are gone:
 	// recovering without them would silently lose acknowledged cases.
 	if first := e.journal.FirstIndex(); first > fromIndex {
-		return fmt.Errorf("engine: journal starts at index %d but recovery needs it from %d: "+
+		return nil, fmt.Errorf("engine: journal starts at index %d but recovery needs it from %d: "+
 			"records %d..%d are covered only by a snapshot that cannot be read", first, fromIndex, fromIndex, first-1)
 	}
 
 	if err := e.journal.Replay(fromIndex, func(_ uint64, payload []byte) error {
 		return apply(payload)
 	}); err != nil {
-		return err
+		return nil, err
 	}
 
 	var maxTok uint64
 	for id, a := range archive {
 		if defs[a.processID] == nil {
-			return fmt.Errorf("engine: instance %s references unknown process %q", id, a.processID)
+			return nil, fmt.Errorf("engine: instance %s references unknown process %q", id, a.processID)
 		}
 	}
 	ids := make([]string, 0, len(states))
@@ -441,13 +437,15 @@ func (e *Engine) recover() error {
 	}
 	sort.Strings(ids)
 	insts := make(map[string]*Instance, len(states))
-	for _, id := range ids {
+	live := make([]*Instance, len(ids))
+	for i, id := range ids {
 		st := states[id]
 		def := defs[st.ProcessID]
 		if def == nil {
-			return fmt.Errorf("engine: instance %s references unknown process %q", id, st.ProcessID)
+			return nil, fmt.Errorf("engine: instance %s references unknown process %q", id, st.ProcessID)
 		}
-		insts[id] = restoreInstance(st, def)
+		live[i] = restoreInstance(st, def)
+		insts[id] = live[i]
 		for _, tok := range st.Tokens {
 			maxTok = max(maxTok, tok.ID)
 		}
@@ -456,13 +454,16 @@ func (e *Engine) recover() error {
 	e.definitions, e.instances, e.archive = defs, insts, archive
 	e.mu.Unlock()
 	e.tokSeq.Store(maxTok)
+	return live, nil
+}
 
-	// Arm the live cases' waits as their first park did, token by
-	// token in ID order. The worklist is in memory, so open work items
-	// are issued again first.
+// arm re-arms the loaded live cases' waits as their first park did,
+// case by case and token by token in ID order: the worklist is in
+// memory, so open work items are issued again first, then armToken
+// registers each token's timers and subscriptions (wait.go).
+func (e *Engine) arm(live []*Instance) {
 	var buf [8]*Token
-	for _, id := range ids {
-		inst := insts[id]
+	for _, inst := range live {
 		inst.mu.Lock()
 		toks := buf[:0]
 		for _, tok := range inst.Tokens {
@@ -475,5 +476,4 @@ func (e *Engine) recover() error {
 		}
 		inst.mu.Unlock()
 	}
-	return nil
 }

@@ -46,7 +46,7 @@ func TestEncodeRecordMatchesMarshal(t *testing.T) {
 // a journal and recovers them.
 func TestPersistRoundTripThroughEnvelope(t *testing.T) {
 	j := storage.NewMemJournal()
-	e, err := newTestEngine(Config{Journal: j})
+	e, err := newTestEngine(Config{Journal: j}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPersistRoundTripThroughEnvelope(t *testing.T) {
 		t.Fatal("no journal records written")
 	}
 	// A fresh engine recovers the instance from those records.
-	e2, err := newTestEngine(Config{Journal: j})
+	e2, err := newTestEngine(Config{Journal: j}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func upgradeJournal(t *testing.T, j storage.Journal) storage.Journal {
 // the binary one does.
 func TestRecoveryDecodeFastPathMatchesEnvelope(t *testing.T) {
 	j := storage.NewMemJournal()
-	e, err := newTestEngine(Config{Journal: j})
+	e, err := newTestEngine(Config{Journal: j}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,20 +204,20 @@ func TestRecoveryDecodeFastPathMatchesEnvelope(t *testing.T) {
 		t.Fatal("no instance records written")
 	}
 	for _, old := range []storage.Journal{legacy, respelled} {
-		if _, err := newTestEngine(Config{Journal: old}); err == nil {
+		if _, err := newTestEngine(Config{Journal: old}, nil); err == nil {
 			t.Fatal("a journal of JSON instance records opened without an upgrade")
 		}
 	}
 
-	bin, err := newTestEngine(Config{Journal: j})
+	bin, err := newTestEngine(Config{Journal: j}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := newTestEngine(Config{Journal: upgradeJournal(t, legacy)})
+	fast, err := newTestEngine(Config{Journal: upgradeJournal(t, legacy)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := newTestEngine(Config{Journal: upgradeJournal(t, respelled)})
+	slow, err := newTestEngine(Config{Journal: upgradeJournal(t, respelled)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func BenchmarkPersistInstance(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := newTestEngine(Config{})
+	e, err := newTestEngine(Config{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func TestReadFinishedHead(t *testing.T) {
 // engine counts it instead of dropping it silently.
 func TestReissueFailuresCounted(t *testing.T) {
 	j := storage.NewMemJournal()
-	e, err := newTestEngine(Config{Journal: j})
+	e, err := newTestEngine(Config{Journal: j}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestReissueFailuresCounted(t *testing.T) {
 	if _, err := j.Append(broken); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := newTestEngine(Config{Journal: j})
+	e2, err := newTestEngine(Config{Journal: j}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFinishedCaseHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := storage.NewMemJournal()
-	e, err := newTestEngine(Config{Journal: j})
+	e, err := newTestEngine(Config{Journal: j}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestRetireRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := newFixture(t)
-	e, err := newTestEngine(Config{Journal: j, Snapshots: snaps, Tasks: f.tasks, Timers: f.wheel, Clock: f.clock})
+	e, err := newTestEngine(Config{Journal: j, Snapshots: snaps, Tasks: f.tasks, Timers: f.wheel, Clock: f.clock}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestRetireRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := newTestEngine(Config{Journal: j2, Snapshots: snaps2})
+	e2, err := newTestEngine(Config{Journal: j2, Snapshots: snaps2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestLegacyBlobSnapshotOpens(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { j.Close() })
-		return newTestEngine(Config{Journal: j, Snapshots: snaps, Tasks: f.tasks})
+		return newTestEngine(Config{Journal: j, Snapshots: snaps, Tasks: f.tasks}, nil)
 	}
 	if _, err := open(); err == nil || !strings.Contains(err.Error(), "recovery needs it from") {
 		t.Fatalf("a blob snapshot dir opened without an upgrade: %v", err)

@@ -381,7 +381,7 @@ func localAtZero(inst *Instance) bool {
 // floats; the binary record persists it, and a restart reads it back.
 func TestInfiniteVariablePersists(t *testing.T) {
 	j := storage.NewMemJournal()
-	e, err := newTestEngine(Config{Journal: j})
+	e, err := newTestEngine(Config{Journal: j}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestInfiniteVariablePersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := newTestEngine(Config{Journal: j})
+	e2, err := newTestEngine(Config{Journal: j}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestInfiniteItemsPersist(t *testing.T) {
 		users := resource.NewDirectory()
 		users.AddUser(&resource.User{ID: "carol", Roles: []string{"clerk"}})
 		tasks := task.NewService(task.Config{Directory: users})
-		e, err := newTestEngine(Config{Journal: j, Tasks: tasks})
+		e, err := newTestEngine(Config{Journal: j, Tasks: tasks}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func openStreamingFixture(t *testing.T, dir string, cfg Config) (*Engine, *stora
 		}
 		cfg.Snapshots = sn
 	}
-	e, err := newTestEngine(cfg)
+	e, err := newTestEngine(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestStreamingSnapshotRecoverRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := newTestEngine(Config{Journal: j2, Snapshots: sn})
+	e2, err := newTestEngine(Config{Journal: j2, Snapshots: sn}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSnapshotWhileAppending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := newTestEngine(Config{Journal: j2, Snapshots: sn})
+	e2, err := newTestEngine(Config{Journal: j2, Snapshots: sn}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestLegacyDamagedSnapshotGapRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2, err := newTestEngine(Config{Journal: j2, Snapshots: sn}); err == nil {
+	if e2, err := newTestEngine(Config{Journal: j2, Snapshots: sn}, nil); err == nil {
 		t.Fatalf("recovered %d of 300 cases without an error", len(e2.Instances()))
 	} else if !strings.Contains(err.Error(), "recovery needs it from") {
 		t.Fatalf("error does not name the gap: %v", err)
@@ -405,7 +405,7 @@ func TestDamagedSnapshotGapRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e2, err := newTestEngine(Config{Journal: j2, Snapshots: sn})
+		e2, err := newTestEngine(Config{Journal: j2, Snapshots: sn}, nil)
 		if err == nil {
 			return fmt.Errorf("recovered %d of 300 cases without an error", len(e2.Instances()))
 		}

@@ -81,7 +81,7 @@ func tryOpenUpgradeDir(t *testing.T, dir string, clock timer.Clock) (*Engine, *s
 	users.AddUser(&resource.User{ID: "carol", Roles: []string{"clerk"}})
 	tasks := task.NewService(task.Config{Directory: users, Now: clock.Now})
 	e, err := newTestEngine(Config{Journal: j, Snapshots: snaps, Tasks: tasks, Clock: clock,
-		Timers: timer.NewWheelService(time.Millisecond, 64)})
+		Timers: timer.NewWheelService(time.Millisecond, 64)}, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}

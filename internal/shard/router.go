@@ -27,14 +27,19 @@
 //
 // The router is the only code that builds engines, so instance IDs and
 // message publication each have one implementation, here. Recovery
-// opens all shards in parallel: each engine replays its own snapshot +
-// journal suffix, and the router then re-seeds its ID sequence from the
-// highest recovered instance number.
+// runs in two steps. Every shard loads its own snapshot + journal
+// suffix in parallel, which reads nothing shared, so the history store
+// may still be opening meanwhile (Config.History). Once all shards have
+// loaded and the store is open, every shard arms its live cases in
+// parallel: work items are issued again, recording task.created, and
+// timers and subscriptions are registered. The router's ID sequence
+// continues past the highest instance number any shard loaded.
 package shard
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,7 +61,8 @@ import (
 // Config assembles a Router. Journals supplies one state journal per
 // shard (its length is the shard count); Snapshots, when non-nil, must
 // be parallel to Journals (nil entries disable snapshots for that
-// shard). Tasks, Timers, Clock, and History are shared across shards.
+// shard). Tasks, Timers, Clock, and the History store are shared
+// across shards.
 type Config struct {
 	// Journals holds one state journal per shard.
 	Journals []storage.Journal
@@ -76,8 +82,11 @@ type Config struct {
 	Timers timer.Service
 	// Clock supplies time (default RealClock).
 	Clock timer.Clock
-	// History, when set, receives audit events from every shard.
-	History *history.Store
+	// History, when set, supplies the store that receives audit events
+	// from every shard. New calls it exactly once, after every shard
+	// has loaded and before any arms, so it may block while the store
+	// finishes opening; its error fails New.
+	History func() (*history.Store, error)
 	// Metrics, when set, instruments each shard's engine hot paths
 	// with per-shard latency handles.
 	Metrics *obs.Metrics
@@ -113,8 +122,10 @@ type Router struct {
 	seq    atomic.Uint64
 }
 
-// New builds a router over len(cfg.Journals) shards, recovering every
-// shard in parallel.
+// New builds a router over len(cfg.Journals) shards: every shard loads
+// in parallel, then, with the history store in hand, every shard arms
+// in parallel. A failed load or history open fails New with all the
+// errors joined; no shard is armed then.
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Journals) == 0 {
 		return nil, fmt.Errorf("shard: no journals")
@@ -125,10 +136,10 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		shards: make([]*engine.Engine, len(cfg.Journals)),
 		clock:  cfg.Clock,
-		hist:   cfg.History,
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, len(cfg.Journals))
+	errs := make([]error, len(cfg.Journals), len(cfg.Journals)+1)
+	seqs := make([]uint64, len(cfg.Journals))
 	for i := range cfg.Journals {
 		var snaps *storage.SnapshotStore
 		if i < len(cfg.Snapshots) {
@@ -149,7 +160,6 @@ func New(cfg Config) (*Router, error) {
 				Tasks:            cfg.Tasks,
 				Timers:           cfg.Timers,
 				Clock:            cfg.Clock,
-				History:          cfg.History,
 				Publisher:        r.publish,
 				BufferedMessages: r.takeBuffered,
 				Metrics:          cfg.Metrics.EngineShard(i),
@@ -160,11 +170,18 @@ func New(cfg Config) (*Router, error) {
 				return
 			}
 			r.shards[i] = eng
+			seqs[i] = maxInstanceSeq(eng)
 		}(i, snaps)
 	}
 	wg.Wait()
+	if cfg.History != nil {
+		var err error
+		r.hist, err = cfg.History()
+		errs = append(errs, err)
+	}
 	if err := errors.Join(errs...); err != nil {
-		// Each engine built owns a snapshotter goroutine.
+		// None has started a snapshotter; Close quiets their worklist
+		// listeners.
 		for _, s := range r.shards {
 			if s != nil {
 				s.Close()
@@ -172,18 +189,24 @@ func New(cfg Config) (*Router, error) {
 		}
 		return nil, err
 	}
-	r.seq.Store(r.maxInstanceSeq())
+	for _, s := range r.shards {
+		wg.Add(1)
+		go func(s *engine.Engine) {
+			defer wg.Done()
+			s.Start(r.hist)
+		}(s)
+	}
+	wg.Wait()
+	r.seq.Store(slices.Max(seqs))
 	return r, nil
 }
 
-// maxInstanceSeq scans every shard's recovered instances for the
-// highest trailing sequence number, so new IDs continue past them.
-func (r *Router) maxInstanceSeq() uint64 {
+// maxInstanceSeq scans a loaded shard's instances for the highest
+// trailing sequence number, so new IDs continue past every shard's.
+func maxInstanceSeq(e *engine.Engine) uint64 {
 	var seq uint64
-	for _, s := range r.shards {
-		for _, id := range s.Instances() {
-			seq = max(seq, instanceSeq(id))
-		}
+	for _, id := range e.Instances() {
+		seq = max(seq, instanceSeq(id))
 	}
 	return seq
 }
@@ -396,10 +419,10 @@ func (r *Router) Close() {
 	}
 }
 
-// RecoveryDuration reports how long one shard's boot-time recovery
-// took (zero when the shard started fresh).
-func (r *Router) RecoveryDuration(i int) time.Duration {
-	return r.shards[i].RecoveryDuration()
+// Recovery reports how long one shard's boot took to load its snapshot
+// and journal and to arm its live cases (see engine.Engine.Recovery).
+func (r *Router) Recovery(i int) (load, arm time.Duration) {
+	return r.shards[i].Recovery()
 }
 
 // Snapshot writes a state snapshot on every shard (and compacts each

@@ -40,7 +40,7 @@ func newTestRouter(t *testing.T, n int, users ...resource.User) (*Router, *histo
 		Journals: journals,
 		Tasks:    tasks,
 		Timers:   timer.NewWheelService(10*time.Millisecond, 512),
-		History:  hist,
+		History:  func() (*history.Store, error) { return hist, nil },
 	})
 	if err != nil {
 		t.Fatal(err)
